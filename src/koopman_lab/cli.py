@@ -78,6 +78,21 @@ def _population_model(data):
     return population.paper_model()
 
 
+def _flag(value, default):
+    """A command-line flag's value, or default when the flag is absent."""
+    return default if value is None else value
+
+
+def _check_flags(args):
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"flag --threads must be >= 1, got {args.threads}")
+    if args.tol is not None and not args.tol > 0:
+        raise ConfigError(f"flag --tol must be positive, got {args.tol}")
+    if args.t_end is not None and not args.t_end >= 0:
+        raise ConfigError(
+            f"flag --t-end must be nonnegative, got {args.t_end}")
+
+
 def _parse_grid(text):
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -95,13 +110,13 @@ def _cmd_population_scan(args):
     data = _load_config(args.config, {"model", "x1", "t_end", "orders"})
     model = _population_model(data)
     grid = _parse_grid(args.grid) if args.grid else None
-    orders = tuple(args.orders or data.get("orders",
-                                           population.DEFAULT_ORDERS))
+    orders = tuple(_flag(args.orders, data.get("orders",
+                                               population.DEFAULT_ORDERS)))
     res = population.convergence_scan(
         model, x1_fixed=float(data.get("x1", 1.0)),
         x2_range=grid, x3_range=grid, orders=orders,
-        t_end=args.t_end or data.get("t_end", population.DEFAULT_T_END),
-        tol=args.tol or 1e-10, threads=args.threads)
+        t_end=_flag(args.t_end, data.get("t_end", population.DEFAULT_T_END)),
+        tol=_flag(args.tol, 1e-10), threads=args.threads)
     population.scan_to_csv(res, args.out)
     return EXIT_OK
 
@@ -110,10 +125,11 @@ def _cmd_population_traj(args):
     data = _load_config(args.config, {"model", "x0", "order", "t_end"})
     model = _population_model(data)
     x0 = np.asarray(data.get("x0", [1.0, 1.4, 1.4]), dtype=float)
-    order = int(args.orders[0]) if args.orders else int(data.get("order", 3))
-    t_end = args.t_end or data.get("t_end", population.DEFAULT_T_END)
+    order = int(data.get("order", 3) if args.orders is None
+                else args.orders[0])
+    t_end = _flag(args.t_end, data.get("t_end", population.DEFAULT_T_END))
     exact, carl, mode = population.trajectory_compare(
-        model, x0, order, t_end, tol=args.tol or 1e-10)
+        model, x0, order, t_end, tol=_flag(args.tol, 1e-10))
     if exact.diverged:
         raise NumericalError("reference trajectory diverged")
     header = ["t"] + [f"x{i+1}_exact" for i in range(model.dim)] \
@@ -134,7 +150,7 @@ def _cmd_population_chaos(args):
     data = _load_config(args.config, {"model", "x0", "t_end"})
     model = _population_model(data)
     x0 = np.asarray(data.get("x0", [0.05, 1.3, 0.025]), dtype=float)
-    t_end = args.t_end or data.get("t_end", population.CHAOS_T_END)
+    t_end = _flag(args.t_end, data.get("t_end", population.CHAOS_T_END))
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
         raise NumericalError("chaos trajectory diverged")
@@ -147,13 +163,14 @@ def _error_profile_cmd(args, evolve):
     data = _load_config(args.config, {"model", "x0", "orders", "t_end"})
     model = _population_model(data)
     x0 = np.asarray(data.get("x0", [1.0, 1.4, 1.4]), dtype=float)
-    orders = [int(n) for n in (args.orders or data.get("orders", [1, 3, 6]))]
-    t_end = args.t_end or data.get("t_end", population.DEFAULT_T_END)
+    orders = [int(n) for n in _flag(args.orders,
+                                    data.get("orders", [1, 3, 6]))]
+    t_end = _flag(args.t_end, data.get("t_end", population.DEFAULT_T_END))
     sample_times = np.linspace(0.0, t_end, 129)
     reference = nip.reference_y_trajectory(model, x0, t_end,
                                            sample_times=sample_times)
-    runs = [evolve(model, x0, n, t_end, args.tol or 1e-10, sample_times,
-                   reference) for n in orders]
+    runs = [evolve(model, x0, n, t_end, _flag(args.tol, 1e-10),
+                   sample_times, reference) for n in orders]
     header = ["t"] + [f"eps_order_{n}" for n in orders]
     rows = []
     for s in range(sample_times.size):
@@ -198,9 +215,9 @@ def _fermion_setup(args, extra=()):
 
 def _cmd_fermion_evolve(args):
     data, sys_, gamma0 = _fermion_setup(args)
-    t_end = args.t_end or data.get("t_end", 1.0)
+    t_end = _flag(args.t_end, data.get("t_end", 1.0))
     final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end,
-                                            tol=args.tol or 1e-10)
+                                            tol=_flag(args.tol, 1e-10))
     rows = [(i, j, final.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
     _write_csv(args.out, ["i", "j", "value"], rows)
@@ -209,10 +226,10 @@ def _cmd_fermion_evolve(args):
 
 def _cmd_fermion_heat(args):
     data, sys_, gamma0 = _fermion_setup(args, extra=("samples",))
-    t_end = args.t_end or data.get("t_end", 1.0)
+    t_end = _flag(args.t_end, data.get("t_end", 1.0))
     times = np.linspace(0.0, t_end, int(data.get("samples", 129)))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
-                                              tol=args.tol or 1e-10,
+                                              tol=_flag(args.tol, 1e-10),
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
     rows = [(t, (e0 - fermion.energy(sys_.h, g)) / sys_.N)
@@ -287,7 +304,7 @@ def _cmd_rsep_sweep(args):
                                           float(entry["delta"]), A=A))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep point: {exc}")
-    t_end = args.t_end or data.get("t_end", 1.0)
+    t_end = _flag(args.t_end, data.get("t_end", 1.0))
     try:
         rows = rsep.sweep(params, t_end)
     except rsep.PoleError as exc:
@@ -439,13 +456,26 @@ def run(argv) -> int:
         return EXIT_CONFIG if exc.code != 0 else EXIT_OK
     handler, _ = _COMMANDS[args.command]
     try:
+        _check_flags(args)
         return handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, "config error", exc)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail(EXIT_NUMERICAL, "numerical failure", exc)
+    except ValueError as exc:
+        # DimensionError, OverflowGuardError, ConstantDriveError, bad inputs
+        return _fail(EXIT_CONFIG, f"invalid input ({type(exc).__name__})",
+                     exc)
+    except (RuntimeError, FloatingPointError) as exc:
+        # StepUnderflowError and other integrator failures
+        return _fail(EXIT_NUMERICAL,
+                     f"numerical failure ({type(exc).__name__})", exc)
+
+
+def _fail(code, cause, exc):
+    message = " ".join(str(exc).split())
+    print(f"{cause}: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import LiftedState, build_carleman, evolve_lifted, initial_lift
+from .carleman import (
+    CarlemanOperator,
+    block1_error,
+    build_carleman,
+    evolve_lifted,
+    exact_step,
+    initial_lift,
+)
 from .polyflow import (
     DimensionError,
     PolySystem,
@@ -90,6 +97,14 @@ def eta_to_y_back(g1: np.ndarray) -> np.ndarray:
     if np.any(np.abs(1.0 + g1) < POLE_TOL):
         raise ValueError("back map pole: component at -1")
     return g1 / (1.0 + g1)
+
+
+def _eta_to_y_rows(g1: np.ndarray) -> np.ndarray:
+    """Back map of (n, d) block-1 rows; rows at a pole become NaN."""
+    pole = np.any(np.abs(1.0 + g1) < POLE_TOL, axis=1)
+    y = np.full(g1.shape, np.nan, dtype=np.complex128)
+    y[~pole] = eta_to_y_back(g1[~pole])
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -187,63 +202,94 @@ class TruncationRun:
     pole_invalid: bool
 
 
-def _error_run(model, reference, lifted_traj, dim, order,
+def _error_run(reference, lifted_traj, dim, order,
                back_map) -> TruncationRun:
-    n = min(reference.times.size, lifted_traj.times.size)
-    eps = np.full(n, np.nan)
-    y_rows = np.zeros((n, dim), dtype=complex)
-    pole = False
-    for s in range(n):
-        g1 = LiftedState(dim, order, lifted_traj.states[s]).block(1)
-        try:
-            y_tilde = back_map(g1)
-        except ValueError:
-            pole = True
-            y_rows[s] = np.nan
-            continue
-        y_rows[s] = y_tilde
-        eps[s] = np.linalg.norm(reference.states[s] - y_tilde)
+    y, eps, cut = block1_error(reference, lifted_traj, dim, order, back_map)
     finite = eps[np.isfinite(eps)]
     eps_max = float(np.max(finite)) if finite.size else np.nan
-    if reference.diverged or lifted_traj.diverged or \
-            n < max(reference.times.size, lifted_traj.times.size):
+    if cut:
         eps_max = np.inf
-    y_traj = Trajectory(lifted_traj.times[:n], y_rows,
+    y_traj = Trajectory(lifted_traj.times[:eps.size], y,
                         diverged=lifted_traj.diverged)
-    return TruncationRun(lifted_traj, y_traj, reference, eps, eps_max, pole)
+    return TruncationRun(lifted_traj, y_traj, reference, eps, eps_max,
+                         pole_invalid=bool(np.any(np.isnan(eps))))
+
+
+ROUTES = ("vacancy", "mode")
+
+
+@dataclass
+class RouteLift:
+    """One route's lifted operator at one order and, for a small lift, its
+    exact step on one sample grid (see `carleman.exact_step`).
+
+    It does not depend on the initial condition, so one instance serves
+    every run of that route and order on that grid.
+    """
+
+    op: CarlemanOperator
+    step: np.ndarray | None
+
+
+def route_lift(model: PopulationModel, route: str, order: int,
+               t_end: float, sample_times) -> RouteLift:
+    """The lift of route "vacancy" or "mode" at `order` on the grid."""
+    if route == "vacancy":
+        sys = vacancy_taylor_tensors(model, order)
+    elif route == "mode":
+        sys = koopman_system(model)
+    else:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    op = build_carleman(sys, order)
+    return RouteLift(op, exact_step(op, t_end, sample_times))
+
+
+def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
+               lift) -> TruncationRun:
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_end, 129)
+    if reference is None:
+        reference = reference_y_trajectory(model, x0, t_end,
+                                           sample_times=sample_times)
+    if lift is None:
+        lift = route_lift(model, route, order, t_end, sample_times)
+    if route == "vacancy":
+        z0, back_map = x_to_y(model, x0), None
+    else:
+        z0, back_map = x_to_eta(model, x0), _eta_to_y_rows
+    traj = evolve_lifted(lift.op, initial_lift(z0, order), t_end, tol,
+                         sample_times, lift.step)
+    return _error_run(reference, traj, model.dim, order, back_map)
 
 
 def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
                    tol: float = 1e-10, sample_times=None,
-                   reference: Trajectory = None) -> TruncationRun:
-    """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run."""
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
-    if reference is None:
-        reference = reference_y_trajectory(model, x0, t_end,
-                                           sample_times=sample_times)
-    y0 = x_to_y(model, x0)
-    op = build_carleman(vacancy_taylor_tensors(model, order), order)
-    traj, _ = evolve_lifted(op, initial_lift(y0, order), t_end, tol,
-                            sample_times)
-    return _error_run(model, reference, traj, model.dim, order, lambda g: g)
+                   reference: Trajectory = None,
+                   lift: RouteLift = None) -> TruncationRun:
+    """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
+
+    `lift`, when given, is `route_lift(model, "vacancy", order, t_end,
+    sample_times)`, shared across initial conditions.  `tol` applies only
+    to lifts above `carleman.DENSE_LIMIT`; smaller ones are propagated
+    exactly.
+    """
+    return _route_run(model, x0, "vacancy", order, t_end, tol, sample_times,
+                      reference, lift)
 
 
 def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
                tol: float = 1e-10, sample_times=None,
-               reference: Trajectory = None) -> TruncationRun:
-    """Lift eta(0) through the exact quadratic mode tensors; eps_K run."""
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
-    if reference is None:
-        reference = reference_y_trajectory(model, x0, t_end,
-                                           sample_times=sample_times)
-    eta0 = x_to_eta(model, x0)
-    op = build_carleman(koopman_system(model), order)
-    traj, _ = evolve_lifted(op, initial_lift(eta0, order), t_end, tol,
-                            sample_times)
-    return _error_run(model, reference, traj, model.dim, order,
-                      eta_to_y_back)
+               reference: Trajectory = None,
+               lift: RouteLift = None) -> TruncationRun:
+    """Lift eta(0) through the exact quadratic mode tensors; eps_K run.
+
+    `lift`, when given, is `route_lift(model, "mode", order, t_end,
+    sample_times)`, shared across initial conditions.  `tol` applies only
+    to lifts above `carleman.DENSE_LIMIT`; smaller ones are propagated
+    exactly.
+    """
+    return _route_run(model, x0, "mode", order, t_end, tol, sample_times,
+                      reference, lift)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nip import (
+    ROUTES,
     PopulationModel,
     nip_evolve,
     reference_y_trajectory,
+    route_lift,
     vacancy_evolve,
     y_to_x,
 )
@@ -50,9 +52,19 @@ def paper_model() -> PopulationModel:
 
 def default_threads() -> int:
     env = os.environ.get("KOOPMAN_LAB_THREADS", "")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValueError(
+            f"KOOPMAN_LAB_THREADS must be an integer, got {env!r}") from None
+
+
+def worker_count(threads: int, n_jobs: int) -> int:
+    """Worker processes for n_jobs tasks: min(threads, cpu count, n_jobs),
+    at least 1."""
+    return max(1, min(threads, os.cpu_count() or 1, n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +96,29 @@ def _verdict(low, high) -> str:
     return "diverged"
 
 
-def _scan_cell(args):
-    model, x0, orders, t_end, tol = args
-    sample_times = np.linspace(0.0, t_end, 129)
+def _scan_cell(x0, model, orders, t_end, tol, sample_times, lifts):
     reference = reference_y_trajectory(model, x0, t_end,
                                        sample_times=sample_times)
     runs_c = [vacancy_evolve(model, x0, n, t_end, tol, sample_times,
-                             reference) for n in orders]
-    runs_k = [nip_evolve(model, x0, n, t_end, tol, sample_times, reference)
-              for n in orders]
+                             reference, lifts["vacancy", n]) for n in orders]
+    runs_k = [nip_evolve(model, x0, n, t_end, tol, sample_times, reference,
+                         lifts["mode", n]) for n in orders]
     return (_verdict(runs_c[0], runs_c[1]), _verdict(runs_k[0], runs_k[1]),
             runs_c[0].eps_max, runs_c[1].eps_max,
             runs_k[0].eps_max, runs_k[1].eps_max)
+
+
+# Inputs every cell of one scan shares, set once in each worker process.
+_shared = None
+
+
+def _set_shared(shared):
+    global _shared
+    _shared = shared
+
+
+def _pooled_cell(x0):
+    return _scan_cell(x0, *_shared)
 
 
 def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
@@ -105,9 +128,11 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     """Per-cell verdicts over initial conditions (x1_fixed, x2, x3).
 
     A route converges at a cell when the error at the higher lift order is
-    strictly smaller than at the lower order, both finite.  Cells are
-    independent; the merge is by grid index, so the result does not depend
-    on the thread count.
+    strictly smaller than at the lower order, both finite.  The lifted
+    operator and exact step of each (route, order) are built once per call
+    and shared by every cell; `tol` reaches only lifts too large for the
+    exact step.  Cells are independent; the merge is by grid index, so the
+    result does not depend on the thread count.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -117,18 +142,25 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     x3_range = np.asarray(x3_range, dtype=float)
     if x2_range.size == 0 or x3_range.size == 0:
         raise ValueError("scan ranges must be nonempty")
-    if orders[0] >= orders[1]:
+    if len(orders) != 2 or orders[0] >= orders[1]:
         raise ValueError("orders must be (low, high) with low < high")
     if threads is None:
         threads = default_threads()
 
-    jobs = [(model, np.array([x1_fixed, x2, x3]), tuple(orders), t_end, tol)
-            for x2 in x2_range for x3 in x3_range]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_scan_cell, jobs, chunksize=8))
+    sample_times = np.linspace(0.0, t_end, 129)
+    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
+             for route in ROUTES for n in orders}
+    shared = (model, tuple(orders), t_end, tol, sample_times, lifts)
+    points = [np.array([x1_fixed, x2, x3])
+              for x2 in x2_range for x3 in x3_range]
+    workers = worker_count(threads, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_set_shared,
+                                 initargs=(shared,)) as pool:
+            cells = list(pool.map(_pooled_cell, points, chunksize=8))
     else:
-        cells = [_scan_cell(job) for job in jobs]
+        cells = [_scan_cell(x0, *shared) for x0 in points]
 
     n2, n3 = x2_range.size, x3_range.size
     shape = (n2, n3)

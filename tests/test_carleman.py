@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from koopman_lab import carleman
 from koopman_lab.carleman import (
+    DENSE_LIMIT,
     CarlemanOperator,
     ConstantDriveError,
     LiftedState,
@@ -11,6 +14,7 @@ from koopman_lab.carleman import (
     build_carleman,
     carleman_dimension,
     evolve_lifted,
+    exact_step,
     initial_lift,
     truncation_error,
 )
@@ -20,6 +24,7 @@ from koopman_lab.polyflow import (
     PolySystem,
     SparseTensor,
     integrate_reference,
+    integrate_rhs,
     kron_power,
 )
 
@@ -148,10 +153,11 @@ class TestEvolve:
         sys = PolySystem(d, [None, SparseTensor.from_dense_flat(1, M)])
         op = build_carleman(sys, 2)
         z0 = np.array([0.4, -0.3])
-        traj, states = evolve_lifted(op, initial_lift(z0, 2), 1.0, 1e-12)
+        traj = evolve_lifted(op, initial_lift(z0, 2), 1.0, 1e-12)
+        final = LiftedState(d, 2, traj.final)
         zT = expm(M) @ z0
-        np.testing.assert_allclose(states[-1].block(1), zT, atol=1e-9)
-        np.testing.assert_allclose(states[-1].block(2), np.kron(zT, zT),
+        np.testing.assert_allclose(final.block(1), zT, atol=1e-9)
+        np.testing.assert_allclose(final.block(2), np.kron(zT, zT),
                                    atol=1e-9)
 
     def test_truncation_error_converges_inside_ball(self):
@@ -162,8 +168,8 @@ class TestEvolve:
         errs = []
         for order in (1, 3, 5):
             op = build_carleman(sys, order)
-            traj, _ = evolve_lifted(op, initial_lift(z0, order), 1.0, 1e-11,
-                                    grid)
+            traj = evolve_lifted(op, initial_lift(z0, order), 1.0, 1e-11,
+                                 grid)
             _, eps_max = truncation_error(ref, traj, 2, order)
             errs.append(eps_max)
         assert errs[0] > errs[1] > errs[2]
@@ -177,3 +183,91 @@ class TestEvolve:
                                       np.linspace(0, 1, 5) ** 2)
         with pytest.raises(DimensionError):
             truncation_error(ref, shifted, 2, 1)
+
+
+def linear_system(F1):
+    d = F1.shape[0]
+    return PolySystem(d, [None, SparseTensor.from_dense_flat(1, F1)])
+
+
+class TestExactStep:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), order=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.05, 2.0))
+    def test_dissipative_linear_system_lifts_exactly(self, d, order, seed,
+                                                     t_end):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(d, d))
+        F1 = A - (np.linalg.norm(A, 2) + 0.5) * np.eye(d)  # log-norm < 0
+        op = build_carleman(linear_system(F1), order)
+        z0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = np.linspace(0.0, t_end, 33)
+        assert exact_step(op, t_end, grid) is not None
+        traj = evolve_lifted(op, initial_lift(z0, order), t_end, 1e-10, grid)
+        want = np.array([expm(F1 * t) @ z0 for t in grid])
+        assert not traj.diverged
+        np.testing.assert_allclose(traj.states[:, :d], want, rtol=0,
+                                   atol=1e-12)
+
+    def test_zero_horizon_is_the_initial_sample(self):
+        sys, _, _ = random_quadratic(2, seed=18)
+        op = build_carleman(sys, 3)
+        g0 = initial_lift(np.array([0.1, -0.2]), 3)
+        traj = evolve_lifted(op, g0, 0.0, 1e-10)
+        want = integrate_rhs(lambda t, g: op.apply(g), g0.data, 0.0, 1e-10)
+        np.testing.assert_array_equal(traj.times, want.times)
+        np.testing.assert_array_equal(traj.states, want.states)
+        assert traj.diverged == want.diverged is False
+
+    @pytest.mark.parametrize("d, dense", [(DENSE_LIMIT, True),
+                                          (DENSE_LIMIT + 1, False)])
+    def test_dense_limit_selects_the_path(self, d, dense, monkeypatch):
+        op = build_carleman(linear_system(-np.eye(d)), 1)
+        grid = np.linspace(0.0, 0.5, 17)
+        calls = []
+        integrate = carleman.integrate_rhs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(carleman, "integrate_rhs", counted)
+        traj = evolve_lifted(op, initial_lift(np.ones(d), 1), 0.5, 1e-10,
+                             grid)
+        assert (exact_step(op, 0.5, grid) is not None) is dense
+        assert bool(calls) is not dense
+        np.testing.assert_allclose(traj.states,
+                                   np.exp(-grid)[:, None] * np.ones(d),
+                                   rtol=0, atol=1e-8)
+
+    def test_non_uniform_grid_is_integrated(self):
+        op = build_carleman(random_quadratic(2, seed=19)[0], 2)
+        assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9) ** 2) is None
+        assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9)) is not None
+
+    def test_truncation_error_maps_block1_rows(self):
+        sys, _, _ = random_quadratic(2, seed=20)
+        z0 = np.array([0.1, -0.05])
+        grid = np.linspace(0.0, 0.5, 9)
+        ref = integrate_reference(sys, z0, 0.5, 1e-12, grid)
+        op = build_carleman(sys, 3)
+        traj = evolve_lifted(op, initial_lift(z0, 3), 0.5, 1e-10, grid)
+        profile, eps_max = truncation_error(ref, traj, 2, 3,
+                                            back_map=lambda g: 2.0 * g)
+        want = [np.linalg.norm(ref.states[s] - 2.0 * traj.states[s, :2])
+                for s in range(grid.size)]
+        np.testing.assert_allclose(profile, want, rtol=1e-14)
+        assert eps_max == np.max(profile)
+        with pytest.raises(DimensionError):
+            truncation_error(ref, traj, 2, 2)
+
+    def test_truncation_error_infinite_on_divergence(self):
+        op = build_carleman(linear_system(np.array([[400.0]])), 1)
+        grid = np.linspace(0.0, 0.1, 11)
+        traj = evolve_lifted(op, initial_lift(np.array([1.0]), 1), 0.1,
+                             1e-10, grid)
+        assert traj.diverged and traj.times.size < grid.size
+        ref = integrate_rhs(lambda t, x: -x, np.array([1.0 + 0j]), 0.1,
+                            1e-10, grid)
+        _, eps_max = truncation_error(ref, traj, 1, 1)
+        assert eps_max == np.inf

@@ -67,6 +67,46 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
 
 
+    def test_nonpositive_threads_rejected(self, tmp_path, capsys):
+        code = cli.run(["population-scan", "--out", str(tmp_path / "o.csv"),
+                        "--grid", "1.0:1.0:0.1", "--threads", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+
+    def test_zero_tol_rejected(self, tmp_path, capsys):
+        code = cli.run(["nip-error", "--out", str(tmp_path / "o.csv"),
+                        "--tol", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_population_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "zero.json",
+                         {"x0": [0.0, 1.0, 1.0], "order": 2, "t_end": 0.02})
+        code = cli.run(["population-traj", "--config", cfg,
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "positive" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_integrator_failure_is_numerical(self, tmp_path, capsys,
+                                             monkeypatch):
+        from koopman_lab import population
+        from koopman_lab.polyflow import StepUnderflowError
+
+        def fail(*args, **kwargs):
+            raise StepUnderflowError("Required step size is less than\n"
+                                     "spacing between numbers.")
+
+        monkeypatch.setattr(population, "chaos_demo", fail)
+        code = cli.run(["population-chaos", "--out",
+                        str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "StepUnderflowError" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestPopulationCommands:
     def test_traj_schema(self, tmp_path):
         cfg = write_json(tmp_path, "t.json",
@@ -88,6 +128,15 @@ class TestPopulationCommands:
                             "--threads", str(threads)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_chaos_zero_horizon(self, tmp_path, capsys):
+        out = tmp_path / "chaos.csv"
+        code = cli.run(["population-chaos", "--out", str(out),
+                        "--t-end", "0"])
+        assert code == cli.EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[0] == "t,x2,x3"
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0]
 
     def test_error_profile(self, tmp_path):
         out = tmp_path / "eps.csv"

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from koopman_lab.carleman import build_carleman
+from koopman_lab.carleman import build_carleman, evolve_lifted, initial_lift
 from koopman_lab.nip import (
     REFERENCE_TOL,
+    ROUTES,
     PopulationModel,
     eta_to_x,
     eta_to_y_back,
@@ -18,6 +19,7 @@ from koopman_lab.nip import (
     nip_evolve,
     r_number_nip,
     reference_y_trajectory,
+    route_lift,
     vacancy_evolve,
     vacancy_taylor_tensors,
     x_to_eta,
@@ -32,7 +34,7 @@ from koopman_lab.polyflow import (
     integrate_reference,
     integrate_rhs,
 )
-from koopman_lab.population import paper_model
+from koopman_lab.population import convergence_scan, paper_model
 
 DEMO_X0 = np.array([1.0, 1.4, 1.4])
 DEMO_T_END = 0.1
@@ -231,6 +233,87 @@ class TestPaperVacancyRoute:
                                            reference=ref).eps_max
                             for tol in (1e-10, 1e-12))
             assert abs(loose - tight) <= 1e-6
+
+
+IN_BALL_X0 = np.array([1.0, 1.01, 0.99])   # |eta0| = 0.014 < 0.0275
+
+
+def lifted_start(model, route, x0, order):
+    z0 = x_to_y(model, x0) if route == "vacancy" else x_to_eta(model, x0)
+    return initial_lift(z0, order)
+
+
+def dop853_oracle(op, g0, t_end, grid, tol=1e-12):
+    """The matrix-free adaptive path, integrated directly."""
+    return integrate_rhs(lambda t, g: op.apply(g), g0.data, t_end, tol, grid)
+
+
+class TestExactPropagation:
+    @pytest.mark.parametrize("x0", [IN_BALL_X0, DEMO_X0],
+                             ids=["in-ball", "out-of-ball"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_dense_path_matches_dop853(self, route, order, x0):
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        lift = route_lift(model, route, order, DEMO_T_END, grid)
+        assert lift.step is not None
+        g0 = lifted_start(model, route, x0, order)
+        dense = evolve_lifted(lift.op, g0, DEMO_T_END, 1e-10, grid,
+                              lift.step)
+        oracle = dop853_oracle(lift.op, g0, DEMO_T_END, grid)
+        assert not dense.diverged and not oracle.diverged
+        np.testing.assert_allclose(dense.states[:, :3], oracle.states[:, :3],
+                                   rtol=0, atol=1e-8)
+
+    def test_diverging_scan_cell_matches_event_path(self):
+        # far from capacity the order-4 mode lift passes the divergence norm
+        model = paper_model()
+        x0 = np.array([1.0, 0.01, 0.05])
+        res = convergence_scan(model, x2_range=[0.01], x3_range=[0.05],
+                               orders=(3, 4), t_end=DEMO_T_END, threads=1)
+        assert res.eps_k_high[0, 0] == np.inf
+        assert res.nip_verdict[0, 0] == "diverged"
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        lift = route_lift(model, "mode", 4, DEMO_T_END, grid)
+        g0 = lifted_start(model, "mode", x0, 4)
+        dense = evolve_lifted(lift.op, g0, DEMO_T_END, 1e-10, grid,
+                              lift.step)
+        event = dop853_oracle(lift.op, g0, DEMO_T_END, grid, tol=1e-10)
+        assert dense.diverged and event.diverged
+        assert 1 < dense.times.size == event.times.size < grid.size
+        np.testing.assert_array_equal(dense.times, event.times)
+
+    def test_shared_lift_gives_the_same_run(self, demo):
+        model, grid, ref = demo
+        for route, evolve in (("vacancy", vacancy_evolve),
+                              ("mode", nip_evolve)):
+            lift = route_lift(model, route, 3, DEMO_T_END, grid)
+            own, shared = (evolve(model, DEMO_X0, 3, DEMO_T_END, 1e-10, grid,
+                                  ref, lift=lf) for lf in (None, lift))
+            np.testing.assert_array_equal(own.eps, shared.eps)
+            assert own.eps_max == shared.eps_max
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="route"):
+            route_lift(small_model(), "bogus", 2, 0.1,
+                       np.linspace(0.0, 0.1, 5))
+
+
+class TestErrorRun:
+    def test_pole_rows_marked_invalid(self):
+        # eta starts at -1 + 1e-12 in component 0, the back map's pole
+        model = small_model()
+        x0 = model.X / (1.0 + np.array([-1.0 + 1e-12, 0.01, 0.02]))
+        grid = np.linspace(0.0, 0.01, 5)
+        # any reference on the grid will do: the pole is in the back map
+        ref = reference_y_trajectory(model, model.X, 0.01, sample_times=grid)
+        run = nip_evolve(model, x0, 1, 0.01, sample_times=grid, reference=ref)
+        assert run.pole_invalid
+        assert np.isnan(run.eps[0])
+        assert np.all(np.isnan(run.y_approx.states[0]))
+        assert np.all(np.isfinite(run.eps[1:]))
+        assert run.eps_max == np.nanmax(run.eps)
 
 
 class TestSerialization:

@@ -65,6 +65,11 @@ class TestScan:
             convergence_scan(model, x2_range=[1.0], x3_range=[1.0],
                              orders=(3, 1))
 
+    def test_single_order_rejected(self, model):
+        with pytest.raises(ValueError):
+            convergence_scan(model, x2_range=[1.0], x3_range=[1.0],
+                             orders=(3,))
+
     def test_empty_grid_rejected(self, model):
         with pytest.raises(ValueError):
             convergence_scan(model, x2_range=[], x3_range=[1.0])
@@ -98,6 +103,22 @@ class TestTrajectories:
             exact.states[:n].real - mode.states[:n].real, axis=1))
         assert gap < 1e-3
         assert carl.states.shape[1] == 3
+
+    def test_worker_count_clamps(self, monkeypatch):
+        monkeypatch.setattr(population.os, "cpu_count", lambda: 8)
+        assert population.worker_count(1, 100) == 1
+        assert population.worker_count(4, 100) == 4
+        assert population.worker_count(10**6, 100) == 8
+        assert population.worker_count(10**6, 3) == 3
+        assert population.worker_count(0, 100) == 1
+        assert population.worker_count(4, 0) == 1
+        monkeypatch.setattr(population.os, "cpu_count", lambda: None)
+        assert population.worker_count(4, 100) == 1
+
+    def test_threads_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("KOOPMAN_LAB_THREADS", "many")
+        with pytest.raises(ValueError, match="KOOPMAN_LAB_THREADS"):
+            population.default_threads()
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("KOOPMAN_LAB_THREADS", "3")
