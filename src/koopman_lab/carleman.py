@@ -2,10 +2,10 @@
 monomial blocks, applied matrix-free.
 
 The lifted generator is block upper-triangular: block i couples to block
-i+j through position sums of the degree-(j+1) tensor.  The hot apply kernel
-has a compiled implementation (Cython) and a numpy fallback; the compiled one
-is selected at import when available.  Set KOOPMAN_LAB_FORCE_PY=1 to force
-the fallback (used by the benchmark).
+i+j through position sums of the degree-(j+1) tensor.  One numpy kernel,
+`CarlemanOperator.apply`, applies it: each position term is a contraction of
+a reshaped source block with the dense (d, d^k) flattening of one tensor, so
+no block of the operator is ever formed.
 
 The lifted flow dg/dt = C g is linear and C does not depend on the initial
 condition.  A small lift sampled on a uniform grid is therefore propagated
@@ -15,13 +15,11 @@ Al-Mohy & Higham 2009); larger lifts are integrated matrix-free with DOP853.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
-from . import _carleman_py
 from .polyflow import (
     DIVERGENCE_NORM,
     DimensionError,
@@ -31,14 +29,6 @@ from .polyflow import (
     integrate_rhs,
     kron_power,
 )
-
-try:
-    from . import _carleman_cy
-except ImportError:  # pragma: no cover - build-environment dependent
-    _carleman_cy = None
-
-USE_COMPILED = _carleman_cy is not None and \
-    os.environ.get("KOOPMAN_LAB_FORCE_PY", "") != "1"
 
 DIM_LIMIT = 10**8
 # Largest lift propagated by the exact dense step.  Measured with one BLAS
@@ -58,6 +48,22 @@ def carleman_dimension(d: int, order: int) -> int:
     return total
 
 
+def block_offsets(d: int, order: int) -> np.ndarray:
+    """Start of each monomial block: block k begins at offsets[k-1], the
+    sum of d^j over j < k."""
+    offsets = np.zeros(order, dtype=np.int64)
+    for k in range(2, order + 1):
+        offsets[k - 1] = offsets[k - 2] + d**(k - 1)
+    return offsets
+
+
+def _block_slice(d: int, order: int, offsets: np.ndarray, k: int) -> slice:
+    if not 1 <= k <= order:
+        raise DimensionError(f"block {k} out of range")
+    start = int(offsets[k - 1])
+    return slice(start, start + d**k)
+
+
 class ConstantDriveError(ValueError):
     """The lift requires a zero constant term in the source system."""
 
@@ -71,30 +77,40 @@ class CarlemanOperator:
     degrees: np.ndarray       # tensor degrees present, ascending
     offsets: np.ndarray       # block k starts at offsets[k-1], k = 1..order
     total_dim: int
-    _rows: list = None        # per-degree entry arrays
-    _cols: list = None
-    _vals: list = None
-    _flats: list = None       # per-degree dense (d, d^k) flattenings
+    _flats: list              # per-degree dense (d, d^k) flattenings
 
     def block_slice(self, k: int) -> slice:
-        if not 1 <= k <= self.order:
-            raise DimensionError(f"block {k} out of range")
-        start = int(self.offsets[k - 1])
-        return slice(start, start + self.dim**k)
+        return _block_slice(self.dim, self.order, self.offsets, k)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
+        """C g, matrix-free.
+
+        Output block i gathers, for each tensor degree k, source block
+        i+k-1 through the position sum of I^(pos-1) (x) F_k (x) I^(i-pos),
+        pos = 1..i.  Each position term views the source block as
+        (left, d^k, right) with left = d^(pos-1), right = d^(i-pos), and
+        contracts the middle axis with the dense (d, d^k) flattening of F_k.
+        """
         g = np.ascontiguousarray(g, dtype=np.complex128)
         if g.shape != (self.total_dim,):
             raise DimensionError("lifted vector has wrong length")
+        d, offsets = self.dim, self.offsets
         out = np.zeros(self.total_dim, dtype=np.complex128)
-        if USE_COMPILED:
-            _carleman_cy.apply_blocks_sparse(
-                out, g, self.dim, self.order, self.offsets, self.degrees,
-                self._rows, self._cols, self._vals)
-        else:
-            _carleman_py.apply_blocks(
-                out, g, self.dim, self.order, self.offsets,
-                [int(k) for k in self.degrees], self._flats)
+        for k, fmat in zip(self.degrees.tolist(), self._flats):
+            dk = d**k
+            for i in range(1, self.order - k + 2):  # output block index
+                src = i + k - 1
+                v = g[offsets[src - 1]:offsets[src - 1] + d**src]
+                dst = out[offsets[i - 1]:offsets[i - 1] + d**i]
+                for pos in range(1, i + 1):
+                    left = d**(pos - 1)
+                    right = d**(i - pos)
+                    block = v.reshape(left, dk, right)
+                    # (d, dk) @ (dk, left*right) -> (d, left, right)
+                    contracted = fmat @ block.transpose(1, 0, 2).reshape(
+                        dk, left * right)
+                    dst += contracted.reshape(d, left, right).transpose(
+                        1, 0, 2).reshape(-1)
         return out
 
     def dense(self) -> np.ndarray:
@@ -117,17 +133,16 @@ class LiftedState:
     dim: int
     order: int
     data: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.shape != (carleman_dimension(self.dim, self.order),):
             raise DimensionError("lifted data has wrong length")
+        self.offsets = block_offsets(self.dim, self.order)
 
     def block(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.order:
-            raise DimensionError(f"block {k} out of range")
-        start = sum(self.dim**j for j in range(1, k))
-        return self.data[start:start + self.dim**k]
+        return self.data[_block_slice(self.dim, self.order, self.offsets, k)]
 
 
 def build_carleman(sys: PolySystem, order: int) -> CarlemanOperator:
@@ -143,31 +158,16 @@ def build_carleman(sys: PolySystem, order: int) -> CarlemanOperator:
             "constant drive is not supported by the monomial lift")
     d = sys.dim
     total = carleman_dimension(d, order)
-    offsets = np.zeros(order, dtype=np.int64)
-    for k in range(2, order + 1):
-        offsets[k - 1] = offsets[k - 2] + d**(k - 1)
-
-    degrees, rows, cols, vals, flats = [], [], [], [], []
+    degrees, flats = [], []
     for k in range(1, min(sys.max_degree, order) + 1):
         t = sys.tensor(k)
         if t is None or t.nnz == 0:
             continue
-        r, c, v = t.arrays()
         degrees.append(k)
-        rows.append(np.ascontiguousarray(r))
-        cols.append(np.ascontiguousarray(c))
-        vals.append(np.ascontiguousarray(v))
         flats.append(t.dense_flat())
     return CarlemanOperator(
         dim=d, order=order, degrees=np.array(degrees, dtype=np.int64),
-        offsets=offsets, total_dim=total, _rows=rows, _cols=cols,
-        _vals=vals, _flats=flats)
-
-
-def apply_carleman(op: CarlemanOperator, g: LiftedState) -> LiftedState:
-    if (g.dim, g.order) != (op.dim, op.order):
-        raise DimensionError("operator/state dims mismatch")
-    return LiftedState(op.dim, op.order, op.apply(g.data))
+        offsets=block_offsets(d, order), total_dim=total, _flats=flats)
 
 
 def initial_lift(z0: np.ndarray, order: int) -> LiftedState:
@@ -175,11 +175,10 @@ def initial_lift(z0: np.ndarray, order: int) -> LiftedState:
     z0 = np.asarray(z0, dtype=np.complex128)
     d = z0.size
     total = carleman_dimension(d, order)
+    offsets = block_offsets(d, order)
     data = np.empty(total, dtype=np.complex128)
-    start = 0
     for k in range(1, order + 1):
-        data[start:start + d**k] = kron_power(z0, k)
-        start += d**k
+        data[_block_slice(d, order, offsets, k)] = kron_power(z0, k)
     return LiftedState(d, order, data)
 
 

@@ -93,6 +93,19 @@ def _check_flags(args):
             f"flag --t-end must be nonnegative, got {args.t_end}")
 
 
+def _orders(args, data, default):
+    """Lift orders from --orders, else the config's "orders", else default."""
+    if args.orders is not None:
+        return list(args.orders)
+    orders = data.get("orders", default)
+    if not (isinstance(orders, (list, tuple)) and orders and all(
+            isinstance(n, int) and not isinstance(n, bool) for n in orders)):
+        raise ConfigError(
+            f"config key 'orders' must be a nonempty list of integers, "
+            f"got {orders!r}")
+    return list(orders)
+
+
 def _parse_grid(text):
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -110,8 +123,7 @@ def _cmd_population_scan(args):
     data = _load_config(args.config, {"model", "x1", "t_end", "orders"})
     model = _population_model(data)
     grid = _parse_grid(args.grid) if args.grid else None
-    orders = tuple(_flag(args.orders, data.get("orders",
-                                               population.DEFAULT_ORDERS)))
+    orders = tuple(_orders(args, data, population.DEFAULT_ORDERS))
     res = population.convergence_scan(
         model, x1_fixed=float(data.get("x1", 1.0)),
         x2_range=grid, x3_range=grid, orders=orders,
@@ -163,8 +175,7 @@ def _error_profile_cmd(args, evolve):
     data = _load_config(args.config, {"model", "x0", "orders", "t_end"})
     model = _population_model(data)
     x0 = np.asarray(data.get("x0", [1.0, 1.4, 1.4]), dtype=float)
-    orders = [int(n) for n in _flag(args.orders,
-                                    data.get("orders", [1, 3, 6]))]
+    orders = _orders(args, data, [1, 3, 6])
     t_end = _flag(args.t_end, data.get("t_end", population.DEFAULT_T_END))
     sample_times = np.linspace(0.0, t_end, 129)
     reference = nip.reference_y_trajectory(model, x0, t_end,
@@ -269,6 +280,10 @@ def _cmd_fermion_steady(args):
 
 
 def _cmd_fermion_oracle_check(args):
+    if args.trials < 1:
+        raise ConfigError(f"flag --trials must be >= 1, got {args.trials}")
+    if args.N < 1:
+        raise ConfigError(f"flag --N must be >= 1, got {args.N}")
     worst = 0.0
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
@@ -462,6 +477,11 @@ def run(argv) -> int:
         return _fail(EXIT_CONFIG, "config error", exc)
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, "numerical failure", exc)
+    except OSError as exc:
+        # Config files are read in _load_config, so a file that fails here
+        # is an output.
+        return _fail(EXIT_CONFIG, f"cannot write output {exc.filename}",
+                     exc.strerror)
     except ValueError as exc:
         # DimensionError, OverflowGuardError, ConstantDriveError, bad inputs
         return _fail(EXIT_CONFIG, f"invalid input ({type(exc).__name__})",

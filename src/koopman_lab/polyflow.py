@@ -183,8 +183,12 @@ def eval_rhs(sys: PolySystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sampled_rhs(sys: PolySystem):
-    """Vectorized right-hand side closure for the integrator."""
+def vectorized_rhs(sys: PolySystem):
+    """Vectorized right-hand side closure (t, x) -> sum_k F_k x^(tensor k).
+
+    The package's one evaluator of a polynomial field; `eval_rhs` is its
+    per-entry test oracle.
+    """
     plan = []
     for k, t in enumerate(sys.tensors):
         if t is None or t.nnz == 0:
@@ -221,7 +225,7 @@ def integrate_reference(sys: PolySystem, x0: np.ndarray, t_end: float,
     x0 = np.asarray(x0, dtype=np.complex128)
     if x0.shape != (sys.dim,):
         raise DimensionError("initial state has wrong length")
-    return integrate_rhs(_sampled_rhs(sys), x0, t_end, tol, sample_times)
+    return integrate_rhs(vectorized_rhs(sys), x0, t_end, tol, sample_times)
 
 
 def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,

@@ -23,7 +23,13 @@ from .nip import (
     vacancy_evolve,
     y_to_x,
 )
-from .polyflow import SparseTensor, Trajectory, integrate_rhs
+from .polyflow import (
+    PolySystem,
+    SparseTensor,
+    Trajectory,
+    integrate_rhs,
+    vectorized_rhs,
+)
 
 _R = (95.4912, 48.8281, 30.1714)
 _J_ROWS = (
@@ -200,14 +206,13 @@ def scan_to_csv(res: ScanResult, path) -> None:
 # trajectories
 
 def _x_rhs(model: PopulationModel):
+    """dx/dt = r x (1 - x/X) - x^2 J(eta, eta) with eta = (X - x)/x; the
+    coupling J(eta, eta) is the quadratic system's vectorized evaluator."""
     r, X = model.r, model.X
-    rows, _, vals = model.J.arrays()
-    cols = np.array([list(c) for _, c, _ in model.J.entries()], dtype=np.int64)
+    coupling = vectorized_rhs(PolySystem(model.dim, [None, None, model.J]))
 
     def rhs(t, x):
-        eta = (X - x) / x
-        inter = np.zeros(model.dim, dtype=complex)
-        np.add.at(inter, rows, vals * eta[cols[:, 0]] * eta[cols[:, 1]])
+        inter = coupling(t, (X - x) / x)
         return r * x * (1.0 - x / X) - x * x * inter
 
     return rhs

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -10,7 +10,6 @@ from koopman_lab.carleman import (
     CarlemanOperator,
     ConstantDriveError,
     LiftedState,
-    apply_carleman,
     build_carleman,
     carleman_dimension,
     evolve_lifted,
@@ -91,20 +90,6 @@ class TestApply:
         g = rng.normal(size=op.total_dim) + 1j * rng.normal(size=op.total_dim)
         np.testing.assert_allclose(op.apply(g), op.dense() @ g, atol=1e-12)
 
-    def test_compiled_and_fallback_agree(self):
-        if not carleman.USE_COMPILED:
-            pytest.skip("compiled kernel not built")
-        from koopman_lab import _carleman_py
-        sys, _, _ = random_quadratic(3, seed=9)
-        op = build_carleman(sys, 5)
-        rng = np.random.default_rng(10)
-        g = np.ascontiguousarray(
-            rng.normal(size=op.total_dim) + 1j * rng.normal(size=op.total_dim))
-        out_py = np.zeros(op.total_dim, dtype=np.complex128)
-        _carleman_py.apply_blocks(out_py, g, op.dim, op.order, op.offsets,
-                                  [int(k) for k in op.degrees], op._flats)
-        np.testing.assert_allclose(op.apply(g), out_py, atol=1e-12)
-
     def test_wrong_length_rejected(self):
         sys, _, _ = random_quadratic(2, seed=11)
         op = build_carleman(sys, 2)
@@ -117,6 +102,34 @@ class TestApply:
         with pytest.raises(OverflowGuardError):
             op.dense()
 
+    # The fixture is a pure function, so sharing it across examples is safe.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 3), order=st.integers(1, 4),
+           degrees=st.sets(st.integers(1, 3), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_apply_is_the_linear_oracle_map(self, dense_lift_oracle, d, order,
+                                            degrees, seed):
+        rng = np.random.default_rng(seed)
+        F = {k: rng.normal(size=(d, d**k)) for k in sorted(degrees)}
+        tensors = [None] * (max(F) + 1)
+        for k, Fk in F.items():
+            tensors[k] = SparseTensor.from_dense_flat(k, Fk)
+        op = build_carleman(PolySystem(d, tensors), order)
+        oracle = dense_lift_oracle(list(F.items()), d, order)
+
+        def vec():
+            return rng.normal(size=op.total_dim) \
+                + 1j * rng.normal(size=op.total_dim)
+
+        g, h = vec(), vec()
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        np.testing.assert_allclose(op.apply(g), oracle @ g, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(op.apply(a * g + b * h),
+                                   a * op.apply(g) + b * op.apply(h),
+                                   rtol=0, atol=1e-12)
+
 
 class TestLift:
     def test_initial_lift_blocks(self):
@@ -125,13 +138,6 @@ class TestLift:
         for k in (1, 2, 3):
             np.testing.assert_allclose(g0.block(k), kron_power(z0, k),
                                        atol=1e-15)
-
-    def test_apply_carleman_wraps(self):
-        sys, _, _ = random_quadratic(2, seed=13)
-        op = build_carleman(sys, 3)
-        g0 = initial_lift(np.array([0.1, 0.2]), 3)
-        out = apply_carleman(op, g0)
-        np.testing.assert_allclose(out.data, op.apply(g0.data), atol=1e-15)
 
     def test_first_block_derivative_matches_rhs(self):
         # at t = 0 the lifted derivative of block 1 is the polynomial rhs

@@ -89,6 +89,36 @@ class TestExitCodes:
         assert "ValueError" in err and "positive" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("orders", [5, [1, "a"]])
+    @pytest.mark.parametrize("command", ["population-scan", "carleman-error",
+                                         "nip-error"])
+    def test_orders_must_be_a_list_of_integers(self, tmp_path, capsys,
+                                               command, orders):
+        cfg = write_json(tmp_path, "orders.json", {"orders": orders})
+        code = cli.run([command, "--config", cfg, "--grid", "1:1:1",
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'orders'" in err and "list of integers" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_output_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "scan.csv"
+        code = cli.run(["population-scan", "--grid", "1:1:1",
+                        "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--trials", "--N"])
+    def test_empty_oracle_check_rejected(self, capsys, flag):
+        code = cli.run(["fermion-oracle-check", flag, "0"])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"flag {flag} must be >= 1" in captured.err
+        assert "max_deviation" not in captured.out
+
     def test_integrator_failure_is_numerical(self, tmp_path, capsys,
                                              monkeypatch):
         from koopman_lab import population

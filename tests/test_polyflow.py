@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from koopman_lab.polyflow import (
@@ -20,6 +22,7 @@ from koopman_lab.polyflow import (
     system_from_json,
     system_to_json,
     trajectory_to_csv,
+    vectorized_rhs,
 )
 
 
@@ -77,6 +80,21 @@ class TestEvalRhs:
         sys = PolySystem(2, [t0])
         np.testing.assert_allclose(eval_rhs(sys, np.zeros(2)), [3.0, 0.0])
         assert sys.has_constant_term()
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3),
+           degrees=st.sets(st.integers(0, 3), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_vectorized_matches_per_entry_oracle(self, d, degrees, seed):
+        rng = np.random.default_rng(seed)
+        tensors = [None] * (max(degrees) + 1)
+        for k in degrees:
+            tensors[k] = SparseTensor.from_dense_flat(
+                k, rng.normal(size=(d, d**k)))
+        sys = PolySystem(d, tensors)
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        np.testing.assert_allclose(vectorized_rhs(sys)(0.0, x),
+                                   eval_rhs(sys, x), rtol=1e-13, atol=1e-13)
 
 
 class TestIntegration:

@@ -91,6 +91,19 @@ class TestVerdict:
 
 
 class TestTrajectories:
+    def test_x_rhs_matches_the_model_constants(self, model):
+        # dx_i/dt = r_i x_i (1 - x_i) - x_i^2 sum_jk J_i,(j,k) eta_j eta_k,
+        # eta = (1 - x) / x, summed entry by entry from the raw tables
+        x = np.array([0.7, 1.3, 0.45])
+        eta = (1.0 - x) / x
+        want = np.array([
+            population._R[i] * x[i] * (1.0 - x[i]) - x[i] ** 2 * sum(
+                population._J_ROWS[i][3 * j + k] * eta[j] * eta[k]
+                for j in range(3) for k in range(3))
+            for i in range(3)])
+        np.testing.assert_allclose(population._x_rhs(model)(0.0, x), want,
+                                   rtol=1e-13)
+
     def test_exact_positivity_guard(self, model):
         with pytest.raises(ValueError):
             exact_x_trajectory(model, np.array([0.0, 1.0, 1.0]), 0.1)
