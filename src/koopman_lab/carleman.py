@@ -28,6 +28,7 @@ from .polyflow import (
     Trajectory,
     integrate_rhs,
     kron_power,
+    uniform_spacing,
 )
 
 DIM_LIMIT = 10**8
@@ -187,17 +188,13 @@ def exact_step(op: CarlemanOperator, t_end: float, sample_times):
 
     It applies when the lift has at most DENSE_LIMIT coordinates and the
     samples are the uniform grid np.linspace(0, t_end, n) with n >= 2 and
-    t_end > 0; then h = t_end / (n - 1).  Otherwise the result is None and
-    the lift is integrated instead.
+    t_end > 0 (`uniform_spacing`); then h = t_end / (n - 1).  Otherwise the
+    result is None and the lift is integrated instead.
     """
-    times = np.asarray(sample_times, dtype=float)
-    n = times.size
-    if op.total_dim > DENSE_LIMIT or n < 2 or not t_end > 0:
+    if op.total_dim > DENSE_LIMIT:
         return None
-    h = t_end / (n - 1)
-    if np.max(np.abs(times - h * np.arange(n))) > 1e-12 * t_end:
-        return None
-    return expm(op.dense() * h)
+    h = uniform_spacing(sample_times, t_end)
+    return None if h is None else expm(op.dense() * h)
 
 
 def _stepped(step: np.ndarray, g0: np.ndarray, times: np.ndarray):

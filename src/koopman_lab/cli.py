@@ -78,6 +78,47 @@ def _population_model(data):
     return population.paper_model()
 
 
+def _number(data, key, default):
+    """Config value `key` (default if absent) as a float; a JSON number."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(
+            f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(data, key, default, minimum):
+    """Config value `key` (default if absent); a JSON integer >= minimum."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            value < minimum:
+        raise ConfigError(f"config key {key!r} must be an integer >= "
+                          f"{minimum}, got {value!r}")
+    return value
+
+
+def _vector(data, key, default):
+    """Config value `key` (default if absent); a nonempty list of numbers."""
+    value = data.get(key, default)
+    if not (isinstance(value, list) and value and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value)):
+        raise ConfigError(f"config key {key!r} must be a nonempty list of "
+                          f"numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _t_end(args, data, default):
+    """--t-end, else the config's "t_end", else default."""
+    if args.t_end is not None:
+        return args.t_end
+    t_end = _number(data, "t_end", default)
+    if not 0 <= t_end < np.inf:
+        raise ConfigError(f"config key 't_end' must be finite and "
+                          f"nonnegative, got {t_end!r}")
+    return t_end
+
+
 def _flag(value, default):
     """A command-line flag's value, or default when the flag is absent."""
     return default if value is None else value
@@ -88,9 +129,9 @@ def _check_flags(args):
         raise ConfigError(f"flag --threads must be >= 1, got {args.threads}")
     if args.tol is not None and not args.tol > 0:
         raise ConfigError(f"flag --tol must be positive, got {args.tol}")
-    if args.t_end is not None and not args.t_end >= 0:
+    if args.t_end is not None and not 0 <= args.t_end < np.inf:
         raise ConfigError(
-            f"flag --t-end must be nonnegative, got {args.t_end}")
+            f"flag --t-end must be finite and nonnegative, got {args.t_end}")
 
 
 def _orders(args, data, default):
@@ -125,9 +166,9 @@ def _cmd_population_scan(args):
     grid = _parse_grid(args.grid) if args.grid else None
     orders = tuple(_orders(args, data, population.DEFAULT_ORDERS))
     res = population.convergence_scan(
-        model, x1_fixed=float(data.get("x1", 1.0)),
+        model, x1_fixed=_number(data, "x1", 1.0),
         x2_range=grid, x3_range=grid, orders=orders,
-        t_end=_flag(args.t_end, data.get("t_end", population.DEFAULT_T_END)),
+        t_end=_t_end(args, data, population.DEFAULT_T_END),
         tol=_flag(args.tol, 1e-10), threads=args.threads)
     population.scan_to_csv(res, args.out)
     return EXIT_OK
@@ -136,10 +177,10 @@ def _cmd_population_scan(args):
 def _cmd_population_traj(args):
     data = _load_config(args.config, {"model", "x0", "order", "t_end"})
     model = _population_model(data)
-    x0 = np.asarray(data.get("x0", [1.0, 1.4, 1.4]), dtype=float)
-    order = int(data.get("order", 3) if args.orders is None
-                else args.orders[0])
-    t_end = _flag(args.t_end, data.get("t_end", population.DEFAULT_T_END))
+    x0 = _vector(data, "x0", [1.0, 1.4, 1.4])
+    order = args.orders[0] if args.orders is not None else \
+        _integer(data, "order", 3, minimum=1)
+    t_end = _t_end(args, data, population.DEFAULT_T_END)
     exact, carl, mode = population.trajectory_compare(
         model, x0, order, t_end, tol=_flag(args.tol, 1e-10))
     if exact.diverged:
@@ -161,8 +202,8 @@ def _cmd_population_traj(args):
 def _cmd_population_chaos(args):
     data = _load_config(args.config, {"model", "x0", "t_end"})
     model = _population_model(data)
-    x0 = np.asarray(data.get("x0", [0.05, 1.3, 0.025]), dtype=float)
-    t_end = _flag(args.t_end, data.get("t_end", population.CHAOS_T_END))
+    x0 = _vector(data, "x0", [0.05, 1.3, 0.025])
+    t_end = _t_end(args, data, population.CHAOS_T_END)
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
         raise NumericalError("chaos trajectory diverged")
@@ -174,9 +215,9 @@ def _cmd_population_chaos(args):
 def _error_profile_cmd(args, evolve):
     data = _load_config(args.config, {"model", "x0", "orders", "t_end"})
     model = _population_model(data)
-    x0 = np.asarray(data.get("x0", [1.0, 1.4, 1.4]), dtype=float)
+    x0 = _vector(data, "x0", [1.0, 1.4, 1.4])
     orders = _orders(args, data, [1, 3, 6])
-    t_end = _flag(args.t_end, data.get("t_end", population.DEFAULT_T_END))
+    t_end = _t_end(args, data, population.DEFAULT_T_END)
     sample_times = np.linspace(0.0, t_end, 129)
     reference = nip.reference_y_trajectory(model, x0, t_end,
                                            sample_times=sample_times)
@@ -215,8 +256,11 @@ def _fermion_setup(args, extra=()):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'system' entry: {exc}")
     if "gamma0" in data:
-        gamma0 = fermion.CovarianceState(np.asarray(data["gamma0"],
-                                                    dtype=float))
+        try:
+            gamma0 = fermion.CovarianceState(np.asarray(data["gamma0"],
+                                                        dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad 'gamma0' entry: {exc}")
     else:
         rng = np.random.default_rng(args.seed)
         gamma0 = fermion.CovarianceState(
@@ -226,7 +270,7 @@ def _fermion_setup(args, extra=()):
 
 def _cmd_fermion_evolve(args):
     data, sys_, gamma0 = _fermion_setup(args)
-    t_end = _flag(args.t_end, data.get("t_end", 1.0))
+    t_end = _t_end(args, data, 1.0)
     final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end,
                                             tol=_flag(args.tol, 1e-10))
     rows = [(i, j, final.Gamma[i, j])
@@ -237,8 +281,8 @@ def _cmd_fermion_evolve(args):
 
 def _cmd_fermion_heat(args):
     data, sys_, gamma0 = _fermion_setup(args, extra=("samples",))
-    t_end = _flag(args.t_end, data.get("t_end", 1.0))
-    times = np.linspace(0.0, t_end, int(data.get("samples", 129)))
+    t_end = _t_end(args, data, 1.0)
+    times = np.linspace(0.0, t_end, _integer(data, "samples", 129, minimum=1))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
                                               tol=_flag(args.tol, 1e-10),
                                               sample_times=times)
@@ -319,7 +363,7 @@ def _cmd_rsep_sweep(args):
                                           float(entry["delta"]), A=A))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep point: {exc}")
-    t_end = _flag(args.t_end, data.get("t_end", 1.0))
+    t_end = _t_end(args, data, 1.0)
     try:
         rows = rsep.sweep(params, t_end)
     except rsep.PoleError as exc:
@@ -343,8 +387,8 @@ def _spectral_modes(data):
 
 def _spectral_window(data):
     try:
-        return spectral.kaiser_window(int(data.get("J", 401)),
-                                      float(data.get("sigma", 3.0)))
+        return spectral.kaiser_window(_integer(data, "J", 401, minimum=3),
+                                      _number(data, "sigma", 3.0))
     except ValueError as exc:
         raise ConfigError(f"bad window parameters: {exc}")
 
@@ -355,8 +399,8 @@ _SPECTRAL_KEYS = {"modes", "J", "sigma", "dt", "T1", "n_samples"}
 def _cmd_spectral_window(args):
     data = _load_config(args.config, {"J", "sigma", "theta", "dt"})
     window = _spectral_window(data)
-    dt = float(data.get("dt", 1.0))
-    theta = float(data.get("theta", 0.0))
+    dt = _number(data, "dt", 1.0)
+    theta = _number(data, "theta", 0.0)
     p = spectral.qpe_distribution(window, theta)
     rows = []
     for ell in range(window.J):
@@ -370,9 +414,9 @@ def _spectral_emulation(args, n_samples):
     data = _load_config(args.config, _SPECTRAL_KEYS, required=("modes",))
     modes = _spectral_modes(data)
     window = _spectral_window(data)
-    dt = float(data.get("dt", 1.0))
+    dt = _number(data, "dt", 1.0)
     if "T1" in data:
-        T1 = float(data["T1"])
+        T1 = _number(data, "T1", None)
     else:
         try:
             T1 = spectral.suppression_time(modes.gap, 1e-3)
@@ -384,7 +428,7 @@ def _spectral_emulation(args, n_samples):
     except (spectral.AliasingError, ValueError) as exc:
         raise NumericalError(str(exc))
     if n_samples is None:
-        n_samples = int(data.get("n_samples", 0))
+        n_samples = _integer(data, "n_samples", 0, minimum=0)
     counts = spectral.sample_outcomes(p, n_samples, args.seed) \
         if n_samples else np.zeros(window.J, dtype=int)
     rows = []
@@ -408,11 +452,17 @@ def _cmd_spectral_sample(args):
 def _cmd_ode_history(args):
     data = _load_config(args.config, {"A", "x0", "m", "p", "l", "h"},
                         required=("A", "x0", "m", "p", "l", "h"))
+    m = _integer(data, "m", None, minimum=1)
+    p = _integer(data, "p", None, minimum=0)
+    l = _integer(data, "l", None, minimum=1)
+    h = _number(data, "h", None)
     try:
         A = np.asarray(data["A"], dtype=complex)
         x0 = np.asarray(data["x0"], dtype=complex)
-        hist = spectral.history_system(A, x0, int(data["m"]), int(data["p"]),
-                                       int(data["l"]), float(data["h"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'A' or 'x0' entry: {exc}")
+    try:
+        hist = spectral.history_system(A, x0, m, p, l, h)
     except ValueError as exc:
         raise NumericalError(str(exc))
     resid, final_err = spectral.history_residuals(hist, x0)

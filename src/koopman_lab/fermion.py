@@ -7,9 +7,15 @@ covariance matrix Gamma obeys the driven linear equation
     dGamma/dt = B Gamma + Gamma B^T + Y,   B = h - X,
 
 with X = 2 sum_mu Re(l_mu^dag l_mu) and Y = -4 sum_mu Im(l_mu^dag l_mu).
-The same dynamics in vectorized form uses BB = kron(B, I) + kron(I, B)
-(row-major vec convention).  An exact small-N density-matrix oracle built
-from Jordan-Wigner Majorana operators validates the derivation.
+The flow is linear, so it is propagated exactly: over an interval h,
+
+    Gamma(t + h) = Phi Gamma(t) Phi^T + Q,   Phi = e^{B h},
+    Q = int_0^h e^{B s} Y e^{B^T s} ds,
+
+with (Phi, Q) read off one block exponential (Van Loan 1978).  The steady
+state solves the Lyapunov equation B Gamma + Gamma B^T = -Y by
+Bartels-Stewart.  An exact small-N density-matrix oracle built from
+Jordan-Wigner Majorana operators validates the derivation.
 """
 
 from __future__ import annotations
@@ -20,13 +26,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
-from .polyflow import DimensionError, integrate_rhs
+from .polyflow import DimensionError, integrate_rhs, uniform_spacing
 
 ANTISYM_TOL = 1e-12
 ORACLE_MAX_N = 4
-BIGB_MAX_N = 64
+# steady_state requires |lambda_i + lambda_j| > GAP_TOL * max(1, |lambda|max)
+# over the eigenvalues of B; otherwise the Lyapunov operator is singular.
+GAP_TOL = 1e-10
 
 
 class SecularError(ValueError):
@@ -65,13 +73,6 @@ class FermionSystem:
             Y += -4.0 * outer.imag
         self.X, self.Y, self.B = X, Y, self.h - X
 
-    def bigB(self) -> np.ndarray:
-        """kron(B, I) + kron(I, B); dense, limited to moderate N."""
-        if self.N > BIGB_MAX_N:
-            raise DimensionError("vectorized generator limited to N <= 64")
-        eye = np.eye(2 * self.N)
-        return np.kron(self.B, eye) + np.kron(eye, self.B)
-
 
 def assemble(h, jumps) -> FermionSystem:
     h = np.asarray(h, dtype=float)
@@ -105,36 +106,70 @@ def random_antisymmetric(n2: int, rng) -> np.ndarray:
     return (M - M.T) / 2.0
 
 
-def evolve_covariance(sys: FermionSystem, state: CovarianceState,
-                      t_end: float, tol: float = 1e-10,
-                      vectorized: bool = False, sample_times=None):
-    """Integrate the covariance ODE; returns (final state, times, Gamma list).
+def covariance_step(sys: FermionSystem, h: float):
+    """(Phi, Q) of one interval h: Gamma(t + h) = Phi Gamma(t) Phi^T + Q.
 
-    The matrix path evaluates B Gamma + Gamma B^T + Y directly; the
-    vectorized path uses the Kronecker-sum generator.  Results are
-    re-antisymmetrized at each sample.
+    expm([[-B, Y], [0, B^T]] h) has lower-right block Phi^T and upper-right
+    block e^{-B h} Q (Van Loan 1978).  That block grows like e^{|X| h}, and Q
+    loses digits with it, so the exponential is taken over h / 2^m with
+    |X|_2 h / 2^m <= 1 and the step is then doubled m times:
+    Q <- Phi Q Phi^T + Q, Phi <- Phi^2.
+    """
+    n2 = 2 * sys.N
+    growth = np.linalg.norm(sys.X, 2) * h
+    m = int(np.ceil(np.log2(growth))) if growth > 1.0 else 0
+    hs = h / 2**m
+    M = np.zeros((2 * n2, 2 * n2))
+    M[:n2, :n2] = -sys.B * hs
+    M[:n2, n2:] = sys.Y * hs
+    M[n2:, n2:] = sys.B.T * hs
+    E = expm(M)
+    phi = E[n2:, n2:].T
+    Q = phi @ E[:n2, n2:]
+    for _ in range(m):
+        Q = phi @ Q @ phi.T + Q
+        phi = phi @ phi
+    return phi, Q
+
+
+def evolve_covariance(sys: FermionSystem, state: CovarianceState,
+                      t_end: float, tol: float = 1e-10, sample_times=None):
+    """Propagate the covariance flow exactly; returns (final state, times,
+    Gamma list).
+
+    Samples default to np.linspace(0, t_end, 129); a grid that does not start
+    at 0 gets 0 prepended.  Each sample follows from the previous one by
+    Gamma <- Phi Gamma Phi^T + Q (`covariance_step`) and is
+    re-antisymmetrized.  A uniform grid shares one step; any other grid
+    builds one per interval.  `tol` does not apply: no step is adaptive.
     """
     n2 = 2 * sys.N
     if state.Gamma.shape != (n2, n2):
         raise DimensionError("state size does not match system")
-    if vectorized:
-        BB = sys.bigB()
-        vy = sys.Y.reshape(-1)
-
-        def rhs(t, g):
-            return BB @ g + vy
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    if t_end == 0:
+        times = np.array([0.0])
+    elif sample_times is None:
+        times = np.linspace(0.0, t_end, 129)
     else:
-        def rhs(t, g):
-            G = g.reshape(n2, n2)
-            return (sys.B @ G + G @ sys.B.T + sys.Y).reshape(-1)
-
-    traj = integrate_rhs(rhs, state.Gamma.reshape(-1).astype(complex),
-                         t_end, tol, sample_times)
-    gammas = []
-    for row in traj.states:
-        G = row.real.reshape(n2, n2)
+        times = np.asarray(sample_times, dtype=float)
+        if times.ndim != 1 or times.size == 0 or \
+                not np.all(np.diff(times) > 0) or \
+                not 0 <= times[0] <= times[-1] <= t_end:
+            raise ValueError(
+                "sample_times must increase strictly within [0, t_end]")
+        if times[0] > 0:
+            times = np.concatenate(([0.0], times))
+    h = uniform_spacing(times, t_end)
+    shared = None if h is None else covariance_step(sys, h)
+    G = state.Gamma
+    gammas = [CovarianceState((G - G.T) / 2.0)]
+    for dt in np.diff(times):
+        phi, Q = shared if shared is not None else covariance_step(sys, dt)
+        G = phi @ gammas[-1].Gamma @ phi.T + Q
         gammas.append(CovarianceState((G - G.T) / 2.0))
-    return gammas[-1], traj.times, gammas
+    return gammas[-1], times, gammas
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +290,8 @@ def energy(h: np.ndarray, state: CovarianceState) -> float:
 def heat_per_fermion(sys: FermionSystem, state: CovarianceState,
                      t_end: float, tol: float = 1e-10) -> float:
     """Dissipated heat per mode: (E(0) - E(t)) / N."""
-    final, _, _ = evolve_covariance(sys, state, t_end, tol)
+    final, _, _ = evolve_covariance(sys, state, t_end, tol,
+                                    sample_times=[t_end])
     return (energy(sys.h, state) - energy(sys.h, final)) / sys.N
 
 
@@ -316,17 +352,21 @@ def lindblad_gap(sys: FermionSystem) -> float:
 
 
 def steady_state(sys: FermionSystem) -> CovarianceState:
-    """Solve B Gamma + Gamma B^T = -Y through the vectorized linear system."""
-    n2 = 2 * sys.N
-    BB = sys.bigB()
-    try:
-        g = np.linalg.solve(BB, -sys.Y.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise GaplessError(f"singular vectorized generator: {exc}") from exc
-    G = g.reshape(n2, n2)
+    """Solve B Gamma + Gamma B^T = -Y by Bartels-Stewart.
+
+    The Lyapunov operator has eigenvalues lambda_i + lambda_j over the
+    eigenvalues of B; GaplessError is raised when one of them is zero to
+    within GAP_TOL, since the steady state is then not unique.
+    """
+    lam = np.linalg.eigvals(sys.B)
+    pair = np.min(np.abs(lam[:, None] + lam[None, :]))
+    if not pair > GAP_TOL * max(1.0, np.max(np.abs(lam))):
+        raise GaplessError(
+            f"B has eigenvalues with lambda_i + lambda_j = {pair:.3g}")
+    G = solve_continuous_lyapunov(sys.B, -sys.Y)
     G = (G - G.T) / 2.0
     resid = np.max(np.abs(sys.B @ G + G @ sys.B.T + sys.Y))
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise GaplessError(f"Lyapunov residual {resid} too large")
     return CovarianceState(G)
 

@@ -260,6 +260,23 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
     return Trajectory(times, states, diverged=diverged)
 
 
+def uniform_spacing(sample_times, t_end: float):
+    """Spacing h of the grid np.linspace(0, t_end, n), or None for other grids.
+
+    The samples form that grid when n >= 2, t_end > 0 and every sample lies
+    within 1e-12 t_end of s h, h = t_end / (n - 1).  The exact linear-flow
+    propagators build one step for such a grid.
+    """
+    times = np.asarray(sample_times, dtype=float)
+    n = times.size
+    if n < 2 or not t_end > 0:
+        return None
+    h = t_end / (n - 1)
+    if not np.max(np.abs(times - h * np.arange(n))) <= 1e-12 * t_end:
+        return None
+    return h
+
+
 def log_norm(M: np.ndarray) -> float:
     """Logarithmic norm: largest eigenvalue of the Hermitian part."""
     M = np.asarray(M, dtype=np.complex128)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from koopman_lab.carleman import carleman_dimension
+from koopman_lab.polyflow import integrate_rhs
 
 
 def _dense_lift_oracle(F_list, d, order):
@@ -28,3 +29,50 @@ def _dense_lift_oracle(F_list, d, order):
 @pytest.fixture
 def dense_lift_oracle():
     return _dense_lift_oracle
+
+
+def _kronecker_generator(B):
+    """kron(B, I) + kron(I, B): the covariance generator acting on the
+    row-major vec of Gamma."""
+    eye = np.eye(B.shape[0])
+    return np.kron(B, eye) + np.kron(eye, B)
+
+
+def _dop853_covariance(sys, gamma0, t_end, sample_times, kronecker=False):
+    """DOP853 integration of dGamma/dt = B Gamma + Gamma B^T + Y at tol 1e-12.
+
+    The matrix form evaluates the right-hand side directly; the Kronecker
+    form applies the dense vectorized generator.  Returns (times, Gammas).
+    """
+    n2 = 2 * sys.N
+    if kronecker:
+        BB = _kronecker_generator(sys.B)
+        vy = sys.Y.reshape(-1)
+
+        def rhs(t, g):
+            return BB @ g + vy
+    else:
+        def rhs(t, g):
+            G = g.reshape(n2, n2)
+            return (sys.B @ G + G @ sys.B.T + sys.Y).reshape(-1)
+
+    traj = integrate_rhs(rhs, np.asarray(gamma0, dtype=complex).reshape(-1),
+                         t_end, 1e-12, sample_times)
+    return traj.times, [row.real.reshape(n2, n2) for row in traj.states]
+
+
+def _kronecker_steady_state(sys):
+    """Dense solve of the vectorized Lyapunov equation, kron-sum g = -vec Y."""
+    n2 = 2 * sys.N
+    g = np.linalg.solve(_kronecker_generator(sys.B), -sys.Y.reshape(-1))
+    return g.reshape(n2, n2)
+
+
+@pytest.fixture
+def dop853_covariance():
+    return _dop853_covariance
+
+
+@pytest.fixture
+def kronecker_steady_state():
+    return _kronecker_steady_state

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopman_lab
 from koopman_lab import cli, fermion
 
 
@@ -19,6 +24,13 @@ def fermion_config(tmp_path):
     payload = {"system": json.loads(fermion.system_to_json(sys)),
                "t_end": 0.5}
     return write_json(tmp_path, "fermion.json", payload)
+
+
+def system_config(tmp_path, N, omegas, gammas, **extra):
+    sys_ = fermion.FermionSystem(
+        N, *fermion.commuting_example(N, omegas, gammas))
+    payload = {"system": json.loads(fermion.system_to_json(sys_)), **extra}
+    return write_json(tmp_path, "system.json", payload)
 
 
 SPECTRAL_MODES = [[0.0, 0.7, 0.6, 0.0], [0.0, -1.3, 0.5, 0.0],
@@ -101,6 +113,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'orders'" in err and "list of integers" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("population-scan", {"x1": [1]}, "x1"),
+        ("population-scan", {"t_end": "a"}, "t_end"),
+        ("population-traj", {"order": [2]}, "order"),
+        ("population-traj", {"t_end": None}, "t_end"),
+        ("population-chaos", {"t_end": -1.0}, "t_end"),
+        ("spectral-window", {"theta": [0.4]}, "theta"),
+        ("fermion-evolve", {"gamma0": [[None]]}, "gamma0"),
+    ])
+    def test_config_value_types_rejected(self, tmp_path, capsys, command,
+                                         payload, key):
+        if command.startswith("fermion"):
+            cfg = system_config(tmp_path, 1, [1.0], [0.5], **payload)
+        else:
+            cfg = write_json(tmp_path, "bad.json", payload)
+        code = cli.run([command, "--config", cfg, "--grid", "1:1:1",
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("samples", [0, 2.5, "5", None])
+    def test_heat_samples_must_be_a_positive_integer(self, tmp_path, capsys,
+                                                     samples):
+        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7],
+                            samples=samples)
+        out = tmp_path / "h.csv"
+        code = cli.run(["fermion-heat", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'samples'" in err and "integer >= 1" in err
+        assert not out.exists()
+
+    def test_gapless_steady_state_is_numerical(self, tmp_path, capsys):
+        # the second mode has no loss: no unique steady state
+        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.0])
+        out = tmp_path / "s.csv"
+        code = cli.run(["fermion-steady", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert "lambda_i + lambda_j" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(koopman_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "koopman_lab", *argv], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=120)
+
+        ok = run("fermion-oracle-check", "--N", "1", "--trials", "1")
+        assert ok.returncode == cli.EXIT_OK, ok.stderr
+        assert "max_deviation=" in ok.stdout
+        bad = run("fermion-oracle-check", "--trials", "0")
+        assert bad.returncode == cli.EXIT_CONFIG
+        assert "--trials" in bad.stderr
 
     def test_unwritable_output_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "scan.csv"
@@ -196,6 +268,19 @@ class TestFermionCommands:
                         "--out", str(tmp_path / "d.csv"), "--seed", "2"]) == 0
         assert cli.run(["fermion-heat", "--config", fermion_config,
                         "--out", str(tmp_path / "h.csv"), "--seed", "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
+                                         "fermion-steady"])
+    def test_outputs_identical_across_runs_and_threads(self, tmp_path,
+                                                       command):
+        cfg = system_config(tmp_path, 3, [1.0, 2.0, 0.7], [0.4, 0.9, 0.6])
+        outs = []
+        for run, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"{run}.csv"
+            assert cli.run([command, "--config", cfg, "--out", str(out),
+                            "--seed", "3", "--threads", threads]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_oracle_check_small(self, capsys):
         assert cli.run(["fermion-oracle-check", "--N", "1", "--trials", "2",

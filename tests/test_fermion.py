@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from koopman_lab import fermion
 from koopman_lab.fermion import (
@@ -30,6 +33,50 @@ from koopman_lab.polyflow import DimensionError
 def commuting_system(N=3, omegas=(1.0, 2.0, 0.7), gammas=(0.4, 0.9, 0.6)):
     h, jumps = commuting_example(N, omegas[:N], gammas[:N])
     return FermionSystem(N, h, jumps)
+
+
+def random_system(N, n_jumps, h_scale, jump_scale, rng):
+    """Random antisymmetric h and n_jumps random complex jump vectors."""
+    n2 = 2 * N
+    jumps = [jump_scale * (rng.normal(size=n2) + 1j * rng.normal(size=n2))
+             for _ in range(n_jumps)]
+    return FermionSystem(N, h_scale * random_antisymmetric(n2, rng), jumps)
+
+
+def physical_covariance(N, purity, rng):
+    """purity * O J O^T for a random orthogonal O: a pure Gaussian state
+    (purity 1) mixed toward the maximally mixed one (Gamma = 0)."""
+    O, _ = np.linalg.qr(rng.normal(size=(2 * N, 2 * N)))
+    J = np.kron(np.eye(N), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    G = purity * (O @ J @ O.T)
+    return CovarianceState((G - G.T) / 2.0)
+
+
+def closed_form(sys, gamma0, t):
+    """e^{Bt}(Gamma0 - Gamma_ss)e^{B^T t} + Gamma_ss of a gapped system."""
+    ss = solve_continuous_lyapunov(sys.B, -sys.Y)
+    E = expm(sys.B * t)
+    return E @ (gamma0 - ss) @ E.T + ss
+
+
+@st.composite
+def covariance_flows(draw):
+    """(system, Gamma0, t_end, grid): N = 1..4 with 0..2 jumps (0 = closed),
+    on a uniform grid or on random increments that need not start at 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(1, 4))
+    sys = random_system(N, draw(st.integers(0, 2)),
+                        draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 1.0)),
+                        rng)
+    gamma0 = physical_covariance(N, draw(st.floats(0.0, 1.0)), rng)
+    if draw(st.booleans()):
+        t_end = draw(st.floats(0.05, 3.0))
+        grid = np.linspace(0.0, t_end, draw(st.integers(2, 17)))
+    else:
+        grid = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=1,
+                                       max_size=6)))
+        t_end = float(grid[-1])
+    return sys, gamma0, t_end, grid
 
 
 class TestMajoranas:
@@ -70,24 +117,56 @@ class TestSystemAssembly:
         with pytest.raises(DimensionError):
             assemble(np.zeros((3, 3)), [])
 
-    def test_bigB_is_kronecker_sum(self):
-        rng = np.random.default_rng(1)
-        sys = FermionSystem(1, random_antisymmetric(2, rng), [])
-        eye = np.eye(2)
-        np.testing.assert_allclose(
-            sys.bigB(), np.kron(sys.B, eye) + np.kron(eye, sys.B))
 
 
 class TestEvolution:
-    def test_matrix_and_vectorized_paths_agree(self):
-        rng = np.random.default_rng(2)
-        sys = FermionSystem(2, random_antisymmetric(4, rng),
-                            [0.3 * (rng.normal(size=4)
-                                    + 1j * rng.normal(size=4))])
-        g0 = CovarianceState(random_antisymmetric(4, rng))
-        f1, _, _ = evolve_covariance(sys, g0, 0.7)
-        f2, _, _ = evolve_covariance(sys, g0, 0.7, vectorized=True)
-        assert np.max(np.abs(f1.Gamma - f2.Gamma)) < 1e-8
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flow=covariance_flows(), kronecker=st.booleans())
+    def test_exact_flow_matches_dop853_oracles(self, dop853_covariance,
+                                               flow, kronecker):
+        sys, gamma0, t_end, grid = flow
+        _, times, gammas = evolve_covariance(sys, gamma0, t_end,
+                                             sample_times=grid)
+        want_t, want = dop853_covariance(sys, gamma0.Gamma, t_end, grid,
+                                         kronecker)
+        np.testing.assert_array_equal(times, want_t)
+        for g, w in zip(gammas, want):
+            assert np.max(np.abs(g.Gamma - w)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(flow=covariance_flows())
+    def test_samples_stay_physical(self, flow):
+        sys, gamma0, t_end, grid = flow
+        _, _, gammas = evolve_covariance(sys, gamma0, t_end,
+                                         sample_times=grid)
+        for g in gammas:
+            assert np.array_equal(g.Gamma, -g.Gamma.T)
+            assert g.is_physical()
+
+    def test_long_interval_matches_closed_form(self):
+        # |X| h is about 300 on the single interval: the block exponential
+        # over all of it would lose every digit of Q
+        rng = np.random.default_rng(12)
+        sys = random_system(3, 3, 1.0, 2.0, rng)
+        g0 = physical_covariance(3, 1.0, rng)
+        for grid in ([30.0], [0.5, 30.0], np.linspace(0.0, 30.0, 3)):
+            final, _, _ = evolve_covariance(sys, g0, 30.0, sample_times=grid)
+            assert np.max(np.abs(final.Gamma
+                                 - closed_form(sys, g0.Gamma, 30.0))) < 1e-12
+
+    def test_zero_horizon_is_the_initial_sample(self):
+        rng = np.random.default_rng(13)
+        g0 = CovarianceState(random_antisymmetric(6, rng))
+        final, times, gammas = evolve_covariance(commuting_system(), g0, 0.0)
+        assert times.tolist() == [0.0] and len(gammas) == 1
+        np.testing.assert_array_equal(final.Gamma, g0.Gamma)
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.0, 1.5], [[0.5]], []])
+    def test_bad_sample_times_rejected(self, grid):
+        g0 = CovarianceState(np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="sample_times"):
+            evolve_covariance(commuting_system(), g0, 1.0, sample_times=grid)
 
     def test_antisymmetry_preserved(self):
         rng = np.random.default_rng(3)
@@ -179,6 +258,36 @@ class TestSpectrumAndSteady:
         sys = FermionSystem(2, h, jumps)  # second mode undamped
         with pytest.raises(GaplessError):
             lindblad_gap(sys)
+
+    @pytest.mark.parametrize("gammas", [(0.5, 0.0), (0.0, 0.0)])
+    def test_steady_state_gapless_rejected(self, gammas):
+        # one lossless mode, then a closed system: B has the eigenvalue pair
+        # +-2i, so the Lyapunov operator is singular
+        h, jumps = commuting_example(2, [1.0, 2.0], gammas)
+        with pytest.raises(GaplessError, match="lambda_i"):
+            steady_state(FermionSystem(2, h, jumps))
+
+    def test_steady_state_nan_residual_rejected(self, monkeypatch):
+        monkeypatch.setattr(fermion, "solve_continuous_lyapunov",
+                            lambda B, Q: np.full_like(B, np.nan))
+        with pytest.raises(GaplessError, match="residual nan"):
+            steady_state(commuting_system())
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 4),
+           n_jumps=st.integers(1, 3), h_scale=st.floats(0.1, 3.0),
+           jump_scale=st.floats(0.1, 1.0))
+    def test_steady_state_matches_kronecker_solve(
+            self, kronecker_steady_state, seed, N, n_jumps, h_scale,
+            jump_scale):
+        sys = random_system(N, n_jumps, h_scale, jump_scale,
+                            np.random.default_rng(seed))
+        lam = np.linalg.eigvals(sys.B)
+        assume(np.min(np.abs(lam[:, None] + lam[None, :])) > 0.05)
+        steady = steady_state(sys)
+        assert np.max(np.abs(steady.Gamma
+                             - kronecker_steady_state(sys))) < 1e-10
 
     def test_steady_state_lyapunov(self):
         sys = commuting_system()
