@@ -10,7 +10,8 @@ no block of the operator is ever formed.
 The lifted flow dg/dt = C g is linear and C does not depend on the initial
 condition.  A small lift sampled on a uniform grid is therefore propagated
 exactly, one dense step P = expm(C h) per sample (scaling and squaring,
-Al-Mohy & Higham 2009); larger lifts are integrated matrix-free with DOP853.
+Al-Mohy & Higham 2009), for a whole (D, c) block of initial lifts at once;
+larger lifts are integrated matrix-free with DOP853.
 """
 
 from __future__ import annotations
@@ -84,19 +85,21 @@ class CarlemanOperator:
         return _block_slice(self.dim, self.order, self.offsets, k)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """C g, matrix-free.
+        """C g, matrix-free, for a lifted vector or a (D, m) block of them.
 
         Output block i gathers, for each tensor degree k, source block
         i+k-1 through the position sum of I^(pos-1) (x) F_k (x) I^(i-pos),
         pos = 1..i.  Each position term views the source block as
-        (left, d^k, right) with left = d^(pos-1), right = d^(i-pos), and
-        contracts the middle axis with the dense (d, d^k) flattening of F_k.
+        (left, d^k, right m) with left = d^(pos-1), right = d^(i-pos), and
+        contracts the middle axis with the dense (d, d^k) flattening of F_k;
+        the m columns of a block ride along with the right factor.
         """
         g = np.ascontiguousarray(g, dtype=np.complex128)
-        if g.shape != (self.total_dim,):
+        if g.shape[:1] != (self.total_dim,) or g.ndim > 2:
             raise DimensionError("lifted vector has wrong length")
+        m = g.size // self.total_dim
         d, offsets = self.dim, self.offsets
-        out = np.zeros(self.total_dim, dtype=np.complex128)
+        out = np.zeros(g.shape, dtype=np.complex128)
         for k, fmat in zip(self.degrees.tolist(), self._flats):
             dk = d**k
             for i in range(1, self.order - k + 2):  # output block index
@@ -105,26 +108,25 @@ class CarlemanOperator:
                 dst = out[offsets[i - 1]:offsets[i - 1] + d**i]
                 for pos in range(1, i + 1):
                     left = d**(pos - 1)
-                    right = d**(i - pos)
+                    right = d**(i - pos) * m
                     block = v.reshape(left, dk, right)
                     # (d, dk) @ (dk, left*right) -> (d, left, right)
                     contracted = fmat @ block.transpose(1, 0, 2).reshape(
                         dk, left * right)
                     dst += contracted.reshape(d, left, right).transpose(
-                        1, 0, 2).reshape(-1)
+                        1, 0, 2).reshape(dst.shape)
         return out
 
     def dense(self) -> np.ndarray:
-        """Dense materialization, one apply per column; guarded by size.
+        """Dense materialization, one block apply over the identity; guarded
+        by size.
 
         Input of the exact small-lift step (`exact_step`) and the test oracle
         of the apply kernel.
         """
         if self.total_dim > 2000:
             raise OverflowGuardError("dense oracle limited to small lifts")
-        eye = np.eye(self.total_dim, dtype=np.complex128)
-        return np.column_stack([self.apply(eye[:, j])
-                                for j in range(self.total_dim)])
+        return self.apply(np.eye(self.total_dim, dtype=np.complex128))
 
 
 @dataclass
@@ -197,43 +199,74 @@ def exact_step(op: CarlemanOperator, t_end: float, sample_times):
     return None if h is None else expm(op.dense() * h)
 
 
-def _stepped(step: np.ndarray, g0: np.ndarray, times: np.ndarray):
-    """Samples step^s g0, cut before the first whose norm exceeds
-    DIVERGENCE_NORM (the trajectory is then marked diverged)."""
-    states = np.empty((times.size, g0.size), dtype=np.complex128)
-    states[0] = g0
+def _stepped(step: np.ndarray, G0: np.ndarray, times: np.ndarray,
+             width: int = 0) -> list:
+    """Samples step^s G0 of a (D, c) block of lifts, one Trajectory per
+    column, each cut before its first sample whose norm exceeds
+    DIVERGENCE_NORM (that trajectory is then marked diverged).
+
+    The block is stepped zero-padded to `width` columns when it is
+    narrower; only the c columns' samples are kept, each column's samples
+    contiguous.
+    """
+    size, count = G0.shape
+    block = np.zeros((2, size, max(count, width)), dtype=np.complex128)
+    block[0, :, :count] = G0
+    states = np.empty((count, times.size, size), dtype=np.complex128)
+    states[:, 0] = G0.T
     for s in range(1, times.size):
-        np.dot(step, states[s - 1], out=states[s])
+        np.matmul(step, block[(s - 1) % 2], out=block[s % 2])
+        states[:, s] = block[s % 2, :, :count].T
+    parts = states[:, 1:].view(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states[1:], axis=1)
-    over = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
-    if over.size == 0:
-        return Trajectory(times, states)
-    kept = over[0] + 1
-    return Trajectory(times[:kept], states[:kept], diverged=True)
+        norms = np.sqrt(np.einsum("csk,csk->cs", parts, parts))
+    out = []
+    for col in range(count):
+        over = np.flatnonzero(~(norms[col] <= DIVERGENCE_NORM))
+        kept = times.size if over.size == 0 else over[0] + 1
+        out.append(Trajectory(times[:kept], states[col, :kept],
+                              diverged=over.size > 0))
+    return out
 
 
-def evolve_lifted(op: CarlemanOperator, g0: LiftedState, t_end: float,
-                  tol: float, sample_times=None, step=None) -> Trajectory:
-    """Trajectory of dg/dt = C g from g0, sampled on the grid.
+def evolve_lifted_block(op: CarlemanOperator, G0: np.ndarray, t_end: float,
+                        tol: float, sample_times=None, step=None,
+                        width: int = 0) -> list:
+    """Trajectories of dg/dt = C g from each column of the (D, c) block G0.
 
     A small lift on a uniform grid is stepped exactly by P = expm(C h) from
-    `exact_step`; pass that `step` to share one P across initial conditions.
-    Any other lift is integrated matrix-free with DOP853 at `tol`.  On both
-    paths the trajectory ends at divergence (norm above DIVERGENCE_NORM).
+    `exact_step`, the whole block at once, states[s] = P states[s-1]; pass
+    that `step` to share one P across calls.  A block narrower than `width`
+    is stepped zero-padded to that many columns: BLAS may round a column
+    of a product differently in a narrower block, so a fixed width keeps
+    each column's bits independent of how many columns share its block.
+    Any other lift integrates each column matrix-free with DOP853 at
+    `tol`.  On both paths a trajectory ends at divergence (norm above
+    DIVERGENCE_NORM).
     """
-    if (g0.dim, g0.order) != (op.dim, op.order):
+    G0 = np.asarray(G0, dtype=np.complex128)
+    if G0.ndim != 2 or G0.shape[0] != op.total_dim:
         raise DimensionError("operator/state dims mismatch")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 129)
     if step is None:
         step = exact_step(op, t_end, sample_times)
     if step is None:
-        return integrate_rhs(lambda t, g: op.apply(g), g0.data, t_end, tol,
-                             sample_times)
+        return [integrate_rhs(lambda t, g: op.apply(g), g0, t_end, tol,
+                              sample_times) for g0 in G0.T]
     if step.shape != (op.total_dim, op.total_dim):
         raise DimensionError("step does not match the operator")
-    return _stepped(step, g0.data, np.asarray(sample_times, dtype=float))
+    return _stepped(step, G0, np.asarray(sample_times, dtype=float), width)
+
+
+def evolve_lifted(op: CarlemanOperator, g0: LiftedState, t_end: float,
+                  tol: float, sample_times=None, step=None) -> Trajectory:
+    """Trajectory of dg/dt = C g from g0: `evolve_lifted_block` on a block
+    of one."""
+    if (g0.dim, g0.order) != (op.dim, op.order):
+        raise DimensionError("operator/state dims mismatch")
+    return evolve_lifted_block(op, g0.data[:, None], t_end, tol,
+                               sample_times, step)[0]
 
 
 def block1_error(reference: Trajectory, lifted: Trajectory, dim: int,

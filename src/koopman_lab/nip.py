@@ -11,7 +11,12 @@ provided:
   error source is the lift truncation itself.
 
 Both truncation errors are measured in y coordinates against a reference
-obtained by integrating the exact quadratic eta dynamics.
+obtained by integrating the exact quadratic eta dynamics.  The reference is
+the batched Taylor-series flow `polyflow.taylor_flow` at REFERENCE_TOL,
+which holds each expansion's coefficient tail under
+REFERENCE_TOL * max(1, |eta|) per sample interval; a batch of initial
+conditions is one call (`reference_y_trajectories`).  Lifts are stepped as
+the columns of one block (`route_runs`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .carleman import (
     CarlemanOperator,
     block1_error,
     build_carleman,
-    evolve_lifted,
+    evolve_lifted,  # noqa: F401 (perfbench's tracer test looks it up here)
+    evolve_lifted_block,
     exact_step,
     initial_lift,
 )
@@ -34,9 +40,9 @@ from .polyflow import (
     PolySystem,
     SparseTensor,
     Trajectory,
-    integrate_reference,
     quadratic_r_number,
     spectral_norm,
+    taylor_flow,
 )
 
 REFERENCE_TOL = 1e-12
@@ -179,15 +185,25 @@ def guaranteed_radius_squared(model: PopulationModel) -> float:
 # ---------------------------------------------------------------------------
 # reference flow and truncation-error runs
 
+def reference_y_trajectories(model: PopulationModel, X0s, t_end: float,
+                             tol: float = REFERENCE_TOL,
+                             sample_times=None) -> list:
+    """Reference y(t) from each row of X0s: the exact quadratic eta flow,
+    integrated as one batch by `polyflow.taylor_flow`, mapped through
+    eta/(1+eta)."""
+    etas = x_to_eta(model, np.asarray(X0s, dtype=float))
+    trajs = taylor_flow(koopman_system(model), etas.astype(complex), t_end,
+                        tol, sample_times)
+    return [Trajectory(t.times, t.states / (1.0 + t.states),
+                       diverged=t.diverged) for t in trajs]
+
+
 def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
                            tol: float = REFERENCE_TOL,
                            sample_times=None) -> Trajectory:
-    """Reference y(t): the exact quadratic eta flow mapped through eta/(1+eta)."""
-    eta0 = x_to_eta(model, x0)
-    traj = integrate_reference(koopman_system(model), eta0.astype(complex),
-                               t_end, tol, sample_times)
-    y = traj.states / (1.0 + traj.states)
-    return Trajectory(traj.times, y, diverged=traj.diverged)
+    """Reference y(t) from x0: `reference_y_trajectories` on a batch of one."""
+    return reference_y_trajectories(model, [x0], t_end, tol,
+                                    sample_times)[0]
 
 
 @dataclass
@@ -244,6 +260,27 @@ def route_lift(model: PopulationModel, route: str, order: int,
     return RouteLift(op, exact_step(op, t_end, sample_times))
 
 
+def route_runs(model: PopulationModel, X0s, route: str, order: int,
+               t_end: float, tol: float, sample_times, references,
+               lift: RouteLift, width: int = 0) -> list:
+    """One truncation run of `route` from each row of X0s, measured against
+    the matching reference, all on the shared `lift`.
+
+    The lifts start as the columns of one block, stepped at least `width`
+    columns wide (`carleman.evolve_lifted_block`).
+    """
+    X0s = np.asarray(X0s, dtype=float)
+    if route == "vacancy":
+        Z0, back_map = x_to_y(model, X0s), None
+    else:
+        Z0, back_map = x_to_eta(model, X0s), _eta_to_y_rows
+    G0 = np.column_stack([initial_lift(z0, order).data for z0 in Z0])
+    trajs = evolve_lifted_block(lift.op, G0, t_end, tol, sample_times,
+                                lift.step, width)
+    return [_error_run(ref, traj, model.dim, order, back_map)
+            for ref, traj in zip(references, trajs)]
+
+
 def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                lift) -> TruncationRun:
     if sample_times is None:
@@ -253,13 +290,8 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                                            sample_times=sample_times)
     if lift is None:
         lift = route_lift(model, route, order, t_end, sample_times)
-    if route == "vacancy":
-        z0, back_map = x_to_y(model, x0), None
-    else:
-        z0, back_map = x_to_eta(model, x0), _eta_to_y_rows
-    traj = evolve_lifted(lift.op, initial_lift(z0, order), t_end, tol,
-                         sample_times, lift.step)
-    return _error_run(reference, traj, model.dim, order, back_map)
+    return route_runs(model, [x0], route, order, t_end, tol, sample_times,
+                      [reference], lift)[0]
 
 
 def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,

@@ -18,6 +18,12 @@ from scipy.integrate import solve_ivp
 
 DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
+# Order of each Taylor expansion of `taylor_flow`, and the most times one
+# sample interval is halved before the flow gives up.  On criterion 04's
+# 961-cell grid the scan's reference takes no halving at order 12; order 24
+# gives the same bits on 960 cells and moves y by 1.4e-14 on the last.
+TAYLOR_ORDER = 12
+TAYLOR_MAX_HALVINGS = 60
 
 
 class DimensionError(ValueError):
@@ -183,12 +189,9 @@ def eval_rhs(sys: PolySystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def vectorized_rhs(sys: PolySystem):
-    """Vectorized right-hand side closure (t, x) -> sum_k F_k x^(tensor k).
-
-    The package's one evaluator of a polynomial field; `eval_rhs` is its
-    per-entry test oracle.
-    """
+def _entry_plan(sys: PolySystem) -> list:
+    """(degree, rows, (nnz, degree) column indices, values) per degree
+    that has entries."""
     plan = []
     for k, t in enumerate(sys.tensors):
         if t is None or t.nnz == 0:
@@ -197,6 +200,16 @@ def vectorized_rhs(sys: PolySystem):
         col_idx = np.array([list(c) for _, c, _ in t.entries()],
                            dtype=np.int64).reshape(t.nnz, k)
         plan.append((k, rows, col_idx, vals))
+    return plan
+
+
+def vectorized_rhs(sys: PolySystem):
+    """Vectorized right-hand side closure (t, x) -> sum_k F_k x^(tensor k).
+
+    The package's one evaluator of a polynomial field; `eval_rhs` is its
+    per-entry test oracle.
+    """
+    plan = _entry_plan(sys)
     dim = sys.dim
 
     def rhs(t, x):
@@ -258,6 +271,147 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
         times = np.concatenate(([0.0], times))
         states = np.vstack([x0, states])
     return Trajectory(times, states, diverged=diverged)
+
+
+class _QuadraticTaylor:
+    """Taylor expansions of dx/dt = F0 + F1 x + F2 (x (x) x), row by row.
+
+    With the constant coordinate appended, z = (x, 1), every term is a
+    product v_e z_j z_k: a linear entry (i, j) becomes (i, j, d) and a
+    constant one (i, d, d).  The coefficients of z(t0 + s h) in powers of s
+    then follow one Cauchy-product recurrence,
+        a_{n+1}[i] = h / (n + 1) sum_{e in row i} v_e
+                     sum_{m <= n} a_m[j_e] a_{n-m}[k_e],
+    while the constant coordinate keeps the coefficients (1, 0, 0, ...).
+    Every operation acts on each row alone, so a row's bits do not depend
+    on the other rows of its batch.
+    """
+
+    def __init__(self, sys: PolySystem, order: int, tol: float):
+        d = sys.dim
+        # one zero entry per row, so that each row owns a segment of terms
+        rows, pairs, vals = [np.arange(d)], [np.full((d, 2), d)], [np.zeros(d)]
+        for k, r, cols, v in _entry_plan(sys):
+            if k > 2:
+                raise ValueError(
+                    f"the Taylor flow needs degree <= 2, the system has {k}")
+            rows.append(r)
+            pairs.append(np.hstack([cols, np.full((r.size, 2 - k), d)]))
+            vals.append(v)
+        rows = np.concatenate(rows)
+        by_row = np.argsort(rows, kind="stable")
+        # each distinct factor pair's Cauchy sum is formed once per order
+        uniq, pair_of = np.unique(np.vstack(pairs)[by_row], axis=0,
+                                  return_inverse=True)
+        self.pair_of = pair_of.reshape(-1)
+        self.jk = np.concatenate([uniq[:, 0], uniq[:, 1]])
+        self.vals = np.concatenate(vals).astype(np.complex128)[by_row]
+        self.starts = np.flatnonzero(np.diff(rows[by_row], prepend=-1))
+        self.dim, self.order, self.tol = d, order, tol
+
+    def series(self, x: np.ndarray, h: float) -> np.ndarray:
+        """Coefficients a_0..a_p of z(t0 + s h), shape (p + 1, c, d + 1)."""
+        c, d = x.shape
+        p, npair = self.order, self.jk.size // 2
+        coef = np.zeros((p + 1, c, d + 1), dtype=np.complex128)
+        coef[0, :, :d] = x
+        coef[0, :, d] = 1.0
+        # per order, z_j of every factor pair, then z_k of every pair
+        zjk = np.empty((p + 1, c, 2 * npair), dtype=np.complex128)
+        coef[0].take(self.jk, axis=1, out=zjk[0])
+        scaled = self.vals * (h / np.arange(1, p + 1))[:, None]
+        for n in range(p):
+            cauchy = np.add.reduce(
+                zjk[:n + 1, :, :npair] * zjk[n::-1, :, npair:], axis=0)
+            terms = cauchy.take(self.pair_of, axis=1)
+            terms *= scaled[n]
+            np.add.reduceat(terms, self.starts, axis=1,
+                            out=coef[n + 1, :, :d])
+            coef[n + 1].take(self.jk, axis=1, out=zjk[n + 1])
+        return coef
+
+    def advance(self, x: np.ndarray, h: float, depth: int = 0):
+        """(x(t0 + h) per row, rows whose norm passed DIVERGENCE_NORM).
+
+        A row whose tail |a_p| + |a_{p-1}| exceeds tol max(1, |x|) is
+        advanced by two half steps instead, recursively; a diverged row
+        stops at the sub-step where it passed the norm.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = self.series(x, h)[:, :, :self.dim]
+            tail = np.linalg.norm(coef[-1], axis=1) \
+                + np.linalg.norm(coef[-2], axis=1)
+            split = ~(tail <= self.tol * np.maximum(
+                1.0, np.linalg.norm(x, axis=1)))
+            y = coef[-1].copy()
+            for a in coef[-2::-1]:
+                y += a
+            over = ~(np.linalg.norm(y, axis=1) <= DIVERGENCE_NORM)
+        if split.any():
+            if depth == TAYLOR_MAX_HALVINGS:
+                raise StepUnderflowError(
+                    f"Taylor flow: a step of {h:.3g} misses tol {self.tol:g}"
+                    f" after {depth} halvings")
+            mid, over_mid = self.advance(x[split], h / 2, depth + 1)
+            end, over_end = mid, over_mid.copy()
+            go = ~over_mid
+            if go.any():
+                end[go], over_end[go] = self.advance(mid[go], h / 2,
+                                                     depth + 1)
+            y[split], over[split] = end, over_end
+        return y, over
+
+
+def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
+                sample_times=None) -> list:
+    """Flow of a polynomial system of degree <= 2 from each row of X0.
+
+    Each sample interval is covered by one Taylor expansion of order
+    TAYLOR_ORDER about its left end (`_QuadraticTaylor`), so any sample grid
+    works.  A row whose coefficient tail exceeds tol max(1, |x|) halves
+    that interval, up to TAYLOR_MAX_HALVINGS times, then the flow raises
+    StepUnderflowError; the other rows are not touched.  Divergence is a
+    check on samples, as on the stepped lift: a row's trajectory ends
+    before its first sample past DIVERGENCE_NORM and is marked diverged,
+    as it is when the norm is passed between the last sample and t_end.
+    Returns one Trajectory per row of the (c, dim) array X0.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    X0 = np.asarray(X0, dtype=np.complex128)
+    if X0.ndim != 2 or X0.shape[1] != sys.dim:
+        raise DimensionError("initial states must form a (c, dim) array")
+    flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol)
+    if t_end == 0:
+        return [Trajectory(np.array([0.0]), x0[None, :]) for x0 in X0]
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_end, 129)
+    times = np.asarray(sample_times, dtype=float)
+    if times.size == 0 or times[0] != 0.0:
+        times = np.concatenate(([0.0], times))
+    if np.any(np.diff(times) <= 0) or times[-1] > t_end:
+        raise ValueError("sample times must increase within [0, t_end]")
+    n, c = times.size, X0.shape[0]
+    grid = times if times[-1] == t_end else np.append(times, t_end)
+    states = np.empty((n, c, sys.dim), dtype=np.complex128)
+    states[0] = X0
+    kept = np.full(c, n)
+    diverged = np.zeros(c, dtype=bool)
+    alive = np.arange(c)
+    for s in range(1, grid.size):
+        if alive.size == 0:
+            break
+        x, over = flow.advance(states[min(s, n) - 1, alive],
+                               grid[s] - grid[s - 1])
+        if s < n:
+            states[s, alive] = x
+        kept[alive[over]] = min(s, n)
+        diverged[alive[over]] = True
+        alive = alive[~over]
+    return [Trajectory(times[:kept[r]], states[:kept[r], r],
+                       diverged=bool(diverged[r])) for r in range(c)]
 
 
 def uniform_spacing(sample_times, t_end: float):

@@ -18,8 +18,10 @@ from .nip import (
     ROUTES,
     PopulationModel,
     nip_evolve,
+    reference_y_trajectories,
     reference_y_trajectory,
     route_lift,
+    route_runs,
     vacancy_evolve,
     y_to_x,
 )
@@ -43,6 +45,11 @@ DEFAULT_T_END = 0.1
 DEFAULT_ORDERS = (1, 3)
 CHAOS_T_END = 2.0
 EQUILIBRIUM_TOL = 0.1
+# Cells per batch of the convergence scan.  A chunk takes one batched
+# reference flow and steps each lift as one block this wide, zero-padded
+# when the chunk is short.  A multiple of the BLAS kernels' column tiling,
+# so that no cell of a block falls in a partial tile.
+SCAN_CHUNK = 32
 
 
 def paper_model() -> PopulationModel:
@@ -102,19 +109,30 @@ def _verdict(low, high) -> str:
     return "diverged"
 
 
-def _scan_cell(x0, model, orders, t_end, tol, sample_times, lifts):
-    reference = reference_y_trajectory(model, x0, t_end,
-                                       sample_times=sample_times)
-    runs_c = [vacancy_evolve(model, x0, n, t_end, tol, sample_times,
-                             reference, lifts["vacancy", n]) for n in orders]
-    runs_k = [nip_evolve(model, x0, n, t_end, tol, sample_times, reference,
-                         lifts["mode", n]) for n in orders]
-    return (_verdict(runs_c[0], runs_c[1]), _verdict(runs_k[0], runs_k[1]),
-            runs_c[0].eps_max, runs_c[1].eps_max,
-            runs_k[0].eps_max, runs_k[1].eps_max)
+def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
+                 references):
+    """(verdict, eps low, eps high) of one route at each cell of a chunk,
+    each lift stepped as one block of SCAN_CHUNK columns."""
+    low, high = (route_runs(model, X0s, route, n, t_end, tol, sample_times,
+                            references, lifts[route, n], SCAN_CHUNK)
+                 for n in orders)
+    return [(_verdict(lo, hi), lo.eps_max, hi.eps_max)
+            for lo, hi in zip(low, high)]
 
 
-# Inputs every cell of one scan shares, set once in each worker process.
+def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
+    """Cells of one chunk: one batched reference, then each route's lifts.
+    A route's lifted samples are dropped before the next route runs."""
+    references = reference_y_trajectories(model, X0s, t_end,
+                                          sample_times=sample_times)
+    vacancy, mode = (_route_cells(X0s, route, model, orders, t_end, tol,
+                                  sample_times, lifts, references)
+                     for route in ROUTES)
+    return [(c[0], k[0], c[1], c[2], k[1], k[2])
+            for c, k in zip(vacancy, mode)]
+
+
+# Inputs every chunk of one scan shares, set once in each worker process.
 _shared = None
 
 
@@ -123,8 +141,8 @@ def _set_shared(shared):
     _shared = shared
 
 
-def _pooled_cell(x0):
-    return _scan_cell(x0, *_shared)
+def _pooled_chunk(X0s):
+    return _scan_chunk(X0s, *_shared)
 
 
 def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
@@ -137,8 +155,11 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     strictly smaller than at the lower order, both finite.  The lifted
     operator and exact step of each (route, order) are built once per call
     and shared by every cell; `tol` reaches only lifts too large for the
-    exact step.  Cells are independent; the merge is by grid index, so the
-    result does not depend on the thread count.
+    exact step.  The cells, in grid order, are cut into chunks of
+    SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
+    workers the pool maps chunks.  A cell's numbers do not depend on its
+    chunk's other cells, and the merge is by grid index, so the result does
+    not depend on the thread count.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -157,16 +178,19 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
              for route in ROUTES for n in orders}
     shared = (model, tuple(orders), t_end, tol, sample_times, lifts)
-    points = [np.array([x1_fixed, x2, x3])
-              for x2 in x2_range for x3 in x3_range]
-    workers = worker_count(threads, len(points))
+    points = np.array([[x1_fixed, x2, x3]
+                       for x2 in x2_range for x3 in x3_range])
+    chunks = [points[i:i + SCAN_CHUNK]
+              for i in range(0, len(points), SCAN_CHUNK)]
+    workers = worker_count(threads, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_set_shared,
                                  initargs=(shared,)) as pool:
-            cells = list(pool.map(_pooled_cell, points, chunksize=8))
+            done = list(pool.map(_pooled_chunk, chunks))
     else:
-        cells = [_scan_cell(x0, *shared) for x0 in points]
+        done = [_scan_chunk(chunk, *shared) for chunk in chunks]
+    cells = [cell for chunk in done for cell in chunk]
 
     n2, n3 = x2_range.size, x3_range.size
     shape = (n2, n3)
@@ -232,8 +256,11 @@ def trajectory_compare(model: PopulationModel, x0, order: int,
     """(exact, vacancy-lift, mode-lift) trajectories in x coordinates."""
     sample_times = np.linspace(0.0, t_end, 129)
     exact = exact_x_trajectory(model, x0, t_end, sample_times=sample_times)
-    run_c = vacancy_evolve(model, x0, order, t_end, tol, sample_times)
-    run_k = nip_evolve(model, x0, order, t_end, tol, sample_times)
+    reference = reference_y_trajectory(model, x0, t_end,
+                                       sample_times=sample_times)
+    run_c = vacancy_evolve(model, x0, order, t_end, tol, sample_times,
+                           reference)
+    run_k = nip_evolve(model, x0, order, t_end, tol, sample_times, reference)
 
     def to_x(run):
         xs = np.array([y_to_x(model, y) for y in run.y_approx.states])

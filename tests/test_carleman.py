@@ -129,6 +129,13 @@ class TestApply:
         np.testing.assert_allclose(op.apply(a * g + b * h),
                                    a * op.apply(g) + b * op.apply(h),
                                    rtol=0, atol=1e-12)
+        # a (D, m) block is applied column by column
+        G = np.column_stack([vec() for _ in range(3)])
+        block = op.apply(G)
+        np.testing.assert_allclose(
+            block, np.column_stack([op.apply(col) for col in G.T]), rtol=0,
+            atol=1e-12)
+        np.testing.assert_allclose(block, oracle @ G, rtol=0, atol=1e-12)
 
 
 class TestLift:
@@ -245,6 +252,43 @@ class TestExactStep:
         np.testing.assert_allclose(traj.states,
                                    np.exp(-grid)[:, None] * np.ones(d),
                                    rtol=0, atol=1e-8)
+
+    def test_block_columns_are_single_runs(self):
+        # an expanding lift: the largest start passes the divergence norm
+        rng = np.random.default_rng(21)
+        F1 = 2.0 * np.eye(2) + 0.1 * rng.normal(size=(2, 2))
+        F2 = 0.3 * rng.normal(size=(2, 4))
+        sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
+                             SparseTensor.from_dense_flat(2, F2)])
+        op = build_carleman(sys, 3)
+        grid = np.linspace(0.0, 2.0, 33)
+        step = exact_step(op, 2.0, grid)
+        lifts = [initial_lift(scale * rng.normal(size=2), 3)
+                 for scale in (0.1, 1.0, 30.0)]
+        G0 = np.column_stack([g.data for g in lifts])
+        singles = [evolve_lifted(op, g0, 2.0, 1e-10, grid, step)
+                   for g0 in lifts]
+        assert [t.diverged for t in singles] == [False, False, True]
+        for width in (0, 8):
+            block = carleman.evolve_lifted_block(op, G0, 2.0, 1e-10, grid,
+                                                 step, width)
+            assert len(block) == len(lifts)
+            for traj, single in zip(block, singles):
+                assert traj.diverged == single.diverged
+                np.testing.assert_array_equal(traj.times, single.times)
+                np.testing.assert_allclose(traj.states, single.states,
+                                           rtol=1e-13)
+
+    def test_block_off_the_grid_integrates_each_column(self):
+        sys, _, _ = random_quadratic(2, seed=23)
+        op = build_carleman(sys, 2)
+        grid = np.array([0.0, 0.1, 0.3, 0.6])
+        lifts = [initial_lift(z0, 2) for z0 in ([0.1, 0.2], [0.3, -0.1])]
+        block = carleman.evolve_lifted_block(
+            op, np.column_stack([g.data for g in lifts]), 0.6, 1e-10, grid)
+        for traj, g0 in zip(block, lifts):
+            single = evolve_lifted(op, g0, 0.6, 1e-10, grid)
+            np.testing.assert_array_equal(traj.states, single.states)
 
     def test_non_uniform_grid_is_integrated(self):
         op = build_carleman(random_quadratic(2, seed=19)[0], 2)

@@ -18,6 +18,7 @@ from koopman_lab.nip import (
     model_to_json,
     nip_evolve,
     r_number_nip,
+    reference_y_trajectories,
     reference_y_trajectory,
     route_lift,
     vacancy_evolve,
@@ -168,6 +169,56 @@ class TestReference:
             lambda t, y: exact_y_rhs(model, y),
             x_to_y(model, x0).astype(complex), 0.5, 1e-12, grid)
         np.testing.assert_allclose(ref.states, direct.states, atol=1e-9)
+
+
+def mpmath_y_flow(model, x0, times, dps):
+    """y(t) of the exact quadratic eta flow, solved by mpmath's
+    arbitrary-precision Taylor integrator at `dps` digits."""
+    mpmath = pytest.importorskip("mpmath")
+    r = [float(v) for v in model.r]
+    _, G2 = koopman_tensors(model)
+    entries = [(i, j, k, float(v.real)) for i, (j, k), v in G2.entries()]
+
+    def rhs(t, eta):
+        out = [-r[i] * eta[i] for i in range(model.dim)]
+        for i, j, k, v in entries:
+            out[i] += v * eta[j] * eta[k]
+        return out
+
+    with mpmath.workdps(dps):
+        eta0 = [mpmath.mpf(float(e)) for e in x_to_eta(model, x0)]
+        flow = mpmath.odefun(rhs, 0, eta0)
+        return np.array([[float(e / (1 + e)) for e in flow(mpmath.mpf(t))]
+                         for t in times])
+
+
+class TestTaylorReference:
+    # At (1, 0.6, 0.5) the former DOP853 reference (tol 1e-12) sat 1.2e-9
+    # from this oracle; the Taylor flow sits 1.1e-10 from it.
+    @pytest.mark.parametrize("x0", [(1.0, 0.6, 0.5), (1.0, 0.5, 0.6),
+                                    (1.0, 1.4, 1.4)])
+    def test_scan_reference_matches_mpmath(self, x0):
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        ref = reference_y_trajectory(model, x0, DEMO_T_END,
+                                     sample_times=grid)
+        every = slice(None, None, 8)   # 17 samples
+        oracle = mpmath_y_flow(model, np.array(x0), grid[every], dps=25)
+        assert not ref.diverged and oracle.shape == (17, 3)
+        np.testing.assert_array_equal(ref.states.imag, 0.0)
+        np.testing.assert_allclose(ref.states[every].real, oracle, rtol=0,
+                                   atol=1e-9)
+
+    def test_batch_rows_are_the_single_references(self):
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        X0s = [(1.0, 0.6, 0.5), DEMO_X0, (1.0, 2.0, 0.5), (1.0, 1.0, 1.0)]
+        for x0, ref in zip(X0s, reference_y_trajectories(
+                model, X0s, DEMO_T_END, sample_times=grid)):
+            single = reference_y_trajectory(model, x0, DEMO_T_END,
+                                            sample_times=grid)
+            np.testing.assert_array_equal(ref.states, single.states)
+            assert ref.diverged == single.diverged
 
 
 class TestEvolutions:

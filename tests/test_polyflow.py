@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from koopman_lab import polyflow
 from koopman_lab.polyflow import (
     DimensionError,
     NonDissipativeError,
     OverflowGuardError,
     PolySystem,
     SparseTensor,
+    StepUnderflowError,
     Trajectory,
     eval_rhs,
     frobenius_norm,
@@ -21,6 +23,7 @@ from koopman_lab.polyflow import (
     spectral_norm,
     system_from_json,
     system_to_json,
+    taylor_flow,
     trajectory_to_csv,
     vectorized_rhs,
 )
@@ -131,6 +134,127 @@ class TestIntegration:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             integrate_reference(linear_system(-np.eye(2)), np.ones(2), 1.0, 0)
+
+
+def driven_quadratic(d, seed):
+    """A dissipative quadratic system with a constant drive."""
+    rng = np.random.default_rng(seed)
+    F0 = SparseTensor(0, d)
+    for i in range(d):
+        F0.add(i, (), rng.normal())
+    F1 = rng.normal(size=(d, d)) - 3.0 * np.eye(d)
+    F2 = 0.3 * rng.normal(size=(d, d * d))
+    return PolySystem(d, [F0, SparseTensor.from_dense_flat(1, F1),
+                          SparseTensor.from_dense_flat(2, F2)])
+
+
+def blow_up_system():
+    """x0' = x0^2 - x0, x1' = 0.5 x0 - 2 x1 + 0.3 x0 x1: x0 blows up in
+    finite time from x0 > 1."""
+    F1 = SparseTensor(1, 2)
+    F1.add(0, (0,), -1.0)
+    F1.add(1, (0,), 0.5)
+    F1.add(1, (1,), -2.0)
+    F2 = SparseTensor(2, 2)
+    F2.add(0, (0, 0), 1.0)
+    F2.add(1, (0, 1), 0.3)
+    return PolySystem(2, [None, F1, F2])
+
+
+class TestTaylorFlow:
+    def test_t_end_zero_is_the_initial_sample(self):
+        sys = driven_quadratic(3, seed=1)
+        X0 = np.random.default_rng(2).normal(size=(2, 3)) + 0j
+        for x0, traj in zip(X0, taylor_flow(sys, X0, 0.0, 1e-12)):
+            oracle = integrate_rhs(vectorized_rhs(sys), x0, 0.0, 1e-12)
+            np.testing.assert_array_equal(traj.times, oracle.times)
+            np.testing.assert_array_equal(traj.states, oracle.states)
+            assert not traj.diverged
+
+    def test_non_uniform_grid_matches_dop853(self):
+        sys = driven_quadratic(3, seed=3)
+        rng = np.random.default_rng(4)
+        grid = np.concatenate(([0.0], np.sort(rng.uniform(0, 1.0, 20)),
+                               [1.0]))
+        X0 = rng.normal(size=(3, 3))
+        for x0, traj in zip(X0, taylor_flow(sys, X0, 1.0, 1e-13, grid)):
+            oracle = integrate_reference(sys, x0, 1.0, 1e-13, grid)
+            np.testing.assert_array_equal(traj.times, oracle.times)
+            np.testing.assert_allclose(traj.states, oracle.states, rtol=0,
+                                       atol=1e-9)
+
+    def test_linear_flow_matches_expm(self):
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
+        x0 = rng.normal(size=4)
+        traj, = taylor_flow(linear_system(M), x0[None, :], 1.0, 1e-13)
+        np.testing.assert_allclose(traj.final, expm(M) @ x0, rtol=0,
+                                   atol=1e-12)
+
+    def test_degree_three_rejected(self):
+        t3 = SparseTensor(3, 1)
+        t3.add(0, (0, 0, 0), -1.0)
+        with pytest.raises(ValueError, match="degree"):
+            taylor_flow(PolySystem(1, [None, None, None, t3]),
+                        np.ones((1, 1)), 1.0, 1e-12)
+
+    def test_bad_inputs_rejected(self):
+        sys = linear_system(-np.eye(2))
+        with pytest.raises(ValueError):
+            taylor_flow(sys, np.ones((1, 2)), 1.0, 0.0)
+        with pytest.raises(DimensionError):
+            taylor_flow(sys, np.ones(2), 1.0, 1e-12)
+        with pytest.raises(ValueError, match="sample times"):
+            taylor_flow(sys, np.ones((1, 2)), 1.0, 1e-12, [0.0, 0.5, 2.0])
+
+    def test_divergence_matches_the_event_path(self):
+        # rows 0 and 2 pass DIVERGENCE_NORM at different samples, row 1
+        # settles; each keeps the samples and flag of the DOP853 event run
+        sys = blow_up_system()
+        grid = np.linspace(0.0, 0.1, 129)
+        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0]])
+        flows = taylor_flow(sys, X0, 0.1, 1e-12, grid)
+        for x0, traj in zip(X0, flows):
+            event = integrate_reference(sys, x0, 0.1, 1e-12, grid)
+            assert traj.diverged == event.diverged
+            np.testing.assert_array_equal(traj.times, event.times)
+            np.testing.assert_allclose(traj.states, event.states, rtol=1e-9)
+        assert [traj.diverged for traj in flows] == [True, False, True]
+        assert flows[0].times.size != flows[2].times.size
+
+    def test_divergence_after_the_last_sample_is_flagged(self):
+        # x0 = 20 blows up near t = 0.05; the samples stop at 0.04
+        sys = blow_up_system()
+        traj, = taylor_flow(sys, np.array([[20.0, 1.0]]), 0.1, 1e-12,
+                            [0.0, 0.02, 0.04])
+        assert traj.diverged and traj.times.size == 3
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # a settling row, two diverging rows with halved intervals, and a
+        # stiff row: each row alone gives the same bits as in the batch
+        sys = blow_up_system()
+        grid = np.linspace(0.0, 0.1, 33)
+        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0], [0.9, 4.0]])
+        batch = taylor_flow(sys, X0, 0.1, 1e-12, grid)
+        for x0, traj in zip(X0, batch):
+            alone, = taylor_flow(sys, x0[None, :], 0.1, 1e-12, grid)
+            np.testing.assert_array_equal(alone.times, traj.times)
+            np.testing.assert_array_equal(alone.states, traj.states)
+
+    def test_stiff_interval_is_halved(self):
+        # lambda h = 50 is far outside one order-12 expansion's reach; the
+        # tail bound is absolute below |x| = 1
+        sys = linear_system(np.array([[-100.0]]))
+        traj, = taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(traj.states[:, 0],
+                                   np.exp([0.0, -50.0, -100.0]), rtol=0,
+                                   atol=1e-12)
+
+    def test_halving_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(polyflow, "TAYLOR_MAX_HALVINGS", 3)
+        sys = linear_system(np.array([[-100.0]]))
+        with pytest.raises(StepUnderflowError, match="halvings"):
+            taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
 
 
 class TestNorms:

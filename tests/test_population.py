@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from koopman_lab import population
-from koopman_lab.nip import x_to_eta
+from koopman_lab import nip, population
+from koopman_lab.nip import nip_evolve, vacancy_evolve, x_to_eta
 from koopman_lab.population import (
     chaos_demo,
     convergence_scan,
@@ -43,13 +43,46 @@ class TestScan:
         assert res.eps_k_high[0, 0] <= 1e-8
 
     def test_parallel_merge_deterministic(self, model, tmp_path):
-        kw = dict(x2_range=[0.9, 1.1], x3_range=[0.9, 1.1], t_end=0.05)
+        # 35 cells: two chunks, so two workers each take one
+        kw = dict(x2_range=[0.9, 1.0, 1.1, 1.2, 1.3],
+                  x3_range=[0.6, 0.8, 0.9, 1.0, 1.1, 1.4, 1.9], t_end=0.05)
+        assert population.SCAN_CHUNK < 35 <= 2 * population.SCAN_CHUNK
         res1 = convergence_scan(model, threads=1, **kw)
         res2 = convergence_scan(model, threads=2, **kw)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         scan_to_csv(res1, p1)
         scan_to_csv(res2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cell_alone_matches_its_full_chunk(self, model):
+        # a full chunk of SCAN_CHUNK cells, then cells at spread positions
+        # scanned alone: eps values and verdicts are bit-identical
+        x2 = np.array([0.55, 0.9, 1.4, 1.95])
+        x3 = np.array([0.5, 0.7, 0.95, 1.1, 1.3, 1.6, 1.8, 2.0])
+        assert x2.size * x3.size == population.SCAN_CHUNK
+        full = convergence_scan(model, x2_range=x2, x3_range=x3, threads=1)
+        keys = ("carleman_verdict", "nip_verdict", "eps_c_low", "eps_c_high",
+                "eps_k_low", "eps_k_high")
+        for idx in (0, 3, 7, 12, 18, 25, 31):
+            a, b = divmod(idx, x3.size)
+            alone = convergence_scan(model, x2_range=x2[[a]],
+                                     x3_range=x3[[b]], threads=1)
+            for key in keys:
+                assert getattr(alone, key)[0, 0] == getattr(full, key)[a, b]
+
+    def test_scan_cell_matches_single_runs(self, model):
+        grid = np.linspace(0.0, 0.1, 129)
+        res = convergence_scan(model, x2_range=[0.6, 1.4],
+                               x3_range=[0.5, 1.4], threads=1)
+        for a, x2 in enumerate(res.x2_values):
+            for b, x3 in enumerate(res.x3_values):
+                x0 = np.array([1.0, x2, x3])
+                for n, level in zip(res.meta["orders"], ("low", "high")):
+                    for evolve, key in ((vacancy_evolve, "eps_c"),
+                                        (nip_evolve, "eps_k")):
+                        run = evolve(model, x0, n, 0.1, sample_times=grid)
+                        assert getattr(res, f"{key}_{level}")[a, b] == \
+                            pytest.approx(run.eps_max, rel=1e-13, abs=1e-13)
 
     def test_csv_schema(self, model, tmp_path):
         res = convergence_scan(model, x2_range=[1.0], x3_range=[1.0],
@@ -107,6 +140,19 @@ class TestTrajectories:
     def test_exact_positivity_guard(self, model):
         with pytest.raises(ValueError):
             exact_x_trajectory(model, np.array([0.0, 1.0, 1.0]), 0.1)
+
+    def test_compare_integrates_one_reference(self, model, monkeypatch):
+        # every reference, batched or single, goes through this function
+        calls = []
+        batch = nip.reference_y_trajectories
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(nip, "reference_y_trajectories", counted)
+        trajectory_compare(model, np.array([1.0, 1.4, 1.4]), 2, 0.02)
+        assert len(calls) == 1
 
     def test_compare_near_equilibrium(self, model):
         exact, carl, mode = trajectory_compare(

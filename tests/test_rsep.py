@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koopman_lab.polyflow import eval_rhs
+from koopman_lab.polyflow import NonDissipativeError, eval_rhs
 from koopman_lab.rsep import (
+    CLOSED_FORM_TOL,
     RsepParams,
     build_rsep,
     equivalence_residual,
@@ -17,6 +20,7 @@ from koopman_lab.rsep import (
 )
 
 CANON = dict(d=4, beta=10.0, gamma=20.0, delta=0.1)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +69,31 @@ class TestClosedForms:
         np.testing.assert_allclose(systems.ct, delta * e1, atol=1e-12)
         assert systems.alphat == pytest.approx(1.0 + beta * delta)
 
-    def test_closed_forms_hold_for_random_unitary(self):
-        params = RsepParams(**CANON, A=haar_unitary(4, seed=11))
-        assert build_rsep(params).closed_form_residual <= 1e-10
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(3, 6), beta=st.floats(1.0, 50.0, exclude_min=True),
+           gap=st.floats(1e-6, 200.0),
+           delta=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_forms_hold_for_random_unitary(self, d, beta, gap, delta,
+                                                  seed):
+        params = RsepParams(d, beta, beta + gap, delta,
+                            A=haar_unitary(d, seed))
+        assert build_rsep(params).closed_form_residual <= CLOSED_FORM_TOL
+        # The x-side log-norm is -delta, computed with an absolute error of
+        # a few ulps of |F1| = gamma; the bound is tight as delta -> 0, so
+        # R_x is held to it up to that rounding, and below it delta is not
+        # resolved: R_x is unbounded (no dissipation) or at least
+        # gamma beta / (64 eps gamma) = beta / (64 eps).
+        rounding = 32 * EPS * params.gamma
+        try:
+            r_x, _ = rsep_r_numbers(params)
+        except NonDissipativeError:
+            assert delta <= rounding
+            return
+        if delta > rounding:
+            assert r_x >= r_x_lower_bound(params) * (1 - rounding / delta)
+        else:
+            assert r_x >= beta / (64 * EPS)
 
     def test_similarity_transform(self, systems):
         np.testing.assert_allclose(systems.P @ systems.Pinv,
