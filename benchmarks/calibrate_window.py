@@ -4,12 +4,17 @@ For each candidate (J, sigma), computes the supremum over theta in the
 Nyquist-margin interval of the tail mass outside the eps_phase = 0.05 ball,
 and reports pairs meeting the delta = 1e-4 target.  The chosen pair is
 stored in koopman_lab.spectral.KAISER_CALIBRATION.
-Run as: python3 benchmarks/calibrate_window.py
+Run as: python3 benchmarks/calibrate_window.py (the checkout's src/ is put
+first on the import path, so no install is needed).
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from koopman_lab import spectral
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from koopman_lab import spectral  # noqa: E402
 
 EPS_PHASE = 0.05
 DELTA = 1e-4

@@ -271,8 +271,7 @@ def _fermion_setup(args, extra=()):
 def _cmd_fermion_evolve(args):
     data, sys_, gamma0 = _fermion_setup(args)
     t_end = _t_end(args, data, 1.0)
-    final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end,
-                                            tol=_flag(args.tol, 1e-10))
+    final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end)
     rows = [(i, j, final.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
     _write_csv(args.out, ["i", "j", "value"], rows)
@@ -284,7 +283,6 @@ def _cmd_fermion_heat(args):
     t_end = _t_end(args, data, 1.0)
     times = np.linspace(0.0, t_end, _integer(data, "samples", 129, minimum=1))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
-                                              tol=_flag(args.tol, 1e-10),
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
     rows = [(t, (e0 - fermion.energy(sys_.h, g)) / sys_.N)
@@ -348,20 +346,29 @@ def _cmd_fermion_oracle_check(args):
 def _cmd_rsep_sweep(args):
     data = _load_config(args.config, {"points", "t_end"},
                         required=("points",))
+    points = data["points"]
+    if not (isinstance(points, list) and points and
+            all(isinstance(entry, dict) for entry in points)):
+        raise ConfigError(f"config key 'points' must be a nonempty list of "
+                          f"objects, got {points!r}")
     params = []
-    for entry in data["points"]:
+    for entry in points:
         for key in entry:
             if key not in {"d", "beta", "gamma", "delta", "seed"}:
                 raise ConfigError(f"unknown sweep key: {key!r}")
+        for key in ("d", "beta", "gamma", "delta"):
+            if key not in entry:
+                raise ConfigError(f"missing sweep key: {key!r}")
+        d = _integer(entry, "d", None, minimum=3)
+        A = None
+        if "seed" in entry:
+            A = rsep.haar_unitary(d, _integer(entry, "seed", None, minimum=0))
         try:
-            A = None
-            if "seed" in entry:
-                A = rsep.haar_unitary(int(entry["d"]), int(entry["seed"]))
-            params.append(rsep.RsepParams(int(entry["d"]),
-                                          float(entry["beta"]),
-                                          float(entry["gamma"]),
-                                          float(entry["delta"]), A=A))
-        except (KeyError, TypeError, ValueError) as exc:
+            params.append(rsep.RsepParams(d, _number(entry, "beta", None),
+                                          _number(entry, "gamma", None),
+                                          _number(entry, "delta", None),
+                                          A=A))
+        except ValueError as exc:
             raise ConfigError(f"bad sweep point: {exc}")
     t_end = _t_end(args, data, 1.0)
     try:

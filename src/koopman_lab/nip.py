@@ -210,9 +210,7 @@ def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
 class TruncationRun:
     """One lifted evolution measured against the reference in y coordinates."""
 
-    lifted: Trajectory
     y_approx: Trajectory
-    reference: Trajectory
     eps: np.ndarray       # per-sample error; NaN at pole-invalid samples
     eps_max: float        # +inf when either trajectory diverged
     pole_invalid: bool
@@ -227,7 +225,7 @@ def _error_run(reference, lifted_traj, dim, order,
         eps_max = np.inf
     y_traj = Trajectory(lifted_traj.times[:eps.size], y,
                         diverged=lifted_traj.diverged)
-    return TruncationRun(lifted_traj, y_traj, reference, eps, eps_max,
+    return TruncationRun(y_traj, eps, eps_max,
                          pole_invalid=bool(np.any(np.isnan(eps))))
 
 

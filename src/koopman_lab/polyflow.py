@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
@@ -228,6 +229,8 @@ def integrate_reference(sys: PolySystem, x0: np.ndarray, t_end: float,
                         tol: float, sample_times=None) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the polynomial system.
 
+    The library's polynomial flows run on `taylor_flow`; this DOP853 run is
+    their independent oracle in the tests, as `eval_rhs` is the RHS's.
     Divergence (state norm above 1e9) is recorded on the trajectory, not
     raised; the samples past the divergence time are dropped.
     """
@@ -429,6 +432,33 @@ def uniform_spacing(sample_times, t_end: float):
     if not np.max(np.abs(times - h * np.arange(n))) <= 1e-12 * t_end:
         return None
     return h
+
+
+def expm_action(A, b: np.ndarray, t_end: float, num: int) -> np.ndarray:
+    """e^{t A} b at the num >= 2 times np.linspace(0, t_end, num), one row
+    per time, by scipy's `expm_multiply` (Al-Mohy & Higham 2011).
+
+    When |t_end A|_1 exceeds a few tens, expm_multiply chooses its Taylor
+    degree and step count from a randomized 1-norm estimate drawn from
+    numpy's global generator.  The draw is made from a fixed seed and the
+    caller's generator state restored, so the result depends on the inputs
+    alone and the caller's random stream is left as it was.
+
+    Below the smallest normal double, |t_end A|_1 makes expm_multiply's
+    step count underflow to zero, while e^{tA} b differs from b by less than
+    that number times |b|: b is returned at every time.
+    """
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    if not t_end * np.max(abs(A).sum(axis=0)) >= np.finfo(float).tiny:
+        return np.repeat(np.asarray(b)[None], num, axis=0)
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(A, b, start=0.0, stop=t_end, num=num,
+                             endpoint=True)
+    finally:
+        np.random.set_state(saved)
 
 
 def log_norm(M: np.ndarray) -> float:

@@ -22,12 +22,17 @@ from .polyflow import (
     DimensionError,
     PolySystem,
     SparseTensor,
-    integrate_reference,
-    integrate_rhs,
+    expm_action,
     quadratic_r_number,
+    taylor_flow,
 )
 
 CLOSED_FORM_TOL = 1e-10
+# The residuals compare flows at SAMPLES times np.linspace(0, t_end, SAMPLES);
+# the x and eta flows are Taylor flows whose coefficient tails are held under
+# FLOW_TOL max(1, |z|) per interval.
+SAMPLES = 65
+FLOW_TOL = 1e-12
 
 
 class PoleError(RuntimeError):
@@ -208,48 +213,57 @@ def r_x_lower_bound(params: RsepParams) -> float:
     return params.gamma * params.beta / params.delta + params.beta**2 + 1.0
 
 
-def equivalence_residual(params: RsepParams, t_end: float,
-                         tol: float = 1e-12) -> float:
-    """max_t || A x(t) / (b^dag x(t) + 1) - eta(t) || over a shared grid."""
+def quadratic_flow(F, v, c, alpha, z0, t_end: float) -> np.ndarray:
+    """z(t) of `quadratic_system(F, v, c, alpha)` from z0 at the SAMPLES
+    times np.linspace(0, t_end, SAMPLES), one row per time.
+
+    The flow is the batched Taylor flow at FLOW_TOL; a trajectory that
+    passes `polyflow.DIVERGENCE_NORM` has met the pole of the coordinate map.
+    """
+    times = np.linspace(0.0, t_end, SAMPLES)
+    traj, = taylor_flow(quadratic_system(F, v, c, alpha),
+                        np.asarray(z0, dtype=complex)[None, :], t_end,
+                        FLOW_TOL, times)
+    if traj.diverged:
+        raise PoleError("the quadratic flow diverged at a pole")
+    return traj.states
+
+
+def _canonical_x_flow(params: RsepParams, t_end: float):
+    """(systems, x(t)) from the canonical initial state x0 = A^dag e1."""
     systems = build_rsep(params)
-    d = params.d
-    e1 = np.zeros(d, dtype=complex)
-    e1[0] = 1.0
-    x0 = params.A.conj().T @ e1
-    sample_times = np.linspace(0.0, t_end, 65)
-    x_traj = integrate_reference(
-        quadratic_system(systems.F, systems.v, systems.c, systems.alpha),
-        x0, t_end, tol, sample_times)
-    eta_traj = integrate_reference(
-        quadratic_system(systems.Ft, systems.vt, systems.ct, systems.alphat),
-        e1, t_end, tol, sample_times)
-    denom = x_traj.states @ systems.b.conj() + 1.0
+    x0 = params.A.conj().T[:, 0]
+    return systems, quadratic_flow(systems.F, systems.v, systems.c,
+                                   systems.alpha, x0, t_end)
+
+
+def equivalence_residual(params: RsepParams, t_end: float) -> float:
+    """max_t || A x(t) / (b^dag x(t) + 1) - eta(t) || over the shared grid,
+    with eta flowed from eta0 = A x0 = e1."""
+    systems, x = _canonical_x_flow(params, t_end)
+    eta = quadratic_flow(systems.Ft, systems.vt, systems.ct, systems.alphat,
+                         np.eye(params.d)[0], t_end)
+    denom = x @ systems.b.conj() + 1.0
     if np.min(np.abs(denom)) < 1e-6:
         raise PoleError("trajectory approached b^dag x + 1 = 0")
-    eta_from_x = (x_traj.states @ params.A.T) / denom[:, None]
-    return float(np.max(np.linalg.norm(eta_from_x - eta_traj.states, axis=1)))
+    eta_from_x = (x @ params.A.T) / denom[:, None]
+    return float(np.max(np.linalg.norm(eta_from_x - eta, axis=1)))
 
 
-def lifted_flow_residual(params: RsepParams, t_end: float,
-                         tol: float = 1e-12) -> float:
-    """max_t || u(t)/w(t) - x(t) || for the linear lift against the flow."""
-    systems = build_rsep(params)
+def lifted_flow_residual(params: RsepParams, t_end: float) -> float:
+    """max_t || u(t)/w(t) - x(t) || for the linear lift against the flow.
+
+    The lift (u, w) = e^{H_x t} (x0, 1) is sampled on the shared grid by one
+    `expm_action`.
+    """
+    systems, x = _canonical_x_flow(params, t_end)
     d = params.d
-    e1 = np.zeros(d, dtype=complex)
-    e1[0] = 1.0
-    x0 = params.A.conj().T @ e1
-    sample_times = np.linspace(0.0, t_end, 65)
-    uw0 = np.concatenate([x0, [1.0]])
-    lift = integrate_rhs(lambda t, z: systems.Hx @ z, uw0, t_end, tol,
-                         sample_times)
-    x_traj = integrate_reference(
-        quadratic_system(systems.F, systems.v, systems.c, systems.alpha),
-        x0, t_end, tol, sample_times)
-    w = lift.states[:, d]
+    lift = expm_action(systems.Hx, np.append(x[0], 1.0), t_end, SAMPLES)
+    w = lift[:, d]
     if np.min(np.abs(w)) < 1e-6:
         raise PoleError("lift denominator w approached zero")
-    x_from_lift = lift.states[:, :d] / w[:, None]
-    return float(np.max(np.linalg.norm(x_from_lift - x_traj.states, axis=1)))
+    x_from_lift = lift[:, :d] / w[:, None]
+    return float(np.max(np.linalg.norm(x_from_lift - x, axis=1)))
 
 
 def sweep(param_list, t_end: float = 1.0):

@@ -36,19 +36,6 @@ class AliasingError(ValueError):
     """A mode frequency falls outside the Nyquist-margin interval."""
 
 
-def bessel_i0(z: float) -> float:
-    """Modified Bessel I0 by its power series, relative tail below 1e-14."""
-    z = float(z)
-    term = 1.0
-    total = 1.0
-    m = 0
-    while term > 1e-15 * total:
-        m += 1
-        term *= (z * z / 4.0) / (m * m)
-        total += term
-    return total
-
-
 @dataclass
 class WindowSpec:
     J: int
@@ -73,7 +60,7 @@ def kaiser_window(J: int, sigma: float) -> WindowSpec:
         raise ValueError("sigma must be positive")
     j = np.arange(J)
     arg = np.pi * sigma * np.sqrt(1.0 - ((2 * j - (J - 1)) / (J - 1))**2)
-    beta = np.array([bessel_i0(a) for a in arg]) / bessel_i0(np.pi * sigma)
+    beta = np.i0(arg) / np.i0(np.pi * sigma)
     beta /= np.linalg.norm(beta)
     return WindowSpec(J, sigma, beta)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from koopman_lab.carleman import carleman_dimension
+from koopman_lab.fermion import assemble, master_equation
 from koopman_lab.polyflow import integrate_rhs
 
 
@@ -76,3 +77,28 @@ def dop853_covariance():
 @pytest.fixture
 def kronecker_steady_state():
     return _kronecker_steady_state
+
+
+def _dop853_density(h, jumps, rho0, t_end):
+    """rho(t_end) of the master equation integrated by DOP853 at tol 1e-12,
+    the right-hand side evaluated as matrix products on rho."""
+    sys = assemble(h, jumps)
+    H, Ls = master_equation(sys)
+    dim = H.shape[0]
+
+    def rhs(t, flat):
+        rho = flat.reshape(dim, dim)
+        out = -1j * (H @ rho - rho @ H)
+        for L in Ls:
+            ldl = L.conj().T @ L
+            out += L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+        return out.reshape(-1)
+
+    traj = integrate_rhs(rhs, np.asarray(rho0, dtype=complex).reshape(-1),
+                         t_end, 1e-12, sample_times=[t_end])
+    return traj.final.reshape(dim, dim)
+
+
+@pytest.fixture
+def dop853_density():
+    return _dop853_density

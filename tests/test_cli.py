@@ -33,6 +33,8 @@ def system_config(tmp_path, N, omegas, gammas, **extra):
     return write_json(tmp_path, "system.json", payload)
 
 
+RSEP_POINT = {"d": 4, "beta": 10.0, "gamma": 20.0, "delta": 0.1}
+
 SPECTRAL_MODES = [[0.0, 0.7, 0.6, 0.0], [0.0, -1.3, 0.5, 0.0],
                   [1.0, 0.1, 0.4, 0.0], [2.0, 0.2, 0.3, 0.0],
                   [3.0, 0.3, 0.2, 0.0]]
@@ -122,6 +124,11 @@ class TestExitCodes:
         ("population-chaos", {"t_end": -1.0}, "t_end"),
         ("spectral-window", {"theta": [0.4]}, "theta"),
         ("fermion-evolve", {"gamma0": [[None]]}, "gamma0"),
+        ("rsep-sweep", {"points": 5}, "points"),
+        ("rsep-sweep", {"points": [5]}, "points"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"d": 3.7}]}, "d"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"seed": 1.9}]}, "seed"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"beta": "2"}]}, "beta"),
     ])
     def test_config_value_types_rejected(self, tmp_path, capsys, command,
                                          payload, key):
@@ -286,6 +293,22 @@ class TestFermionCommands:
         assert cli.run(["fermion-oracle-check", "--N", "1", "--trials", "2",
                         "--seed", "7"]) == 0
         assert "max_deviation" in capsys.readouterr().out
+
+    def test_oracle_check_reproducible(self, capsys):
+        # the two N = 4 draws at t_end = 1 take expm_multiply's randomized
+        # 1-norm estimate
+        np.random.seed(11)
+        state = np.random.get_state()
+        printed = []
+        for _ in range(2):
+            assert cli.run(["fermion-oracle-check", "--N", "4",
+                            "--trials", "3", "--seed", "10"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert float(printed[0].split("=")[1]) <= 1e-11
+        after = np.random.get_state()
+        assert after[0] == state[0] and after[2:] == state[2:]
+        np.testing.assert_array_equal(after[1], state[1])
 
 
 class TestSpectralCommands:

@@ -196,6 +196,23 @@ class TestOracle:
         g = covariance_from_density(rho, 1)
         assert g.Gamma[0, 1] == pytest.approx(-1.0)
 
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 4),
+           n_jumps=st.integers(0, 2),
+           t_end=st.floats(0.0, 3.0, exclude_min=True))
+    def test_liouvillian_action_matches_dop853(self, dop853_density, seed, N,
+                                               n_jumps, t_end):
+        h, jumps, rho0 = fermion.random_instance(
+            N, np.random.default_rng(seed), n_jumps)
+        rho = fermion.lindblad_density(h, jumps, rho0, t_end)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        got = exact_lindblad_oracle(h, jumps, rho0, t_end).Gamma
+        want = covariance_from_density(
+            dop853_density(h, jumps, rho0, t_end), N).Gamma
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_oracle_validates_rho(self):
         h, jumps = commuting_example(1, [1.0], [0.5])
         bad = np.eye(2, dtype=complex)  # trace 2

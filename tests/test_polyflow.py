@@ -14,6 +14,7 @@ from koopman_lab.polyflow import (
     StepUnderflowError,
     Trajectory,
     eval_rhs,
+    expm_action,
     frobenius_norm,
     integrate_reference,
     integrate_rhs,
@@ -255,6 +256,18 @@ class TestTaylorFlow:
         sys = linear_system(np.array([[-100.0]]))
         with pytest.raises(StepUnderflowError, match="halvings"):
             taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
+
+
+class TestExpmAction:
+    def test_subnormal_time_returns_b(self):
+        # expm_multiply's step count underflows to zero here
+        b = np.array([1.0, 2.0j])
+        got = expm_action(np.array([[0.0, 1.0], [-1.0, 0.0]]), b, 5e-324, 3)
+        np.testing.assert_array_equal(got, np.stack([b] * 3))
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            expm_action(np.eye(2), np.ones(2), -1.0, 2)
 
 
 class TestNorms:

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from koopman_lab.polyflow import NonDissipativeError, eval_rhs
+from koopman_lab.polyflow import (
+    NonDissipativeError,
+    eval_rhs,
+    expm_action,
+    integrate_reference,
+)
 from koopman_lab.rsep import (
     CLOSED_FORM_TOL,
+    SAMPLES,
     RsepParams,
     build_rsep,
     equivalence_residual,
     haar_unitary,
     lifted_flow_residual,
+    quadratic_flow,
     quadratic_system,
     quadratic_tensors,
     r_x_lower_bound,
@@ -20,6 +28,7 @@ from koopman_lab.rsep import (
 )
 
 CANON = dict(d=4, beta=10.0, gamma=20.0, delta=0.1)
+STIFF = dict(d=6, beta=50.0, gamma=250.0, delta=1e-3)
 EPS = np.finfo(float).eps
 
 
@@ -151,6 +160,28 @@ class TestDynamics:
 
     def test_lifted_flow(self):
         assert lifted_flow_residual(RsepParams(**CANON), 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("point", [CANON, STIFF])
+    def test_taylor_flows_match_dop853(self, point):
+        systems = build_rsep(RsepParams(**point))
+        times = np.linspace(0.0, 1.0, SAMPLES)
+        x0 = np.eye(point["d"])[0]
+        for coeffs in ((systems.F, systems.v, systems.c, systems.alpha),
+                       (systems.Ft, systems.vt, systems.ct, systems.alphat)):
+            got = quadratic_flow(*coeffs, x0, 1.0)
+            want = integrate_reference(quadratic_system(*coeffs), x0, 1.0,
+                                       1e-13, times)
+            np.testing.assert_array_equal(want.times, times)
+            assert np.max(np.abs(got - want.states)) <= 1e-9
+
+    @pytest.mark.parametrize("point", [CANON, STIFF])
+    def test_lift_samples_are_matrix_exponentials(self, point):
+        systems = build_rsep(RsepParams(**point))
+        uw0 = np.append(np.eye(point["d"])[0], 1.0)
+        got = expm_action(systems.Hx, uw0, 1.0, SAMPLES)
+        for t, row in zip(np.linspace(0.0, 1.0, SAMPLES), got):
+            np.testing.assert_allclose(row, expm(systems.Hx * t) @ uw0,
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestSweep:

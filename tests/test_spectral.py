@@ -7,7 +7,6 @@ from koopman_lab.spectral import (
     AliasingError,
     NormalKoopman,
     WindowSpec,
-    bessel_i0,
     decode,
     emulate_spectral_qka,
     history_residuals,
@@ -34,13 +33,15 @@ def five_mode_instance():
     return NormalKoopman(mus, omegas, a / np.linalg.norm(a))
 
 
-class TestBessel:
-    def test_matches_scipy(self):
-        for z in (0.0, 0.3, 1.0, 3.7, 9.42, 15.0):
-            assert bessel_i0(z) == pytest.approx(scipy_i0(z), rel=1e-13)
-
-
 class TestWindow:
+    def test_matches_closed_form(self):
+        for J, sigma in ((3, 0.5), (65, 3.0), (401, 3.0), (501, 4.0)):
+            x = (2 * np.arange(J) - (J - 1)) / (J - 1)
+            want = scipy_i0(np.pi * sigma * np.sqrt(1.0 - x**2))
+            want /= np.linalg.norm(want)
+            np.testing.assert_allclose(kaiser_window(J, sigma).beta, want,
+                                       rtol=1e-13, atol=0.0)
+
     def test_unit_norm_and_symmetry(self):
         w = kaiser_window(65, 3.0)
         assert np.sum(w.beta**2) == pytest.approx(1.0, abs=1e-12)
