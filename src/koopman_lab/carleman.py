@@ -28,7 +28,6 @@ from .polyflow import (
     PolySystem,
     Trajectory,
     integrate_rhs,
-    kron_power,
     uniform_spacing,
 )
 
@@ -173,16 +172,26 @@ def build_carleman(sys: PolySystem, order: int) -> CarlemanOperator:
         offsets=block_offsets(d, order), total_dim=total, _flats=flats)
 
 
-def initial_lift(z0: np.ndarray, order: int) -> LiftedState:
-    """g(0) = [z0, z0^(tensor 2), ..., z0^(tensor order)]."""
+def initial_lift(z0: np.ndarray, order: int):
+    """g(0) = [z0, z0^(tensor 2), ..., z0^(tensor order)].
+
+    One initial condition gives a LiftedState.  A (c, d) array of them gives
+    the (c, D) array of their lifts, built a degree at a time for all rows:
+    block k is the row-wise outer product of block k-1 with z0, flattened
+    row-major, which is `polyflow.kron_power` to the bit.
+    """
     z0 = np.asarray(z0, dtype=np.complex128)
-    d = z0.size
-    total = carleman_dimension(d, order)
-    offsets = block_offsets(d, order)
-    data = np.empty(total, dtype=np.complex128)
-    for k in range(1, order + 1):
-        data[_block_slice(d, order, offsets, k)] = kron_power(z0, k)
-    return LiftedState(d, order, data)
+    if z0.ndim > 2:
+        raise DimensionError("initial conditions must be a vector or rows")
+    rows = np.atleast_2d(z0)
+    c, d = rows.shape
+    data = np.empty((c, carleman_dimension(d, order)), dtype=np.complex128)
+    block = rows
+    for k, start in enumerate(block_offsets(d, order).tolist(), start=1):
+        if k > 1:
+            block = (block[:, :, None] * rows[:, None, :]).reshape(c, -1)
+        data[:, start:start + d**k] = block
+    return LiftedState(d, order, data[0]) if z0.ndim < 2 else data
 
 
 def exact_step(op: CarlemanOperator, t_end: float, sample_times):

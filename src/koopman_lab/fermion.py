@@ -293,7 +293,7 @@ def oracle_deviation(N: int, seed: int, t_end: float) -> float:
     h, jumps, rho0 = random_instance(N, rng)
     sys = FermionSystem(N, h, jumps)
     g0 = covariance_from_density(rho0, N)
-    final, _, _ = evolve_covariance(sys, g0, t_end)
+    final, _, _ = evolve_covariance(sys, g0, t_end, sample_times=[t_end])
     oracle = exact_lindblad_oracle(h, jumps, rho0, t_end)
     return float(np.max(np.abs(final.Gamma - oracle.Gamma)))
 

@@ -272,7 +272,7 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
         Z0, back_map = x_to_y(model, X0s), None
     else:
         Z0, back_map = x_to_eta(model, X0s), _eta_to_y_rows
-    G0 = np.column_stack([initial_lift(z0, order).data for z0 in Z0])
+    G0 = initial_lift(Z0, order).T
     trajs = evolve_lifted_block(lift.op, G0, t_end, tol, sample_times,
                                 lift.step, width)
     return [_error_run(ref, traj, model.dim, order, back_map)

@@ -146,6 +146,18 @@ class TestLift:
             np.testing.assert_allclose(g0.block(k), kron_power(z0, k),
                                        atol=1e-15)
 
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_batched_initial_lift_is_kron_power_to_the_bit(self, order):
+        rows = np.random.default_rng(order).normal(size=(32, 3)) \
+            * np.array([1.0, 1.0 + 0.5j, -0.7j])
+        lifts = initial_lift(rows, order)
+        assert lifts.shape == (32, carleman_dimension(3, order))
+        for z0, lift in zip(rows, lifts):
+            np.testing.assert_array_equal(
+                lift, np.concatenate([kron_power(z0, k)
+                                      for k in range(1, order + 1)]))
+            np.testing.assert_array_equal(initial_lift(z0, order).data, lift)
+
     def test_first_block_derivative_matches_rhs(self):
         # at t = 0 the lifted derivative of block 1 is the polynomial rhs
         # truncated to degrees <= order

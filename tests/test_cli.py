@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,41 @@ def system_config(tmp_path, N, omegas, gammas, **extra):
 
 
 RSEP_POINT = {"d": 4, "beta": 10.0, "gamma": 20.0, "delta": 0.1}
+
+
+def readme_command_table():
+    """{command: (flags, required keys, optional keys)} from the README's
+    per-command table, each a set of the backquoted tokens of its cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 4 and cells[0].strip().startswith("`"):
+            command, *rest = (set(re.findall(r"`([^`]+)`", cell))
+                              for cell in cells)
+            table[command.pop()] = tuple(rest)
+    return table
+
+
+README_TABLE = readme_command_table()
+ALL_FLAGS = sorted(set().union(*(f for f, _, _ in README_TABLE.values())))
+# a value each flag's argparse type accepts
+FLAG_VALUES = {"--config": "c.json", "--out": "o.csv", "--seed": "1",
+               "--threads": "1", "--tol": "1e-10", "--t-end": "0.5",
+               "--orders": "2", "--grid": "1:1:1", "--N": "2",
+               "--trials": "1"}
+
+
+def parser_flags():
+    """{command: its user-settable flags} of `cli.build_parser()`."""
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
 
 SPECTRAL_MODES = [[0.0, 0.7, 0.6, 0.0], [0.0, -1.3, 0.5, 0.0],
                   [1.0, 0.1, 0.4, 0.0], [2.0, 0.2, 0.3, 0.0],
@@ -109,7 +146,8 @@ class TestExitCodes:
     def test_orders_must_be_a_list_of_integers(self, tmp_path, capsys,
                                                command, orders):
         cfg = write_json(tmp_path, "orders.json", {"orders": orders})
-        code = cli.run([command, "--config", cfg, "--grid", "1:1:1",
+        grid = ["--grid", "1:1:1"] if command == "population-scan" else []
+        code = cli.run([command, "--config", cfg, *grid,
                         "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -136,7 +174,8 @@ class TestExitCodes:
             cfg = system_config(tmp_path, 1, [1.0], [0.5], **payload)
         else:
             cfg = write_json(tmp_path, "bad.json", payload)
-        code = cli.run([command, "--config", cfg, "--grid", "1:1:1",
+        grid = ["--grid", "1:1:1"] if command == "population-scan" else []
+        code = cli.run([command, "--config", cfg, *grid,
                         "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -153,6 +192,48 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "'samples'" in err and "integer >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (flags, _, _) in README_TABLE.items()
+        for flag in ALL_FLAGS if flag not in flags])
+    def test_flag_a_command_does_not_read_is_rejected(self, tmp_path, capsys,
+                                                      command, flag):
+        out = tmp_path / "o.csv"
+        argv = [command]
+        if "--out" in README_TABLE[command][0]:
+            argv += ["--out", str(out)]
+        value = str(out) if flag == "--out" else FLAG_VALUES[flag]
+        code = cli.run(argv + [flag, value])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_readme_command_table_matches_parser(self):
+        assert {c: flags for c, (flags, _, _) in README_TABLE.items()} \
+            == parser_flags()
+        assert sum(len(flags) for flags in parser_flags().values()) == 53
+        for name, command in cli._COMMANDS.items():
+            _, required, optional = README_TABLE[name]
+            assert (set(command.required), set(command.optional)) \
+                == (required, optional), name
+
+    def test_traj_takes_one_order(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = cli.run(["population-traj", "--out", str(out),
+                        "--orders", "2", "5", "--t-end", "0.02"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--orders" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_decay_rejects_t_end(self, tmp_path, capsys):
+        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7], t_end=0.5)
+        out = tmp_path / "d.csv"
+        code = cli.run(["fermion-decay", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "'t_end'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gapless_steady_state_is_numerical(self, tmp_path, capsys):
@@ -271,21 +352,23 @@ class TestFermionCommands:
                         "--out", str(out2)]) == 0
 
     def test_decay_and_heat(self, fermion_config, tmp_path):
-        assert cli.run(["fermion-decay", "--config", fermion_config,
+        system_only = write_json(tmp_path, "system_only.json", {
+            "system": json.loads(open(fermion_config).read())["system"]})
+        assert cli.run(["fermion-decay", "--config", system_only,
                         "--out", str(tmp_path / "d.csv"), "--seed", "2"]) == 0
         assert cli.run(["fermion-heat", "--config", fermion_config,
                         "--out", str(tmp_path / "h.csv"), "--seed", "2"]) == 0
 
     @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
                                          "fermion-steady"])
-    def test_outputs_identical_across_runs_and_threads(self, tmp_path,
-                                                       command):
+    def test_outputs_identical_across_runs(self, tmp_path, command):
         cfg = system_config(tmp_path, 3, [1.0, 2.0, 0.7], [0.4, 0.9, 0.6])
+        seed = [] if command == "fermion-steady" else ["--seed", "3"]
         outs = []
-        for run, threads in enumerate(("1", "1", "2")):
+        for run in range(3):
             out = tmp_path / f"{run}.csv"
             assert cli.run([command, "--config", cfg, "--out", str(out),
-                            "--seed", "3", "--threads", threads]) == 0
+                            *seed]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
@@ -293,6 +376,10 @@ class TestFermionCommands:
         assert cli.run(["fermion-oracle-check", "--N", "1", "--trials", "2",
                         "--seed", "7"]) == 0
         assert "max_deviation" in capsys.readouterr().out
+
+    def test_oracle_check_default_deviation(self, capsys):
+        assert cli.run(["fermion-oracle-check"]) == 0
+        assert float(capsys.readouterr().out.split("=")[1]) <= 1e-12
 
     def test_oracle_check_reproducible(self, capsys):
         # the two N = 4 draws at t_end = 1 take expm_multiply's randomized
