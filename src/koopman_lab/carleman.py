@@ -1,25 +1,38 @@
 """Truncated lifting of a polynomial system to the linear dynamics of its
-monomial blocks, applied matrix-free.
-
-The lifted generator is block upper-triangular: block i couples to block
-i+j through position sums of the degree-(j+1) tensor.  One numpy kernel,
-`CarlemanOperator.apply`, applies it: each position term is a contraction of
-a reshaped source block with the dense (d, d^k) flattening of one tensor, so
-no block of the operator is ever formed.
+monomials.
 
 The lifted flow dg/dt = C g is linear and C does not depend on the initial
-condition.  A small lift sampled on a uniform grid is therefore propagated
+condition.  Two bases carry it:
+
+* the Kronecker layout stacks the blocks x, x (x) x, ..., one coordinate per
+  ordered multi-index.  Its generator is block upper-triangular: block i
+  couples to block i+j through position sums of the degree-(j+1) tensor,
+  and one numpy kernel, `CarlemanOperator.apply`, applies it matrix-free.
+  It is the tests' oracle.
+* the symmetric-monomial basis keeps one coordinate x^alpha per multiset
+  alpha, 1 <= |alpha| <= order (`MonomialLift`): 285 coordinates at d = 3,
+  order 10, where the Kronecker layout repeats each one |alpha|!/alpha!
+  times, 88,572 in all.  Its generator is a sparse matrix built from
+  d/dt x^alpha = sum_i alpha_i x^(alpha - e_i) f_i(x) (Kowalski & Steeb
+  1991; Forets & Pouly, arXiv:1711.02552).  The library runs every lift
+  on it.
+
+`evolve_lifted_block` propagates either.  A lift whose Kronecker layout has
+at most DENSE_LIMIT coordinates, sampled on a uniform grid, is stepped
 exactly, one dense step P = expm(C h) per sample (scaling and squaring,
-Al-Mohy & Higham 2009), for a whole (D, c) block of initial lifts at once;
-larger lifts are integrated matrix-free with DOP853.
+Al-Mohy & Higham 2009), for a whole (D, c) block of initial lifts at once.
+Larger lifts are integrated with DOP853 under the norm of the Kronecker
+layout, so both bases take the same steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 
 from .polyflow import (
     DIVERGENCE_NORM,
@@ -27,15 +40,17 @@ from .polyflow import (
     OverflowGuardError,
     PolySystem,
     Trajectory,
+    entry_plan,
     integrate_rhs,
     uniform_spacing,
 )
 
 DIM_LIMIT = 10**8
-# Largest lift propagated by the exact dense step.  Measured with one BLAS
-# thread, operator and step built per run: at D = 120 (paper model, order 4)
-# the dense path takes 15-21 ms against 47-49 ms for DOP853; at D = 363
-# (order 5) it takes 126-146 ms against 51-116 ms.
+# Largest lift, counted in Kronecker coordinates, propagated by the exact
+# dense step.  Measured on the Kronecker layout with one BLAS thread,
+# operator and step built per run: at D = 120 (paper model, order 4) the
+# dense path takes 15-21 ms against 47-49 ms for DOP853; at D = 363 (order
+# 5) it takes 126-146 ms against 51-116 ms.
 DENSE_LIMIT = 120
 
 
@@ -71,7 +86,8 @@ class ConstantDriveError(ValueError):
 
 @dataclass
 class CarlemanOperator:
-    """Matrix-free block upper-triangular lifted generator."""
+    """Matrix-free block upper-triangular lifted generator on the Kronecker
+    layout."""
 
     dim: int
     order: int
@@ -79,6 +95,15 @@ class CarlemanOperator:
     offsets: np.ndarray       # block k starts at offsets[k-1], k = 1..order
     total_dim: int
     _flats: list              # per-degree dense (d, d^k) flattenings
+
+    @property
+    def kron_dim(self) -> int:
+        return self.total_dim
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """Kronecker coordinates each coordinate stands for: one."""
+        return np.ones(self.total_dim)
 
     def block_slice(self, k: int) -> slice:
         return _block_slice(self.dim, self.order, self.offsets, k)
@@ -120,8 +145,8 @@ class CarlemanOperator:
         """Dense materialization, one block apply over the identity; guarded
         by size.
 
-        Input of the exact small-lift step (`exact_step`) and the test oracle
-        of the apply kernel.
+        The tests' oracle of the apply kernel and of the monomial
+        generator, and the input of `exact_step` on a Kronecker lift.
         """
         if self.total_dim > 2000:
             raise OverflowGuardError("dense oracle limited to small lifts")
@@ -194,25 +219,160 @@ def initial_lift(z0: np.ndarray, order: int):
     return LiftedState(d, order, data[0]) if z0.ndim < 2 else data
 
 
-def exact_step(op: CarlemanOperator, t_end: float, sample_times):
+@dataclass
+class MonomialLift:
+    """Lifted generator on the symmetric-monomial basis.
+
+    Coordinate a is the monomial x^alpha with alpha = exponents[a].  The
+    coordinates run by degree, 1 to order, and within a degree in the
+    lexicographic order of the sorted multi-indices, so the first `dim` are
+    x_0 .. x_(d-1), block 1 of the Kronecker layout.  Monomial a stands for
+    multiplicities[a] = |alpha|! / alpha! Kronecker coordinates, kron_dim
+    in all.  Monomial a of degree k >= 2 is monomial parents[a] of degree
+    k - 1 times x_(factors[a]), its largest index.
+    """
+
+    dim: int
+    order: int
+    generator: csr_matrix     # (D, D) complex
+    exponents: np.ndarray     # (D, dim) int
+    multiplicities: np.ndarray  # (D,) float
+    kron_dim: int
+    offsets: np.ndarray       # degree k starts at offsets[k-1]; D at the end
+    parents: np.ndarray
+    factors: np.ndarray
+
+    @property
+    def total_dim(self) -> int:
+        return self.exponents.shape[0]
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """C g for a lifted vector or a (D, m) block of them."""
+        return self.generator @ g
+
+    def dense(self) -> np.ndarray:
+        return self.generator.toarray()
+
+    def initial_lift(self, z0: np.ndarray) -> np.ndarray:
+        """z0^alpha for every coordinate: a vector for one initial
+        condition, the (c, D) array of lifts for a (c, d) array of them.
+
+        Each monomial is its parent times one factor, so its value is that
+        of its sorted multi-index in `initial_lift`'s Kronecker blocks, to
+        the bit.
+        """
+        z0 = np.asarray(z0, dtype=np.complex128)
+        rows = np.atleast_2d(z0)
+        if z0.ndim > 2 or rows.shape[1] != self.dim:
+            raise DimensionError("initial conditions must be a vector or rows "
+                                 "of the system's dimension")
+        data = np.empty((rows.shape[0], self.total_dim), dtype=np.complex128)
+        data[:, :self.dim] = rows
+        for lo, hi in zip(self.offsets[1:-1].tolist(),
+                          self.offsets[2:].tolist()):
+            data[:, lo:hi] = data[:, self.parents[lo:hi]] \
+                * rows[:, self.factors[lo:hi]]
+        return data[0] if z0.ndim < 2 else data
+
+
+def monomial_index(exponents: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Coordinate of each row alpha of `exponents` (1 <= |alpha| <= order)
+    in the `MonomialLift` ordering with degree offsets `offsets`.
+
+    Within degree k the order is descending lexicographic on alpha, and the
+    number of exponents of degree k that come before alpha is
+    sum_{i < d-1} C(T_i + d - i - 2, d - i - 1), T_i = sum_{j > i} alpha_j.
+    """
+    d = exponents.shape[1]
+    binomials = np.array([[comb(n, r) for r in range(d + 1)]
+                          for n in range(len(offsets) + d)], dtype=np.int64)
+    tails = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
+    index = offsets[tails[:, 0] - 1].copy()
+    for i in range(d - 1):
+        index += binomials[tails[:, i + 1] + d - i - 2, d - i - 1]
+    return index
+
+
+def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
+    """Lifted generator of a polynomial system with no constant term on the
+    symmetric-monomial basis.
+
+    Row alpha holds d/dt x^alpha = sum_i alpha_i x^(alpha - e_i) f_i(x):
+    each entry (i, multi-index c, v) of a degree-k tensor adds alpha_i v at
+    column alpha - e_i + beta(c), beta(c) the exponent of c, for every
+    alpha with alpha_i > 0 and |alpha| + k - 1 <= order; higher degrees are
+    dropped, as the Kronecker layout drops blocks above the order.  The
+    Kronecker dimension is guarded as in `build_carleman`.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if sys.has_constant_term():
+        raise ConstantDriveError(
+            "constant drive is not supported by the monomial lift")
+    d = sys.dim
+    kron_dim = carleman_dimension(d, order)
+    eye = np.eye(d, dtype=np.int64)
+    exps, parents, factors, mults = [eye], [np.full(d, -1)], \
+        [np.arange(d)], [np.ones(d, dtype=np.int64)]
+    offsets = [0, d]
+    for k in range(2, order + 1):
+        # a child appends a factor no smaller than its parent's largest
+        parent, factor = np.nonzero(factors[-1][:, None] <= np.arange(d))
+        child = exps[-1][parent] + eye[factor]
+        exps.append(child)
+        parents.append(parent + offsets[-2])
+        factors.append(factor)
+        mults.append(mults[-1][parent] * k
+                     // child[np.arange(parent.size), factor])
+        offsets.append(offsets[-1] + parent.size)
+    exponents = np.vstack(exps)
+    offsets = np.array(offsets, dtype=np.int64)
+    size = offsets[-1]
+    rows, cols, vals = [], [], []
+    for k, tensor_rows, col_idx, values in entry_plan(sys):
+        if not 1 <= k <= order:
+            continue
+        beta = np.sum(col_idx[:, :, None] == np.arange(d), axis=1)
+        sources = exponents[:offsets[order - k + 1]]
+        src, entry = np.nonzero(sources[:, tensor_rows] > 0)
+        i = tensor_rows[entry]
+        target = sources[src] - eye[i] + beta[entry]
+        rows.append(src)
+        cols.append(monomial_index(target, offsets))
+        vals.append(sources[src, i] * values[entry])
+    if rows:
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    generator = csr_matrix((vals, (rows, cols)), shape=(size, size),
+                           dtype=np.complex128)
+    return MonomialLift(
+        dim=d, order=order, generator=generator, exponents=exponents,
+        multiplicities=np.concatenate(mults).astype(float),
+        kron_dim=kron_dim, offsets=offsets,
+        parents=np.concatenate(parents), factors=np.concatenate(factors))
+
+
+def exact_step(op, t_end: float, sample_times):
     """One-sample propagator expm(C h) of a small lift, or None.
 
-    It applies when the lift has at most DENSE_LIMIT coordinates and the
-    samples are the uniform grid np.linspace(0, t_end, n) with n >= 2 and
-    t_end > 0 (`uniform_spacing`); then h = t_end / (n - 1).  Otherwise the
-    result is None and the lift is integrated instead.
+    `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  The step
+    applies when the lift's Kronecker layout has at most DENSE_LIMIT
+    coordinates and the samples are the uniform grid
+    np.linspace(0, t_end, n) with n >= 2 and t_end > 0 (`uniform_spacing`);
+    then h = t_end / (n - 1).  Otherwise the result is None and the lift is
+    integrated instead.
     """
-    if op.total_dim > DENSE_LIMIT:
+    if op.kron_dim > DENSE_LIMIT:
         return None
     h = uniform_spacing(sample_times, t_end)
     return None if h is None else expm(op.dense() * h)
 
 
 def _stepped(step: np.ndarray, G0: np.ndarray, times: np.ndarray,
-             width: int = 0) -> list:
+             weights: np.ndarray, width: int = 0) -> list:
     """Samples step^s G0 of a (D, c) block of lifts, one Trajectory per
-    column, each cut before its first sample whose norm exceeds
-    DIVERGENCE_NORM (that trajectory is then marked diverged).
+    column, each cut before its first sample whose norm
+    sqrt(sum_a weights[a] |g_a|^2) exceeds DIVERGENCE_NORM (that
+    trajectory is then marked diverged).
 
     The block is stepped zero-padded to `width` columns when it is
     narrower; only the c columns' samples are kept, each column's samples
@@ -226,9 +386,10 @@ def _stepped(step: np.ndarray, G0: np.ndarray, times: np.ndarray,
     for s in range(1, times.size):
         np.matmul(step, block[(s - 1) % 2], out=block[s % 2])
         states[:, s] = block[s % 2, :, :count].T
-    parts = states[:, 1:].view(np.float64)
+    parts = states[:, 1:].view(np.float64).reshape(count, times.size - 1,
+                                                   size, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("csk,csk->cs", parts, parts))
+        norms = np.sqrt(np.einsum("cskr,cskr,k->cs", parts, parts, weights))
     out = []
     for col in range(count):
         over = np.flatnonzero(~(norms[col] <= DIVERGENCE_NORM))
@@ -238,20 +399,22 @@ def _stepped(step: np.ndarray, G0: np.ndarray, times: np.ndarray,
     return out
 
 
-def evolve_lifted_block(op: CarlemanOperator, G0: np.ndarray, t_end: float,
-                        tol: float, sample_times=None, step=None,
+def evolve_lifted_block(op, G0: np.ndarray, t_end: float, tol: float,
+                        sample_times=None, step=None,
                         width: int = 0) -> list:
     """Trajectories of dg/dt = C g from each column of the (D, c) block G0.
 
-    A small lift on a uniform grid is stepped exactly by P = expm(C h) from
+    `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  A small
+    lift on a uniform grid is stepped exactly by P = expm(C h) from
     `exact_step`, the whole block at once, states[s] = P states[s-1]; pass
     that `step` to share one P across calls.  A block narrower than `width`
     is stepped zero-padded to that many columns: BLAS may round a column
     of a product differently in a narrower block, so a fixed width keeps
     each column's bits independent of how many columns share its block.
-    Any other lift integrates each column matrix-free with DOP853 at
-    `tol`.  On both paths a trajectory ends at divergence (norm above
-    DIVERGENCE_NORM).
+    Any other lift integrates each column with DOP853 at `tol`.  On both
+    paths the norm is that of the Kronecker layout, each coordinate
+    weighted by `op.multiplicities`, and a trajectory ends at divergence
+    (that norm above DIVERGENCE_NORM).
     """
     G0 = np.asarray(G0, dtype=np.complex128)
     if G0.ndim != 2 or G0.shape[0] != op.total_dim:
@@ -262,32 +425,39 @@ def evolve_lifted_block(op: CarlemanOperator, G0: np.ndarray, t_end: float,
         step = exact_step(op, t_end, sample_times)
     if step is None:
         return [integrate_rhs(lambda t, g: op.apply(g), g0, t_end, tol,
-                              sample_times) for g0 in G0.T]
+                              sample_times, weights=op.multiplicities)
+                for g0 in G0.T]
     if step.shape != (op.total_dim, op.total_dim):
         raise DimensionError("step does not match the operator")
-    return _stepped(step, G0, np.asarray(sample_times, dtype=float), width)
+    return _stepped(step, G0, np.asarray(sample_times, dtype=float),
+                    op.multiplicities, width)
 
 
-def evolve_lifted(op: CarlemanOperator, g0: LiftedState, t_end: float,
-                  tol: float, sample_times=None, step=None) -> Trajectory:
+def evolve_lifted(op, g0, t_end: float, tol: float, sample_times=None,
+                  step=None) -> Trajectory:
     """Trajectory of dg/dt = C g from g0: `evolve_lifted_block` on a block
-    of one."""
-    if (g0.dim, g0.order) != (op.dim, op.order):
-        raise DimensionError("operator/state dims mismatch")
-    return evolve_lifted_block(op, g0.data[:, None], t_end, tol,
+    of one.  g0 is a `LiftedState` of a Kronecker `CarlemanOperator`, or a
+    lifted vector such as `MonomialLift.initial_lift(z0)`."""
+    if isinstance(g0, LiftedState):
+        if (g0.dim, g0.order) != (op.dim, op.order):
+            raise DimensionError("operator/state dims mismatch")
+        g0 = g0.data
+    return evolve_lifted_block(op, np.asarray(g0)[:, None], t_end, tol,
                                sample_times, step)[0]
 
 
 def block1_error(reference: Trajectory, lifted: Trajectory, dim: int,
-                 order: int, back_map=None):
+                 width: int, back_map=None):
     """Distance between the reference flow and back-mapped block 1.
 
-    Compares the samples both trajectories share, all at once: `back_map`
-    takes the (n, dim) block-1 rows and returns the mapped rows, NaN where
-    it cannot map.  Returns (mapped rows, per-sample distance, cut), where
-    cut says that either trajectory diverged or ended before the other.
+    Compares the samples both trajectories share, all at once; the lifted
+    states must have `width` coordinates, the lift's own dimension, of
+    which the first `dim` are block 1.  `back_map` takes the (n, dim)
+    block-1 rows and returns the mapped rows, NaN where it cannot map.
+    Returns (mapped rows, per-sample distance, cut), where cut says that
+    either trajectory diverged or ended before the other.
     """
-    if lifted.states.shape[1] != carleman_dimension(dim, order):
+    if lifted.states.shape[1] != width:
         raise DimensionError("lifted data has wrong length")
     n = min(reference.times.size, lifted.times.size)
     g1 = lifted.states[:n, :dim]
@@ -300,7 +470,8 @@ def block1_error(reference: Trajectory, lifted: Trajectory, dim: int,
 
 def truncation_error(reference: Trajectory, lifted: Trajectory,
                      dim: int, order: int, back_map=None):
-    """Per-sample distance between the reference flow and back-mapped block 1.
+    """Per-sample distance between the reference flow and back-mapped block 1
+    of a lift on the Kronecker layout of `order`.
 
     Both trajectories must share a time grid up to the point where either
     diverged; a divergent comparison reports max = +inf.  `back_map` maps
@@ -309,7 +480,8 @@ def truncation_error(reference: Trajectory, lifted: Trajectory,
     n = min(reference.times.size, lifted.times.size)
     if not np.allclose(reference.times[:n], lifted.times[:n], atol=1e-12):
         raise DimensionError("trajectories sampled on different time grids")
-    _, profile, cut = block1_error(reference, lifted, dim, order, back_map)
+    _, profile, cut = block1_error(reference, lifted, dim,
+                                   carleman_dimension(dim, order), back_map)
     max_err = float(np.max(profile)) if n else 0.0
     if cut:
         max_err = np.inf

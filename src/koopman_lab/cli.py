@@ -127,9 +127,16 @@ def _t_end(args, data, default):
 
 def _check_flags(args):
     """Range checks of the flags a command declares; absent ones are None."""
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        raise ConfigError(f"flag --threads must be >= 1, got {threads}")
+    for flag, minimum in (("threads", 1), ("seed", 0), ("trials", 1),
+                          ("N", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < minimum:
+            raise ConfigError(
+                f"flag --{flag} must be >= {minimum}, got {value}")
+    orders = getattr(args, "orders", None)
+    if orders is not None and min(orders) < 1:
+        raise ConfigError(f"flag --orders takes orders >= 1, got "
+                          f"{' '.join(map(str, orders))}")
     tol = getattr(args, "tol", None)
     if tol is not None and not tol > 0:
         raise ConfigError(f"flag --tol must be positive, got {tol}")
@@ -137,10 +144,6 @@ def _check_flags(args):
     if t_end is not None and not 0 <= t_end < np.inf:
         raise ConfigError(
             f"flag --t-end must be finite and nonnegative, got {t_end}")
-    for flag in ("trials", "N"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"flag --{flag} must be >= 1, got {value}")
 
 
 def _orders(args, data, default):
@@ -149,9 +152,10 @@ def _orders(args, data, default):
         return list(args.orders)
     orders = data.get("orders", default)
     if not (isinstance(orders, (list, tuple)) and orders and all(
-            isinstance(n, int) and not isinstance(n, bool) for n in orders)):
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1
+            for n in orders)):
         raise ConfigError(
-            f"config key 'orders' must be a nonempty list of integers, "
+            f"config key 'orders' must be a nonempty list of integers >= 1, "
             f"got {orders!r}")
     return list(orders)
 
@@ -173,6 +177,11 @@ def _cmd_population_scan(args, data):
     model = _population_model(data)
     grid = _parse_grid(args.grid) if args.grid else None
     orders = tuple(_orders(args, data, population.DEFAULT_ORDERS))
+    if len(orders) != 2 or orders[0] >= orders[1]:
+        source = "flag --orders" if args.orders is not None \
+            else "config key 'orders'"
+        raise ConfigError(f"{source} must be two orders LOW HIGH with "
+                          f"LOW < HIGH, got {list(orders)}")
     res = population.convergence_scan(
         model, x1_fixed=_number(data, "x1", 1.0),
         x2_range=grid, x3_range=grid, orders=orders,
@@ -563,10 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code != 0 else EXIT_OK
     command = _COMMANDS[args.command]
+    if extra:
+        return _fail(EXIT_CONFIG, "config error",
+                     f"{args.command} does not accept {' '.join(extra)}; "
+                     f"its flags are {' '.join(command.flags)}")
     try:
         _check_flags(args)
         data = _load_config(getattr(args, "config", None),

@@ -15,8 +15,9 @@ obtained by integrating the exact quadratic eta dynamics.  The reference is
 the batched Taylor-series flow `polyflow.taylor_flow` at REFERENCE_TOL,
 which holds each expansion's coefficient tail under
 REFERENCE_TOL * max(1, |eta|) per sample interval; a batch of initial
-conditions is one call (`reference_y_trajectories`).  Lifts are stepped as
-the columns of one block (`route_runs`).
+conditions is one call (`reference_y_trajectories`).  Lifts run on the
+symmetric-monomial basis (`carleman.MonomialLift`), stepped as the columns
+of one block (`route_runs`).
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import (
-    CarlemanOperator,
+    MonomialLift,
     block1_error,
-    build_carleman,
+    build_monomial_lift,
     evolve_lifted,  # noqa: F401 (perfbench's tracer test looks it up here)
     evolve_lifted_block,
     exact_step,
-    initial_lift,
 )
 from .polyflow import (
     DimensionError,
@@ -216,9 +216,9 @@ class TruncationRun:
     pole_invalid: bool
 
 
-def _error_run(reference, lifted_traj, dim, order,
+def _error_run(reference, lifted_traj, dim, width,
                back_map) -> TruncationRun:
-    y, eps, cut = block1_error(reference, lifted_traj, dim, order, back_map)
+    y, eps, cut = block1_error(reference, lifted_traj, dim, width, back_map)
     finite = eps[np.isfinite(eps)]
     eps_max = float(np.max(finite)) if finite.size else np.nan
     if cut:
@@ -232,35 +232,40 @@ def _error_run(reference, lifted_traj, dim, order,
 ROUTES = ("vacancy", "mode")
 
 
+def route_system(model: PopulationModel, route: str,
+                 order: int) -> PolySystem:
+    """The polynomial system route "vacancy" or "mode" lifts at `order`:
+    the Taylor-truncated vacancy tensors, or the exact mode tensors."""
+    if route == "vacancy":
+        return vacancy_taylor_tensors(model, order)
+    if route == "mode":
+        return koopman_system(model)
+    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+
+
 @dataclass
 class RouteLift:
-    """One route's lifted operator at one order and, for a small lift, its
+    """One route's lifted generator at one order and, for a small lift, its
     exact step on one sample grid (see `carleman.exact_step`).
 
     It does not depend on the initial condition, so one instance serves
     every run of that route and order on that grid.
     """
 
-    op: CarlemanOperator
+    op: MonomialLift
     step: np.ndarray | None
 
 
 def route_lift(model: PopulationModel, route: str, order: int,
                t_end: float, sample_times) -> RouteLift:
     """The lift of route "vacancy" or "mode" at `order` on the grid."""
-    if route == "vacancy":
-        sys = vacancy_taylor_tensors(model, order)
-    elif route == "mode":
-        sys = koopman_system(model)
-    else:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    op = build_carleman(sys, order)
+    op = build_monomial_lift(route_system(model, route, order), order)
     return RouteLift(op, exact_step(op, t_end, sample_times))
 
 
-def route_runs(model: PopulationModel, X0s, route: str, order: int,
-               t_end: float, tol: float, sample_times, references,
-               lift: RouteLift, width: int = 0) -> list:
+def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
+               tol: float, sample_times, references, lift: RouteLift,
+               width: int = 0) -> list:
     """One truncation run of `route` from each row of X0s, measured against
     the matching reference, all on the shared `lift`.
 
@@ -272,10 +277,10 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
         Z0, back_map = x_to_y(model, X0s), None
     else:
         Z0, back_map = x_to_eta(model, X0s), _eta_to_y_rows
-    G0 = initial_lift(Z0, order).T
+    G0 = lift.op.initial_lift(Z0).T
     trajs = evolve_lifted_block(lift.op, G0, t_end, tol, sample_times,
                                 lift.step, width)
-    return [_error_run(ref, traj, model.dim, order, back_map)
+    return [_error_run(ref, traj, model.dim, lift.op.total_dim, back_map)
             for ref, traj in zip(references, trajs)]
 
 
@@ -288,7 +293,7 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                                            sample_times=sample_times)
     if lift is None:
         lift = route_lift(model, route, order, t_end, sample_times)
-    return route_runs(model, [x0], route, order, t_end, tol, sample_times,
+    return route_runs(model, [x0], route, t_end, tol, sample_times,
                       [reference], lift)[0]
 
 
@@ -299,8 +304,10 @@ def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
     """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
 
     `lift`, when given, is `route_lift(model, "vacancy", order, t_end,
-    sample_times)`, shared across initial conditions.  `tol` applies only
-    to lifts above `carleman.DENSE_LIMIT`; smaller ones are propagated
+    sample_times)`, shared across initial conditions.  `tol` is the DOP853
+    tolerance of lifts whose Kronecker layout has more than
+    `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
+    under the Kronecker-weighted norm; smaller lifts are propagated
     exactly.
     """
     return _route_run(model, x0, "vacancy", order, t_end, tol, sample_times,
@@ -314,8 +321,10 @@ def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
     """Lift eta(0) through the exact quadratic mode tensors; eps_K run.
 
     `lift`, when given, is `route_lift(model, "mode", order, t_end,
-    sample_times)`, shared across initial conditions.  `tol` applies only
-    to lifts above `carleman.DENSE_LIMIT`; smaller ones are propagated
+    sample_times)`, shared across initial conditions.  `tol` is the DOP853
+    tolerance of lifts whose Kronecker layout has more than
+    `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
+    under the Kronecker-weighted norm; smaller lifts are propagated
     exactly.
     """
     return _route_run(model, x0, "mode", order, t_end, tol, sample_times,

@@ -113,7 +113,7 @@ def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
                  references):
     """(verdict, eps low, eps high) of one route at each cell of a chunk,
     each lift stepped as one block of SCAN_CHUNK columns."""
-    low, high = (route_runs(model, X0s, route, n, t_end, tol, sample_times,
+    low, high = (route_runs(model, X0s, route, t_end, tol, sample_times,
                             references, lifts[route, n], SCAN_CHUNK)
                  for n in orders)
     return [(_verdict(lo, hi), lo.eps_max, hi.eps_max)
@@ -152,8 +152,8 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     """Per-cell verdicts over initial conditions (x1_fixed, x2, x3).
 
     A route converges at a cell when the error at the higher lift order is
-    strictly smaller than at the lower order, both finite.  The lifted
-    operator and exact step of each (route, order) are built once per call
+    strictly smaller than at the lower order, both finite.  The monomial
+    lift and exact step of each (route, order) are built once per call
     and shared by every cell; `tol` reaches only lifts too large for the
     exact step.  The cells, in grid order, are cut into chunks of
     SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several

@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +14,7 @@ from koopman_lab.carleman import (
     ConstantDriveError,
     LiftedState,
     build_carleman,
+    build_monomial_lift,
     carleman_dimension,
     evolve_lifted,
     exact_step,
@@ -136,6 +140,157 @@ class TestApply:
             block, np.column_stack([op.apply(col) for col in G.T]), rtol=0,
             atol=1e-12)
         np.testing.assert_allclose(block, oracle @ G, rtol=0, atol=1e-12)
+
+
+def random_system(d, degrees, rng, F1=None):
+    """Random dense tensors of the given degrees, F1 when given; returns
+    the system and its (degree, flattening) list."""
+    F = {k: rng.normal(size=(d, d**k)) for k in sorted(degrees)}
+    if F1 is not None:
+        F[1] = F1
+    tensors = [None] * (max(F) + 1)
+    for k, Fk in F.items():
+        tensors[k] = SparseTensor.from_dense_flat(k, Fk)
+    return PolySystem(d, tensors), sorted(F.items())
+
+
+def expansion(lift):
+    """The 0/1 map E from monomial coordinates to Kronecker coordinates:
+    row p, a multi-index of the Kronecker layout, has its 1 at the
+    monomial of the multi-index's multiset."""
+    d = lift.dim
+    index = {tuple(alpha): a for a, alpha in enumerate(lift.exponents)}
+    cols = [index[tuple(np.bincount(multi, minlength=d))]
+            for k in range(1, lift.order + 1)
+            for multi in itertools.product(range(d), repeat=k)]
+    E = np.zeros((len(cols), lift.total_dim))
+    E[np.arange(len(cols)), cols] = 1.0
+    return E
+
+
+class TestMonomialLift:
+    # The fixture is a pure function, so sharing it across examples is safe.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 3), order=st.integers(1, 4),
+           degrees=st.sets(st.integers(1, 3), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_generator_is_the_kronecker_generator_on_multisets(
+            self, dense_lift_oracle, d, order, degrees, seed):
+        # E C_sym = C_kron E, with C_kron from the kernel and the oracle
+        sys, F = random_system(d, degrees, np.random.default_rng(seed))
+        lift = build_monomial_lift(sys, order)
+        E = expansion(lift)
+        assert lift.kron_dim == E.shape[0] == carleman_dimension(d, order)
+        lifted = E @ lift.dense()
+        np.testing.assert_allclose(lifted, build_carleman(sys, order).dense()
+                                   @ E, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lifted, dense_lift_oracle(F, d, order) @ E,
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), order=st.integers(1, 4),
+           degrees=st.sets(st.integers(2, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectrum_is_the_sums_of_eigenvalues(self, d, order, degrees,
+                                                 seed):
+        # block upper-triangular by degree, with diagonal blocks fixed by
+        # F1 alone: spec(C_sym) = {alpha . lambda : 1 <= |alpha| <= N}
+        rng = np.random.default_rng(seed)
+        # no two sums alpha . lambda coincide; V's condition number is <= 2
+        lam = -np.sqrt([2.0, 3.0, 5.0])[:d]
+        U, W = (np.linalg.qr(rng.normal(size=(d, d)))[0] for _ in range(2))
+        V = U @ np.diag(1.0 + rng.random(d)) @ W
+        F1 = V @ np.diag(lam) @ np.linalg.inv(V)
+        sys, _ = random_system(d, degrees, rng, F1=F1)
+        lift = build_monomial_lift(sys, order)
+        want = np.sort([lam[list(multi)].sum()
+                        for k in range(1, order + 1)
+                        for multi in itertools.combinations_with_replacement(
+                            range(d), k)])
+        got = np.linalg.eigvals(lift.dense())
+        assert got.size == want.size == lift.total_dim
+        np.testing.assert_allclose(np.sort(got.real), want, rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(got.imag, 0.0, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, order", [(1, 5), (2, 6), (3, 10), (5, 4)])
+    def test_multiplicities_count_kronecker_coordinates(self, d, order):
+        lift = build_monomial_lift(linear_system(-np.eye(d)), order)
+        degree = lift.exponents.sum(axis=1)
+        for k in range(1, order + 1):
+            assert lift.multiplicities[degree == k].sum() == d**k
+        for alpha, m in zip(lift.exponents, lift.multiplicities):
+            assert m == factorial(alpha.sum()) / np.prod(
+                [factorial(a) for a in alpha])
+        assert lift.kron_dim == carleman_dimension(d, order)
+
+    def test_coordinates_run_by_degree_then_sorted_multi_index(self):
+        lift = build_monomial_lift(linear_system(-np.eye(3)), 4)
+        assert lift.total_dim == 34
+        np.testing.assert_array_equal(lift.exponents[:3], np.eye(3))
+        want = [multi for k in range(1, 5) for multi in
+                itertools.combinations_with_replacement(range(3), k)]
+        got = [tuple(np.repeat(np.arange(3), alpha))
+               for alpha in lift.exponents]
+        assert got == want
+        np.testing.assert_array_equal(
+            carleman.monomial_index(lift.exponents, lift.offsets),
+            np.arange(lift.total_dim))
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), order=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_initial_lift_expands_to_kron_powers(self, d, order, seed):
+        rng = np.random.default_rng(seed)
+        lift = build_monomial_lift(linear_system(-np.eye(d)), order)
+        E = expansion(lift)
+        rows = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        lifts = lift.initial_lift(rows)
+        assert lifts.shape == (4, lift.total_dim)
+        for z0, g in zip(rows, lifts):
+            np.testing.assert_array_equal(lift.initial_lift(z0), g)
+            np.testing.assert_allclose(
+                E @ g, np.concatenate([kron_power(z0, k)
+                                       for k in range(1, order + 1)]),
+                rtol=1e-14, atol=0)
+
+    def test_constant_term_rejected(self):
+        t0 = SparseTensor(0, 2)
+        t0.add(0, (), 1.0)
+        with pytest.raises(ConstantDriveError):
+            build_monomial_lift(PolySystem(2, [t0]), 2)
+
+    def test_kronecker_dimension_guarded(self):
+        # 165 monomials, but 10^9 Kronecker coordinates
+        with pytest.raises(OverflowGuardError):
+            build_monomial_lift(linear_system(-np.eye(10)), 9)
+
+    @pytest.mark.parametrize("order, exact", [(4, True), (5, False)])
+    def test_dense_limit_counts_kronecker_coordinates(self, order, exact,
+                                                      monkeypatch):
+        # d = 3: 34 monomials stand for 120 Kronecker coordinates at order
+        # 4, 55 for 363 at order 5
+        sys, _, _ = random_quadratic(3, seed=24, scale=0.1)
+        lift = build_monomial_lift(sys, order)
+        grid = np.linspace(0.0, 0.5, 17)
+        assert (exact_step(lift, 0.5, grid) is not None) is exact
+        weights = []
+        integrate = carleman.integrate_rhs
+
+        def recorded(*args, **kwargs):
+            weights.append(kwargs["weights"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(carleman, "integrate_rhs", recorded)
+        z0 = np.array([0.1, -0.05, 0.08])
+        traj = evolve_lifted(lift, lift.initial_lift(z0), 0.5, 1e-10, grid)
+        assert bool(weights) is not exact
+        if weights:
+            assert weights[0] is lift.multiplicities
+        oracle = integrate_reference(sys, z0, 0.5, 1e-12, grid)
+        np.testing.assert_allclose(traj.states[:, :3], oracle.states,
+                                   rtol=0, atol=1e-6)
 
 
 class TestLift:

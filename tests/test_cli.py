@@ -210,6 +210,81 @@ class TestExitCodes:
         assert flag in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(README_TABLE))
+    def test_undeclared_flag_names_the_command_and_its_flags(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        flags = README_TABLE[command][0]
+        argv = [command] + (["--out", str(out)] if "--out" in flags else [])
+        code = cli.run(argv + ["--frobnicate", "1"])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        err, = captured.err.strip().splitlines()
+        assert command in err and "--frobnicate 1" in err
+        assert set(re.findall(r"--[\w-]+", err.split(";")[1])) == flags
+        assert captured.out == "" and not out.exists()
+
+    def test_population_chaos_seed_is_one_line(self, tmp_path, capsys):
+        code = cli.run(["population-chaos", "--out", str(tmp_path / "x.csv"),
+                        "--seed", "1"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: population-chaos does not accept --seed 1; its "
+            "flags are --config --out --t-end\n")
+
+    @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
+                                         "fermion-decay", "spectral-sample",
+                                         "fermion-oracle-check"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        argv = [command, "--seed", "-1"]
+        if command != "fermion-oracle-check":
+            argv += ["--out", str(out)]
+        code = cli.run(argv)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: flag --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, orders", [
+        ("population-scan", ["0"]), ("population-scan", ["0", "3"]),
+        ("nip-error", ["0"]), ("carleman-error", ["1", "0"]),
+        ("population-traj", ["0"])])
+    def test_nonpositive_order_names_the_flag(self, tmp_path, capsys,
+                                              command, orders):
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--out", str(out), "--orders", *orders])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("config error: flag --orders takes orders >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("orders, source", [
+        (["3"], "flag --orders"), (["3", "1"], "flag --orders"),
+        ([2, 2], "config key 'orders'")])
+    def test_scan_orders_must_be_an_increasing_pair(self, tmp_path, capsys,
+                                                    orders, source):
+        out = tmp_path / "o.csv"
+        if source.startswith("flag"):
+            argv = ["--orders", *orders]
+        else:
+            argv = ["--config",
+                    write_json(tmp_path, "o.json", {"orders": orders})]
+        code = cli.run(["population-scan", "--out", str(out),
+                        "--grid", "1:1:1", *argv])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert f"{source} must be two orders LOW HIGH" in err
+        assert not out.exists()
+
+    def test_config_orders_must_be_positive(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "o.json", {"orders": [0, 3]})
+        code = cli.run(["nip-error", "--config", cfg,
+                        "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert "config key 'orders' must be a nonempty list of integers " \
+            ">= 1" in capsys.readouterr().err
+
     def test_readme_command_table_matches_parser(self):
         assert {c: flags for c, (flags, _, _) in README_TABLE.items()} \
             == parser_flags()

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from koopman_lab.carleman import build_carleman, evolve_lifted, initial_lift
+from koopman_lab.carleman import (
+    DENSE_LIMIT,
+    build_carleman,
+    evolve_lifted,
+    initial_lift,
+)
 from koopman_lab.nip import (
     REFERENCE_TOL,
     ROUTES,
@@ -21,6 +26,7 @@ from koopman_lab.nip import (
     reference_y_trajectories,
     reference_y_trajectory,
     route_lift,
+    route_system,
     vacancy_evolve,
     vacancy_taylor_tensors,
     x_to_eta,
@@ -289,14 +295,27 @@ class TestPaperVacancyRoute:
 IN_BALL_X0 = np.array([1.0, 1.01, 0.99])   # |eta0| = 0.014 < 0.0275
 
 
-def lifted_start(model, route, x0, order):
-    z0 = x_to_y(model, x0) if route == "vacancy" else x_to_eta(model, x0)
-    return initial_lift(z0, order)
+def route_start(model, route, x0):
+    """The route's initial condition: y(0) on the vacancy route, eta(0) on
+    the mode route."""
+    return x_to_y(model, x0) if route == "vacancy" else x_to_eta(model, x0)
 
 
-def dop853_oracle(op, g0, t_end, grid, tol=1e-12):
-    """The matrix-free adaptive path, integrated directly."""
-    return integrate_rhs(lambda t, g: op.apply(g), g0.data, t_end, tol, grid)
+def kronecker_oracle(model, route, x0, order, grid, tol=1e-12):
+    """The route's lift on the Kronecker layout, integrated matrix-free by
+    DOP853 from `initial_lift`."""
+    op = build_carleman(route_system(model, route, order), order)
+    g0 = initial_lift(route_start(model, route, x0), order)
+    return integrate_rhs(lambda t, g: op.apply(g), g0.data, grid[-1], tol,
+                         grid)
+
+
+def monomial_run(model, route, x0, order, grid):
+    """The production lift of the route, stepped by `evolve_lifted`."""
+    lift = route_lift(model, route, order, grid[-1], grid)
+    g0 = lift.op.initial_lift(route_start(model, route, x0))
+    return lift, evolve_lifted(lift.op, g0, grid[-1], 1e-10, grid,
+                               lift.step)
 
 
 class TestExactPropagation:
@@ -307,12 +326,9 @@ class TestExactPropagation:
     def test_dense_path_matches_dop853(self, route, order, x0):
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
-        lift = route_lift(model, route, order, DEMO_T_END, grid)
+        lift, dense = monomial_run(model, route, x0, order, grid)
         assert lift.step is not None
-        g0 = lifted_start(model, route, x0, order)
-        dense = evolve_lifted(lift.op, g0, DEMO_T_END, 1e-10, grid,
-                              lift.step)
-        oracle = dop853_oracle(lift.op, g0, DEMO_T_END, grid)
+        oracle = kronecker_oracle(model, route, x0, order, grid)
         assert not dense.diverged and not oracle.diverged
         np.testing.assert_allclose(dense.states[:, :3], oracle.states[:, :3],
                                    rtol=0, atol=1e-8)
@@ -326,11 +342,9 @@ class TestExactPropagation:
         assert res.eps_k_high[0, 0] == np.inf
         assert res.nip_verdict[0, 0] == "diverged"
         grid = np.linspace(0.0, DEMO_T_END, 129)
-        lift = route_lift(model, "mode", 4, DEMO_T_END, grid)
-        g0 = lifted_start(model, "mode", x0, 4)
-        dense = evolve_lifted(lift.op, g0, DEMO_T_END, 1e-10, grid,
-                              lift.step)
-        event = dop853_oracle(lift.op, g0, DEMO_T_END, grid, tol=1e-10)
+        lift, dense = monomial_run(model, "mode", x0, 4, grid)
+        assert lift.step is not None
+        event = kronecker_oracle(model, "mode", x0, 4, grid, tol=1e-10)
         assert dense.diverged and event.diverged
         assert 1 < dense.times.size == event.times.size < grid.size
         np.testing.assert_array_equal(dense.times, event.times)
@@ -349,6 +363,40 @@ class TestExactPropagation:
         with pytest.raises(ValueError, match="route"):
             route_lift(small_model(), "bogus", 2, 0.1,
                        np.linspace(0.0, 0.1, 5))
+
+
+class TestWeightedDop853Path:
+    # Lifts above DENSE_LIMIT run DOP853 on the monomial coordinates under
+    # the norm of the Kronecker layout; the Kronecker run at the same tol
+    # is the oracle.
+    @pytest.mark.parametrize("x0", [IN_BALL_X0, DEMO_X0],
+                             ids=["in-ball", "out-of-ball"])
+    @pytest.mark.parametrize("order", [5, 6, 8])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_matches_the_kronecker_run(self, route, order, x0):
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        lift, run = monomial_run(model, route, x0, order, grid)
+        assert lift.step is None and lift.op.kron_dim > DENSE_LIMIT
+        oracle = kronecker_oracle(model, route, x0, order, grid, tol=1e-10)
+        assert not run.diverged and not oracle.diverged
+        np.testing.assert_array_equal(run.times, oracle.times)
+        np.testing.assert_allclose(run.states[:, :3], oracle.states[:, :3],
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x0, order", [((1.0, 0.03, 0.05), 5),
+                                           ((1.0, 0.05, 0.1), 6)])
+    def test_diverging_far_cell_stops_where_the_kronecker_run_does(
+            self, x0, order):
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        lift, run = monomial_run(model, "mode", np.array(x0), order, grid)
+        assert lift.step is None
+        event = kronecker_oracle(model, "mode", np.array(x0), order, grid,
+                                 tol=1e-10)
+        assert run.diverged and event.diverged
+        assert 2 < run.times.size == event.times.size < grid.size
+        np.testing.assert_array_equal(run.times, event.times)
 
 
 class TestErrorRun:

@@ -137,6 +137,56 @@ class TestIntegration:
             integrate_reference(linear_system(-np.eye(2)), np.ones(2), 1.0, 0)
 
 
+def counted(rhs):
+    """rhs, counting its calls in `.calls`."""
+    def wrapped(t, y):
+        wrapped.calls += 1
+        return rhs(t, y)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+class TestWeightedIntegration:
+    @pytest.mark.parametrize("x0", [[0.3, -0.2], [1.5, 0.4]],
+                             ids=["bounded", "blows-up"])
+    def test_unit_weights_are_scipys_dop853(self, x0):
+        # the weighted error norm and initial step reduce to scipy's own
+        rhs = vectorized_rhs(blow_up_system())
+        grid = np.linspace(0.0, 3.0, 33)
+        x0 = np.array(x0, dtype=complex)
+        plain, ones = counted(rhs), counted(rhs)
+        want = integrate_rhs(plain, x0, 3.0, 1e-10, grid)
+        got = integrate_rhs(ones, x0, 3.0, 1e-10, grid, weights=np.ones(2))
+        assert got.diverged == want.diverged
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
+        # the initial step is chosen outside the solver, which evaluates
+        # the first derivative again
+        assert ones.calls == plain.calls + 1
+
+    @pytest.mark.parametrize("shift", [-3.0, 5.0], ids=["decays",
+                                                        "diverges"])
+    def test_weights_count_components_as_repeated(self, shift):
+        # component i repeated m_i times: the unweighted run on the
+        # repeated vector takes the steps of the weighted run
+        rng = np.random.default_rng(3)
+        m = np.array([1, 3, 2])
+        A = rng.normal(size=(3, 3)) + shift * np.eye(3)
+        first = np.concatenate(([0], np.cumsum(m)[:-1]))
+        big, small = counted(lambda t, z: np.repeat(A @ z[first], m)), \
+            counted(lambda t, y: A @ y)
+        y0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        grid = np.linspace(0.0, 5.0, 65)
+        want = integrate_rhs(big, np.repeat(y0, m), 5.0, 1e-10, grid)
+        got = integrate_rhs(small, y0, 5.0, 1e-10, grid, weights=m)
+        assert got.diverged == want.diverged is (shift > 0)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_allclose(got.states, want.states[:, first],
+                                   rtol=1e-13)
+        assert small.calls == big.calls + 1
+
+
 def driven_quadratic(d, seed):
     """A dissipative quadratic system with a constant drive."""
     rng = np.random.default_rng(seed)
