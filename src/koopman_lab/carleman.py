@@ -21,7 +21,8 @@ condition.  Two bases carry it:
 at most DENSE_LIMIT coordinates, sampled on a uniform grid, is stepped
 exactly, one dense step P = expm(C h) per sample (scaling and squaring,
 Al-Mohy & Higham 2009), for a whole (D, c) block of initial lifts at once.
-Larger lifts are integrated with DOP853 under the norm of the Kronecker
+Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
+loads scipy.integrate on its first run) under the norm of the Kronecker
 layout, so both bases take the same steps.
 """
 

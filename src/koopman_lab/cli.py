@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -114,6 +116,16 @@ def _vector(data, key, default):
     return np.asarray(value, dtype=float)
 
 
+def _x0(data, model, default):
+    """Config value "x0" (default if absent); one number per coordinate of
+    the model."""
+    x0 = _vector(data, "x0", default)
+    if x0.size != model.dim:
+        raise ConfigError(f"config key 'x0' must hold {model.dim} numbers, "
+                          f"one per model coordinate, got {x0.size}")
+    return x0
+
+
 def _t_end(args, data, default):
     """--t-end, else the config's "t_end", else default."""
     if args.t_end is not None:
@@ -193,7 +205,7 @@ def _cmd_population_scan(args, data):
 
 def _cmd_population_traj(args, data):
     model = _population_model(data)
-    x0 = _vector(data, "x0", [1.0, 1.4, 1.4])
+    x0 = _x0(data, model, [1.0, 1.4, 1.4])
     if args.orders is None:
         order = _integer(data, "order", 3, minimum=1)
     elif len(args.orders) == 1:
@@ -222,7 +234,7 @@ def _cmd_population_traj(args, data):
 
 def _cmd_population_chaos(args, data):
     model = _population_model(data)
-    x0 = _vector(data, "x0", [0.05, 1.3, 0.025])
+    x0 = _x0(data, model, [0.05, 1.3, 0.025])
     t_end = _t_end(args, data, population.CHAOS_T_END)
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
@@ -234,7 +246,7 @@ def _cmd_population_chaos(args, data):
 
 def _error_profile_cmd(args, data, evolve):
     model = _population_model(data)
-    x0 = _vector(data, "x0", [1.0, 1.4, 1.4])
+    x0 = _x0(data, model, [1.0, 1.4, 1.4])
     orders = _orders(args, data, [1, 3, 6])
     t_end = _t_end(args, data, population.DEFAULT_T_END)
     sample_times = np.linspace(0.0, t_end, 129)
@@ -396,12 +408,26 @@ def _cmd_rsep_sweep(args, data):
 # spectral
 
 def _spectral_modes(data):
+    """Config key "modes": rows [mu, omega, re a, im a], amplitudes not all
+    zero; the amplitudes are normalized."""
+    modes = data["modes"]
+    if not (isinstance(modes, list) and modes and all(
+            isinstance(row, list) and len(row) == 4 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in row)
+            for row in modes)):
+        raise ConfigError(f"config key 'modes' must be a nonempty list of "
+                          f"rows of 4 finite numbers [mu, omega, re_a, "
+                          f"im_a], got {modes!r}")
+    arr = np.asarray(modes, dtype=float)
+    a = arr[:, 2] + 1j * arr[:, 3]
+    norm = np.linalg.norm(a)
+    if norm == 0:
+        raise ConfigError("config key 'modes' has all amplitudes (re_a, "
+                          "im_a) zero")
     try:
-        arr = np.asarray(data["modes"], dtype=float)
-        a = arr[:, 2] + 1j * arr[:, 3]
-        a = a / np.linalg.norm(a)
-        return spectral.NormalKoopman(arr[:, 0], arr[:, 1], a)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return spectral.NormalKoopman(arr[:, 0], arr[:, 1], a / norm)
+    except ValueError as exc:
         raise ConfigError(f"bad 'modes' entry: {exc}")
 
 
@@ -559,7 +585,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="koopman-lab")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():

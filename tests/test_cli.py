@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,24 @@ def parser_flags():
 SPECTRAL_MODES = [[0.0, 0.7, 0.6, 0.0], [0.0, -1.3, 0.5, 0.0],
                   [1.0, 0.1, 0.4, 0.0], [2.0, 0.2, 0.3, 0.0],
                   [3.0, 0.3, 0.2, 0.0]]
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def run_python(args, cwd, **env):
+    """`python *args` in cwd with the package on PYTHONPATH; `env` entries
+    set to None are removed from the environment."""
+    src = str(Path(koopman_lab.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=full,
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestExitCodes:
@@ -321,14 +340,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
-        src = str(Path(koopman_lab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-
         def run(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "koopman_lab", *argv], cwd=tmp_path,
-                env=env, capture_output=True, text=True, timeout=120)
+            return run_python(["-m", "koopman_lab", *argv], tmp_path)
 
         ok = run("fermion-oracle-check", "--N", "1", "--trials", "1")
         assert ok.returncode == cli.EXIT_OK, ok.stderr
@@ -370,6 +383,134 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "StepUnderflowError" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["population-traj",
+                                         "population-chaos",
+                                         "carleman-error", "nip-error"])
+    def test_x0_length_names_the_key(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path, "x0.json", {"x0": [1.0, 1.4]})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == ("config error: config key 'x0' must hold 3 numbers, "
+                       "one per model coordinate, got 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectral-emulate",
+                                         "spectral-sample"])
+    @pytest.mark.parametrize("modes", [
+        [], 5, [0.0, 0.7, 0.6, 0.0], [[0.0, 0.7, 0.6]],
+        [[0.0, 0.7, 0.6, 0.0, 1.0]], [[0.0, 0.7, "0.6", 0.0]],
+        [[0.0, 0.7, True, 0.0]], [[0.0, 0.7, 0.6, 0.0], [1.0]],
+        [[0.0, 0.7, float("nan"), 0.0]]])
+    def test_modes_shape_names_the_key(self, tmp_path, capsys, command,
+                                       modes):
+        cfg = write_json(tmp_path, "m.json", {"modes": modes})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("config error: config key 'modes' must be a "
+                              "nonempty list of rows of 4 finite numbers")
+        assert not out.exists()
+
+    def test_zero_amplitudes_name_the_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "m.json", {"modes": [[0.5, 0.1, 0, 0]]})
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["spectral-emulate", "--config", cfg,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config key 'modes' has all amplitudes (re_a, "
+            "im_a) zero\n")
+        assert not out.exists()
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_refused_runs_leave_the_next_run_as_a_fresh_one(
+            self, tmp_path, capsys):
+        # a run refused by the shared parser, either for an undeclared flag
+        # or by argparse itself, does not change what the next run reads
+        cfg = write_json(tmp_path, "s.json",
+                         {"modes": SPECTRAL_MODES, "J": 65, "n_samples": 500})
+
+        def sample(name, *flags):
+            out = tmp_path / name
+            code = cli.run(["spectral-sample", "--config", cfg,
+                            "--out", str(out), *flags])
+            return code, out.read_bytes() if out.exists() else None
+
+        assert sample("bad.csv", "--seed", "5", "--frobnicate", "1") == \
+            (cli.EXIT_CONFIG, None)
+        assert sample("bad.csv", "--seed", "x") == (cli.EXIT_CONFIG, None)
+        code, after_refusals = sample("after.csv")
+        assert code == cli.EXIT_OK
+        cli.build_parser.cache_clear()
+        assert sample("fresh.csv") == (cli.EXIT_OK, after_refusals)
+        capsys.readouterr()
+
+    def test_entry_point_pins_blas_threads(self, tmp_path):
+        # orders 8 to 14 run DOP853 on lifts of 164 to 679 coordinates,
+        # whose dense-output products round differently with threaded BLAS
+        argv = ["-m", "koopman_lab", "nip-error", "--out", "e.csv",
+                "--orders", "8", "10", "12", "14"]
+        runs = []
+        for value in (None, "1"):
+            cwd = tmp_path / str(value)
+            cwd.mkdir()
+            proc = run_python(argv, cwd,
+                              **dict.fromkeys(BLAS_THREAD_VARS, value))
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            runs.append((proc.stdout, (cwd / "e.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
+
+COLD_START = """
+import sys
+from koopman_lab import cli
+
+def loaded():
+    return "scipy.integrate" in sys.modules
+
+before = loaded()
+assert cli.run(["population-scan", "--grid", "1:1.5:0.5",
+                "--out", "scan.csv"]) == 0
+assert cli.run(["fermion-steady", "--config", sys.argv[1],
+                "--out", "steady.csv"]) == 0
+after_flows = loaded()
+assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
+print(before, after_flows, loaded())
+"""
+
+EAGER_CHAOS = """
+import scipy.integrate
+from koopman_lab import cli
+assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
+"""
+
+
+class TestColdStart:
+    def test_only_a_dop853_run_loads_scipy_integrate(self, tmp_path):
+        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7])
+        lazy, eager = tmp_path / "lazy", tmp_path / "eager"
+        lazy.mkdir()
+        eager.mkdir()
+        proc = run_python(["-c", COLD_START, cfg], lazy)
+        assert proc.returncode == 0, proc.stderr
+        chaos_printed, loaded = proc.stdout.splitlines()
+        # import, a 2 x 2 scan at orders 1 and 3, and the covariance
+        # steady state leave it unloaded; the chaos x-flow loads it
+        assert loaded.split() == ["False", "False", "True"]
+        assert len((lazy / "scan.csv").read_text().splitlines()) == 5
+        proc = run_python(["-c", EAGER_CHAOS], eager)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == chaos_printed + "\n"
+        assert (lazy / "chaos.csv").read_bytes() == \
+            (eager / "chaos.csv").read_bytes()
 
 
 class TestPopulationCommands:
