@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -24,10 +23,17 @@ from typing import Callable
 import numpy as np
 
 from . import fermion, nip, population, rsep, spectral
+from .polyflow import write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# Most cells `population-scan --grid` may ask for: the grid is its axis
+# squared, about 1,000 times the 31 x 31 grid of the convergence criterion.
+MAX_GRID_CELLS = 10**6
+# Largest order (m + p) * len(x0) of an `ode-history` system, whose dense
+# complex matrix then takes 64 MB.
+MAX_HISTORY_ORDER = 2000
 
 
 class ConfigError(Exception):
@@ -58,23 +64,6 @@ def _load_config(path, allowed, required=()):
         if key not in data:
             raise ConfigError(f"missing config key: {key!r}")
     return data
-
-
-def _write_csv(path, header, rows):
-    def fmt(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, complex) or isinstance(v, np.complexfloating):
-            raise NumericalError("refusing to write complex value to CSV")
-        return f"{float(v):.17g}"
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
 
 
 def _population_model(data):
@@ -173,13 +162,22 @@ def _orders(args, data, default):
 
 
 def _parse_grid(text):
+    """The axis LO, LO + STEP, ... up to HI of --grid.  The scan takes its
+    square, so its length is checked before it is allocated."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ConfigError("flag --grid expects LO:HI:STEP")
-    if step <= 0 or hi < lo:
-        raise ConfigError("flag --grid needs LO <= HI and STEP > 0")
-    return np.arange(lo, hi + 1e-9 * step, step)
+    if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi
+            and step > 0):
+        raise ConfigError("flag --grid needs finite LO <= HI and STEP > 0")
+    stop = hi + 1e-9 * step
+    # np.arange(lo, stop, step) has ceil((stop - lo) / step) points
+    if not (stop - lo) / step <= math.isqrt(MAX_GRID_CELLS):
+        raise ConfigError(f"flag --grid {text} has more than "
+                          f"{math.isqrt(MAX_GRID_CELLS)} points, "
+                          f"{MAX_GRID_CELLS} cells")
+    return np.arange(lo, stop, step)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +185,9 @@ def _parse_grid(text):
 
 def _cmd_population_scan(args, data):
     model = _population_model(data)
+    if model.dim != 3:  # the scan's cells are (x1, x2, x3)
+        raise ConfigError(f"config key 'model' must have 3 populations for "
+                          f"population-scan, got {model.dim}")
     grid = _parse_grid(args.grid) if args.grid else None
     orders = tuple(_orders(args, data, population.DEFAULT_ORDERS))
     if len(orders) != 2 or orders[0] >= orders[1]:
@@ -217,7 +218,7 @@ def _cmd_population_traj(args, data):
     exact, carl, mode = population.trajectory_compare(
         model, x0, order, t_end, tol=args.tol)
     if exact.diverged:
-        raise NumericalError("reference trajectory diverged")
+        raise NumericalError(exact.cause)
     header = ["t"] + [f"x{i+1}_exact" for i in range(model.dim)] \
         + [f"x{i+1}_carleman" for i in range(model.dim)] \
         + [f"x{i+1}_nip" for i in range(model.dim)]
@@ -228,18 +229,22 @@ def _cmd_population_traj(args, data):
                     + list(exact.states[s].real)
                     + list(carl.states[s].real)
                     + list(mode.states[s].real))
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     return EXIT_OK
 
 
 def _cmd_population_chaos(args, data):
     model = _population_model(data)
+    if model.dim < 3:  # it writes the (x2, x3) projection
+        raise ConfigError(f"config key 'model' must have at least 3 "
+                          f"populations for population-chaos, got "
+                          f"{model.dim}")
     x0 = _x0(data, model, [0.05, 1.3, 0.025])
     t_end = _t_end(args, data, population.CHAOS_T_END)
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
-        raise NumericalError("chaos trajectory diverged")
-    _write_csv(args.out, ["t", "x2", "x3"], res.projection)
+        raise NumericalError(res.trajectory.cause)
+    write_csv(args.out, ["t", "x2", "x3"], res.projection)
     print(f"settled={res.settled} final_distance={res.final_distance:.17g}")
     return EXIT_OK
 
@@ -262,7 +267,7 @@ def _error_profile_cmd(args, data, evolve):
             v = run.eps[s] if s < run.eps.size else np.inf
             row.append(v if np.isfinite(v) else np.inf)
         rows.append(row)
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     for n, run in zip(orders, runs):
         print(f"order={n} eps_max={run.eps_max:.17g}")
     return EXIT_OK
@@ -309,7 +314,7 @@ def _cmd_fermion_evolve(args, data):
     final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end)
     rows = [(i, j, final.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
-    _write_csv(args.out, ["i", "j", "value"], rows)
+    write_csv(args.out, ["i", "j", "value"], rows)
     return EXIT_OK
 
 
@@ -322,7 +327,7 @@ def _cmd_fermion_heat(args, data):
     e0 = fermion.energy(sys_.h, gamma0)
     rows = [(t, (e0 - fermion.energy(sys_.h, g)) / sys_.N)
             for t, g in zip(ts, gammas)]
-    _write_csv(args.out, ["t", "heat_per_fermion"], rows)
+    write_csv(args.out, ["t", "heat_per_fermion"], rows)
     return EXIT_OK
 
 
@@ -335,7 +340,7 @@ def _cmd_fermion_decay(args, data):
     rows = [(k, l, rate, weight)
             for (k, l), rate, weight in zip(spec.pairs, spec.rates,
                                             spec.weights)]
-    _write_csv(args.out, ["k", "l", "rate", "weight"], rows)
+    write_csv(args.out, ["k", "l", "rate", "weight"], rows)
     print(f"gap={spec.gap:.17g}")
     return EXIT_OK
 
@@ -348,7 +353,7 @@ def _cmd_fermion_steady(args, data):
         raise NumericalError(str(exc))
     rows = [(i, j, steady.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
-    _write_csv(args.out, ["i", "j", "value"], rows)
+    write_csv(args.out, ["i", "j", "value"], rows)
     return EXIT_OK
 
 
@@ -400,7 +405,8 @@ def _cmd_rsep_sweep(args, data):
         rows = rsep.sweep(params, t_end)
     except rsep.PoleError as exc:
         raise NumericalError(str(exc))
-    rsep.sweep_to_csv(rows, args.out)
+    write_csv(args.out, ["beta", "gamma", "delta", "d", "R_x_lower_bound",
+                         "R_x", "R_eta", "equiv_residual"], rows)
     return EXIT_OK
 
 
@@ -448,7 +454,7 @@ def _cmd_spectral_window(args, data):
     for ell in range(window.J):
         th, om = spectral.decode(ell, window.J, dt)
         rows.append((ell, th, om, p[ell]))
-    _write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p"], rows)
+    write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p"], rows)
     return EXIT_OK
 
 
@@ -476,7 +482,7 @@ def _spectral_emulation(args, data, n_samples, seed):
     for ell in range(window.J):
         th, om = spectral.decode(ell, window.J, dt)
         rows.append((ell, th, om, p_ideal[ell], p[ell], counts[ell]))
-    _write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p_ideal",
+    write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p_ideal",
                           "p_emulated", "count"], rows)
     print(f"tv={tv:.17g}")
     return EXIT_OK
@@ -501,6 +507,10 @@ def _cmd_ode_history(args, data):
         x0 = np.asarray(data["x0"], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'A' or 'x0' entry: {exc}")
+    if (m + p) * x0.size > MAX_HISTORY_ORDER:
+        raise ConfigError(f"config keys 'm', 'p' and 'x0' give a history "
+                          f"system of order ({m} + {p}) * {x0.size}, above "
+                          f"{MAX_HISTORY_ORDER}")
     try:
         hist = spectral.history_system(A, x0, m, p, l, h)
     except ValueError as exc:
@@ -508,7 +518,7 @@ def _cmd_ode_history(args, data):
     resid, final_err = spectral.history_residuals(hist, x0)
     rows = [(s, i, hist.blocks[s, i].real, hist.blocks[s, i].imag)
             for s in range(hist.m + hist.p) for i in range(x0.size)]
-    _write_csv(args.out, ["s", "i", "re", "im"], rows)
+    write_csv(args.out, ["s", "i", "re", "im"], rows)
     print(f"recurrence_residual={resid:.17g} final_error={final_err:.17g}")
     return EXIT_OK
 

@@ -1,5 +1,5 @@
-"""Polynomial vector fields, reference integration, and the matrix norms
-used by every other module.
+"""Polynomial vector fields, reference integration, the matrix norms used
+by every other module, and the one CSV formatter of the command outputs.
 
 A system dx/dt = sum_k F_k x^(tensor k) is stored as a list of sparse
 coefficient tensors.  The degree-0 tensor is a plain vector (constant drive),
@@ -9,7 +9,8 @@ d components.
 `integrate_rhs` is the package's adaptive integrator, a DOP853 run.  Its
 solver lives in `_dop853`, the one module that imports scipy.integrate,
 and is imported on the first call: the polynomial flows (`taylor_flow`)
-and linear flows (`expm_action`) never load it.
+never load it, and linear flows given as a matrix are one `expm` in the
+module that owns them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
@@ -163,6 +163,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim), complex
     diverged: bool = False
+    cause: str = ""  # why a diverged trajectory ended, where it is known
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -437,33 +438,6 @@ def uniform_spacing(sample_times, t_end: float):
     return h
 
 
-def expm_action(A, b: np.ndarray, t_end: float, num: int) -> np.ndarray:
-    """e^{t A} b at the num >= 2 times np.linspace(0, t_end, num), one row
-    per time, by scipy's `expm_multiply` (Al-Mohy & Higham 2011).
-
-    When |t_end A|_1 exceeds a few tens, expm_multiply chooses its Taylor
-    degree and step count from a randomized 1-norm estimate drawn from
-    numpy's global generator.  The draw is made from a fixed seed and the
-    caller's generator state restored, so the result depends on the inputs
-    alone and the caller's random stream is left as it was.
-
-    Below the smallest normal double, |t_end A|_1 makes expm_multiply's
-    step count underflow to zero, while e^{tA} b differs from b by less than
-    that number times |b|: b is returned at every time.
-    """
-    if not 0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    if not t_end * np.max(abs(A).sum(axis=0)) >= np.finfo(float).tiny:
-        return np.repeat(np.asarray(b)[None], num, axis=0)
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(A, b, start=0.0, stop=t_end, num=num,
-                             endpoint=True)
-    finally:
-        np.random.set_state(saved)
-
-
 def log_norm(M: np.ndarray) -> float:
     """Logarithmic norm: largest eigenvalue of the Hermitian part."""
     M = np.asarray(M, dtype=np.complex128)
@@ -548,16 +522,21 @@ def system_from_json(text: str) -> PolySystem:
     return PolySystem(dim, tensors)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    dim = traj.states.shape[1]
+def write_csv(path, header, rows) -> None:
+    """CSV of strings as they are, integers in decimal and other numbers
+    with 17 significant digits, so that reruns write the same bytes.  A
+    complex value is refused (ValueError) before the file is opened."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (complex, np.complexfloating)):
+            raise ValueError(f"refusing to write complex value {v!r} to CSV")
+        return f"{float(v):.17g}"
+
+    lines = [[fmt(v) for v in row] for row in rows]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["t"]
-        for i in range(dim):
-            header += [f"re_{i}", f"im_{i}"]
         w.writerow(header)
-        for t, x in zip(traj.times, traj.states):
-            row = [f"{t:.17g}"]
-            for c in x:
-                row += [f"{c.real:.17g}", f"{c.imag:.17g}"]
-            w.writerow(row)
+        w.writerows(lines)

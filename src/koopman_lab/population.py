@@ -1,5 +1,6 @@
 """Concrete three-population chaotic model: convergence-region scans,
-trajectory comparisons, and the chaos demonstration.
+trajectory comparisons, and the chaos demonstration.  Exact population
+curves are the quadratic mode (eta) flow mapped to x = X/(1 + eta).
 
 The model constants below are entered verbatim; coupling columns are ordered
 (j, k) in {(0,0), (0,1), (0,2), (1,0), (1,1), (1,2), (2,0), (2,1), (2,2)}.
@@ -17,20 +18,22 @@ import numpy as np
 from .nip import (
     ROUTES,
     PopulationModel,
+    eta_to_x,
+    koopman_system,
     nip_evolve,
     reference_y_trajectories,
     reference_y_trajectory,
     route_lift,
     route_runs,
     vacancy_evolve,
+    x_to_eta,
     y_to_x,
 )
 from .polyflow import (
-    PolySystem,
+    DIVERGENCE_NORM,
     SparseTensor,
     Trajectory,
-    integrate_rhs,
-    vectorized_rhs,
+    integrate_reference,
 )
 
 _R = (95.4912, 48.8281, 30.1714)
@@ -229,33 +232,48 @@ def scan_to_csv(res: ScanResult, path) -> None:
 # ---------------------------------------------------------------------------
 # trajectories
 
-def _x_rhs(model: PopulationModel):
-    """dx/dt = r x (1 - x/X) - x^2 J(eta, eta) with eta = (X - x)/x; the
-    coupling J(eta, eta) is the quadratic system's vectorized evaluator."""
-    r, X = model.r, model.X
-    coupling = vectorized_rhs(PolySystem(model.dim, [None, None, model.J]))
+def _populations(model: PopulationModel, traj: Trajectory,
+                 to_x) -> Trajectory:
+    """x(t) = to_x(model, state) of an eta- or y-trajectory, ended before
+    its first sample with a population that is not positive and finite or a
+    norm above DIVERGENCE_NORM, and then marked diverged.
 
-    def rhs(t, x):
-        inter = coupling(t, (X - x) / x)
-        return r * x * (1.0 - x / X) - x * x * inter
-
-    return rhs
+    A population turns negative only through infinity (the pole eta_i = -1)
+    and reaches 0 only as eta_i grows without bound, which ends the eta flow
+    itself; `cause` names the population and the time.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = to_x(model, traj.states)
+        ok = np.all(np.isfinite(x) & (x.real > 0), axis=1) \
+            & (np.linalg.norm(x, axis=1) <= DIVERGENCE_NORM)
+    keep = ok.size if ok.all() else int(np.argmin(ok))
+    if keep < ok.size:  # the non-positive, else the largest, population
+        i = np.argmax(np.where(x[keep].real > 0, np.abs(x[keep]), np.inf))
+        fate = f"grew without bound by t = {traj.times[keep]:.6g}"
+    elif traj.diverged:  # the smallest population against its capacity
+        i = np.argmin(x[-1].real / model.X)
+        fate = f"reached 0 after t = {traj.times[-1]:.6g}"
+    else:
+        return Trajectory(traj.times, x)
+    return Trajectory(traj.times[:keep], x[:keep], diverged=True,
+                      cause=f"population x{i + 1} {fate}")
 
 
 def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
                        tol: float = 1e-12, sample_times=None) -> Trajectory:
-    """Reference integration of the original rational population dynamics."""
-    x0 = np.asarray(x0, dtype=complex)
-    if np.any(x0.real <= 0):
-        raise ValueError("populations must start positive")
-    return integrate_rhs(_x_rhs(model), x0, t_end, tol, sample_times)
+    """Reference populations from x0: the exact quadratic eta flow
+    (`nip.koopman_system`), a DOP853 run at `tol`, mapped to x = X/(1+eta)
+    and ended where a population leaves (0, DIVERGENCE_NORM]."""
+    traj = integrate_reference(koopman_system(model), x_to_eta(model, x0),
+                               t_end, tol, sample_times)
+    return _populations(model, traj, eta_to_x)
 
 
 def trajectory_compare(model: PopulationModel, x0, order: int,
                        t_end: float = DEFAULT_T_END, tol: float = 1e-10):
-    """(exact, vacancy-lift, mode-lift) trajectories in x coordinates."""
+    """(exact, vacancy-lift, mode-lift) trajectories in x coordinates; the
+    exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`."""
     sample_times = np.linspace(0.0, t_end, 129)
-    exact = exact_x_trajectory(model, x0, t_end, sample_times=sample_times)
     reference = reference_y_trajectory(model, x0, t_end,
                                        sample_times=sample_times)
     run_c = vacancy_evolve(model, x0, order, t_end, tol, sample_times,
@@ -263,11 +281,11 @@ def trajectory_compare(model: PopulationModel, x0, order: int,
     run_k = nip_evolve(model, x0, order, t_end, tol, sample_times, reference)
 
     def to_x(run):
-        xs = np.array([y_to_x(model, y) for y in run.y_approx.states])
-        return Trajectory(run.y_approx.times, xs,
-                          diverged=run.y_approx.diverged)
+        y = run.y_approx
+        return Trajectory(y.times, y_to_x(model, y.states),
+                          diverged=y.diverged)
 
-    return exact, to_x(run_c), to_x(run_k)
+    return _populations(model, reference, y_to_x), to_x(run_c), to_x(run_k)
 
 
 @dataclass

@@ -13,16 +13,15 @@ gamma*beta/delta.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .polyflow import (
     DimensionError,
     PolySystem,
     SparseTensor,
-    expm_action,
     quadratic_r_number,
     taylor_flow,
 )
@@ -253,12 +252,13 @@ def equivalence_residual(params: RsepParams, t_end: float) -> float:
 def lifted_flow_residual(params: RsepParams, t_end: float) -> float:
     """max_t || u(t)/w(t) - x(t) || for the linear lift against the flow.
 
-    The lift (u, w) = e^{H_x t} (x0, 1) is sampled on the shared grid by one
-    `expm_action`.
+    The lift (u, w) = e^{H_x t} (x0, 1) takes one dense `expm` per time of
+    the shared grid.
     """
     systems, x = _canonical_x_flow(params, t_end)
     d = params.d
-    lift = expm_action(systems.Hx, np.append(x[0], 1.0), t_end, SAMPLES)
+    lift = np.array([expm(systems.Hx * t) @ np.append(x[0], 1.0)
+                     for t in np.linspace(0.0, t_end, SAMPLES)])
     w = lift[:, d]
     if np.min(np.abs(w)) < 1e-6:
         raise PoleError("lift denominator w approached zero")
@@ -275,11 +275,3 @@ def sweep(param_list, t_end: float = 1.0):
                      R_x, R_eta, equivalence_residual(p, t_end)))
     return rows
 
-
-def sweep_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "gamma", "delta", "d", "R_x_lower_bound",
-                    "R_x", "R_eta", "equiv_residual"])
-        for row in rows:
-            w.writerow([f"{val:.17g}" for val in row])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import koopman_lab
-from koopman_lab import cli, fermion
+from koopman_lab import cli, fermion, nip, population
 
 
 def write_json(tmp_path, name, payload):
@@ -158,6 +158,68 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ValueError" in err and "positive" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("grid, cause", [
+        ("0:100:1e-4", "more than 1000 points"),
+        ("0:1e308:1e-308", "more than 1000 points"),
+        ("nan:1:0.1", "finite"),
+        ("0:inf:0.1", "finite"),
+        ("0:1:nan", "finite"),
+    ])
+    def test_grid_size_checked_before_allocating(self, tmp_path, capsys,
+                                                 monkeypatch, grid, cause):
+        def fail(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "arange", fail)
+        out = tmp_path / "o.csv"
+        code = cli.run(["population-scan", "--out", str(out),
+                        "--grid", grid])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("config error: flag --grid") and cause in err
+        assert not out.exists()
+
+    def test_largest_grid_passes_the_size_check(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 9)
+        assert cli._parse_grid("1:1.2:0.1").size == 3
+        with pytest.raises(cli.ConfigError, match="--grid"):
+            cli._parse_grid("1:1.3:0.1")
+
+    def test_history_order_checked_before_allocating(self, tmp_path,
+                                                     capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("history matrix allocated")
+
+        monkeypatch.setattr(np, "eye", fail)
+        cfg = write_json(tmp_path, "h.json",
+                         {"A": [[-0.3, 0.0], [0.0, -0.1]], "x0": [1.0, 0.5],
+                          "m": 10**12, "p": 1, "l": 6, "h": 0.05})
+        out = tmp_path / "h.csv"
+        code = cli.run(["ode-history", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == ("config error: config keys 'm', 'p' and 'x0' give a "
+                       "history system of order (1000000000000 + 1) * 2, "
+                       "above 2000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, want", [
+        ("population-scan", "3 populations"),
+        ("population-chaos", "at least 3 populations"),
+    ])
+    def test_model_dimension_names_the_key(self, tmp_path, capsys, command,
+                                           want):
+        cfg = write_json(tmp_path, "m.json", {"model": {
+            "r": [1.0, 2.0], "X": [1.0, 1.0], "J": [[0, 0, 1, 0.5]]}})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out),
+                        "--t-end", "0.01"])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == (f"config error: config key 'model' must have {want} "
+                       f"for {command}, got 2")
+        assert not out.exists()
 
     @pytest.mark.parametrize("orders", [5, [1, "a"]])
     @pytest.mark.parametrize("command", ["population-scan", "carleman-error",
@@ -471,19 +533,23 @@ class TestExitCodes:
 
 COLD_START = """
 import sys
-from koopman_lab import cli
+from koopman_lab import cli, fermion, rsep
 
 def loaded():
-    return "scipy.integrate" in sys.modules
+    return [name in sys.modules
+            for name in ("scipy.integrate", "scipy.sparse.linalg")]
 
-before = loaded()
+states = loaded()
 assert cli.run(["population-scan", "--grid", "1:1.5:0.5",
                 "--out", "scan.csv"]) == 0
+assert cli.run(["population-traj", "--out", "traj.csv"]) == 0
 assert cli.run(["fermion-steady", "--config", sys.argv[1],
                 "--out", "steady.csv"]) == 0
-after_flows = loaded()
+fermion.oracle_deviation(2, 0, 1.0)
+rsep.lifted_flow_residual(rsep.RsepParams(4, 10.0, 20.0, 0.1), 1.0)
+states += loaded()
 assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
-print(before, after_flows, loaded())
+print(*states, *loaded())
 """
 
 EAGER_CHAOS = """
@@ -502,9 +568,13 @@ class TestColdStart:
         proc = run_python(["-c", COLD_START, cfg], lazy)
         assert proc.returncode == 0, proc.stderr
         chaos_printed, loaded = proc.stdout.splitlines()
-        # import, a 2 x 2 scan at orders 1 and 3, and the covariance
-        # steady state leave it unloaded; the chaos x-flow loads it
-        assert loaded.split() == ["False", "False", "True"]
+        # (scipy.integrate, scipy.sparse.linalg) after the import; after a
+        # 2 x 2 scan at orders 1 and 3, the default trajectory comparison,
+        # the covariance steady state, the density-matrix oracle and the
+        # rsep lift; and after the chaos run, whose eta flow is DOP853's.
+        # Only scipy.integrate's own import loads scipy.sparse.linalg.
+        assert loaded.split() == ["False", "False", "False", "False",
+                                  "True", "True"]
         assert len((lazy / "scan.csv").read_text().splitlines()) == 5
         proc = run_python(["-c", EAGER_CHAOS], eager)
         assert proc.returncode == 0, proc.stderr
@@ -543,6 +613,37 @@ class TestPopulationCommands:
         rows = out.read_text().splitlines()
         assert rows[0] == "t,x2,x3"
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0]
+
+    @pytest.mark.parametrize("command", ["population-traj",
+                                         "population-chaos"])
+    @pytest.mark.parametrize("coupling, x0, fate, t_star", [
+        (5.0, [0.5, 0.9, 0.9], "x1 reached 0 after", np.log(5 / 4)),
+        (-5.0, [2.0, 1.0, 1.0], "x1 grew without bound by", np.log(4 / 3)),
+    ])
+    def test_population_leaving_names_the_cause(self, tmp_path, capsys,
+                                                command, coupling, x0, fate,
+                                                t_star):
+        # x1 -> 0 at t = ln(5/4) and x1 -> infinity at t = ln(4/3) (see
+        # test_population); the rational x-dynamics would integrate through
+        # both.  The named time is a sample next to it, 0.5/128 apart in
+        # the trajectory comparison and 0.5/2000 in the chaos run.
+        spec = {"r": [1, 1, 1], "X": [1, 1, 1], "J": [[0, 0, 0, coupling]]}
+        cfg = write_json(tmp_path, "m.json",
+                         {"model": spec, "x0": x0, "t_end": 0.5})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        err, = capsys.readouterr().err.strip().splitlines()
+        prefix = f"numerical failure: population {fate} t = "
+        assert err.startswith(prefix)
+        assert abs(float(err[len(prefix):]) - t_star) < 0.5 / 128
+        assert not out.exists()
+        model = nip.model_from_json(json.dumps(spec))
+        if command == "population-traj":
+            traj, _, _ = population.trajectory_compare(model, x0, 3, 0.5)
+        else:
+            traj = population.chaos_demo(model, x0, 0.5).trajectory
+        assert traj.diverged and np.all(traj.states.real > 0)
 
     def test_error_profile(self, tmp_path):
         out = tmp_path / "eps.csv"
@@ -598,8 +699,8 @@ class TestFermionCommands:
         assert float(capsys.readouterr().out.split("=")[1]) <= 1e-12
 
     def test_oracle_check_reproducible(self, capsys):
-        # the two N = 4 draws at t_end = 1 take expm_multiply's randomized
-        # 1-norm estimate
+        # N = 4 draws: the oracle's dense expm of a 256 x 256 Liouvillian
+        # draws nothing from numpy's global generator
         np.random.seed(11)
         state = np.random.get_state()
         printed = []
@@ -612,6 +713,19 @@ class TestFermionCommands:
         after = np.random.get_state()
         assert after[0] == state[0] and after[2:] == state[2:]
         np.testing.assert_array_equal(after[1], state[1])
+
+
+class TestRsepCommands:
+    def test_sweep_schema(self, tmp_path):
+        cfg = write_json(tmp_path, "p.json", {"points": [RSEP_POINT],
+                                              "t_end": 0.5})
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["rsep-sweep", "--config", cfg,
+                        "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("beta,gamma,delta,d,R_x_lower_bound,"
+                            "R_x,R_eta,equiv_residual")
+        assert len(lines) == 2
 
 
 class TestSpectralCommands:

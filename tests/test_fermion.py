@@ -219,6 +219,13 @@ class TestOracle:
         with pytest.raises(ValueError):
             exact_lindblad_oracle(h, jumps, bad, 0.1)
 
+    @pytest.mark.parametrize("t_end", [-1.0, np.inf, np.nan])
+    def test_density_time_must_be_finite_and_nonnegative(self, t_end):
+        h, jumps = commuting_example(1, [1.0], [0.5])
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="t_end"):
+            fermion.lindblad_density(h, jumps, rho0, t_end)
+
 
 class TestObservables:
     def test_closed_system_conserves_energy(self):
@@ -348,9 +355,3 @@ class TestSerialization:
     def test_lower_triangle_rejected(self):
         with pytest.raises(ValueError):
             system_from_json('{"N": 1, "h": [[1, 0, 2.0]], "jumps": []}')
-
-    def test_covariance_csv(self, tmp_path):
-        g = CovarianceState(np.array([[0.0, 0.5], [-0.5, 0.0]]))
-        path = tmp_path / "g.csv"
-        fermion.covariance_to_csv(g, path)
-        assert path.read_text().splitlines() == ["i,j,value", "0,1,0.5"]

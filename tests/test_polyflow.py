@@ -12,9 +12,7 @@ from koopman_lab.polyflow import (
     PolySystem,
     SparseTensor,
     StepUnderflowError,
-    Trajectory,
     eval_rhs,
-    expm_action,
     frobenius_norm,
     integrate_reference,
     integrate_rhs,
@@ -25,8 +23,8 @@ from koopman_lab.polyflow import (
     system_from_json,
     system_to_json,
     taylor_flow,
-    trajectory_to_csv,
     vectorized_rhs,
+    write_csv,
 )
 
 
@@ -308,18 +306,6 @@ class TestTaylorFlow:
             taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
 
 
-class TestExpmAction:
-    def test_subnormal_time_returns_b(self):
-        # expm_multiply's step count underflows to zero here
-        b = np.array([1.0, 2.0j])
-        got = expm_action(np.array([[0.0, 1.0], [-1.0, 0.0]]), b, 5e-324, 3)
-        np.testing.assert_array_equal(got, np.stack([b] * 3))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            expm_action(np.eye(2), np.ones(2), -1.0, 2)
-
-
 class TestNorms:
     def test_log_norm_hermitian_part(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -380,11 +366,16 @@ class TestSerialization:
         np.testing.assert_allclose(eval_rhs(back, x), eval_rhs(sys, x),
                                    atol=1e-15)
 
-    def test_trajectory_csv(self, tmp_path):
-        traj = Trajectory(np.array([0.0, 1.0]),
-                          np.array([[1.0 + 2j], [3.0 - 4j]]))
+    def test_csv_formats_every_value_type(self, tmp_path):
         path = tmp_path / "t.csv"
-        trajectory_to_csv(traj, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,re_0,im_0"
-        assert lines[1].startswith("0,1,2")
+        write_csv(path, ["s", "i", "x"],
+                  [("a", 3, 0.1), ("b", np.int64(-2), np.float64(np.inf))])
+        assert path.read_text().splitlines() == [
+            "s,i,x", "a,3,0.10000000000000001", "b,-2,inf"]
+
+    @pytest.mark.parametrize("value", [1.0 + 2j, np.complex128(0.5)])
+    def test_csv_refuses_complex_values(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="complex"):
+            write_csv(path, ["x"], [(0.0,), (value,)])
+        assert not path.exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from koopman_lab import nip, population
-from koopman_lab.nip import nip_evolve, vacancy_evolve, x_to_eta
+from koopman_lab.nip import PopulationModel, nip_evolve, vacancy_evolve
+from koopman_lab.polyflow import SparseTensor, eval_rhs
 from koopman_lab.population import (
     chaos_demo,
     convergence_scan,
@@ -126,16 +127,39 @@ class TestVerdict:
 class TestTrajectories:
     def test_x_rhs_matches_the_model_constants(self, model):
         # dx_i/dt = r_i x_i (1 - x_i) - x_i^2 sum_jk J_i,(j,k) eta_j eta_k,
-        # eta = (1 - x) / x, summed entry by entry from the raw tables
+        # eta = (1 - x) / x, summed entry by entry from the raw tables; the
+        # exact flow runs on eta, whose rate is -x^-2 dx/dt (X = 1)
         x = np.array([0.7, 1.3, 0.45])
         eta = (1.0 - x) / x
-        want = np.array([
+        dx = np.array([
             population._R[i] * x[i] * (1.0 - x[i]) - x[i] ** 2 * sum(
                 population._J_ROWS[i][3 * j + k] * eta[j] * eta[k]
                 for j in range(3) for k in range(3))
             for i in range(3)])
-        np.testing.assert_allclose(population._x_rhs(model)(0.0, x), want,
-                                   rtol=1e-13)
+        np.testing.assert_allclose(
+            eval_rhs(nip.koopman_system(model), eta), -dx / x**2,
+            rtol=1e-13)
+
+    @pytest.mark.parametrize("coupling, x0, fate", [
+        (5.0, [0.5, 0.9, 0.9], "x1 reached 0 after t = 0.223"),
+        (-5.0, [2.0, 1.0, 1.0], "x1 grew without bound by t = 0.288"),
+    ])
+    def test_exact_flow_ends_where_a_population_leaves(self, coupling, x0,
+                                                       fate):
+        # eta_1' = -eta_1 + c eta_1^2, so u = 1/eta_1 = c + (u0 - c) e^t:
+        # from eta_1 = 1 (c = 5) eta_1 blows up at t = ln(5/4) = 0.2231;
+        # from -1/2 (c = -5) it crosses the pole -1 at t = ln(4/3) = 0.2877
+        one_j = SparseTensor(2, 3)
+        one_j.add(0, (0, 0), coupling)
+        blow = PopulationModel(3, np.ones(3), np.ones(3), one_j)
+        grid = np.linspace(0.0, 2.0, 2001)
+        traj = exact_x_trajectory(blow, np.array(x0), 2.0, sample_times=grid)
+        assert traj.diverged
+        assert traj.cause == f"population {fate}"
+        assert np.all(traj.states.real > 0)
+        u = coupling + (x0[0] / (1.0 - x0[0]) - coupling) * np.exp(traj.times)
+        np.testing.assert_allclose(traj.states[:, 0].real, u / (u + 1.0),
+                                   rtol=1e-8)
 
     def test_exact_positivity_guard(self, model):
         with pytest.raises(ValueError):

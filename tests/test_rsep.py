@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from koopman_lab.polyflow import (
     NonDissipativeError,
     eval_rhs,
-    expm_action,
     integrate_reference,
 )
 from koopman_lab.rsep import (
@@ -23,8 +21,6 @@ from koopman_lab.rsep import (
     quadratic_tensors,
     r_x_lower_bound,
     rsep_r_numbers,
-    sweep,
-    sweep_to_csv,
 )
 
 CANON = dict(d=4, beta=10.0, gamma=20.0, delta=0.1)
@@ -174,22 +170,3 @@ class TestDynamics:
             np.testing.assert_array_equal(want.times, times)
             assert np.max(np.abs(got - want.states)) <= 1e-9
 
-    @pytest.mark.parametrize("point", [CANON, STIFF])
-    def test_lift_samples_are_matrix_exponentials(self, point):
-        systems = build_rsep(RsepParams(**point))
-        uw0 = np.append(np.eye(point["d"])[0], 1.0)
-        got = expm_action(systems.Hx, uw0, 1.0, SAMPLES)
-        for t, row in zip(np.linspace(0.0, 1.0, SAMPLES), got):
-            np.testing.assert_allclose(row, expm(systems.Hx * t) @ uw0,
-                                       rtol=0.0, atol=1e-12)
-
-
-class TestSweep:
-    def test_csv_schema(self, tmp_path):
-        rows = sweep([RsepParams(**CANON)], t_end=0.5)
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ("beta,gamma,delta,d,R_x_lower_bound,"
-                            "R_x,R_eta,equiv_residual")
-        assert len(lines) == 2
