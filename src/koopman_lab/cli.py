@@ -34,6 +34,10 @@ MAX_GRID_CELLS = 10**6
 # Largest order (m + p) * len(x0) of an `ode-history` system, whose dense
 # complex matrix then takes 64 MB.
 MAX_HISTORY_ORDER = 2000
+# Largest Taylor order `l` of an `ode-history` propagator, which takes l
+# matrix products.  The step needs h <= 1/|A|, so term r of T_l(Ah) has
+# norm at most 1/r!, below 1e-16 from r = 19 on.
+MAX_TAYLOR_ORDER = 100
 
 
 class ConfigError(Exception):
@@ -84,13 +88,15 @@ def _number(data, key, default):
     return float(value)
 
 
-def _integer(data, key, default, minimum):
-    """Config value `key` (default if absent); a JSON integer >= minimum."""
+def _integer(data, key, default, minimum, maximum=None):
+    """Config value `key` (default if absent); a JSON integer >= minimum
+    and, when given, <= maximum."""
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or \
-            value < minimum:
+            value < minimum or (maximum is not None and value > maximum):
+        bound = "" if maximum is None else f" and <= {maximum}"
         raise ConfigError(f"config key {key!r} must be an integer >= "
-                          f"{minimum}, got {value!r}")
+                          f"{minimum}{bound}, got {value!r}")
     return value
 
 
@@ -500,7 +506,7 @@ def _cmd_spectral_sample(args, data):
 def _cmd_ode_history(args, data):
     m = _integer(data, "m", None, minimum=1)
     p = _integer(data, "p", None, minimum=0)
-    l = _integer(data, "l", None, minimum=1)
+    l = _integer(data, "l", None, minimum=1, maximum=MAX_TAYLOR_ORDER)
     h = _number(data, "h", None)
     try:
         A = np.asarray(data["A"], dtype=complex)

@@ -13,11 +13,11 @@ provided:
 Both truncation errors are measured in y coordinates against a reference
 obtained by integrating the exact quadratic eta dynamics.  The reference is
 the batched Taylor-series flow `polyflow.taylor_flow` at REFERENCE_TOL,
-which holds each expansion's coefficient tail under
-REFERENCE_TOL * max(1, |eta|) per sample interval; a batch of initial
-conditions is one call (`reference_y_trajectories`).  Lifts run on the
-symmetric-monomial basis (`carleman.MonomialLift`), stepped as the columns
-of one block (`route_runs`).
+which holds the coefficient tail of each expansion, one per span of up to
+`polyflow.TAYLOR_SPAN` sample intervals, under REFERENCE_TOL * max(1, |eta|);
+a batch of initial conditions is one call (`reference_y_trajectories`).
+Lifts run on the symmetric-monomial basis (`carleman.MonomialLift`),
+stepped as the columns of one block (`route_runs`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ The model constants below are entered verbatim; coupling columns are ordered
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .polyflow import (
     SparseTensor,
     Trajectory,
     integrate_reference,
+    write_csv,
 )
 
 _R = (95.4912, 48.8281, 30.1714)
@@ -214,19 +214,13 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
 
 
 def scan_to_csv(res: ScanResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x2", "x3", "carleman_verdict", "nip_verdict",
-                    "eps_c_low", "eps_c_high", "eps_k_low", "eps_k_high"])
-        for a, x2 in enumerate(res.x2_values):
-            for b, x3 in enumerate(res.x3_values):
-                w.writerow([f"{x2:.17g}", f"{x3:.17g}",
-                            res.carleman_verdict[a, b],
-                            res.nip_verdict[a, b],
-                            f"{res.eps_c_low[a, b]:.17g}",
-                            f"{res.eps_c_high[a, b]:.17g}",
-                            f"{res.eps_k_low[a, b]:.17g}",
-                            f"{res.eps_k_high[a, b]:.17g}"])
+    write_csv(path, ["x2", "x3", "carleman_verdict", "nip_verdict",
+                     "eps_c_low", "eps_c_high", "eps_k_low", "eps_k_high"],
+              [(x2, x3, res.carleman_verdict[a, b], res.nip_verdict[a, b],
+                res.eps_c_low[a, b], res.eps_c_high[a, b],
+                res.eps_k_low[a, b], res.eps_k_high[a, b])
+               for a, x2 in enumerate(res.x2_values)
+               for b, x3 in enumerate(res.x3_values)])
 
 
 # ---------------------------------------------------------------------------

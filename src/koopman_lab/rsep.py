@@ -29,7 +29,7 @@ from .polyflow import (
 CLOSED_FORM_TOL = 1e-10
 # The residuals compare flows at SAMPLES times np.linspace(0, t_end, SAMPLES);
 # the x and eta flows are Taylor flows whose coefficient tails are held under
-# FLOW_TOL max(1, |z|) per interval.
+# FLOW_TOL max(1, |z|) per span of up to `polyflow.TAYLOR_SPAN` intervals.
 SAMPLES = 65
 FLOW_TOL = 1e-12
 

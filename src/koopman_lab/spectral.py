@@ -251,6 +251,7 @@ class HistorySystem:
     l: int
     h: float
     A: np.ndarray
+    T: np.ndarray        # T_l(Ah), the subdiagonal block of the first m steps
     C: np.ndarray
     b: np.ndarray
     blocks: np.ndarray   # (m+p, dim) solution blocks y_s
@@ -285,18 +286,17 @@ def history_system(A: np.ndarray, x0: np.ndarray, m: int, p: int, l: int,
     b = np.zeros(n * dim, dtype=complex)
     b[:dim] = x0
     y = np.linalg.solve(C, b)
-    return HistorySystem(m, p, l, h, A, C, b, y.reshape(n, dim))
+    return HistorySystem(m, p, l, h, A, T, C, b, y.reshape(n, dim))
 
 
 def history_residuals(hist: HistorySystem, x0: np.ndarray):
     """(max block-recurrence residual, |y_m - e^{Amh} x0|)."""
     from scipy.linalg import expm
-    T = taylor_propagator(hist.A, hist.h, hist.l)
     resid = 0.0
     power = np.asarray(x0, dtype=complex)
     for s in range(hist.m + hist.p):
         if s > 0:
-            power = T @ power if s <= hist.m else power
+            power = hist.T @ power if s <= hist.m else power
         resid = max(resid, float(np.linalg.norm(hist.blocks[s] - power)))
     exact = expm(hist.A * hist.m * hist.h) @ np.asarray(x0, dtype=complex)
     final_err = float(np.linalg.norm(hist.blocks[hist.m] - exact)) \

@@ -1,10 +1,12 @@
-"""Oracles shared between test modules, handed out as fixtures."""
+"""Oracles and probes shared between test modules, handed out as
+fixtures."""
 
 import numpy as np
 import pytest
 
 from koopman_lab.carleman import carleman_dimension
 from koopman_lab.fermion import assemble, master_equation
+from koopman_lab import polyflow
 from koopman_lab.polyflow import integrate_rhs
 
 
@@ -102,3 +104,17 @@ def _dop853_density(h, jumps, rho0, t_end):
 @pytest.fixture
 def dop853_density():
     return _dop853_density
+
+
+@pytest.fixture
+def taylor_expansions(monkeypatch):
+    """The batch size of every Taylor expansion `taylor_flow` takes."""
+    sizes = []
+    series = polyflow._QuadraticTaylor.series
+
+    def counted(self, x, h):
+        sizes.append(x.shape[0])
+        return series(self, x, h)
+
+    monkeypatch.setattr(polyflow._QuadraticTaylor, "series", counted)
+    return sizes

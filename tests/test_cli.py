@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import koopman_lab
-from koopman_lab import cli, fermion, nip, population
+from koopman_lab import cli, fermion, nip, population, spectral
 
 
 def write_json(tmp_path, name, payload):
@@ -202,6 +202,25 @@ class TestExitCodes:
         assert err == ("config error: config keys 'm', 'p' and 'x0' give a "
                        "history system of order (1000000000000 + 1) * 2, "
                        "above 2000")
+        assert not out.exists()
+
+    def test_history_taylor_order_checked_before_the_propagator(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Taylor propagator built")
+
+        monkeypatch.setattr(spectral, "taylor_propagator", fail)
+        cfg = write_json(tmp_path, "h.json",
+                         {"A": [[-0.3, 0.0], [0.0, -0.1]], "x0": [1.0, 0.5],
+                          "m": 6, "p": 3, "l": cli.MAX_TAYLOR_ORDER + 1,
+                          "h": 0.05})
+        out = tmp_path / "h.csv"
+        code = cli.run(["ode-history", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == ("config error: config key 'l' must be an integer >= 1 "
+                       f"and <= {cli.MAX_TAYLOR_ORDER}, got "
+                       f"{cli.MAX_TAYLOR_ORDER + 1}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, want", [
@@ -760,6 +779,24 @@ class TestSpectralCommands:
                             "--out", str(out), "--seed", "9"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_largest_taylor_order_passes_and_is_built_once(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args[2])
+            return taylor_propagator(*args)
+
+        taylor_propagator = spectral.taylor_propagator
+        monkeypatch.setattr(spectral, "taylor_propagator", counted)
+        cfg = write_json(tmp_path, "h.json",
+                         {"A": [[-0.3, 0.0], [0.0, -0.1]],
+                          "x0": [1.0, 0.5], "m": 6, "p": 3,
+                          "l": cli.MAX_TAYLOR_ORDER, "h": 0.05})
+        assert cli.run(["ode-history", "--config", cfg,
+                        "--out", str(tmp_path / "h.csv")]) == 0
+        assert built == [cli.MAX_TAYLOR_ORDER]
 
     def test_ode_history(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "h.json",

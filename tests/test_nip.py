@@ -227,6 +227,15 @@ class TestTaylorReference:
             assert ref.diverged == single.diverged
 
 
+    def test_demo_reference_spans_eight_intervals(self, taylor_expansions):
+        # 128 sample intervals in spans of TAYLOR_SPAN = 8, none halved
+        ref = reference_y_trajectory(paper_model(), DEMO_X0, DEMO_T_END,
+                                     sample_times=np.linspace(
+                                         0.0, DEMO_T_END, 129))
+        assert ref.times.size == 129 and not ref.diverged
+        assert len(taylor_expansions) <= 16
+
+
 class TestEvolutions:
     def test_nip_error_shrinks_with_order(self):
         model = small_model()

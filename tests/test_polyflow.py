@@ -278,26 +278,64 @@ class TestTaylorFlow:
                             [0.0, 0.02, 0.04])
         assert traj.diverged and traj.times.size == 3
 
-    def test_rows_do_not_depend_on_their_batch(self):
-        # a settling row, two diverging rows with halved intervals, and a
-        # stiff row: each row alone gives the same bits as in the batch
+    def test_rows_do_not_depend_on_their_batch(self, taylor_expansions):
+        # two settling rows, two diverging rows with halved spans, and a
+        # row that halves a span but stays within the norm: each row alone
+        # gives the same bits as in the batch
         sys = blow_up_system()
         grid = np.linspace(0.0, 0.1, 33)
-        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0], [0.9, 4.0]])
+        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0], [0.9, 4.0],
+                       [8.0, 0.0]])
         batch = taylor_flow(sys, X0, 0.1, 1e-12, grid)
         for x0, traj in zip(X0, batch):
+            taylor_expansions.clear()
             alone, = taylor_flow(sys, x0[None, :], 0.1, 1e-12, grid)
             np.testing.assert_array_equal(alone.times, traj.times)
             np.testing.assert_array_equal(alone.states, traj.states)
+            # 32 intervals are 4 spans, unless the row halves one
+            assert (len(taylor_expansions) > 4) == (x0[0] > 1.0)
+        assert not batch[4].diverged
 
     def test_stiff_interval_is_halved(self):
-        # lambda h = 50 is far outside one order-12 expansion's reach; the
-        # tail bound is absolute below |x| = 1
+        # lambda h = 100 over the span, and 50 over one interval, are far
+        # outside one order-20 expansion's reach; the tail bound is
+        # absolute below |x| = 1
         sys = linear_system(np.array([[-100.0]]))
         traj, = taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(traj.states[:, 0],
                                    np.exp([0.0, -50.0, -100.0]), rtol=0,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 1.0, 131),               # last span: 2 intervals
+        np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 42))),
+    ], ids=["partial-last-span", "geometric"])
+    def test_spanned_flow_matches_dop853(self, grid):
+        assert (grid.size - 1) % polyflow.TAYLOR_SPAN != 0
+        sys = driven_quadratic(3, seed=6)
+        X0 = np.random.default_rng(7).normal(size=(3, 3))
+        for x0, traj in zip(X0, taylor_flow(sys, X0, 1.0, 1e-13, grid)):
+            oracle = integrate_reference(sys, x0, 1.0, 1e-13, grid)
+            assert not traj.diverged
+            np.testing.assert_array_equal(traj.times, oracle.times)
+            np.testing.assert_allclose(traj.states, oracle.states, rtol=0,
+                                       atol=1e-9)
+
+    def test_spanned_blow_up_matches_dop853(self):
+        # 130 intervals: 16 full spans and a partial one; rows 0 and 2
+        # leave the norm inside a span, row 1 settles
+        sys = blow_up_system()
+        grid = np.linspace(0.0, 0.1, 131)
+        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [12.0, -1.0]])
+        flows = taylor_flow(sys, X0, 0.1, 1e-12, grid)
+        for x0, traj in zip(X0, flows):
+            event = integrate_reference(sys, x0, 0.1, 1e-12, grid)
+            assert traj.diverged == event.diverged
+            np.testing.assert_array_equal(traj.times, event.times)
+            np.testing.assert_allclose(traj.states, event.states, rtol=1e-9)
+        assert [traj.diverged for traj in flows] == [True, False, True]
+        assert all((traj.times.size - 1) % polyflow.TAYLOR_SPAN != 0
+                   for traj in flows[::2])
 
     def test_halving_cap_raises(self, monkeypatch):
         monkeypatch.setattr(polyflow, "TAYLOR_MAX_HALVINGS", 3)

@@ -94,6 +94,23 @@ class TestScan:
         assert header == ("x2,x3,carleman_verdict,nip_verdict,"
                           "eps_c_low,eps_c_high,eps_k_low,eps_k_high")
 
+    def test_csv_bytes_with_infinite_and_nan_errors(self, tmp_path):
+        # the bytes the scan wrote through its own .17g formatter
+        res = population.ScanResult(
+            np.array([0.55, 1.0]), np.array([0.1]),
+            np.array([["converged"], ["diverged"]]),
+            np.array([["pole-invalid"], ["diverged"]]),
+            np.array([[1e-3], [np.inf]]), np.array([[np.nan], [2.5]]),
+            np.array([[1 / 3], [np.inf]]), np.array([[0.0], [np.nan]]))
+        path = tmp_path / "scan.csv"
+        scan_to_csv(res, path)
+        assert path.read_bytes() == (
+            b"x2,x3,carleman_verdict,nip_verdict,"
+            b"eps_c_low,eps_c_high,eps_k_low,eps_k_high\r\n"
+            b"0.55000000000000004,0.10000000000000001,converged,pole-invalid,"
+            b"0.001,nan,0.33333333333333331,0\r\n"
+            b"1,0.10000000000000001,diverged,diverged,inf,2.5,inf,nan\r\n")
+
     def test_bad_orders_rejected(self, model):
         with pytest.raises(ValueError):
             convergence_scan(model, x2_range=[1.0], x3_range=[1.0],
