@@ -17,10 +17,11 @@ condition.  Two bases carry it:
   1991; Forets & Pouly, arXiv:1711.02552).  The library runs every lift
   on it.
 
-`evolve_lifted_block` propagates either.  A lift whose Kronecker layout has
+`lifted_samples` propagates either.  A lift whose Kronecker layout has
 at most DENSE_LIMIT coordinates, sampled on a uniform grid, is stepped
-exactly, one dense step P = expm(C h) per sample (scaling and squaring,
-Al-Mohy & Higham 2009), for a whole (D, c) block of initial lifts at once.
+exactly by the powers P, P^2, ..., P^K of the one-sample step P = expm(C h)
+(scaling and squaring, Al-Mohy & Higham 2009): a whole (D, c) block of
+initial lifts takes one product per span of K samples (`step_block`).
 Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
 loads scipy.integrate on its first run) under the norm of the Kronecker
 layout, so both bases take the same steps.
@@ -53,6 +54,9 @@ DIM_LIMIT = 10**8
 # dense path takes 15-21 ms against 47-49 ms for DOP853; at D = 363 (order
 # 5) it takes 126-146 ms against 51-116 ms.
 DENSE_LIMIT = 120
+# Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
+# P^K, K = min(n - 1, STEP_SPAN), in K D^2 16 bytes, 7.4 MB at D = 120.
+STEP_SPAN = 32
 
 
 def carleman_dimension(d: int, order: int) -> int:
@@ -353,85 +357,121 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
 
 
 def exact_step(op, t_end: float, sample_times):
-    """One-sample propagator expm(C h) of a small lift, or None.
+    """Powers P^1, ..., P^K of the one-sample step P = expm(C h) of a small
+    lift, as a (K, D, D) stack, or None.
 
     `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  The step
     applies when the lift's Kronecker layout has at most DENSE_LIMIT
     coordinates and the samples are the uniform grid
     np.linspace(0, t_end, n) with n >= 2 and t_end > 0 (`uniform_spacing`);
-    then h = t_end / (n - 1).  Otherwise the result is None and the lift is
+    then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and P^i is P
+    times P^(i-1).  Otherwise the result is None and the lift is
     integrated instead.
     """
     if op.kron_dim > DENSE_LIMIT:
         return None
     h = uniform_spacing(sample_times, t_end)
-    return None if h is None else expm(op.dense() * h)
+    if h is None:
+        return None
+    step = expm(op.dense() * h)
+    stack = np.empty((min(np.size(sample_times) - 1, STEP_SPAN),)
+                     + step.shape, dtype=np.complex128)
+    stack[0] = step
+    for i in range(1, stack.shape[0]):
+        np.matmul(step, stack[i - 1], out=stack[i])
+    return stack
 
 
-def _stepped(step: np.ndarray, G0: np.ndarray, times: np.ndarray,
-             weights: np.ndarray, width: int = 0) -> list:
-    """Samples step^s G0 of a (D, c) block of lifts, one Trajectory per
-    column, each cut before its first sample whose norm
-    sqrt(sum_a weights[a] |g_a|^2) exceeds DIVERGENCE_NORM (that
-    trajectory is then marked diverged).
+def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
+               weights: np.ndarray, width: int = 0):
+    """Samples 0 .. n-1 of a (D, c) block of lifts stepped by the stack of
+    `exact_step`, and how many of them each column keeps.
 
-    The block is stepped zero-padded to `width` columns when it is
-    narrower; only the c columns' samples are kept, each column's samples
-    contiguous.
+    Sample jK + i is P^i times sample jK, so a span of K samples is one
+    (K D, D) @ (D, columns) product, shorter for a partial last span.  The
+    block is stepped zero-padded to `width` columns when it is narrower:
+    BLAS may round a column of a product differently in a narrower block,
+    so a fixed width keeps each column's bits independent of how many
+    columns share its block.  Returns the (n, D, c) samples and, per
+    column, the samples before its first one whose norm
+    sqrt(sum_a weights[a] |g_a|^2) exceeds DIVERGENCE_NORM (n when none
+    does); the samples after that are not meaningful.
     """
-    size, count = G0.shape
-    block = np.zeros((2, size, max(count, width)), dtype=np.complex128)
-    block[0, :, :count] = G0
-    states = np.empty((count, times.size, size), dtype=np.complex128)
-    states[:, 0] = G0.T
-    for s in range(1, times.size):
-        np.matmul(step, block[(s - 1) % 2], out=block[s % 2])
-        states[:, s] = block[s % 2, :, :count].T
-    parts = states[:, 1:].view(np.float64).reshape(count, times.size - 1,
-                                                   size, 2)
+    span, size = stack.shape[:2]
+    count = G0.shape[1]
+    cols = max(count, width)
+    samples = np.zeros((n, size, cols), dtype=np.complex128)
+    samples[0, :, :count] = G0
+    powers = stack.reshape(span * size, size)
+    for start in range(0, n - 1, span):
+        k = min(span, n - 1 - start)
+        np.matmul(powers[:k * size], samples[start],
+                  out=samples[start + 1:start + 1 + k].reshape(k * size,
+                                                               cols))
+    samples = samples[:, :, :count]
+    tail = samples[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("cskr,cskr,k->cs", parts, parts, weights))
-    out = []
-    for col in range(count):
-        over = np.flatnonzero(~(norms[col] <= DIVERGENCE_NORM))
-        kept = times.size if over.size == 0 else over[0] + 1
-        out.append(Trajectory(times[:kept], states[col, :kept],
-                              diverged=over.size > 0))
-    return out
+        norms = np.sqrt(weights @ (tail.real**2 + tail.imag**2))
+    over = ~(norms <= DIVERGENCE_NORM)
+    kept = np.where(over.any(axis=0), over.argmax(axis=0) + 1, n)
+    return samples, kept
 
 
-def evolve_lifted_block(op, G0: np.ndarray, t_end: float, tol: float,
-                        sample_times=None, step=None,
-                        width: int = 0) -> list:
-    """Trajectories of dg/dt = C g from each column of the (D, c) block G0.
+def lifted_samples(op, G0: np.ndarray, t_end: float, tol: float,
+                   sample_times=None, step=None, width: int = 0):
+    """Samples of dg/dt = C g from each column of the (D, c) block G0, as
+    arrays.
 
     `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  A small
-    lift on a uniform grid is stepped exactly by P = expm(C h) from
-    `exact_step`, the whole block at once, states[s] = P states[s-1]; pass
-    that `step` to share one P across calls.  A block narrower than `width`
-    is stepped zero-padded to that many columns: BLAS may round a column
-    of a product differently in a narrower block, so a fixed width keeps
-    each column's bits independent of how many columns share its block.
-    Any other lift integrates each column with DOP853 at `tol`.  On both
-    paths the norm is that of the Kronecker layout, each coordinate
-    weighted by `op.multiplicities`, and a trajectory ends at divergence
-    (that norm above DIVERGENCE_NORM).
+    lift on a uniform grid is stepped exactly by the stack of powers of
+    P = expm(C h) from `exact_step`, the whole block at once, one product
+    per span (`step_block`, which also explains `width`); pass that `step`
+    to share one stack across calls.  Any other lift integrates each column
+    with DOP853 at `tol` (`polyflow.integrate_rhs`, which starts every run
+    at t = 0).  On both paths the norm is that of the Kronecker layout,
+    each coordinate weighted by `op.multiplicities`, and a column ends at
+    divergence (that norm above DIVERGENCE_NORM).
+
+    Returns (times, samples, kept, diverged): the n sample times, the
+    (n, D, c) samples, how many leading samples each column keeps (the
+    samples after them are not meaningful) and whether it diverged.
     """
     G0 = np.asarray(G0, dtype=np.complex128)
     if G0.ndim != 2 or G0.shape[0] != op.total_dim:
         raise DimensionError("operator/state dims mismatch")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 129)
+    times = np.asarray(sample_times, dtype=float)
     if step is None:
-        step = exact_step(op, t_end, sample_times)
-    if step is None:
-        return [integrate_rhs(lambda t, g: op.apply(g), g0, t_end, tol,
-                              sample_times, weights=op.multiplicities)
-                for g0 in G0.T]
-    if step.shape != (op.total_dim, op.total_dim):
-        raise DimensionError("step does not match the operator")
-    return _stepped(step, G0, np.asarray(sample_times, dtype=float),
-                    op.multiplicities, width)
+        step = exact_step(op, t_end, times)
+    if step is not None:
+        if step.ndim != 3 or step.shape[1:] != (op.total_dim, op.total_dim):
+            raise DimensionError("step does not match the operator")
+        samples, kept = step_block(step, G0, times.size, op.multiplicities,
+                                   width)
+        return times, samples, kept, kept < times.size
+    trajs = [integrate_rhs(lambda t, g: op.apply(g), g0, t_end, tol,
+                           times, weights=op.multiplicities)
+             for g0 in G0.T]
+    if times.size == 0 or times[0] != 0.0:
+        times = np.concatenate(([0.0], times))
+    samples = np.full((times.size,) + G0.shape, np.nan, dtype=np.complex128)
+    for col, traj in enumerate(trajs):
+        samples[:traj.times.size, :, col] = traj.states
+    kept = np.array([traj.times.size for traj in trajs], dtype=np.int64)
+    return times, samples, kept, np.array([traj.diverged for traj in trajs])
+
+
+def evolve_lifted_block(op, G0: np.ndarray, t_end: float, tol: float,
+                        sample_times=None, step=None,
+                        width: int = 0) -> list:
+    """Trajectories of dg/dt = C g from each column of the (D, c) block G0,
+    one per column, from `lifted_samples`."""
+    times, samples, kept, diverged = lifted_samples(
+        op, G0, t_end, tol, sample_times, step, width)
+    return [Trajectory(times[:k], samples[:k, :, col], diverged=bool(cut))
+            for col, (k, cut) in enumerate(zip(kept.tolist(),
+                                               diverged.tolist()))]
 
 
 def evolve_lifted(op, g0, t_end: float, tol: float, sample_times=None,
@@ -447,43 +487,26 @@ def evolve_lifted(op, g0, t_end: float, tol: float, sample_times=None,
                                sample_times, step)[0]
 
 
-def block1_error(reference: Trajectory, lifted: Trajectory, dim: int,
-                 width: int, back_map=None):
-    """Distance between the reference flow and back-mapped block 1.
-
-    Compares the samples both trajectories share, all at once; the lifted
-    states must have `width` coordinates, the lift's own dimension, of
-    which the first `dim` are block 1.  `back_map` takes the (n, dim)
-    block-1 rows and returns the mapped rows, NaN where it cannot map.
-    Returns (mapped rows, per-sample distance, cut), where cut says that
-    either trajectory diverged or ended before the other.
-    """
-    if lifted.states.shape[1] != width:
-        raise DimensionError("lifted data has wrong length")
-    n = min(reference.times.size, lifted.times.size)
-    g1 = lifted.states[:n, :dim]
-    mapped = g1 if back_map is None else back_map(g1)
-    eps = np.linalg.norm(reference.states[:n, :dim] - mapped, axis=1)
-    cut = reference.diverged or lifted.diverged or \
-        n < max(reference.times.size, lifted.times.size)
-    return mapped, eps, cut
-
-
 def truncation_error(reference: Trajectory, lifted: Trajectory,
                      dim: int, order: int, back_map=None):
     """Per-sample distance between the reference flow and back-mapped block 1
     of a lift on the Kronecker layout of `order`.
 
     Both trajectories must share a time grid up to the point where either
-    diverged; a divergent comparison reports max = +inf.  `back_map` maps
-    block-1 rows as in `block1_error`.
+    diverged; a divergent comparison, or one where a trajectory ended
+    before the other, reports max = +inf.  `back_map` takes the (n, dim)
+    block-1 rows and returns the mapped rows.
     """
     n = min(reference.times.size, lifted.times.size)
     if not np.allclose(reference.times[:n], lifted.times[:n], atol=1e-12):
         raise DimensionError("trajectories sampled on different time grids")
-    _, profile, cut = block1_error(reference, lifted, dim,
-                                   carleman_dimension(dim, order), back_map)
+    if lifted.states.shape[1] != carleman_dimension(dim, order):
+        raise DimensionError("lifted data has wrong length")
+    g1 = lifted.states[:n, :dim]
+    mapped = g1 if back_map is None else back_map(g1)
+    profile = np.linalg.norm(reference.states[:n, :dim] - mapped, axis=1)
     max_err = float(np.max(profile)) if n else 0.0
-    if cut:
+    if reference.diverged or lifted.diverged or \
+            n < max(reference.times.size, lifted.times.size):
         max_err = np.inf
     return profile, max_err

@@ -38,6 +38,16 @@ MAX_HISTORY_ORDER = 2000
 # matrix products.  The step needs h <= 1/|A|, so term r of T_l(Ah) has
 # norm at most 1/r!, below 1e-16 from r = 19 on.
 MAX_TAYLOR_ORDER = 100
+# Most samples of a `fermion-heat` curve, which keeps one (2N)^2 covariance
+# per sample: 20 MB at N = 8.
+MAX_HEAT_SAMPLES = 10**4
+# Largest dimension d of an `rsep-sweep` point.  Its R-numbers take the
+# spectral norm of a dense d x d^2 complex flattening, 16 MB at d = 100,
+# where a point takes about 2 s and 0.1 GB; d = 200 takes 10 s and 0.3 GB.
+MAX_RSEP_DIM = 100
+# Largest Kaiser window length J of the spectral commands, which write one
+# CSV row per outcome and emulate one snapshot per window sample.
+MAX_WINDOW_J = 10**5 + 1
 
 
 class ConfigError(Exception):
@@ -327,7 +337,8 @@ def _cmd_fermion_evolve(args, data):
 def _cmd_fermion_heat(args, data):
     sys_, gamma0 = _fermion_setup(args, data)
     t_end = _t_end(args, data, 1.0)
-    times = np.linspace(0.0, t_end, _integer(data, "samples", 129, minimum=1))
+    times = np.linspace(0.0, t_end, _integer(data, "samples", 129, minimum=1,
+                                             maximum=MAX_HEAT_SAMPLES))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
@@ -395,7 +406,7 @@ def _cmd_rsep_sweep(args, data):
         for key in ("d", "beta", "gamma", "delta"):
             if key not in entry:
                 raise ConfigError(f"missing sweep key: {key!r}")
-        d = _integer(entry, "d", None, minimum=3)
+        d = _integer(entry, "d", None, minimum=3, maximum=MAX_RSEP_DIM)
         A = None
         if "seed" in entry:
             A = rsep.haar_unitary(d, _integer(entry, "seed", None, minimum=0))
@@ -445,8 +456,9 @@ def _spectral_modes(data):
 
 def _spectral_window(data):
     try:
-        return spectral.kaiser_window(_integer(data, "J", 401, minimum=3),
-                                      _number(data, "sigma", 3.0))
+        return spectral.kaiser_window(
+            _integer(data, "J", 401, minimum=3, maximum=MAX_WINDOW_J),
+            _number(data, "sigma", 3.0))
     except ValueError as exc:
         raise ConfigError(f"bad window parameters: {exc}")
 

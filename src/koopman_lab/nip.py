@@ -17,7 +17,8 @@ which holds the coefficient tail of each expansion, one per span of up to
 `polyflow.TAYLOR_SPAN` sample intervals, under REFERENCE_TOL * max(1, |eta|);
 a batch of initial conditions is one call (`reference_y_trajectories`).
 Lifts run on the symmetric-monomial basis (`carleman.MonomialLift`),
-stepped as the columns of one block (`route_runs`).
+stepped as the columns of one block whose errors are measured as one array
+(`route_runs`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import numpy as np
 
 from .carleman import (
     MonomialLift,
-    block1_error,
     build_monomial_lift,
     evolve_lifted,  # noqa: F401 (perfbench's tracer test looks it up here)
-    evolve_lifted_block,
     exact_step,
+    lifted_samples,
 )
 from .polyflow import (
     DimensionError,
@@ -97,19 +97,26 @@ def y_to_eta(y: np.ndarray) -> np.ndarray:
     return y / (1.0 - y)
 
 
+def _back_map(g1: np.ndarray):
+    """g_i / (1 + g_i), unchecked, and where g_i lies within POLE_TOL of
+    the pole at -1."""
+    den = 1.0 + g1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return g1 / den, np.abs(den) < POLE_TOL
+
+
 def eta_to_y_back(g1: np.ndarray) -> np.ndarray:
     """Back map y~_i = g_i / (1 + g_i); poles at g_i = -1 raise."""
-    g1 = np.asarray(g1)
-    if np.any(np.abs(1.0 + g1) < POLE_TOL):
+    y, pole = _back_map(np.asarray(g1))
+    if np.any(pole):
         raise ValueError("back map pole: component at -1")
-    return g1 / (1.0 + g1)
+    return y
 
 
 def _eta_to_y_rows(g1: np.ndarray) -> np.ndarray:
-    """Back map of (n, d) block-1 rows; rows at a pole become NaN."""
-    pole = np.any(np.abs(1.0 + g1) < POLE_TOL, axis=1)
-    y = np.full(g1.shape, np.nan, dtype=np.complex128)
-    y[~pole] = eta_to_y_back(g1[~pole])
+    """Back map of block-1 rows (last axis d); rows at a pole become NaN."""
+    y, pole = _back_map(g1)
+    y[np.any(pole, axis=-1)] = np.nan
     return y
 
 
@@ -216,17 +223,21 @@ class TruncationRun:
     pole_invalid: bool
 
 
-def _error_run(reference, lifted_traj, dim, width,
-               back_map) -> TruncationRun:
-    y, eps, cut = block1_error(reference, lifted_traj, dim, width, back_map)
-    finite = eps[np.isfinite(eps)]
-    eps_max = float(np.max(finite)) if finite.size else np.nan
-    if cut:
-        eps_max = np.inf
-    y_traj = Trajectory(lifted_traj.times[:eps.size], y,
-                        diverged=lifted_traj.diverged)
-    return TruncationRun(y_traj, eps, eps_max,
-                         pole_invalid=bool(np.any(np.isnan(eps))))
+@dataclass
+class RouteErrors:
+    """Truncation errors of one route from c initial conditions, measured
+    in y coordinates against their references on one grid of n samples.
+
+    Column j's entries are meaningful before kept[j], the samples its lift
+    and its reference share.
+    """
+
+    y: np.ndarray             # (c, n, d) back-mapped block 1
+    eps: np.ndarray           # (c, n) error; NaN at pole-invalid samples
+    kept: np.ndarray          # (c,)
+    diverged: np.ndarray      # (c,) the lift diverged
+    eps_max: np.ndarray       # (c,) +inf where either run was cut short
+    pole_invalid: np.ndarray  # (c,)
 
 
 ROUTES = ("vacancy", "mode")
@@ -245,8 +256,8 @@ def route_system(model: PopulationModel, route: str,
 
 @dataclass
 class RouteLift:
-    """One route's lifted generator at one order and, for a small lift, its
-    exact step on one sample grid (see `carleman.exact_step`).
+    """One route's lifted generator at one order and, for a small lift, the
+    stack of its exact steps on one sample grid (see `carleman.exact_step`).
 
     It does not depend on the initial condition, so one instance serves
     every run of that route and order on that grid.
@@ -263,14 +274,42 @@ def route_lift(model: PopulationModel, route: str, order: int,
     return RouteLift(op, exact_step(op, t_end, sample_times))
 
 
+def _route_errors(references, g1, kept, diverged, back_map) -> RouteErrors:
+    """Errors of the (c, n, d) lifted block-1 samples g1, of which column j
+    keeps kept[j], against the c reference trajectories, all at once."""
+    c, n, dim = g1.shape
+    ref = np.full((c, n, dim), np.nan, dtype=np.complex128)
+    ref_kept = np.empty(c, dtype=np.int64)
+    ref_diverged = np.empty(c, dtype=bool)
+    for row, traj in enumerate(references):
+        ref_kept[row] = traj.times.size
+        ref_diverged[row] = traj.diverged
+        ref[row, :traj.times.size] = traj.states[:n, :dim]
+    shared = np.minimum(kept, ref_kept)
+    valid = np.arange(n) < shared[:, None]
+    # samples past a column's end may hold inf or NaN; they are masked
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = g1 if back_map is None else back_map(g1)
+        eps = np.linalg.norm(ref - y, axis=2)
+    finite = valid & np.isfinite(eps)
+    eps_max = np.max(np.where(finite, eps, -np.inf), axis=1)
+    eps_max[~finite.any(axis=1)] = np.nan
+    eps_max[ref_diverged | diverged | (shared < np.maximum(kept, ref_kept))] \
+        = np.inf
+    return RouteErrors(y, eps, shared, diverged, eps_max,
+                       np.any(valid & np.isnan(eps), axis=1))
+
+
 def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
                tol: float, sample_times, references, lift: RouteLift,
-               width: int = 0) -> list:
-    """One truncation run of `route` from each row of X0s, measured against
+               width: int = 0) -> RouteErrors:
+    """Truncation errors of `route` from each row of X0s, measured against
     the matching reference, all on the shared `lift`.
 
-    The lifts start as the columns of one block, stepped at least `width`
-    columns wide (`carleman.evolve_lifted_block`).
+    The lifts start as the columns of one block, propagated by
+    `carleman.lifted_samples` (stepped exactly, at least `width` columns
+    wide, or integrated column by column), and block 1 and the kept
+    samples of every column come from its one sample array.
     """
     X0s = np.asarray(X0s, dtype=float)
     if route == "vacancy":
@@ -278,10 +317,10 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
     else:
         Z0, back_map = x_to_eta(model, X0s), _eta_to_y_rows
     G0 = lift.op.initial_lift(Z0).T
-    trajs = evolve_lifted_block(lift.op, G0, t_end, tol, sample_times,
-                                lift.step, width)
-    return [_error_run(ref, traj, model.dim, lift.op.total_dim, back_map)
-            for ref, traj in zip(references, trajs)]
+    _, samples, kept, diverged = lifted_samples(
+        lift.op, G0, t_end, tol, sample_times, lift.step, width)
+    return _route_errors(references, samples[:, :model.dim].transpose(2, 0, 1),
+                         kept, diverged, back_map)
 
 
 def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
@@ -293,8 +332,13 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                                            sample_times=sample_times)
     if lift is None:
         lift = route_lift(model, route, order, t_end, sample_times)
-    return route_runs(model, [x0], route, t_end, tol, sample_times,
-                      [reference], lift)[0]
+    runs = route_runs(model, [x0], route, t_end, tol, sample_times,
+                      [reference], lift)
+    kept = int(runs.kept[0])
+    y = Trajectory(reference.times[:kept], runs.y[0, :kept],
+                   diverged=bool(runs.diverged[0]))
+    return TruncationRun(y, runs.eps[0, :kept], float(runs.eps_max[0]),
+                         bool(runs.pole_invalid[0]))
 
 
 def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,

@@ -101,26 +101,26 @@ class ScanResult:
     meta: dict = field(default_factory=dict)
 
 
-def _verdict(low, high) -> str:
-    if np.isfinite(low.eps_max) and np.isfinite(high.eps_max):
-        # errors at machine-zero (fixed point) count as converged
-        if high.eps_max <= 1e-8:
-            return "converged"
-        return "converged" if high.eps_max < low.eps_max else "diverged"
-    if low.pole_invalid or high.pole_invalid:
-        return "pole-invalid"
-    return "diverged"
+def _verdict(low, high):
+    """Verdict of the low- and high-order runs of one cell, or of each cell
+    when their `eps_max` and `pole_invalid` are arrays."""
+    finite = np.isfinite(low.eps_max) & np.isfinite(high.eps_max)
+    # errors at machine-zero (fixed point) count as converged
+    better = (high.eps_max <= 1e-8) | (high.eps_max < low.eps_max)
+    pole = np.logical_or(low.pole_invalid, high.pole_invalid)
+    return np.select([finite & better, finite, pole],
+                     ["converged", "diverged", "pole-invalid"], "diverged")
 
 
 def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
                  references):
-    """(verdict, eps low, eps high) of one route at each cell of a chunk,
-    each lift stepped as one block of SCAN_CHUNK columns."""
+    """Verdicts, low-order and high-order errors of one route at the cells
+    of a chunk, each lift stepped as one block of SCAN_CHUNK columns."""
     low, high = (route_runs(model, X0s, route, t_end, tol, sample_times,
                             references, lifts[route, n], SCAN_CHUNK)
                  for n in orders)
-    return [(_verdict(lo, hi), lo.eps_max, hi.eps_max)
-            for lo, hi in zip(low, high)]
+    return (_verdict(low, high).tolist(), low.eps_max.tolist(),
+            high.eps_max.tolist())
 
 
 def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
@@ -131,8 +131,8 @@ def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
     vacancy, mode = (_route_cells(X0s, route, model, orders, t_end, tol,
                                   sample_times, lifts, references)
                      for route in ROUTES)
-    return [(c[0], k[0], c[1], c[2], k[1], k[2])
-            for c, k in zip(vacancy, mode)]
+    return list(zip(vacancy[0], mode[0], vacancy[1], vacancy[2], mode[1],
+                    mode[2]))
 
 
 # Inputs every chunk of one scan shares, set once in each worker process.
@@ -156,10 +156,10 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
 
     A route converges at a cell when the error at the higher lift order is
     strictly smaller than at the lower order, both finite.  The monomial
-    lift and exact step of each (route, order) are built once per call
-    and shared by every cell; `tol` reaches only lifts too large for the
-    exact step.  The cells, in grid order, are cut into chunks of
-    SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
+    lift and exact step stack of each (route, order) are built once per
+    call (`nip.route_lift`) and shared by every cell; `tol` reaches only
+    lifts too large for the exact step.  The cells, in grid order, are cut
+    into chunks of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
     workers the pool maps chunks.  A cell's numbers do not depend on its
     chunk's other cells, and the merge is by grid index, so the result does
     not depend on the thread count.

@@ -457,6 +457,34 @@ class TestExactStep:
             single = evolve_lifted(op, g0, 0.6, 1e-10, grid)
             np.testing.assert_array_equal(traj.states, single.states)
 
+    def test_integrated_samples_pack_each_run(self):
+        # off the exact path each column's DOP853 run lands in the
+        # (n, D, c) sample array to the bit, a diverged one cut where its
+        # run stopped; a grid that does not start at 0 gains t = 0, as
+        # integrate_rhs does
+        rng = np.random.default_rng(21)
+        F1 = 2.0 * np.eye(2) + 0.1 * rng.normal(size=(2, 2))
+        F2 = 0.3 * rng.normal(size=(2, 4))
+        sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
+                             SparseTensor.from_dense_flat(2, F2)])
+        op = build_carleman(sys, 3)
+        grid = 2.0 * np.linspace(0.1, 1.0, 12) ** 2
+        G0 = np.column_stack([initial_lift(scale * rng.normal(size=2), 3).data
+                              for scale in (0.1, 30.0)])
+        times, samples, kept, diverged = carleman.lifted_samples(
+            op, G0, 2.0, 1e-10, grid)
+        np.testing.assert_array_equal(times, np.concatenate(([0.0], grid)))
+        assert samples.shape == (times.size, op.total_dim, 2)
+        assert diverged.tolist() == [False, True]
+        assert kept[0] == times.size and kept[1] < times.size
+        for col in range(2):
+            run = integrate_rhs(lambda t, g: op.apply(g), G0[:, col], 2.0,
+                                1e-10, grid, weights=op.multiplicities)
+            assert kept[col] == run.times.size
+            np.testing.assert_array_equal(samples[:kept[col], :, col],
+                                          run.states)
+        assert np.all(np.isnan(samples[kept[1]:, :, 1]))
+
     def test_non_uniform_grid_is_integrated(self):
         op = build_carleman(random_quadratic(2, seed=19)[0], 2)
         assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9) ** 2) is None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import koopman_lab
-from koopman_lab import cli, fermion, nip, population, spectral
+from koopman_lab import cli, fermion, nip, population, rsep, spectral
 
 
 def write_json(tmp_path, name, payload):
@@ -222,6 +222,48 @@ class TestExitCodes:
                        f"and <= {cli.MAX_TAYLOR_ORDER}, got "
                        f"{cli.MAX_TAYLOR_ORDER + 1}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, minimum, bound, builder", [
+        ("fermion-heat", "samples", 10**13, 1, "MAX_HEAT_SAMPLES",
+         (np, "linspace")),
+        ("rsep-sweep", "d", 10**6, 3, "MAX_RSEP_DIM",
+         (rsep, "haar_unitary")),
+        ("spectral-window", "J", 10**13 + 1, 3, "MAX_WINDOW_J",
+         (spectral, "kaiser_window")),
+    ])
+    def test_size_keys_checked_before_allocating(
+            self, tmp_path, capsys, monkeypatch, command, key, value,
+            minimum, bound, builder):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{builder[1]} called")
+
+        monkeypatch.setattr(*builder, fail)
+        if command == "fermion-heat":
+            cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7],
+                                **{key: value})
+        elif command == "rsep-sweep":
+            cfg = write_json(tmp_path, "r.json", {"points": [
+                RSEP_POINT | {key: value, "seed": 1}]})
+        else:
+            cfg = write_json(tmp_path, "w.json", {key: value})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        limit = getattr(cli, bound)
+        assert err == (f"config error: config key '{key}' must be an "
+                       f"integer >= {minimum} and <= {limit}, got {value}")
+        assert not out.exists()
+
+    def test_size_bounds_admit_the_largest_sizes(self, tmp_path):
+        # the sizes the examples and the benchmark use are admitted, and a
+        # window at the bound itself runs
+        assert cli.MAX_HEAT_SAMPLES >= 129
+        assert cli.MAX_RSEP_DIM >= 5
+        assert cli.MAX_WINDOW_J >= 401 and cli.MAX_WINDOW_J % 2 == 1
+        cfg = write_json(tmp_path, "w.json", {"J": cli.MAX_WINDOW_J})
+        assert cli.run(["spectral-window", "--config", cfg,
+                        "--out", str(tmp_path / "w.csv")]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command, want", [
         ("population-scan", "3 populations"),

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from koopman_lab.carleman import (
     DENSE_LIMIT,
+    STEP_SPAN,
     build_carleman,
     evolve_lifted,
+    evolve_lifted_block,
     initial_lift,
+    step_block,
 )
 from koopman_lab.nip import (
     REFERENCE_TOL,
@@ -35,6 +39,7 @@ from koopman_lab.nip import (
     y_to_x,
 )
 from koopman_lab.polyflow import (
+    DIVERGENCE_NORM,
     DimensionError,
     SparseTensor,
     eval_rhs,
@@ -372,6 +377,80 @@ class TestExactPropagation:
         with pytest.raises(ValueError, match="route"):
             route_lift(small_model(), "bogus", 2, 0.1,
                        np.linspace(0.0, 0.1, 5))
+
+
+def sequential_steps(lift, G0, n):
+    """The oracle of span stepping: samples[s] = P samples[s-1], one
+    product per sample, and the samples each column keeps before its norm
+    first exceeds DIVERGENCE_NORM."""
+    P = lift.step[0]
+    samples = [G0]
+    for _ in range(n - 1):
+        samples.append(P @ samples[-1])
+    samples = np.array(samples)
+    norms = np.sqrt(np.einsum("skc,k->cs", np.abs(samples) ** 2,
+                              lift.op.multiplicities))
+    kept = [int(np.argmax(row > DIVERGENCE_NORM)) if np.any(
+        row > DIVERGENCE_NORM) else n for row in norms]
+    return samples, kept
+
+
+class TestSpanStepping:
+    # two full spans and a partial third
+    N_SAMPLES = 2 * STEP_SPAN + 8
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_spans_match_single_steps_and_expm(self, route, order):
+        model = paper_model()
+        n = self.N_SAMPLES
+        grid = np.linspace(0.0, DEMO_T_END, n)
+        lift = route_lift(model, route, order, DEMO_T_END, grid)
+        D = lift.op.total_dim
+        assert lift.step.shape == (STEP_SPAN, D, D)
+        np.testing.assert_allclose(
+            lift.step[-1], np.linalg.matrix_power(lift.step[0], STEP_SPAN),
+            rtol=1e-12, atol=1e-14)
+        X0s = np.array([IN_BALL_X0, DEMO_X0, [1.0, 0.8, 1.2]])
+        G0 = lift.op.initial_lift(np.array(
+            [route_start(model, route, x0) for x0 in X0s])).T
+        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities,
+                                   width=8)
+        assert samples.shape == (n, D, 3)
+        assert kept.tolist() == [n, n, n]
+        oracle, oracle_kept = sequential_steps(lift, G0, n)
+        assert oracle_kept == [n, n, n]
+        C = lift.op.dense()
+        scale = np.max(np.abs(oracle), axis=(0, 1))
+        for s, t in enumerate(grid):
+            for want in (oracle[s], expm(C * t) @ G0):
+                assert np.all(np.max(np.abs(samples[s] - want), axis=0)
+                              <= 1e-13 * scale)
+
+    def test_diverging_column_cut_where_single_steps_cut_it(self):
+        # far from capacity the order-4 mode lift passes the divergence
+        # norm; the settled column beside it runs to the end
+        model = paper_model()
+        n = self.N_SAMPLES
+        grid = np.linspace(0.0, DEMO_T_END, n)
+        lift = route_lift(model, "mode", 4, DEMO_T_END, grid)
+        X0s = np.array([[1.0, 0.01, 0.05], IN_BALL_X0])
+        G0 = lift.op.initial_lift(x_to_eta(model, X0s)).T
+        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities)
+        _, oracle_kept = sequential_steps(lift, G0, n)
+        assert kept.tolist() == oracle_kept
+        assert 1 < kept[0] < n and kept[1] == n
+        trajs = evolve_lifted_block(lift.op, G0, DEMO_T_END, 1e-10, grid,
+                                    lift.step)
+        assert [t.diverged for t in trajs] == [True, False]
+        assert [t.times.size for t in trajs] == oracle_kept
+        np.testing.assert_array_equal(trajs[0].states,
+                                      samples[:kept[0], :, 0])
+
+    def test_short_grid_takes_a_short_stack(self):
+        grid = np.linspace(0.0, DEMO_T_END, 6)
+        lift = route_lift(paper_model(), "mode", 2, DEMO_T_END, grid)
+        assert lift.step.shape[0] == 5
 
 
 class TestWeightedDop853Path:
