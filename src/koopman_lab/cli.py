@@ -48,6 +48,12 @@ MAX_RSEP_DIM = 100
 # Largest Kaiser window length J of the spectral commands, which write one
 # CSV row per outcome and emulate one snapshot per window sample.
 MAX_WINDOW_J = 10**5 + 1
+# Most trials of `fermion-oracle-check`, each two covariance flows checked
+# against the dense density-matrix oracle, whose `--N` is at most
+# `fermion.ORACLE_MAX_N`.  At --N 4 a trial takes 34 ms on average (120 ms
+# when it draws N = 4; 2 cores, one BLAS thread), so the limit is about
+# 6 minutes.
+MAX_ORACLE_TRIALS = 10**4
 
 
 class ConfigError(Exception):
@@ -144,12 +150,15 @@ def _t_end(args, data, default):
 
 def _check_flags(args):
     """Range checks of the flags a command declares; absent ones are None."""
-    for flag, minimum in (("threads", 1), ("seed", 0), ("trials", 1),
-                          ("N", 1)):
+    for flag, minimum, maximum in (("threads", 1, None), ("seed", 0, None),
+                                   ("trials", 1, MAX_ORACLE_TRIALS),
+                                   ("N", 1, fermion.ORACLE_MAX_N)):
         value = getattr(args, flag, None)
-        if value is not None and value < minimum:
+        if value is not None and (value < minimum or (
+                maximum is not None and value > maximum)):
+            bound = "" if maximum is None else f" and <= {maximum}"
             raise ConfigError(
-                f"flag --{flag} must be >= {minimum}, got {value}")
+                f"flag --{flag} must be >= {minimum}{bound}, got {value}")
     orders = getattr(args, "orders", None)
     if orders is not None and min(orders) < 1:
         raise ConfigError(f"flag --orders takes orders >= 1, got "

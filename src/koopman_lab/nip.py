@@ -12,13 +12,13 @@ provided:
 
 Both truncation errors are measured in y coordinates against a reference
 obtained by integrating the exact quadratic eta dynamics.  The reference is
-the batched Taylor-series flow `polyflow.taylor_flow` at REFERENCE_TOL,
-which holds the coefficient tail of each expansion, one per span of up to
-`polyflow.TAYLOR_SPAN` sample intervals, under REFERENCE_TOL * max(1, |eta|);
-a batch of initial conditions is one call (`reference_y_trajectories`).
-Lifts run on the symmetric-monomial basis (`carleman.MonomialLift`),
-stepped as the columns of one block whose errors are measured as one array
-(`route_runs`).
+the batched Taylor-series flow `polyflow.taylor_samples` at REFERENCE_TOL:
+each row picks every step so that its expansion's coefficient tail stays
+under a fraction `polyflow.TAYLOR_TAIL` of REFERENCE_TOL * max(1, |eta|).
+A batch of initial conditions is one call, mapped to y once as arrays
+(`reference_y_samples`).  Lifts run on the symmetric-monomial basis
+(`carleman.MonomialLift`), stepped as the columns of one block whose errors
+are measured as one array against those arrays (`route_runs`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .polyflow import (
     Trajectory,
     quadratic_r_number,
     spectral_norm,
-    taylor_flow,
+    taylor_samples,
 )
 
 REFERENCE_TOL = 1e-12
@@ -192,17 +192,40 @@ def guaranteed_radius_squared(model: PopulationModel) -> float:
 # ---------------------------------------------------------------------------
 # reference flow and truncation-error runs
 
+@dataclass
+class ReferenceSamples:
+    """Reference y samples from c initial conditions on one grid of n
+    samples.  Row j's samples are meaningful before kept[j] and NaN
+    after."""
+
+    times: np.ndarray     # (n,)
+    y: np.ndarray         # (c, n, d)
+    kept: np.ndarray      # (c,)
+    diverged: np.ndarray  # (c,)
+
+
+def reference_y_samples(model: PopulationModel, X0s, t_end: float,
+                        tol: float = REFERENCE_TOL,
+                        sample_times=None) -> ReferenceSamples:
+    """Reference y(t) from each row of X0s: the exact quadratic eta flow,
+    integrated as one batch by `polyflow.taylor_samples`, mapped through
+    eta/(1+eta) as one array."""
+    etas = x_to_eta(model, np.asarray(X0s, dtype=float))
+    times, eta, kept, diverged = taylor_samples(
+        koopman_system(model), etas.astype(complex), t_end, tol,
+        sample_times)
+    y, _ = _back_map(eta.transpose(1, 0, 2))
+    return ReferenceSamples(times, y, kept, diverged)
+
+
 def reference_y_trajectories(model: PopulationModel, X0s, t_end: float,
                              tol: float = REFERENCE_TOL,
                              sample_times=None) -> list:
-    """Reference y(t) from each row of X0s: the exact quadratic eta flow,
-    integrated as one batch by `polyflow.taylor_flow`, mapped through
-    eta/(1+eta)."""
-    etas = x_to_eta(model, np.asarray(X0s, dtype=float))
-    trajs = taylor_flow(koopman_system(model), etas.astype(complex), t_end,
-                        tol, sample_times)
-    return [Trajectory(t.times, t.states / (1.0 + t.states),
-                       diverged=t.diverged) for t in trajs]
+    """`reference_y_samples`, one Trajectory per row of X0s."""
+    ref = reference_y_samples(model, X0s, t_end, tol, sample_times)
+    return [Trajectory(ref.times[:k], ref.y[row, :k], diverged=bool(cut))
+            for row, (k, cut) in enumerate(zip(ref.kept.tolist(),
+                                               ref.diverged.tolist()))]
 
 
 def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
@@ -274,37 +297,31 @@ def route_lift(model: PopulationModel, route: str, order: int,
     return RouteLift(op, exact_step(op, t_end, sample_times))
 
 
-def _route_errors(references, g1, kept, diverged, back_map) -> RouteErrors:
+def _route_errors(references: ReferenceSamples, g1, kept, diverged,
+                  back_map) -> RouteErrors:
     """Errors of the (c, n, d) lifted block-1 samples g1, of which column j
-    keeps kept[j], against the c reference trajectories, all at once."""
-    c, n, dim = g1.shape
-    ref = np.full((c, n, dim), np.nan, dtype=np.complex128)
-    ref_kept = np.empty(c, dtype=np.int64)
-    ref_diverged = np.empty(c, dtype=bool)
-    for row, traj in enumerate(references):
-        ref_kept[row] = traj.times.size
-        ref_diverged[row] = traj.diverged
-        ref[row, :traj.times.size] = traj.states[:n, :dim]
-    shared = np.minimum(kept, ref_kept)
+    keeps kept[j], against the c references, all at once."""
+    n = g1.shape[1]
+    shared = np.minimum(kept, references.kept)
     valid = np.arange(n) < shared[:, None]
     # samples past a column's end may hold inf or NaN; they are masked
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y = g1 if back_map is None else back_map(g1)
-        eps = np.linalg.norm(ref - y, axis=2)
+        eps = np.linalg.norm(references.y[:, :n] - y, axis=2)
     finite = valid & np.isfinite(eps)
     eps_max = np.max(np.where(finite, eps, -np.inf), axis=1)
     eps_max[~finite.any(axis=1)] = np.nan
-    eps_max[ref_diverged | diverged | (shared < np.maximum(kept, ref_kept))] \
-        = np.inf
+    eps_max[references.diverged | diverged
+            | (shared < np.maximum(kept, references.kept))] = np.inf
     return RouteErrors(y, eps, shared, diverged, eps_max,
                        np.any(valid & np.isnan(eps), axis=1))
 
 
 def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
-               tol: float, sample_times, references, lift: RouteLift,
-               width: int = 0) -> RouteErrors:
+               tol: float, sample_times, references: ReferenceSamples,
+               lift: RouteLift, width: int = 0) -> RouteErrors:
     """Truncation errors of `route` from each row of X0s, measured against
-    the matching reference, all on the shared `lift`.
+    the matching row of `references`, all on the shared `lift`.
 
     The lifts start as the columns of one block, propagated by
     `carleman.lifted_samples` (stepped exactly, at least `width` columns
@@ -332,8 +349,15 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                                            sample_times=sample_times)
     if lift is None:
         lift = route_lift(model, route, order, t_end, sample_times)
+    # room for every sample, t = 0 too where the grid lacks it
+    k = reference.times.size
+    y = np.full((1, np.size(sample_times) + 1, model.dim), np.nan,
+                dtype=np.complex128)
+    y[0, :k] = reference.states
     runs = route_runs(model, [x0], route, t_end, tol, sample_times,
-                      [reference], lift)
+                      ReferenceSamples(reference.times, y, np.array([k]),
+                                       np.array([reference.diverged])),
+                      lift)
     kept = int(runs.kept[0])
     y = Trajectory(reference.times[:kept], runs.y[0, :kept],
                    diverged=bool(runs.diverged[0]))

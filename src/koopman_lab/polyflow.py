@@ -6,10 +6,11 @@ coefficient tensors.  The degree-0 tensor is a plain vector (constant drive),
 degree 1 a matrix, and degree k maps the k-fold Kronecker power of x back to
 d components.
 
-Systems of degree <= 2 flow by `taylor_flow`: one expansion of order
-TAYLOR_ORDER spans up to TAYLOR_SPAN sample intervals, and one Horner pass
-over its coefficients gives the span's samples (Taylor's dense output,
-Jorba & Zou, Exp. Math. 14(1), 2005).
+Systems of degree <= 2 flow by `taylor_flow`: each row takes one
+expansion of order TAYLOR_ORDER per step, picks the step from the
+expansion's last two coefficients, and one Horner pass over the
+coefficients gives every sample inside the step (Taylor's step control and
+dense output, Jorba & Zou, Exp. Math. 14(1), 2005).
 
 `integrate_rhs` is the package's adaptive integrator, a DOP853 run.  Its
 solver lives in `_dop853`, the one module that imports scipy.integrate,
@@ -28,15 +29,16 @@ import numpy as np
 
 DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
-# Order of each Taylor expansion of `taylor_flow`, the most sample intervals
-# one expansion spans, and the most halvings of a span before the flow gives
-# up.  On criterion 04's 961-cell grid, order 20 over spans of 8 intervals
-# halves 31 of the reference's 15,376 spans and moves it by at most 1.2e-14
-# of |eta| from one order-12 expansion per interval, at under a third of the
-# cost.
+# Order of each Taylor expansion of `taylor_flow`, and the bound on the
+# expansion's last two coefficients over a step, as a fraction of the
+# flow's tolerance times max(1, |x|), that picks the step.  On criterion
+# 04's 961-cell grid, against a long-double Taylor flow, the reference's
+# largest error relative to max(1, |eta|) is 1.7e-13 at a bound of 1,
+# 3.0e-15 at 0.02 and 9.0e-16, roundoff, at 0.005, which 0.002 does not
+# lower.  At 0.005 a reference takes about 10 expansions per 128 sample
+# intervals.
 TAYLOR_ORDER = 20
-TAYLOR_SPAN = 8
-TAYLOR_MAX_HALVINGS = 60
+TAYLOR_TAIL = 0.005
 
 
 class DimensionError(ValueError):
@@ -324,8 +326,9 @@ class _QuadraticTaylor:
         self.starts = np.flatnonzero(np.diff(rows[by_row], prepend=-1))
         self.dim, self.order, self.tol = d, order, tol
 
-    def series(self, x: np.ndarray, h: float) -> np.ndarray:
-        """Coefficients a_0..a_p of z(t0 + s h), shape (p + 1, c, d + 1)."""
+    def series(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Coefficients a_0..a_p of z(t0 + s h[r]) from each row x[r],
+        shape (p + 1, c, d + 1)."""
         c, d = x.shape
         p, npair = self.order, self.jk.size // 2
         coef = np.zeros((p + 1, c, d + 1), dtype=np.complex128)
@@ -334,7 +337,7 @@ class _QuadraticTaylor:
         # per order, z_j of every factor pair, then z_k of every pair
         zjk = np.empty((p + 1, c, 2 * npair), dtype=np.complex128)
         coef[0].take(self.jk, axis=1, out=zjk[0])
-        scaled = self.vals * (h / np.arange(1, p + 1))[:, None]
+        scaled = self.vals * (h / np.arange(1, p + 1)[:, None])[:, :, None]
         for n in range(p):
             cauchy = np.add.reduce(
                 zjk[:n + 1, :, :npair] * zjk[n::-1, :, npair:], axis=0)
@@ -345,68 +348,50 @@ class _QuadraticTaylor:
             coef[n + 1].take(self.jk, axis=1, out=zjk[n + 1])
         return coef
 
-    def advance(self, x: np.ndarray, t: np.ndarray, depth: int = 0):
-        """(states at t[1:] per row, shape (k, c, d); per row, how many of
-        those samples come before the first one past DIVERGENCE_NORM).
+    def step(self, x: np.ndarray, guess: np.ndarray, room: np.ndarray):
+        """(coefficients of x(t0 + s guess), shape (p + 1, c, d); each
+        row's step, at most its room).
 
-        One expansion about t[0] with h = t[-1] - t[0] covers the k
-        samples: each is one Horner pass over the coefficients at
-        s_j = (t_j - t[0]) / h.  A row whose tail |a_p| + |a_{p-1}| exceeds
-        tol max(1, |x|) is advanced over the two halves of the span
-        instead, recursively; a span of one interval is halved at its
-        midpoint, which is not returned.  A row stops at the half where
-        it passed the norm.
+        The step is the largest h whose rescaled tail coefficients
+        a_p (h / guess)^p and a_{p-1} (h / guess)^(p-1) each stay within
+        TAYLOR_TAIL tol max(1, |x|) / 2 (Jorba & Zou 2005, section 3), so
+        the guess sets only the scale the coefficients are formed at.  A
+        coefficient that overflows gives a step of 0, one that is NaN a
+        NaN step.
         """
-        k, h = t.size - 1, t[-1] - t[0]
-        s = ((t[1:] - t[0]) / h)[:, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = self.series(x, h)[:, :, :self.dim]
-            tail = np.linalg.norm(coef[-1], axis=1) \
-                + np.linalg.norm(coef[-2], axis=1)
-            split = ~(tail <= self.tol * np.maximum(
-                1.0, np.linalg.norm(x, axis=1)))
-            y = np.repeat(coef[-1][None], k, axis=0)
-            for a in coef[-2::-1]:
-                y *= s
-                y += a
-            inside = np.linalg.norm(y, axis=2) <= DIVERGENCE_NORM
-        kept = np.where(inside.all(axis=0), k, inside.argmin(axis=0))
-        if split.any():
-            if depth == TAYLOR_MAX_HALVINGS:
-                raise StepUnderflowError(
-                    f"Taylor flow: a step of {h:.3g} misses tol {self.tol:g}"
-                    f" after {depth} halvings")
-            if k == 1:
-                t = np.array([t[0], t[0] + h / 2, t[1]])
-            m = t.size // 2
-            halves = np.empty((t.size - 1, split.sum(), self.dim), y.dtype)
-            halves[:m], got = self.advance(x[split], t[:m + 1], depth + 1)
-            go = got == m
-            if go.any():
-                halves[m:, go], got_end = self.advance(halves[m - 1, go],
-                                                       t[m:], depth + 1)
-                got[go] += got_end
-            if k == 1:
-                halves, got = halves[1:], np.maximum(got - 1, 0)
-            y[:, split], kept[split] = halves, got
-        return y, kept
+        p = self.order
+        coef = self.series(x, guess)[:, :, :self.dim]
+        budget = 0.5 * TAYLOR_TAIL * self.tol * np.maximum(
+            1.0, np.linalg.norm(x, axis=1))
+        grow = np.minimum(
+            (budget / np.linalg.norm(coef[-1], axis=1)) ** (1.0 / p),
+            (budget / np.linalg.norm(coef[-2], axis=1)) ** (1.0 / (p - 1)))
+        return coef, np.minimum(guess * grow, room)
 
 
-def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
-                sample_times=None) -> list:
-    """Flow of a polynomial system of degree <= 2 from each row of X0.
+def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
+                   tol: float, sample_times=None):
+    """Flow of a polynomial system of degree <= 2 from each row of X0, as
+    arrays.
 
-    Each span of up to TAYLOR_SPAN sample intervals is covered by one
-    Taylor expansion of order TAYLOR_ORDER about its left end, evaluated at
-    the span's samples (`_QuadraticTaylor.advance`), so any sample grid
-    works.  A row whose coefficient tail exceeds tol max(1, |x|) over the
-    span halves it, down to one interval and then inside it, up to
-    TAYLOR_MAX_HALVINGS halvings in all, then the flow raises
-    StepUnderflowError; the other rows are not touched.  Divergence is a
-    check on samples, as on the stepped lift: a row's trajectory ends
-    before its first sample past DIVERGENCE_NORM and is marked diverged,
-    as it is when the norm is passed between the last sample and t_end.
-    Returns one Trajectory per row of the (c, dim) array X0.
+    Each row steps on its own: one Taylor expansion of order TAYLOR_ORDER
+    about the row's current time, a step picked from its last two
+    coefficients (`_QuadraticTaylor.step`), and one Horner pass over the
+    coefficients at every sample inside the step and at its end, in units
+    of the guess the expansion was formed at (Taylor's dense output, Jorba
+    & Zou, Exp. Math. 14(1), 2005).  The first
+    expansion is formed at a guess of the whole horizon, each later one at
+    the row's previous step.  Rows keep their own times and steps, so a
+    row's bits do not depend on its batch.  A step that no longer advances
+    a row's time raises StepUnderflowError.  Divergence is a check on
+    samples and step ends: a row ends before its first sample past
+    DIVERGENCE_NORM and is marked diverged, as it is when a step end
+    passes the norm, between samples or after the last one.
+
+    Returns (times, states, kept, diverged): the n sample times (t = 0
+    prepended when the grid does not start there), the (n, c, dim) states,
+    how many leading samples each row keeps (the states after them are
+    NaN) and whether it diverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -416,8 +401,10 @@ def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
     if X0.ndim != 2 or X0.shape[1] != sys.dim:
         raise DimensionError("initial states must form a (c, dim) array")
     flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol)
+    c = X0.shape[0]
     if t_end == 0:
-        return [Trajectory(np.array([0.0]), x0[None, :]) for x0 in X0]
+        return (np.array([0.0]), X0[None].copy(), np.ones(c, dtype=np.int64),
+                np.zeros(c, dtype=bool))
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 129)
     times = np.asarray(sample_times, dtype=float)
@@ -425,26 +412,64 @@ def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
         times = np.concatenate(([0.0], times))
     if np.any(np.diff(times) <= 0) or times[-1] > t_end:
         raise ValueError("sample times must increase within [0, t_end]")
-    n, c = times.size, X0.shape[0]
-    grid = times if times[-1] == t_end else np.append(times, t_end)
-    states = np.empty((n, c, sys.dim), dtype=np.complex128)
+    n = times.size
+    states = np.full((n, c, sys.dim), np.nan, dtype=np.complex128)
     states[0] = X0
-    kept = np.full(c, n)
+    kept = np.full(c, n, dtype=np.int64)
     diverged = np.zeros(c, dtype=bool)
-    alive = np.arange(c)
-    for s in range(0, grid.size - 1, TAYLOR_SPAN):
-        if alive.size == 0:
-            break
-        span = grid[s:s + TAYLOR_SPAN + 1]
-        y, inside = flow.advance(states[s, alive], span)
-        stored = min(span.size, n - s) - 1
-        states[s + 1:s + 1 + stored, alive] = y[:stored]
-        over = inside < span.size - 1
-        kept[alive[over]] = np.minimum(s + 1 + inside[over], n)
-        diverged[alive[over]] = True
-        alive = alive[~over]
-    return [Trajectory(times[:kept[r]], states[:kept[r], r],
-                       diverged=bool(diverged[r])) for r in range(c)]
+    # the rows still stepping: their time, first sample not yet reached,
+    # state and step guess
+    rows, t, nxt = np.arange(c), np.zeros(c), np.ones(c, dtype=np.int64)
+    x, guess = X0, np.full(c, float(t_end))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while rows.size:
+            coef, h = flow.step(x, guess, t_end - t)
+            end = t + h
+            if not np.all(end > t):
+                r = np.argmin(end > t)
+                raise StepUnderflowError(
+                    f"Taylor flow: at t = {t[r]:.6g} a step of {h[r]:.3g} "
+                    f"no longer advances the time at tol {tol:g}")
+            done = h >= t_end - t
+            end[done] = t_end
+            upto = np.searchsorted(times, end, side="right")
+            count = upto - nxt
+            # Horner at each row's samples in (t, end], then at end itself,
+            # on the real and imaginary parts, which s scales alike
+            m = np.arange(count.max() + 1)[:, None]
+            inner = m < count
+            s = (np.where(inner, times[np.minimum(nxt + m, n - 1)], end)
+                 - t) / guess
+            s = np.repeat(s[:, :, None], 2 * sys.dim, axis=2)
+            parts = coef.view(np.float64)
+            y = np.repeat(parts[-1][None], m.size, axis=0)
+            for a in parts[-2::-1]:
+                y *= s
+                y += a
+            y = y.view(np.complex128)
+            outside = ~(np.linalg.norm(y, axis=2) <= DIVERGENCE_NORM)
+            past = inner & outside
+            cut = np.where(past.any(axis=0), past.argmax(axis=0), count)
+            mi, ri = np.nonzero(m < cut)
+            states[nxt[ri] + mi, rows[ri]] = y[mi, ri]
+            stop = (cut < count) | outside[-1]
+            kept[rows[stop]] = nxt[stop] + cut[stop]
+            diverged[rows[stop]] = True
+            go = ~(stop | done)
+            rows, t, nxt = rows[go], end[go], upto[go]
+            x, guess = y[-1, go], h[go]
+    return times, states, kept, diverged
+
+
+def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
+                sample_times=None) -> list:
+    """One Trajectory per row of the (c, dim) array X0, from
+    `taylor_samples`: its kept samples and whether it diverged."""
+    times, states, kept, diverged = taylor_samples(sys, X0, t_end, tol,
+                                                   sample_times)
+    return [Trajectory(times[:k], states[:k, r], diverged=bool(cut))
+            for r, (k, cut) in enumerate(zip(kept.tolist(),
+                                             diverged.tolist()))]
 
 
 def uniform_spacing(sample_times, t_end: float):

@@ -20,7 +20,7 @@ from .nip import (
     eta_to_x,
     koopman_system,
     nip_evolve,
-    reference_y_trajectories,
+    reference_y_samples,
     reference_y_trajectory,
     route_lift,
     route_runs,
@@ -32,7 +32,7 @@ from .polyflow import (
     DIVERGENCE_NORM,
     SparseTensor,
     Trajectory,
-    integrate_reference,
+    taylor_flow,
     write_csv,
 )
 
@@ -124,10 +124,11 @@ def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
 
 
 def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
-    """Cells of one chunk: one batched reference, then each route's lifts.
-    A route's lifted samples are dropped before the next route runs."""
-    references = reference_y_trajectories(model, X0s, t_end,
-                                          sample_times=sample_times)
+    """Cells of one chunk: one batched reference, mapped to y once, then
+    each route's lifts.  A route's lifted samples are dropped before the
+    next route runs."""
+    references = reference_y_samples(model, X0s, t_end,
+                                     sample_times=sample_times)
     vacancy, mode = (_route_cells(X0s, route, model, orders, t_end, tol,
                                   sample_times, lifts, references)
                      for route in ROUTES)
@@ -256,10 +257,12 @@ def _populations(model: PopulationModel, traj: Trajectory,
 def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
                        tol: float = 1e-12, sample_times=None) -> Trajectory:
     """Reference populations from x0: the exact quadratic eta flow
-    (`nip.koopman_system`), a DOP853 run at `tol`, mapped to x = X/(1+eta)
-    and ended where a population leaves (0, DIVERGENCE_NORM]."""
-    traj = integrate_reference(koopman_system(model), x_to_eta(model, x0),
-                               t_end, tol, sample_times)
+    (`nip.koopman_system`), a Taylor flow at `tol` (`polyflow.taylor_flow`),
+    mapped to x = X/(1+eta) and ended where a population leaves
+    (0, DIVERGENCE_NORM]."""
+    traj, = taylor_flow(koopman_system(model),
+                        x_to_eta(model, x0)[None, :], t_end, tol,
+                        sample_times)
     return _populations(model, traj, eta_to_x)
 
 

@@ -28,8 +28,8 @@ from .polyflow import (
 
 CLOSED_FORM_TOL = 1e-10
 # The residuals compare flows at SAMPLES times np.linspace(0, t_end, SAMPLES);
-# the x and eta flows are Taylor flows whose coefficient tails are held under
-# FLOW_TOL max(1, |z|) per span of up to `polyflow.TAYLOR_SPAN` intervals.
+# the x and eta flows are Taylor flows that pick each step so that its
+# coefficient tail stays under `polyflow.TAYLOR_TAIL` FLOW_TOL max(1, |z|).
 SAMPLES = 65
 FLOW_TOL = 1e-12
 

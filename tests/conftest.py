@@ -108,13 +108,14 @@ def dop853_density():
 
 @pytest.fixture
 def taylor_expansions(monkeypatch):
-    """The batch size of every Taylor expansion `taylor_flow` takes."""
-    sizes = []
+    """The (states, step guesses) of every Taylor expansion `taylor_flow`
+    takes, one row per row of its batch."""
+    expansions = []
     series = polyflow._QuadraticTaylor.series
 
     def counted(self, x, h):
-        sizes.append(x.shape[0])
+        expansions.append((x.copy(), np.array(h, copy=True)))
         return series(self, x, h)
 
     monkeypatch.setattr(polyflow._QuadraticTaylor, "series", counted)
-    return sizes
+    return expansions

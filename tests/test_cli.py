@@ -490,6 +490,30 @@ class TestExitCodes:
         assert f"flag {flag} must be >= 1" in captured.err
         assert "max_deviation" not in captured.out
 
+    @pytest.mark.parametrize("flag, limit", [
+        ("--N", fermion.ORACLE_MAX_N), ("--trials", cli.MAX_ORACLE_TRIALS)])
+    def test_oracle_check_bounds_refused_before_running(
+            self, capsys, monkeypatch, flag, limit):
+        # --N 5 used to exit 0 or 2 by seed, as the trials drew N <= 4 or
+        # not; now every seed is refused, the flag named, before a trial
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(fermion, "oracle_deviation", fail)
+        for seed in range(4):
+            code = cli.run(["fermion-oracle-check", flag, str(limit + 1),
+                            "--seed", str(seed)])
+            assert code == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err == (f"config error: flag {flag} must be >= 1 "
+                                    f"and <= {limit}, got {limit + 1}\n")
+            assert captured.out == ""
+
+    def test_oracle_check_bounds_admit_the_defaults(self):
+        args = cli.build_parser().parse_args(["fermion-oracle-check"])
+        assert args.N <= fermion.ORACLE_MAX_N
+        assert args.trials <= cli.MAX_ORACLE_TRIALS
+
     def test_integrator_failure_is_numerical(self, tmp_path, capsys,
                                              monkeypatch):
         from koopman_lab import population
@@ -594,7 +618,8 @@ class TestExitCodes:
 
 COLD_START = """
 import sys
-from koopman_lab import cli, fermion, rsep
+import numpy as np
+from koopman_lab import cli, fermion, polyflow, rsep
 
 def loaded():
     return [name in sys.modules
@@ -610,6 +635,8 @@ fermion.oracle_deviation(2, 0, 1.0)
 rsep.lifted_flow_residual(rsep.RsepParams(4, 10.0, 20.0, 0.1), 1.0)
 states += loaded()
 assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
+states += loaded()
+polyflow.integrate_rhs(lambda t, x: -x, np.ones(1), 1.0, 1e-8)
 print(*states, *loaded())
 """
 
@@ -632,10 +659,10 @@ class TestColdStart:
         # (scipy.integrate, scipy.sparse.linalg) after the import; after a
         # 2 x 2 scan at orders 1 and 3, the default trajectory comparison,
         # the covariance steady state, the density-matrix oracle and the
-        # rsep lift; and after the chaos run, whose eta flow is DOP853's.
-        # Only scipy.integrate's own import loads scipy.sparse.linalg.
-        assert loaded.split() == ["False", "False", "False", "False",
-                                  "True", "True"]
+        # rsep lift; after the chaos run, whose eta flow is a Taylor flow;
+        # and after a DOP853 run.  Only scipy.integrate's own import loads
+        # scipy.sparse.linalg.
+        assert loaded.split() == ["False"] * 6 + ["True", "True"]
         assert len((lazy / "scan.csv").read_text().splitlines()) == 5
         proc = run_python(["-c", EAGER_CHAOS], eager)
         assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from koopman_lab.polyflow import (
     system_from_json,
     system_to_json,
     taylor_flow,
+    taylor_samples,
     vectorized_rhs,
     write_csv,
 )
@@ -279,27 +280,62 @@ class TestTaylorFlow:
         assert traj.diverged and traj.times.size == 3
 
     def test_rows_do_not_depend_on_their_batch(self, taylor_expansions):
-        # two settling rows, two diverging rows with halved spans, and a
-        # row that halves a span but stays within the norm: each row alone
-        # gives the same bits as in the batch
+        # two settling rows, two diverging rows that step down to their
+        # poles, and a row that shortens its steps but stays within the
+        # norm: each row alone gives the same bits as in the batch
         sys = blow_up_system()
         grid = np.linspace(0.0, 0.1, 33)
         X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0], [0.9, 4.0],
                        [8.0, 0.0]])
         batch = taylor_flow(sys, X0, 0.1, 1e-12, grid)
+        in_batch = list(taylor_expansions)
+        alone_total = 0
         for x0, traj in zip(X0, batch):
             taylor_expansions.clear()
             alone, = taylor_flow(sys, x0[None, :], 0.1, 1e-12, grid)
             np.testing.assert_array_equal(alone.times, traj.times)
             np.testing.assert_array_equal(alone.states, traj.states)
-            # 32 intervals are 4 spans, unless the row halves one
-            assert (len(taylor_expansions) > 4) == (x0[0] > 1.0)
+            # the same expansions alone as in the batch: the row's state
+            # and step guess of each one are a row of the batch's
+            assert len(taylor_expansions) <= len(in_batch)
+            for (x, h), (xb, hb) in zip(taylor_expansions, in_batch):
+                assert np.any(np.all(xb == x, axis=1) & (hb == h))
+            alone_total += len(taylor_expansions)
+        assert alone_total == sum(x.shape[0] for x, _ in in_batch)
         assert not batch[4].diverged
 
+    def test_sample_arrays_hold_each_rows_trajectory(self):
+        # one (n, c, d) array: each row's kept samples, then NaN
+        sys = blow_up_system()
+        grid = np.linspace(0.0, 0.1, 33)
+        X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0]])
+        times, states, kept, diverged = taylor_samples(sys, X0, 0.1, 1e-12,
+                                                       grid)
+        np.testing.assert_array_equal(times, grid)
+        assert states.shape == (33, 3, 2)
+        for r, traj in enumerate(taylor_flow(sys, X0, 0.1, 1e-12, grid)):
+            assert kept[r] == traj.times.size
+            assert diverged[r] == traj.diverged
+            np.testing.assert_array_equal(states[:kept[r], r], traj.states)
+            assert np.isnan(states[kept[r]:, r]).all()
+        assert kept.tolist() == [17, 33, 11]
+
+    def test_blow_up_rows_step_to_their_poles(self, taylor_expansions):
+        # x0' = x0^2 - x0 has its pole near t = 1/x0; each step ends a
+        # fixed fraction of the way there, so the rows reach the norm in
+        # 96 and 93 expansions
+        sys = blow_up_system()
+        grid = np.linspace(0.0, 0.1, 33)
+        for x0, samples in (([20.0, 1.0], 17), ([30.0, -1.0], 11)):
+            taylor_expansions.clear()
+            traj, = taylor_flow(sys, np.array([x0]), 0.1, 1e-12, grid)
+            assert traj.diverged and traj.times.size == samples
+            assert len(taylor_expansions) <= 100
+
     def test_stiff_interval_is_halved(self):
-        # lambda h = 100 over the span, and 50 over one interval, are far
-        # outside one order-20 expansion's reach; the tail bound is
-        # absolute below |x| = 1
+        # lambda h = 50 over one interval is far outside one order-20
+        # expansion's reach, so the steps fall inside the intervals; the
+        # tail bound is absolute below |x| = 1
         sys = linear_system(np.array([[-100.0]]))
         traj, = taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(traj.states[:, 0],
@@ -307,11 +343,10 @@ class TestTaylorFlow:
                                    atol=1e-12)
 
     @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 1.0, 131),               # last span: 2 intervals
+        np.linspace(0.0, 1.0, 131),
         np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 42))),
     ], ids=["partial-last-span", "geometric"])
     def test_spanned_flow_matches_dop853(self, grid):
-        assert (grid.size - 1) % polyflow.TAYLOR_SPAN != 0
         sys = driven_quadratic(3, seed=6)
         X0 = np.random.default_rng(7).normal(size=(3, 3))
         for x0, traj in zip(X0, taylor_flow(sys, X0, 1.0, 1e-13, grid)):
@@ -322,8 +357,8 @@ class TestTaylorFlow:
                                        atol=1e-9)
 
     def test_spanned_blow_up_matches_dop853(self):
-        # 130 intervals: 16 full spans and a partial one; rows 0 and 2
-        # leave the norm inside a span, row 1 settles
+        # 130 intervals; rows 0 and 2 leave the norm between samples,
+        # row 1 settles
         sys = blow_up_system()
         grid = np.linspace(0.0, 0.1, 131)
         X0 = np.array([[20.0, 1.0], [0.5, 0.2], [12.0, -1.0]])
@@ -334,14 +369,14 @@ class TestTaylorFlow:
             np.testing.assert_array_equal(traj.times, event.times)
             np.testing.assert_allclose(traj.states, event.states, rtol=1e-9)
         assert [traj.diverged for traj in flows] == [True, False, True]
-        assert all((traj.times.size - 1) % polyflow.TAYLOR_SPAN != 0
-                   for traj in flows[::2])
 
-    def test_halving_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(polyflow, "TAYLOR_MAX_HALVINGS", 3)
-        sys = linear_system(np.array([[-100.0]]))
-        with pytest.raises(StepUnderflowError, match="halvings"):
-            taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
+    def test_step_that_cannot_advance_raises(self, monkeypatch):
+        # with no norm to stop it, the blow-up row's steps shrink with its
+        # distance to the pole until a step no longer changes its time
+        monkeypatch.setattr(polyflow, "DIVERGENCE_NORM", np.inf)
+        with pytest.raises(StepUnderflowError, match="no longer advances"):
+            taylor_flow(blow_up_system(), np.array([[20.0, 1.0]]), 0.1,
+                        1e-12)
 
 
 class TestNorms:

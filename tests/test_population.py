@@ -3,7 +3,7 @@ import pytest
 
 from koopman_lab import nip, population
 from koopman_lab.nip import PopulationModel, nip_evolve, vacancy_evolve
-from koopman_lab.polyflow import SparseTensor, eval_rhs
+from koopman_lab.polyflow import SparseTensor, eval_rhs, integrate_reference
 from koopman_lab.population import (
     chaos_demo,
     convergence_scan,
@@ -183,7 +183,8 @@ class TestTrajectories:
             exact_x_trajectory(model, np.array([0.0, 1.0, 1.0]), 0.1)
 
     def test_compare_integrates_one_reference(self, model, monkeypatch):
-        # every reference, batched or single, goes through this function
+        # every reference trajectory, batched or single, goes through this
+        # function
         calls = []
         batch = nip.reference_y_trajectories
 
@@ -228,6 +229,21 @@ class TestTrajectories:
 
 
 class TestChaos:
+    def test_chaos_flow_matches_dop853(self, model):
+        # the chaos run's eta flow is a Taylor flow; DOP853 is its oracle
+        x0 = np.array([0.05, 1.3, 0.025])
+        grid = np.linspace(0.0, population.CHAOS_T_END, 2001)
+        traj = exact_x_trajectory(model, x0, population.CHAOS_T_END,
+                                  sample_times=grid)
+        eta = integrate_reference(nip.koopman_system(model),
+                                  nip.x_to_eta(model, x0),
+                                  population.CHAOS_T_END, 1e-12, grid)
+        assert not traj.diverged and not eta.diverged
+        np.testing.assert_array_equal(traj.times, eta.times)
+        np.testing.assert_allclose(traj.states,
+                                   nip.eta_to_x(model, eta.states),
+                                   rtol=1e-9)
+
     def test_settling_point_reaches_capacity(self, model):
         res = chaos_demo(model, np.array([0.05, 1.3, 0.025]))
         assert res.settled
