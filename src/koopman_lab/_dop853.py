@@ -7,6 +7,8 @@ on its first call, so a process that never runs DOP853 never loads them.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
@@ -88,6 +90,13 @@ def solve(rhs, x0: np.ndarray, t_end: float, tol: float, sample_times,
     blow_up.terminal = True
     blow_up.direction = 1
 
-    return solve_ivp(rhs, (0.0, t_end), x0, method=method, rtol=tol,
-                     atol=tol, t_eval=sample_times, events=blow_up,
-                     dense_output=False, **options)
+    sol = solve_ivp(rhs, (0.0, t_end), x0, method=method, rtol=tol,
+                    atol=tol, t_eval=sample_times, events=blow_up,
+                    dense_output=False, **options)
+    # scipy's solver keeps itself in a reference cycle (its `fun` closure),
+    # which holds the run's stages and `rhs` with whatever it closes over,
+    # such as a lift's generator.  Code that allocates few Python objects
+    # between runs triggers the cyclic collector rarely, and that garbage
+    # piles up; the youngest generation, which holds it, is freed here.
+    gc.collect(0)
+    return sol

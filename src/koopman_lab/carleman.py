@@ -12,19 +12,23 @@ condition.  Two bases carry it:
 * the symmetric-monomial basis keeps one coordinate x^alpha per multiset
   alpha, 1 <= |alpha| <= order (`MonomialLift`): 285 coordinates at d = 3,
   order 10, where the Kronecker layout repeats each one |alpha|!/alpha!
-  times, 88,572 in all.  Its generator is a sparse matrix built from
+  times, 88,572 in all.  Its generator is built from
   d/dt x^alpha = sum_i alpha_i x^(alpha - e_i) f_i(x) (Kowalski & Steeb
-  1991; Forets & Pouly, arXiv:1711.02552).  The library runs every lift
-  on it.
+  1991; Forets & Pouly, arXiv:1711.02552) for every tensor entry at once,
+  and kept as its (row, column, value) triplets.  The library runs every
+  lift on it.
 
 `lifted_samples` propagates either.  A lift whose Kronecker layout has
 at most DENSE_LIMIT coordinates, sampled on a uniform grid, is stepped
 exactly by the powers P, P^2, ..., P^K of the one-sample step P = expm(C h)
-(scaling and squaring, Al-Mohy & Higham 2009): a whole (D, c) block of
-initial lifts takes one product per span of K samples (`step_block`).
-Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
-loads scipy.integrate on its first run) under the norm of the Kronecker
-layout, so both bases take the same steps.
+(scaling and squaring, Al-Mohy & Higham 2009) of its dense generator, the
+triplets added into a matrix; the powers are filled by doubling, and a
+whole (D, c) block of initial lifts takes one product per span of K
+samples (`step_block`).  Larger lifts are integrated with DOP853
+(`polyflow.integrate_rhs`, which loads scipy.integrate on its first run)
+under the norm of the Kronecker layout, so both bases take the same
+steps; their applies multiply by a CSR matrix of the triplets, built on
+the first apply.
 """
 
 from __future__ import annotations
@@ -235,17 +239,27 @@ class MonomialLift:
     multiplicities[a] = |alpha|! / alpha! Kronecker coordinates, kron_dim
     in all.  Monomial a of degree k >= 2 is monomial parents[a] of degree
     k - 1 times x_(factors[a]), its largest index.
+
+    The generator is held as its (row, column, value) triplets, a
+    duplicate position summing its values.  It has two views, each built
+    from the triplets when asked for: `dense()`, which the exact step
+    reads, adds them into a dense matrix; `apply`, which only the lifts
+    integrated by DOP853 call, multiplies by a CSR matrix of them, built on
+    the first apply and kept.
     """
 
     dim: int
     order: int
-    generator: csr_matrix     # (D, D) complex
+    rows: np.ndarray          # (nnz,) generator triplets
+    cols: np.ndarray
+    vals: np.ndarray          # complex
     exponents: np.ndarray     # (D, dim) int
     multiplicities: np.ndarray  # (D,) float
     kron_dim: int
     offsets: np.ndarray       # degree k starts at offsets[k-1]; D at the end
     parents: np.ndarray
     factors: np.ndarray
+    _csr: csr_matrix = field(default=None, init=False, repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -253,10 +267,17 @@ class MonomialLift:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """C g for a lifted vector or a (D, m) block of them."""
-        return self.generator @ g
+        if self._csr is None:
+            size = self.total_dim
+            self._csr = csr_matrix((self.vals, (self.rows, self.cols)),
+                                   shape=(size, size), dtype=np.complex128)
+        return self._csr @ g
 
     def dense(self) -> np.ndarray:
-        return self.generator.toarray()
+        """C as a dense (D, D) matrix, the triplets added in order."""
+        out = np.zeros((self.total_dim,) * 2, dtype=np.complex128)
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        return out
 
     def initial_lift(self, z0: np.ndarray) -> np.ndarray:
         """z0^alpha for every coordinate: a vector for one initial
@@ -289,13 +310,13 @@ def monomial_index(exponents: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     sum_{i < d-1} C(T_i + d - i - 2, d - i - 1), T_i = sum_{j > i} alpha_j.
     """
     d = exponents.shape[1]
-    binomials = np.array([[comb(n, r) for r in range(d + 1)]
-                          for n in range(len(offsets) + d)], dtype=np.int64)
+    # ahead[T, i] = C(T + d - i - 2, d - i - 1), T = 0 .. order
+    ahead = np.array([[comb(T + d - i - 2, d - i - 1) for i in range(d - 1)]
+                      for T in range(len(offsets))],
+                     dtype=np.int64).reshape(len(offsets), d - 1)
     tails = np.cumsum(exponents[:, ::-1], axis=1)[:, ::-1]
-    index = offsets[tails[:, 0] - 1].copy()
-    for i in range(d - 1):
-        index += binomials[tails[:, i + 1] + d - i - 2, d - i - 1]
-    return index
+    return offsets[tails[:, 0] - 1] \
+        + ahead[tails[:, 1:], np.arange(d - 1)].sum(axis=1)
 
 
 def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
@@ -307,6 +328,7 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
     column alpha - e_i + beta(c), beta(c) the exponent of c, for every
     alpha with alpha_i > 0 and |alpha| + k - 1 <= order; higher degrees are
     dropped, as the Kronecker layout drops blocks above the order.  The
+    triplets run by the entry's degree, then by alpha, then by entry.  The
     Kronecker dimension is guarded as in `build_carleman`.
     """
     if order < 1:
@@ -323,34 +345,36 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
     for k in range(2, order + 1):
         # a child appends a factor no smaller than its parent's largest
         parent, factor = np.nonzero(factors[-1][:, None] <= np.arange(d))
-        child = exps[-1][parent] + eye[factor]
-        exps.append(child)
+        mults.append(mults[-1][parent] * k
+                     // (exps[-1][parent, factor] + 1))
+        exps.append(exps[-1][parent] + eye[factor])
         parents.append(parent + offsets[-2])
         factors.append(factor)
-        mults.append(mults[-1][parent] * k
-                     // child[np.arange(parent.size), factor])
         offsets.append(offsets[-1] + parent.size)
     exponents = np.vstack(exps)
     offsets = np.array(offsets, dtype=np.int64)
-    size = offsets[-1]
-    rows, cols, vals = [], [], []
-    for k, tensor_rows, col_idx, values in entry_plan(sys):
-        if not 1 <= k <= order:
-            continue
-        beta = np.sum(col_idx[:, :, None] == np.arange(d), axis=1)
-        sources = exponents[:offsets[order - k + 1]]
-        src, entry = np.nonzero(sources[:, tensor_rows] > 0)
-        i = tensor_rows[entry]
-        target = sources[src] - eye[i] + beta[entry]
-        rows.append(src)
-        cols.append(monomial_index(target, offsets))
-        vals.append(sources[src, i] * values[entry])
-    if rows:
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    generator = csr_matrix((vals, (rows, cols)), shape=(size, size),
-                           dtype=np.complex128)
+    # the entries of every kept degree at once, in degree order (an empty
+    # degree-1 set when there are none)
+    plan = [p for p in entry_plan(sys) if 1 <= p[0] <= order] or [
+        (1, np.empty(0, dtype=np.int64), np.empty((0, 1), dtype=np.int64),
+         np.empty(0, dtype=np.complex128))]
+    degree = np.repeat([k for k, *_ in plan], [r.size for _, r, _, _ in plan])
+    tensor_rows = np.concatenate([r for _, r, _, _ in plan])
+    values = np.concatenate([v for *_, v in plan])
+    beta = np.concatenate([(c[:, :, None] == np.arange(d)).sum(axis=1)
+                           for _, _, c, _ in plan])
+    # source alpha, entry e: alpha_i > 0 and |alpha| + k - 1 <= order,
+    # ordered by the entry's degree, then alpha, then e
+    src, entry = np.nonzero((exponents[:, tensor_rows] > 0)
+                            & (exponents.sum(axis=1)[:, None] + degree
+                               <= order + 1))
+    by_degree = np.argsort(degree[entry], kind="stable")
+    src, entry = src[by_degree], entry[by_degree]
+    i = tensor_rows[entry]
+    cols = monomial_index(exponents[src] - eye[i] + beta[entry], offsets)
     return MonomialLift(
-        dim=d, order=order, generator=generator, exponents=exponents,
+        dim=d, order=order, rows=src, cols=cols,
+        vals=exponents[src, i] * values[entry], exponents=exponents,
         multiplicities=np.concatenate(mults).astype(float),
         kron_dim=kron_dim, offsets=offsets,
         parents=np.concatenate(parents), factors=np.concatenate(factors))
@@ -364,21 +388,27 @@ def exact_step(op, t_end: float, sample_times):
     applies when the lift's Kronecker layout has at most DENSE_LIMIT
     coordinates and the samples are the uniform grid
     np.linspace(0, t_end, n) with n >= 2 and t_end > 0 (`uniform_spacing`);
-    then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and P^i is P
-    times P^(i-1).  Otherwise the result is None and the lift is
-    integrated instead.
+    then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
+    is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
+    (D, D) product per doubling.  Otherwise the result is None and the
+    lift is integrated instead.
     """
     if op.kron_dim > DENSE_LIMIT:
         return None
     h = uniform_spacing(sample_times, t_end)
     if h is None:
         return None
-    step = expm(op.dense() * h)
-    stack = np.empty((min(np.size(sample_times) - 1, STEP_SPAN),)
-                     + step.shape, dtype=np.complex128)
-    stack[0] = step
-    for i in range(1, stack.shape[0]):
-        np.matmul(step, stack[i - 1], out=stack[i])
+    span = min(np.size(sample_times) - 1, STEP_SPAN)
+    size = op.total_dim
+    stack = np.empty((span, size, size), dtype=np.complex128)
+    stack[0] = expm(op.dense() * h)
+    # doubling: P^(m+1) .. P^(2m) are P^1 .. P^m times P^m, one product
+    done = 1
+    while done < span:
+        new = min(done, span - done)
+        np.matmul(stack[:new].reshape(new * size, size), stack[done - 1],
+                  out=stack[done:done + new].reshape(new * size, size))
+        done += new
     return stack
 
 
@@ -400,7 +430,9 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
     span, size = stack.shape[:2]
     count = G0.shape[1]
     cols = max(count, width)
-    samples = np.zeros((n, size, cols), dtype=np.complex128)
+    # every sample after the first is written by the products below
+    samples = np.empty((n, size, cols), dtype=np.complex128)
+    samples[0, :, count:] = 0.0
     samples[0, :, :count] = G0
     powers = stack.reshape(span * size, size)
     for start in range(0, n - 1, span):

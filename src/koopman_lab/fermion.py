@@ -347,18 +347,16 @@ def decay_spectrum(sys: FermionSystem, state: CovarianceState) -> DecaySpectrum:
     # a_kl = <q_k (x) q_l | vec(Gamma0)> = (Q^dag Gamma0 conj(Q))_{kl}
     a = Q.conj().T @ state.Gamma @ Q.conj()
     n2 = 2 * sys.N
-    rates, weights, pairs = [], [], []
-    for k in range(n2):
-        for l in range(n2):
-            rates.append(nus[k] + nus[l])
-            weights.append(abs(a[k, l])**2)
-            pairs.append((k, l))
+    # pair (k, l) at k n2 + l; |a_kl|^2 through libm's hypot and pow, as
+    # the scalar abs(a_kl) ** 2 takes them (np.abs and ** 2 round
+    # differently in some last bits)
+    sums = nus[:, None] + nus[None, :]
+    weights = np.float_power(np.hypot(a.real, a.imag), 2).ravel()
     order = np.argsort(weights)[::-1]
-    rates = np.array(rates)[order]
-    weights = np.array(weights)[order]
-    pairs = [pairs[i] for i in order]
-    gap = min(nus[k] + nus[l] for k in range(n2) for l in range(k + 1, n2))
-    return DecaySpectrum(rates, weights, pairs, float(gap), nus)
+    k, l = np.divmod(order, n2)
+    gap = sums[np.triu_indices(n2, 1)].min()
+    return DecaySpectrum(sums.ravel()[order], weights[order],
+                         list(zip(k.tolist(), l.tolist())), float(gap), nus)
 
 
 def lindblad_gap(sys: FermionSystem) -> float:

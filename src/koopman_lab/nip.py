@@ -132,41 +132,61 @@ def vacancy_taylor_tensors(model: PopulationModel, order: int) -> PolySystem:
                                         + y_i^2 sum y_j^m y_k^n ],
     with the three geometric sums cut at total degree order, order-1 and
     order-2 respectively so every kept monomial has degree <= order.
+
+    Term t = 0, 1, 2 of the bracket at powers (m, n) has degree m + n + t
+    and multi-index (j, k, i^t, j^(m-1), k^(n-1)).  The entries of every
+    degree are formed as arrays for all J entries at once, in the order of
+    the sums: the -r_i y_i (1 - y_i) entries first, then J entry by J
+    entry, m ascending and, within m, n ascending.  A key met more than
+    once sums in that order (`polyflow.PolySystem.from_arrays`).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     d = model.dim
-    tensors = [None] + [SparseTensor(k, d) for k in range(1, order + 1)]
-    for i in range(d):
-        tensors[1].add(i, (i,), -model.r[i])
-        if order >= 2:
-            tensors[2].add(i, (i, i), model.r[i])
-    for i, (j, k), val in model.J.entries():
-        coeff = model.X[i] * val
-        for m in range(1, order):
-            for n in range(1, order - m + 1):
-                cols = (j, k) + (j,) * (m - 1) + (k,) * (n - 1)
-                tensors[m + n].add(i, cols, coeff)
-                if m + n + 1 <= order:
-                    tensors[m + n + 1].add(i, (j, k, i) + cols[2:], -2 * coeff)
-                if m + n + 2 <= order:
-                    tensors[m + n + 2].add(i, (j, k, i, i) + cols[2:], coeff)
-    return PolySystem(d, tensors)
+    i, jk, val = model.J.sorted_arrays()
+    coeff = model.X[i] * val
+    # per term: degree, t, and the multi-index in the symbols 0, 1, 2 of
+    # j, k, i, padded to `order` columns
+    terms = [(m + n + t, t, [0, 1] + [2] * t + [0] * (m - 1) + [1] * (n - 1)
+              + [0] * (order - m - n - t))
+             for m in range(1, order) for n in range(1, order - m + 1)
+             for t in range(3) if m + n + t <= order]
+    term_degree = np.array([deg for deg, _, _ in terms], dtype=np.int64)
+    term_t = np.array([t for _, t, _ in terms], dtype=np.int64)
+    symbols = np.array([s for _, _, s in terms],
+                       dtype=np.int64).reshape(len(terms), order)
+    # the -r_i y_i entries, the r_i y_i^2 ones (order >= 2), then the
+    # terms of each J entry
+    kinds = min(order, 2)
+    lead = np.tile(np.arange(d), kinds)
+    degrees = np.concatenate([np.repeat([1, 2][:kinds], d),
+                              np.tile(term_degree, i.size)])
+    rows = np.concatenate([lead, np.repeat(i, len(terms))])
+    cols = np.concatenate([np.repeat(lead[:, None], order, axis=1),
+                           np.column_stack([jk, i])[:, symbols]
+                           .reshape(-1, order)])
+    vals = np.concatenate([-model.r, model.r][:kinds]
+                          + [np.stack([coeff, -2 * coeff, coeff])[term_t].T
+                             .reshape(-1)])
+    return PolySystem.from_arrays(d, order, degrees, rows, cols, vals)
 
 
 def koopman_tensors(model: PopulationModel):
     """Exact quadratic mode dynamics: G1 = diag(-r), [G2]_{i,(j,k)} = X_i J_{i,jk}."""
-    G1 = np.diag(-model.r).astype(complex)
-    G2 = SparseTensor(2, model.dim)
-    for i, (j, k), val in model.J.entries():
-        G2.add(i, (j, k), model.X[i] * val)
-    return G1, G2
+    return np.diag(-model.r).astype(complex), koopman_system(model).tensors[2]
 
 
 def koopman_system(model: PopulationModel) -> PolySystem:
-    G1, G2 = koopman_tensors(model)
-    t1 = SparseTensor.from_dense_flat(1, G1)
-    return PolySystem(model.dim, [None, t1, G2])
+    """The mode dynamics d eta/dt = G1 eta + G2 (eta (x) eta) as one system,
+    G1 and G2 sorted at once."""
+    d = model.dim
+    i, jk, val = model.J.sorted_arrays()
+    diag = np.arange(d)
+    return PolySystem.from_arrays(
+        d, 2, np.repeat([1, 2], [d, i.size]),
+        np.concatenate([diag, i]),
+        np.concatenate([np.column_stack([diag, diag]), jk]),
+        np.concatenate([-model.r, model.X[i] * val]))
 
 
 def r_number_nip(model: PopulationModel, eta0: np.ndarray) -> float:

@@ -53,24 +53,80 @@ class StepUnderflowError(RuntimeError):
     """The adaptive integrator could not take a step at the requested tolerance."""
 
 
-@dataclass
+def _canonical(keys: np.ndarray, vals: np.ndarray):
+    """The distinct rows of `keys` in lexicographic order, each with the
+    sum of its values taken from zero in input order, as `SparseTensor.add`
+    sums them.  Both results are read-only."""
+    # lexsort is stable, so each key's values stay in input order
+    order = np.lexsort(keys.T[::-1])
+    keys, vals = keys[order], vals[order]
+    repeat = (keys[1:] == keys[:-1]).all(axis=1)
+    if repeat.any():
+        first = np.concatenate([[True], ~repeat])
+        sums = np.zeros(keys.shape[0] - np.count_nonzero(repeat),
+                        dtype=np.complex128)
+        np.add.at(sums, np.cumsum(first) - 1, vals)
+        keys, vals = keys[first], sums
+    else:
+        vals = vals + 0.0  # summed from zero as well: -0.0 parts become 0.0
+    keys.flags.writeable = vals.flags.writeable = False
+    return keys, vals
+
+
+def _entry_keys(dim: int, rows, cols, vals, width: int):
+    """(rows, cols) as one checked (nnz, 1 + width) key array, and the
+    values."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.complex128)
+    if rows.ndim != 1 or vals.shape != rows.shape \
+            or cols.shape != (rows.size, width):
+        raise DimensionError(
+            f"entries need rows (nnz,), cols (nnz, {width}) and vals (nnz,), "
+            f"got {rows.shape}, {cols.shape} and {vals.shape}")
+    keys = np.concatenate([rows[:, None], cols], axis=1)
+    if keys.size and (keys.min() < 0 or keys.max() >= dim):
+        raise DimensionError(f"index out of range for dim {dim}")
+    return keys, vals
+
+
+@dataclass(eq=False)
 class SparseTensor:
     """Degree-k coefficient tensor held as (row, multi-index, value) entries.
 
-    Entries are kept keyed by (row, multi-index); inserting a duplicate key
-    sums the values.  Iteration order is lexicographic in the key, which makes
-    serialization deterministic.
+    The entries are canonical arrays: each key (row, multi-index) once, in
+    lexicographic order, which makes iteration and serialization
+    deterministic.  `from_arrays` (and `PolySystem.from_arrays`, several
+    degrees at once) builds them from arrays of entries with a fixed number
+    of numpy operations; `add` inserts one entry, checked in Python, and is
+    folded into the arrays at the next read.  Either way a duplicate key
+    sums its values from zero in input order, so a tensor built in bulk
+    equals the same entries added one by one, to the bit.
     """
 
     degree: int
     dim: int
-    _entries: dict = field(default_factory=dict)
+    _keys: np.ndarray = field(init=False, repr=False)  # (nnz, 1 + degree)
+    _vals: np.ndarray = field(init=False, repr=False)
+    _pending: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
+        self._keys = np.empty((0, self.degree + 1), dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.complex128)
+
+    @classmethod
+    def from_arrays(cls, degree: int, dim: int, rows, cols,
+                    vals) -> "SparseTensor":
+        """Tensor of the entries (rows[e], cols[e], vals[e]): rows and vals
+        of length nnz, cols of shape (nnz, degree)."""
+        t = cls(degree, dim)
+        t._keys, t._vals = _canonical(
+            *_entry_keys(dim, rows, cols, vals, degree))
+        return t
 
     def add(self, row: int, cols: tuple, value: complex) -> None:
         cols = tuple(int(c) for c in cols)
@@ -82,17 +138,32 @@ class SparseTensor:
         for c in cols:
             if not 0 <= c < self.dim:
                 raise DimensionError(f"column {c} out of range for dim {self.dim}")
-        key = (int(row), cols)
-        self._entries[key] = self._entries.get(key, 0.0) + complex(value)
+        self._pending.append(((int(row),) + cols, complex(value)))
+
+    def sorted_arrays(self):
+        """(rows, (nnz, degree) multi-indices, values) in key order,
+        read-only."""
+        self._fold()
+        return self._keys[:, 0], self._keys[:, 1:], self._vals
+
+    def _fold(self) -> None:
+        """Merge the entries added since the last read into the arrays."""
+        if self._pending:
+            keys, vals = zip(*self._pending)
+            self._pending = []
+            self._keys, self._vals = _canonical(
+                np.concatenate([self._keys, np.array(keys, dtype=np.int64)]),
+                np.concatenate([self._vals, vals]))
 
     def entries(self):
         """Sorted (row, cols, value) triples, zero-valued entries included."""
-        for key in sorted(self._entries):
-            yield key[0], key[1], self._entries[key]
+        rows, cols, vals = self.sorted_arrays()
+        return zip(rows.tolist(), map(tuple, cols.tolist()), vals.tolist())
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        self._fold()
+        return self._vals.size
 
     def col_flat(self, cols: tuple) -> int:
         """Row-major flattening of a multi-index (first index most significant)."""
@@ -103,11 +174,13 @@ class SparseTensor:
 
     def arrays(self):
         """Entry data as (rows, flat_cols, values) numpy arrays."""
-        keys = sorted(self._entries)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([self.col_flat(k[1]) for k in keys], dtype=np.int64)
-        vals = np.array([self._entries[k] for k in keys], dtype=np.complex128)
-        return rows, cols, vals
+        if self.dim**self.degree > np.iinfo(np.int64).max:
+            raise OverflowGuardError("flat column index exceeds int64")
+        rows, cols, vals = self.sorted_arrays()
+        flat = np.zeros(rows.size, dtype=np.int64)
+        for c in cols.T:
+            flat = flat * self.dim + c
+        return rows, flat, vals
 
     def dense_flat(self) -> np.ndarray:
         """Dense (d, d^k) flattening of the tensor."""
@@ -115,8 +188,8 @@ class SparseTensor:
         if self.dim * ncols > KRON_SIZE_LIMIT:
             raise OverflowGuardError("dense flattening exceeds size guard")
         out = np.zeros((self.dim, ncols), dtype=np.complex128)
-        for row, cols, val in self.entries():
-            out[row, self.col_flat(cols)] += val
+        rows, flat, vals = self.arrays()
+        out[rows, flat] = vals
         return out
 
     @classmethod
@@ -125,16 +198,9 @@ class SparseTensor:
         d = mat.shape[0]
         if mat.shape[1] != d**degree:
             raise DimensionError("flattened shape inconsistent with degree")
-        t = cls(degree, d)
-        for row in range(d):
-            for flat in np.nonzero(mat[row])[0]:
-                cols = []
-                rem = int(flat)
-                for _ in range(degree):
-                    cols.append(rem % d)
-                    rem //= d
-                t.add(row, tuple(reversed(cols)), mat[row, flat])
-        return t
+        rows, flat = np.nonzero(mat)
+        cols = flat[:, None] // d ** np.arange(degree - 1, -1, -1) % d
+        return cls.from_arrays(degree, d, rows, cols, mat[rows, flat])
 
 
 @dataclass
@@ -152,6 +218,39 @@ class PolySystem:
                 raise DimensionError(
                     f"tensor at slot {k} has degree {t.degree}, dim {t.dim}")
 
+    @classmethod
+    def from_arrays(cls, dim: int, order: int, degrees, rows, cols,
+                    vals) -> "PolySystem":
+        """System of the entries (degrees[e], rows[e], cols[e], vals[e]),
+        all degrees sorted and summed at once.  cols is (nnz, order), and an
+        entry of degree k reads its first k columns.  Every degree 1..order
+        gets a tensor, empty when it has no entries; degree 0 gets one only
+        when it has entries.  Each tensor equals `SparseTensor.from_arrays`
+        of its degree's entries in input order, to the bit."""
+        degrees = np.asarray(degrees, dtype=np.int64)
+        if degrees.ndim != 1 or np.shape(cols) != (degrees.size, order):
+            raise DimensionError(
+                f"entries need degrees (nnz,) and cols (nnz, {order}), got "
+                f"{degrees.shape} and {np.shape(cols)}")
+        if degrees.size and (degrees.min() < 0 or degrees.max() > order):
+            raise DimensionError(f"entry degrees must lie in 0..{order}")
+        # keys (degree, row, multi-index padded with zeros)
+        keys, vals = _entry_keys(
+            dim, rows, np.where(np.arange(order) < degrees[:, None], cols, 0),
+            vals, order)
+        keys, vals = _canonical(
+            np.concatenate([degrees[:, None], keys], axis=1), vals)
+        bounds = np.searchsorted(keys[:, 0], np.arange(order + 2)).tolist()
+        tensors = []
+        for k in range(order + 1):
+            t = SparseTensor(k, dim)
+            lo, hi = bounds[k], bounds[k + 1]
+            t._keys, t._vals = keys[lo:hi, 1:k + 2], vals[lo:hi]
+            tensors.append(t)
+        if not tensors[0].nnz:
+            tensors[0] = None
+        return cls(dim, tensors)
+
     @property
     def max_degree(self) -> int:
         return len(self.tensors) - 1
@@ -163,7 +262,9 @@ class PolySystem:
 
     def has_constant_term(self) -> bool:
         t0 = self.tensor(0)
-        return t0 is not None and any(abs(v) > 0 for _, _, v in t0.entries())
+        if t0 is None:
+            return False
+        return bool(np.any(np.abs(t0.sorted_arrays()[2]) > 0))
 
 
 @dataclass
@@ -207,16 +308,9 @@ def eval_rhs(sys: PolySystem, x: np.ndarray) -> np.ndarray:
 
 def entry_plan(sys: PolySystem) -> list:
     """(degree, rows, (nnz, degree) column indices, values) per degree
-    that has entries."""
-    plan = []
-    for k, t in enumerate(sys.tensors):
-        if t is None or t.nnz == 0:
-            continue
-        rows, _, vals = t.arrays()
-        col_idx = np.array([list(c) for _, c, _ in t.entries()],
-                           dtype=np.int64).reshape(t.nnz, k)
-        plan.append((k, rows, col_idx, vals))
-    return plan
+    that has entries, the tensors' sorted arrays as they are."""
+    return [(k, *t.sorted_arrays()) for k, t in enumerate(sys.tensors)
+            if t is not None and t.nnz]
 
 
 def vectorized_rhs(sys: PolySystem):
@@ -317,11 +411,12 @@ class _QuadraticTaylor:
             vals.append(v)
         rows = np.concatenate(rows)
         by_row = np.argsort(rows, kind="stable")
-        # each distinct factor pair's Cauchy sum is formed once per order
-        uniq, pair_of = np.unique(np.vstack(pairs)[by_row], axis=0,
-                                  return_inverse=True)
-        self.pair_of = pair_of.reshape(-1)
-        self.jk = np.concatenate([uniq[:, 0], uniq[:, 1]])
+        # each distinct factor pair's Cauchy sum is formed once per order;
+        # pair (j, k) is coded j (d + 1) + k, which sorts as the pairs do
+        pairs = np.vstack(pairs)[by_row]
+        uniq, self.pair_of = np.unique(pairs[:, 0] * (d + 1) + pairs[:, 1],
+                                       return_inverse=True)
+        self.jk = np.concatenate([uniq // (d + 1), uniq % (d + 1)])
         self.vals = np.concatenate(vals).astype(np.complex128)[by_row]
         self.starts = np.flatnonzero(np.diff(rows[by_row], prepend=-1))
         self.dim, self.order, self.tol = d, order, tol

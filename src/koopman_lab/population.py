@@ -79,8 +79,11 @@ def default_threads() -> int:
 
 def worker_count(threads: int, n_jobs: int) -> int:
     """Worker processes for n_jobs tasks: min(threads, cpu count, n_jobs),
-    at least 1."""
-    return max(1, min(threads, os.cpu_count() or 1, n_jobs))
+    at least 1.  The cpu count is read only when that could exceed 1."""
+    wanted = min(threads, n_jobs)
+    if wanted <= 1:
+        return 1
+    return min(wanted, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------

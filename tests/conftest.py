@@ -106,6 +106,78 @@ def dop853_density():
     return _dop853_density
 
 
+class _PerEntryTensors:
+    """Per-entry builders of the population model's tensors, the oracles of
+    the array builders: entries are summed one at a time into dicts keyed
+    by (degree, row, multi-index), starting from 0.0, in the order of the
+    model's sums.  `tensors` returns each degree's sorted (row, cols,
+    value) triples."""
+
+    @staticmethod
+    def _add(out, degree, row, cols, value):
+        key = (degree, row, tuple(cols))
+        out[key] = out.get(key, 0.0) + complex(value)
+
+    @staticmethod
+    def tensors(out):
+        by_degree = {}
+        for (k, row, cols), val in sorted(out.items()):
+            by_degree.setdefault(k, []).append((row, cols, val))
+        return by_degree
+
+    @classmethod
+    def vacancy(cls, model, order):
+        out = {}
+        for i in range(model.dim):
+            cls._add(out, 1, i, (i,), -model.r[i])
+            if order >= 2:
+                cls._add(out, 2, i, (i, i), model.r[i])
+        for i, (j, k), val in model.J.entries():
+            coeff = model.X[i] * val
+            for m in range(1, order):
+                for n in range(1, order - m + 1):
+                    cols = (j, k) + (j,) * (m - 1) + (k,) * (n - 1)
+                    cls._add(out, m + n, i, cols, coeff)
+                    if m + n + 1 <= order:
+                        cls._add(out, m + n + 1, i, (j, k, i) + cols[2:],
+                                 -2 * coeff)
+                    if m + n + 2 <= order:
+                        cls._add(out, m + n + 2, i, (j, k, i, i) + cols[2:],
+                                 coeff)
+        return cls.tensors(out)
+
+    @classmethod
+    def mode(cls, model):
+        out = {}
+        G1 = np.diag(-model.r).astype(complex)
+        for i in range(model.dim):
+            for j in np.nonzero(G1[i])[0]:
+                cls._add(out, 1, i, (int(j),), G1[i, j])
+        for i, (j, k), val in model.J.entries():
+            cls._add(out, 2, i, (j, k), model.X[i] * val)
+        return cls.tensors(out)
+
+    @classmethod
+    def dense_flat(cls, degree, mat):
+        mat = np.asarray(mat, dtype=np.complex128)
+        d = mat.shape[0]
+        out = {}
+        for row in range(d):
+            for flat in np.nonzero(mat[row])[0]:
+                cols, rem = [], int(flat)
+                for _ in range(degree):
+                    cols.append(rem % d)
+                    rem //= d
+                cls._add(out, degree, row, tuple(reversed(cols)),
+                         mat[row, flat])
+        return cls.tensors(out).get(degree, [])
+
+
+@pytest.fixture(scope="session")
+def per_entry_tensors():
+    return _PerEntryTensors
+
+
 @pytest.fixture
 def taylor_expansions(monkeypatch):
     """The (states, step guesses) of every Taylor expansion `taylor_flow`

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from math import factorial
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 
 from koopman_lab import carleman
 from koopman_lab.carleman import (
@@ -21,6 +24,7 @@ from koopman_lab.carleman import (
     initial_lift,
     truncation_error,
 )
+from koopman_lab.nip import route_system
 from koopman_lab.polyflow import (
     DimensionError,
     OverflowGuardError,
@@ -30,6 +34,7 @@ from koopman_lab.polyflow import (
     integrate_rhs,
     kron_power,
 )
+from koopman_lab.population import paper_model
 
 
 def random_quadratic(d, seed, scale=0.3):
@@ -261,6 +266,48 @@ class TestMonomialLift:
         with pytest.raises(ConstantDriveError):
             build_monomial_lift(PolySystem(2, [t0]), 2)
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), order=st.integers(1, 5),
+           degrees=st.sets(st.integers(1, 3), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dense_is_the_csr_of_its_triplets(self, d, order, degrees, seed):
+        # the triplets repeat positions, and two orders of summing m terms
+        # differ by at most m - 1 ulps of the summed magnitudes
+        sys, _ = random_system(d, degrees, np.random.default_rng(seed))
+        lift = build_monomial_lift(sys, order)
+        size = lift.total_dim
+        want = csr_matrix((lift.vals, (lift.rows, lift.cols)),
+                          shape=(size, size)).toarray()
+        magnitude, terms = np.zeros((2, size, size))
+        np.add.at(magnitude, (lift.rows, lift.cols), np.abs(lift.vals))
+        np.add.at(terms, (lift.rows, lift.cols), 1.0)
+        got = lift.dense()
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(got) - part(want))
+                          <= np.maximum(terms - 1, 0) * np.spacing(magnitude))
+        block = np.random.default_rng(seed).normal(size=(size, 5)) + 0j
+        applied = lift.apply(block)
+        np.testing.assert_array_equal(lift.apply(block), applied)
+        np.testing.assert_allclose(applied, want @ block, rtol=0,
+                                   atol=1e-13 * np.abs(want).sum()
+                                   * np.abs(block).max())
+
+    def test_paper_lifts_dense_is_the_csr_of_its_triplets(self):
+        # within one ulp of the summed magnitudes
+        model = paper_model()
+        for route in ("vacancy", "mode"):
+            for order in range(1, 9):
+                lift = build_monomial_lift(
+                    route_system(model, route, order), order)
+                size = lift.total_dim
+                want = csr_matrix((lift.vals, (lift.rows, lift.cols)),
+                                  shape=(size, size)).toarray()
+                magnitude = np.zeros((size, size))
+                np.add.at(magnitude, (lift.rows, lift.cols),
+                          np.abs(lift.vals))
+                assert np.all(np.abs(lift.dense() - want)
+                              <= np.spacing(magnitude))
+
     def test_kronecker_dimension_guarded(self):
         # 165 monomials, but 10^9 Kronecker coordinates
         with pytest.raises(OverflowGuardError):
@@ -389,6 +436,24 @@ class TestExactStep:
         np.testing.assert_allclose(traj.states[:, :d], want, rtol=0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("route", ["vacancy", "mode"])
+    @pytest.mark.parametrize("order, n", [(1, 129), (3, 129), (4, 20),
+                                          (3, 2)])
+    def test_doubled_stack_is_the_sequential_powers(self, route, order, n):
+        # P^k from doubling against P times P^(k-1) and expm(C k h)
+        lift = build_monomial_lift(
+            route_system(paper_model(), route, order), order)
+        h = 0.1 / (n - 1)
+        stack = exact_step(lift, 0.1, np.linspace(0.0, 0.1, n))
+        assert stack.shape[0] == min(n - 1, carleman.STEP_SPAN)
+        C = lift.dense()
+        power = stack[0]
+        for k, got in enumerate(stack, start=1):
+            scale = np.linalg.norm(got)
+            assert np.linalg.norm(got - power) <= 1e-14 * scale
+            assert np.linalg.norm(got - expm(C * (k * h))) <= 1e-14 * scale
+            power = stack[0] @ power
+
     def test_zero_horizon_is_the_initial_sample(self):
         sys, _, _ = random_quadratic(2, seed=18)
         op = build_carleman(sys, 3)
@@ -419,6 +484,23 @@ class TestExactStep:
         np.testing.assert_allclose(traj.states,
                                    np.exp(-grid)[:, None] * np.ones(d),
                                    rtol=0, atol=1e-8)
+
+    def test_integrated_run_frees_its_lift(self):
+        # scipy's solver sits in a reference cycle that holds the lift; the
+        # run frees it without waiting for the automatic collector
+        sys, _, _ = random_quadratic(3, seed=24, scale=0.1)
+        lift = build_monomial_lift(sys, 5)
+        grid = np.linspace(0.0, 0.5, 17)
+        assert exact_step(lift, 0.5, grid) is None
+        g0 = lift.initial_lift(np.array([0.1, -0.05, 0.08]))
+        alive = weakref.ref(lift)
+        gc.disable()
+        try:
+            evolve_lifted(lift, g0, 0.5, 1e-10, grid)
+            del lift
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_block_columns_are_single_runs(self):
         # an expanding lift: the largest start passes the divergence norm

@@ -272,6 +272,28 @@ class TestSpectrumAndSteady:
         nus = np.sort(spec.nus)
         assert spec.gap == pytest.approx(nus[0] + nus[1])
 
+    @pytest.mark.parametrize("N", [1, 3, 8])
+    def test_spectrum_matches_the_per_pair_loop(self, N):
+        # the scalar loop over the (2N)^2 pairs, k-major, bit for bit
+        rng = np.random.default_rng(N)
+        sys = FermionSystem(N, *commuting_example(
+            N, rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 1.5, N)))
+        g0 = CovarianceState(random_antisymmetric(2 * N, rng))
+        lam, Q = fermion._normal_eigenbasis(sys)
+        nus = -lam.real
+        a = Q.conj().T @ g0.Gamma @ Q.conj()
+        pairs = [(k, l) for k in range(2 * N) for l in range(2 * N)]
+        weights = np.array([abs(a[k, l]) ** 2 for k, l in pairs])
+        order = np.argsort(weights)[::-1]
+        spec = decay_spectrum(sys, g0)
+        assert spec.pairs == [pairs[i] for i in order]
+        np.testing.assert_array_equal(spec.weights.view(np.int64),
+                                      weights[order].view(np.int64))
+        np.testing.assert_array_equal(
+            spec.rates, np.array([nus[k] + nus[l] for k, l in pairs])[order])
+        assert spec.gap == min(nus[k] + nus[l] for k in range(2 * N)
+                               for l in range(k + 1, 2 * N))
+
     def test_lindblad_gap(self):
         sys = commuting_system()
         assert lindblad_gap(sys) == pytest.approx(decay_spectrum(

@@ -41,6 +41,7 @@ from koopman_lab.nip import (
 from koopman_lab.polyflow import (
     DIVERGENCE_NORM,
     DimensionError,
+    PolySystem,
     SparseTensor,
     eval_rhs,
     integrate_reference,
@@ -63,6 +64,19 @@ def small_model(seed=0, coupling=0.2):
                 if abs(val) > 0.05:
                     J.add(i, (j, k), val)
     return PopulationModel(d, 1.0 + rng.random(d), 1.0 + rng.random(d), J)
+
+
+def assert_system_bitwise(sys, want):
+    """Each degree's tensor holds the entries want[degree], keys equal and
+    values equal to the bit; degrees absent from `want` hold none."""
+    for k, t in enumerate(sys.tensors):
+        got = [] if t is None else list(t.entries())
+        expected = want.get(k, [])
+        assert [e[:2] for e in got] == [e[:2] for e in expected], k
+        np.testing.assert_array_equal(
+            np.array([e[2] for e in got], dtype=complex).view(np.int64),
+            np.array([e[2] for e in expected], dtype=complex).view(np.int64))
+    assert max(want) <= sys.max_degree
 
 
 def exact_y_rhs(model, y):
@@ -140,8 +154,26 @@ class TestVacancyTensors:
         sys = vacancy_taylor_tensors(small_model(), 4)
         assert sys.max_degree <= 4
 
+    @pytest.mark.parametrize("order", range(1, 11))
+    @pytest.mark.parametrize("make", [paper_model, small_model])
+    def test_matches_per_entry_oracle_to_the_bit(self, make, order,
+                                                 per_entry_tensors):
+        model = make()
+        assert_system_bitwise(vacancy_taylor_tensors(model, order),
+                              per_entry_tensors.vacancy(model, order))
+
 
 class TestKoopmanTensors:
+    @pytest.mark.parametrize("make", [paper_model, small_model])
+    def test_matches_per_entry_oracle_to_the_bit(self, make,
+                                                 per_entry_tensors):
+        model = make()
+        want = per_entry_tensors.mode(model)
+        assert_system_bitwise(koopman_system(model), want)
+        _, G2 = koopman_tensors(model)
+        assert_system_bitwise(PolySystem(model.dim, [None, None, G2]),
+                              {2: want[2]})
+
     def test_quadratic_rhs_exact(self):
         model = small_model()
         eta = np.array([0.3, -0.1, 0.2])

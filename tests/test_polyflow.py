@@ -34,6 +34,16 @@ def linear_system(M):
     return PolySystem(d, [None, SparseTensor.from_dense_flat(1, M)])
 
 
+def assert_entries_bitwise(tensor, want):
+    """The tensor's entries are `want`'s (row, cols, value) triples, keys
+    equal and values equal to the bit."""
+    got = list(tensor.entries())
+    assert [e[:2] for e in got] == [e[:2] for e in want]
+    np.testing.assert_array_equal(
+        np.array([e[2] for e in got], dtype=complex).view(np.int64),
+        np.array([e[2] for e in want], dtype=complex).view(np.int64))
+
+
 class TestSparseTensor:
     def test_duplicate_entries_sum(self):
         t = SparseTensor(2, 3)
@@ -63,6 +73,101 @@ class TestSparseTensor:
             t.add(2, (0,), 1.0)
         with pytest.raises(DimensionError):
             t.add(0, (2,), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(0, 3), d=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_from_dense_flat_matches_per_entry_oracle(self, degree, d, seed,
+                                                      per_entry_tensors):
+        # zeros, signed zeros and real entries included
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(d, d**degree)) \
+            + 1j * rng.normal(size=(d, d**degree))
+        mat[rng.random(mat.shape) < 0.3] = 0.0
+        mat[rng.random(mat.shape) < 0.2] = -0.0
+        mat.imag[rng.random(mat.shape) < 0.3] = -0.0
+        assert_entries_bitwise(SparseTensor.from_dense_flat(degree, mat),
+                               per_entry_tensors.dense_flat(degree, mat))
+
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_from_arrays_sums_repeated_keys_like_add(self, degree, seed):
+        # few distinct keys, so most repeat; values of mixed magnitude
+        rng = np.random.default_rng(seed)
+        n, d = 40, 2
+        rows = rng.integers(0, d, n)
+        cols = rng.integers(0, d, (n, degree))
+        vals = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n) \
+            + 1j * rng.normal(size=n)
+        vals[rng.random(n) < 0.2] = -0.0
+        bulk = SparseTensor.from_arrays(degree, d, rows, cols, vals)
+        one_by_one = SparseTensor(degree, d)
+        oracle = {}
+        for row, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            one_by_one.add(row, c, v)
+            key = (row, tuple(c))
+            oracle[key] = oracle.get(key, 0.0) + complex(v)
+        want = [(row, c, oracle[row, c]) for row, c in sorted(oracle)]
+        assert_entries_bitwise(bulk, want)
+        assert_entries_bitwise(one_by_one, want)
+
+    def test_add_after_bulk_sums_onto_it(self):
+        t = SparseTensor.from_arrays(2, 3, [0, 1], [[1, 2], [0, 0]],
+                                     [1.5, 2.0])
+        t.add(0, (1, 2), 2.5)
+        t.add(2, (0, 1), 1.0)
+        assert list(t.entries()) == [(0, (1, 2), 4.0), (1, (0, 0), 2.0),
+                                     (2, (0, 1), 1.0)]
+        assert t.nnz == 3
+
+    def test_sorted_arrays_are_read_only(self):
+        rows, cols, vals = SparseTensor.from_dense_flat(
+            1, np.eye(2)).sorted_arrays()
+        for a in (rows, cols, vals):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_from_arrays_checks_shapes_and_range(self):
+        with pytest.raises(DimensionError):
+            SparseTensor.from_arrays(2, 3, [0], [[1]], [1.0])
+        with pytest.raises(DimensionError):
+            SparseTensor.from_arrays(1, 3, [0, 1], [[1], [2]], [1.0])
+        with pytest.raises(DimensionError):
+            SparseTensor.from_arrays(1, 3, [3], [[0]], [1.0])
+        with pytest.raises(DimensionError):
+            SparseTensor.from_arrays(1, 3, [0], [[-1]], [1.0])
+        empty = SparseTensor.from_arrays(2, 3, [], np.empty((0, 2)), [])
+        assert empty.nnz == 0 and list(empty.entries()) == []
+
+
+class TestPolySystemFromArrays:
+    def test_each_degree_is_its_tensor_from_arrays(self):
+        rng = np.random.default_rng(5)
+        d, order, n = 3, 4, 60
+        degrees = rng.integers(1, order + 1, n)
+        rows = rng.integers(0, d, n)
+        cols = rng.integers(0, 2, (n, order))  # repeated keys
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        sys = PolySystem.from_arrays(d, order, degrees, rows, cols, vals)
+        assert sys.tensors[0] is None and sys.max_degree == order
+        for k in range(1, order + 1):
+            pick = degrees == k
+            want = SparseTensor.from_arrays(k, d, rows[pick],
+                                            cols[pick, :k], vals[pick])
+            assert_entries_bitwise(sys.tensors[k], list(want.entries()))
+
+    def test_empty_degrees_get_tensors_and_constants_are_kept(self):
+        sys = PolySystem.from_arrays(2, 3, [0, 3], [1, 0],
+                                     [[0, 0, 0], [1, 1, 0]], [2.0, 1.0])
+        assert sys.tensors[0].nnz == 1 and sys.has_constant_term()
+        assert [t.nnz for t in sys.tensors[1:]] == [0, 0, 1]
+        assert list(sys.tensors[3].entries()) == [(0, (1, 1, 0), 1.0)]
+
+    def test_degrees_and_shapes_checked(self):
+        with pytest.raises(DimensionError):
+            PolySystem.from_arrays(2, 2, [3], [0], [[0, 0]], [1.0])
+        with pytest.raises(DimensionError):
+            PolySystem.from_arrays(2, 2, [1], [0], [[0]], [1.0])
 
 
 class TestEvalRhs:

@@ -1,7 +1,10 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from koopman_lab import nip, population
+from koopman_lab import carleman, nip, population
 from koopman_lab.nip import PopulationModel, nip_evolve, vacancy_evolve
 from koopman_lab.polyflow import SparseTensor, eval_rhs, integrate_reference
 from koopman_lab.population import (
@@ -12,6 +15,9 @@ from koopman_lab.population import (
     scan_to_csv,
     trajectory_compare,
 )
+
+
+VERDICTS = Path(__file__).parent / "data" / "criterion04_verdicts.csv"
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,28 @@ class TestScan:
             b"0.55000000000000004,0.10000000000000001,converged,pole-invalid,"
             b"0.001,nan,0.33333333333333331,0\r\n"
             b"1,0.10000000000000001,diverged,diverged,inf,2.5,inf,nan\r\n")
+
+    def test_full_grid_reproduces_the_recorded_verdicts(self, model,
+                                                        tmp_path):
+        # criterion 04's 961 cells, against tests/data; see its header
+        recorded = list(csv.reader(
+            line for line in VERDICTS.read_text().splitlines()
+            if not line.startswith("#")))
+        scan_to_csv(convergence_scan(model, threads=1), tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", newline="") as fh:
+            got = [row[:4] for row in csv.reader(fh)]
+        assert len(recorded) == 962
+        assert got == recorded
+
+    def test_scan_builds_no_csr(self, model, monkeypatch):
+        # the exact path reads each lift's triplets densely
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan at orders (1, 3) built a CSR")
+
+        monkeypatch.setattr(carleman, "csr_matrix", refuse)
+        res = convergence_scan(model, x2_range=[0.6, 1.4],
+                               x3_range=[0.9, 1.7], orders=(1, 3), threads=1)
+        assert res.carleman_verdict.shape == (2, 2)
 
     def test_bad_orders_rejected(self, model):
         with pytest.raises(ValueError):
