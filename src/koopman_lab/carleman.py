@@ -42,6 +42,7 @@ from scipy.sparse import csr_matrix
 
 from .polyflow import (
     DIVERGENCE_NORM,
+    GRID_SAMPLES,
     DimensionError,
     OverflowGuardError,
     PolySystem,
@@ -82,13 +83,6 @@ def block_offsets(d: int, order: int) -> np.ndarray:
     return offsets
 
 
-def _block_slice(d: int, order: int, offsets: np.ndarray, k: int) -> slice:
-    if not 1 <= k <= order:
-        raise DimensionError(f"block {k} out of range")
-    start = int(offsets[k - 1])
-    return slice(start, start + d**k)
-
-
 class ConstantDriveError(ValueError):
     """The lift requires a zero constant term in the source system."""
 
@@ -113,9 +107,6 @@ class CarlemanOperator:
     def multiplicities(self) -> np.ndarray:
         """Kronecker coordinates each coordinate stands for: one."""
         return np.ones(self.total_dim)
-
-    def block_slice(self, k: int) -> slice:
-        return _block_slice(self.dim, self.order, self.offsets, k)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """C g, matrix-free, for a lifted vector or a (D, m) block of them.
@@ -178,7 +169,10 @@ class LiftedState:
         self.offsets = block_offsets(self.dim, self.order)
 
     def block(self, k: int) -> np.ndarray:
-        return self.data[_block_slice(self.dim, self.order, self.offsets, k)]
+        if not 1 <= k <= self.order:
+            raise DimensionError(f"block {k} out of range")
+        start = int(self.offsets[k - 1])
+        return self.data[start:start + self.dim**k]
 
 
 def build_carleman(sys: PolySystem, order: int) -> CarlemanOperator:
@@ -472,7 +466,7 @@ def lifted_samples(op, G0: np.ndarray, t_end: float, tol: float,
     if G0.ndim != 2 or G0.shape[0] != op.total_dim:
         raise DimensionError("operator/state dims mismatch")
     if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
+        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     times = np.asarray(sample_times, dtype=float)
     if step is None:
         step = exact_step(op, t_end, times)
@@ -494,51 +488,17 @@ def lifted_samples(op, G0: np.ndarray, t_end: float, tol: float,
     return times, samples, kept, np.array([traj.diverged for traj in trajs])
 
 
-def evolve_lifted_block(op, G0: np.ndarray, t_end: float, tol: float,
-                        sample_times=None, step=None,
-                        width: int = 0) -> list:
-    """Trajectories of dg/dt = C g from each column of the (D, c) block G0,
-    one per column, from `lifted_samples`."""
-    times, samples, kept, diverged = lifted_samples(
-        op, G0, t_end, tol, sample_times, step, width)
-    return [Trajectory(times[:k], samples[:k, :, col], diverged=bool(cut))
-            for col, (k, cut) in enumerate(zip(kept.tolist(),
-                                               diverged.tolist()))]
-
-
 def evolve_lifted(op, g0, t_end: float, tol: float, sample_times=None,
                   step=None) -> Trajectory:
-    """Trajectory of dg/dt = C g from g0: `evolve_lifted_block` on a block
-    of one.  g0 is a `LiftedState` of a Kronecker `CarlemanOperator`, or a
-    lifted vector such as `MonomialLift.initial_lift(z0)`."""
+    """Trajectory of dg/dt = C g from g0: `lifted_samples` on a block of
+    one, its kept samples and whether it diverged.  g0 is a `LiftedState`
+    of a Kronecker `CarlemanOperator`, or a lifted vector such as
+    `MonomialLift.initial_lift(z0)`."""
     if isinstance(g0, LiftedState):
         if (g0.dim, g0.order) != (op.dim, op.order):
             raise DimensionError("operator/state dims mismatch")
         g0 = g0.data
-    return evolve_lifted_block(op, np.asarray(g0)[:, None], t_end, tol,
-                               sample_times, step)[0]
-
-
-def truncation_error(reference: Trajectory, lifted: Trajectory,
-                     dim: int, order: int, back_map=None):
-    """Per-sample distance between the reference flow and back-mapped block 1
-    of a lift on the Kronecker layout of `order`.
-
-    Both trajectories must share a time grid up to the point where either
-    diverged; a divergent comparison, or one where a trajectory ended
-    before the other, reports max = +inf.  `back_map` takes the (n, dim)
-    block-1 rows and returns the mapped rows.
-    """
-    n = min(reference.times.size, lifted.times.size)
-    if not np.allclose(reference.times[:n], lifted.times[:n], atol=1e-12):
-        raise DimensionError("trajectories sampled on different time grids")
-    if lifted.states.shape[1] != carleman_dimension(dim, order):
-        raise DimensionError("lifted data has wrong length")
-    g1 = lifted.states[:n, :dim]
-    mapped = g1 if back_map is None else back_map(g1)
-    profile = np.linalg.norm(reference.states[:n, :dim] - mapped, axis=1)
-    max_err = float(np.max(profile)) if n else 0.0
-    if reference.diverged or lifted.diverged or \
-            n < max(reference.times.size, lifted.times.size):
-        max_err = np.inf
-    return profile, max_err
+    times, samples, kept, diverged = lifted_samples(
+        op, np.asarray(g0)[:, None], t_end, tol, sample_times, step)
+    return Trajectory(times[:kept[0]], samples[:kept[0], :, 0],
+                      diverged=bool(diverged[0]))

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
-from .polyflow import DimensionError, uniform_spacing
+from .polyflow import GRID_SAMPLES, DimensionError, uniform_spacing
 
 ANTISYM_TOL = 1e-12
 ORACLE_MAX_N = 4
@@ -138,9 +138,9 @@ def evolve_covariance(sys: FermionSystem, state: CovarianceState,
     """Propagate the covariance flow exactly; returns (final state, times,
     Gamma list).
 
-    Samples default to np.linspace(0, t_end, 129); a grid that does not start
-    at 0 gets 0 prepended.  Each sample follows from the previous one by
-    Gamma <- Phi Gamma Phi^T + Q (`covariance_step`) and is
+    Samples default to np.linspace(0, t_end, GRID_SAMPLES); a grid that
+    does not start at 0 gets 0 prepended.  Each sample follows from the
+    previous one by Gamma <- Phi Gamma Phi^T + Q (`covariance_step`) and is
     re-antisymmetrized.  A uniform grid shares one step; any other grid
     builds one per interval.  `tol` does not apply: no step is adaptive.
     """
@@ -152,7 +152,7 @@ def evolve_covariance(sys: FermionSystem, state: CovarianceState,
     if t_end == 0:
         times = np.array([0.0])
     elif sample_times is None:
-        times = np.linspace(0.0, t_end, 129)
+        times = np.linspace(0.0, t_end, GRID_SAMPLES)
     else:
         times = np.asarray(sample_times, dtype=float)
         if times.ndim != 1 or times.size == 0 or \

@@ -19,6 +19,8 @@ A batch of initial conditions is one call, mapped to y once as arrays
 (`reference_y_samples`).  Lifts run on the symmetric-monomial basis
 (`carleman.MonomialLift`), stepped as the columns of one block whose errors
 are measured as one array against those arrays (`route_runs`).
+`_route_errors` is the one measurement of a lift's truncation error: the
+per-sample eps, eps_max and whether a sample met the back map's pole.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .carleman import (
     lifted_samples,
 )
 from .polyflow import (
+    GRID_SAMPLES,
     DimensionError,
     PolySystem,
     SparseTensor,
@@ -92,25 +95,12 @@ def y_to_x(model: PopulationModel, y: np.ndarray) -> np.ndarray:
     return model.X * (1.0 - np.asarray(y))
 
 
-def y_to_eta(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y)
-    return y / (1.0 - y)
-
-
 def _back_map(g1: np.ndarray):
     """g_i / (1 + g_i), unchecked, and where g_i lies within POLE_TOL of
     the pole at -1."""
     den = 1.0 + g1
     with np.errstate(divide="ignore", invalid="ignore"):
         return g1 / den, np.abs(den) < POLE_TOL
-
-
-def eta_to_y_back(g1: np.ndarray) -> np.ndarray:
-    """Back map y~_i = g_i / (1 + g_i); poles at g_i = -1 raise."""
-    y, pole = _back_map(np.asarray(g1))
-    if np.any(pole):
-        raise ValueError("back map pole: component at -1")
-    return y
 
 
 def _eta_to_y_rows(g1: np.ndarray) -> np.ndarray:
@@ -238,22 +228,15 @@ def reference_y_samples(model: PopulationModel, X0s, t_end: float,
     return ReferenceSamples(times, y, kept, diverged)
 
 
-def reference_y_trajectories(model: PopulationModel, X0s, t_end: float,
-                             tol: float = REFERENCE_TOL,
-                             sample_times=None) -> list:
-    """`reference_y_samples`, one Trajectory per row of X0s."""
-    ref = reference_y_samples(model, X0s, t_end, tol, sample_times)
-    return [Trajectory(ref.times[:k], ref.y[row, :k], diverged=bool(cut))
-            for row, (k, cut) in enumerate(zip(ref.kept.tolist(),
-                                               ref.diverged.tolist()))]
-
-
 def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
                            tol: float = REFERENCE_TOL,
                            sample_times=None) -> Trajectory:
-    """Reference y(t) from x0: `reference_y_trajectories` on a batch of one."""
-    return reference_y_trajectories(model, [x0], t_end, tol,
-                                    sample_times)[0]
+    """Reference y(t) from x0: `reference_y_samples` on a batch of one, its
+    kept samples and whether it diverged."""
+    ref = reference_y_samples(model, [x0], t_end, tol, sample_times)
+    kept = ref.kept[0]
+    return Trajectory(ref.times[:kept], ref.y[0, :kept],
+                      diverged=bool(ref.diverged[0]))
 
 
 @dataclass
@@ -363,7 +346,7 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
 def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                lift) -> TruncationRun:
     if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
+        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     if reference is None:
         reference = reference_y_trajectory(model, x0, t_end,
                                            sample_times=sample_times)

@@ -6,30 +6,33 @@ coefficient tensors.  The degree-0 tensor is a plain vector (constant drive),
 degree 1 a matrix, and degree k maps the k-fold Kronecker power of x back to
 d components.
 
-Systems of degree <= 2 flow by `taylor_flow`: each row takes one
+Systems of degree <= 2 flow by `taylor_samples`: each row takes one
 expansion of order TAYLOR_ORDER per step, picks the step from the
 expansion's last two coefficients, and one Horner pass over the
 coefficients gives every sample inside the step (Taylor's step control and
-dense output, Jorba & Zou, Exp. Math. 14(1), 2005).
+dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  Every flow of the
+package that is given no sample times is sampled on the default grid
+np.linspace(0, t_end, GRID_SAMPLES).
 
 `integrate_rhs` is the package's adaptive integrator, a DOP853 run.  Its
 solver lives in `_dop853`, the one module that imports scipy.integrate,
-and is imported on the first call: the polynomial flows (`taylor_flow`)
-never load it, and linear flows given as a matrix are one `expm` in the
-module that owns them.
+and is imported on the first call: the polynomial flows
+(`taylor_samples`) never load it, and linear flows given as a matrix are
+one `expm` in the module that owns them.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
-# Order of each Taylor expansion of `taylor_flow`, and the bound on the
+# Samples of the default grid np.linspace(0, t_end, GRID_SAMPLES).
+GRID_SAMPLES = 129
+# Order of each Taylor expansion of `taylor_samples`, and the bound on the
 # expansion's last two coefficients over a step, as a fraction of the
 # flow's tolerance times max(1, |x|), that picks the step.  On criterion
 # 04's 961-cell grid, against a long-double Taylor flow, the reference's
@@ -164,13 +167,6 @@ class SparseTensor:
     def nnz(self) -> int:
         self._fold()
         return self._vals.size
-
-    def col_flat(self, cols: tuple) -> int:
-        """Row-major flattening of a multi-index (first index most significant)."""
-        idx = 0
-        for c in cols:
-            idx = idx * self.dim + c
-        return idx
 
     def arrays(self):
         """Entry data as (rows, flat_cols, values) numpy arrays."""
@@ -338,8 +334,8 @@ def integrate_reference(sys: PolySystem, x0: np.ndarray, t_end: float,
                         tol: float, sample_times=None) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the polynomial system.
 
-    The library's polynomial flows run on `taylor_flow`; this DOP853 run is
-    their independent oracle in the tests, as `eval_rhs` is the RHS's.
+    The library's polynomial flows run on `taylor_samples`; this DOP853 run
+    is their independent oracle in the tests, as `eval_rhs` is the RHS's.
     Divergence (state norm above 1e9) is recorded on the trajectory, not
     raised; the samples past the divergence time are dropped.
     """
@@ -367,7 +363,7 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
     if t_end == 0:
         return Trajectory(np.array([0.0]), x0[None, :])
     if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
+        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     sample_times = np.asarray(sample_times, dtype=float)
     from . import _dop853
     sol = _dop853.solve(rhs, x0, t_end, tol, sample_times, weights)
@@ -501,7 +497,7 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
         return (np.array([0.0]), X0[None].copy(), np.ones(c, dtype=np.int64),
                 np.zeros(c, dtype=bool))
     if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 129)
+        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         times = np.concatenate(([0.0], times))
@@ -556,17 +552,6 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     return times, states, kept, diverged
 
 
-def taylor_flow(sys: PolySystem, X0: np.ndarray, t_end: float, tol: float,
-                sample_times=None) -> list:
-    """One Trajectory per row of the (c, dim) array X0, from
-    `taylor_samples`: its kept samples and whether it diverged."""
-    times, states, kept, diverged = taylor_samples(sys, X0, t_end, tol,
-                                                   sample_times)
-    return [Trajectory(times[:k], states[:k, r], diverged=bool(cut))
-            for r, (k, cut) in enumerate(zip(kept.tolist(),
-                                             diverged.tolist()))]
-
-
 def uniform_spacing(sample_times, t_end: float):
     """Spacing h of the grid np.linspace(0, t_end, n), or None for other grids.
 
@@ -598,10 +583,6 @@ def spectral_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def frobenius_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(M)))
 
 
 def kron_power(v: np.ndarray, k: int) -> np.ndarray:
@@ -638,34 +619,6 @@ def quadratic_r_number(F0, F1, F2: SparseTensor, z0) -> float:
         if F0 is not None else 0.0
     nF2 = spectral_norm(F2.dense_flat()) if F2 is not None else 0.0
     return (nF2 * nz0 + nF0 / nz0) / abs(mu)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def system_to_json(sys: PolySystem) -> str:
-    tensors = []
-    for k, t in enumerate(sys.tensors):
-        if t is None:
-            continue
-        tensors.append({
-            "degree": k,
-            "entries": [[row, list(cols), val.real, val.imag]
-                        for row, cols, val in t.entries()],
-        })
-    return json.dumps({"dim": sys.dim, "tensors": tensors})
-
-
-def system_from_json(text: str) -> PolySystem:
-    data = json.loads(text)
-    dim = int(data["dim"])
-    max_deg = max((int(t["degree"]) for t in data["tensors"]), default=0)
-    tensors = [SparseTensor(k, dim) for k in range(max_deg + 1)]
-    for tdata in data["tensors"]:
-        k = int(tdata["degree"])
-        for row, cols, re, im in tdata["entries"]:
-            tensors[k].add(int(row), tuple(cols), complex(re, im))
-    return PolySystem(dim, tensors)
 
 
 def write_csv(path, header, rows) -> None:

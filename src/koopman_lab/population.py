@@ -30,9 +30,10 @@ from .nip import (
 )
 from .polyflow import (
     DIVERGENCE_NORM,
+    GRID_SAMPLES,
     SparseTensor,
     Trajectory,
-    taylor_flow,
+    taylor_samples,
     write_csv,
 )
 
@@ -122,21 +123,21 @@ def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
     low, high = (route_runs(model, X0s, route, t_end, tol, sample_times,
                             references, lifts[route, n], SCAN_CHUNK)
                  for n in orders)
-    return (_verdict(low, high).tolist(), low.eps_max.tolist(),
-            high.eps_max.tolist())
+    return _verdict(low, high), low.eps_max, high.eps_max
 
 
 def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
     """Cells of one chunk: one batched reference, mapped to y once, then
     each route's lifts.  A route's lifted samples are dropped before the
-    next route runs."""
+    next route runs.  Returns the carleman and nip verdicts, then eps_c
+    low and high and eps_k low and high, each an array over the cells."""
     references = reference_y_samples(model, X0s, t_end,
                                      sample_times=sample_times)
-    vacancy, mode = (_route_cells(X0s, route, model, orders, t_end, tol,
-                                  sample_times, lifts, references)
-                     for route in ROUTES)
-    return list(zip(vacancy[0], mode[0], vacancy[1], vacancy[2], mode[1],
-                    mode[2]))
+    (c_verdict, c_low, c_high), (k_verdict, k_low, k_high) = (
+        _route_cells(X0s, route, model, orders, t_end, tol, sample_times,
+                     lifts, references)
+        for route in ROUTES)
+    return c_verdict, k_verdict, c_low, c_high, k_low, k_high
 
 
 # Inputs every chunk of one scan shares, set once in each worker process.
@@ -163,10 +164,10 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     lift and exact step stack of each (route, order) are built once per
     call (`nip.route_lift`) and shared by every cell; `tol` reaches only
     lifts too large for the exact step.  The cells, in grid order, are cut
-    into chunks of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
-    workers the pool maps chunks.  A cell's numbers do not depend on its
-    chunk's other cells, and the merge is by grid index, so the result does
-    not depend on the thread count.
+    into chunks of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`);
+    with several workers the pool maps chunks.  A cell's numbers do not
+    depend on its chunk's other cells, and the chunks' arrays are joined in
+    grid order, so the result does not depend on the thread count.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -181,7 +182,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     if threads is None:
         threads = default_threads()
 
-    sample_times = np.linspace(0.0, t_end, 129)
+    sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
              for route in ROUTES for n in orders}
     shared = (model, tuple(orders), t_end, tol, sample_times, lifts)
@@ -197,24 +198,17 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
             done = list(pool.map(_pooled_chunk, chunks))
     else:
         done = [_scan_chunk(chunk, *shared) for chunk in chunks]
-    cells = [cell for chunk in done for cell in chunk]
-
-    n2, n3 = x2_range.size, x3_range.size
-    shape = (n2, n3)
-    res = ScanResult(
+    shape = (x2_range.size, x3_range.size)
+    c_verdict, k_verdict, c_low, c_high, k_low, k_high = (
+        np.concatenate(part).reshape(shape) for part in zip(*done))
+    return ScanResult(
         x2_values=x2_range, x3_values=x3_range,
-        carleman_verdict=np.empty(shape, dtype=object),
-        nip_verdict=np.empty(shape, dtype=object),
-        eps_c_low=np.empty(shape), eps_c_high=np.empty(shape),
-        eps_k_low=np.empty(shape), eps_k_high=np.empty(shape),
+        carleman_verdict=c_verdict.astype(object),
+        nip_verdict=k_verdict.astype(object),
+        eps_c_low=c_low, eps_c_high=c_high, eps_k_low=k_low,
+        eps_k_high=k_high,
         meta={"x1": x1_fixed, "orders": tuple(orders), "t_end": t_end,
               "tol": tol})
-    for idx, cell in enumerate(cells):
-        a, b = divmod(idx, n3)
-        (res.carleman_verdict[a, b], res.nip_verdict[a, b],
-         res.eps_c_low[a, b], res.eps_c_high[a, b],
-         res.eps_k_low[a, b], res.eps_k_high[a, b]) = cell
-    return res
 
 
 def scan_to_csv(res: ScanResult, path) -> None:
@@ -260,20 +254,22 @@ def _populations(model: PopulationModel, traj: Trajectory,
 def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
                        tol: float = 1e-12, sample_times=None) -> Trajectory:
     """Reference populations from x0: the exact quadratic eta flow
-    (`nip.koopman_system`), a Taylor flow at `tol` (`polyflow.taylor_flow`),
-    mapped to x = X/(1+eta) and ended where a population leaves
-    (0, DIVERGENCE_NORM]."""
-    traj, = taylor_flow(koopman_system(model),
-                        x_to_eta(model, x0)[None, :], t_end, tol,
-                        sample_times)
-    return _populations(model, traj, eta_to_x)
+    (`nip.koopman_system`), a Taylor flow at `tol`
+    (`polyflow.taylor_samples`), mapped to x = X/(1+eta) and ended where a
+    population leaves (0, DIVERGENCE_NORM]."""
+    times, eta, kept, diverged = taylor_samples(
+        koopman_system(model), x_to_eta(model, x0)[None, :], t_end, tol,
+        sample_times)
+    return _populations(model, Trajectory(times[:kept[0]], eta[:kept[0], 0],
+                                          diverged=bool(diverged[0])),
+                        eta_to_x)
 
 
 def trajectory_compare(model: PopulationModel, x0, order: int,
                        t_end: float = DEFAULT_T_END, tol: float = 1e-10):
     """(exact, vacancy-lift, mode-lift) trajectories in x coordinates; the
     exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`."""
-    sample_times = np.linspace(0.0, t_end, 129)
+    sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
     reference = reference_y_trajectory(model, x0, t_end,
                                        sample_times=sample_times)
     run_c = vacancy_evolve(model, x0, order, t_end, tol, sample_times,

@@ -23,7 +23,7 @@ from .polyflow import (
     PolySystem,
     SparseTensor,
     quadratic_r_number,
-    taylor_flow,
+    taylor_samples,
 )
 
 CLOSED_FORM_TOL = 1e-10
@@ -219,13 +219,13 @@ def quadratic_flow(F, v, c, alpha, z0, t_end: float) -> np.ndarray:
     The flow is the batched Taylor flow at FLOW_TOL; a trajectory that
     passes `polyflow.DIVERGENCE_NORM` has met the pole of the coordinate map.
     """
-    times = np.linspace(0.0, t_end, SAMPLES)
-    traj, = taylor_flow(quadratic_system(F, v, c, alpha),
-                        np.asarray(z0, dtype=complex)[None, :], t_end,
-                        FLOW_TOL, times)
-    if traj.diverged:
+    _, z, _, diverged = taylor_samples(
+        quadratic_system(F, v, c, alpha),
+        np.asarray(z0, dtype=complex)[None, :], t_end, FLOW_TOL,
+        np.linspace(0.0, t_end, SAMPLES))
+    if diverged[0]:
         raise PoleError("the quadratic flow diverged at a pole")
-    return traj.states
+    return z[:, 0]
 
 
 def _canonical_x_flow(params: RsepParams, t_end: float):

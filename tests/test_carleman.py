@@ -22,9 +22,9 @@ from koopman_lab.carleman import (
     evolve_lifted,
     exact_step,
     initial_lift,
-    truncation_error,
+    lifted_samples,
 )
-from koopman_lab.nip import route_system
+from koopman_lab.nip import ReferenceSamples, _route_errors, route_system
 from koopman_lab.polyflow import (
     DimensionError,
     OverflowGuardError,
@@ -35,6 +35,19 @@ from koopman_lab.polyflow import (
     kron_power,
 )
 from koopman_lab.population import paper_model
+
+
+def lift_errors(ref, op, z0, t_end, tol, grid, back_map=None):
+    """The lift of z0 on the Kronecker layout, measured against the
+    reference Trajectory on its grid by the package's one truncation-error
+    routine (`nip._route_errors`)."""
+    _, samples, kept, diverged = lifted_samples(
+        op, initial_lift(z0, op.order).data[:, None], t_end, tol, grid)
+    references = ReferenceSamples(ref.times, ref.states[None],
+                                  np.array([ref.times.size]),
+                                  np.array([ref.diverged]))
+    return _route_errors(references, samples[:, :op.dim].transpose(2, 0, 1),
+                         kept, diverged, back_map)
 
 
 def random_quadratic(d, seed, scale=0.3):
@@ -83,12 +96,11 @@ class TestBuild:
         np.testing.assert_allclose(op.dense(), oracle, atol=1e-13)
 
     def test_block_slice(self):
-        sys, _, _ = random_quadratic(3, seed=6)
-        op = build_carleman(sys, 3)
-        assert op.block_slice(1) == slice(0, 3)
-        assert op.block_slice(2) == slice(3, 12)
+        g = initial_lift(np.arange(1.0, 4.0), 3)
+        np.testing.assert_array_equal(g.block(1), g.data[0:3])
+        np.testing.assert_array_equal(g.block(2), g.data[3:12])
         with pytest.raises(DimensionError):
-            op.block_slice(4)
+            g.block(4)
 
 
 class TestApply:
@@ -392,24 +404,10 @@ class TestEvolve:
         z0 = np.array([0.1, -0.05])
         grid = np.linspace(0.0, 1.0, 33)
         ref = integrate_reference(sys, z0, 1.0, 1e-12, grid)
-        errs = []
-        for order in (1, 3, 5):
-            op = build_carleman(sys, order)
-            traj = evolve_lifted(op, initial_lift(z0, order), 1.0, 1e-11,
-                                 grid)
-            _, eps_max = truncation_error(ref, traj, 2, order)
-            errs.append(eps_max)
+        errs = [lift_errors(ref, build_carleman(sys, order), z0, 1.0, 1e-11,
+                            grid).eps_max[0]
+                for order in (1, 3, 5)]
         assert errs[0] > errs[1] > errs[2]
-
-    def test_truncation_error_grid_mismatch(self):
-        ref = integrate_reference(random_quadratic(2, 17)[0],
-                                  np.array([0.1, 0.1]), 1.0, 1e-10,
-                                  np.linspace(0, 1, 5))
-        shifted = integrate_reference(random_quadratic(2, 17)[0],
-                                      np.array([0.1, 0.1]), 1.0, 1e-10,
-                                      np.linspace(0, 1, 5) ** 2)
-        with pytest.raises(DimensionError):
-            truncation_error(ref, shifted, 2, 1)
 
 
 def linear_system(F1):
@@ -519,25 +517,27 @@ class TestExactStep:
                    for g0 in lifts]
         assert [t.diverged for t in singles] == [False, False, True]
         for width in (0, 8):
-            block = carleman.evolve_lifted_block(op, G0, 2.0, 1e-10, grid,
-                                                 step, width)
-            assert len(block) == len(lifts)
-            for traj, single in zip(block, singles):
-                assert traj.diverged == single.diverged
-                np.testing.assert_array_equal(traj.times, single.times)
-                np.testing.assert_allclose(traj.states, single.states,
-                                           rtol=1e-13)
+            times, samples, kept, diverged = lifted_samples(
+                op, G0, 2.0, 1e-10, grid, step, width)
+            assert samples.shape[2] == len(lifts)
+            for col, single in enumerate(singles):
+                assert diverged[col] == single.diverged
+                np.testing.assert_array_equal(times[:kept[col]],
+                                              single.times)
+                np.testing.assert_allclose(samples[:kept[col], :, col],
+                                           single.states, rtol=1e-13)
 
     def test_block_off_the_grid_integrates_each_column(self):
         sys, _, _ = random_quadratic(2, seed=23)
         op = build_carleman(sys, 2)
         grid = np.array([0.0, 0.1, 0.3, 0.6])
         lifts = [initial_lift(z0, 2) for z0 in ([0.1, 0.2], [0.3, -0.1])]
-        block = carleman.evolve_lifted_block(
+        _, samples, kept, _ = lifted_samples(
             op, np.column_stack([g.data for g in lifts]), 0.6, 1e-10, grid)
-        for traj, g0 in zip(block, lifts):
+        for col, g0 in enumerate(lifts):
             single = evolve_lifted(op, g0, 0.6, 1e-10, grid)
-            np.testing.assert_array_equal(traj.states, single.states)
+            np.testing.assert_array_equal(samples[:kept[col], :, col],
+                                          single.states)
 
     def test_integrated_samples_pack_each_run(self):
         # off the exact path each column's DOP853 run lands in the
@@ -579,22 +579,19 @@ class TestExactStep:
         ref = integrate_reference(sys, z0, 0.5, 1e-12, grid)
         op = build_carleman(sys, 3)
         traj = evolve_lifted(op, initial_lift(z0, 3), 0.5, 1e-10, grid)
-        profile, eps_max = truncation_error(ref, traj, 2, 3,
-                                            back_map=lambda g: 2.0 * g)
+        errors = lift_errors(ref, op, z0, 0.5, 1e-10, grid,
+                             back_map=lambda g: 2.0 * g)
         want = [np.linalg.norm(ref.states[s] - 2.0 * traj.states[s, :2])
                 for s in range(grid.size)]
-        np.testing.assert_allclose(profile, want, rtol=1e-14)
-        assert eps_max == np.max(profile)
-        with pytest.raises(DimensionError):
-            truncation_error(ref, traj, 2, 2)
+        np.testing.assert_allclose(errors.eps[0], want, rtol=1e-14)
+        assert errors.eps_max[0] == np.max(errors.eps[0])
+        assert not errors.pole_invalid[0]
 
     def test_truncation_error_infinite_on_divergence(self):
         op = build_carleman(linear_system(np.array([[400.0]])), 1)
         grid = np.linspace(0.0, 0.1, 11)
-        traj = evolve_lifted(op, initial_lift(np.array([1.0]), 1), 0.1,
-                             1e-10, grid)
-        assert traj.diverged and traj.times.size < grid.size
         ref = integrate_rhs(lambda t, x: -x, np.array([1.0 + 0j]), 0.1,
                             1e-10, grid)
-        _, eps_max = truncation_error(ref, traj, 1, 1)
-        assert eps_max == np.inf
+        errors = lift_errors(ref, op, np.array([1.0]), 0.1, 1e-10, grid)
+        assert errors.diverged[0] and errors.kept[0] < grid.size
+        assert errors.eps_max[0] == np.inf

@@ -9,16 +9,16 @@ from koopman_lab.carleman import (
     STEP_SPAN,
     build_carleman,
     evolve_lifted,
-    evolve_lifted_block,
     initial_lift,
+    lifted_samples,
     step_block,
 )
 from koopman_lab.nip import (
     REFERENCE_TOL,
     ROUTES,
     PopulationModel,
+    _back_map,
     eta_to_x,
-    eta_to_y_back,
     guaranteed_radius,
     guaranteed_radius_squared,
     koopman_system,
@@ -27,7 +27,7 @@ from koopman_lab.nip import (
     model_to_json,
     nip_evolve,
     r_number_nip,
-    reference_y_trajectories,
+    reference_y_samples,
     reference_y_trajectory,
     route_lift,
     route_system,
@@ -35,7 +35,6 @@ from koopman_lab.nip import (
     vacancy_taylor_tensors,
     x_to_eta,
     x_to_y,
-    y_to_eta,
     y_to_x,
 )
 from koopman_lab.polyflow import (
@@ -97,7 +96,7 @@ class TestCoordinateMaps:
         np.testing.assert_allclose(eta_to_x(model, x_to_eta(model, x)), x)
         np.testing.assert_allclose(y_to_x(model, x_to_y(model, x)), x)
         y = x_to_y(model, x)
-        np.testing.assert_allclose(y_to_eta(y), x_to_eta(model, x),
+        np.testing.assert_allclose(y / (1.0 - y), x_to_eta(model, x),
                                    atol=1e-14)
 
     def test_nonpositive_population_rejected(self):
@@ -106,13 +105,14 @@ class TestCoordinateMaps:
             x_to_eta(model, np.array([1.0, -0.1, 0.5]))
 
     def test_back_map_pole(self):
-        with pytest.raises(ValueError):
-            eta_to_y_back(np.array([0.2, -1.0 + 1e-12]))
+        _, pole = _back_map(np.array([0.2, -1.0 + 1e-12]))
+        assert pole.tolist() == [False, True]
 
     def test_back_map_inverts_forward(self):
         eta = np.array([0.3, -0.2, 0.05])
-        np.testing.assert_allclose(y_to_eta(eta_to_y_back(eta)), eta,
-                                   atol=1e-14)
+        y, pole = _back_map(eta)
+        assert not pole.any()
+        np.testing.assert_allclose(y / (1.0 - y), eta, atol=1e-14)
 
 
 class TestModelValidation:
@@ -256,12 +256,15 @@ class TestTaylorReference:
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
         X0s = [(1.0, 0.6, 0.5), DEMO_X0, (1.0, 2.0, 0.5), (1.0, 1.0, 1.0)]
-        for x0, ref in zip(X0s, reference_y_trajectories(
-                model, X0s, DEMO_T_END, sample_times=grid)):
+        batch = reference_y_samples(model, X0s, DEMO_T_END,
+                                    sample_times=grid)
+        for row, x0 in enumerate(X0s):
             single = reference_y_trajectory(model, x0, DEMO_T_END,
                                             sample_times=grid)
-            np.testing.assert_array_equal(ref.states, single.states)
-            assert ref.diverged == single.diverged
+            kept = batch.kept[row]
+            np.testing.assert_array_equal(batch.times[:kept], single.times)
+            np.testing.assert_array_equal(batch.y[row, :kept], single.states)
+            assert batch.diverged[row] == single.diverged
 
 
     def test_demo_reference_spans_eight_intervals(self, taylor_expansions):
@@ -473,11 +476,11 @@ class TestSpanStepping:
         _, oracle_kept = sequential_steps(lift, G0, n)
         assert kept.tolist() == oracle_kept
         assert 1 < kept[0] < n and kept[1] == n
-        trajs = evolve_lifted_block(lift.op, G0, DEMO_T_END, 1e-10, grid,
-                                    lift.step)
-        assert [t.diverged for t in trajs] == [True, False]
-        assert [t.times.size for t in trajs] == oracle_kept
-        np.testing.assert_array_equal(trajs[0].states,
+        _, lifted, lifted_kept, diverged = lifted_samples(
+            lift.op, G0, DEMO_T_END, 1e-10, grid, lift.step)
+        assert diverged.tolist() == [True, False]
+        assert lifted_kept.tolist() == oracle_kept
+        np.testing.assert_array_equal(lifted[:kept[0], :, 0],
                                       samples[:kept[0], :, 0])
 
     def test_short_grid_takes_a_short_stack(self):

@@ -13,16 +13,12 @@ from koopman_lab.polyflow import (
     SparseTensor,
     StepUnderflowError,
     eval_rhs,
-    frobenius_norm,
     integrate_reference,
     integrate_rhs,
     kron_power,
     log_norm,
     quadratic_r_number,
     spectral_norm,
-    system_from_json,
-    system_to_json,
-    taylor_flow,
     taylor_samples,
     vectorized_rhs,
     write_csv,
@@ -53,7 +49,8 @@ class TestSparseTensor:
 
     def test_col_flat_row_major(self):
         t = SparseTensor(3, 4)
-        assert t.col_flat((1, 2, 3)) == 1 * 16 + 2 * 4 + 3
+        t.add(0, (1, 2, 3), 1.0)
+        assert t.arrays()[1].tolist() == [1 * 16 + 2 * 4 + 3]
 
     def test_dense_flat_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -316,15 +313,30 @@ def blow_up_system():
     return PolySystem(2, [None, F1, F2])
 
 
+def assert_rows_match_dop853(sys, X0, t_end, tol, grid, **close):
+    """Each row of `taylor_samples` keeps the samples and divergence flag
+    of its own DOP853 run (`integrate_reference`), its states within
+    `close`; returns the rows' divergence flags."""
+    times, states, kept, diverged = taylor_samples(sys, X0, t_end, tol, grid)
+    for r, x0 in enumerate(X0):
+        oracle = integrate_reference(sys, x0, t_end, tol, grid)
+        assert diverged[r] == oracle.diverged
+        np.testing.assert_array_equal(times[:kept[r]], oracle.times)
+        np.testing.assert_allclose(states[:kept[r], r], oracle.states,
+                                   **close)
+    return diverged
+
+
 class TestTaylorFlow:
     def test_t_end_zero_is_the_initial_sample(self):
         sys = driven_quadratic(3, seed=1)
         X0 = np.random.default_rng(2).normal(size=(2, 3)) + 0j
-        for x0, traj in zip(X0, taylor_flow(sys, X0, 0.0, 1e-12)):
+        times, states, kept, diverged = taylor_samples(sys, X0, 0.0, 1e-12)
+        assert kept.tolist() == [1, 1] and not diverged.any()
+        for r, x0 in enumerate(X0):
             oracle = integrate_rhs(vectorized_rhs(sys), x0, 0.0, 1e-12)
-            np.testing.assert_array_equal(traj.times, oracle.times)
-            np.testing.assert_array_equal(traj.states, oracle.states)
-            assert not traj.diverged
+            np.testing.assert_array_equal(times, oracle.times)
+            np.testing.assert_array_equal(states[:, r], oracle.states)
 
     def test_non_uniform_grid_matches_dop853(self):
         sys = driven_quadratic(3, seed=3)
@@ -332,35 +344,32 @@ class TestTaylorFlow:
         grid = np.concatenate(([0.0], np.sort(rng.uniform(0, 1.0, 20)),
                                [1.0]))
         X0 = rng.normal(size=(3, 3))
-        for x0, traj in zip(X0, taylor_flow(sys, X0, 1.0, 1e-13, grid)):
-            oracle = integrate_reference(sys, x0, 1.0, 1e-13, grid)
-            np.testing.assert_array_equal(traj.times, oracle.times)
-            np.testing.assert_allclose(traj.states, oracle.states, rtol=0,
-                                       atol=1e-9)
+        assert_rows_match_dop853(sys, X0, 1.0, 1e-13, grid, rtol=0, atol=1e-9)
 
     def test_linear_flow_matches_expm(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
         x0 = rng.normal(size=4)
-        traj, = taylor_flow(linear_system(M), x0[None, :], 1.0, 1e-13)
-        np.testing.assert_allclose(traj.final, expm(M) @ x0, rtol=0,
+        _, states, _, _ = taylor_samples(linear_system(M), x0[None, :], 1.0,
+                                         1e-13)
+        np.testing.assert_allclose(states[-1, 0], expm(M) @ x0, rtol=0,
                                    atol=1e-12)
 
     def test_degree_three_rejected(self):
         t3 = SparseTensor(3, 1)
         t3.add(0, (0, 0, 0), -1.0)
         with pytest.raises(ValueError, match="degree"):
-            taylor_flow(PolySystem(1, [None, None, None, t3]),
-                        np.ones((1, 1)), 1.0, 1e-12)
+            taylor_samples(PolySystem(1, [None, None, None, t3]),
+                           np.ones((1, 1)), 1.0, 1e-12)
 
     def test_bad_inputs_rejected(self):
         sys = linear_system(-np.eye(2))
         with pytest.raises(ValueError):
-            taylor_flow(sys, np.ones((1, 2)), 1.0, 0.0)
+            taylor_samples(sys, np.ones((1, 2)), 1.0, 0.0)
         with pytest.raises(DimensionError):
-            taylor_flow(sys, np.ones(2), 1.0, 1e-12)
+            taylor_samples(sys, np.ones(2), 1.0, 1e-12)
         with pytest.raises(ValueError, match="sample times"):
-            taylor_flow(sys, np.ones((1, 2)), 1.0, 1e-12, [0.0, 0.5, 2.0])
+            taylor_samples(sys, np.ones((1, 2)), 1.0, 1e-12, [0.0, 0.5, 2.0])
 
     def test_divergence_matches_the_event_path(self):
         # rows 0 and 2 pass DIVERGENCE_NORM at different samples, row 1
@@ -368,21 +377,18 @@ class TestTaylorFlow:
         sys = blow_up_system()
         grid = np.linspace(0.0, 0.1, 129)
         X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0]])
-        flows = taylor_flow(sys, X0, 0.1, 1e-12, grid)
-        for x0, traj in zip(X0, flows):
-            event = integrate_reference(sys, x0, 0.1, 1e-12, grid)
-            assert traj.diverged == event.diverged
-            np.testing.assert_array_equal(traj.times, event.times)
-            np.testing.assert_allclose(traj.states, event.states, rtol=1e-9)
-        assert [traj.diverged for traj in flows] == [True, False, True]
-        assert flows[0].times.size != flows[2].times.size
+        diverged = assert_rows_match_dop853(sys, X0, 0.1, 1e-12, grid,
+                                            rtol=1e-9)
+        assert diverged.tolist() == [True, False, True]
+        _, _, kept, _ = taylor_samples(sys, X0, 0.1, 1e-12, grid)
+        assert kept[0] != kept[2]
 
     def test_divergence_after_the_last_sample_is_flagged(self):
         # x0 = 20 blows up near t = 0.05; the samples stop at 0.04
         sys = blow_up_system()
-        traj, = taylor_flow(sys, np.array([[20.0, 1.0]]), 0.1, 1e-12,
-                            [0.0, 0.02, 0.04])
-        assert traj.diverged and traj.times.size == 3
+        _, _, kept, diverged = taylor_samples(
+            sys, np.array([[20.0, 1.0]]), 0.1, 1e-12, [0.0, 0.02, 0.04])
+        assert diverged[0] and kept[0] == 3
 
     def test_rows_do_not_depend_on_their_batch(self, taylor_expansions):
         # two settling rows, two diverging rows that step down to their
@@ -392,14 +398,17 @@ class TestTaylorFlow:
         grid = np.linspace(0.0, 0.1, 33)
         X0 = np.array([[20.0, 1.0], [0.5, 0.2], [30.0, -1.0], [0.9, 4.0],
                        [8.0, 0.0]])
-        batch = taylor_flow(sys, X0, 0.1, 1e-12, grid)
+        _, batch, batch_kept, batch_diverged = taylor_samples(
+            sys, X0, 0.1, 1e-12, grid)
         in_batch = list(taylor_expansions)
         alone_total = 0
-        for x0, traj in zip(X0, batch):
+        for r, x0 in enumerate(X0):
             taylor_expansions.clear()
-            alone, = taylor_flow(sys, x0[None, :], 0.1, 1e-12, grid)
-            np.testing.assert_array_equal(alone.times, traj.times)
-            np.testing.assert_array_equal(alone.states, traj.states)
+            _, alone, kept, diverged = taylor_samples(sys, x0[None, :], 0.1,
+                                                      1e-12, grid)
+            assert (kept[0], diverged[0]) == (batch_kept[r],
+                                              batch_diverged[r])
+            np.testing.assert_array_equal(alone[:, 0], batch[:, r])
             # the same expansions alone as in the batch: the row's state
             # and step guess of each one are a row of the batch's
             assert len(taylor_expansions) <= len(in_batch)
@@ -407,7 +416,7 @@ class TestTaylorFlow:
                 assert np.any(np.all(xb == x, axis=1) & (hb == h))
             alone_total += len(taylor_expansions)
         assert alone_total == sum(x.shape[0] for x, _ in in_batch)
-        assert not batch[4].diverged
+        assert not batch_diverged[4]
 
     def test_sample_arrays_hold_each_rows_trajectory(self):
         # one (n, c, d) array: each row's kept samples, then NaN
@@ -418,12 +427,11 @@ class TestTaylorFlow:
                                                        grid)
         np.testing.assert_array_equal(times, grid)
         assert states.shape == (33, 3, 2)
-        for r, traj in enumerate(taylor_flow(sys, X0, 0.1, 1e-12, grid)):
-            assert kept[r] == traj.times.size
-            assert diverged[r] == traj.diverged
-            np.testing.assert_array_equal(states[:kept[r], r], traj.states)
+        for r in range(3):
+            assert np.isfinite(states[:kept[r], r]).all()
             assert np.isnan(states[kept[r]:, r]).all()
         assert kept.tolist() == [17, 33, 11]
+        assert diverged.tolist() == [True, False, True]
 
     def test_blow_up_rows_step_to_their_poles(self, taylor_expansions):
         # x0' = x0^2 - x0 has its pole near t = 1/x0; each step ends a
@@ -433,8 +441,9 @@ class TestTaylorFlow:
         grid = np.linspace(0.0, 0.1, 33)
         for x0, samples in (([20.0, 1.0], 17), ([30.0, -1.0], 11)):
             taylor_expansions.clear()
-            traj, = taylor_flow(sys, np.array([x0]), 0.1, 1e-12, grid)
-            assert traj.diverged and traj.times.size == samples
+            _, _, kept, diverged = taylor_samples(sys, np.array([x0]), 0.1,
+                                                  1e-12, grid)
+            assert diverged[0] and kept[0] == samples
             assert len(taylor_expansions) <= 100
 
     def test_stiff_interval_is_halved(self):
@@ -442,8 +451,9 @@ class TestTaylorFlow:
         # expansion's reach, so the steps fall inside the intervals; the
         # tail bound is absolute below |x| = 1
         sys = linear_system(np.array([[-100.0]]))
-        traj, = taylor_flow(sys, np.ones((1, 1)), 1.0, 1e-12, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(traj.states[:, 0],
+        _, states, _, _ = taylor_samples(sys, np.ones((1, 1)), 1.0, 1e-12,
+                                         [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(states[:, 0, 0],
                                    np.exp([0.0, -50.0, -100.0]), rtol=0,
                                    atol=1e-12)
 
@@ -454,12 +464,9 @@ class TestTaylorFlow:
     def test_spanned_flow_matches_dop853(self, grid):
         sys = driven_quadratic(3, seed=6)
         X0 = np.random.default_rng(7).normal(size=(3, 3))
-        for x0, traj in zip(X0, taylor_flow(sys, X0, 1.0, 1e-13, grid)):
-            oracle = integrate_reference(sys, x0, 1.0, 1e-13, grid)
-            assert not traj.diverged
-            np.testing.assert_array_equal(traj.times, oracle.times)
-            np.testing.assert_allclose(traj.states, oracle.states, rtol=0,
-                                       atol=1e-9)
+        diverged = assert_rows_match_dop853(sys, X0, 1.0, 1e-13, grid,
+                                            rtol=0, atol=1e-9)
+        assert not diverged.any()
 
     def test_spanned_blow_up_matches_dop853(self):
         # 130 intervals; rows 0 and 2 leave the norm between samples,
@@ -467,21 +474,17 @@ class TestTaylorFlow:
         sys = blow_up_system()
         grid = np.linspace(0.0, 0.1, 131)
         X0 = np.array([[20.0, 1.0], [0.5, 0.2], [12.0, -1.0]])
-        flows = taylor_flow(sys, X0, 0.1, 1e-12, grid)
-        for x0, traj in zip(X0, flows):
-            event = integrate_reference(sys, x0, 0.1, 1e-12, grid)
-            assert traj.diverged == event.diverged
-            np.testing.assert_array_equal(traj.times, event.times)
-            np.testing.assert_allclose(traj.states, event.states, rtol=1e-9)
-        assert [traj.diverged for traj in flows] == [True, False, True]
+        diverged = assert_rows_match_dop853(sys, X0, 0.1, 1e-12, grid,
+                                            rtol=1e-9)
+        assert diverged.tolist() == [True, False, True]
 
     def test_step_that_cannot_advance_raises(self, monkeypatch):
         # with no norm to stop it, the blow-up row's steps shrink with its
         # distance to the pole until a step no longer changes its time
         monkeypatch.setattr(polyflow, "DIVERGENCE_NORM", np.inf)
         with pytest.raises(StepUnderflowError, match="no longer advances"):
-            taylor_flow(blow_up_system(), np.array([[20.0, 1.0]]), 0.1,
-                        1e-12)
+            taylor_samples(blow_up_system(), np.array([[20.0, 1.0]]), 0.1,
+                           1e-12)
 
 
 class TestNorms:
@@ -493,10 +496,6 @@ class TestNorms:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(3, 7))
         assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2))
-
-    def test_frobenius(self):
-        M = np.ones((2, 2))
-        assert frobenius_norm(M) == pytest.approx(2.0)
 
     def test_kron_power(self):
         v = np.array([1.0, 2.0])
@@ -532,18 +531,6 @@ class TestRNumber:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        t1 = SparseTensor(1, 2)
-        t1.add(0, (1,), 1.0 + 2.0j)
-        t2 = SparseTensor(2, 2)
-        t2.add(1, (0, 1), -0.5)
-        sys = PolySystem(2, [None, t1, t2])
-        back = system_from_json(system_to_json(sys))
-        assert back.dim == 2
-        x = np.array([0.3, -0.7])
-        np.testing.assert_allclose(eval_rhs(back, x), eval_rhs(sys, x),
-                                   atol=1e-15)
-
     def test_csv_formats_every_value_type(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["s", "i", "x"],

@@ -214,13 +214,13 @@ class TestTrajectories:
         # every reference trajectory, batched or single, goes through this
         # function
         calls = []
-        batch = nip.reference_y_trajectories
+        batch = nip.reference_y_samples
 
         def counted(*args, **kwargs):
             calls.append(args)
             return batch(*args, **kwargs)
 
-        monkeypatch.setattr(nip, "reference_y_trajectories", counted)
+        monkeypatch.setattr(nip, "reference_y_samples", counted)
         trajectory_compare(model, np.array([1.0, 1.4, 1.4]), 2, 0.02)
         assert len(calls) == 1
 
