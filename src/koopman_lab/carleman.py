@@ -8,7 +8,7 @@ condition.  Two bases carry it:
   ordered multi-index.  Its generator is block upper-triangular: block i
   couples to block i+j through position sums of the degree-(j+1) tensor,
   and one numpy kernel, `CarlemanOperator.apply`, applies it matrix-free.
-  It is the tests' oracle.
+  It is the tests' oracle of the monomial generator and its flow.
 * the symmetric-monomial basis keeps one coordinate x^alpha per multiset
   alpha, 1 <= |alpha| <= order (`MonomialLift`): 285 coordinates at d = 3,
   order 10, where the Kronecker layout repeats each one |alpha|!/alpha!
@@ -18,15 +18,15 @@ condition.  Two bases carry it:
   and kept as its (row, column, value) triplets.  The library runs every
   lift on it.
 
-`lifted_samples` propagates either.  A lift whose Kronecker layout has
-at most DENSE_LIMIT coordinates, sampled on a uniform grid, is stepped
-exactly by the powers P, P^2, ..., P^K of the one-sample step P = expm(C h)
-(scaling and squaring, Al-Mohy & Higham 2009) of its dense generator, the
-triplets added into a matrix; the powers are filled by doubling, and a
-whole (D, c) block of initial lifts takes one product per span of K
-samples (`step_block`).  Larger lifts are integrated with DOP853
+`lifted_samples` propagates a `MonomialLift`.  A lift whose Kronecker
+layout has at most DENSE_LIMIT coordinates, sampled on a uniform grid, is
+stepped exactly by the powers P, P^2, ..., P^K of the one-sample step
+P = expm(C h) (scaling and squaring, Al-Mohy & Higham 2009) of its dense
+generator, the triplets added into a matrix; the powers are filled by
+doubling, and a whole (D, c) block of initial lifts takes one product per
+span of K samples (`step_block`).  Larger lifts are integrated with DOP853
 (`polyflow.integrate_rhs`, which loads scipy.integrate on its first run)
-under the norm of the Kronecker layout, so both bases take the same
+under the norm of the Kronecker layout, so they take the Kronecker run's
 steps; their applies multiply by a CSR matrix of the triplets, built on
 the first apply.
 """
@@ -42,13 +42,14 @@ from scipy.sparse import csr_matrix
 
 from .polyflow import (
     DIVERGENCE_NORM,
-    GRID_SAMPLES,
     DimensionError,
     OverflowGuardError,
     PolySystem,
     Trajectory,
     entry_plan,
     integrate_rhs,
+    kron_power,
+    sample_grid,
     uniform_spacing,
 )
 
@@ -99,15 +100,6 @@ class CarlemanOperator:
     total_dim: int
     _flats: list              # per-degree dense (d, d^k) flattenings
 
-    @property
-    def kron_dim(self) -> int:
-        return self.total_dim
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        """Kronecker coordinates each coordinate stands for: one."""
-        return np.ones(self.total_dim)
-
     def apply(self, g: np.ndarray) -> np.ndarray:
         """C g, matrix-free, for a lifted vector or a (D, m) block of them.
 
@@ -145,8 +137,8 @@ class CarlemanOperator:
         """Dense materialization, one block apply over the identity; guarded
         by size.
 
-        The tests' oracle of the apply kernel and of the monomial
-        generator, and the input of `exact_step` on a Kronecker lift.
+        The tests' oracle of the apply kernel, of the monomial generator
+        and, through `expm`, of the lifted flow.
         """
         if self.total_dim > 2000:
             raise OverflowGuardError("dense oracle limited to small lifts")
@@ -200,26 +192,15 @@ def build_carleman(sys: PolySystem, order: int) -> CarlemanOperator:
         offsets=block_offsets(d, order), total_dim=total, _flats=flats)
 
 
-def initial_lift(z0: np.ndarray, order: int):
-    """g(0) = [z0, z0^(tensor 2), ..., z0^(tensor order)].
-
-    One initial condition gives a LiftedState.  A (c, d) array of them gives
-    the (c, D) array of their lifts, built a degree at a time for all rows:
-    block k is the row-wise outer product of block k-1 with z0, flattened
-    row-major, which is `polyflow.kron_power` to the bit.
-    """
+def initial_lift(z0: np.ndarray, order: int) -> LiftedState:
+    """g(0) = [z0, z0^(tensor 2), ..., z0^(tensor order)] on the Kronecker
+    layout, block k the `polyflow.kron_power` of z0."""
     z0 = np.asarray(z0, dtype=np.complex128)
-    if z0.ndim > 2:
-        raise DimensionError("initial conditions must be a vector or rows")
-    rows = np.atleast_2d(z0)
-    c, d = rows.shape
-    data = np.empty((c, carleman_dimension(d, order)), dtype=np.complex128)
-    block = rows
-    for k, start in enumerate(block_offsets(d, order).tolist(), start=1):
-        if k > 1:
-            block = (block[:, :, None] * rows[:, None, :]).reshape(c, -1)
-        data[:, start:start + d**k] = block
-    return LiftedState(d, order, data[0]) if z0.ndim < 2 else data
+    if z0.ndim != 1:
+        raise DimensionError("the initial condition must be a vector")
+    carleman_dimension(z0.size, order)  # the size guard, before allocating
+    return LiftedState(z0.size, order, np.concatenate(
+        [kron_power(z0, k) for k in range(1, order + 1)]))
 
 
 @dataclass
@@ -277,9 +258,9 @@ class MonomialLift:
         """z0^alpha for every coordinate: a vector for one initial
         condition, the (c, D) array of lifts for a (c, d) array of them.
 
-        Each monomial is its parent times one factor, so its value is that
-        of its sorted multi-index in `initial_lift`'s Kronecker blocks, to
-        the bit.
+        Each monomial is its parent times one factor, its largest, so its
+        value is that of its sorted multi-index in the Kronecker blocks of
+        `initial_lift`, to the bit.
         """
         z0 = np.asarray(z0, dtype=np.complex128)
         rows = np.atleast_2d(z0)
@@ -374,28 +355,28 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
         parents=np.concatenate(parents), factors=np.concatenate(factors))
 
 
-def exact_step(op, t_end: float, sample_times):
+def exact_step(lift: MonomialLift, t_end: float, sample_times):
     """Powers P^1, ..., P^K of the one-sample step P = expm(C h) of a small
-    lift, as a (K, D, D) stack, or None.
+    `MonomialLift`, as a (K, D, D) stack, or None.
 
-    `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  The step
-    applies when the lift's Kronecker layout has at most DENSE_LIMIT
-    coordinates and the samples are the uniform grid
+    The step applies when the lift's Kronecker layout has at most
+    DENSE_LIMIT coordinates (`lift.kron_dim`) and the samples are the
+    uniform grid
     np.linspace(0, t_end, n) with n >= 2 and t_end > 0 (`uniform_spacing`);
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
     (D, D) product per doubling.  Otherwise the result is None and the
     lift is integrated instead.
     """
-    if op.kron_dim > DENSE_LIMIT:
+    if lift.kron_dim > DENSE_LIMIT:
         return None
     h = uniform_spacing(sample_times, t_end)
     if h is None:
         return None
     span = min(np.size(sample_times) - 1, STEP_SPAN)
-    size = op.total_dim
+    size = lift.total_dim
     stack = np.empty((span, size, size), dtype=np.complex128)
-    stack[0] = expm(op.dense() * h)
+    stack[0] = expm(lift.dense() * h)
     # doubling: P^(m+1) .. P^(2m) are P^1 .. P^m times P^m, one product
     done = 1
     while done < span:
@@ -443,44 +424,40 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
     return samples, kept
 
 
-def lifted_samples(op, G0: np.ndarray, t_end: float, tol: float,
-                   sample_times=None, step=None, width: int = 0):
-    """Samples of dg/dt = C g from each column of the (D, c) block G0, as
-    arrays.
+def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
+                   tol: float, sample_times=None, step=None, width: int = 0):
+    """Samples of dg/dt = C g of a `MonomialLift` from each column of the
+    (D, c) block G0, as arrays, at the times of
+    `polyflow.sample_grid(t_end, sample_times)`.
 
-    `op` is a `MonomialLift` or a Kronecker `CarlemanOperator`.  A small
-    lift on a uniform grid is stepped exactly by the stack of powers of
-    P = expm(C h) from `exact_step`, the whole block at once, one product
-    per span (`step_block`, which also explains `width`); pass that `step`
-    to share one stack across calls.  Any other lift integrates each column
-    with DOP853 at `tol` (`polyflow.integrate_rhs`, which starts every run
-    at t = 0).  On both paths the norm is that of the Kronecker layout,
-    each coordinate weighted by `op.multiplicities`, and a column ends at
-    divergence (that norm above DIVERGENCE_NORM).
+    A small lift on a uniform grid is stepped exactly by the stack of
+    powers of P = expm(C h) from `exact_step`, the whole block at once, one
+    product per span (`step_block`, which also explains `width`); pass that
+    `step` to share one stack across calls.  Any other lift integrates each
+    column with DOP853 at `tol` (`polyflow.integrate_rhs`).  On both paths
+    the norm is that of the Kronecker layout, each monomial weighted by
+    `lift.multiplicities`, and a column ends at divergence (that norm above
+    DIVERGENCE_NORM).
 
     Returns (times, samples, kept, diverged): the n sample times, the
     (n, D, c) samples, how many leading samples each column keeps (the
     samples after them are not meaningful) and whether it diverged.
     """
     G0 = np.asarray(G0, dtype=np.complex128)
-    if G0.ndim != 2 or G0.shape[0] != op.total_dim:
-        raise DimensionError("operator/state dims mismatch")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
-    times = np.asarray(sample_times, dtype=float)
+    if G0.ndim != 2 or G0.shape[0] != lift.total_dim:
+        raise DimensionError("lift/state dims mismatch")
+    times = sample_grid(t_end, sample_times)
     if step is None:
-        step = exact_step(op, t_end, times)
+        step = exact_step(lift, t_end, times)
     if step is not None:
-        if step.ndim != 3 or step.shape[1:] != (op.total_dim, op.total_dim):
-            raise DimensionError("step does not match the operator")
-        samples, kept = step_block(step, G0, times.size, op.multiplicities,
+        if step.ndim != 3 or step.shape[1:] != (lift.total_dim,) * 2:
+            raise DimensionError("step does not match the lift")
+        samples, kept = step_block(step, G0, times.size, lift.multiplicities,
                                    width)
         return times, samples, kept, kept < times.size
-    trajs = [integrate_rhs(lambda t, g: op.apply(g), g0, t_end, tol,
-                           times, weights=op.multiplicities)
+    trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end, tol,
+                           times, weights=lift.multiplicities)
              for g0 in G0.T]
-    if times.size == 0 or times[0] != 0.0:
-        times = np.concatenate(([0.0], times))
     samples = np.full((times.size,) + G0.shape, np.nan, dtype=np.complex128)
     for col, traj in enumerate(trajs):
         samples[:traj.times.size, :, col] = traj.states
@@ -488,17 +465,12 @@ def lifted_samples(op, G0: np.ndarray, t_end: float, tol: float,
     return times, samples, kept, np.array([traj.diverged for traj in trajs])
 
 
-def evolve_lifted(op, g0, t_end: float, tol: float, sample_times=None,
-                  step=None) -> Trajectory:
-    """Trajectory of dg/dt = C g from g0: `lifted_samples` on a block of
-    one, its kept samples and whether it diverged.  g0 is a `LiftedState`
-    of a Kronecker `CarlemanOperator`, or a lifted vector such as
-    `MonomialLift.initial_lift(z0)`."""
-    if isinstance(g0, LiftedState):
-        if (g0.dim, g0.order) != (op.dim, op.order):
-            raise DimensionError("operator/state dims mismatch")
-        g0 = g0.data
+def evolve_lifted(lift: MonomialLift, g0, t_end: float, tol: float,
+                  sample_times=None, step=None) -> Trajectory:
+    """Trajectory of dg/dt = C g of a `MonomialLift` from the lifted vector
+    g0, such as `lift.initial_lift(z0)`: `lifted_samples` on a block of
+    one, its kept samples and whether it diverged."""
     times, samples, kept, diverged = lifted_samples(
-        op, np.asarray(g0)[:, None], t_end, tol, sample_times, step)
+        lift, np.asarray(g0)[:, None], t_end, tol, sample_times, step)
     return Trajectory(times[:kept[0]], samples[:kept[0], :, 0],
                       diverged=bool(diverged[0]))

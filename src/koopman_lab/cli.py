@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import fermion, nip, population, rsep, spectral
-from .polyflow import GRID_SAMPLES, write_csv
+from .polyflow import GRID_SAMPLES, sample_grid, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -279,7 +279,7 @@ def _error_profile_cmd(args, data, evolve):
     x0 = _x0(data, model, [1.0, 1.4, 1.4])
     orders = _orders(args, data, [1, 3, 6])
     t_end = _t_end(args, data, population.DEFAULT_T_END)
-    sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
+    sample_times = sample_grid(t_end)
     reference = nip.reference_y_trajectory(model, x0, t_end,
                                            sample_times=sample_times)
     runs = [evolve(model, x0, n, t_end, args.tol,
@@ -346,9 +346,10 @@ def _cmd_fermion_evolve(args, data):
 def _cmd_fermion_heat(args, data):
     sys_, gamma0 = _fermion_setup(args, data)
     t_end = _t_end(args, data, 1.0)
-    times = np.linspace(0.0, t_end, _integer(data, "samples", GRID_SAMPLES,
-                                             minimum=1,
-                                             maximum=MAX_HEAT_SAMPLES))
+    # "samples" samples, or t = 0 alone when t_end is 0
+    times = np.unique(np.linspace(
+        0.0, t_end, _integer(data, "samples", GRID_SAMPLES, minimum=1,
+                             maximum=MAX_HEAT_SAMPLES)))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)

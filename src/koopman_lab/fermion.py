@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
-from .polyflow import GRID_SAMPLES, DimensionError, uniform_spacing
+from .polyflow import DimensionError, sample_grid, uniform_spacing
 
 ANTISYM_TOL = 1e-12
 ORACLE_MAX_N = 4
@@ -135,33 +135,19 @@ def covariance_step(sys: FermionSystem, h: float):
 
 def evolve_covariance(sys: FermionSystem, state: CovarianceState,
                       t_end: float, tol: float = 1e-10, sample_times=None):
-    """Propagate the covariance flow exactly; returns (final state, times,
-    Gamma list).
+    """Propagate the covariance flow exactly to the times of
+    `polyflow.sample_grid(t_end, sample_times)`; returns (final state,
+    times, Gamma list).
 
-    Samples default to np.linspace(0, t_end, GRID_SAMPLES); a grid that
-    does not start at 0 gets 0 prepended.  Each sample follows from the
-    previous one by Gamma <- Phi Gamma Phi^T + Q (`covariance_step`) and is
-    re-antisymmetrized.  A uniform grid shares one step; any other grid
-    builds one per interval.  `tol` does not apply: no step is adaptive.
+    Each sample follows from the previous one by Gamma <- Phi Gamma Phi^T + Q
+    (`covariance_step`) and is re-antisymmetrized.  A uniform grid shares
+    one step; any other grid builds one per interval.  `tol` does not
+    apply: no step is adaptive.
     """
     n2 = 2 * sys.N
     if state.Gamma.shape != (n2, n2):
         raise DimensionError("state size does not match system")
-    if not 0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    if t_end == 0:
-        times = np.array([0.0])
-    elif sample_times is None:
-        times = np.linspace(0.0, t_end, GRID_SAMPLES)
-    else:
-        times = np.asarray(sample_times, dtype=float)
-        if times.ndim != 1 or times.size == 0 or \
-                not np.all(np.diff(times) > 0) or \
-                not 0 <= times[0] <= times[-1] <= t_end:
-            raise ValueError(
-                "sample_times must increase strictly within [0, t_end]")
-        if times[0] > 0:
-            times = np.concatenate(([0.0], times))
+    times = sample_grid(t_end, sample_times)
     h = uniform_spacing(times, t_end)
     shared = None if h is None else covariance_step(sys, h)
     G = state.Gamma

@@ -38,12 +38,12 @@ from .carleman import (
     lifted_samples,
 )
 from .polyflow import (
-    GRID_SAMPLES,
     DimensionError,
     PolySystem,
     SparseTensor,
     Trajectory,
     quadratic_r_number,
+    sample_grid,
     spectral_norm,
     taylor_samples,
 )
@@ -345,24 +345,24 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
 
 def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
                lift) -> TruncationRun:
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
+    """One `route_runs` run against `reference`, else `reference_y_samples`."""
+    sample_times = sample_grid(t_end, sample_times)
     if reference is None:
-        reference = reference_y_trajectory(model, x0, t_end,
-                                           sample_times=sample_times)
+        references = reference_y_samples(model, [x0], t_end,
+                                         sample_times=sample_times)
+    else:
+        k = reference.times.size
+        y = np.full((1, sample_times.size, model.dim), np.nan,
+                    dtype=np.complex128)
+        y[0, :k] = reference.states
+        references = ReferenceSamples(reference.times, y, np.array([k]),
+                                      np.array([reference.diverged]))
     if lift is None:
         lift = route_lift(model, route, order, t_end, sample_times)
-    # room for every sample, t = 0 too where the grid lacks it
-    k = reference.times.size
-    y = np.full((1, np.size(sample_times) + 1, model.dim), np.nan,
-                dtype=np.complex128)
-    y[0, :k] = reference.states
     runs = route_runs(model, [x0], route, t_end, tol, sample_times,
-                      ReferenceSamples(reference.times, y, np.array([k]),
-                                       np.array([reference.diverged])),
-                      lift)
+                      references, lift)
     kept = int(runs.kept[0])
-    y = Trajectory(reference.times[:kept], runs.y[0, :kept],
+    y = Trajectory(references.times[:kept], runs.y[0, :kept],
                    diverged=bool(runs.diverged[0]))
     return TruncationRun(y, runs.eps[0, :kept], float(runs.eps_max[0]),
                          bool(runs.pole_invalid[0]))

@@ -11,8 +11,8 @@ expansion of order TAYLOR_ORDER per step, picks the step from the
 expansion's last two coefficients, and one Horner pass over the
 coefficients gives every sample inside the step (Taylor's step control and
 dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  Every flow of the
-package that is given no sample times is sampled on the default grid
-np.linspace(0, t_end, GRID_SAMPLES).
+package samples the grid of `sample_grid`: t = 0 first, and
+np.linspace(0, t_end, GRID_SAMPLES) when it is given no sample times.
 
 `integrate_rhs` is the package's adaptive integrator, a DOP853 run.  Its
 solver lives in `_dop853`, the one module that imports scipy.integrate,
@@ -265,7 +265,8 @@ class PolySystem:
 
 @dataclass
 class Trajectory:
-    """Sampled solution with divergence bookkeeping."""
+    """Sampled solution with divergence bookkeeping, on the times of
+    `sample_grid` or a leading part of them."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim), complex
@@ -277,8 +278,6 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=np.complex128)
         if self.times.ndim != 1 or self.states.shape[0] != self.times.size:
             raise DimensionError("times/states length mismatch")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
     @property
     def final(self) -> np.ndarray:
@@ -341,8 +340,6 @@ def integrate_reference(sys: PolySystem, x0: np.ndarray, t_end: float,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
     x0 = np.asarray(x0, dtype=np.complex128)
     if x0.shape != (sys.dim,):
         raise DimensionError("initial state has wrong length")
@@ -356,28 +353,22 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
     With `weights`, component i counts as weights[i] equal components in
     the error estimate (`_dop853.WeightedDOP853`), the initial step and
     the divergence norm sqrt(sum_i w_i |x_i|^2); without, every component
-    counts once.  The solver module, and with it scipy.integrate, is
-    imported on the first call.
+    counts once.  The samples are `sample_grid(t_end, sample_times)`, and
+    a grid of t = 0 alone takes no step.  The solver module, and with it
+    scipy.integrate, is imported on the first call.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
-    if t_end == 0:
-        return Trajectory(np.array([0.0]), x0[None, :])
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
-    sample_times = np.asarray(sample_times, dtype=float)
+    times = sample_grid(t_end, sample_times)
+    if times.size == 1:
+        return Trajectory(times, x0[None, :])
     from . import _dop853
-    sol = _dop853.solve(rhs, x0, t_end, tol, sample_times, weights)
+    sol = _dop853.solve(rhs, x0, t_end, tol, times, weights)
     diverged = sol.status == 1  # terminated by the norm event
     if sol.status == -1:
         if "step size" in sol.message.lower() or "required" in sol.message.lower():
             raise StepUnderflowError(sol.message)
         raise RuntimeError(sol.message)
-    times = sol.t
-    states = sol.y.T
-    if times.size == 0 or times[0] != 0.0:
-        times = np.concatenate(([0.0], times))
-        states = np.vstack([x0, states])
-    return Trajectory(times, states, diverged=diverged)
+    return Trajectory(sol.t, sol.y.T, diverged=diverged)
 
 
 class _QuadraticTaylor:
@@ -479,30 +470,22 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     DIVERGENCE_NORM and is marked diverged, as it is when a step end
     passes the norm, between samples or after the last one.
 
-    Returns (times, states, kept, diverged): the n sample times (t = 0
-    prepended when the grid does not start there), the (n, c, dim) states,
-    how many leading samples each row keeps (the states after them are
-    NaN) and whether it diverged.
+    Returns (times, states, kept, diverged): the n sample times of
+    `sample_grid(t_end, sample_times)`, the (n, c, dim) states, how many
+    leading samples each row keeps (the states after them are NaN) and
+    whether it diverged.  A grid of t = 0 alone takes no step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
     X0 = np.asarray(X0, dtype=np.complex128)
     if X0.ndim != 2 or X0.shape[1] != sys.dim:
         raise DimensionError("initial states must form a (c, dim) array")
     flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol)
     c = X0.shape[0]
-    if t_end == 0:
-        return (np.array([0.0]), X0[None].copy(), np.ones(c, dtype=np.int64),
+    times = sample_grid(t_end, sample_times)
+    if times.size == 1:
+        return (times, X0[None].copy(), np.ones(c, dtype=np.int64),
                 np.zeros(c, dtype=bool))
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0 or times[0] != 0.0:
-        times = np.concatenate(([0.0], times))
-    if np.any(np.diff(times) <= 0) or times[-1] > t_end:
-        raise ValueError("sample times must increase within [0, t_end]")
     n = times.size
     states = np.full((n, c, sys.dim), np.nan, dtype=np.complex128)
     states[0] = X0
@@ -550,6 +533,30 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
             rows, t, nxt = rows[go], end[go], upto[go]
             x, guess = y[-1, go], h[go]
     return times, states, kept, diverged
+
+
+def sample_grid(t_end: float, sample_times=None) -> np.ndarray:
+    """The samples of every flow: [0.] when t_end is 0, the default grid
+    np.linspace(0, t_end, GRID_SAMPLES) when no times are given, and
+    otherwise the given times, 0 prepended when they do not start there.
+    Raises ValueError unless t_end is finite and nonnegative and the given
+    times form a 1-D array that increases strictly within [0, t_end]."""
+    if not 0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    if sample_times is not None:
+        times = np.asarray(sample_times, dtype=float)
+        if times.ndim != 1 or times.size == 0 \
+                or not np.all(np.diff(times) > 0) \
+                or not 0 <= times[0] <= times[-1] <= t_end:
+            raise ValueError(
+                "sample times must increase strictly within [0, t_end]")
+    if t_end == 0:
+        return np.array([0.0])
+    if sample_times is None:
+        return np.linspace(0.0, t_end, GRID_SAMPLES)
+    if times[0] > 0:
+        times = np.concatenate(([0.0], times))
+    return times
 
 
 def uniform_spacing(sample_times, t_end: float):

@@ -30,9 +30,9 @@ from .nip import (
 )
 from .polyflow import (
     DIVERGENCE_NORM,
-    GRID_SAMPLES,
     SparseTensor,
     Trajectory,
+    sample_grid,
     taylor_samples,
     write_csv,
 )
@@ -182,7 +182,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     if threads is None:
         threads = default_threads()
 
-    sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
+    sample_times = sample_grid(t_end)
     lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
              for route in ROUTES for n in orders}
     shared = (model, tuple(orders), t_end, tol, sample_times, lifts)
@@ -268,13 +268,11 @@ def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
 def trajectory_compare(model: PopulationModel, x0, order: int,
                        t_end: float = DEFAULT_T_END, tol: float = 1e-10):
     """(exact, vacancy-lift, mode-lift) trajectories in x coordinates; the
-    exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`."""
-    sample_times = np.linspace(0.0, t_end, GRID_SAMPLES)
-    reference = reference_y_trajectory(model, x0, t_end,
-                                       sample_times=sample_times)
-    run_c = vacancy_evolve(model, x0, order, t_end, tol, sample_times,
-                           reference)
-    run_k = nip_evolve(model, x0, order, t_end, tol, sample_times, reference)
+    exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`.
+    All three sample the default grid of `polyflow.sample_grid`."""
+    reference = reference_y_trajectory(model, x0, t_end)
+    run_c = vacancy_evolve(model, x0, order, t_end, tol, reference=reference)
+    run_k = nip_evolve(model, x0, order, t_end, tol, reference=reference)
 
     def to_x(run):
         y = run.y_approx
@@ -299,7 +297,8 @@ def chaos_demo(model: PopulationModel, x0,
     "Settled" means the state sits within 0.1 of the all-capacity
     equilibrium at t_end — a deliberately qualitative criterion.
     """
-    sample_times = np.linspace(0.0, t_end, 2001)
+    # 2001 samples, or t = 0 alone when t_end is 0
+    sample_times = np.unique(np.linspace(0.0, t_end, 2001))
     traj = exact_x_trajectory(model, x0, t_end, sample_times=sample_times)
     proj = np.column_stack([traj.times, traj.states[:, 1].real,
                             traj.states[:, 2].real])

@@ -13,9 +13,9 @@ from scipy.sparse import csr_matrix
 from koopman_lab import carleman
 from koopman_lab.carleman import (
     DENSE_LIMIT,
-    CarlemanOperator,
     ConstantDriveError,
     LiftedState,
+    block_offsets,
     build_carleman,
     build_monomial_lift,
     carleman_dimension,
@@ -37,17 +37,18 @@ from koopman_lab.polyflow import (
 from koopman_lab.population import paper_model
 
 
-def lift_errors(ref, op, z0, t_end, tol, grid, back_map=None):
-    """The lift of z0 on the Kronecker layout, measured against the
-    reference Trajectory on its grid by the package's one truncation-error
-    routine (`nip._route_errors`)."""
+def lift_errors(ref, lift, z0, t_end, tol, grid, back_map=None):
+    """The monomial lift of z0, measured against the reference Trajectory
+    on its grid by the package's one truncation-error routine
+    (`nip._route_errors`)."""
     _, samples, kept, diverged = lifted_samples(
-        op, initial_lift(z0, op.order).data[:, None], t_end, tol, grid)
+        lift, lift.initial_lift(z0)[:, None], t_end, tol, grid)
     references = ReferenceSamples(ref.times, ref.states[None],
                                   np.array([ref.times.size]),
                                   np.array([ref.diverged]))
-    return _route_errors(references, samples[:, :op.dim].transpose(2, 0, 1),
-                         kept, diverged, back_map)
+    return _route_errors(references,
+                         samples[:, :lift.dim].transpose(2, 0, 1), kept,
+                         diverged, back_map)
 
 
 def random_quadratic(d, seed, scale=0.3):
@@ -272,6 +273,25 @@ class TestMonomialLift:
                                        for k in range(1, order + 1)]),
                 rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_batched_initial_lift_is_the_kronecker_entries_to_the_bit(
+            self, order):
+        # monomial alpha holds the Kronecker entry of its sorted multi-index
+        d = 3
+        rows = np.random.default_rng(order).normal(size=(32, d)) \
+            * np.array([1.0, 1.0 + 0.5j, -0.7j])
+        lift = build_monomial_lift(linear_system(-np.eye(d)), order)
+        offsets = block_offsets(d, order)
+        sorted_entry = [offsets[alpha.sum() - 1] + np.ravel_multi_index(
+            np.repeat(np.arange(d), alpha), (d,) * alpha.sum())
+            for alpha in lift.exponents]
+        lifts = lift.initial_lift(rows)
+        assert lifts.shape == (32, lift.total_dim)
+        for z0, g in zip(rows, lifts):
+            np.testing.assert_array_equal(
+                g, initial_lift(z0, order).data[sorted_entry])
+            np.testing.assert_array_equal(lift.initial_lift(z0), g)
+
     def test_constant_term_rejected(self):
         t0 = SparseTensor(0, 2)
         t0.add(0, (), 1.0)
@@ -360,17 +380,9 @@ class TestLift:
             np.testing.assert_allclose(g0.block(k), kron_power(z0, k),
                                        atol=1e-15)
 
-    @pytest.mark.parametrize("order", [1, 3, 6])
-    def test_batched_initial_lift_is_kron_power_to_the_bit(self, order):
-        rows = np.random.default_rng(order).normal(size=(32, 3)) \
-            * np.array([1.0, 1.0 + 0.5j, -0.7j])
-        lifts = initial_lift(rows, order)
-        assert lifts.shape == (32, carleman_dimension(3, order))
-        for z0, lift in zip(rows, lifts):
-            np.testing.assert_array_equal(
-                lift, np.concatenate([kron_power(z0, k)
-                                      for k in range(1, order + 1)]))
-            np.testing.assert_array_equal(initial_lift(z0, order).data, lift)
+    def test_initial_lift_takes_one_vector(self):
+        with pytest.raises(DimensionError):
+            initial_lift(np.ones((2, 3)), 2)
 
     def test_first_block_derivative_matches_rhs(self):
         # at t = 0 the lifted derivative of block 1 is the polynomial rhs
@@ -385,15 +397,20 @@ class TestLift:
 
 class TestEvolve:
     def test_linear_system_exact_in_blocks(self):
-        # for a purely linear system each block evolves by expm(position sum)
+        # for a purely linear system each block evolves by expm(position
+        # sum): the monomial flow, expanded to the Kronecker layout, is the
+        # Kronecker generator's exponential and the powers of expm(M) z0
         d = 2
         rng = np.random.default_rng(15)
         M = rng.normal(size=(d, d)) - 2.0 * np.eye(d)
         sys = PolySystem(d, [None, SparseTensor.from_dense_flat(1, M)])
-        op = build_carleman(sys, 2)
+        lift = build_monomial_lift(sys, 2)
         z0 = np.array([0.4, -0.3])
-        traj = evolve_lifted(op, initial_lift(z0, 2), 1.0, 1e-12)
-        final = LiftedState(d, 2, traj.final)
+        traj = evolve_lifted(lift, lift.initial_lift(z0), 1.0, 1e-12)
+        final = LiftedState(d, 2, expansion(lift) @ traj.final)
+        np.testing.assert_allclose(
+            final.data, expm(build_carleman(sys, 2).dense())
+            @ initial_lift(z0, 2).data, rtol=0, atol=1e-12)
         zT = expm(M) @ z0
         np.testing.assert_allclose(final.block(1), zT, atol=1e-9)
         np.testing.assert_allclose(final.block(2), np.kron(zT, zT),
@@ -404,8 +421,8 @@ class TestEvolve:
         z0 = np.array([0.1, -0.05])
         grid = np.linspace(0.0, 1.0, 33)
         ref = integrate_reference(sys, z0, 1.0, 1e-12, grid)
-        errs = [lift_errors(ref, build_carleman(sys, order), z0, 1.0, 1e-11,
-                            grid).eps_max[0]
+        errs = [lift_errors(ref, build_monomial_lift(sys, order), z0, 1.0,
+                            1e-11, grid).eps_max[0]
                 for order in (1, 3, 5)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -424,11 +441,11 @@ class TestExactStep:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(d, d))
         F1 = A - (np.linalg.norm(A, 2) + 0.5) * np.eye(d)  # log-norm < 0
-        op = build_carleman(linear_system(F1), order)
+        lift = build_monomial_lift(linear_system(F1), order)
         z0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = np.linspace(0.0, t_end, 33)
-        assert exact_step(op, t_end, grid) is not None
-        traj = evolve_lifted(op, initial_lift(z0, order), t_end, 1e-10, grid)
+        assert exact_step(lift, t_end, grid) is not None
+        traj = evolve_lifted(lift, lift.initial_lift(z0), t_end, 1e-10, grid)
         want = np.array([expm(F1 * t) @ z0 for t in grid])
         assert not traj.diverged
         np.testing.assert_allclose(traj.states[:, :d], want, rtol=0,
@@ -454,18 +471,22 @@ class TestExactStep:
 
     def test_zero_horizon_is_the_initial_sample(self):
         sys, _, _ = random_quadratic(2, seed=18)
-        op = build_carleman(sys, 3)
-        g0 = initial_lift(np.array([0.1, -0.2]), 3)
-        traj = evolve_lifted(op, g0, 0.0, 1e-10)
-        want = integrate_rhs(lambda t, g: op.apply(g), g0.data, 0.0, 1e-10)
+        lift = build_monomial_lift(sys, 3)
+        g0 = lift.initial_lift(np.array([0.1, -0.2]))
+        traj = evolve_lifted(lift, g0, 0.0, 1e-10)
+        want = integrate_rhs(lambda t, g: lift.apply(g), g0, 0.0, 1e-10)
+        np.testing.assert_array_equal(traj.times, [0.0])
         np.testing.assert_array_equal(traj.times, want.times)
         np.testing.assert_array_equal(traj.states, want.states)
+        np.testing.assert_array_equal(traj.states, g0[None])
         assert traj.diverged == want.diverged is False
 
     @pytest.mark.parametrize("d, dense", [(DENSE_LIMIT, True),
                                           (DENSE_LIMIT + 1, False)])
     def test_dense_limit_selects_the_path(self, d, dense, monkeypatch):
-        op = build_carleman(linear_system(-np.eye(d)), 1)
+        # a linear order-1 lift has d coordinates, Kronecker and monomial
+        op = build_monomial_lift(linear_system(-np.eye(d)), 1)
+        assert op.kron_dim == op.total_dim == d
         grid = np.linspace(0.0, 0.5, 17)
         calls = []
         integrate = carleman.integrate_rhs
@@ -475,7 +496,7 @@ class TestExactStep:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(carleman, "integrate_rhs", counted)
-        traj = evolve_lifted(op, initial_lift(np.ones(d), 1), 0.5, 1e-10,
+        traj = evolve_lifted(op, op.initial_lift(np.ones(d)), 0.5, 1e-10,
                              grid)
         assert (exact_step(op, 0.5, grid) is not None) is dense
         assert bool(calls) is not dense
@@ -507,12 +528,12 @@ class TestExactStep:
         F2 = 0.3 * rng.normal(size=(2, 4))
         sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
                              SparseTensor.from_dense_flat(2, F2)])
-        op = build_carleman(sys, 3)
+        op = build_monomial_lift(sys, 3)
         grid = np.linspace(0.0, 2.0, 33)
         step = exact_step(op, 2.0, grid)
-        lifts = [initial_lift(scale * rng.normal(size=2), 3)
+        lifts = [op.initial_lift(scale * rng.normal(size=2))
                  for scale in (0.1, 1.0, 30.0)]
-        G0 = np.column_stack([g.data for g in lifts])
+        G0 = np.column_stack(lifts)
         singles = [evolve_lifted(op, g0, 2.0, 1e-10, grid, step)
                    for g0 in lifts]
         assert [t.diverged for t in singles] == [False, False, True]
@@ -529,11 +550,11 @@ class TestExactStep:
 
     def test_block_off_the_grid_integrates_each_column(self):
         sys, _, _ = random_quadratic(2, seed=23)
-        op = build_carleman(sys, 2)
+        op = build_monomial_lift(sys, 2)
         grid = np.array([0.0, 0.1, 0.3, 0.6])
-        lifts = [initial_lift(z0, 2) for z0 in ([0.1, 0.2], [0.3, -0.1])]
+        lifts = [op.initial_lift(z0) for z0 in ([0.1, 0.2], [0.3, -0.1])]
         _, samples, kept, _ = lifted_samples(
-            op, np.column_stack([g.data for g in lifts]), 0.6, 1e-10, grid)
+            op, np.column_stack(lifts), 0.6, 1e-10, grid)
         for col, g0 in enumerate(lifts):
             single = evolve_lifted(op, g0, 0.6, 1e-10, grid)
             np.testing.assert_array_equal(samples[:kept[col], :, col],
@@ -549,9 +570,9 @@ class TestExactStep:
         F2 = 0.3 * rng.normal(size=(2, 4))
         sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
                              SparseTensor.from_dense_flat(2, F2)])
-        op = build_carleman(sys, 3)
+        op = build_monomial_lift(sys, 3)
         grid = 2.0 * np.linspace(0.1, 1.0, 12) ** 2
-        G0 = np.column_stack([initial_lift(scale * rng.normal(size=2), 3).data
+        G0 = np.column_stack([op.initial_lift(scale * rng.normal(size=2))
                               for scale in (0.1, 30.0)])
         times, samples, kept, diverged = carleman.lifted_samples(
             op, G0, 2.0, 1e-10, grid)
@@ -568,7 +589,7 @@ class TestExactStep:
         assert np.all(np.isnan(samples[kept[1]:, :, 1]))
 
     def test_non_uniform_grid_is_integrated(self):
-        op = build_carleman(random_quadratic(2, seed=19)[0], 2)
+        op = build_monomial_lift(random_quadratic(2, seed=19)[0], 2)
         assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9) ** 2) is None
         assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9)) is not None
 
@@ -577,8 +598,8 @@ class TestExactStep:
         z0 = np.array([0.1, -0.05])
         grid = np.linspace(0.0, 0.5, 9)
         ref = integrate_reference(sys, z0, 0.5, 1e-12, grid)
-        op = build_carleman(sys, 3)
-        traj = evolve_lifted(op, initial_lift(z0, 3), 0.5, 1e-10, grid)
+        op = build_monomial_lift(sys, 3)
+        traj = evolve_lifted(op, op.initial_lift(z0), 0.5, 1e-10, grid)
         errors = lift_errors(ref, op, z0, 0.5, 1e-10, grid,
                              back_map=lambda g: 2.0 * g)
         want = [np.linalg.norm(ref.states[s] - 2.0 * traj.states[s, :2])
@@ -588,7 +609,7 @@ class TestExactStep:
         assert not errors.pole_invalid[0]
 
     def test_truncation_error_infinite_on_divergence(self):
-        op = build_carleman(linear_system(np.array([[400.0]])), 1)
+        op = build_monomial_lift(linear_system(np.array([[400.0]])), 1)
         grid = np.linspace(0.0, 0.1, 11)
         ref = integrate_rhs(lambda t, x: -x, np.array([1.0 + 0j]), 0.1,
                             1e-10, grid)

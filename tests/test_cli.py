@@ -740,6 +740,23 @@ class TestPopulationCommands:
         header = out.read_text().splitlines()[0]
         assert header == "t,eps_order_1,eps_order_2"
 
+    @pytest.mark.parametrize("command", ["carleman-error", "nip-error"])
+    def test_error_profile_zero_horizon_is_one_row(self, tmp_path, capsys,
+                                                   command):
+        # a zero horizon samples t = 0 alone, where every lift is exact
+        out = tmp_path / "eps.csv"
+        assert cli.run([command, "--out", str(out), "--t-end", "0"]) \
+            == cli.EXIT_OK
+        header, *rows = out.read_text().splitlines()
+        assert header == "t,eps_order_1,eps_order_3,eps_order_6"
+        assert len(rows) == 1
+        t, *eps = map(float, rows[0].split(","))
+        assert t == 0.0 and np.all(np.isfinite(eps))
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 6
+        assert all(np.isfinite(float(token.split("=")[1]))
+                   for token in printed[1::2])
+
 
 class TestFermionCommands:
     def test_evolve_and_steady(self, fermion_config, tmp_path):
@@ -763,6 +780,13 @@ class TestFermionCommands:
                         "--out", str(tmp_path / "d.csv"), "--seed", "2"]) == 0
         assert cli.run(["fermion-heat", "--config", fermion_config,
                         "--out", str(tmp_path / "h.csv"), "--seed", "2"]) == 0
+
+    def test_heat_zero_horizon_is_one_row(self, tmp_path):
+        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7], samples=5)
+        out = tmp_path / "h.csv"
+        assert cli.run(["fermion-heat", "--config", cfg, "--out", str(out),
+                        "--seed", "2", "--t-end", "0"]) == cli.EXIT_OK
+        assert out.read_text().splitlines()[1:] == ["0,0"]
 
     @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
                                          "fermion-steady"])

@@ -167,7 +167,7 @@ class TestEvolution:
     @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.0, 1.5], [[0.5]], []])
     def test_bad_sample_times_rejected(self, grid):
         g0 = CovarianceState(np.zeros((6, 6)))
-        with pytest.raises(ValueError, match="sample_times"):
+        with pytest.raises(ValueError, match="sample times"):
             evolve_covariance(commuting_system(), g0, 1.0, sample_times=grid)
 
     def test_antisymmetry_preserved(self):

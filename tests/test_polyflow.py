@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from koopman_lab import polyflow
+from koopman_lab import fermion, polyflow
+from koopman_lab.carleman import build_monomial_lift, lifted_samples
 from koopman_lab.polyflow import (
     DimensionError,
     NonDissipativeError,
@@ -18,6 +19,7 @@ from koopman_lab.polyflow import (
     kron_power,
     log_norm,
     quadratic_r_number,
+    sample_grid,
     spectral_norm,
     taylor_samples,
     vectorized_rhs,
@@ -236,6 +238,108 @@ class TestIntegration:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             integrate_reference(linear_system(-np.eye(2)), np.ones(2), 1.0, 0)
+
+
+GRID_KINDS = ("none", "from zero", "after zero", "zero alone", "decreasing",
+              "repeated", "past t_end", "2-D", "empty")
+BAD_GRIDS = ("decreasing", "repeated", "past t_end", "2-D", "empty")
+
+
+@st.composite
+def horizons_and_grids(draw):
+    """(t_end, kind, sample times) over good and bad horizons and grids;
+    the times are distinct sixty-fourths of t_end (of 1 when t_end is not
+    positive and finite), so that they increase within (0, t_end] unless
+    the kind breaks that."""
+    t_end = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0),
+                           st.sampled_from([-0.5, np.inf, np.nan])))
+    kind = draw(st.sampled_from(GRID_KINDS))
+    scale = t_end if 0 < t_end < np.inf else 1.0
+    grid = scale * np.array(sorted(draw(st.sets(st.integers(1, 64),
+                                                min_size=2, max_size=6))))
+    grid /= 64
+    if kind == "none":
+        return t_end, kind, None
+    if kind == "from zero":
+        return t_end, kind, np.concatenate(([0.0], grid)).tolist()
+    if kind == "zero alone":
+        return t_end, kind, [0.0]
+    if kind == "decreasing":
+        grid = grid[::-1]
+    elif kind == "repeated":
+        grid = np.insert(grid, 1, grid[1])
+    elif kind == "past t_end":
+        grid = np.append(grid, 2.0 * scale)
+    elif kind == "2-D":
+        grid = grid[None, :]
+    elif kind == "empty":
+        grid = grid[:0]
+    return t_end, kind, grid.tolist()
+
+
+def flow_times(flow, t_end, grid):
+    """The sample times `flow` returns at (t_end, grid), or ValueError."""
+    x0 = np.array([1.0 + 0j])
+    decay = linear_system(-np.eye(1))
+    try:
+        if flow == "taylor_samples":
+            return taylor_samples(decay, x0[None], t_end, 1e-12, grid)[0]
+        if flow == "integrate_rhs":
+            return integrate_rhs(lambda t, x: -x, x0, t_end, 1e-10,
+                                 grid).times
+        if flow == "lifted_samples":
+            lift = build_monomial_lift(decay, 2)
+            return lifted_samples(lift, lift.initial_lift(x0)[:, None],
+                                  t_end, 1e-10, grid)[0]
+        h, jumps = fermion.commuting_example(1, [1.0], [0.5])
+        return fermion.evolve_covariance(
+            fermion.FermionSystem(1, h, jumps),
+            fermion.CovarianceState(np.zeros((2, 2))), t_end,
+            sample_times=grid)[1]
+    except ValueError as exc:
+        return exc
+
+
+class TestSampleGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(case=horizons_and_grids())
+    def test_every_flow_samples_the_one_grid(self, case):
+        t_end, kind, grid = case
+        # at t_end = 0 every time after 0 lies past t_end
+        bad = not 0 <= t_end < np.inf or kind in BAD_GRIDS or (
+            t_end == 0 and kind in ("from zero", "after zero"))
+        if bad:
+            with pytest.raises(ValueError):
+                sample_grid(t_end, grid)
+        else:
+            want = sample_grid(t_end, grid)
+            if t_end == 0:
+                np.testing.assert_array_equal(want, [0.0])
+            elif kind == "none":
+                np.testing.assert_array_equal(
+                    want, np.linspace(0.0, t_end, polyflow.GRID_SAMPLES))
+            elif kind == "after zero":
+                np.testing.assert_array_equal(want, [0.0] + grid)
+            else:
+                np.testing.assert_array_equal(want, grid)
+        for flow in ("taylor_samples", "integrate_rhs", "lifted_samples",
+                     "evolve_covariance"):
+            got = flow_times(flow, t_end, grid)
+            if bad:
+                assert isinstance(got, ValueError), flow
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=flow)
+
+    @pytest.mark.parametrize("t_end", [-1.0, np.inf, np.nan])
+    def test_horizon_must_be_finite_and_nonnegative(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            sample_grid(t_end)
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.2, 0.2], [0.0, 1.5],
+                                      [[0.5]], []])
+    def test_bad_grids_name_the_rule(self, grid):
+        with pytest.raises(ValueError, match="sample times must increase"):
+            sample_grid(1.0, grid)
 
 
 def counted(rhs):

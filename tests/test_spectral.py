@@ -19,7 +19,6 @@ from koopman_lab.spectral import (
     sample_outcomes,
     suppression_time,
     tail_mass,
-    taylor_propagator,
     uniform_family,
     uniform_window,
 )
