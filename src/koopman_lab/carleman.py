@@ -23,12 +23,12 @@ layout has at most DENSE_LIMIT coordinates, sampled on a uniform grid, is
 stepped exactly by the powers P, P^2, ..., P^K of the one-sample step
 P = expm(C h) (scaling and squaring, Al-Mohy & Higham 2009) of its dense
 generator, the triplets added into a matrix; the powers are filled by
-doubling, and a whole (D, c) block of initial lifts takes one product per
-span of K samples (`step_block`).  Larger lifts are integrated with DOP853
-(`polyflow.integrate_rhs`, which loads scipy.integrate on its first run)
-under the norm of the Kronecker layout, so they take the Kronecker run's
-steps; their applies multiply by a CSR matrix of the triplets, built on
-the first apply.
+doubling, and a (D, c) block of initial lifts takes one product per span
+of K samples and STEP_COLUMNS columns, whatever its width (`step_block`).
+Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
+loads scipy.integrate on its first run) under the norm of the Kronecker
+layout, so they take the Kronecker run's steps; their applies multiply by
+a CSR matrix of the triplets, built on the first apply.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ DENSE_LIMIT = 120
 # Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
 # P^K, K = min(n - 1, STEP_SPAN), in K D^2 16 bytes, 7.4 MB at D = 120.
 STEP_SPAN = 32
+# Columns of every exact-step product (`step_block`): BLAS may round a
+# column differently in a product of another width.  A multiple of the BLAS
+# kernels' column tiling, so that no column falls in a partial tile.
+STEP_COLUMNS = 32
 
 
 def carleman_dimension(d: int, order: int) -> int:
@@ -388,33 +392,36 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
 
 
 def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
-               weights: np.ndarray, width: int = 0):
+               weights: np.ndarray):
     """Samples 0 .. n-1 of a (D, c) block of lifts stepped by the stack of
     `exact_step`, and how many of them each column keeps.
 
     Sample jK + i is P^i times sample jK, so a span of K samples is one
-    (K D, D) @ (D, columns) product, shorter for a partial last span.  The
-    block is stepped zero-padded to `width` columns when it is narrower:
-    BLAS may round a column of a product differently in a narrower block,
-    so a fixed width keeps each column's bits independent of how many
-    columns share its block.  Returns the (n, D, c) samples and, per
-    column, the samples before its first one whose norm
+    (K D, D) @ (D, STEP_COLUMNS) product, shorter for a partial last span.
+    A block of at most STEP_COLUMNS columns is zero-padded to that width; a
+    wider one is stepped STEP_COLUMNS columns at a time.  So each column
+    has the bits it has when stepped alone.  Returns the (n, D, c) samples
+    and, per column, the samples before its first one whose norm
     sqrt(sum_a weights[a] |g_a|^2) exceeds DIVERGENCE_NORM (n when none
     does); the samples after that are not meaningful.
     """
-    span, size = stack.shape[:2]
     count = G0.shape[1]
-    cols = max(count, width)
+    if count > STEP_COLUMNS:
+        parts = [step_block(stack, G0[:, lo:lo + STEP_COLUMNS], n, weights)
+                 for lo in range(0, count, STEP_COLUMNS)]
+        return (np.concatenate([samples for samples, _ in parts], axis=2),
+                np.concatenate([kept for _, kept in parts]))
+    span, size = stack.shape[:2]
     # every sample after the first is written by the products below
-    samples = np.empty((n, size, cols), dtype=np.complex128)
+    samples = np.empty((n, size, STEP_COLUMNS), dtype=np.complex128)
     samples[0, :, count:] = 0.0
     samples[0, :, :count] = G0
     powers = stack.reshape(span * size, size)
     for start in range(0, n - 1, span):
         k = min(span, n - 1 - start)
         np.matmul(powers[:k * size], samples[start],
-                  out=samples[start + 1:start + 1 + k].reshape(k * size,
-                                                               cols))
+                  out=samples[start + 1:start + 1 + k].reshape(
+                      k * size, STEP_COLUMNS))
     samples = samples[:, :, :count]
     tail = samples[1:]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,19 +432,19 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
 
 
 def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
-                   tol: float, sample_times=None, step=None, width: int = 0):
+                   tol: float, sample_times=None, step=None):
     """Samples of dg/dt = C g of a `MonomialLift` from each column of the
     (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
 
     A small lift on a uniform grid is stepped exactly by the stack of
-    powers of P = expm(C h) from `exact_step`, the whole block at once, one
-    product per span (`step_block`, which also explains `width`); pass that
-    `step` to share one stack across calls.  Any other lift integrates each
-    column with DOP853 at `tol` (`polyflow.integrate_rhs`).  On both paths
-    the norm is that of the Kronecker layout, each monomial weighted by
-    `lift.multiplicities`, and a column ends at divergence (that norm above
-    DIVERGENCE_NORM).
+    powers of P = expm(C h) from `exact_step`, one product per span and
+    STEP_COLUMNS columns (`step_block`), so a column's samples do not depend
+    on its block; pass that `step` to share one stack across calls.  Any
+    other lift integrates each column with DOP853 at `tol`
+    (`polyflow.integrate_rhs`).  On both paths the norm is that of the
+    Kronecker layout, each monomial weighted by `lift.multiplicities`, and
+    a column ends at divergence (that norm above DIVERGENCE_NORM).
 
     Returns (times, samples, kept, diverged): the n sample times, the
     (n, D, c) samples, how many leading samples each column keeps (the
@@ -452,8 +459,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     if step is not None:
         if step.ndim != 3 or step.shape[1:] != (lift.total_dim,) * 2:
             raise DimensionError("step does not match the lift")
-        samples, kept = step_block(step, G0, times.size, lift.multiplicities,
-                                   width)
+        samples, kept = step_block(step, G0, times.size, lift.multiplicities)
         return times, samples, kept, kept < times.size
     trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end, tol,
                            times, weights=lift.multiplicities)

@@ -215,25 +215,23 @@ class ReferenceSamples:
 
 
 def reference_y_samples(model: PopulationModel, X0s, t_end: float,
-                        tol: float = REFERENCE_TOL,
                         sample_times=None) -> ReferenceSamples:
     """Reference y(t) from each row of X0s: the exact quadratic eta flow,
-    integrated as one batch by `polyflow.taylor_samples`, mapped through
-    eta/(1+eta) as one array."""
+    integrated as one batch by `polyflow.taylor_samples` at REFERENCE_TOL,
+    mapped through eta/(1+eta) as one array."""
     etas = x_to_eta(model, np.asarray(X0s, dtype=float))
     times, eta, kept, diverged = taylor_samples(
-        koopman_system(model), etas.astype(complex), t_end, tol,
+        koopman_system(model), etas.astype(complex), t_end, REFERENCE_TOL,
         sample_times)
     y, _ = _back_map(eta.transpose(1, 0, 2))
     return ReferenceSamples(times, y, kept, diverged)
 
 
 def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
-                           tol: float = REFERENCE_TOL,
                            sample_times=None) -> Trajectory:
     """Reference y(t) from x0: `reference_y_samples` on a batch of one, its
     kept samples and whether it diverged."""
-    ref = reference_y_samples(model, [x0], t_end, tol, sample_times)
+    ref = reference_y_samples(model, [x0], t_end, sample_times)
     kept = ref.kept[0]
     return Trajectory(ref.times[:kept], ref.y[0, :kept],
                       diverged=bool(ref.diverged[0]))
@@ -322,30 +320,32 @@ def _route_errors(references: ReferenceSamples, g1, kept, diverged,
 
 def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
                tol: float, sample_times, references: ReferenceSamples,
-               lift: RouteLift, width: int = 0) -> RouteErrors:
+               lift: RouteLift) -> RouteErrors:
     """Truncation errors of `route` from each row of X0s, measured against
     the matching row of `references`, all on the shared `lift`.
 
     The lifts start as the columns of one block, propagated by
-    `carleman.lifted_samples` (stepped exactly, at least `width` columns
-    wide, or integrated column by column), and block 1 and the kept
-    samples of every column come from its one sample array.
+    `carleman.lifted_samples` (stepped exactly, or integrated column by
+    column), and block 1 and the kept samples of every column come from its
+    one sample array.  A vacancy lift starts from y(0) = eta/(1+eta),
+    formed as `reference_y_samples` forms it, so its error at t = 0 is 0.
     """
-    X0s = np.asarray(X0s, dtype=float)
+    eta = x_to_eta(model, np.asarray(X0s, dtype=float))
     if route == "vacancy":
-        Z0, back_map = x_to_y(model, X0s), None
+        (Z0, _), back_map = _back_map(eta.astype(complex)), None
     else:
-        Z0, back_map = x_to_eta(model, X0s), _eta_to_y_rows
+        Z0, back_map = eta, _eta_to_y_rows
     G0 = lift.op.initial_lift(Z0).T
     _, samples, kept, diverged = lifted_samples(
-        lift.op, G0, t_end, tol, sample_times, lift.step, width)
+        lift.op, G0, t_end, tol, sample_times, lift.step)
     return _route_errors(references, samples[:, :model.dim].transpose(2, 0, 1),
                          kept, diverged, back_map)
 
 
-def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
-               lift) -> TruncationRun:
-    """One `route_runs` run against `reference`, else `reference_y_samples`."""
+def _route_run(model, x0, route, order, t_end, tol, sample_times,
+               reference) -> TruncationRun:
+    """One `route_runs` run on the route's own lift, against `reference`,
+    else `reference_y_samples`."""
     sample_times = sample_grid(t_end, sample_times)
     if reference is None:
         references = reference_y_samples(model, [x0], t_end,
@@ -357,10 +357,9 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
         y[0, :k] = reference.states
         references = ReferenceSamples(reference.times, y, np.array([k]),
                                       np.array([reference.diverged]))
-    if lift is None:
-        lift = route_lift(model, route, order, t_end, sample_times)
     runs = route_runs(model, [x0], route, t_end, tol, sample_times,
-                      references, lift)
+                      references,
+                      route_lift(model, route, order, t_end, sample_times))
     kept = int(runs.kept[0])
     y = Trajectory(references.times[:kept], runs.y[0, :kept],
                    diverged=bool(runs.diverged[0]))
@@ -370,36 +369,34 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times, reference,
 
 def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
                    tol: float = 1e-10, sample_times=None,
-                   reference: Trajectory = None,
-                   lift: RouteLift = None) -> TruncationRun:
+                   reference: Trajectory = None) -> TruncationRun:
     """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
 
-    `lift`, when given, is `route_lift(model, "vacancy", order, t_end,
-    sample_times)`, shared across initial conditions.  `tol` is the DOP853
+    The run builds its own `route_lift`; `route_runs` shares one lift
+    across initial conditions, with the same bits.  `tol` is the DOP853
     tolerance of lifts whose Kronecker layout has more than
     `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
     under the Kronecker-weighted norm; smaller lifts are propagated
     exactly.
     """
     return _route_run(model, x0, "vacancy", order, t_end, tol, sample_times,
-                      reference, lift)
+                      reference)
 
 
 def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
                tol: float = 1e-10, sample_times=None,
-               reference: Trajectory = None,
-               lift: RouteLift = None) -> TruncationRun:
+               reference: Trajectory = None) -> TruncationRun:
     """Lift eta(0) through the exact quadratic mode tensors; eps_K run.
 
-    `lift`, when given, is `route_lift(model, "mode", order, t_end,
-    sample_times)`, shared across initial conditions.  `tol` is the DOP853
+    The run builds its own `route_lift`; `route_runs` shares one lift
+    across initial conditions, with the same bits.  `tol` is the DOP853
     tolerance of lifts whose Kronecker layout has more than
     `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
     under the Kronecker-weighted norm; smaller lifts are propagated
     exactly.
     """
     return _route_run(model, x0, "mode", order, t_end, tol, sample_times,
-                      reference, lift)
+                      reference)
 
 
 # ---------------------------------------------------------------------------

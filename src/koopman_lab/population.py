@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nip import (
+    REFERENCE_TOL,
     ROUTES,
     PopulationModel,
     eta_to_x,
@@ -49,10 +50,8 @@ DEFAULT_T_END = 0.1
 DEFAULT_ORDERS = (1, 3)
 CHAOS_T_END = 2.0
 EQUILIBRIUM_TOL = 0.1
-# Cells per batch of the convergence scan.  A chunk takes one batched
-# reference flow and steps each lift as one block this wide, zero-padded
-# when the chunk is short.  A multiple of the BLAS kernels' column tiling,
-# so that no cell of a block falls in a partial tile.
+# Cells per batch of the convergence scan: one batched reference flow and
+# one block per lift, and one task of the pool.  It changes no bits.
 SCAN_CHUNK = 32
 
 
@@ -119,9 +118,9 @@ def _verdict(low, high):
 def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
                  references):
     """Verdicts, low-order and high-order errors of one route at the cells
-    of a chunk, each lift stepped as one block of SCAN_CHUNK columns."""
+    of a chunk, each lift stepped as one block."""
     low, high = (route_runs(model, X0s, route, t_end, tol, sample_times,
-                            references, lifts[route, n], SCAN_CHUNK)
+                            references, lifts[route, n])
                  for n in orders)
     return _verdict(low, high), low.eps_max, high.eps_max
 
@@ -166,7 +165,8 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     lifts too large for the exact step.  The cells, in grid order, are cut
     into chunks of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`);
     with several workers the pool maps chunks.  A cell's numbers do not
-    depend on its chunk's other cells, and the chunks' arrays are joined in
+    depend on its chunk's other cells: they are the bits of `nip_evolve`
+    and `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
     grid order, so the result does not depend on the thread count.
     """
     if x2_range is None:
@@ -252,14 +252,14 @@ def _populations(model: PopulationModel, traj: Trajectory,
 
 
 def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
-                       tol: float = 1e-12, sample_times=None) -> Trajectory:
+                       sample_times=None) -> Trajectory:
     """Reference populations from x0: the exact quadratic eta flow
-    (`nip.koopman_system`), a Taylor flow at `tol`
+    (`nip.koopman_system`), a Taylor flow at `nip.REFERENCE_TOL`
     (`polyflow.taylor_samples`), mapped to x = X/(1+eta) and ended where a
     population leaves (0, DIVERGENCE_NORM]."""
     times, eta, kept, diverged = taylor_samples(
-        koopman_system(model), x_to_eta(model, x0)[None, :], t_end, tol,
-        sample_times)
+        koopman_system(model), x_to_eta(model, x0)[None, :], t_end,
+        REFERENCE_TOL, sample_times)
     return _populations(model, Trajectory(times[:kept[0]], eta[:kept[0], 0],
                                           diverged=bool(diverged[0])),
                         eta_to_x)

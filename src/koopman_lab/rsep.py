@@ -189,14 +189,12 @@ def quadratic_system(F, v, c, alpha) -> PolySystem:
     return PolySystem(d, [t0, t1, F2])
 
 
-def rsep_r_numbers(params: RsepParams, z0_x=None):
+def rsep_r_numbers(params: RsepParams):
     """(R_x, R_eta) at the canonical initial state x0 = A^dag e1, eta0 = e1."""
     systems = build_rsep(params)
-    d = params.d
-    e1 = np.zeros(d, dtype=complex)
+    e1 = np.zeros(params.d, dtype=complex)
     e1[0] = 1.0
-    if z0_x is None:
-        z0_x = params.A.conj().T @ e1
+    z0_x = params.A.conj().T @ e1
     z0_eta = (params.A @ z0_x) / (systems.b.conj() @ z0_x + 1.0)
 
     R_x = quadratic_r_number(*quadratic_tensors(systems.F, systems.v,

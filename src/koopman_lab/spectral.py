@@ -97,10 +97,9 @@ def decoded_thetas(J: int) -> np.ndarray:
     return np.array([decode(ell, J)[0] for ell in range(J)])
 
 
-def tail_mass(window: WindowSpec, theta: float, eps_phase: float,
-              margin: float = NYQUIST_MARGIN) -> float:
+def tail_mass(window: WindowSpec, theta: float, eps_phase: float) -> float:
     """Probability outside the eps_phase ball of theta under signed decoding."""
-    if not -np.pi + margin <= theta <= np.pi - margin:
+    if not -np.pi + NYQUIST_MARGIN <= theta <= np.pi - NYQUIST_MARGIN:
         raise AliasingError("theta outside the Nyquist-margin interval")
     p = qpe_distribution(window, theta)
     thetas = decoded_thetas(window.J)
@@ -172,10 +171,9 @@ def modes_from_matrix(K: np.ndarray, g0: np.ndarray) -> NormalKoopman:
     return NormalKoopman(-lam.real, lam.imag, a)
 
 
-def check_nyquist(modes: NormalKoopman, dt: float,
-                  margin: float = NYQUIST_MARGIN) -> None:
+def check_nyquist(modes: NormalKoopman, dt: float) -> None:
     thetas = modes.omegas * dt
-    if np.any(np.abs(thetas) > np.pi - margin):
+    if np.any(np.abs(thetas) > np.pi - NYQUIST_MARGIN):
         raise AliasingError("a mode frequency violates the Nyquist margin")
 
 

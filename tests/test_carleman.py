@@ -13,6 +13,7 @@ from scipy.sparse import csr_matrix
 from koopman_lab import carleman
 from koopman_lab.carleman import (
     DENSE_LIMIT,
+    STEP_COLUMNS,
     ConstantDriveError,
     LiftedState,
     block_offsets,
@@ -23,6 +24,7 @@ from koopman_lab.carleman import (
     exact_step,
     initial_lift,
     lifted_samples,
+    step_block,
 )
 from koopman_lab.nip import ReferenceSamples, _route_errors, route_system
 from koopman_lab.polyflow import (
@@ -537,16 +539,31 @@ class TestExactStep:
         singles = [evolve_lifted(op, g0, 2.0, 1e-10, grid, step)
                    for g0 in lifts]
         assert [t.diverged for t in singles] == [False, False, True]
-        for width in (0, 8):
-            times, samples, kept, diverged = lifted_samples(
-                op, G0, 2.0, 1e-10, grid, step, width)
-            assert samples.shape[2] == len(lifts)
-            for col, single in enumerate(singles):
-                assert diverged[col] == single.diverged
-                np.testing.assert_array_equal(times[:kept[col]],
-                                              single.times)
-                np.testing.assert_allclose(samples[:kept[col], :, col],
-                                           single.states, rtol=1e-13)
+        times, samples, kept, diverged = lifted_samples(
+            op, G0, 2.0, 1e-10, grid, step)
+        assert samples.shape[2] == len(lifts)
+        for col, single in enumerate(singles):
+            assert diverged[col] == single.diverged
+            np.testing.assert_array_equal(times[:kept[col]], single.times)
+            np.testing.assert_array_equal(samples[:kept[col], :, col],
+                                          single.states)
+
+    def test_wide_block_columns_are_stepped_alone(self):
+        # a block wider than STEP_COLUMNS is stepped STEP_COLUMNS columns
+        # at a time, so each column keeps the bits it has alone
+        rng = np.random.default_rng(24)
+        op = build_monomial_lift(route_system(paper_model(), "mode", 3), 3)
+        grid = np.linspace(0.0, 0.1, 129)
+        step = exact_step(op, 0.1, grid)
+        x0s = rng.uniform(0.8, 1.5, size=(STEP_COLUMNS + 8, 3))
+        G0 = op.initial_lift((1.0 - x0s) / x0s).T
+        samples, kept = step_block(step, G0, grid.size, op.multiplicities)
+        assert samples.shape == (grid.size, op.total_dim, G0.shape[1])
+        for col in range(G0.shape[1]):
+            alone, alone_kept = step_block(step, G0[:, [col]], grid.size,
+                                           op.multiplicities)
+            assert kept[col] == alone_kept[0]
+            np.testing.assert_array_equal(samples[:, :, col], alone[:, :, 0])
 
     def test_block_off_the_grid_integrates_each_column(self):
         sys, _, _ = random_quadratic(2, seed=23)

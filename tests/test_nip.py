@@ -30,6 +30,7 @@ from koopman_lab.nip import (
     reference_y_samples,
     reference_y_trajectory,
     route_lift,
+    route_runs,
     route_system,
     vacancy_evolve,
     vacancy_taylor_tensors,
@@ -400,14 +401,19 @@ class TestExactPropagation:
         np.testing.assert_array_equal(dense.times, event.times)
 
     def test_shared_lift_gives_the_same_run(self, demo):
+        # a run on its own lift and the same cell on a shared one, beside
+        # another cell, give the same bits
         model, grid, ref = demo
+        references = reference_y_samples(model, [DEMO_X0, IN_BALL_X0],
+                                         DEMO_T_END, sample_times=grid)
         for route, evolve in (("vacancy", vacancy_evolve),
                               ("mode", nip_evolve)):
             lift = route_lift(model, route, 3, DEMO_T_END, grid)
-            own, shared = (evolve(model, DEMO_X0, 3, DEMO_T_END, 1e-10, grid,
-                                  ref, lift=lf) for lf in (None, lift))
-            np.testing.assert_array_equal(own.eps, shared.eps)
-            assert own.eps_max == shared.eps_max
+            own = evolve(model, DEMO_X0, 3, DEMO_T_END, 1e-10, grid, ref)
+            shared = route_runs(model, [DEMO_X0, IN_BALL_X0], route,
+                                DEMO_T_END, 1e-10, grid, references, lift)
+            np.testing.assert_array_equal(own.eps, shared.eps[0])
+            assert own.eps_max == shared.eps_max[0]
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError, match="route"):
@@ -450,8 +456,7 @@ class TestSpanStepping:
         X0s = np.array([IN_BALL_X0, DEMO_X0, [1.0, 0.8, 1.2]])
         G0 = lift.op.initial_lift(np.array(
             [route_start(model, route, x0) for x0 in X0s])).T
-        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities,
-                                   width=8)
+        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities)
         assert samples.shape == (n, D, 3)
         assert kept.tolist() == [n, n, n]
         oracle, oracle_kept = sequential_steps(lift, G0, n)
