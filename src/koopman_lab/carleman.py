@@ -29,6 +29,13 @@ Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
 loads scipy.integrate on its first run) under the norm of the Kronecker
 layout, so they take the Kronecker run's steps; their applies multiply by
 a CSR matrix of the triplets, built on the first apply.
+
+A `MonomialLift` keeps the dtype of its system's values: float64 for a
+real system, such as the population strand's, whose triplets, exact-step
+stacks (a real `expm`) and samples are then all float64, and complex128
+for a complex one.  A block of initial lifts is stepped in the dtype of
+its lift and its values together (`polyflow.value_dtype`).  The Kronecker
+layout, the tests' oracle, stays complex.
 """
 
 from __future__ import annotations
@@ -46,11 +53,13 @@ from .polyflow import (
     OverflowGuardError,
     PolySystem,
     Trajectory,
+    as_values,
     entry_plan,
     integrate_rhs,
     kron_power,
     sample_grid,
     uniform_spacing,
+    value_dtype,
 )
 
 DIM_LIMIT = 10**8
@@ -61,7 +70,8 @@ DIM_LIMIT = 10**8
 # 5) it takes 126-146 ms against 51-116 ms.
 DENSE_LIMIT = 120
 # Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
-# P^K, K = min(n - 1, STEP_SPAN), in K D^2 16 bytes, 7.4 MB at D = 120.
+# P^K, K = min(n - 1, STEP_SPAN), in K D^2 8 bytes for a real lift (16 for
+# a complex one), 3.7 MB at D = 120.
 STEP_SPAN = 32
 # Columns of every exact-step product (`step_block`): BLAS may round a
 # column differently in a product of another width.  A multiple of the BLAS
@@ -231,7 +241,7 @@ class MonomialLift:
     order: int
     rows: np.ndarray          # (nnz,) generator triplets
     cols: np.ndarray
-    vals: np.ndarray          # complex
+    vals: np.ndarray          # float64, complex128 for a complex system
     exponents: np.ndarray     # (D, dim) int
     multiplicities: np.ndarray  # (D,) float
     kron_dim: int
@@ -249,12 +259,12 @@ class MonomialLift:
         if self._csr is None:
             size = self.total_dim
             self._csr = csr_matrix((self.vals, (self.rows, self.cols)),
-                                   shape=(size, size), dtype=np.complex128)
+                                   shape=(size, size))
         return self._csr @ g
 
     def dense(self) -> np.ndarray:
         """C as a dense (D, D) matrix, the triplets added in order."""
-        out = np.zeros((self.total_dim,) * 2, dtype=np.complex128)
+        out = np.zeros((self.total_dim,) * 2, dtype=self.vals.dtype)
         np.add.at(out, (self.rows, self.cols), self.vals)
         return out
 
@@ -266,12 +276,12 @@ class MonomialLift:
         value is that of its sorted multi-index in the Kronecker blocks of
         `initial_lift`, to the bit.
         """
-        z0 = np.asarray(z0, dtype=np.complex128)
+        z0 = as_values(z0)
         rows = np.atleast_2d(z0)
         if z0.ndim > 2 or rows.shape[1] != self.dim:
             raise DimensionError("initial conditions must be a vector or rows "
                                  "of the system's dimension")
-        data = np.empty((rows.shape[0], self.total_dim), dtype=np.complex128)
+        data = np.empty((rows.shape[0], self.total_dim), dtype=z0.dtype)
         data[:, :self.dim] = rows
         for lo, hi in zip(self.offsets[1:-1].tolist(),
                           self.offsets[2:].tolist()):
@@ -336,7 +346,7 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
     # degree-1 set when there are none)
     plan = [p for p in entry_plan(sys) if 1 <= p[0] <= order] or [
         (1, np.empty(0, dtype=np.int64), np.empty((0, 1), dtype=np.int64),
-         np.empty(0, dtype=np.complex128))]
+         np.empty(0))]
     degree = np.repeat([k for k, *_ in plan], [r.size for _, r, _, _ in plan])
     tensor_rows = np.concatenate([r for _, r, _, _ in plan])
     values = np.concatenate([v for *_, v in plan])
@@ -379,7 +389,7 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
         return None
     span = min(np.size(sample_times) - 1, STEP_SPAN)
     size = lift.total_dim
-    stack = np.empty((span, size, size), dtype=np.complex128)
+    stack = np.empty((span, size, size), dtype=lift.vals.dtype)
     stack[0] = expm(lift.dense() * h)
     # doubling: P^(m+1) .. P^(2m) are P^1 .. P^m times P^m, one product
     done = 1
@@ -413,22 +423,27 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
                 np.concatenate([kept for _, kept in parts]))
     span, size = stack.shape[:2]
     # every sample after the first is written by the products below
-    samples = np.empty((n, size, STEP_COLUMNS), dtype=np.complex128)
+    samples = np.empty((n, size, STEP_COLUMNS), dtype=value_dtype(stack, G0))
     samples[0, :, count:] = 0.0
     samples[0, :, :count] = G0
+    # each sample's weighted squares of its float64 parts (a complex
+    # column's real and imaginary parts side by side), formed per span on
+    # the product just written, so that no temporary of the whole block is
+    # allocated: one cost about 4,400 page faults per benchmark scan pass
+    squares = np.empty((n - 1, samples[0].view(np.float64).shape[1]))
     powers = stack.reshape(span * size, size)
-    for start in range(0, n - 1, span):
-        k = min(span, n - 1 - start)
-        np.matmul(powers[:k * size], samples[start],
-                  out=samples[start + 1:start + 1 + k].reshape(
-                      k * size, STEP_COLUMNS))
-    samples = samples[:, :, :count]
-    tail = samples[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(weights @ (tail.real**2 + tail.imag**2))
-    over = ~(norms <= DIVERGENCE_NORM)
+        for start in range(0, n - 1, span):
+            k = min(span, n - 1 - start)
+            block = samples[start + 1:start + 1 + k]
+            np.matmul(powers[:k * size], samples[start],
+                      out=block.reshape(k * size, STEP_COLUMNS))
+            np.matmul(weights, np.square(block.view(np.float64)),
+                      out=squares[start:start + k])
+        norms = np.sqrt(squares.reshape(n - 1, STEP_COLUMNS, -1).sum(axis=2))
+    over = ~(norms[:, :count] <= DIVERGENCE_NORM)
     kept = np.where(over.any(axis=0), over.argmax(axis=0) + 1, n)
-    return samples, kept
+    return samples[:, :, :count], kept
 
 
 def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
@@ -450,7 +465,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     (n, D, c) samples, how many leading samples each column keeps (the
     samples after them are not meaningful) and whether it diverged.
     """
-    G0 = np.asarray(G0, dtype=np.complex128)
+    G0 = as_values(G0, lift.vals)
     if G0.ndim != 2 or G0.shape[0] != lift.total_dim:
         raise DimensionError("lift/state dims mismatch")
     times = sample_grid(t_end, sample_times)
@@ -464,7 +479,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end, tol,
                            times, weights=lift.multiplicities)
              for g0 in G0.T]
-    samples = np.full((times.size,) + G0.shape, np.nan, dtype=np.complex128)
+    samples = np.full((times.size,) + G0.shape, np.nan, dtype=G0.dtype)
     for col, traj in enumerate(trajs):
         samples[:traj.times.size, :, col] = traj.states
     kept = np.array([traj.times.size for traj in trajs], dtype=np.int64)

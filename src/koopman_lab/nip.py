@@ -21,6 +21,8 @@ A batch of initial conditions is one call, mapped to y once as arrays
 are measured as one array against those arrays (`route_runs`).
 `_route_errors` is the one measurement of a lift's truncation error: the
 per-sample eps, eps_max and whether a sample met the back map's pole.
+The model is real, so the reference, the lifts, their exact-step stacks
+and the errors are all float64 arrays.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ def x_to_eta(model: PopulationModel, x: np.ndarray) -> np.ndarray:
 def eta_to_x(model: PopulationModel, eta: np.ndarray) -> np.ndarray:
     eta = np.asarray(eta)
     return model.X / (1.0 + eta)
-
-
-def x_to_y(model: PopulationModel, x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.asarray(x) / model.X
 
 
 def y_to_x(model: PopulationModel, y: np.ndarray) -> np.ndarray:
@@ -163,7 +161,7 @@ def vacancy_taylor_tensors(model: PopulationModel, order: int) -> PolySystem:
 
 def koopman_tensors(model: PopulationModel):
     """Exact quadratic mode dynamics: G1 = diag(-r), [G2]_{i,(j,k)} = X_i J_{i,jk}."""
-    return np.diag(-model.r).astype(complex), koopman_system(model).tensors[2]
+    return np.diag(-model.r), koopman_system(model).tensors[2]
 
 
 def koopman_system(model: PopulationModel) -> PolySystem:
@@ -182,7 +180,7 @@ def koopman_system(model: PopulationModel) -> PolySystem:
 def r_number_nip(model: PopulationModel, eta0: np.ndarray) -> float:
     """Convergence number |G2| |eta0| / min_i r_i of the mode dynamics."""
     G1, G2 = koopman_tensors(model)
-    return quadratic_r_number(None, G1, G2, np.asarray(eta0, dtype=complex))
+    return quadratic_r_number(None, G1, G2, eta0)
 
 
 def guaranteed_radius(model: PopulationModel) -> float:
@@ -215,14 +213,17 @@ class ReferenceSamples:
 
 
 def reference_y_samples(model: PopulationModel, X0s, t_end: float,
-                        sample_times=None) -> ReferenceSamples:
-    """Reference y(t) from each row of X0s: the exact quadratic eta flow,
-    integrated as one batch by `polyflow.taylor_samples` at REFERENCE_TOL,
-    mapped through eta/(1+eta) as one array."""
+                        sample_times=None,
+                        system: PolySystem = None) -> ReferenceSamples:
+    """Reference y(t) from each row of X0s: the exact quadratic eta flow
+    (`system`, else `koopman_system(model)`), integrated as one batch by
+    `polyflow.taylor_samples` at REFERENCE_TOL, mapped through eta/(1+eta)
+    as one array.  The model is real, so every array is float64."""
+    if system is None:
+        system = koopman_system(model)
     etas = x_to_eta(model, np.asarray(X0s, dtype=float))
     times, eta, kept, diverged = taylor_samples(
-        koopman_system(model), etas.astype(complex), t_end, REFERENCE_TOL,
-        sample_times)
+        system, etas, t_end, REFERENCE_TOL, sample_times)
     y, _ = _back_map(eta.transpose(1, 0, 2))
     return ReferenceSamples(times, y, kept, diverged)
 
@@ -292,9 +293,13 @@ class RouteLift:
 
 
 def route_lift(model: PopulationModel, route: str, order: int,
-               t_end: float, sample_times) -> RouteLift:
-    """The lift of route "vacancy" or "mode" at `order` on the grid."""
-    op = build_monomial_lift(route_system(model, route, order), order)
+               t_end: float, sample_times,
+               system: PolySystem = None) -> RouteLift:
+    """The lift of route "vacancy" or "mode" at `order` on the grid, of
+    `system`, else of `route_system(model, route, order)`."""
+    if system is None:
+        system = route_system(model, route, order)
+    op = build_monomial_lift(system, order)
     return RouteLift(op, exact_step(op, t_end, sample_times))
 
 
@@ -332,7 +337,7 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
     """
     eta = x_to_eta(model, np.asarray(X0s, dtype=float))
     if route == "vacancy":
-        (Z0, _), back_map = _back_map(eta.astype(complex)), None
+        (Z0, _), back_map = _back_map(eta), None
     else:
         Z0, back_map = eta, _eta_to_y_rows
     G0 = lift.op.initial_lift(Z0).T
@@ -353,7 +358,7 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times,
     else:
         k = reference.times.size
         y = np.full((1, sample_times.size, model.dim), np.nan,
-                    dtype=np.complex128)
+                    dtype=reference.states.dtype)
         y[0, :k] = reference.states
         references = ReferenceSamples(reference.times, y, np.array([k]),
                                       np.array([reference.diverged]))

@@ -13,6 +13,8 @@ coefficients gives every sample inside the step (Taylor's step control and
 dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  Every flow of the
 package samples the grid of `sample_grid`: t = 0 first, and
 np.linspace(0, t_end, GRID_SAMPLES) when it is given no sample times.
+Every flow runs in the dtype of its system and initial states
+(`value_dtype`): float64 when they are real, complex128 otherwise.
 
 `integrate_rhs` is the package's adaptive integrator, a DOP853 run.  Its
 solver lives in `_dop853`, the one module that imports scipy.integrate,
@@ -56,6 +58,20 @@ class StepUnderflowError(RuntimeError):
     """The adaptive integrator could not take a step at the requested tolerance."""
 
 
+def value_dtype(*arrays) -> np.dtype:
+    """The dtype a flow of `arrays` runs in: float64 when every one is
+    real, complex128 when one is complex (`np.result_type`, at least
+    float64)."""
+    return np.result_type(*arrays, np.float64)
+
+
+def as_values(a, *others) -> np.ndarray:
+    """`a` as an array of `value_dtype(a, *others)`: float64, or complex128
+    when `a` or one of the others is complex."""
+    a = np.asarray(a)
+    return a.astype(value_dtype(a, *others), copy=False)
+
+
 def _canonical(keys: np.ndarray, vals: np.ndarray):
     """The distinct rows of `keys` in lexicographic order, each with the
     sum of its values taken from zero in input order, as `SparseTensor.add`
@@ -67,7 +83,7 @@ def _canonical(keys: np.ndarray, vals: np.ndarray):
     if repeat.any():
         first = np.concatenate([[True], ~repeat])
         sums = np.zeros(keys.shape[0] - np.count_nonzero(repeat),
-                        dtype=np.complex128)
+                        dtype=vals.dtype)
         np.add.at(sums, np.cumsum(first) - 1, vals)
         keys, vals = keys[first], sums
     else:
@@ -81,7 +97,7 @@ def _entry_keys(dim: int, rows, cols, vals, width: int):
     values."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.complex128)
+    vals = as_values(vals)
     if rows.ndim != 1 or vals.shape != rows.shape \
             or cols.shape != (rows.size, width):
         raise DimensionError(
@@ -105,6 +121,11 @@ class SparseTensor:
     folded into the arrays at the next read.  Either way a duplicate key
     sums its values from zero in input order, so a tensor built in bulk
     equals the same entries added one by one, to the bit.
+
+    The values keep the dtype they arrive in: float64 while every value
+    is real (floats, integers, real arrays), complex128 once one is
+    complex.  A real system so flows in real arithmetic, and a complex one
+    in complex, on the same code (`value_dtype`).
     """
 
     degree: int
@@ -119,7 +140,7 @@ class SparseTensor:
         if self.dim <= 0:
             raise ValueError("dim must be positive")
         self._keys = np.empty((0, self.degree + 1), dtype=np.int64)
-        self._vals = np.empty(0, dtype=np.complex128)
+        self._vals = np.empty(0, dtype=np.float64)
 
     @classmethod
     def from_arrays(cls, degree: int, dim: int, rows, cols,
@@ -131,7 +152,7 @@ class SparseTensor:
             *_entry_keys(dim, rows, cols, vals, degree))
         return t
 
-    def add(self, row: int, cols: tuple, value: complex) -> None:
+    def add(self, row: int, cols: tuple, value) -> None:
         cols = tuple(int(c) for c in cols)
         if len(cols) != self.degree:
             raise DimensionError(
@@ -141,7 +162,8 @@ class SparseTensor:
         for c in cols:
             if not 0 <= c < self.dim:
                 raise DimensionError(f"column {c} out of range for dim {self.dim}")
-        self._pending.append(((int(row),) + cols, complex(value)))
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+        self._pending.append(((int(row),) + cols, value))
 
     def sorted_arrays(self):
         """(rows, (nnz, degree) multi-indices, values) in key order,
@@ -156,7 +178,7 @@ class SparseTensor:
             self._pending = []
             self._keys, self._vals = _canonical(
                 np.concatenate([self._keys, np.array(keys, dtype=np.int64)]),
-                np.concatenate([self._vals, vals]))
+                np.concatenate([self._vals, as_values(vals)]))
 
     def entries(self):
         """Sorted (row, cols, value) triples, zero-valued entries included."""
@@ -183,14 +205,14 @@ class SparseTensor:
         ncols = self.dim**self.degree
         if self.dim * ncols > KRON_SIZE_LIMIT:
             raise OverflowGuardError("dense flattening exceeds size guard")
-        out = np.zeros((self.dim, ncols), dtype=np.complex128)
         rows, flat, vals = self.arrays()
+        out = np.zeros((self.dim, ncols), dtype=vals.dtype)
         out[rows, flat] = vals
         return out
 
     @classmethod
     def from_dense_flat(cls, degree: int, mat: np.ndarray) -> "SparseTensor":
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = as_values(mat)
         d = mat.shape[0]
         if mat.shape[1] != d**degree:
             raise DimensionError("flattened shape inconsistent with degree")
@@ -248,6 +270,13 @@ class PolySystem:
         return cls(dim, tensors)
 
     @property
+    def dtype(self) -> np.dtype:
+        """float64 when every value of the system is real, else
+        complex128."""
+        return value_dtype(*(t.sorted_arrays()[2] for t in self.tensors
+                             if t is not None))
+
+    @property
     def max_degree(self) -> int:
         return len(self.tensors) - 1
 
@@ -269,13 +298,13 @@ class Trajectory:
     `sample_grid` or a leading part of them."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim), complex
+    states: np.ndarray  # (len(times), dim), float64 or complex128
     diverged: bool = False
     cause: str = ""  # why a diverged trajectory ended, where it is known
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=np.complex128)
+        self.states = as_values(self.states)
         if self.times.ndim != 1 or self.states.shape[0] != self.times.size:
             raise DimensionError("times/states length mismatch")
 
@@ -315,12 +344,12 @@ def vectorized_rhs(sys: PolySystem):
     per-entry test oracle.
     """
     plan = entry_plan(sys)
-    dim = sys.dim
+    dim, dtype = sys.dim, sys.dtype
 
     def rhs(t, x):
-        out = np.zeros(dim, dtype=np.complex128)
+        out = np.zeros(dim, dtype=np.result_type(x, dtype))
         for k, rows, col_idx, vals in plan:
-            terms = vals.copy()
+            terms = vals.astype(out.dtype)
             for m in range(k):
                 terms *= x[col_idx[:, m]]
             np.add.at(out, rows, terms)
@@ -340,7 +369,7 @@ def integrate_reference(sys: PolySystem, x0: np.ndarray, t_end: float,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x0 = np.asarray(x0, dtype=np.complex128)
+    x0 = as_values(x0, sys.dtype)
     if x0.shape != (sys.dim,):
         raise DimensionError("initial state has wrong length")
     return integrate_rhs(vectorized_rhs(sys), x0, t_end, tol, sample_times)
@@ -355,9 +384,10 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
     the divergence norm sqrt(sum_i w_i |x_i|^2); without, every component
     counts once.  The samples are `sample_grid(t_end, sample_times)`, and
     a grid of t = 0 alone takes no step.  The solver module, and with it
-    scipy.integrate, is imported on the first call.
+    scipy.integrate, is imported on the first call.  The states are
+    float64 for a real x0 (and rhs), complex128 for a complex one.
     """
-    x0 = np.asarray(x0, dtype=np.complex128)
+    x0 = as_values(x0)
     times = sample_grid(t_end, sample_times)
     if times.size == 1:
         return Trajectory(times, x0[None, :])
@@ -382,7 +412,8 @@ class _QuadraticTaylor:
                      sum_{m <= n} a_m[j_e] a_{n-m}[k_e],
     while the constant coordinate keeps the coefficients (1, 0, 0, ...).
     Every operation acts on each row alone, so a row's bits do not depend
-    on the other rows of its batch.
+    on the other rows of its batch.  The coefficients are float64 for a
+    real system and real states, complex128 otherwise (`value_dtype`).
     """
 
     def __init__(self, sys: PolySystem, order: int, tol: float):
@@ -404,7 +435,7 @@ class _QuadraticTaylor:
         uniq, self.pair_of = np.unique(pairs[:, 0] * (d + 1) + pairs[:, 1],
                                        return_inverse=True)
         self.jk = np.concatenate([uniq // (d + 1), uniq % (d + 1)])
-        self.vals = np.concatenate(vals).astype(np.complex128)[by_row]
+        self.vals = np.concatenate(vals)[by_row]
         self.starts = np.flatnonzero(np.diff(rows[by_row], prepend=-1))
         self.dim, self.order, self.tol = d, order, tol
 
@@ -413,11 +444,12 @@ class _QuadraticTaylor:
         shape (p + 1, c, d + 1)."""
         c, d = x.shape
         p, npair = self.order, self.jk.size // 2
-        coef = np.zeros((p + 1, c, d + 1), dtype=np.complex128)
+        dtype = value_dtype(x, self.vals)
+        coef = np.zeros((p + 1, c, d + 1), dtype=dtype)
         coef[0, :, :d] = x
         coef[0, :, d] = 1.0
         # per order, z_j of every factor pair, then z_k of every pair
-        zjk = np.empty((p + 1, c, 2 * npair), dtype=np.complex128)
+        zjk = np.empty((p + 1, c, 2 * npair), dtype=dtype)
         coef[0].take(self.jk, axis=1, out=zjk[0])
         scaled = self.vals * (h / np.arange(1, p + 1)[:, None])[:, :, None]
         for n in range(p):
@@ -471,23 +503,25 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     passes the norm, between samples or after the last one.
 
     Returns (times, states, kept, diverged): the n sample times of
-    `sample_grid(t_end, sample_times)`, the (n, c, dim) states, how many
+    `sample_grid(t_end, sample_times)`, the (n, c, dim) states (float64
+    for a real system and real X0, else complex128), how many
     leading samples each row keeps (the states after them are NaN) and
     whether it diverged.  A grid of t = 0 alone takes no step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X0 = np.asarray(X0, dtype=np.complex128)
+    X0 = as_values(X0)
     if X0.ndim != 2 or X0.shape[1] != sys.dim:
         raise DimensionError("initial states must form a (c, dim) array")
     flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol)
+    dtype = value_dtype(X0, flow.vals)
     c = X0.shape[0]
     times = sample_grid(t_end, sample_times)
     if times.size == 1:
-        return (times, X0[None].copy(), np.ones(c, dtype=np.int64),
+        return (times, X0[None].astype(dtype), np.ones(c, dtype=np.int64),
                 np.zeros(c, dtype=bool))
     n = times.size
-    states = np.full((n, c, sys.dim), np.nan, dtype=np.complex128)
+    states = np.full((n, c, sys.dim), np.nan, dtype=dtype)
     states[0] = X0
     kept = np.full(c, n, dtype=np.int64)
     diverged = np.zeros(c, dtype=bool)
@@ -509,18 +543,19 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
             upto = np.searchsorted(times, end, side="right")
             count = upto - nxt
             # Horner at each row's samples in (t, end], then at end itself,
-            # on the real and imaginary parts, which s scales alike
+            # on the float64 parts of the coefficients (real and imaginary
+            # parts side by side for a complex flow), which s scales alike
             m = np.arange(count.max() + 1)[:, None]
             inner = m < count
             s = (np.where(inner, times[np.minimum(nxt + m, n - 1)], end)
                  - t) / guess
-            s = np.repeat(s[:, :, None], 2 * sys.dim, axis=2)
             parts = coef.view(np.float64)
+            s = np.repeat(s[:, :, None], parts.shape[2], axis=2)
             y = np.repeat(parts[-1][None], m.size, axis=0)
             for a in parts[-2::-1]:
                 y *= s
                 y += a
-            y = y.view(np.complex128)
+            y = y.view(dtype)
             outside = ~(np.linalg.norm(y, axis=2) <= DIVERGENCE_NORM)
             past = inner & outside
             cut = np.where(past.any(axis=0), past.argmax(axis=0), count)

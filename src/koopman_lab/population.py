@@ -125,13 +125,14 @@ def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
     return _verdict(low, high), low.eps_max, high.eps_max
 
 
-def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts):
-    """Cells of one chunk: one batched reference, mapped to y once, then
-    each route's lifts.  A route's lifted samples are dropped before the
-    next route runs.  Returns the carleman and nip verdicts, then eps_c
-    low and high and eps_k low and high, each an array over the cells."""
+def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts, mode):
+    """Cells of one chunk: one batched reference of the mode system `mode`,
+    mapped to y once, then each route's lifts.  A route's lifted samples
+    are dropped before the next route runs.  Returns the carleman and nip
+    verdicts, then eps_c low and high and eps_k low and high, each an array
+    over the cells."""
     references = reference_y_samples(model, X0s, t_end,
-                                     sample_times=sample_times)
+                                     sample_times=sample_times, system=mode)
     (c_verdict, c_low, c_high), (k_verdict, k_low, k_high) = (
         _route_cells(X0s, route, model, orders, t_end, tol, sample_times,
                      lifts, references)
@@ -159,15 +160,16 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     """Per-cell verdicts over initial conditions (x1_fixed, x2, x3).
 
     A route converges at a cell when the error at the higher lift order is
-    strictly smaller than at the lower order, both finite.  The monomial
-    lift and exact step stack of each (route, order) are built once per
-    call (`nip.route_lift`) and shared by every cell; `tol` reaches only
-    lifts too large for the exact step.  The cells, in grid order, are cut
-    into chunks of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`);
-    with several workers the pool maps chunks.  A cell's numbers do not
-    depend on its chunk's other cells: they are the bits of `nip_evolve`
-    and `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
-    grid order, so the result does not depend on the thread count.
+    strictly smaller than at the lower order, both finite.  The mode system
+    (`nip.koopman_system`) and the monomial lift and exact step stack of
+    each (route, order) (`nip.route_lift`) are built once per call and
+    shared by every cell; `tol` reaches only lifts too large for the exact
+    step.  The cells, in grid order, are cut into chunks of SCAN_CHUNK, and
+    each chunk is one batch (`_scan_chunk`); with several workers the pool
+    maps chunks.  A cell's numbers do not depend on its chunk's other
+    cells: they are the bits of `nip_evolve` and `vacancy_evolve` at its x0
+    alone.  The chunks' arrays are joined in grid order, so the result does
+    not depend on the thread count.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -183,9 +185,11 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
         threads = default_threads()
 
     sample_times = sample_grid(t_end)
-    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
+    mode = koopman_system(model)
+    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times,
+                                    system=mode if route == "mode" else None)
              for route in ROUTES for n in orders}
-    shared = (model, tuple(orders), t_end, tol, sample_times, lifts)
+    shared = (model, tuple(orders), t_end, tol, sample_times, lifts, mode)
     points = np.array([[x1_fixed, x2, x3]
                        for x2 in x2_range for x3 in x3_range])
     chunks = [points[i:i + SCAN_CHUNK]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from koopman_lab import population
 from koopman_lab.carleman import (
     DENSE_LIMIT,
     STEP_SPAN,
@@ -35,7 +36,6 @@ from koopman_lab.nip import (
     vacancy_evolve,
     vacancy_taylor_tensors,
     x_to_eta,
-    x_to_y,
     y_to_x,
 )
 from koopman_lab.polyflow import (
@@ -46,8 +46,10 @@ from koopman_lab.polyflow import (
     eval_rhs,
     integrate_reference,
     integrate_rhs,
+    sample_grid,
 )
 from koopman_lab.population import convergence_scan, paper_model
+from koopman_lab.rsep import RsepParams, build_rsep, quadratic_flow
 
 DEMO_X0 = np.array([1.0, 1.4, 1.4])
 DEMO_T_END = 0.1
@@ -64,6 +66,12 @@ def small_model(seed=0, coupling=0.2):
                 if abs(val) > 0.05:
                     J.add(i, (j, k), val)
     return PopulationModel(d, 1.0 + rng.random(d), 1.0 + rng.random(d), J)
+
+
+def x_to_y(model, x):
+    """The vacancy coordinates y = 1 - x/X of populations x: the oracle of
+    the library's y = eta/(1 + eta), eta = (X - x)/x."""
+    return 1.0 - np.asarray(x) / model.X
 
 
 def assert_system_bitwise(sys, want):
@@ -542,6 +550,53 @@ class TestErrorRun:
         assert np.all(np.isnan(run.y_approx.states[0]))
         assert np.all(np.isfinite(run.eps[1:]))
         assert run.eps_max == np.nanmax(run.eps)
+
+
+class TestRealArithmetic:
+    """The population strand is real, so it runs in float64 throughout."""
+
+    def test_reference_lifts_and_errors_are_float64(self):
+        model = paper_model()
+        grid = sample_grid(DEMO_T_END)
+        X0s = [DEMO_X0, IN_BALL_X0]
+        references = reference_y_samples(model, X0s, DEMO_T_END, grid)
+        assert references.y.dtype == np.float64
+        for route in ROUTES:
+            lift = route_lift(model, route, 3, DEMO_T_END, grid)
+            assert lift.op.vals.dtype == lift.step.dtype == np.float64
+            runs = route_runs(model, X0s, route, DEMO_T_END, 1e-10, grid,
+                              references, lift)
+            assert runs.y.dtype == runs.eps.dtype == np.float64
+
+    def test_a_scan_allocates_no_complex_arrays(self, monkeypatch):
+        seen = []
+
+        def recorded(fn, *fields):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for name in fields:
+                    seen.append((fn.__name__, name,
+                                 np.asarray(getattr(out, name)).dtype))
+                return out
+            return call
+
+        monkeypatch.setattr(population, "reference_y_samples", recorded(
+            population.reference_y_samples, "y"))
+        monkeypatch.setattr(population, "route_lift", recorded(
+            population.route_lift, "step"))
+        monkeypatch.setattr(population, "route_runs", recorded(
+            population.route_runs, "y", "eps", "eps_max"))
+        convergence_scan(paper_model(), x2_range=[1.0, 1.4],
+                         x3_range=[0.8, 1.4], threads=1)
+        assert len(seen) == 1 + 4 + 3 * 4
+        assert all(dtype == np.float64 for *_, dtype in seen), seen
+
+    def test_rsep_flow_stays_complex(self):
+        params = RsepParams(4, 10.0, 20.0, 0.1)
+        systems = build_rsep(params)
+        z = quadratic_flow(systems.F, systems.v, systems.c, systems.alpha,
+                           params.A.conj().T[:, 0], 0.1)
+        assert z.dtype == np.complex128
 
 
 class TestSerialization:
