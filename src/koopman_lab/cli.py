@@ -89,7 +89,7 @@ def _load_config(path, allowed, required=()):
 def _population_model(data):
     if "model" in data and data["model"] is not None:
         try:
-            return nip.model_from_json(json.dumps(data["model"]))
+            return nip.model_from_dict(data["model"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad 'model' entry: {exc}")
     return population.paper_model()
@@ -164,8 +164,8 @@ def _check_flags(args):
         raise ConfigError(f"flag --orders takes orders >= 1, got "
                           f"{' '.join(map(str, orders))}")
     tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        raise ConfigError(f"flag --tol must be positive, got {tol}")
+    if tol is not None and not 0 < tol < np.inf:
+        raise ConfigError(f"flag --tol must be finite and positive, got {tol}")
     t_end = getattr(args, "t_end", None)
     if t_end is not None and not 0 <= t_end < np.inf:
         raise ConfigError(
@@ -311,7 +311,7 @@ def _cmd_nip_error(args, data):
 
 def _fermion_system(data):
     try:
-        return fermion.system_from_json(json.dumps(data["system"]))
+        return fermion.system_from_dict(data["system"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'system' entry: {exc}")
 
@@ -536,6 +536,10 @@ def _cmd_ode_history(args, data):
         x0 = np.asarray(data["x0"], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'A' or 'x0' entry: {exc}")
+    if x0.ndim != 1 or x0.size == 0 or A.shape != (x0.size, x0.size):
+        raise ConfigError(f"config key 'x0' must be a nonempty list and 'A' "
+                          f"a square matrix of its size, got shapes "
+                          f"{x0.shape} and {A.shape}")
     if (m + p) * x0.size > MAX_HISTORY_ORDER:
         raise ConfigError(f"config keys 'm', 'p' and 'x0' give a history "
                           f"system of order ({m} + {p}) * {x0.size}, above "

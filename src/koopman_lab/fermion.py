@@ -22,7 +22,6 @@ Liouvillian applied to rho(0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -429,18 +428,11 @@ def commuting_example(N: int, omegas, gammas):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# configuration
 
-def system_to_json(sys: FermionSystem) -> str:
-    entries = [[i, j, sys.h[i, j]]
-               for i in range(2 * sys.N) for j in range(i + 1, 2 * sys.N)
-               if sys.h[i, j] != 0.0]
-    jumps = [[[v.real, v.imag] for v in l] for l in sys.jumps]
-    return json.dumps({"N": sys.N, "h": entries, "jumps": jumps})
-
-
-def system_from_json(text: str) -> FermionSystem:
-    data = json.loads(text)
+def system_from_dict(data) -> FermionSystem:
+    """A system from its parsed JSON form {"N": N, "h": [[i, j, h_ij], ...]
+    with i < j, "jumps": [[[re, im], ...], ...]}."""
     N = int(data["N"])
     h = np.zeros((2 * N, 2 * N))
     for i, j, val in data["h"]:

@@ -27,7 +27,6 @@ and the errors are all float64 arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,19 +404,11 @@ def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# configuration
 
-def model_to_json(model: PopulationModel) -> str:
-    return json.dumps({
-        "r": list(model.r),
-        "X": list(model.X),
-        "J": [[i, j, k, val.real]
-              for i, (j, k), val in model.J.entries()],
-    })
-
-
-def model_from_json(text: str) -> PopulationModel:
-    data = json.loads(text)
+def model_from_dict(data) -> PopulationModel:
+    """A model from its parsed JSON form {"r": [...], "X": [...],
+    "J": [[i, j, k, value], ...]}."""
     r = np.asarray(data["r"], dtype=float)
     X = np.asarray(data["X"], dtype=float)
     if r.size != X.size:

@@ -10,7 +10,10 @@ Systems of degree <= 2 flow by `taylor_samples`: each row takes one
 expansion of order TAYLOR_ORDER per step, picks the step from the
 expansion's last two coefficients, and one Horner pass over the
 coefficients gives every sample inside the step (Taylor's step control and
-dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  Every flow of the
+dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  The expansion's
+recurrence takes two stacked per-row products per order: the Cauchy sums
+of the coefficients' outer products, then their contraction with one dense
+bilinear tensor of the system (`_QuadraticTaylor`).  Every flow of the
 package samples the grid of `sample_grid`: t = 0 first, and
 np.linspace(0, t_end, GRID_SAMPLES) when it is given no sample times.
 Every flow runs in the dtype of its system and initial states
@@ -405,62 +408,56 @@ class _QuadraticTaylor:
     """Taylor expansions of dx/dt = F0 + F1 x + F2 (x (x) x), row by row.
 
     With the constant coordinate appended, z = (x, 1), every term is a
-    product v_e z_j z_k: a linear entry (i, j) becomes (i, j, d) and a
-    constant one (i, d, d).  The coefficients of z(t0 + s h) in powers of s
-    then follow one Cauchy-product recurrence,
-        a_{n+1}[i] = h / (n + 1) sum_{e in row i} v_e
-                     sum_{m <= n} a_m[j_e] a_{n-m}[k_e],
+    product v z_j z_k: a linear entry (i, j) becomes (i, j, d) and a
+    constant one (i, d, d).  The coefficients of z(t0 + s h) in powers of
+    s then follow one Cauchy-product recurrence,
+        a_{n+1}[i] = h / (n + 1) sum_{j <= k} S_n[j, k] T[(j, k), i],
+        S_n = sum_{m <= n} a_m a_{n-m}^T,
     while the constant coordinate keeps the coefficients (1, 0, 0, ...).
-    Every operation acts on each row alone, so a row's bits do not depend
-    on the other rows of its batch.  The coefficients are float64 for a
-    real system and real states, complex128 otherwise (`value_dtype`).
+    S_n is symmetric, so the system is one dense bilinear tensor T over
+    the unordered pairs j <= k, shape ((d + 1)(d + 2) / 2, d): T[(j, k), i]
+    is the sum of the values of row i's terms z_j z_k and z_k z_j.  Each
+    order is one stacked product for S_n, one for the contraction of its
+    upper triangle with T and one scale.  Both products are formed row by
+    row at a shape that does not depend on the batch, so a row's bits do
+    not depend on the other rows of its batch.  T and the coefficients
+    are of the flow's dtype: float64 for a real system and real states,
+    complex128 otherwise (`value_dtype`).
     """
 
-    def __init__(self, sys: PolySystem, order: int, tol: float):
+    def __init__(self, sys: PolySystem, order: int, tol: float, dtype):
         d = sys.dim
-        # one zero entry per row, so that each row owns a segment of terms
-        rows, pairs, vals = [np.arange(d)], [np.full((d, 2), d)], [np.zeros(d)]
-        for k, r, cols, v in entry_plan(sys):
-            if k > 2:
-                raise ValueError(
-                    f"the Taylor flow needs degree <= 2, the system has {k}")
-            rows.append(r)
-            pairs.append(np.hstack([cols, np.full((r.size, 2 - k), d)]))
-            vals.append(v)
-        rows = np.concatenate(rows)
-        by_row = np.argsort(rows, kind="stable")
-        # each distinct factor pair's Cauchy sum is formed once per order;
         # pair (j, k) is coded j (d + 1) + k, which sorts as the pairs do
-        pairs = np.vstack(pairs)[by_row]
-        uniq, self.pair_of = np.unique(pairs[:, 0] * (d + 1) + pairs[:, 1],
-                                       return_inverse=True)
-        self.jk = np.concatenate([uniq // (d + 1), uniq % (d + 1)])
-        self.vals = np.concatenate(vals)[by_row]
-        self.starts = np.flatnonzero(np.diff(rows[by_row], prepend=-1))
+        j, k = np.triu_indices(d + 1)
+        self.pairs = j * (d + 1) + k
+        self.T = np.zeros((self.pairs.size, d), dtype=dtype)
+        for degree, rows, cols, vals in entry_plan(sys):
+            if degree > 2:
+                raise ValueError(f"the Taylor flow needs degree <= 2, the "
+                                 f"system has {degree}")
+            # factors padded with the constant coordinate, in sorted order
+            j, k = np.sort(np.hstack(
+                [cols, np.full((rows.size, 2 - degree), d)]), axis=1).T
+            np.add.at(self.T, (np.searchsorted(self.pairs, j * (d + 1) + k),
+                               rows), vals)
         self.dim, self.order, self.tol = d, order, tol
 
     def series(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Coefficients a_0..a_p of z(t0 + s h[r]) from each row x[r],
         shape (p + 1, c, d + 1)."""
         c, d = x.shape
-        p, npair = self.order, self.jk.size // 2
-        dtype = value_dtype(x, self.vals)
-        coef = np.zeros((p + 1, c, d + 1), dtype=dtype)
-        coef[0, :, :d] = x
-        coef[0, :, d] = 1.0
-        # per order, z_j of every factor pair, then z_k of every pair
-        zjk = np.empty((p + 1, c, 2 * npair), dtype=dtype)
-        coef[0].take(self.jk, axis=1, out=zjk[0])
-        scaled = self.vals * (h / np.arange(1, p + 1)[:, None])[:, :, None]
+        p = self.order
+        coef = np.zeros((c, p + 1, d + 1), dtype=self.T.dtype)
+        coef[:, 0, :d] = x
+        coef[:, 0, d] = 1.0
+        scale = (h / np.arange(1, p + 1)[:, None])[:, :, None]
+        zt = coef.transpose(0, 2, 1)
         for n in range(p):
-            cauchy = np.add.reduce(
-                zjk[:n + 1, :, :npair] * zjk[n::-1, :, npair:], axis=0)
-            terms = cauchy.take(self.pair_of, axis=1)
-            terms *= scaled[n]
-            np.add.reduceat(terms, self.starts, axis=1,
-                            out=coef[n + 1, :, :d])
-            coef[n + 1].take(self.jk, axis=1, out=zjk[n + 1])
-        return coef
+            cauchy = zt[:, :, :n + 1] @ coef[:, n::-1]
+            upper = cauchy.reshape(c, 1, -1).take(self.pairs, axis=2)
+            np.multiply((upper @ self.T)[:, 0], scale[n],
+                        out=coef[:, n + 1, :d])
+        return coef.transpose(1, 0, 2)
 
     def step(self, x: np.ndarray, guess: np.ndarray, room: np.ndarray):
         """(coefficients of x(t0 + s guess), shape (p + 1, c, d); each
@@ -470,16 +467,19 @@ class _QuadraticTaylor:
         a_p (h / guess)^p and a_{p-1} (h / guess)^(p-1) each stay within
         TAYLOR_TAIL tol max(1, |x|) / 2 (Jorba & Zou 2005, section 3), so
         the guess sets only the scale the coefficients are formed at.  A
-        coefficient that overflows gives a step of 0, one that is NaN a
-        NaN step.
+        coefficient that overflows gives a step of 0 or, once the
+        contraction with T meets the overflow, NaN; one that is NaN a NaN
+        step.
         """
         p = self.order
-        coef = self.series(x, guess)[:, :, :self.dim]
-        budget = 0.5 * TAYLOR_TAIL * self.tol * np.maximum(
-            1.0, np.linalg.norm(x, axis=1))
-        grow = np.minimum(
-            (budget / np.linalg.norm(coef[-1], axis=1)) ** (1.0 / p),
-            (budget / np.linalg.norm(coef[-2], axis=1)) ** (1.0 / (p - 1)))
+        # contiguous, so that each dense-output operation on one order's
+        # coefficients runs over one block of memory
+        coef = np.ascontiguousarray(self.series(x, guess)[:, :, :self.dim])
+        # the norms of a_0 = x, a_{p-1} and a_p
+        norm = np.linalg.norm(coef[[0, -2, -1]], axis=2)
+        budget = 0.5 * TAYLOR_TAIL * self.tol * np.maximum(1.0, norm[0])
+        grow = np.minimum((budget / norm[2]) ** (1.0 / p),
+                          (budget / norm[1]) ** (1.0 / (p - 1)))
         return coef, np.minimum(guess * grow, room)
 
 
@@ -513,8 +513,8 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     X0 = as_values(X0)
     if X0.ndim != 2 or X0.shape[1] != sys.dim:
         raise DimensionError("initial states must form a (c, dim) array")
-    flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol)
-    dtype = value_dtype(X0, flow.vals)
+    dtype = value_dtype(X0, sys.dtype)
+    flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol, dtype)
     c = X0.shape[0]
     times = sample_grid(t_end, sample_times)
     if times.size == 1:
@@ -531,32 +531,36 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     x, guess = X0, np.full(c, float(t_end))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while rows.size:
-            coef, h = flow.step(x, guess, t_end - t)
+            room = t_end - t
+            coef, h = flow.step(x, guess, room)
             end = t + h
             if not np.all(end > t):
                 r = np.argmin(end > t)
                 raise StepUnderflowError(
                     f"Taylor flow: at t = {t[r]:.6g} a step of {h[r]:.3g} "
                     f"no longer advances the time at tol {tol:g}")
-            done = h >= t_end - t
+            done = h >= room
             end[done] = t_end
             upto = np.searchsorted(times, end, side="right")
             count = upto - nxt
             # Horner at each row's samples in (t, end], then at end itself,
             # on the float64 parts of the coefficients (real and imaginary
-            # parts side by side for a complex flow), which s scales alike
+            # parts side by side for a complex flow), which s scales alike;
+            # s is repeated to the parts' shape, since a broadcast s halves
+            # the speed of numpy's loops over these short rows
             m = np.arange(count.max() + 1)[:, None]
             inner = m < count
             s = (np.where(inner, times[np.minimum(nxt + m, n - 1)], end)
                  - t) / guess
             parts = coef.view(np.float64)
             s = np.repeat(s[:, :, None], parts.shape[2], axis=2)
-            y = np.repeat(parts[-1][None], m.size, axis=0)
-            for a in parts[-2::-1]:
+            y = parts[-1] * s
+            y += parts[-2]
+            for a in parts[-3::-1]:
                 y *= s
                 y += a
+            outside = ~(np.square(y).sum(axis=2) <= DIVERGENCE_NORM ** 2)
             y = y.view(dtype)
-            outside = ~(np.linalg.norm(y, axis=2) <= DIVERGENCE_NORM)
             past = inner & outside
             cut = np.where(past.any(axis=0), past.argmax(axis=0), count)
             mi, ri = np.nonzero(m < cut)

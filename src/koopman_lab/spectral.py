@@ -59,8 +59,12 @@ def kaiser_window(J: int, sigma: float) -> WindowSpec:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     j = np.arange(J)
-    arg = np.pi * sigma * np.sqrt(1.0 - ((2 * j - (J - 1)) / (J - 1))**2)
-    beta = np.i0(arg) / np.i0(np.pi * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = np.pi * sigma * np.sqrt(1.0 - ((2 * j - (J - 1)) / (J - 1))**2)
+        beta = np.i0(arg) / np.i0(np.pi * sigma)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"sigma = {sigma:g} overflows the window's "
+                         f"I0(pi sigma)")
     beta /= np.linalg.norm(beta)
     return WindowSpec(J, sigma, beta)
 
@@ -155,20 +159,6 @@ class NormalKoopman:
 
     def g_norm(self, t: float) -> float:
         return float(np.linalg.norm(self.g(t)))
-
-
-def modes_from_matrix(K: np.ndarray, g0: np.ndarray) -> NormalKoopman:
-    """Diagonalize a dense normal generator and project the initial vector."""
-    K = np.asarray(K, dtype=complex)
-    comm = K @ K.conj().T - K.conj().T @ K
-    if np.max(np.abs(comm)) > 1e-8:
-        raise ValueError("generator is not normal")
-    from scipy.linalg import schur
-    T, Q = schur(K, output="complex")
-    lam = np.diag(T)
-    a = Q.conj().T @ np.asarray(g0, dtype=complex)
-    a = a / np.linalg.norm(a)
-    return NormalKoopman(-lam.real, lam.imag, a)
 
 
 def check_nyquist(modes: NormalKoopman, dt: float) -> None:

@@ -202,3 +202,31 @@ def taylor_expansions(monkeypatch):
 
     monkeypatch.setattr(polyflow._QuadraticTaylor, "series", counted)
     return expansions
+
+
+def _fermion_system_dict(sys):
+    """A fermion system in the config form `fermion.system_from_dict`
+    reads: h's upper-triangle nonzeros and each jump's [re, im] pairs."""
+    entries = [[i, j, sys.h[i, j]]
+               for i in range(2 * sys.N) for j in range(i + 1, 2 * sys.N)
+               if sys.h[i, j] != 0.0]
+    jumps = [[[v.real, v.imag] for v in l] for l in sys.jumps]
+    return {"N": sys.N, "h": entries, "jumps": jumps}
+
+
+@pytest.fixture(scope="session")
+def fermion_system_dict():
+    return _fermion_system_dict
+
+
+def _population_model_dict(model):
+    """A population model in the config form `nip.model_from_dict`
+    reads."""
+    return {"r": list(model.r), "X": list(model.X),
+            "J": [[i, j, k, val.real]
+                  for i, (j, k), val in model.J.entries()]}
+
+
+@pytest.fixture(scope="session")
+def population_model_dict():
+    return _population_model_dict

@@ -21,19 +21,21 @@ def write_json(tmp_path, name, payload):
 
 
 @pytest.fixture()
-def fermion_config(tmp_path):
-    h, jumps = fermion.commuting_example(2, [1.0, 2.0], [0.5, 0.7])
-    sys = fermion.FermionSystem(2, h, jumps)
-    payload = {"system": json.loads(fermion.system_to_json(sys)),
-               "t_end": 0.5}
-    return write_json(tmp_path, "fermion.json", payload)
+def system_config(tmp_path, fermion_system_dict):
+    """Writes the config {"system": commuting N-mode system, **extra} and
+    returns its path."""
+    def write(N, omegas, gammas, **extra):
+        sys_ = fermion.FermionSystem(
+            N, *fermion.commuting_example(N, omegas, gammas))
+        payload = {"system": fermion_system_dict(sys_), **extra}
+        return write_json(tmp_path, "system.json", payload)
+
+    return write
 
 
-def system_config(tmp_path, N, omegas, gammas, **extra):
-    sys_ = fermion.FermionSystem(
-        N, *fermion.commuting_example(N, omegas, gammas))
-    payload = {"system": json.loads(fermion.system_to_json(sys_)), **extra}
-    return write_json(tmp_path, "system.json", payload)
+@pytest.fixture()
+def fermion_config(system_config):
+    return system_config(2, [1.0, 2.0], [0.5, 0.7], t_end=0.5)
 
 
 RSEP_POINT = {"d": 4, "beta": 10.0, "gamma": 20.0, "delta": 0.1}
@@ -149,6 +151,46 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["population-scan", "population-traj",
+                                         "carleman-error", "nip-error"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, command, tol):
+        # an infinite tolerance used to leave the lift's integrator
+        # stepping without end
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--out", str(out), "--tol", tol])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == (f"config error: flag --tol must be finite and "
+                       f"positive, got {tol}")
+        assert not out.exists()
+
+    def test_empty_history_system_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "h.json", {"A": [], "x0": [], "m": 2,
+                                              "p": 1, "l": 4, "h": 0.1})
+        out = tmp_path / "h.csv"
+        code = cli.run(["ode-history", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == ("config error: config key 'x0' must be a nonempty "
+                       "list and 'A' a square matrix of its size, got "
+                       "shapes (0,) and (0,)")
+        assert not out.exists()
+
+    def test_overflowing_window_is_refused(self, tmp_path, capsys):
+        # I0(pi sigma) overflows: the window used to be NaN on every row
+        cfg = write_json(tmp_path, "w.json", {"J": 3, "sigma": 1e308})
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["spectral-window", "--config", cfg,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad window parameters: sigma = 1e+308 overflows "
+            "the window's I0(pi sigma)\n")
+        assert not out.exists()
+
     def test_zero_population_is_a_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "zero.json",
                          {"x0": [0.0, 1.0, 1.0], "order": 2, "t_end": 0.02})
@@ -233,14 +275,13 @@ class TestExitCodes:
     ])
     def test_size_keys_checked_before_allocating(
             self, tmp_path, capsys, monkeypatch, command, key, value,
-            minimum, bound, builder):
+            minimum, bound, builder, system_config):
         def fail(*args, **kwargs):
             raise AssertionError(f"{builder[1]} called")
 
         monkeypatch.setattr(*builder, fail)
         if command == "fermion-heat":
-            cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7],
-                                **{key: value})
+            cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], **{key: value})
         elif command == "rsep-sweep":
             cfg = write_json(tmp_path, "r.json", {"points": [
                 RSEP_POINT | {key: value, "seed": 1}]})
@@ -311,9 +352,9 @@ class TestExitCodes:
         ("rsep-sweep", {"points": [RSEP_POINT | {"beta": "2"}]}, "beta"),
     ])
     def test_config_value_types_rejected(self, tmp_path, capsys, command,
-                                         payload, key):
+                                         payload, key, system_config):
         if command.startswith("fermion"):
-            cfg = system_config(tmp_path, 1, [1.0], [0.5], **payload)
+            cfg = system_config(1, [1.0], [0.5], **payload)
         else:
             cfg = write_json(tmp_path, "bad.json", payload)
         grid = ["--grid", "1:1:1"] if command == "population-scan" else []
@@ -326,9 +367,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("samples", [0, 2.5, "5", None])
     def test_heat_samples_must_be_a_positive_integer(self, tmp_path, capsys,
-                                                     samples):
-        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7],
-                            samples=samples)
+                                                     samples, system_config):
+        cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], samples=samples)
         out = tmp_path / "h.csv"
         code = cli.run(["fermion-heat", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
@@ -445,17 +485,18 @@ class TestExitCodes:
         assert "--orders" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    def test_decay_rejects_t_end(self, tmp_path, capsys):
-        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7], t_end=0.5)
+    def test_decay_rejects_t_end(self, tmp_path, capsys, system_config):
+        cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], t_end=0.5)
         out = tmp_path / "d.csv"
         code = cli.run(["fermion-decay", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "'t_end'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gapless_steady_state_is_numerical(self, tmp_path, capsys):
+    def test_gapless_steady_state_is_numerical(self, tmp_path, capsys,
+                                               system_config):
         # the second mode has no loss: no unique steady state
-        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.0])
+        cfg = system_config(2, [1.0, 2.0], [0.5, 0.0])
         out = tmp_path / "s.csv"
         code = cli.run(["fermion-steady", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
@@ -648,8 +689,9 @@ assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
 
 
 class TestColdStart:
-    def test_only_a_dop853_run_loads_scipy_integrate(self, tmp_path):
-        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7])
+    def test_only_a_dop853_run_loads_scipy_integrate(self, tmp_path,
+                                                     system_config):
+        cfg = system_config(2, [1.0, 2.0], [0.5, 0.7])
         lazy, eager = tmp_path / "lazy", tmp_path / "eager"
         lazy.mkdir()
         eager.mkdir()
@@ -726,7 +768,7 @@ class TestPopulationCommands:
         assert err.startswith(prefix)
         assert abs(float(err[len(prefix):]) - t_star) < 0.5 / 128
         assert not out.exists()
-        model = nip.model_from_json(json.dumps(spec))
+        model = nip.model_from_dict(spec)
         if command == "population-traj":
             traj, _, _ = population.trajectory_compare(model, x0, 3, 0.5)
         else:
@@ -779,8 +821,8 @@ class TestFermionCommands:
         assert cli.run(["fermion-heat", "--config", fermion_config,
                         "--out", str(tmp_path / "h.csv"), "--seed", "2"]) == 0
 
-    def test_heat_zero_horizon_is_one_row(self, tmp_path):
-        cfg = system_config(tmp_path, 2, [1.0, 2.0], [0.5, 0.7], samples=5)
+    def test_heat_zero_horizon_is_one_row(self, tmp_path, system_config):
+        cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], samples=5)
         out = tmp_path / "h.csv"
         assert cli.run(["fermion-heat", "--config", cfg, "--out", str(out),
                         "--seed", "2", "--t-end", "0"]) == cli.EXIT_OK
@@ -788,8 +830,9 @@ class TestFermionCommands:
 
     @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
                                          "fermion-steady"])
-    def test_outputs_identical_across_runs(self, tmp_path, command):
-        cfg = system_config(tmp_path, 3, [1.0, 2.0, 0.7], [0.4, 0.9, 0.6])
+    def test_outputs_identical_across_runs(self, tmp_path, command,
+                                           system_config):
+        cfg = system_config(3, [1.0, 2.0, 0.7], [0.4, 0.9, 0.6])
         seed = [] if command == "fermion-steady" else ["--seed", "3"]
         outs = []
         for run in range(3):

@@ -24,8 +24,7 @@ from koopman_lab.fermion import (
     oracle_deviation,
     random_antisymmetric,
     steady_state,
-    system_from_json,
-    system_to_json,
+    system_from_dict,
 )
 from koopman_lab.polyflow import DimensionError
 
@@ -368,9 +367,9 @@ class TestExamples:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
+    def test_roundtrip(self, fermion_system_dict):
         sys = commuting_system()
-        back = system_from_json(system_to_json(sys))
+        back = system_from_dict(fermion_system_dict(sys))
         np.testing.assert_allclose(back.h, sys.h, atol=1e-15)
         assert len(back.jumps) == len(sys.jumps)
         for a, b in zip(back.jumps, sys.jumps):
@@ -378,4 +377,4 @@ class TestSerialization:
 
     def test_lower_triangle_rejected(self):
         with pytest.raises(ValueError):
-            system_from_json('{"N": 1, "h": [[1, 0, 2.0]], "jumps": []}')
+            system_from_dict({"N": 1, "h": [[1, 0, 2.0]], "jumps": []})

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -24,8 +22,7 @@ from koopman_lab.nip import (
     guaranteed_radius_squared,
     koopman_system,
     koopman_tensors,
-    model_from_json,
-    model_to_json,
+    model_from_dict,
     nip_evolve,
     r_number_nip,
     reference_y_samples,
@@ -600,14 +597,13 @@ class TestRealArithmetic:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
+    def test_roundtrip(self, population_model_dict):
         model = small_model()
-        back = model_from_json(model_to_json(model))
+        back = model_from_dict(population_model_dict(model))
         np.testing.assert_allclose(back.r, model.r)
         np.testing.assert_allclose(back.X, model.X)
         assert list(back.J.entries()) == list(model.J.entries())
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            model_from_json(json.dumps({"r": [1.0], "X": [1.0, 2.0],
-                                        "J": []}))
+            model_from_dict({"r": [1.0], "X": [1.0, 2.0], "J": []})

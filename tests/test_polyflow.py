@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from koopman_lab import fermion, polyflow
+from koopman_lab import fermion, nip, polyflow, population, rsep
 from koopman_lab.carleman import build_monomial_lift, lifted_samples
 from koopman_lab.polyflow import (
     DimensionError,
@@ -589,6 +589,92 @@ class TestTaylorFlow:
         with pytest.raises(StepUnderflowError, match="no longer advances"):
             taylor_samples(blow_up_system(), np.array([[20.0, 1.0]]), 0.1,
                            1e-12)
+
+
+def taylor_series(sys, X, h, dtype):
+    """The coefficients of one Taylor expansion from each row of X at
+    steps h, shape (TAYLOR_ORDER + 1, c, dim + 1)."""
+    flow = polyflow._QuadraticTaylor(sys, polyflow.TAYLOR_ORDER, 1e-12,
+                                     dtype)
+    return flow.series(np.asarray(X, dtype=dtype), np.asarray(h))
+
+
+def assert_rows_alone_are_the_batch(sys, X0, t_end, tol, grid=None):
+    """Each row of X0 flowed alone gives the bits, kept samples and
+    divergence flag of its row in the batch."""
+    _, batch, kept, diverged = taylor_samples(sys, X0, t_end, tol, grid)
+    for r, x0 in enumerate(X0):
+        _, alone, k, dv = taylor_samples(sys, x0[None, :], t_end, tol, grid)
+        assert (k[0], dv[0]) == (kept[r], diverged[r])
+        np.testing.assert_array_equal(alone[:, 0], batch[:, r])
+
+
+class TestTaylorKernel:
+    """`_QuadraticTaylor.series` against closed-form coefficients, and the
+    batched flow's rows against the same rows flowed alone."""
+
+    @pytest.mark.parametrize("dtype, X, h", [
+        (np.float64, [[0.7], [-1.2], [0.3]], [0.3, 0.1, 1.0]),
+        (np.complex128, [[0.5 + 0.4j], [-0.2 + 1.1j]], [0.3, 0.5]),
+    ], ids=["real", "complex"])
+    def test_square_flow_coefficients(self, dtype, X, h):
+        # x' = x^2 from x0: x(t0 + s h) = x0 / (1 - x0 h s), so that
+        # a_n = x0^(n + 1) h^n
+        F2 = SparseTensor(2, 1)
+        F2.add(0, (0, 0), dtype(1.0))
+        coef = taylor_series(PolySystem(1, [None, None, F2]), X, h, dtype)
+        assert coef.dtype == dtype
+        n = np.arange(polyflow.TAYLOR_ORDER + 1)[:, None]
+        x0, h = np.asarray(X, dtype=dtype)[:, 0], np.asarray(h)
+        np.testing.assert_allclose(coef[:, :, 0], x0 ** (n + 1) * h ** n,
+                                   rtol=1e-13, atol=0)
+        # the constant coordinate keeps the coefficients (1, 0, 0, ...)
+        assert np.all(coef[0, :, 1] == 1) and np.all(coef[1:, :, 1] == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["real", "complex"])
+    def test_linear_flow_coefficients(self, dtype):
+        # x' = M x from x0: a_n = (h M)^n x0 / n!
+        rng = np.random.default_rng(11)
+        M = rng.normal(size=(4, 4)) - np.eye(4)
+        X = rng.normal(size=(3, 4))
+        if dtype is np.complex128:
+            M = M + 1j * rng.normal(size=(4, 4))
+            X = X + 1j * rng.normal(size=(3, 4))
+        h = np.array([0.2, 0.05, 0.4])
+        coef = taylor_series(linear_system(M), X, h, dtype)
+        want = X.astype(dtype)
+        for n in range(polyflow.TAYLOR_ORDER + 1):
+            np.testing.assert_allclose(coef[n, :, :4], want, rtol=0,
+                                       atol=1e-15 * np.abs(X).max())
+            want = h[:, None] * (want @ M.T) / (n + 1)
+
+    def test_complex_rows_do_not_depend_on_their_batch(self):
+        # rsep's complex quadratic system at d = 10, from six states about
+        # its canonical one
+        params = rsep.RsepParams(10, 4.0, 10.0, 0.1,
+                                 A=rsep.haar_unitary(10, 7))
+        systems = rsep.build_rsep(params)
+        sys = rsep.quadratic_system(systems.F, systems.v, systems.c,
+                                    systems.alpha)
+        rng = np.random.default_rng(12)
+        X0 = params.A.conj().T[:, 0] + 0.3 * (
+            rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10)))
+        assert_rows_alone_are_the_batch(sys, X0, 1.0, rsep.FLOW_TOL,
+                                        np.linspace(0.0, 1.0, 17))
+
+    @pytest.mark.parametrize("rows", [8, 32])
+    def test_mode_rows_do_not_depend_on_their_batch(self, rows):
+        # the paper's mode system from scan cells drawn off criterion 04's
+        # axis, at the scan's horizon and tolerance
+        model = population.paper_model()
+        axis = np.arange(0.5, 2.0 + 1e-9, 0.05)
+        rng = np.random.default_rng(rows)
+        X = np.column_stack([np.ones(rows), rng.choice(axis, rows),
+                             rng.choice(axis, rows)])
+        assert_rows_alone_are_the_batch(
+            nip.koopman_system(model), nip.x_to_eta(model, X), 0.1,
+            nip.REFERENCE_TOL)
 
 
 def real_and_typed_complex(seed):

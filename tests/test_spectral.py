@@ -13,7 +13,6 @@ from koopman_lab.spectral import (
     history_system,
     ideal_mode_distribution,
     kaiser_window,
-    modes_from_matrix,
     post_selection_probabilities,
     qpe_distribution,
     sample_outcomes,
@@ -157,17 +156,6 @@ class TestModes:
     def test_growing_mode_rejected(self):
         with pytest.raises(ValueError):
             NormalKoopman([-0.1], [1.0], np.array([1.0 + 0j]))
-
-    def test_from_matrix(self):
-        K = np.diag([1j * 0.8, -0.5 - 0.2j])
-        m = modes_from_matrix(K, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(np.sort(m.mus), [0.0, 0.5], atol=1e-12)
-        assert np.sum(np.abs(m.a)**2) == pytest.approx(1.0)
-
-    def test_from_matrix_rejects_nonnormal(self):
-        with pytest.raises(ValueError):
-            modes_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                              np.array([1.0, 0.0]))
 
 
 class TestIdealDistribution:
