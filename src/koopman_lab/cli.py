@@ -45,6 +45,11 @@ MAX_HEAT_SAMPLES = 10**4
 # spectral norm of a dense d x d^2 complex flattening, 16 MB at d = 100,
 # where a point takes about 2 s and 0.1 GB; d = 200 takes 10 s and 0.3 GB.
 MAX_RSEP_DIM = 100
+# Largest horizon of `population-chaos`, whose Taylor flow takes time
+# linear in it, about 4.7 ms per unit of t_end: 1.4 s at t_end = 200, 7.9 s
+# at 1,600 and 56 s at 12,000 (2 cores, one BLAS thread), so the largest
+# run accepted takes about 50 s.  Its 2001 samples keep the memory fixed.
+MAX_CHAOS_T_END = 10**4
 # Largest Kaiser window length J of the spectral commands, which write one
 # CSV row per outcome and emulate one snapshot per window sample.
 MAX_WINDOW_J = 10**5 + 1
@@ -90,7 +95,7 @@ def _population_model(data):
     if "model" in data and data["model"] is not None:
         try:
             return nip.model_from_dict(data["model"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad 'model' entry: {exc}")
     return population.paper_model()
 
@@ -266,6 +271,11 @@ def _cmd_population_chaos(args, data):
                           f"{model.dim}")
     x0 = _x0(data, model, [0.05, 1.3, 0.025])
     t_end = _t_end(args, data, population.CHAOS_T_END)
+    if t_end > MAX_CHAOS_T_END:
+        source = "flag --t-end" if args.t_end is not None \
+            else "config key 't_end'"
+        raise ConfigError(f"{source} must be <= {MAX_CHAOS_T_END} for "
+                          f"population-chaos, got {t_end!r}")
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
         raise NumericalError(res.trajectory.cause)
@@ -474,10 +484,22 @@ def _spectral_window(data):
         raise ConfigError(f"bad window parameters: {exc}")
 
 
+def _spectral_dt(data):
+    """Config value "dt" (default 1): finite and positive."""
+    dt = _number(data, "dt", 1.0)
+    if not 0 < dt < np.inf:
+        raise ConfigError(
+            f"config key 'dt' must be finite and positive, got {dt!r}")
+    return dt
+
+
 def _cmd_spectral_window(args, data):
     window = _spectral_window(data)
-    dt = _number(data, "dt", 1.0)
+    dt = _spectral_dt(data)
     theta = _number(data, "theta", 0.0)
+    if not -math.pi <= theta <= math.pi:  # the phases the bins decode
+        raise ConfigError(
+            f"config key 'theta' must lie in [-pi, pi], got {theta!r}")
     p = spectral.qpe_distribution(window, theta)
     rows = []
     for ell in range(window.J):
@@ -492,7 +514,7 @@ def _spectral_emulation(args, data, n_samples, seed):
     `n_samples` outcomes drawn from the emulated one with `seed`."""
     modes = _spectral_modes(data)
     window = _spectral_window(data)
-    dt = _number(data, "dt", 1.0)
+    dt = _spectral_dt(data)
     if "T1" in data:
         T1 = _number(data, "T1", None)
     else:

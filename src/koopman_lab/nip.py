@@ -12,9 +12,9 @@ provided:
 
 Both truncation errors are measured in y coordinates against a reference
 obtained by integrating the exact quadratic eta dynamics.  The reference is
-the batched Taylor-series flow `polyflow.taylor_samples` at REFERENCE_TOL:
-each row picks every step so that its expansion's coefficient tail stays
-under a fraction `polyflow.TAYLOR_TAIL` of REFERENCE_TOL * max(1, |eta|).
+the batched Taylor-series flow `polyflow.taylor_samples`: each row picks
+every step so that its expansion's coefficient tail stays under a
+fraction `polyflow.TAYLOR_TAIL` of `polyflow.TAYLOR_TOL` * max(1, |eta|).
 A batch of initial conditions is one call, mapped to y once as arrays
 (`reference_y_samples`).  Lifts run on the symmetric-monomial basis
 (`carleman.MonomialLift`), stepped as the columns of one block whose errors
@@ -49,7 +49,6 @@ from .polyflow import (
     taylor_samples,
 )
 
-REFERENCE_TOL = 1e-12
 POLE_TOL = 1e-9
 
 
@@ -216,13 +215,12 @@ def reference_y_samples(model: PopulationModel, X0s, t_end: float,
                         system: PolySystem = None) -> ReferenceSamples:
     """Reference y(t) from each row of X0s: the exact quadratic eta flow
     (`system`, else `koopman_system(model)`), integrated as one batch by
-    `polyflow.taylor_samples` at REFERENCE_TOL, mapped through eta/(1+eta)
-    as one array.  The model is real, so every array is float64."""
+    `polyflow.taylor_samples`, mapped through eta/(1+eta) as one array.  The model is real, so every array is float64."""
     if system is None:
         system = koopman_system(model)
     etas = x_to_eta(model, np.asarray(X0s, dtype=float))
-    times, eta, kept, diverged = taylor_samples(
-        system, etas, t_end, REFERENCE_TOL, sample_times)
+    times, eta, kept, diverged = taylor_samples(system, etas, t_end,
+                                                sample_times)
     y, _ = _back_map(eta.transpose(1, 0, 2))
     return ReferenceSamples(times, y, kept, diverged)
 
@@ -408,12 +406,20 @@ def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
 
 def model_from_dict(data) -> PopulationModel:
     """A model from its parsed JSON form {"r": [...], "X": [...],
-    "J": [[i, j, k, value], ...]}."""
+    "J": [[i, j, k, value], ...]}, J's entries kept as listed."""
     r = np.asarray(data["r"], dtype=float)
     X = np.asarray(data["X"], dtype=float)
     if r.size != X.size:
         raise DimensionError("r and X lengths differ")
-    J = SparseTensor(2, r.size)
-    for i, j, k, val in data["J"]:
-        J.add(int(i), (int(j), int(k)), float(val))
+    entries = [(int(i), int(j), int(k), float(val))
+               for i, j, k, val in data["J"]]
+    try:
+        ijk = np.array([e[:3] for e in entries], dtype=np.int64)
+    except OverflowError:  # an index past int64, so out of range too
+        n = next(n for e in entries for n in e[:3] if abs(n) >= 2**63)
+        raise DimensionError(f"index {n} out of range for dim {r.size}") \
+            from None
+    ijk = ijk.reshape(-1, 3)
+    J = SparseTensor.from_arrays(2, r.size, ijk[:, 0], ijk[:, 1:],
+                                 [e[3] for e in entries])
     return PopulationModel(r.size, r, X, J)

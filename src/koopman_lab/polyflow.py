@@ -2,18 +2,20 @@
 by every other module, and the one CSV formatter of the command outputs.
 
 A system dx/dt = sum_k F_k x^(tensor k) is stored as a list of sparse
-coefficient tensors.  The degree-0 tensor is a plain vector (constant drive),
-degree 1 a matrix, and degree k maps the k-fold Kronecker power of x back to
-d components.
+coefficient tensors, each built once from arrays of entries
+(`SparseTensor.from_arrays`).  The degree-0 tensor is a plain vector
+(constant drive), degree 1 a matrix, and degree k maps the k-fold Kronecker
+power of x back to d components.
 
 Systems of degree <= 2 flow by `taylor_samples`: each row takes one
 expansion of order TAYLOR_ORDER per step, picks the step from the
-expansion's last two coefficients, and one Horner pass over the
-coefficients gives every sample inside the step (Taylor's step control and
-dense output, Jorba & Zou, Exp. Math. 14(1), 2005).  The expansion's
-recurrence takes two stacked per-row products per order: the Cauchy sums
-of the coefficients' outer products, then their contraction with one dense
-bilinear tensor of the system (`_QuadraticTaylor`).  Every flow of the
+expansion's last two coefficients at the one tolerance TAYLOR_TOL, and
+one Horner pass over the coefficients gives every sample inside the step
+(Taylor's step control and dense output, Jorba & Zou, Exp. Math. 14(1),
+2005).  The expansion's recurrence takes two stacked per-row products per
+order: the Cauchy sums of the coefficients' outer products, then their
+contraction with one dense bilinear tensor of the system
+(`_QuadraticTaylor`).  Every flow of the
 package samples the grid of `sample_grid`: t = 0 first, and
 np.linspace(0, t_end, GRID_SAMPLES) when it is given no sample times.
 Every flow runs in the dtype of its system and initial states
@@ -37,15 +39,16 @@ DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
 # Samples of the default grid np.linspace(0, t_end, GRID_SAMPLES).
 GRID_SAMPLES = 129
-# Order of each Taylor expansion of `taylor_samples`, and the bound on the
-# expansion's last two coefficients over a step, as a fraction of the
-# flow's tolerance times max(1, |x|), that picks the step.  On criterion
+# Order of each Taylor expansion of `taylor_samples`, its tolerance, and
+# the bound on the expansion's last two coefficients over a step, as a
+# fraction of TAYLOR_TOL max(1, |x|), that picks the step.  On criterion
 # 04's 961-cell grid, against a long-double Taylor flow, the reference's
 # largest error relative to max(1, |eta|) is 1.7e-13 at a bound of 1,
 # 3.0e-15 at 0.02 and 9.0e-16, roundoff, at 0.005, which 0.002 does not
 # lower.  At 0.005 a reference takes about 10 expansions per 128 sample
 # intervals.
 TAYLOR_ORDER = 20
+TAYLOR_TOL = 1e-12
 TAYLOR_TAIL = 0.005
 
 
@@ -77,8 +80,8 @@ def as_values(a, *others) -> np.ndarray:
 
 def _canonical(keys: np.ndarray, vals: np.ndarray):
     """The distinct rows of `keys` in lexicographic order, each with the
-    sum of its values taken from zero in input order, as `SparseTensor.add`
-    sums them.  Both results are read-only."""
+    sum of its values taken from zero in input order.  Both results are
+    read-only."""
     # lexsort is stable, so each key's values stay in input order
     order = np.lexsort(keys.T[::-1])
     keys, vals = keys[order], vals[order]
@@ -97,7 +100,7 @@ def _canonical(keys: np.ndarray, vals: np.ndarray):
 
 def _entry_keys(dim: int, rows, cols, vals, width: int):
     """(rows, cols) as one checked (nnz, 1 + width) key array, and the
-    values."""
+    values; the first index out of range is named."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = as_values(vals)
@@ -107,8 +110,11 @@ def _entry_keys(dim: int, rows, cols, vals, width: int):
             f"entries need rows (nnz,), cols (nnz, {width}) and vals (nnz,), "
             f"got {rows.shape}, {cols.shape} and {vals.shape}")
     keys = np.concatenate([rows[:, None], cols], axis=1)
-    if keys.size and (keys.min() < 0 or keys.max() >= dim):
-        raise DimensionError(f"index out of range for dim {dim}")
+    bad = np.argwhere((keys < 0) | (keys >= dim))
+    if bad.size:
+        e, i = bad[0]
+        raise DimensionError(f"{'column' if i else 'row'} {keys[e, i]} out "
+                             f"of range for dim {dim}")
     return keys, vals
 
 
@@ -118,12 +124,12 @@ class SparseTensor:
 
     The entries are canonical arrays: each key (row, multi-index) once, in
     lexicographic order, which makes iteration and serialization
-    deterministic.  `from_arrays` (and `PolySystem.from_arrays`, several
-    degrees at once) builds them from arrays of entries with a fixed number
-    of numpy operations; `add` inserts one entry, checked in Python, and is
-    folded into the arrays at the next read.  Either way a duplicate key
-    sums its values from zero in input order, so a tensor built in bulk
-    equals the same entries added one by one, to the bit.
+    deterministic.  A tensor is built once, by `from_arrays` (or
+    `PolySystem.from_arrays`, several degrees at once), which sorts arrays
+    of entries and sums a repeated key from zero in input order with a
+    fixed number of numpy operations.  `SparseTensor(degree, dim)` is the
+    empty tensor; the constructor takes `keys` and `vals` only as the
+    builders make them, canonical.
 
     The values keep the dtype they arrive in: float64 while every value
     is real (floats, integers, real arrays), complex128 once one is
@@ -133,55 +139,30 @@ class SparseTensor:
 
     degree: int
     dim: int
-    _keys: np.ndarray = field(init=False, repr=False)  # (nnz, 1 + degree)
-    _vals: np.ndarray = field(init=False, repr=False)
-    _pending: list = field(init=False, repr=False, default_factory=list)
+    keys: np.ndarray = field(default=None, repr=False)  # (nnz, 1 + degree)
+    vals: np.ndarray = field(default=None, repr=False)  # (nnz,)
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        self._keys = np.empty((0, self.degree + 1), dtype=np.int64)
-        self._vals = np.empty(0, dtype=np.float64)
+        if self.keys is None:
+            self.keys = np.empty((0, self.degree + 1), dtype=np.int64)
+            self.vals = np.empty(0, dtype=np.float64)
 
     @classmethod
     def from_arrays(cls, degree: int, dim: int, rows, cols,
                     vals) -> "SparseTensor":
         """Tensor of the entries (rows[e], cols[e], vals[e]): rows and vals
         of length nnz, cols of shape (nnz, degree)."""
-        t = cls(degree, dim)
-        t._keys, t._vals = _canonical(
-            *_entry_keys(dim, rows, cols, vals, degree))
-        return t
-
-    def add(self, row: int, cols: tuple, value) -> None:
-        cols = tuple(int(c) for c in cols)
-        if len(cols) != self.degree:
-            raise DimensionError(
-                f"multi-index length {len(cols)} != degree {self.degree}")
-        if not 0 <= row < self.dim:
-            raise DimensionError(f"row {row} out of range for dim {self.dim}")
-        for c in cols:
-            if not 0 <= c < self.dim:
-                raise DimensionError(f"column {c} out of range for dim {self.dim}")
-        value = complex(value) if np.iscomplexobj(value) else float(value)
-        self._pending.append(((int(row),) + cols, value))
+        return cls(degree, dim, *_canonical(
+            *_entry_keys(dim, rows, cols, vals, degree)))
 
     def sorted_arrays(self):
         """(rows, (nnz, degree) multi-indices, values) in key order,
         read-only."""
-        self._fold()
-        return self._keys[:, 0], self._keys[:, 1:], self._vals
-
-    def _fold(self) -> None:
-        """Merge the entries added since the last read into the arrays."""
-        if self._pending:
-            keys, vals = zip(*self._pending)
-            self._pending = []
-            self._keys, self._vals = _canonical(
-                np.concatenate([self._keys, np.array(keys, dtype=np.int64)]),
-                np.concatenate([self._vals, as_values(vals)]))
+        return self.keys[:, 0], self.keys[:, 1:], self.vals
 
     def entries(self):
         """Sorted (row, cols, value) triples, zero-valued entries included."""
@@ -190,8 +171,7 @@ class SparseTensor:
 
     @property
     def nnz(self) -> int:
-        self._fold()
-        return self._vals.size
+        return self.vals.size
 
     def arrays(self):
         """Entry data as (rows, flat_cols, values) numpy arrays."""
@@ -262,12 +242,8 @@ class PolySystem:
         keys, vals = _canonical(
             np.concatenate([degrees[:, None], keys], axis=1), vals)
         bounds = np.searchsorted(keys[:, 0], np.arange(order + 2)).tolist()
-        tensors = []
-        for k in range(order + 1):
-            t = SparseTensor(k, dim)
-            lo, hi = bounds[k], bounds[k + 1]
-            t._keys, t._vals = keys[lo:hi, 1:k + 2], vals[lo:hi]
-            tensors.append(t)
+        tensors = [SparseTensor(k, dim, keys[lo:hi, 1:k + 2], vals[lo:hi])
+                   for k, lo, hi in zip(range(order + 1), bounds, bounds[1:])]
         if not tensors[0].nnz:
             tensors[0] = None
         return cls(dim, tensors)
@@ -425,7 +401,7 @@ class _QuadraticTaylor:
     complex128 otherwise (`value_dtype`).
     """
 
-    def __init__(self, sys: PolySystem, order: int, tol: float, dtype):
+    def __init__(self, sys: PolySystem, dtype):
         d = sys.dim
         # pair (j, k) is coded j (d + 1) + k, which sorts as the pairs do
         j, k = np.triu_indices(d + 1)
@@ -440,13 +416,12 @@ class _QuadraticTaylor:
                 [cols, np.full((rows.size, 2 - degree), d)]), axis=1).T
             np.add.at(self.T, (np.searchsorted(self.pairs, j * (d + 1) + k),
                                rows), vals)
-        self.dim, self.order, self.tol = d, order, tol
 
     def series(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Coefficients a_0..a_p of z(t0 + s h[r]) from each row x[r],
         shape (p + 1, c, d + 1)."""
         c, d = x.shape
-        p = self.order
+        p = TAYLOR_ORDER
         coef = np.zeros((c, p + 1, d + 1), dtype=self.T.dtype)
         coef[:, 0, :d] = x
         coef[:, 0, d] = 1.0
@@ -465,37 +440,37 @@ class _QuadraticTaylor:
 
         The step is the largest h whose rescaled tail coefficients
         a_p (h / guess)^p and a_{p-1} (h / guess)^(p-1) each stay within
-        TAYLOR_TAIL tol max(1, |x|) / 2 (Jorba & Zou 2005, section 3), so
-        the guess sets only the scale the coefficients are formed at.  A
+        TAYLOR_TAIL TAYLOR_TOL max(1, |x|) / 2 (Jorba & Zou 2005, section
+        3), so the guess sets only the scale the coefficients are formed at.  A
         coefficient that overflows gives a step of 0 or, once the
         contraction with T meets the overflow, NaN; one that is NaN a NaN
         step.
         """
-        p = self.order
+        p = TAYLOR_ORDER
         # contiguous, so that each dense-output operation on one order's
-        # coefficients runs over one block of memory
-        coef = np.ascontiguousarray(self.series(x, guess)[:, :, :self.dim])
+        # coefficients of x (z's last coordinate dropped) is one block
+        coef = np.ascontiguousarray(self.series(x, guess)[:, :, :-1])
         # the norms of a_0 = x, a_{p-1} and a_p
         norm = np.linalg.norm(coef[[0, -2, -1]], axis=2)
-        budget = 0.5 * TAYLOR_TAIL * self.tol * np.maximum(1.0, norm[0])
+        budget = 0.5 * TAYLOR_TAIL * TAYLOR_TOL * np.maximum(1.0, norm[0])
         grow = np.minimum((budget / norm[2]) ** (1.0 / p),
                           (budget / norm[1]) ** (1.0 / (p - 1)))
         return coef, np.minimum(guess * grow, room)
 
 
 def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
-                   tol: float, sample_times=None):
+                   sample_times=None):
     """Flow of a polynomial system of degree <= 2 from each row of X0, as
     arrays.
 
     Each row steps on its own: one Taylor expansion of order TAYLOR_ORDER
     about the row's current time, a step picked from its last two
-    coefficients (`_QuadraticTaylor.step`), and one Horner pass over the
-    coefficients at every sample inside the step and at its end, in units
-    of the guess the expansion was formed at (Taylor's dense output, Jorba
-    & Zou, Exp. Math. 14(1), 2005).  The first
-    expansion is formed at a guess of the whole horizon, each later one at
-    the row's previous step.  Rows keep their own times and steps, so a
+    coefficients at TAYLOR_TOL (`_QuadraticTaylor.step`), and one Horner
+    pass over the coefficients at every sample inside the step and at its
+    end, in units of the guess the expansion was formed at (Taylor's dense
+    output, Jorba & Zou, Exp. Math. 14(1), 2005).  The first expansion is
+    formed at a guess of the whole horizon, each later one at the row's
+    previous step.  Rows keep their own times and steps, so a
     row's bits do not depend on its batch.  A step that no longer advances
     a row's time raises StepUnderflowError.  Divergence is a check on
     samples and step ends: a row ends before its first sample past
@@ -508,13 +483,11 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     leading samples each row keeps (the states after them are NaN) and
     whether it diverged.  A grid of t = 0 alone takes no step.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     X0 = as_values(X0)
     if X0.ndim != 2 or X0.shape[1] != sys.dim:
         raise DimensionError("initial states must form a (c, dim) array")
     dtype = value_dtype(X0, sys.dtype)
-    flow = _QuadraticTaylor(sys, TAYLOR_ORDER, tol, dtype)
+    flow = _QuadraticTaylor(sys, dtype)
     c = X0.shape[0]
     times = sample_grid(t_end, sample_times)
     if times.size == 1:
@@ -538,7 +511,7 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
                 r = np.argmin(end > t)
                 raise StepUnderflowError(
                     f"Taylor flow: at t = {t[r]:.6g} a step of {h[r]:.3g} "
-                    f"no longer advances the time at tol {tol:g}")
+                    f"no longer advances the time at tol {TAYLOR_TOL:g}")
             done = h >= room
             end[done] = t_end
             upto = np.searchsorted(times, end, side="right")

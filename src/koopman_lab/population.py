@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nip import (
-    REFERENCE_TOL,
     ROUTES,
     PopulationModel,
     eta_to_x,
@@ -58,11 +57,10 @@ SCAN_CHUNK = 32
 def paper_model() -> PopulationModel:
     """The three-population instance with chaotic interacting dynamics."""
     d = 3
-    J = SparseTensor(2, d)
-    for i, row in enumerate(_J_ROWS):
-        for col, val in enumerate(row):
-            if val != 0.0:
-                J.add(i, (col // d, col % d), val)
+    J_rows = np.array(_J_ROWS)
+    i, col = np.nonzero(J_rows)
+    J = SparseTensor.from_arrays(2, d, i, np.column_stack(np.divmod(col, d)),
+                                 J_rows[i, col])
     return PopulationModel(d, np.array(_R), np.ones(d), J)
 
 
@@ -258,12 +256,12 @@ def _populations(model: PopulationModel, traj: Trajectory,
 def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
                        sample_times=None) -> Trajectory:
     """Reference populations from x0: the exact quadratic eta flow
-    (`nip.koopman_system`), a Taylor flow at `nip.REFERENCE_TOL`
+    (`nip.koopman_system`), a Taylor flow at `polyflow.TAYLOR_TOL`
     (`polyflow.taylor_samples`), mapped to x = X/(1+eta) and ended where a
     population leaves (0, DIVERGENCE_NORM]."""
     times, eta, kept, diverged = taylor_samples(
         koopman_system(model), x_to_eta(model, x0)[None, :], t_end,
-        REFERENCE_TOL, sample_times)
+        sample_times)
     return _populations(model, Trajectory(times[:kept[0]], eta[:kept[0], 0],
                                           diverged=bool(diverged[0])),
                         eta_to_x)

@@ -29,9 +29,9 @@ from .polyflow import (
 CLOSED_FORM_TOL = 1e-10
 # The residuals compare flows at SAMPLES times np.linspace(0, t_end, SAMPLES);
 # the x and eta flows are Taylor flows that pick each step so that its
-# coefficient tail stays under `polyflow.TAYLOR_TAIL` FLOW_TOL max(1, |z|).
+# coefficient tail stays under `polyflow.TAYLOR_TAIL` `polyflow.TAYLOR_TOL`
+# max(1, |z|).
 SAMPLES = 65
-FLOW_TOL = 1e-12
 
 
 class PoleError(RuntimeError):
@@ -170,21 +170,18 @@ def quadratic_tensors(F, v, c, alpha):
     d = v.size
     F0 = np.asarray(v, dtype=complex)
     F1 = np.asarray(F, dtype=complex) - alpha * np.eye(d)
-    F2 = SparseTensor(2, d)
-    for i in range(d):
-        for k in range(d):
-            if c[k] != 0:
-                F2.add(i, (i, k), -np.conj(c[k]))
+    c = np.asarray(c)
+    k = np.flatnonzero(c)
+    i = np.repeat(np.arange(d), k.size)
+    F2 = SparseTensor.from_arrays(2, d, i, np.column_stack([i, np.tile(k, d)]),
+                                  np.tile(-np.conj(c[k]), d))
     return F0, F1, F2
 
 
 def quadratic_system(F, v, c, alpha) -> PolySystem:
     F0, F1, F2 = quadratic_tensors(F, v, c, alpha)
     d = F0.size
-    t0 = SparseTensor(0, d)
-    for i in range(d):
-        if F0[i] != 0:
-            t0.add(i, (), F0[i])
+    t0 = SparseTensor.from_dense_flat(0, F0[:, None])  # F0's nonzeros
     t1 = SparseTensor.from_dense_flat(1, F1)
     return PolySystem(d, [t0, t1, F2])
 
@@ -214,12 +211,13 @@ def quadratic_flow(F, v, c, alpha, z0, t_end: float) -> np.ndarray:
     """z(t) of `quadratic_system(F, v, c, alpha)` from z0 at the SAMPLES
     times np.linspace(0, t_end, SAMPLES), one row per time.
 
-    The flow is the batched Taylor flow at FLOW_TOL; a trajectory that
-    passes `polyflow.DIVERGENCE_NORM` has met the pole of the coordinate map.
+    The flow is the batched Taylor flow at `polyflow.TAYLOR_TOL`; a
+    trajectory that passes `polyflow.DIVERGENCE_NORM` has met the pole of
+    the coordinate map.
     """
     _, z, _, diverged = taylor_samples(
         quadratic_system(F, v, c, alpha),
-        np.asarray(z0, dtype=complex)[None, :], t_end, FLOW_TOL,
+        np.asarray(z0, dtype=complex)[None, :], t_end,
         np.linspace(0.0, t_end, SAMPLES))
     if diverged[0]:
         raise PoleError("the quadratic flow diverged at a pole")

@@ -73,8 +73,7 @@ class TestDimension:
 
 class TestBuild:
     def test_constant_term_rejected(self):
-        t0 = SparseTensor(0, 2)
-        t0.add(0, (), 1.0)
+        t0 = SparseTensor.from_arrays(0, 2, [0], np.empty((1, 0)), [1.0])
         sys = PolySystem(2, [t0])
         with pytest.raises(ConstantDriveError):
             build_carleman(sys, 2)
@@ -295,8 +294,7 @@ class TestMonomialLift:
             np.testing.assert_array_equal(lift.initial_lift(z0), g)
 
     def test_constant_term_rejected(self):
-        t0 = SparseTensor(0, 2)
-        t0.add(0, (), 1.0)
+        t0 = SparseTensor.from_arrays(0, 2, [0], np.empty((1, 0)), [1.0])
         with pytest.raises(ConstantDriveError):
             build_monomial_lift(PolySystem(2, [t0]), 2)
 

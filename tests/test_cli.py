@@ -191,6 +191,84 @@ class TestExitCodes:
             "the window's I0(pi sigma)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", [0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["spectral-window",
+                                         "spectral-emulate",
+                                         "spectral-sample"])
+    def test_spectral_dt_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                     command, dt):
+        # dt = 0 used to end in a ZeroDivisionError traceback, and dt = -1
+        # to write every omega_hat with its sign flipped
+        payload = {"dt": dt}
+        if command != "spectral-window":
+            payload["modes"] = [[0.5, 0.1, 1.0, 0.0]]
+        cfg = write_json(tmp_path, "s.json", payload)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config key 'dt' must be finite and positive, "
+            f"got {float(dt)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [1e308, -3.1416, float("nan"),
+                                       float("-inf")])
+    def test_window_theta_must_be_a_decoded_phase(self, tmp_path, capsys,
+                                                  theta):
+        # theta = 1e308 used to write p = nan on every row, with a
+        # RuntimeWarning
+        cfg = write_json(tmp_path, "w.json", {"theta": theta})
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["spectral-window", "--config", cfg,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config key 'theta' must lie in [-pi, pi], got "
+            f"{theta!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [-np.pi, np.pi])
+    def test_window_theta_at_the_interval_ends_runs(self, tmp_path, theta):
+        cfg = write_json(tmp_path, "w.json", {"J": 5, "theta": theta})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["spectral-window", "--config", cfg, "--out",
+                            str(tmp_path / "w.csv")]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_chaos_horizon_checked_before_the_flow(self, tmp_path, capsys,
+                                                   monkeypatch, source):
+        calls = []
+
+        def stub(model, x0, t_end):
+            calls.append(t_end)
+            raise cli.NumericalError("stub flow")
+
+        monkeypatch.setattr(population, "chaos_demo", stub)
+        out = tmp_path / "c.csv"
+        bound = float(cli.MAX_CHAOS_T_END)
+        above = float(np.nextafter(bound, np.inf))
+        for t_end, want in ((above, cli.EXIT_CONFIG),
+                            (bound, cli.EXIT_NUMERICAL)):
+            if source == "flag":
+                argv = ["--t-end", repr(t_end)]
+            else:
+                argv = ["--config", write_json(tmp_path, "c.json",
+                                               {"t_end": t_end})]
+            assert cli.run(["population-chaos", *argv,
+                            "--out", str(out)]) == want
+        name = "flag --t-end" if source == "flag" else "config key 't_end'"
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"config error: {name} must be <= {cli.MAX_CHAOS_T_END} for "
+            f"population-chaos, got {above!r}")
+        # the bound itself reaches the flow
+        assert calls == [bound]
+        assert not out.exists()
+
     def test_zero_population_is_a_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "zero.json",
                          {"x0": [0.0, 1.0, 1.0], "order": 2, "t_end": 0.02})
@@ -321,6 +399,25 @@ class TestExitCodes:
         err, = capsys.readouterr().err.strip().splitlines()
         assert err == (f"config error: config key 'model' must have {want} "
                        f"for {command}, got 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, cause", [
+        ([1, 0, 5, 0.5], "column 5 out of range for dim 2"),
+        ([-1, 0, 1, 0.5], "row -1 out of range for dim 2"),
+        ([0, 10**26, 0, 0.5], f"index {10**26} out of range for dim 2"),
+        ([0, 0, float("inf"), 0.5], "cannot convert float infinity to "
+                                    "integer"),
+    ])
+    def test_model_index_out_of_range_is_named(self, tmp_path, capsys,
+                                               entry, cause):
+        cfg = write_json(tmp_path, "m.json", {"model": {
+            "r": [1.0, 2.0], "X": [1.0, 1.0],
+            "J": [[0, 0, 1, 0.5], entry]}, "x0": [1.0, 1.0]})
+        out = tmp_path / "e.csv"
+        code = cli.run(["nip-error", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: bad 'model' entry: {cause}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("orders", [5, [1, "a"]])

@@ -194,8 +194,7 @@ class TestTrajectories:
         # eta_1' = -eta_1 + c eta_1^2, so u = 1/eta_1 = c + (u0 - c) e^t:
         # from eta_1 = 1 (c = 5) eta_1 blows up at t = ln(5/4) = 0.2231;
         # from -1/2 (c = -5) it crosses the pole -1 at t = ln(4/3) = 0.2877
-        one_j = SparseTensor(2, 3)
-        one_j.add(0, (0, 0), coupling)
+        one_j = SparseTensor.from_arrays(2, 3, [0], [[0, 0]], [coupling])
         blow = PopulationModel(3, np.ones(3), np.ones(3), one_j)
         grid = np.linspace(0.0, 2.0, 2001)
         traj = exact_x_trajectory(blow, np.array(x0), 2.0, sample_times=grid)
