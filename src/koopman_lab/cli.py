@@ -133,24 +133,21 @@ def _vector(data, key, default):
 
 
 def _x0(data, model, default):
-    """Config value "x0" (default if absent); one number per coordinate of
-    the model."""
+    """Config value "x0" (default if absent); one finite number per
+    coordinate of the model."""
     x0 = _vector(data, "x0", default)
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"config key 'x0' must hold finite numbers, got "
+                          f"{x0.tolist()!r}")
     if x0.size != model.dim:
         raise ConfigError(f"config key 'x0' must hold {model.dim} numbers, "
                           f"one per model coordinate, got {x0.size}")
     return x0
 
 
-def _t_end(args, data, default):
-    """--t-end, else the config's "t_end", else default."""
-    if args.t_end is not None:
-        return args.t_end
-    t_end = _number(data, "t_end", default)
-    if not 0 <= t_end < np.inf:
-        raise ConfigError(f"config key 't_end' must be finite and "
-                          f"nonnegative, got {t_end!r}")
-    return t_end
+def _t_end(args, default):
+    """--t-end, else the command's default."""
+    return default if args.t_end is None else args.t_end
 
 
 def _check_flags(args):
@@ -177,18 +174,9 @@ def _check_flags(args):
             f"flag --t-end must be finite and nonnegative, got {t_end}")
 
 
-def _orders(args, data, default):
-    """Lift orders from --orders, else the config's "orders", else default."""
-    if args.orders is not None:
-        return list(args.orders)
-    orders = data.get("orders", default)
-    if not (isinstance(orders, (list, tuple)) and orders and all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1
-            for n in orders)):
-        raise ConfigError(
-            f"config key 'orders' must be a nonempty list of integers >= 1, "
-            f"got {orders!r}")
-    return list(orders)
+def _orders(args, default):
+    """Lift orders from --orders, else the command's default."""
+    return list(default if args.orders is None else args.orders)
 
 
 def _parse_grid(text):
@@ -219,16 +207,16 @@ def _cmd_population_scan(args, data):
         raise ConfigError(f"config key 'model' must have 3 populations for "
                           f"population-scan, got {model.dim}")
     grid = _parse_grid(args.grid) if args.grid else None
-    orders = tuple(_orders(args, data, population.DEFAULT_ORDERS))
+    orders = tuple(_orders(args, population.DEFAULT_ORDERS))
     if len(orders) != 2 or orders[0] >= orders[1]:
-        source = "flag --orders" if args.orders is not None \
-            else "config key 'orders'"
-        raise ConfigError(f"{source} must be two orders LOW HIGH with "
+        raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
                           f"LOW < HIGH, got {list(orders)}")
+    x1 = _number(data, "x1", 1.0)
+    if not math.isfinite(x1):
+        raise ConfigError(f"config key 'x1' must be finite, got {x1!r}")
     res = population.convergence_scan(
-        model, x1_fixed=_number(data, "x1", 1.0),
-        x2_range=grid, x3_range=grid, orders=orders,
-        t_end=_t_end(args, data, population.DEFAULT_T_END),
+        model, x1_fixed=x1, x2_range=grid, x3_range=grid, orders=orders,
+        t_end=_t_end(args, population.DEFAULT_T_END),
         tol=args.tol, threads=args.threads)
     population.scan_to_csv(res, args.out)
     return EXIT_OK
@@ -237,14 +225,11 @@ def _cmd_population_scan(args, data):
 def _cmd_population_traj(args, data):
     model = _population_model(data)
     x0 = _x0(data, model, [1.0, 1.4, 1.4])
-    if args.orders is None:
-        order = _integer(data, "order", 3, minimum=1)
-    elif len(args.orders) == 1:
-        order = args.orders[0]
-    else:
+    order, *rest = _orders(args, [3])
+    if rest:
         raise ConfigError(f"flag --orders takes one order here, got "
                           f"{len(args.orders)}")
-    t_end = _t_end(args, data, population.DEFAULT_T_END)
+    t_end = _t_end(args, population.DEFAULT_T_END)
     exact, carl, mode = population.trajectory_compare(
         model, x0, order, t_end, tol=args.tol)
     if exact.diverged:
@@ -270,11 +255,9 @@ def _cmd_population_chaos(args, data):
                           f"populations for population-chaos, got "
                           f"{model.dim}")
     x0 = _x0(data, model, [0.05, 1.3, 0.025])
-    t_end = _t_end(args, data, population.CHAOS_T_END)
+    t_end = _t_end(args, population.CHAOS_T_END)
     if t_end > MAX_CHAOS_T_END:
-        source = "flag --t-end" if args.t_end is not None \
-            else "config key 't_end'"
-        raise ConfigError(f"{source} must be <= {MAX_CHAOS_T_END} for "
+        raise ConfigError(f"flag --t-end must be <= {MAX_CHAOS_T_END} for "
                           f"population-chaos, got {t_end!r}")
     res = population.chaos_demo(model, x0, t_end)
     if res.trajectory.diverged:
@@ -287,8 +270,8 @@ def _cmd_population_chaos(args, data):
 def _error_profile_cmd(args, data, evolve):
     model = _population_model(data)
     x0 = _x0(data, model, [1.0, 1.4, 1.4])
-    orders = _orders(args, data, [1, 3, 6])
-    t_end = _t_end(args, data, population.DEFAULT_T_END)
+    orders = _orders(args, [1, 3, 6])
+    t_end = _t_end(args, population.DEFAULT_T_END)
     sample_times = sample_grid(t_end)
     reference = nip.reference_y_trajectory(model, x0, t_end,
                                            sample_times=sample_times)
@@ -345,7 +328,7 @@ def _fermion_setup(args, data):
 
 def _cmd_fermion_evolve(args, data):
     sys_, gamma0 = _fermion_setup(args, data)
-    t_end = _t_end(args, data, 1.0)
+    t_end = _t_end(args, 1.0)
     final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end)
     rows = [(i, j, final.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
@@ -355,7 +338,7 @@ def _cmd_fermion_evolve(args, data):
 
 def _cmd_fermion_heat(args, data):
     sys_, gamma0 = _fermion_setup(args, data)
-    t_end = _t_end(args, data, 1.0)
+    t_end = _t_end(args, 1.0)
     # "samples" samples, or t = 0 alone when t_end is 0
     times = np.unique(np.linspace(
         0.0, t_end, _integer(data, "samples", GRID_SAMPLES, minimum=1,
@@ -438,7 +421,7 @@ def _cmd_rsep_sweep(args, data):
                                           A=A))
         except ValueError as exc:
             raise ConfigError(f"bad sweep point: {exc}")
-    t_end = _t_end(args, data, 1.0)
+    t_end = _t_end(args, 1.0)
     try:
         rows = rsep.sweep(params, t_end)
     except rsep.PoleError as exc:
@@ -485,11 +468,15 @@ def _spectral_window(data):
 
 
 def _spectral_dt(data):
-    """Config value "dt" (default 1): finite and positive."""
+    """Config value "dt" (default 1): finite and positive, and large enough
+    that every decoded frequency, of magnitude below pi / dt, is finite."""
     dt = _number(data, "dt", 1.0)
     if not 0 < dt < np.inf:
         raise ConfigError(
             f"config key 'dt' must be finite and positive, got {dt!r}")
+    if not math.isfinite(math.pi / dt):
+        raise ConfigError(f"config key 'dt' is so small that the decoded "
+                          f"frequency pi / dt overflows, got {dt!r}")
     return dt
 
 
@@ -517,6 +504,9 @@ def _spectral_emulation(args, data, n_samples, seed):
     dt = _spectral_dt(data)
     if "T1" in data:
         T1 = _number(data, "T1", None)
+        if not 0 <= T1 < np.inf:
+            raise ConfigError(f"config key 'T1' must be finite and "
+                              f"nonnegative, got {T1!r}")
     else:
         try:
             T1 = spectral.suppression_time(modes.gap, 1e-3)
@@ -608,34 +598,34 @@ class _Command:
 
 _IO = ("--config", "--out")
 _LIFT = _IO + ("--orders", "--t-end", "--tol")
-_POPULATION = ("model", "x0", "t_end")
+_POPULATION = ("model", "x0")
 _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 
 _COMMANDS = {
     "population-scan": _Command(
         _cmd_population_scan, _LIFT + ("--grid", "--threads"),
-        optional=("model", "x1", "t_end", "orders")),
+        optional=("model", "x1")),
     "population-traj": _Command(
-        _cmd_population_traj, _LIFT, optional=_POPULATION + ("order",)),
+        _cmd_population_traj, _LIFT, optional=_POPULATION),
     "population-chaos": _Command(
         _cmd_population_chaos, _IO + ("--t-end",), optional=_POPULATION),
     "carleman-error": _Command(
-        _cmd_carleman_error, _LIFT, optional=_POPULATION + ("orders",)),
+        _cmd_carleman_error, _LIFT, optional=_POPULATION),
     "nip-error": _Command(
-        _cmd_nip_error, _LIFT, optional=_POPULATION + ("orders",)),
+        _cmd_nip_error, _LIFT, optional=_POPULATION),
     "fermion-evolve": _Command(
         _cmd_fermion_evolve, _IO + ("--seed", "--t-end"), ("system",),
-        ("gamma0", "t_end")),
+        ("gamma0",)),
     "fermion-heat": _Command(
         _cmd_fermion_heat, _IO + ("--seed", "--t-end"), ("system",),
-        ("gamma0", "t_end", "samples")),
+        ("gamma0", "samples")),
     "fermion-decay": _Command(
         _cmd_fermion_decay, _IO + ("--seed",), ("system",), ("gamma0",)),
     "fermion-steady": _Command(_cmd_fermion_steady, _IO, ("system",)),
     "fermion-oracle-check": _Command(
         _cmd_fermion_oracle_check, ("--seed", "--N", "--trials")),
     "rsep-sweep": _Command(
-        _cmd_rsep_sweep, _IO + ("--t-end",), ("points",), ("t_end",)),
+        _cmd_rsep_sweep, _IO + ("--t-end",), ("points",)),
     "spectral-window": _Command(
         _cmd_spectral_window, _IO, optional=("J", "sigma", "theta", "dt")),
     # spectral-emulate draws no samples, yet it allows "n_samples" so that

@@ -35,7 +35,7 @@ def system_config(tmp_path, fermion_system_dict):
 
 @pytest.fixture()
 def fermion_config(system_config):
-    return system_config(2, [1.0, 2.0], [0.5, 0.7], t_end=0.5)
+    return system_config(2, [1.0, 2.0], [0.5, 0.7])
 
 
 RSEP_POINT = {"d": 4, "beta": 10.0, "gamma": 20.0, "delta": 0.1}
@@ -78,6 +78,14 @@ def parser_flags():
 SPECTRAL_MODES = [[0.0, 0.7, 0.6, 0.0], [0.0, -1.3, 0.5, 0.0],
                   [1.0, 0.1, 0.4, 0.0], [2.0, 0.2, 0.3, 0.0],
                   [3.0, 0.3, 0.2, 0.0]]
+
+# Keys that once repeated the flags --t-end and --orders, which alone set a
+# run's horizon and orders: no command takes them.
+RETIRED_KEYS = ("t_end", "orders", "order")
+# Every key some command declares, and the retired ones.
+CONFIG_KEYS = sorted(set().union(
+    *(c.required + c.optional for c in cli._COMMANDS.values()),
+    RETIRED_KEYS))
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
@@ -213,6 +221,71 @@ class TestExitCodes:
             f"got {float(dt)!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-308])
+    @pytest.mark.parametrize("command", ["spectral-window",
+                                         "spectral-emulate",
+                                         "spectral-sample"])
+    def test_spectral_dt_must_decode_finite_frequencies(
+            self, tmp_path, capsys, command, dt):
+        # pi / dt overflows: omega_hat used to be written as +-inf
+        payload = {"dt": dt, "J": 5}
+        if command != "spectral-window":
+            payload["modes"] = [[0.5, 0.1, 1.0, 0.0]]
+        cfg = write_json(tmp_path, "s.json", payload)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config key 'dt' is so small that the decoded "
+            f"frequency pi / dt overflows, got {dt!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T1", [float("nan"), float("inf"), -1e6])
+    @pytest.mark.parametrize("command", ["spectral-emulate",
+                                         "spectral-sample"])
+    def test_spectral_T1_must_be_finite_and_nonnegative(
+            self, tmp_path, capsys, command, T1):
+        # T1 = nan used to write p_emulated = nan on every row, with
+        # RuntimeWarnings, or to be refused under numpy's name 'pvals'
+        cfg = write_json(tmp_path, "s.json", {
+            "modes": SPECTRAL_MODES, "J": 33, "T1": T1, "n_samples": 100})
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: config key 'T1' must be finite and nonnegative, "
+            f"got {T1!r}\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["population-scan", "population-traj",
+                                         "population-chaos", "carleman-error",
+                                         "nip-error"])
+    def test_non_finite_population_names_the_key(self, tmp_path, capsys,
+                                                 command, value):
+        # a NaN entry used to end in exit 3 with a step of nan
+        if command == "population-scan":
+            payload, argv = {"x1": value}, ["--grid", "1:1:1"]
+            want = f"config key 'x1' must be finite, got {value!r}"
+        else:
+            payload, argv = {"x0": [1.0, value, 1.0]}, []
+            want = (f"config key 'x0' must hold finite numbers, got "
+                    f"{payload['x0']!r}")
+        cfg = write_json(tmp_path, "x.json", payload)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, *argv,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {want}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("theta", [1e308, -3.1416, float("nan"),
                                        float("-inf")])
     def test_window_theta_must_be_a_decoded_phase(self, tmp_path, capsys,
@@ -239,9 +312,8 @@ class TestExitCodes:
             assert cli.run(["spectral-window", "--config", cfg, "--out",
                             str(tmp_path / "w.csv")]) == cli.EXIT_OK
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_chaos_horizon_checked_before_the_flow(self, tmp_path, capsys,
-                                                   monkeypatch, source):
+                                                   monkeypatch):
         calls = []
 
         def stub(model, x0, t_end):
@@ -254,26 +326,19 @@ class TestExitCodes:
         above = float(np.nextafter(bound, np.inf))
         for t_end, want in ((above, cli.EXIT_CONFIG),
                             (bound, cli.EXIT_NUMERICAL)):
-            if source == "flag":
-                argv = ["--t-end", repr(t_end)]
-            else:
-                argv = ["--config", write_json(tmp_path, "c.json",
-                                               {"t_end": t_end})]
-            assert cli.run(["population-chaos", *argv,
+            assert cli.run(["population-chaos", "--t-end", repr(t_end),
                             "--out", str(out)]) == want
-        name = "flag --t-end" if source == "flag" else "config key 't_end'"
         assert capsys.readouterr().err.splitlines()[0] == (
-            f"config error: {name} must be <= {cli.MAX_CHAOS_T_END} for "
-            f"population-chaos, got {above!r}")
+            f"config error: flag --t-end must be <= {cli.MAX_CHAOS_T_END} "
+            f"for population-chaos, got {above!r}")
         # the bound itself reaches the flow
         assert calls == [bound]
         assert not out.exists()
 
     def test_zero_population_is_a_config_error(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "zero.json",
-                         {"x0": [0.0, 1.0, 1.0], "order": 2, "t_end": 0.02})
-        code = cli.run(["population-traj", "--config", cfg,
-                        "--out", str(tmp_path / "o.csv")])
+        cfg = write_json(tmp_path, "zero.json", {"x0": [0.0, 1.0, 1.0]})
+        code = cli.run(["population-traj", "--config", cfg, "--orders", "2",
+                        "--t-end", "0.02", "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "ValueError" in err and "positive" in err
@@ -420,20 +485,7 @@ class TestExitCodes:
             f"config error: bad 'model' entry: {cause}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("orders", [5, [1, "a"]])
-    @pytest.mark.parametrize("command", ["population-scan", "carleman-error",
-                                         "nip-error"])
-    def test_orders_must_be_a_list_of_integers(self, tmp_path, capsys,
-                                               command, orders):
-        cfg = write_json(tmp_path, "orders.json", {"orders": orders})
-        grid = ["--grid", "1:1:1"] if command == "population-scan" else []
-        code = cli.run([command, "--config", cfg, *grid,
-                        "--out", str(tmp_path / "o.csv")])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "'orders'" in err and "list of integers" in err
-        assert len(err.strip().splitlines()) == 1
-
+    # t_end and order are no command's keys: they are refused as unknown
     @pytest.mark.parametrize("command, payload, key", [
         ("population-scan", {"x1": [1]}, "x1"),
         ("population-scan", {"t_end": "a"}, "t_end"),
@@ -489,6 +541,21 @@ class TestExitCodes:
         assert flag in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        (name, key) for name, command in cli._COMMANDS.items()
+        if "--config" in command.flags for key in CONFIG_KEYS
+        if key in RETIRED_KEYS
+        or key not in command.required + command.optional])
+    def test_config_key_a_command_does_not_declare_is_refused(
+            self, tmp_path, capsys, command, key):
+        cfg = write_json(tmp_path, "k.json", {key: 1})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: unknown config key: {key!r}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("command", sorted(README_TABLE))
     def test_undeclared_flag_names_the_command_and_its_flags(
             self, tmp_path, capsys, command):
@@ -538,36 +605,24 @@ class TestExitCodes:
         assert err.startswith("config error: flag --orders takes orders >= 1")
         assert not out.exists()
 
-    @pytest.mark.parametrize("orders, source", [
-        (["3"], "flag --orders"), (["3", "1"], "flag --orders"),
-        ([2, 2], "config key 'orders'")])
+    @pytest.mark.parametrize("orders", [["3"], ["3", "1"], ["2", "2"]])
     def test_scan_orders_must_be_an_increasing_pair(self, tmp_path, capsys,
-                                                    orders, source):
+                                                    orders):
         out = tmp_path / "o.csv"
-        if source.startswith("flag"):
-            argv = ["--orders", *orders]
-        else:
-            argv = ["--config",
-                    write_json(tmp_path, "o.json", {"orders": orders})]
         code = cli.run(["population-scan", "--out", str(out),
-                        "--grid", "1:1:1", *argv])
+                        "--grid", "1:1:1", "--orders", *orders])
         assert code == cli.EXIT_CONFIG
         err, = capsys.readouterr().err.strip().splitlines()
-        assert f"{source} must be two orders LOW HIGH" in err
+        assert err == (f"config error: flag --orders must be two orders LOW "
+                       f"HIGH with LOW < HIGH, got {list(map(int, orders))}")
         assert not out.exists()
-
-    def test_config_orders_must_be_positive(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "o.json", {"orders": [0, 3]})
-        code = cli.run(["nip-error", "--config", cfg,
-                        "--out", str(tmp_path / "o.csv")])
-        assert code == cli.EXIT_CONFIG
-        assert "config key 'orders' must be a nonempty list of integers " \
-            ">= 1" in capsys.readouterr().err
 
     def test_readme_command_table_matches_parser(self):
         assert {c: flags for c, (flags, _, _) in README_TABLE.items()} \
             == parser_flags()
         assert sum(len(flags) for flags in parser_flags().values()) == 53
+        assert sum(len(command.required) + len(command.optional)
+                   for command in cli._COMMANDS.values()) == 41
         for name, command in cli._COMMANDS.items():
             _, required, optional = README_TABLE[name]
             assert (set(command.required), set(command.optional)) \
@@ -812,12 +867,10 @@ class TestColdStart:
 
 class TestPopulationCommands:
     def test_traj_schema(self, tmp_path):
-        cfg = write_json(tmp_path, "t.json",
-                         {"x0": [1.0, 1.05, 0.95], "order": 2,
-                          "t_end": 0.02})
+        cfg = write_json(tmp_path, "t.json", {"x0": [1.0, 1.05, 0.95]})
         out = tmp_path / "traj.csv"
-        assert cli.run(["population-traj", "--config", cfg,
-                        "--out", str(out)]) == 0
+        assert cli.run(["population-traj", "--config", cfg, "--orders", "2",
+                        "--t-end", "0.02", "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("t,x1_exact")
         assert "x3_nip" in header
@@ -855,10 +908,10 @@ class TestPopulationCommands:
         # both.  The named time is a sample next to it, 0.5/128 apart in
         # the trajectory comparison and 0.5/2000 in the chaos run.
         spec = {"r": [1, 1, 1], "X": [1, 1, 1], "J": [[0, 0, 0, coupling]]}
-        cfg = write_json(tmp_path, "m.json",
-                         {"model": spec, "x0": x0, "t_end": 0.5})
+        cfg = write_json(tmp_path, "m.json", {"model": spec, "x0": x0})
         out = tmp_path / "o.csv"
-        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        code = cli.run([command, "--config", cfg, "--t-end", "0.5",
+                        "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
         err, = capsys.readouterr().err.strip().splitlines()
         prefix = f"numerical failure: population {fate} t = "
@@ -899,24 +952,18 @@ class TestFermionCommands:
     def test_evolve_and_steady(self, fermion_config, tmp_path):
         out = tmp_path / "g.csv"
         assert cli.run(["fermion-evolve", "--config", fermion_config,
-                        "--out", str(out), "--seed", "1"]) == 0
+                        "--out", str(out), "--seed", "1",
+                        "--t-end", "0.5"]) == 0
         assert out.read_text().splitlines()[0] == "i,j,value"
-        out2 = tmp_path / "s.csv"
         assert cli.run(["fermion-steady", "--config", fermion_config,
-                        "--out", str(out2)]) == cli.EXIT_CONFIG  # extra key
-        cfg = write_json(tmp_path, "sys_only.json",
-                         {"system": json.loads(
-                             open(fermion_config).read())["system"]})
-        assert cli.run(["fermion-steady", "--config", cfg,
-                        "--out", str(out2)]) == 0
+                        "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_decay_and_heat(self, fermion_config, tmp_path):
-        system_only = write_json(tmp_path, "system_only.json", {
-            "system": json.loads(open(fermion_config).read())["system"]})
-        assert cli.run(["fermion-decay", "--config", system_only,
+        assert cli.run(["fermion-decay", "--config", fermion_config,
                         "--out", str(tmp_path / "d.csv"), "--seed", "2"]) == 0
         assert cli.run(["fermion-heat", "--config", fermion_config,
-                        "--out", str(tmp_path / "h.csv"), "--seed", "2"]) == 0
+                        "--out", str(tmp_path / "h.csv"), "--seed", "2",
+                        "--t-end", "0.5"]) == 0
 
     def test_heat_zero_horizon_is_one_row(self, tmp_path, system_config):
         cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], samples=5)
@@ -967,10 +1014,9 @@ class TestFermionCommands:
 
 class TestRsepCommands:
     def test_sweep_schema(self, tmp_path):
-        cfg = write_json(tmp_path, "p.json", {"points": [RSEP_POINT],
-                                              "t_end": 0.5})
+        cfg = write_json(tmp_path, "p.json", {"points": [RSEP_POINT]})
         out = tmp_path / "sweep.csv"
-        assert cli.run(["rsep-sweep", "--config", cfg,
+        assert cli.run(["rsep-sweep", "--config", cfg, "--t-end", "0.5",
                         "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ("beta,gamma,delta,d,R_x_lower_bound,"
