@@ -19,7 +19,7 @@ condition.  Two bases carry it:
   lift on it.
 
 `lifted_samples` propagates a `MonomialLift`.  A lift whose Kronecker
-layout has at most DENSE_LIMIT coordinates, sampled on a uniform grid, is
+layout has at most DENSE_LIMIT coordinates, on its uniform grid, is
 stepped exactly by the powers P, P^2, ..., P^K of the one-sample step
 P = expm(C h) (scaling and squaring, Al-Mohy & Higham 2009) of its dense
 generator, the triplets added into a matrix; the powers are filled by
@@ -58,7 +58,6 @@ from .polyflow import (
     integrate_rhs,
     kron_power,
     sample_grid,
-    uniform_spacing,
     value_dtype,
 )
 
@@ -374,23 +373,20 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     `MonomialLift`, as a (K, D, D) stack, or None.
 
     The step applies when the lift's Kronecker layout has at most
-    DENSE_LIMIT coordinates (`lift.kron_dim`) and the samples are the
-    uniform grid
-    np.linspace(0, t_end, n) with n >= 2 and t_end > 0 (`uniform_spacing`);
+    DENSE_LIMIT coordinates (`lift.kron_dim`) and the n samples of
+    `polyflow.sample_grid(t_end, sample_times)` are more than t = 0 alone;
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
     (D, D) product per doubling.  Otherwise the result is None and the
     lift is integrated instead.
     """
-    if lift.kron_dim > DENSE_LIMIT:
+    n = sample_grid(t_end, sample_times).size
+    if lift.kron_dim > DENSE_LIMIT or n < 2:
         return None
-    h = uniform_spacing(sample_times, t_end)
-    if h is None:
-        return None
-    span = min(np.size(sample_times) - 1, STEP_SPAN)
+    span = min(n - 1, STEP_SPAN)
     size = lift.total_dim
     stack = np.empty((span, size, size), dtype=lift.vals.dtype)
-    stack[0] = expm(lift.dense() * h)
+    stack[0] = expm(lift.dense() * (t_end / (n - 1)))
     # doubling: P^(m+1) .. P^(2m) are P^1 .. P^m times P^m, one product
     done = 1
     while done < span:
@@ -452,7 +448,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
 
-    A small lift on a uniform grid is stepped exactly by the stack of
+    A small lift is stepped exactly by the stack of
     powers of P = expm(C h) from `exact_step`, one product per span and
     STEP_COLUMNS columns (`step_block`), so a column's samples do not depend
     on its block; pass that `step` to share one stack across calls.  Any

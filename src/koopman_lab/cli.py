@@ -132,9 +132,19 @@ def _vector(data, key, default):
     return np.asarray(value, dtype=float)
 
 
+def _check_populations(model, key, x, value):
+    """Refuse, naming config key `key`, populations x that the mode map
+    `nip.x_to_eta` refuses: one not positive, or one at its pole."""
+    try:
+        nip.x_to_eta(model, x)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}, got {value!r}") \
+            from None
+
+
 def _x0(data, model, default):
     """Config value "x0" (default if absent); one finite number per
-    coordinate of the model."""
+    coordinate of the model, each a population the mode map takes."""
     x0 = _vector(data, "x0", default)
     if not np.isfinite(x0).all():
         raise ConfigError(f"config key 'x0' must hold finite numbers, got "
@@ -142,6 +152,7 @@ def _x0(data, model, default):
     if x0.size != model.dim:
         raise ConfigError(f"config key 'x0' must hold {model.dim} numbers, "
                           f"one per model coordinate, got {x0.size}")
+    _check_populations(model, "x0", x0, x0.tolist())
     return x0
 
 
@@ -214,6 +225,8 @@ def _cmd_population_scan(args, data):
     x1 = _number(data, "x1", 1.0)
     if not math.isfinite(x1):
         raise ConfigError(f"config key 'x1' must be finite, got {x1!r}")
+    # x1 beside the other populations at their capacities, eta = 0
+    _check_populations(model, "x1", np.r_[x1, model.X[1:]], x1)
     res = population.convergence_scan(
         model, x1_fixed=x1, x2_range=grid, x3_range=grid, orders=orders,
         t_end=_t_end(args, population.DEFAULT_T_END),
@@ -339,10 +352,8 @@ def _cmd_fermion_evolve(args, data):
 def _cmd_fermion_heat(args, data):
     sys_, gamma0 = _fermion_setup(args, data)
     t_end = _t_end(args, 1.0)
-    # "samples" samples, or t = 0 alone when t_end is 0
-    times = np.unique(np.linspace(
-        0.0, t_end, _integer(data, "samples", GRID_SAMPLES, minimum=1,
-                             maximum=MAX_HEAT_SAMPLES)))
+    times = np.linspace(0.0, t_end, _integer(
+        data, "samples", GRID_SAMPLES, minimum=2, maximum=MAX_HEAT_SAMPLES))
     _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
@@ -535,7 +546,8 @@ def _cmd_spectral_emulate(args, data):
 
 def _cmd_spectral_sample(args, data):
     return _spectral_emulation(
-        args, data, _integer(data, "n_samples", 0, minimum=0), args.seed)
+        args, data, _integer(data, "n_samples", 0, minimum=0,
+                             maximum=np.iinfo(np.int64).max), args.seed)
 
 
 def _cmd_ode_history(args, data):
@@ -543,6 +555,9 @@ def _cmd_ode_history(args, data):
     p = _integer(data, "p", None, minimum=0)
     l = _integer(data, "l", None, minimum=1, maximum=MAX_TAYLOR_ORDER)
     h = _number(data, "h", None)
+    if not 0 < h < np.inf:
+        raise ConfigError(
+            f"config key 'h' must be finite and positive, got {h!r}")
     try:
         A = np.asarray(data["A"], dtype=complex)
         x0 = np.asarray(data["x0"], dtype=complex)

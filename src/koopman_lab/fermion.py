@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
-from .polyflow import DimensionError, sample_grid, uniform_spacing
+from .polyflow import DimensionError, sample_grid
 
 ANTISYM_TOL = 1e-12
 ORACLE_MAX_N = 4
@@ -139,22 +139,20 @@ def evolve_covariance(sys: FermionSystem, state: CovarianceState,
     times, Gamma list).
 
     Each sample follows from the previous one by Gamma <- Phi Gamma Phi^T + Q
-    (`covariance_step`) and is re-antisymmetrized.  A uniform grid shares
-    one step; any other grid builds one per interval.  `tol` does not
-    apply: no step is adaptive.
+    with the one step (Phi, Q) of the grid's spacing (`covariance_step`),
+    and is re-antisymmetrized.  `tol` does not apply: no step is adaptive.
     """
     n2 = 2 * sys.N
     if state.Gamma.shape != (n2, n2):
         raise DimensionError("state size does not match system")
     times = sample_grid(t_end, sample_times)
-    h = uniform_spacing(times, t_end)
-    shared = None if h is None else covariance_step(sys, h)
     G = state.Gamma
     gammas = [CovarianceState((G - G.T) / 2.0)]
-    for dt in np.diff(times):
-        phi, Q = shared if shared is not None else covariance_step(sys, dt)
-        G = phi @ gammas[-1].Gamma @ phi.T + Q
-        gammas.append(CovarianceState((G - G.T) / 2.0))
+    if times.size > 1:
+        phi, Q = covariance_step(sys, t_end / (times.size - 1))
+        for _ in times[1:]:
+            G = phi @ gammas[-1].Gamma @ phi.T + Q
+            gammas.append(CovarianceState((G - G.T) / 2.0))
     return gammas[-1], times, gammas
 
 
@@ -279,7 +277,7 @@ def oracle_deviation(N: int, seed: int, t_end: float) -> float:
     h, jumps, rho0 = random_instance(N, rng)
     sys = FermionSystem(N, h, jumps)
     g0 = covariance_from_density(rho0, N)
-    final, _, _ = evolve_covariance(sys, g0, t_end, sample_times=[t_end])
+    final, _, _ = evolve_covariance(sys, g0, t_end, sample_times=[0, t_end])
     oracle = exact_lindblad_oracle(h, jumps, rho0, t_end)
     return float(np.max(np.abs(final.Gamma - oracle.Gamma)))
 
@@ -295,7 +293,7 @@ def energy(h: np.ndarray, state: CovarianceState) -> float:
 def heat_per_fermion(sys: FermionSystem, state: CovarianceState,
                      t_end: float) -> float:
     """Dissipated heat per mode: (E(0) - E(t)) / N."""
-    final, _, _ = evolve_covariance(sys, state, t_end, sample_times=[t_end])
+    final, _, _ = evolve_covariance(sys, state, t_end, sample_times=[0, t_end])
     return (energy(sys.h, state) - energy(sys.h, final)) / sys.N
 
 

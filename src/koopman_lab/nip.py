@@ -76,9 +76,14 @@ class PopulationModel:
 # coordinate maps
 
 def x_to_eta(model: PopulationModel, x: np.ndarray) -> np.ndarray:
+    """eta = (X - x)/x of positive populations off the pole, X_i/x_i >=
+    POLE_TOL; others raise ValueError."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("populations must be positive for the mode map")
+    if np.any(model.X / x < POLE_TOL):
+        raise ValueError(f"populations must satisfy X_i / x_i >= POLE_TOL = "
+                         f"{POLE_TOL:g}, off the mode map's pole")
     return (model.X - x) / x
 
 
@@ -354,6 +359,9 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times,
                                          sample_times=sample_times)
     else:
         k = reference.times.size
+        if not np.array_equal(reference.times, sample_times[:k]):
+            raise DimensionError("the reference must be sampled on a leading "
+                                 "part of the run's grid")
         y = np.full((1, sample_times.size, model.dim), np.nan,
                     dtype=reference.states.dtype)
         y[0, :k] = reference.states

@@ -16,8 +16,8 @@ one Horner pass over the coefficients gives every sample inside the step
 order: the Cauchy sums of the coefficients' outer products, then their
 contraction with one dense bilinear tensor of the system
 (`_QuadraticTaylor`).  Every flow of the
-package samples the grid of `sample_grid`: t = 0 first, and
-np.linspace(0, t_end, GRID_SAMPLES) when it is given no sample times.
+package samples the uniform grid of `sample_grid`, np.linspace(0, t_end,
+n), with n = GRID_SAMPLES when it is given no sample times.
 Every flow runs in the dtype of its system and initial states
 (`value_dtype`): float64 when they are real, complex128 otherwise.
 
@@ -548,44 +548,24 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
 
 
 def sample_grid(t_end: float, sample_times=None) -> np.ndarray:
-    """The samples of every flow: [0.] when t_end is 0, the default grid
-    np.linspace(0, t_end, GRID_SAMPLES) when no times are given, and
-    otherwise the given times, 0 prepended when they do not start there.
-    Raises ValueError unless t_end is finite and nonnegative and the given
-    times form a 1-D array that increases strictly within [0, t_end]."""
+    """The samples of every flow, the uniform grid np.linspace(0, t_end, n):
+    n = GRID_SAMPLES when no times are given, else the given times' count,
+    and t = 0 alone when t_end is 0.  Raises ValueError unless t_end is
+    finite and nonnegative and the given times are that grid, n >= 2 when
+    t_end > 0, each sample within 1e-12 t_end of its place."""
     if not 0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    if sample_times is not None:
-        times = np.asarray(sample_times, dtype=float)
-        if times.ndim != 1 or times.size == 0 \
-                or not np.all(np.diff(times) > 0) \
-                or not 0 <= times[0] <= times[-1] <= t_end:
-            raise ValueError(
-                "sample times must increase strictly within [0, t_end]")
-    if t_end == 0:
-        return np.array([0.0])
     if sample_times is None:
-        return np.linspace(0.0, t_end, GRID_SAMPLES)
-    if times[0] > 0:
-        times = np.concatenate(([0.0], times))
-    return times
-
-
-def uniform_spacing(sample_times, t_end: float):
-    """Spacing h of the grid np.linspace(0, t_end, n), or None for other grids.
-
-    The samples form that grid when n >= 2, t_end > 0 and every sample lies
-    within 1e-12 t_end of s h, h = t_end / (n - 1).  The exact linear-flow
-    propagators build one step for such a grid.
-    """
-    times = np.asarray(sample_times, dtype=float)
-    n = times.size
-    if n < 2 or not t_end > 0:
-        return None
-    h = t_end / (n - 1)
-    if not np.max(np.abs(times - h * np.arange(n))) <= 1e-12 * t_end:
-        return None
-    return h
+        grid = np.linspace(0.0, t_end, GRID_SAMPLES)
+    else:
+        times = np.asarray(sample_times, dtype=float)
+        grid = np.linspace(0.0, t_end, times.size)
+        if times.ndim != 1 or times.size < 1 + (t_end > 0) or not np.max(
+                np.abs(times - grid)) <= 1e-12 * t_end:
+            raise ValueError("sample times must be the grid np.linspace(0, "
+                             "t_end, n), n >= 2 when t_end > 0")
+    # at t_end = 0 every sample is t = 0
+    return grid if t_end > 0 else grid[:1]
 
 
 def log_norm(M: np.ndarray) -> float:

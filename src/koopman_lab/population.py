@@ -299,9 +299,8 @@ def chaos_demo(model: PopulationModel, x0,
     "Settled" means the state sits within 0.1 of the all-capacity
     equilibrium at t_end — a deliberately qualitative criterion.
     """
-    # 2001 samples, or t = 0 alone when t_end is 0
-    sample_times = np.unique(np.linspace(0.0, t_end, 2001))
-    traj = exact_x_trajectory(model, x0, t_end, sample_times=sample_times)
+    traj = exact_x_trajectory(model, x0, t_end,
+                              sample_times=np.linspace(0.0, t_end, 2001))
     proj = np.column_stack([traj.times, traj.states[:, 1].real,
                             traj.states[:, 2].real])
     dist = float(np.linalg.norm(traj.final.real - model.X))

@@ -44,8 +44,7 @@ def _kronecker_generator(B):
 
 def _covariance_oracle(sys, gamma0, t_end, sample_times, kronecker=False):
     """Gamma(t) of dGamma/dt = B Gamma + Gamma B^T + Y at the sample times,
-    t = 0 prepended as `fermion.evolve_covariance` does; returns (times,
-    Gammas).
+    np.linspace(0, t_end, n); returns (times, Gammas).
 
     The matrix form integrates the right-hand side, evaluated directly, by
     DOP853 at tol 1e-13.  At tol 1e-12 that run strays by up to 3.8e-8 on
@@ -66,8 +65,6 @@ def _covariance_oracle(sys, gamma0, t_end, sample_times, kronecker=False):
                              sample_times)
         return traj.times, [row.real.reshape(n2, n2) for row in traj.states]
     times = np.asarray(sample_times, dtype=float)
-    if times[0] > 0:
-        times = np.concatenate(([0.0], times))
     A = np.zeros((n2 * n2 + 1,) * 2)
     A[:-1, :-1] = _kronecker_generator(sys.B)
     A[:-1, -1] = sys.Y.reshape(-1)
@@ -108,7 +105,7 @@ def _dop853_density(h, jumps, rho0, t_end):
         return out.reshape(-1)
 
     traj = integrate_rhs(rhs, np.asarray(rho0, dtype=complex).reshape(-1),
-                         t_end, 1e-12, sample_times=[t_end])
+                         t_end, 1e-12, sample_times=[0.0, t_end])
     return traj.final.reshape(dim, dim)
 
 

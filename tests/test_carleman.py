@@ -563,10 +563,12 @@ class TestExactStep:
             assert kept[col] == alone_kept[0]
             np.testing.assert_array_equal(samples[:, :, col], alone[:, :, 0])
 
-    def test_block_off_the_grid_integrates_each_column(self):
+    def test_block_off_the_grid_integrates_each_column(self, monkeypatch):
+        # a lift above DENSE_LIMIT takes no exact step
+        monkeypatch.setattr(carleman, "DENSE_LIMIT", 0)
         sys, _, _ = random_quadratic(2, seed=23)
         op = build_monomial_lift(sys, 2)
-        grid = np.array([0.0, 0.1, 0.3, 0.6])
+        grid = np.linspace(0.0, 0.6, 4)
         lifts = [op.initial_lift(z0) for z0 in ([0.1, 0.2], [0.3, -0.1])]
         _, samples, kept, _ = lifted_samples(
             op, np.column_stack(lifts), 0.6, 1e-10, grid)
@@ -575,23 +577,23 @@ class TestExactStep:
             np.testing.assert_array_equal(samples[:kept[col], :, col],
                                           single.states)
 
-    def test_integrated_samples_pack_each_run(self):
-        # off the exact path each column's DOP853 run lands in the
-        # (n, D, c) sample array to the bit, a diverged one cut where its
-        # run stopped; a grid that does not start at 0 gains t = 0, as
-        # integrate_rhs does
+    def test_integrated_samples_pack_each_run(self, monkeypatch):
+        # off the exact path, above DENSE_LIMIT, each column's DOP853 run
+        # lands in the (n, D, c) sample array to the bit, a diverged one
+        # cut where its run stopped
+        monkeypatch.setattr(carleman, "DENSE_LIMIT", 0)
         rng = np.random.default_rng(21)
         F1 = 2.0 * np.eye(2) + 0.1 * rng.normal(size=(2, 2))
         F2 = 0.3 * rng.normal(size=(2, 4))
         sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
                              SparseTensor.from_dense_flat(2, F2)])
         op = build_monomial_lift(sys, 3)
-        grid = 2.0 * np.linspace(0.1, 1.0, 12) ** 2
+        grid = np.linspace(0.0, 2.0, 13)
         G0 = np.column_stack([op.initial_lift(scale * rng.normal(size=2))
                               for scale in (0.1, 30.0)])
         times, samples, kept, diverged = carleman.lifted_samples(
             op, G0, 2.0, 1e-10, grid)
-        np.testing.assert_array_equal(times, np.concatenate(([0.0], grid)))
+        np.testing.assert_array_equal(times, grid)
         assert samples.shape == (times.size, op.total_dim, 2)
         assert diverged.tolist() == [False, True]
         assert kept[0] == times.size and kept[1] < times.size
@@ -602,11 +604,6 @@ class TestExactStep:
             np.testing.assert_array_equal(samples[:kept[col], :, col],
                                           run.states)
         assert np.all(np.isnan(samples[kept[1]:, :, 1]))
-
-    def test_non_uniform_grid_is_integrated(self):
-        op = build_monomial_lift(random_quadratic(2, seed=19)[0], 2)
-        assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9) ** 2) is None
-        assert exact_step(op, 1.0, np.linspace(0.0, 1.0, 9)) is not None
 
     def test_truncation_error_maps_block1_rows(self):
         sys, _, _ = random_quadratic(2, seed=20)

@@ -340,9 +340,69 @@ class TestExitCodes:
         code = cli.run(["population-traj", "--config", cfg, "--orders", "2",
                         "--t-end", "0.02", "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "ValueError" in err and "positive" in err
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == (
+            "config error: config key 'x0': populations must be positive "
+            "for the mode map, got [0.0, 1.0, 1.0]\n")
+
+    @pytest.mark.parametrize("value", [1e308, 2e9])
+    @pytest.mark.parametrize("command", ["population-scan", "population-traj",
+                                         "population-chaos", "carleman-error",
+                                         "nip-error"])
+    def test_population_at_the_pole_names_the_key(self, tmp_path, capsys,
+                                                  command, value):
+        # X_i / x_i below nip.POLE_TOL puts eta on the pole -1: chaos used
+        # to end in an IndexError traceback, nip-error and the scan to exit
+        # 0 over an inf row, carleman-error to name the integrator's y0
+        if command == "population-scan":
+            payload, argv, got = {"x1": value}, ["--grid", "1:1:1"], value
+            key = "x1"
+        else:
+            payload, argv = {"x0": [value, 1.4, 1.4]}, []
+            key, got = "x0", payload["x0"]
+        cfg = write_json(tmp_path, "x.json", payload)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, *argv,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: config key '{key}': populations must satisfy "
+            f"X_i / x_i >= POLE_TOL = 1e-09, off the mode map's pole, got "
+            f"{got!r}\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_sample_count_past_int64_is_refused(self, tmp_path, capsys):
+        # numpy's multinomial draw used to end in an OverflowError traceback
+        limit = np.iinfo(np.int64).max
+        cfg = write_json(tmp_path, "s.json", {
+            "modes": [[0.5, 0.1, 1.0, 0.0]], "n_samples": limit + 1})
+        out = tmp_path / "s.csv"
+        code = cli.run(["spectral-sample", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config key 'n_samples' must be an integer >= 0 "
+            f"and <= {limit}, got {limit + 1}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", [float("nan"), -5.0, 0.0, float("inf")])
+    def test_history_step_must_be_finite_and_positive(self, tmp_path,
+                                                      capsys, h):
+        # NaN used to end in LAPACK's "SVD did not converge" and -5 in an
+        # "unstable Taylor propagator", both exit 3
+        cfg = write_json(tmp_path, "h.json",
+                         {"A": [[-0.3, 0.0], [0.0, -0.1]], "x0": [1.0, 0.5],
+                          "m": 6, "p": 3, "l": 8, "h": h})
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["ode-history", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config key 'h' must be finite and positive, got "
+            f"{h!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid, cause", [
         ("0:100:1e-4", "more than 1000 points"),
@@ -409,7 +469,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, minimum, bound, builder", [
-        ("fermion-heat", "samples", 10**13, 1, "MAX_HEAT_SAMPLES",
+        ("fermion-heat", "samples", 10**13, 2, "MAX_HEAT_SAMPLES",
          (np, "linspace")),
         ("rsep-sweep", "d", 10**6, 3, "MAX_RSEP_DIM",
          (rsep, "haar_unitary")),
@@ -514,15 +574,16 @@ class TestExitCodes:
         assert f"'{key}'" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("samples", [0, 2.5, "5", None])
-    def test_heat_samples_must_be_a_positive_integer(self, tmp_path, capsys,
-                                                     samples, system_config):
+    @pytest.mark.parametrize("samples", [0, 1, 2.5, "5", None])
+    def test_heat_samples_must_be_an_integer_from_two(self, tmp_path, capsys,
+                                                      samples, system_config):
+        # the grid np.linspace(0, t_end, samples) reaches t_end from 2 on
         cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], samples=samples)
         out = tmp_path / "h.csv"
         code = cli.run(["fermion-heat", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "'samples'" in err and "integer >= 1" in err
+        assert "'samples'" in err and "integer >= 2" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
@@ -1022,6 +1083,16 @@ class TestRsepCommands:
         assert lines[0] == ("beta,gamma,delta,d,R_x_lower_bound,"
                             "R_x,R_eta,equiv_residual")
         assert len(lines) == 2
+
+    def test_zero_horizon_sweeps(self, tmp_path):
+        # the flows sample t = 0 alone: one row per point, residual 0
+        cfg = write_json(tmp_path, "p.json", {"points": [RSEP_POINT] * 2})
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["rsep-sweep", "--config", cfg, "--t-end", "0",
+                        "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 and rows[0] == rows[1]
+        assert rows[0].endswith(",0")
 
 
 class TestSpectralCommands:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_continuous_lyapunov
 
@@ -61,21 +61,27 @@ def closed_form(sys, gamma0, t):
 @st.composite
 def covariance_flows(draw):
     """(system, Gamma0, t_end, grid): N = 1..4 with 0..2 jumps (0 = closed),
-    on a uniform grid or on random increments that need not start at 0."""
+    on the grid np.linspace(0, t_end, n), n = 2..17."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     N = draw(st.integers(1, 4))
     sys = random_system(N, draw(st.integers(0, 2)),
                         draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 1.0)),
                         rng)
     gamma0 = physical_covariance(N, draw(st.floats(0.0, 1.0)), rng)
-    if draw(st.booleans()):
-        t_end = draw(st.floats(0.05, 3.0))
-        grid = np.linspace(0.0, t_end, draw(st.integers(2, 17)))
-    else:
-        grid = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=1,
-                                       max_size=6)))
-        t_end = float(grid[-1])
-    return sys, gamma0, t_end, grid
+    t_end = draw(st.floats(0.05, 3.0))
+    return sys, gamma0, t_end, np.linspace(0.0, t_end,
+                                           draw(st.integers(2, 17)))
+
+
+def stiff_flow():
+    """A flow drawn like `covariance_flows`, whose fastest mode of B decays
+    at rate 15.7 over t = 2.86 on 12 samples: the DOP853 oracle strays from
+    the exact flow by 5.6e-8 at tol 1e-12 and by 2.5e-10 at 1e-13."""
+    rng = np.random.default_rng(692918594)
+    sys = random_system(2, 1, 1.2136447136247985, 0.9886954084446584, rng)
+    gamma0 = physical_covariance(2, 0.40598877214889817, rng)
+    t_end = 2.8599631084875625
+    return sys, gamma0, t_end, np.linspace(0.0, t_end, 12)
 
 
 class TestMajoranas:
@@ -122,6 +128,7 @@ class TestEvolution:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(flow=covariance_flows(), kronecker=st.booleans())
+    @example(flow=stiff_flow(), kronecker=False)
     def test_exact_flow_matches_dop853_oracles(self, covariance_oracle,
                                                flow, kronecker):
         # the matrix form's oracle is a DOP853 run, the Kronecker form's an
@@ -151,7 +158,7 @@ class TestEvolution:
         rng = np.random.default_rng(12)
         sys = random_system(3, 3, 1.0, 2.0, rng)
         g0 = physical_covariance(3, 1.0, rng)
-        for grid in ([30.0], [0.5, 30.0], np.linspace(0.0, 30.0, 3)):
+        for grid in ([0.0, 30.0], np.linspace(0.0, 30.0, 3)):
             final, _, _ = evolve_covariance(sys, g0, 30.0, sample_times=grid)
             assert np.max(np.abs(final.Gamma
                                  - closed_form(sys, g0.Gamma, 30.0))) < 1e-12

@@ -13,9 +13,13 @@ from koopman_lab.carleman import (
     step_block,
 )
 from koopman_lab.nip import (
+    POLE_TOL,
     ROUTES,
     PopulationModel,
+    ReferenceSamples,
     _back_map,
+    _eta_to_y_rows,
+    _route_errors,
     eta_to_x,
     guaranteed_radius,
     guaranteed_radius_squared,
@@ -39,6 +43,7 @@ from koopman_lab.polyflow import (
     DimensionError,
     PolySystem,
     SparseTensor,
+    Trajectory,
     eval_rhs,
     integrate_reference,
     integrate_rhs,
@@ -105,6 +110,17 @@ class TestCoordinateMaps:
         model = small_model()
         with pytest.raises(ValueError):
             x_to_eta(model, np.array([1.0, -0.1, 0.5]))
+
+    @pytest.mark.parametrize("x", [1e308, 2e9])
+    def test_population_at_the_pole_rejected(self, x):
+        # X/x below POLE_TOL: eta starts within POLE_TOL of -1, or on it
+        model = small_model()
+        with pytest.raises(ValueError, match="mode map's pole"):
+            x_to_eta(model, np.array([1.0, x, 0.5]))
+        with pytest.raises(ValueError, match="mode map's pole"):
+            nip_evolve(model, np.array([1.0, x, 0.5]), 2, 0.01)
+        # twice POLE_TOL away from the pole is taken
+        x_to_eta(model, model.X / (2.0 * POLE_TOL))
 
     def test_back_map_pole(self):
         _, pole = _back_map(np.array([0.2, -1.0 + 1e-12]))
@@ -531,18 +547,42 @@ class TestWeightedDop853Path:
 
 class TestErrorRun:
     def test_pole_rows_marked_invalid(self):
-        # eta starts at -1 + 1e-12 in component 0, the back map's pole
-        model = small_model()
-        x0 = model.X / (1.0 + np.array([-1.0 + 1e-12, 0.01, 0.02]))
-        grid = np.linspace(0.0, 0.01, 5)
-        # any reference on the grid will do: the pole is in the back map
-        ref = reference_y_trajectory(model, model.X, 0.01, sample_times=grid)
-        run = nip_evolve(model, x0, 1, 0.01, sample_times=grid, reference=ref)
-        assert run.pole_invalid
-        assert np.isnan(run.eps[0])
-        assert np.all(np.isnan(run.y_approx.states[0]))
-        assert np.all(np.isfinite(run.eps[1:]))
-        assert run.eps_max == np.nanmax(run.eps)
+        # block 1 of a mode lift meets the back map's pole, -1 + 1e-12 in
+        # component 0, at sample 2 of 5; any reference will do
+        references = ReferenceSamples(np.linspace(0.0, 0.01, 5),
+                                      np.zeros((1, 5, 3)), np.array([5]),
+                                      np.array([False]))
+        g1 = np.full((1, 5, 3), 0.1)
+        g1[0, 2, 0] = -1.0 + 1e-12
+        runs = _route_errors(references, g1, np.array([5]),
+                             np.array([False]), _eta_to_y_rows)
+        assert runs.pole_invalid[0]
+        assert np.isnan(runs.eps[0, 2])
+        assert np.all(np.isnan(runs.y[0, 2]))
+        assert np.all(np.isfinite(np.delete(runs.eps[0], 2)))
+        assert runs.eps_max[0] == np.nanmax(runs.eps[0])
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 0.1, 65),
+                                      np.linspace(0.0, 0.05, 129)],
+                             ids=["coarser", "shorter"])
+    def test_reference_off_the_run_grid_is_refused(self, grid):
+        # copied onto the default grid, such a reference read as a run cut
+        # short: eps_max = inf
+        model = paper_model()
+        ref = reference_y_trajectory(model, DEMO_X0, grid[-1],
+                                     sample_times=grid)
+        with pytest.raises(DimensionError, match="leading part"):
+            nip_evolve(model, DEMO_X0, 3, DEMO_T_END, reference=ref)
+
+    def test_reference_cut_short_is_a_leading_part(self):
+        # a diverged reference keeps fewer samples of the run's grid
+        model = paper_model()
+        grid = sample_grid(DEMO_T_END)
+        ref = reference_y_trajectory(model, DEMO_X0, DEMO_T_END, grid)
+        cut = Trajectory(ref.times[:40], ref.states[:40], diverged=True)
+        run = nip_evolve(model, DEMO_X0, 3, DEMO_T_END, reference=cut)
+        assert run.eps_max == np.inf
+        assert run.eps.size == 40
 
 
 class TestRealArithmetic:

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from koopman_lab import fermion, nip, polyflow, population, rsep
-from koopman_lab.carleman import build_monomial_lift, lifted_samples
+from koopman_lab import carleman, fermion, nip, polyflow, population, rsep
+from koopman_lab.carleman import (
+    build_monomial_lift,
+    exact_step,
+    lifted_samples,
+)
 from koopman_lab.polyflow import (
     DimensionError,
     NonDissipativeError,
@@ -223,48 +227,69 @@ class TestIntegration:
             integrate_reference(linear_system(-np.eye(2)), np.ones(2), 1.0, 0)
 
 
-GRID_KINDS = ("none", "from zero", "after zero", "zero alone", "decreasing",
-              "repeated", "past t_end", "2-D", "empty")
-BAD_GRIDS = ("decreasing", "repeated", "past t_end", "2-D", "empty")
+GRID_KINDS = ("none", "uniform", "jittered", "zero alone", "non-uniform",
+              "decreasing", "repeated", "not from zero", "before t_end",
+              "past t_end", "2-D", "empty")
+BAD_GRIDS = GRID_KINDS[4:]
+FLOWS = ("sample_grid", "taylor_samples", "integrate_rhs", "lifted_samples",
+         "evolve_covariance", "nip_evolve")
 
 
-@st.composite
-def horizons_and_grids(draw):
-    """(t_end, kind, sample times) over good and bad horizons and grids;
-    the times are distinct sixty-fourths of t_end (of 1 when t_end is not
-    positive and finite), so that they increase within (0, t_end] unless
-    the kind breaks that."""
-    t_end = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0),
-                           st.sampled_from([-0.5, np.inf, np.nan])))
-    kind = draw(st.sampled_from(GRID_KINDS))
-    scale = t_end if 0 < t_end < np.inf else 1.0
-    grid = scale * np.array(sorted(draw(st.sets(st.integers(1, 64),
-                                                min_size=2, max_size=6))))
-    grid /= 64
-    if kind == "none":
-        return t_end, kind, None
-    if kind == "from zero":
-        return t_end, kind, np.concatenate(([0.0], grid)).tolist()
-    if kind == "zero alone":
-        return t_end, kind, [0.0]
-    if kind == "decreasing":
+def bad_grid(kind, scale, n):
+    """np.linspace(0, scale, n), n >= 3, broken as `kind` says."""
+    grid = np.linspace(0.0, scale, n)
+    if kind == "non-uniform":
+        grid[1] /= 2
+    elif kind == "decreasing":
         grid = grid[::-1]
     elif kind == "repeated":
-        grid = np.insert(grid, 1, grid[1])
+        grid[1] = grid[2]
+    elif kind == "not from zero":
+        grid = np.linspace(scale / 64, scale, n)
+    elif kind == "before t_end":
+        grid = np.linspace(0.0, scale / 2, n)
     elif kind == "past t_end":
-        grid = np.append(grid, 2.0 * scale)
+        grid = np.linspace(0.0, 2.0 * scale, n)
     elif kind == "2-D":
         grid = grid[None, :]
     elif kind == "empty":
         grid = grid[:0]
-    return t_end, kind, grid.tolist()
+    return grid
+
+
+@st.composite
+def horizons_and_grids(draw):
+    """(t_end, kind, sample times) over good and bad horizons and grids of
+    3 to 9 samples: np.linspace(0, t_end, n), the same with each sample
+    moved by less than 1e-13 t_end, t = 0 alone, and grids broken from
+    np.linspace(0, scale, n), scale t_end (1 when t_end is not positive
+    and finite)."""
+    t_end = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0),
+                           st.sampled_from([-0.5, np.inf, np.nan])))
+    kind = draw(st.sampled_from(GRID_KINDS))
+    n = draw(st.integers(3, 9))
+    span = t_end if 0 <= t_end < np.inf else 1.0
+    if kind == "none":
+        return t_end, kind, None
+    if kind == "zero alone":
+        return t_end, kind, [0.0]
+    if kind == "uniform":
+        return t_end, kind, np.linspace(0.0, span, n).tolist()
+    if kind == "jittered":
+        jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        return t_end, kind, (np.linspace(0.0, span, n)
+                             + 1e-13 * span * np.array(jitter)).tolist()
+    return t_end, kind, bad_grid(kind, span or 1.0, n).tolist()
 
 
 def flow_times(flow, t_end, grid):
-    """The sample times `flow` returns at (t_end, grid), or ValueError."""
+    """The sample times `flow` returns at (t_end, grid), the stack of
+    "exact_step", or the ValueError it raises."""
     x0 = np.array([1.0 + 0j])
     decay = linear_system(-np.eye(1))
     try:
+        if flow == "sample_grid":
+            return sample_grid(t_end, grid)
         if flow == "taylor_samples":
             return taylor_samples(decay, x0[None], t_end, grid)[0]
         if flow == "integrate_rhs":
@@ -274,6 +299,12 @@ def flow_times(flow, t_end, grid):
             lift = build_monomial_lift(decay, 2)
             return lifted_samples(lift, lift.initial_lift(x0)[:, None],
                                   t_end, 1e-10, grid)[0]
+        if flow == "exact_step":
+            return exact_step(build_monomial_lift(decay, 2), t_end, grid)
+        if flow == "nip_evolve":
+            # at the capacities, the equilibrium eta = 0
+            return nip.nip_evolve(population.paper_model(), np.ones(3), 1,
+                                  t_end, sample_times=grid).y_approx.times
         h, jumps = fermion.commuting_example(1, [1.0], [0.5])
         return fermion.evolve_covariance(
             fermion.FermionSystem(1, h, jumps),
@@ -288,25 +319,17 @@ class TestSampleGrid:
     @given(case=horizons_and_grids())
     def test_every_flow_samples_the_one_grid(self, case):
         t_end, kind, grid = case
-        # at t_end = 0 every time after 0 lies past t_end
+        # one sample reaches t_end only at t_end = 0
         bad = not 0 <= t_end < np.inf or kind in BAD_GRIDS or (
-            t_end == 0 and kind in ("from zero", "after zero"))
+            kind == "zero alone" and t_end > 0)
         if bad:
-            with pytest.raises(ValueError):
-                sample_grid(t_end, grid)
+            want = None
+        elif t_end == 0:
+            want = [0.0]
         else:
-            want = sample_grid(t_end, grid)
-            if t_end == 0:
-                np.testing.assert_array_equal(want, [0.0])
-            elif kind == "none":
-                np.testing.assert_array_equal(
-                    want, np.linspace(0.0, t_end, polyflow.GRID_SAMPLES))
-            elif kind == "after zero":
-                np.testing.assert_array_equal(want, [0.0] + grid)
-            else:
-                np.testing.assert_array_equal(want, grid)
-        for flow in ("taylor_samples", "integrate_rhs", "lifted_samples",
-                     "evolve_covariance"):
+            want = np.linspace(0.0, t_end, polyflow.GRID_SAMPLES
+                               if grid is None else len(grid))
+        for flow in FLOWS:
             got = flow_times(flow, t_end, grid)
             if bad:
                 assert isinstance(got, ValueError), flow
@@ -318,11 +341,19 @@ class TestSampleGrid:
         with pytest.raises(ValueError, match="t_end must be finite"):
             sample_grid(t_end)
 
-    @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.2, 0.2], [0.0, 1.5],
-                                      [[0.5]], []])
-    def test_bad_grids_name_the_rule(self, grid):
-        with pytest.raises(ValueError, match="sample times must increase"):
-            sample_grid(1.0, grid)
+    @pytest.mark.parametrize("kind", BAD_GRIDS)
+    @pytest.mark.parametrize("flow", FLOWS + ("exact_step",))
+    def test_bad_grids_name_the_rule(self, flow, kind):
+        got = flow_times(flow, 1.0, bad_grid(kind, 1.0, 5))
+        assert isinstance(got, ValueError), flow
+        assert "sample times must be the grid np.linspace(0, t_end, n)" \
+            in str(got)
+
+    def test_zero_alone_is_the_grid_of_a_zero_horizon(self):
+        for grid in ([0.0], np.zeros(5)):
+            np.testing.assert_array_equal(sample_grid(0.0, grid), [0.0])
+        with pytest.raises(ValueError, match="n >= 2 when t_end > 0"):
+            sample_grid(1.0, [0.0])
 
 
 def counted(rhs):
@@ -419,14 +450,6 @@ class TestTaylorFlow:
             np.testing.assert_array_equal(times, oracle.times)
             np.testing.assert_array_equal(states[:, r], oracle.states)
 
-    def test_non_uniform_grid_matches_dop853(self):
-        sys = driven_quadratic(3, seed=3)
-        rng = np.random.default_rng(4)
-        grid = np.concatenate(([0.0], np.sort(rng.uniform(0, 1.0, 20)),
-                               [1.0]))
-        X0 = rng.normal(size=(3, 3))
-        assert_rows_match_dop853(sys, X0, 1.0, 1e-13, grid, rtol=0, atol=1e-9)
-
     def test_linear_flow_matches_expm(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 4)) - 2.0 * np.eye(4)
@@ -461,11 +484,12 @@ class TestTaylorFlow:
         assert kept[0] != kept[2]
 
     def test_divergence_after_the_last_sample_is_flagged(self):
-        # x0 = 20 blows up near t = 0.05; the samples stop at 0.04
+        # x0 = 20 blows up near t = 0.05, between the samples 0.04 and
+        # 0.08: a step end passes the norm before the row reaches 0.08
         sys = blow_up_system()
         _, _, kept, diverged = taylor_samples(
-            sys, np.array([[20.0, 1.0]]), 0.1, [0.0, 0.02, 0.04])
-        assert diverged[0] and kept[0] == 3
+            sys, np.array([[20.0, 1.0]]), 0.08, [0.0, 0.04, 0.08])
+        assert diverged[0] and kept[0] == 2
 
     def test_rows_do_not_depend_on_their_batch(self, taylor_expansions):
         # two settling rows, two diverging rows that step down to their
@@ -533,12 +557,9 @@ class TestTaylorFlow:
                                    np.exp([0.0, -50.0, -100.0]), rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 1.0, 131),
-        np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 42))),
-    ], ids=["partial-last-span", "geometric"])
-    def test_spanned_flow_matches_dop853(self, grid):
+    def test_spanned_flow_matches_dop853(self):
         sys = driven_quadratic(3, seed=6)
+        grid = np.linspace(0.0, 1.0, 131)
         X0 = np.random.default_rng(7).normal(size=(3, 3))
         diverged = assert_rows_match_dop853(sys, X0, 1.0, 1e-13, grid,
                                             rtol=0, atol=1e-9)
@@ -718,10 +739,11 @@ class TestRealArithmetic:
         G0 = lift.initial_lift(X0).T
         np.testing.assert_array_equal(typed_lift.initial_lift(X0 + 0j).T, G0)
         grid = np.linspace(0.0, 0.5, 17)
-        if path == "DOP853":  # off the uniform grid, so no exact step
-            grid = np.sort(np.append(grid, 0.013))
-        a = lifted_samples(lift, G0, 0.5, 1e-10, grid)
-        b = lifted_samples(typed_lift, G0 + 0j, 0.5, 1e-10, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "DOP853":  # above the dense limit, no exact step
+                patch.setattr(carleman, "DENSE_LIMIT", 0)
+            a = lifted_samples(lift, G0, 0.5, 1e-10, grid)
+            b = lifted_samples(typed_lift, G0 + 0j, 0.5, 1e-10, grid)
         for got, want in zip(a[2:], b[2:]):
             np.testing.assert_array_equal(got, want)
         assert_real_parts_agree(

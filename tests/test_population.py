@@ -205,9 +205,15 @@ class TestTrajectories:
         np.testing.assert_allclose(traj.states[:, 0].real, u / (u + 1.0),
                                    rtol=1e-8)
 
-    def test_exact_positivity_guard(self, model):
+    @pytest.mark.parametrize("x1", [0.0, 1e308])
+    def test_exact_positivity_guard(self, model, x1):
+        # 1e308 puts eta on the back map's pole: chaos_demo used to end in
+        # an IndexError on a flow that kept no sample
+        x0 = np.array([x1, 1.0, 1.0])
         with pytest.raises(ValueError):
-            exact_x_trajectory(model, np.array([0.0, 1.0, 1.0]), 0.1)
+            exact_x_trajectory(model, x0, 0.1)
+        with pytest.raises(ValueError):
+            chaos_demo(model, x0)
 
     def test_compare_integrates_one_reference(self, model, monkeypatch):
         # every reference trajectory, batched or single, goes through this
