@@ -132,14 +132,14 @@ def _vector(data, key, default):
     return np.asarray(value, dtype=float)
 
 
-def _check_populations(model, key, x, value):
-    """Refuse, naming config key `key`, populations x that the mode map
-    `nip.x_to_eta` refuses: one not positive, or one at its pole."""
+def _check_populations(model, name, x, value):
+    """Refuse, naming `name` (a config key or a flag), populations x that
+    the mode map `nip.x_to_eta` refuses: one not positive, or one at its
+    pole."""
     try:
         nip.x_to_eta(model, x)
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}, got {value!r}") \
-            from None
+        raise ConfigError(f"{name}: {exc}, got {value!r}") from None
 
 
 def _x0(data, model, default):
@@ -152,7 +152,7 @@ def _x0(data, model, default):
     if x0.size != model.dim:
         raise ConfigError(f"config key 'x0' must hold {model.dim} numbers, "
                           f"one per model coordinate, got {x0.size}")
-    _check_populations(model, "x0", x0, x0.tolist())
+    _check_populations(model, "config key 'x0'", x0, x0.tolist())
     return x0
 
 
@@ -191,8 +191,10 @@ def _orders(args, default):
 
 
 def _parse_grid(text):
-    """The axis LO, LO + STEP, ... up to HI of --grid.  The scan takes its
-    square, so its length is checked before it is allocated."""
+    """The axis LO, LO + STEP, ... up to HI (within 1e-9 STEP) of --grid,
+    the values np.arange takes: LO, LO + STEP, then LO + k ((LO + STEP) -
+    LO).  The scan takes its square, so its length is checked before it is
+    allocated."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
@@ -200,13 +202,19 @@ def _parse_grid(text):
     if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi
             and step > 0):
         raise ConfigError("flag --grid needs finite LO <= HI and STEP > 0")
-    stop = hi + 1e-9 * step
-    # np.arange(lo, stop, step) has ceil((stop - lo) / step) points
-    if not (stop - lo) / step <= math.isqrt(MAX_GRID_CELLS):
+    # steps past LO; counted, since HI + 1e-9 STEP rounds to HI at large HI
+    steps = (hi - lo) / step + 1e-9
+    if not steps < math.isqrt(MAX_GRID_CELLS):
         raise ConfigError(f"flag --grid {text} has more than "
                           f"{math.isqrt(MAX_GRID_CELLS)} points, "
                           f"{MAX_GRID_CELLS} cells")
-    return np.arange(lo, stop, step)
+    n = int(steps) + 1
+    axis = np.arange(n) * ((lo + step) - lo) + lo
+    axis[:2] = (lo, lo + step)[:n]
+    if not np.all(np.diff(axis) > 0):
+        raise ConfigError(f"flag --grid {text} repeats a value: STEP is "
+                          f"below the spacing of floats near LO")
+    return axis
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,13 @@ def _cmd_population_scan(args, data):
     if model.dim != 3:  # the scan's cells are (x1, x2, x3)
         raise ConfigError(f"config key 'model' must have 3 populations for "
                           f"population-scan, got {model.dim}")
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = None
+    if args.grid:
+        grid = _parse_grid(args.grid)
+        # each value as x2 and as x3, beside x1 at its capacity
+        _check_populations(model, "flag --grid",
+                           np.c_[np.full(grid.size, model.X[0]), grid, grid],
+                           args.grid)
     orders = tuple(_orders(args, population.DEFAULT_ORDERS))
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
@@ -226,7 +240,7 @@ def _cmd_population_scan(args, data):
     if not math.isfinite(x1):
         raise ConfigError(f"config key 'x1' must be finite, got {x1!r}")
     # x1 beside the other populations at their capacities, eta = 0
-    _check_populations(model, "x1", np.r_[x1, model.X[1:]], x1)
+    _check_populations(model, "config key 'x1'", np.r_[x1, model.X[1:]], x1)
     res = population.convergence_scan(
         model, x1_fixed=x1, x2_range=grid, x3_range=grid, orders=orders,
         t_end=_t_end(args, population.DEFAULT_T_END),

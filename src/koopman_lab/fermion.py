@@ -12,7 +12,9 @@ The flow is linear, so it is propagated exactly: over an interval h,
     Gamma(t + h) = Phi Gamma(t) Phi^T + Q,   Phi = e^{B h},
     Q = int_0^h e^{B s} Y e^{B^T s} ds,
 
-with (Phi, Q) read off one block exponential (Van Loan 1978).  The steady
+with (Phi, Q) read off one block exponential (Van Loan 1978).  The samples
+of a flow are the rows of one read-only array, and a `CovarianceState` of
+one is built only when asked for (`CovarianceSamples`).  The steady
 state solves the Lyapunov equation B Gamma + Gamma B^T = -Y by
 Bartels-Stewart.  An exact small-N density-matrix oracle built from
 Jordan-Wigner Majorana operators validates the derivation; its master
@@ -22,6 +24,7 @@ Liouvillian applied to rho(0).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -132,28 +135,53 @@ def covariance_step(sys: FermionSystem, h: float):
     return phi, Q
 
 
+class CovarianceSamples(Sequence):
+    """The samples of a covariance flow, read-only.  They are kept as one
+    (n, 2N, 2N) float64 array `stack`; item k is CovarianceState(stack[k]),
+    a view built only when asked for."""
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, k) -> CovarianceState:
+        return CovarianceState(self.stack[k])
+
+
 def evolve_covariance(sys: FermionSystem, state: CovarianceState,
                       t_end: float, tol: float = 1e-10, sample_times=None):
     """Propagate the covariance flow exactly to the times of
     `polyflow.sample_grid(t_end, sample_times)`; returns (final state,
-    times, Gamma list).
+    times, samples), the samples a `CovarianceSamples`.
 
     Each sample follows from the previous one by Gamma <- Phi Gamma Phi^T + Q
     with the one step (Phi, Q) of the grid's spacing (`covariance_step`),
-    and is re-antisymmetrized.  `tol` does not apply: no step is adaptive.
+    and is re-antisymmetrized into its row of one read-only stack.  The
+    final state holds a copy of the last row, so it does not keep the stack
+    alive.  `tol` does not apply: no step is adaptive.
     """
     n2 = 2 * sys.N
     if state.Gamma.shape != (n2, n2):
         raise DimensionError("state size does not match system")
     times = sample_grid(t_end, sample_times)
+    stack = np.empty((times.size, n2, n2))
     G = state.Gamma
-    gammas = [CovarianceState((G - G.T) / 2.0)]
+    np.subtract(G, G.T, out=stack[0])
+    stack[0] *= 0.5
     if times.size > 1:
         phi, Q = covariance_step(sys, t_end / (times.size - 1))
-        for _ in times[1:]:
-            G = phi @ gammas[-1].Gamma @ phi.T + Q
-            gammas.append(CovarianceState((G - G.T) / 2.0))
-    return gammas[-1], times, gammas
+        # two buffers serve every sample's products; * 0.5 is / 2 to the bit
+        left, G = np.empty((n2, n2)), np.empty((n2, n2))
+        for prev, row in zip(stack, stack[1:]):
+            np.matmul(phi, prev, out=left)
+            np.matmul(left, phi.T, out=G)
+            G += Q
+            np.subtract(G, G.T, out=row)
+            row *= 0.5
+    stack.flags.writeable = False
+    return CovarianceState(stack[-1].copy()), times, CovarianceSamples(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,48 @@ class TestExitCodes:
         with pytest.raises(cli.ConfigError, match="--grid"):
             cli._parse_grid("1:1.3:0.1")
 
+    def test_grid_points_are_counted(self):
+        # at 1e8, HI + 1e-9 STEP rounds to HI: the last point must still
+        # count; small grids keep np.arange's values to the bit
+        assert cli._parse_grid("1e8:1e8:1").tolist() == [1e8]
+        assert cli._parse_grid("1e8:100000002:1").tolist() == [
+            1e8, 1e8 + 1, 1e8 + 2]
+        # 1e8 + 1e-9 rounds to 1e8: fifteen cells of one value
+        with pytest.raises(cli.ConfigError, match="--grid .* repeats"):
+            cli._parse_grid("1e8:100000000.00000001:1e-9")
+        for lo, hi, step in [(1.0, 1.35, 0.05), (1.3, 1.45, 0.05),
+                             (1.4, 1.4, 0.05), (0.5, 2.0, 0.05),
+                             (0.95, 1.05, 0.1), (1.0, 1.5, 0.5)]:
+            want = np.arange(lo, hi + 1e-9 * step, step)
+            got = cli._parse_grid(f"{lo}:{hi}:{step}")
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_point_grid_at_a_large_population(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert cli.run(["population-scan", "--out", str(out),
+                        "--grid", "1e8:1e8:1"]) == cli.EXIT_OK
+        header, row = out.read_text().splitlines()
+        assert header.startswith("x2,x3,carleman_verdict,nip_verdict")
+        assert row.split(",")[:4] == ["100000000", "100000000", "diverged",
+                                      "converged"]
+
+    @pytest.mark.parametrize("grid, cause", [
+        ("0:0:1", "must be positive"),
+        ("0:1:0.5", "must be positive"),
+        ("2e9:2e9:1e9", "pole"),
+        ("1:2e9:1e9", "pole"),
+    ])
+    def test_grid_population_the_mode_map_refuses_names_the_flag(
+            self, tmp_path, capsys, grid, cause):
+        out = tmp_path / "o.csv"
+        code = cli.run(["population-scan", "--out", str(out),
+                        "--grid", grid])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("config error: flag --grid: ") and cause in err
+        assert err.endswith(f"got {grid!r}")
+        assert not out.exists()
+
     def test_history_order_checked_before_allocating(self, tmp_path,
                                                      capsys, monkeypatch):
         def fail(*args, **kwargs):
