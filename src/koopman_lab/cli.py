@@ -2,12 +2,12 @@
 
 One table, `_COMMANDS`, gives each subcommand its handler, the flags it
 reads and the JSON config keys it requires or allows; the parser is built
-from it and the config is checked against it before the handler runs, so
-any other flag or key is refused.  Every subcommand runs deterministically
-under the given seed and writes CSV/JSON outputs formatted with 17
-significant digits so reruns are byte-identical.  Exit codes: 0 success, 2
-config error (the diagnostic names the offending key or flag), 3 numerical
-failure.
+from it, and any other flag or key is refused.  Another, `_DOMAINS`, holds
+what each flag and key may take, and one checker reads every value against
+it before the handler runs.  Every subcommand runs deterministically under
+the given seed and writes CSV outputs with 17 significant digits, so reruns
+are byte-identical.  Exit codes: 0 success, 2 config error (the diagnostic
+names the offending key or flag), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -38,17 +38,19 @@ MAX_HISTORY_ORDER = 2000
 # matrix products.  The step needs h <= 1/|A|, so term r of T_l(Ah) has
 # norm at most 1/r!, below 1e-16 from r = 19 on.
 MAX_TAYLOR_ORDER = 100
-# Most samples of a `fermion-heat` curve, which keeps one (2N)^2 covariance
-# per sample: 20 MB at N = 8.
+# Most samples of a `fermion-heat` curve, and most bytes of them: each is
+# one (2N)^2 float64 covariance, 10^4 take 20 MB at N = 8.
 MAX_HEAT_SAMPLES = 10**4
+MAX_HEAT_BYTES = 2**31
+# Largest N of a fermion `system`.  At N = 512, with a dense random h and
+# two jumps, `fermion-steady` takes 23 s and 0.4 GB and `fermion-evolve`,
+# whose 129 (2N)^2 samples take 1.1 GB, 25 s and 1.5 GB (2 cores, one BLAS).
+MAX_FERMION_N = 512
 # Largest dimension d of an `rsep-sweep` point.  Its R-numbers take the
 # spectral norm of a dense d x d^2 complex flattening, 16 MB at d = 100,
 # where a point takes about 2 s and 0.1 GB; d = 200 takes 10 s and 0.3 GB.
 MAX_RSEP_DIM = 100
-# Largest horizon of `population-chaos`, whose Taylor flow takes time
-# linear in it, about 4.7 ms per unit of t_end: 1.4 s at t_end = 200, 7.9 s
-# at 1,600 and 56 s at 12,000 (2 cores, one BLAS thread), so the largest
-# run accepted takes about 50 s.  Its 2001 samples keep the memory fixed.
+# Largest --t-end of `population-chaos`, as `_COMMANDS` gives the others.
 MAX_CHAOS_T_END = 10**4
 # Largest Kaiser window length J of the spectral commands, which write one
 # CSV row per outcome and emulate one snapshot per window sample.
@@ -69,125 +71,159 @@ class NumericalError(Exception):
     pass
 
 
-def _load_config(path, allowed, required=()):
-    if path is None:
-        data = {}
-    else:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {key!r}")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"missing config key: {key!r}")
-    return data
+@dataclass(frozen=True)
+class _Domain:
+    """The values of a flag or config key: its `kind` ("number", always
+    finite, "integer", "list" of finite numbers, "matrix" of equal rows of
+    finite numbers, named by `columns` when fixed, "object" read by `parse`
+    from its `fields`, or the flag kinds "integers" and "text"), a list of
+    them when `many`, bounds low <= value <= high (low < value when
+    `open_low`; a list's low bounds its length), its `default`, and
+    whether it is `required`."""
+
+    kind: str
+    default: object = None
+    low: float | None = None
+    high: float | None = None
+    open_low: bool = False
+    required: bool = False
+    many: bool = False
+    columns: tuple = ()
+    fields: dict | None = None
+    parse: Callable | None = None
 
 
-def _population_model(data):
-    if "model" in data and data["model"] is not None:
+def _is_number(value, types=(int, float)):
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _finite(value):
+    """A nested list of numbers as a float array, None unless finite."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer past the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _within(d, value):
+    return ((d.low is None or value > d.low or value == d.low
+             and not d.open_low) and (d.high is None or value <= d.high))
+
+
+def _range(d):
+    """A number's bounds as a message states them (low is 0 or -pi)."""
+    if d.high is not None:
+        name = {math.pi: "pi", -math.pi: "-pi"}
+        return f"lie in [{name[d.low]}, {name[d.high]}]"
+    return "be finite" + ("" if d.low is None else " and positive"
+                          if d.open_low else " and nonnegative")
+
+
+def _checked(name, value, d):
+    """Flag or key `name`'s value as its handler reads it, if it lies in
+    domain `d`; else a ConfigError that names `name` and states `d`."""
+    label = f"flag {name}" if name[0] == "-" else f"config key {name!r}"
+    if d.many:
+        if not (isinstance(value, list) and len(value) >= (d.low or 0)):
+            raise ConfigError(f"{label} must be a {'nonempty ' * bool(d.low)}"
+                              f"list, got {value!r}")
+        entry = replace(d, many=False, low=None)
+        return [_checked(name, v, entry) for v in value]
+    if d.kind == "number":
+        if not _is_number(value):
+            raise ConfigError(f"{label} must be a number, got {value!r}")
+        if isinstance(value, int) and abs(value) >= 2**1024:
+            value = math.inf  # past the float range
+        value = float(value)
+        if not (math.isfinite(value) and _within(d, value)):
+            raise ConfigError(f"{label} must {_range(d)}, got {value!r}")
+    elif d.kind == "integer":
+        if not (_is_number(value, int) and _within(d, value)):
+            kind = "" if name[0] == "-" else "an integer "  # a flag is typed
+            high = "" if d.high is None else f" and <= {d.high}"
+            raise ConfigError(
+                f"{label} must be {kind}>= {d.low}{high}, got {value!r}")
+    elif d.kind == "integers":
+        if min(value) < d.low:
+            raise ConfigError(f"{label} takes {name[2:]} >= {d.low}, got "
+                              f"{' '.join(map(str, value))}")
+    elif d.kind == "list":
+        if not (isinstance(value, list) and all(map(_is_number, value))):
+            raise ConfigError(
+                f"{label} must be a list of numbers, got {value!r}")
+        if (array := _finite(value)) is None:
+            raise ConfigError(
+                f"{label} must hold finite numbers, got {value!r}")
+        value = array
+    elif d.kind == "matrix":
+        width = len(d.columns) or (len(value[0]) if isinstance(
+            value, list) and value and isinstance(value[0], list) else 0)
+        if not (isinstance(value, list) and len(value) >= (d.low or 0)
+                and all(isinstance(row, list) and len(row) == width
+                        and all(map(_is_number, row)) for row in value)
+                and (array := _finite(value)) is not None):
+            rows = (f"rows of {len(d.columns)} finite numbers "
+                    f"[{', '.join(d.columns)}]"
+                    if d.columns else "equal rows of finite numbers")
+            raise ConfigError(f"{label} must be a {'nonempty ' * bool(d.low)}"
+                              f"list of {rows}, got {value!r}")
+        value = array
+    elif d.kind == "object":
+        if d.fields is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{label} must be an object, got {value!r}")
+            value = _values(value, d.fields, repr(name))
         try:
-            return nip.model_from_dict(data["model"])
+            value = d.parse(value) if d.parse else value
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad 'model' entry: {exc}")
-    return population.paper_model()
-
-
-def _number(data, key, default):
-    """Config value `key` (default if absent) as a float; a JSON number."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(
-            f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(data, key, default, minimum, maximum=None):
-    """Config value `key` (default if absent); a JSON integer >= minimum
-    and, when given, <= maximum."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or \
-            value < minimum or (maximum is not None and value > maximum):
-        bound = "" if maximum is None else f" and <= {maximum}"
-        raise ConfigError(f"config key {key!r} must be an integer >= "
-                          f"{minimum}{bound}, got {value!r}")
+            raise ConfigError(f"bad {name!r} entry: {exc}")
     return value
 
 
-def _vector(data, key, default):
-    """Config value `key` (default if absent); a nonempty list of numbers."""
-    value = data.get(key, default)
-    if not (isinstance(value, list) and value and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value)):
-        raise ConfigError(f"config key {key!r} must be a nonempty list of "
-                          f"numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+def _values(data, fields, where):
+    """`_checked` of each key of `fields` in JSON object `data`, at its
+    default when absent (a parser makes its own from None)."""
+    for key in data:
+        if key not in fields:
+            raise ConfigError(f"unknown {where} key: {key!r}")
+    for key, d in fields.items():
+        if d.required and key not in data:
+            raise ConfigError(f"missing {where} key: {key!r}")
+    return {key: _checked(key, data.get(key, d.default), d)
+            if key in data or d.default is not None or d.parse else None
+            for key, d in fields.items()}
+
+
+def _load_config(path):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
 
 
 def _check_populations(model, name, x, value):
     """Refuse, naming `name` (a config key or a flag), populations x that
-    the mode map `nip.x_to_eta` refuses: one not positive, or one at its
-    pole."""
+    the mode map `nip.x_to_eta` refuses: not positive, or at its pole."""
     try:
         nip.x_to_eta(model, x)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}, got {value!r}") from None
 
 
-def _x0(data, model, default):
-    """Config value "x0" (default if absent); one finite number per
-    coordinate of the model, each a population the mode map takes."""
-    x0 = _vector(data, "x0", default)
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"config key 'x0' must hold finite numbers, got "
-                          f"{x0.tolist()!r}")
+def _x0(x0, model):
+    """x0: a population per model coordinate, each one the mode map takes."""
     if x0.size != model.dim:
         raise ConfigError(f"config key 'x0' must hold {model.dim} numbers, "
                           f"one per model coordinate, got {x0.size}")
     _check_populations(model, "config key 'x0'", x0, x0.tolist())
     return x0
-
-
-def _t_end(args, default):
-    """--t-end, else the command's default."""
-    return default if args.t_end is None else args.t_end
-
-
-def _check_flags(args):
-    """Range checks of the flags a command declares; absent ones are None."""
-    for flag, minimum, maximum in (("threads", 1, None), ("seed", 0, None),
-                                   ("trials", 1, MAX_ORACLE_TRIALS),
-                                   ("N", 1, fermion.ORACLE_MAX_N)):
-        value = getattr(args, flag, None)
-        if value is not None and (value < minimum or (
-                maximum is not None and value > maximum)):
-            bound = "" if maximum is None else f" and <= {maximum}"
-            raise ConfigError(
-                f"flag --{flag} must be >= {minimum}{bound}, got {value}")
-    orders = getattr(args, "orders", None)
-    if orders is not None and min(orders) < 1:
-        raise ConfigError(f"flag --orders takes orders >= 1, got "
-                          f"{' '.join(map(str, orders))}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0 < tol < np.inf:
-        raise ConfigError(f"flag --tol must be finite and positive, got {tol}")
-    t_end = getattr(args, "t_end", None)
-    if t_end is not None and not 0 <= t_end < np.inf:
-        raise ConfigError(
-            f"flag --t-end must be finite and nonnegative, got {t_end}")
-
-
-def _orders(args, default):
-    """Lift orders from --orders, else the command's default."""
-    return list(default if args.orders is None else args.orders)
 
 
 def _parse_grid(text):
@@ -220,8 +256,8 @@ def _parse_grid(text):
 # ---------------------------------------------------------------------------
 # population / carleman subcommands
 
-def _cmd_population_scan(args, data):
-    model = _population_model(data)
+def _cmd_population_scan(args, cfg):
+    model = cfg["model"]
     if model.dim != 3:  # the scan's cells are (x1, x2, x3)
         raise ConfigError(f"config key 'model' must have 3 populations for "
                           f"population-scan, got {model.dim}")
@@ -232,61 +268,46 @@ def _cmd_population_scan(args, data):
         _check_populations(model, "flag --grid",
                            np.c_[np.full(grid.size, model.X[0]), grid, grid],
                            args.grid)
-    orders = tuple(_orders(args, population.DEFAULT_ORDERS))
+    orders = tuple(args.orders)
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
                           f"LOW < HIGH, got {list(orders)}")
-    x1 = _number(data, "x1", 1.0)
-    if not math.isfinite(x1):
-        raise ConfigError(f"config key 'x1' must be finite, got {x1!r}")
+    x1 = cfg["x1"]
     # x1 beside the other populations at their capacities, eta = 0
     _check_populations(model, "config key 'x1'", np.r_[x1, model.X[1:]], x1)
     res = population.convergence_scan(
         model, x1_fixed=x1, x2_range=grid, x3_range=grid, orders=orders,
-        t_end=_t_end(args, population.DEFAULT_T_END),
-        tol=args.tol, threads=args.threads)
+        t_end=args.t_end, tol=args.tol, threads=args.threads)
     population.scan_to_csv(res, args.out)
     return EXIT_OK
 
 
-def _cmd_population_traj(args, data):
-    model = _population_model(data)
-    x0 = _x0(data, model, [1.0, 1.4, 1.4])
-    order, *rest = _orders(args, [3])
+def _cmd_population_traj(args, cfg):
+    model = cfg["model"]
+    x0 = _x0(cfg["x0"], model)
+    order, *rest = args.orders
     if rest:
         raise ConfigError(f"flag --orders takes one order here, got "
                           f"{len(args.orders)}")
-    t_end = _t_end(args, population.DEFAULT_T_END)
     exact, carl, mode = population.trajectory_compare(
-        model, x0, order, t_end, tol=args.tol)
+        model, x0, order, args.t_end, tol=args.tol)
     if exact.diverged:
         raise NumericalError(exact.cause)
-    header = ["t"] + [f"x{i+1}_exact" for i in range(model.dim)] \
-        + [f"x{i+1}_carleman" for i in range(model.dim)] \
-        + [f"x{i+1}_nip" for i in range(model.dim)]
-    rows = []
-    n = min(exact.times.size, carl.times.size, mode.times.size)
-    for s in range(n):
-        rows.append([exact.times[s]]
-                    + list(exact.states[s].real)
-                    + list(carl.states[s].real)
-                    + list(mode.states[s].real))
+    routes = ("exact", "carleman", "nip")
+    header = ["t"] + [f"x{i+1}_{r}" for r in routes for i in range(model.dim)]
+    rows = [[t, *xe.real, *xc.real, *xm.real] for t, xe, xc, xm in zip(
+        exact.times, exact.states, carl.states, mode.states)]
     write_csv(args.out, header, rows)
     return EXIT_OK
 
 
-def _cmd_population_chaos(args, data):
-    model = _population_model(data)
+def _cmd_population_chaos(args, cfg):
+    model = cfg["model"]
     if model.dim < 3:  # it writes the (x2, x3) projection
         raise ConfigError(f"config key 'model' must have at least 3 "
-                          f"populations for population-chaos, got "
-                          f"{model.dim}")
-    x0 = _x0(data, model, [0.05, 1.3, 0.025])
-    t_end = _t_end(args, population.CHAOS_T_END)
-    if t_end > MAX_CHAOS_T_END:
-        raise ConfigError(f"flag --t-end must be <= {MAX_CHAOS_T_END} for "
-                          f"population-chaos, got {t_end!r}")
-    res = population.chaos_demo(model, x0, t_end)
+                          f"populations for population-chaos, got {model.dim}")
+    x0 = _x0(cfg["x0"], model)
+    res = population.chaos_demo(model, x0, args.t_end)
     if res.trajectory.diverged:
         raise NumericalError(res.trajectory.cause)
     write_csv(args.out, ["t", "x2", "x3"], res.projection)
@@ -294,105 +315,86 @@ def _cmd_population_chaos(args, data):
     return EXIT_OK
 
 
-def _error_profile_cmd(args, data, evolve):
-    model = _population_model(data)
-    x0 = _x0(data, model, [1.0, 1.4, 1.4])
-    orders = _orders(args, [1, 3, 6])
-    t_end = _t_end(args, population.DEFAULT_T_END)
-    sample_times = sample_grid(t_end)
-    reference = nip.reference_y_trajectory(model, x0, t_end,
+def _error_profile_cmd(args, cfg, evolve):
+    model = cfg["model"]
+    x0 = _x0(cfg["x0"], model)
+    sample_times = sample_grid(args.t_end)
+    reference = nip.reference_y_trajectory(model, x0, args.t_end,
                                            sample_times=sample_times)
-    runs = [evolve(model, x0, n, t_end, args.tol,
-                   sample_times, reference) for n in orders]
-    header = ["t"] + [f"eps_order_{n}" for n in orders]
-    rows = []
-    for s in range(sample_times.size):
-        row = [sample_times[s]]
-        for run in runs:
-            v = run.eps[s] if s < run.eps.size else np.inf
-            row.append(v if np.isfinite(v) else np.inf)
-        rows.append(row)
+    runs = [evolve(model, x0, n, args.t_end, args.tol,
+                   sample_times, reference) for n in args.orders]
+    header = ["t"] + [f"eps_order_{n}" for n in args.orders]
+    # a run cut at its blow-up, or not finite, reads inf from there on
+    rows = [[t] + [run.eps[s] if s < run.eps.size and np.isfinite(run.eps[s])
+                   else np.inf for run in runs]
+            for s, t in enumerate(sample_times)]
     write_csv(args.out, header, rows)
-    for n, run in zip(orders, runs):
+    for n, run in zip(args.orders, runs):
         print(f"order={n} eps_max={run.eps_max:.17g}")
     return EXIT_OK
-
-
-def _cmd_carleman_error(args, data):
-    return _error_profile_cmd(args, data, nip.vacancy_evolve)
-
-
-def _cmd_nip_error(args, data):
-    return _error_profile_cmd(args, data, nip.nip_evolve)
 
 
 # ---------------------------------------------------------------------------
 # fermion subcommands
 
-def _fermion_system(data):
-    try:
-        return fermion.system_from_dict(data["system"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'system' entry: {exc}")
-
-
-def _fermion_setup(args, data):
-    """The config's system and initial covariance: "gamma0", else a random
-    antisymmetric matrix drawn with --seed."""
-    sys_ = _fermion_system(data)
-    if "gamma0" in data:
-        try:
-            gamma0 = fermion.CovarianceState(np.asarray(data["gamma0"],
-                                                        dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad 'gamma0' entry: {exc}")
-    else:
+def _fermion_setup(args, cfg):
+    """The config's system and initial covariance: "gamma0", of the
+    system's size, else a random antisymmetric matrix drawn with --seed."""
+    sys_, gamma0 = cfg["system"], cfg["gamma0"]
+    n2 = 2 * sys_.N
+    if gamma0 is None:
         rng = np.random.default_rng(args.seed)
-        gamma0 = fermion.CovarianceState(
-            fermion.random_antisymmetric(2 * sys_.N, rng))
-    return sys_, gamma0
+        gamma0 = fermion.random_antisymmetric(n2, rng)
+    elif gamma0.shape != (n2, n2):
+        raise ConfigError(f"config key 'gamma0' must be {n2} x {n2} for the "
+                          f"system's N = {sys_.N}, got {gamma0.shape}")
+    try:
+        return sys_, fermion.CovarianceState(gamma0)
+    except ValueError as exc:
+        raise ConfigError(f"bad 'gamma0' entry: {exc}")
 
 
-def _cmd_fermion_evolve(args, data):
-    sys_, gamma0 = _fermion_setup(args, data)
-    t_end = _t_end(args, 1.0)
-    final, _, _ = fermion.evolve_covariance(sys_, gamma0, t_end)
+def _cmd_fermion_evolve(args, cfg):
+    sys_, gamma0 = _fermion_setup(args, cfg)
+    final, _, _ = fermion.evolve_covariance(sys_, gamma0, args.t_end)
     rows = [(i, j, final.Gamma[i, j])
             for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
     write_csv(args.out, ["i", "j", "value"], rows)
     return EXIT_OK
 
 
-def _cmd_fermion_heat(args, data):
-    sys_, gamma0 = _fermion_setup(args, data)
-    t_end = _t_end(args, 1.0)
-    times = np.linspace(0.0, t_end, _integer(
-        data, "samples", GRID_SAMPLES, minimum=2, maximum=MAX_HEAT_SAMPLES))
-    _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, t_end,
+def _cmd_fermion_heat(args, cfg):
+    samples, n2 = cfg["samples"], 2 * cfg["system"].N
+    if samples * n2 * n2 * 8 > MAX_HEAT_BYTES:
+        raise ConfigError(f"config key 'samples' asks for {samples} {n2} x "
+                          f"{n2} covariances, over {MAX_HEAT_BYTES} bytes")
+    sys_, gamma0 = _fermion_setup(args, cfg)
+    times = np.linspace(0.0, args.t_end, samples)
+    _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, args.t_end,
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
-    rows = [(t, (e0 - fermion.energy(sys_.h, g)) / sys_.N)
-            for t, g in zip(ts, gammas)]
+    # fermion.energy of each sample, read off the stack as it is
+    rows = [(t, (e0 - float(-np.trace(sys_.h @ G).real / 4.0)) / sys_.N)
+            for t, G in zip(ts, gammas.stack)]
     write_csv(args.out, ["t", "heat_per_fermion"], rows)
     return EXIT_OK
 
 
-def _cmd_fermion_decay(args, data):
-    sys_, gamma0 = _fermion_setup(args, data)
+def _cmd_fermion_decay(args, cfg):
+    sys_, gamma0 = _fermion_setup(args, cfg)
     try:
         spec = fermion.decay_spectrum(sys_, gamma0)
     except fermion.SecularError as exc:
         raise NumericalError(str(exc))
-    rows = [(k, l, rate, weight)
-            for (k, l), rate, weight in zip(spec.pairs, spec.rates,
-                                            spec.weights)]
+    rows = [(*pair, rate, weight) for pair, rate, weight
+            in zip(spec.pairs, spec.rates, spec.weights)]
     write_csv(args.out, ["k", "l", "rate", "weight"], rows)
     print(f"gap={spec.gap:.17g}")
     return EXIT_OK
 
 
-def _cmd_fermion_steady(args, data):
-    sys_ = _fermion_system(data)
+def _cmd_fermion_steady(args, cfg):
+    sys_ = cfg["system"]
     try:
         steady = fermion.steady_state(sys_)
     except fermion.GaplessError as exc:
@@ -403,15 +405,14 @@ def _cmd_fermion_steady(args, data):
     return EXIT_OK
 
 
-def _cmd_fermion_oracle_check(args, data):
+def _cmd_fermion_oracle_check(args, cfg):
     worst = 0.0
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
         N = int(rng.integers(1, args.N + 1))
         seed = int(rng.integers(0, 2**31))
         for t_end in (0.1, 1.0):
-            dev = fermion.oracle_deviation(N, seed, t_end)
-            worst = max(worst, dev)
+            worst = max(worst, fermion.oracle_deviation(N, seed, t_end))
     print(f"max_deviation={worst:.17g}")
     if worst > 1e-6:
         raise NumericalError(f"oracle deviation {worst} exceeds 1e-6")
@@ -421,34 +422,18 @@ def _cmd_fermion_oracle_check(args, data):
 # ---------------------------------------------------------------------------
 # rsep
 
-def _cmd_rsep_sweep(args, data):
-    points = data["points"]
-    if not (isinstance(points, list) and points and
-            all(isinstance(entry, dict) for entry in points)):
-        raise ConfigError(f"config key 'points' must be a nonempty list of "
-                          f"objects, got {points!r}")
+def _cmd_rsep_sweep(args, cfg):
     params = []
-    for entry in points:
-        for key in entry:
-            if key not in {"d", "beta", "gamma", "delta", "seed"}:
-                raise ConfigError(f"unknown sweep key: {key!r}")
-        for key in ("d", "beta", "gamma", "delta"):
-            if key not in entry:
-                raise ConfigError(f"missing sweep key: {key!r}")
-        d = _integer(entry, "d", None, minimum=3, maximum=MAX_RSEP_DIM)
-        A = None
-        if "seed" in entry:
-            A = rsep.haar_unitary(d, _integer(entry, "seed", None, minimum=0))
+    for point in cfg["points"]:
+        d, seed = point["d"], point["seed"]
+        A = None if seed is None else rsep.haar_unitary(d, seed)
         try:
-            params.append(rsep.RsepParams(d, _number(entry, "beta", None),
-                                          _number(entry, "gamma", None),
-                                          _number(entry, "delta", None),
-                                          A=A))
+            params.append(rsep.RsepParams(d, point["beta"], point["gamma"],
+                                          point["delta"], A=A))
         except ValueError as exc:
             raise ConfigError(f"bad sweep point: {exc}")
-    t_end = _t_end(args, 1.0)
     try:
-        rows = rsep.sweep(params, t_end)
+        rows = rsep.sweep(params, args.t_end)
     except rsep.PoleError as exc:
         raise NumericalError(str(exc))
     write_csv(args.out, ["beta", "gamma", "delta", "d", "R_x_lower_bound",
@@ -459,80 +444,43 @@ def _cmd_rsep_sweep(args, data):
 # ---------------------------------------------------------------------------
 # spectral
 
-def _spectral_modes(data):
-    """Config key "modes": rows [mu, omega, re a, im a], amplitudes not all
-    zero; the amplitudes are normalized."""
-    modes = data["modes"]
-    if not (isinstance(modes, list) and modes and all(
-            isinstance(row, list) and len(row) == 4 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in row)
-            for row in modes)):
-        raise ConfigError(f"config key 'modes' must be a nonempty list of "
-                          f"rows of 4 finite numbers [mu, omega, re_a, "
-                          f"im_a], got {modes!r}")
-    arr = np.asarray(modes, dtype=float)
-    a = arr[:, 2] + 1j * arr[:, 3]
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        raise ConfigError("config key 'modes' has all amplitudes (re_a, "
-                          "im_a) zero")
+def _spectral_window(cfg):
+    """The config's window, and its dt, large enough that every decoded
+    frequency, of magnitude below pi / dt, is finite."""
     try:
-        return spectral.NormalKoopman(arr[:, 0], arr[:, 1], a / norm)
-    except ValueError as exc:
-        raise ConfigError(f"bad 'modes' entry: {exc}")
-
-
-def _spectral_window(data):
-    try:
-        return spectral.kaiser_window(
-            _integer(data, "J", 401, minimum=3, maximum=MAX_WINDOW_J),
-            _number(data, "sigma", 3.0))
+        window = spectral.kaiser_window(cfg["J"], cfg["sigma"])
     except ValueError as exc:
         raise ConfigError(f"bad window parameters: {exc}")
-
-
-def _spectral_dt(data):
-    """Config value "dt" (default 1): finite and positive, and large enough
-    that every decoded frequency, of magnitude below pi / dt, is finite."""
-    dt = _number(data, "dt", 1.0)
-    if not 0 < dt < np.inf:
-        raise ConfigError(
-            f"config key 'dt' must be finite and positive, got {dt!r}")
-    if not math.isfinite(math.pi / dt):
+    if not math.isfinite(math.pi / cfg["dt"]):
         raise ConfigError(f"config key 'dt' is so small that the decoded "
-                          f"frequency pi / dt overflows, got {dt!r}")
-    return dt
+                          f"frequency pi / dt overflows, got {cfg['dt']!r}")
+    return window, cfg["dt"]
 
 
-def _cmd_spectral_window(args, data):
-    window = _spectral_window(data)
-    dt = _spectral_dt(data)
-    theta = _number(data, "theta", 0.0)
-    if not -math.pi <= theta <= math.pi:  # the phases the bins decode
-        raise ConfigError(
-            f"config key 'theta' must lie in [-pi, pi], got {theta!r}")
-    p = spectral.qpe_distribution(window, theta)
-    rows = []
-    for ell in range(window.J):
-        th, om = spectral.decode(ell, window.J, dt)
-        rows.append((ell, th, om, p[ell]))
+def _cmd_spectral_window(args, cfg):
+    window, dt = _spectral_window(cfg)
+    p = spectral.qpe_distribution(window, cfg["theta"])
+    rows = [(ell, *spectral.decode(ell, window.J, dt), p[ell])
+            for ell in range(window.J)]
     write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p"], rows)
     return EXIT_OK
 
 
-def _spectral_emulation(args, data, n_samples, seed):
+def _spectral_emulation(args, cfg, draw):
     """Emulated and ideal outcome distributions of the config's modes, and
-    `n_samples` outcomes drawn from the emulated one with `seed`."""
-    modes = _spectral_modes(data)
-    window = _spectral_window(data)
-    dt = _spectral_dt(data)
-    if "T1" in data:
-        T1 = _number(data, "T1", None)
-        if not 0 <= T1 < np.inf:
-            raise ConfigError(f"config key 'T1' must be finite and "
-                              f"nonnegative, got {T1!r}")
-    else:
+    when `draw`, "n_samples" outcomes drawn from the emulated one."""
+    mu, omega, re_a, im_a = cfg["modes"].T
+    a = re_a + 1j * im_a
+    if not np.linalg.norm(a):
+        raise ConfigError("config key 'modes' has all amplitudes (re_a, "
+                          "im_a) zero")
+    try:
+        modes = spectral.NormalKoopman(mu, omega, a / np.linalg.norm(a))
+    except ValueError as exc:
+        raise ConfigError(f"bad 'modes' entry: {exc}")
+    window, dt = _spectral_window(cfg)
+    T1 = cfg["T1"]
+    if T1 is None:
         try:
             T1 = spectral.suppression_time(modes.gap, 1e-3)
         except ValueError:
@@ -542,42 +490,21 @@ def _spectral_emulation(args, data, n_samples, seed):
         p_ideal = spectral.ideal_mode_distribution(modes, dt, window)
     except (spectral.AliasingError, ValueError) as exc:
         raise NumericalError(str(exc))
-    counts = spectral.sample_outcomes(p, n_samples, seed) \
-        if n_samples else np.zeros(window.J, dtype=int)
-    rows = []
-    for ell in range(window.J):
-        th, om = spectral.decode(ell, window.J, dt)
-        rows.append((ell, th, om, p_ideal[ell], p[ell], counts[ell]))
+    counts = spectral.sample_outcomes(p, cfg["n_samples"], args.seed) \
+        if draw and cfg["n_samples"] else np.zeros(window.J, dtype=int)
+    rows = [(ell, *spectral.decode(ell, window.J, dt), p_ideal[ell], p[ell],
+             counts[ell]) for ell in range(window.J)]
     write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p_ideal",
                           "p_emulated", "count"], rows)
     print(f"tv={tv:.17g}")
     return EXIT_OK
 
 
-def _cmd_spectral_emulate(args, data):
-    return _spectral_emulation(args, data, n_samples=0, seed=None)
-
-
-def _cmd_spectral_sample(args, data):
-    return _spectral_emulation(
-        args, data, _integer(data, "n_samples", 0, minimum=0,
-                             maximum=np.iinfo(np.int64).max), args.seed)
-
-
-def _cmd_ode_history(args, data):
-    m = _integer(data, "m", None, minimum=1)
-    p = _integer(data, "p", None, minimum=0)
-    l = _integer(data, "l", None, minimum=1, maximum=MAX_TAYLOR_ORDER)
-    h = _number(data, "h", None)
-    if not 0 < h < np.inf:
-        raise ConfigError(
-            f"config key 'h' must be finite and positive, got {h!r}")
-    try:
-        A = np.asarray(data["A"], dtype=complex)
-        x0 = np.asarray(data["x0"], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'A' or 'x0' entry: {exc}")
-    if x0.ndim != 1 or x0.size == 0 or A.shape != (x0.size, x0.size):
+def _cmd_ode_history(args, cfg):
+    m, p, l = cfg["m"], cfg["p"], cfg["l"]
+    A = np.asarray(cfg["A"], dtype=complex)
+    x0 = np.asarray(cfg["x0"], dtype=complex)
+    if x0.size == 0 or A.shape != (x0.size, x0.size):
         raise ConfigError(f"config key 'x0' must be a nonempty list and 'A' "
                           f"a square matrix of its size, got shapes "
                           f"{x0.shape} and {A.shape}")
@@ -586,7 +513,7 @@ def _cmd_ode_history(args, data):
                           f"system of order ({m} + {p}) * {x0.size}, above "
                           f"{MAX_HISTORY_ORDER}")
     try:
-        hist = spectral.history_system(A, x0, m, p, l, h)
+        hist = spectral.history_system(A, x0, m, p, l, cfg["h"])
     except ValueError as exc:
         raise NumericalError(str(exc))
     resid, final_err = spectral.history_residuals(hist, x0)
@@ -599,30 +526,70 @@ def _cmd_ode_history(args, data):
 
 # ---------------------------------------------------------------------------
 
-# Every flag a subcommand may declare, with its argparse settings.
-_FLAGS = {
-    "--config": dict(default=None),
-    "--out": dict(required=True),
-    "--seed": dict(type=int, default=0),
-    "--threads": dict(type=int, default=None),
-    "--tol": dict(type=float, default=1e-10),
-    "--t-end": dict(dest="t_end", type=float, default=None),
-    "--orders": dict(type=int, nargs="+", default=None),
-    "--grid": dict(default=None),
-    "--N": dict(type=int, default=3),
-    "--trials": dict(type=int, default=20),
+# Every flag and config key, with its domain (a key of "system" or of a
+# "points" entry in its `fields`); the README lists the checks between them.
+_DOMAINS = {
+    "--config": _Domain("text"),
+    "--out": _Domain("text", required=True),
+    "--seed": _Domain("integer", 0, low=0),
+    "--threads": _Domain("integer", low=1),
+    "--tol": _Domain("number", 1e-10, low=0, open_low=True),
+    "--t-end": _Domain("number", population.DEFAULT_T_END, low=0),
+    "--orders": _Domain("integers", (1, 3, 6), low=1),
+    "--grid": _Domain("text"),
+    "--N": _Domain("integer", 3, low=1, high=fermion.ORACLE_MAX_N),
+    "--trials": _Domain("integer", 20, low=1, high=MAX_ORACLE_TRIALS),
+    "model": _Domain("object", parse=lambda spec: population.paper_model()
+                     if spec is None else nip.model_from_dict(spec)),
+    "x0": _Domain("list", [1.0, 1.4, 1.4]),
+    "x1": _Domain("number", 1.0),
+    "system": _Domain("object", parse=fermion.system_from_dict, fields={
+        "N": _Domain("integer", low=1, high=MAX_FERMION_N, required=True),
+        "h": _Domain("matrix", columns=("i", "j", "value"), required=True),
+        "jumps": _Domain("matrix", columns=("re", "im"), required=True,
+                         many=True),
+    }),
+    "gamma0": _Domain("matrix"),
+    "samples": _Domain("integer", GRID_SAMPLES, low=2, high=MAX_HEAT_SAMPLES),
+    "points": _Domain("object", low=1, many=True, fields={
+        "d": _Domain("integer", low=3, high=MAX_RSEP_DIM, required=True),
+        "beta": _Domain("number", required=True),
+        "gamma": _Domain("number", required=True),
+        "delta": _Domain("number", required=True),
+        "seed": _Domain("integer", low=0),
+    }),
+    "modes": _Domain("matrix", low=1,
+                     columns=("mu", "omega", "re_a", "im_a")),
+    "J": _Domain("integer", 401, low=3, high=MAX_WINDOW_J),
+    "sigma": _Domain("number", 3.0, low=0, open_low=True),
+    "theta": _Domain("number", 0.0, low=-math.pi, high=math.pi),
+    "dt": _Domain("number", 1.0, low=0, open_low=True),
+    "T1": _Domain("number", low=0),
+    "n_samples": _Domain("integer", 0, low=0, high=np.iinfo(np.int64).max),
+    "A": _Domain("matrix"),
+    "m": _Domain("integer", low=1),
+    "p": _Domain("integer", low=0),
+    "l": _Domain("integer", low=1, high=MAX_TAYLOR_ORDER),
+    "h": _Domain("number", low=0, open_low=True),
 }
+
+# argparse's reading of each kind of flag
+_ARGPARSE = {"integer": dict(type=int), "number": dict(type=float),
+             "integers": dict(type=int, nargs="+"), "text": {}}
 
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its handler(args, config), the flags it reads, and the
-    config keys it requires and those it also allows."""
+    """A subcommand: its handler(args, config values), the flags it reads,
+    the config keys it requires and those it also allows, its defaults of
+    shared flags and keys, and its largest --t-end."""
 
     handler: Callable
     flags: tuple
     required: tuple = ()
     optional: tuple = ()
+    defaults: dict = field(default_factory=dict)
+    max_t_end: float | None = None
 
 
 _IO = ("--config", "--out")
@@ -630,40 +597,57 @@ _LIFT = _IO + ("--orders", "--t-end", "--tol")
 _POPULATION = ("model", "x0")
 _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 
+
+# Each command's largest --t-end, so that its largest run takes a minute at
+# most: per unit of t_end `population-scan` takes 0.18 s on its 31 x 31
+# grid, `population-traj` 2.6 ms, `population-chaos` 4.7 ms (its 2001
+# samples keep the memory fixed), `carleman-error` 27 ms, `nip-error` 19 ms
+# and `rsep-sweep` 20 ms per d = 100 point (2 cores, one BLAS thread).  The
+# fermion flows' one exact step overflows to nan from t_end ~ 1e50.
 _COMMANDS = {
     "population-scan": _Command(
         _cmd_population_scan, _LIFT + ("--grid", "--threads"),
-        optional=("model", "x1")),
+        optional=("model", "x1"),
+        defaults={"--orders": population.DEFAULT_ORDERS}, max_t_end=300),
     "population-traj": _Command(
-        _cmd_population_traj, _LIFT, optional=_POPULATION),
+        _cmd_population_traj, _LIFT, optional=_POPULATION,
+        defaults={"--orders": (3,)}, max_t_end=10**4),
     "population-chaos": _Command(
-        _cmd_population_chaos, _IO + ("--t-end",), optional=_POPULATION),
+        _cmd_population_chaos, _IO + ("--t-end",), optional=_POPULATION,
+        defaults={"--t-end": population.CHAOS_T_END,
+                  "x0": [0.05, 1.3, 0.025]},
+        max_t_end=MAX_CHAOS_T_END),
     "carleman-error": _Command(
-        _cmd_carleman_error, _LIFT, optional=_POPULATION),
+        functools.partial(_error_profile_cmd, evolve=nip.vacancy_evolve),
+        _LIFT, optional=_POPULATION, max_t_end=10**3),
     "nip-error": _Command(
-        _cmd_nip_error, _LIFT, optional=_POPULATION),
+        functools.partial(_error_profile_cmd, evolve=nip.nip_evolve),
+        _LIFT, optional=_POPULATION, max_t_end=10**3),
     "fermion-evolve": _Command(
         _cmd_fermion_evolve, _IO + ("--seed", "--t-end"), ("system",),
-        ("gamma0",)),
+        ("gamma0",), defaults={"--t-end": 1.0}, max_t_end=10**6),
     "fermion-heat": _Command(
         _cmd_fermion_heat, _IO + ("--seed", "--t-end"), ("system",),
-        ("gamma0", "samples")),
+        ("gamma0", "samples"), defaults={"--t-end": 1.0}, max_t_end=10**6),
     "fermion-decay": _Command(
         _cmd_fermion_decay, _IO + ("--seed",), ("system",), ("gamma0",)),
     "fermion-steady": _Command(_cmd_fermion_steady, _IO, ("system",)),
     "fermion-oracle-check": _Command(
         _cmd_fermion_oracle_check, ("--seed", "--N", "--trials")),
     "rsep-sweep": _Command(
-        _cmd_rsep_sweep, _IO + ("--t-end",), ("points",)),
+        _cmd_rsep_sweep, _IO + ("--t-end",), ("points",),
+        defaults={"--t-end": 1.0}, max_t_end=10**3),
     "spectral-window": _Command(
         _cmd_spectral_window, _IO, optional=("J", "sigma", "theta", "dt")),
     # spectral-emulate draws no samples, yet it allows "n_samples" so that
     # one config file serves both it and spectral-sample, as the benchmark's
     # cli workload passes them.
     "spectral-emulate": _Command(
-        _cmd_spectral_emulate, _IO, ("modes",), _SPECTRAL),
+        functools.partial(_spectral_emulation, draw=False), _IO,
+        ("modes",), _SPECTRAL),
     "spectral-sample": _Command(
-        _cmd_spectral_sample, _IO + ("--seed",), ("modes",), _SPECTRAL),
+        functools.partial(_spectral_emulation, draw=True),
+        _IO + ("--seed",), ("modes",), _SPECTRAL),
     "ode-history": _Command(
         _cmd_ode_history, _IO, ("A", "x0", "m", "p", "l", "h")),
 }
@@ -677,7 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag in command.flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            d = _DOMAINS[flag]
+            p.add_argument(flag, **_ARGPARSE[d.kind], required=d.required,
+                           default=command.defaults.get(flag, d.default))
     return parser
 
 
@@ -693,11 +679,21 @@ def run(argv) -> int:
                      f"{args.command} does not accept {' '.join(extra)}; "
                      f"its flags are {' '.join(command.flags)}")
     try:
-        _check_flags(args)
-        data = _load_config(getattr(args, "config", None),
-                            command.required + command.optional,
-                            command.required)
-        return command.handler(args, data)
+        given = vars(args)
+        for flag in command.flags:
+            dest = flag[2:].replace("-", "_")
+            if given[dest] is not None:
+                given[dest] = _checked(flag, given[dest], _DOMAINS[flag])
+        if command.max_t_end is not None and args.t_end > command.max_t_end:
+            raise ConfigError(f"flag --t-end must be <= {command.max_t_end} "
+                              f"for {args.command}, got {args.t_end!r}")
+        fields = {key: replace(_DOMAINS[key], required=key in command.required,
+                               default=command.defaults.get(
+                                   key, _DOMAINS[key].default))
+                  for key in command.required + command.optional}
+        path = getattr(args, "config", None)
+        cfg = _values(_load_config(path) if path else {}, fields, "config")
+        return command.handler(args, cfg)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config error", exc)
     except NumericalError as exc:

@@ -70,10 +70,15 @@ class FermionSystem:
                       for l in self.jumps]
         X = np.zeros((n2, n2))
         Y = np.zeros((n2, n2))
-        for l in self.jumps:
-            outer = np.outer(l.conj(), l)
-            X += 2.0 * outer.real
-            Y += -4.0 * outer.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in self.jumps:
+                outer = np.outer(l.conj(), l)
+                X += 2.0 * outer.real
+                Y += -4.0 * outer.imag
+        if not (np.isfinite(self.h).all() and np.isfinite(X).all()
+                and np.isfinite(Y).all()):
+            raise ValueError("h and the jumps' products l_i* l_j must be "
+                             "finite")
         self.X, self.Y, self.B = X, Y, self.h - X
 
 
@@ -458,15 +463,25 @@ def commuting_example(N: int, omegas, gammas):
 
 def system_from_dict(data) -> FermionSystem:
     """A system from its parsed JSON form {"N": N, "h": [[i, j, h_ij], ...]
-    with i < j, "jumps": [[[re, im], ...], ...]}."""
-    N = int(data["N"])
-    h = np.zeros((2 * N, 2 * N))
-    for i, j, val in data["h"]:
-        if not i < j:
-            raise ValueError("h entries must have i < j")
-        h[i, j] = val
-        h[j, i] = -val
-    jumps = [np.array([complex(re, im) for re, im in l])
-             for l in data["jumps"]]
+    with integer indices 0 <= i < j < 2N, "jumps": [[[re, im], ...], ...]
+    with 2N pairs each}."""
+    N = data["N"]
+    n2 = 2 * N
+    i, j, values = np.asarray(data["h"], dtype=float).reshape(-1, 3).T
+    bad = np.flatnonzero(~((i == np.floor(i)) & (0 <= i) & (i < j)
+                           & (j < n2)))
+    if bad.size:
+        raise ValueError(f"h entries must have integer indices 0 <= i < j "
+                         f"< 2N = {n2}, got i = {i[bad[0]]:g}, j = "
+                         f"{j[bad[0]]:g}")
+    h = np.zeros((n2, n2))
+    h[i.astype(int), j.astype(int)] = values
+    h[j.astype(int), i.astype(int)] = -values
+    jumps = []
+    for l in data["jumps"]:
+        pairs = np.ascontiguousarray(l, dtype=float).reshape(-1, 2)
+        if len(pairs) != n2:
+            raise ValueError(f"each jump must hold 2N = {n2} [re, im] "
+                             f"pairs, got {len(pairs)}")
+        jumps.append(pairs.view(complex)[:, 0])  # complex(re, im) each
     return FermionSystem(N, h, jumps)
-

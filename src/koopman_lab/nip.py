@@ -27,6 +27,7 @@ and the errors are all float64 arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,10 @@ class PopulationModel:
         self.X = np.asarray(self.X, dtype=float)
         if self.r.shape != (self.dim,) or self.X.shape != (self.dim,):
             raise DimensionError("r and X must be length-d vectors")
-        if np.any(self.r <= 0) or np.any(self.X <= 0):
-            raise ValueError("growth rates and capacities must be positive")
+        if not (np.all(0 < self.r) and np.all(self.r < np.inf)
+                and np.all(0 < self.X) and np.all(self.X < np.inf)):
+            raise ValueError(
+                "growth rates and capacities must be finite and positive")
         if self.J.degree != 2 or self.J.dim != self.dim:
             raise DimensionError("J must be a degree-2 tensor of matching dim")
 
@@ -421,6 +424,8 @@ def model_from_dict(data) -> PopulationModel:
         raise DimensionError("r and X lengths differ")
     entries = [(int(i), int(j), int(k), float(val))
                for i, j, k, val in data["J"]]
+    if not all(math.isfinite(e[3]) for e in entries):
+        raise ValueError("J values must be finite")
     try:
         ijk = np.array([e[:3] for e in entries], dtype=np.int64)
     except OverflowError:  # an index past int64, so out of range too

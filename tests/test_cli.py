@@ -1,4 +1,6 @@
 import argparse
+import ast
+import dataclasses
 import json
 import os
 import re
@@ -1197,3 +1199,213 @@ class TestSpectralCommands:
         assert cli.run(["ode-history", "--config", cfg,
                         "--out", str(out)]) == 0
         assert "recurrence_residual" in capsys.readouterr().out
+
+
+def declarations():
+    """(name, domain) of every declared flag and config key, a key nested
+    in an object as "object.key"."""
+    for name, domain in cli._DOMAINS.items():
+        yield name, domain
+        for key, field in (domain.fields or {}).items():
+            yield f"{name}.{key}", field
+
+
+def readme_domain_table():
+    """{name: (domain cell, default cell)} of the README's 3-column table of
+    declared domains."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = tuple(cells[1:])
+    return table
+
+
+FERMION_SYSTEM = {"N": 1, "h": [[0, 1, 1.0]], "jumps": [[[0.5, 0.0],
+                                                          [0.0, 0.0]]]}
+BAD_T_END = [(command, "1e308") for command in sorted(cli._COMMANDS)
+             if "--t-end" in cli._COMMANDS[command].flags]
+
+
+class TestDeclaredDomains:
+    """Every flag and config key is declared once in `cli._DOMAINS`, and
+    the one checker refuses what lies outside its domain by name."""
+
+    def test_each_flag_and_key_declared_exactly_once(self):
+        # a dict literal keeps the last of two equal keys: read the source
+        tree = ast.parse(Path(cli.__file__).read_text())
+        table, = (node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["_DOMAINS"])
+        names = [key.value for key in table.keys]
+        nested = [[key.value for key in node.keys]
+                  for node in ast.walk(table) if isinstance(node, ast.Dict)
+                  and node is not table]
+        for keys in [names] + nested:
+            assert len(keys) == len(set(keys)), keys
+        used = set()
+        for command in cli._COMMANDS.values():
+            used.update(command.flags, command.required, command.optional)
+            # a command's own default is of a flag or key it reads
+            assert set(command.defaults) <= set(command.flags) | set(
+                command.optional)
+        assert used == set(cli._DOMAINS)
+
+    def test_value_at_each_bound_is_accepted(self):
+        checked = 0
+        for name, domain in declarations():
+            name = name.rsplit(".", 1)[-1]
+            if domain.kind not in ("number", "integer"):
+                continue
+            for bound, step in ((domain.low, -1), (domain.high, 1)):
+                if bound is None:
+                    continue
+                past = (bound + step if domain.kind == "integer"
+                        else float(np.nextafter(bound, step * np.inf)))
+                if bound == domain.low and domain.open_low:
+                    bound, past = float(np.nextafter(bound, 1.0)), bound
+                assert cli._checked(name, bound, domain) == bound
+                with pytest.raises(cli.ConfigError, match=re.escape(name)):
+                    cli._checked(name, past, domain)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("command", [
+        name for name, spec in cli._COMMANDS.items() if spec.max_t_end])
+    def test_largest_horizon_reaches_the_handler(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        spec = cli._COMMANDS[command]
+        horizons = []
+        monkeypatch.setitem(cli._COMMANDS, command, dataclasses.replace(
+            spec, handler=lambda args, cfg: horizons.append(args.t_end)))
+        config = {"system": {"system": FERMION_SYSTEM},
+                  "points": {"points": [RSEP_POINT]}}
+        argv = [command, "--out", str(tmp_path / "o.csv")]
+        for key in spec.required:
+            argv += ["--config", write_json(tmp_path, "c.json", config[key])]
+        above = float(np.nextafter(spec.max_t_end, np.inf))
+        for t_end in (float(spec.max_t_end), above):
+            cli.run(argv + ["--t-end", repr(t_end)])
+        assert horizons == [spec.max_t_end]
+        assert capsys.readouterr().err == (
+            f"config error: flag --t-end must be <= {spec.max_t_end} for "
+            f"{command}, got {above!r}\n")
+
+    def test_horizons_admit_every_horizon_in_use(self):
+        # the defaults, the tests' and CI's horizons (at most 0.5 outside
+        # population-chaos) and the largest fermion system's heat curve
+        for spec in cli._COMMANDS.values():
+            if spec.max_t_end is not None:
+                default = spec.defaults.get(
+                    "--t-end", cli._DOMAINS["--t-end"].default)
+                assert spec.max_t_end >= max(default, 0.5)
+        assert cli.GRID_SAMPLES * (2 * cli.MAX_FERMION_N) ** 2 * 8 \
+            <= cli.MAX_HEAT_BYTES
+
+    def test_readme_domain_table_matches_the_declarations(self):
+        table = readme_domain_table()
+        assert set(table) == {name for name, _ in declarations()}
+        for name, domain in declarations():
+            cell, default = table[name]
+            assert cell.startswith("list" if domain.many else domain.kind)
+            assert domain.kind in cell, name
+            if domain.kind == "number":
+                assert cli._range(domain).split(" ", 1)[1] in cell, name
+            elif domain.kind == "integer":
+                assert f">= {domain.low}" in cell, name
+                if domain.high is not None:
+                    assert f"<= {domain.high}" in cell, name
+            for column in domain.columns:
+                assert column in cell, name
+            if domain.default is not None:
+                assert f"`{json.dumps(domain.default)}`" in default, name
+
+    @pytest.mark.parametrize("command, config, argv, named, code", [
+        # a system entry outside the system's 2N, or not an integer
+        ("fermion-steady", {"system": {"N": 1, "h": [[0, 5, 1.0]],
+                                       "jumps": []}}, [], "'system'", 2),
+        ("fermion-steady", {"system": {"N": 1, "h": [[-1, 0, 1.0]],
+                                       "jumps": []}}, [], "'system'", 2),
+        ("fermion-steady", {"system": {"N": 1, "h": [[0.5, 1, 1.0]],
+                                       "jumps": []}}, [], "'system'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"N": 1.5}}, [],
+         "'N'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"N": 100000}}, [],
+         "'N'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"h": [
+            [0, 1, float("nan")]]}}, [], "'h'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"h": [
+            [0, 1, "1.0"]]}}, [], "'h'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
+            [[1e308, 0.0], [0.0, 0.0]]]}}, [], "'system'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
+            [[0.5, 0.0]]]}}, [], "'system'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
+            [[0.5, float("inf")], [0.0, 0.0]]]}}, [], "'jumps'", 2),
+        ("fermion-steady", {"system": FERMION_SYSTEM | {"bogus": 1}}, [],
+         "'bogus'", 2),
+        ("fermion-steady", {"system": {"N": 1, "h": []}}, [], "'jumps'", 2),
+        ("fermion-evolve", {"system": FERMION_SYSTEM, "gamma0": [
+            [0.0, float("nan")], [0.0, 0.0]]}, [], "'gamma0'", 2),
+        ("fermion-evolve", {"system": FERMION_SYSTEM, "gamma0": [
+            [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}, [],
+         "'gamma0'", 2),
+        ("fermion-heat", {"system": {"N": 256, "h": [], "jumps": []},
+                          "samples": 10000}, [], "'samples'", 2),
+        # a model value that is not finite
+        ("nip-error", {"model": {"r": [float("nan"), 1, 1], "X": [1, 1, 1],
+                                 "J": []}}, [], "'model'", 2),
+        ("population-traj", {"model": {"r": [1, 1, 1],
+                                       "X": [1, float("inf"), 1],
+                                       "J": []}}, [], "'model'", 2),
+        ("population-chaos", {"model": {"r": [1, 1, 1], "X": [1, 1, 1],
+                                        "J": [[0, 0, 1, float("nan")]]}},
+         [], "'model'", 2),
+        # a JSON integer past the float range, a bool for a number
+        ("population-scan", {"x1": 10**400}, ["--grid", "1:1:1"], "'x1'", 2),
+        ("population-traj", {"x0": [10**400, 1.4, 1.4]}, [], "'x0'", 2),
+        ("spectral-window", {"sigma": True}, [], "'sigma'", 2),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"gamma": float("nan")}]},
+         [], "'gamma'", 2),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"bogus": 1}]}, [],
+         "'bogus'", 2),
+        ("ode-history", {"A": [[float("nan")]], "x0": [1.0], "m": 2, "p": 1,
+                         "l": 4, "h": 0.1}, [], "'A'", 2),
+    ] + [(command, None, ["--t-end", t_end], "--t-end", 2)
+         for command, t_end in BAD_T_END])
+    def test_value_outside_its_domain_names_it(
+            self, tmp_path, capsys, monkeypatch, command, config, argv,
+            named, code):
+        def fail(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(fermion, "evolve_covariance", fail)
+        if config is not None:
+            argv = argv + ["--config", write_json(tmp_path, "c.json", config)]
+        if command == "rsep-sweep" and config is None:
+            argv += ["--config", write_json(tmp_path, "r.json",
+                                            {"points": [RSEP_POINT]})]
+        if command.startswith("fermion") and config is None:
+            argv += ["--config", write_json(tmp_path, "f.json",
+                                            {"system": FERMION_SYSTEM})]
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cli.run([command, *argv, "--out", str(out)])
+        assert got == code
+        captured = capsys.readouterr()
+        err, = captured.err.strip().splitlines()
+        assert err.startswith("config error: ") and named in err
+        assert captured.out == "" and not out.exists()
+
+    def test_heat_bytes_at_the_bound_run(self, tmp_path, monkeypatch,
+                                         fermion_system_dict):
+        monkeypatch.setattr(cli, "MAX_HEAT_BYTES", 5 * 4 * 4 * 8)
+        sys_ = fermion.FermionSystem(2, *fermion.commuting_example(
+            2, [1.0, 2.0], [0.5, 0.7]))
+        for samples, want in ((5, cli.EXIT_OK), (6, cli.EXIT_CONFIG)):
+            cfg = write_json(tmp_path, "h.json", {
+                "system": fermion_system_dict(sys_), "samples": samples})
+            assert cli.run(["fermion-heat", "--config", cfg, "--out",
+                            str(tmp_path / "h.csv")]) == want
