@@ -25,7 +25,7 @@ P = expm(C h) (scaling and squaring, Al-Mohy & Higham 2009) of its dense
 generator, the triplets added into a matrix; the powers are filled by
 doubling, and a (D, c) block of initial lifts takes one product per span
 of K samples and STEP_COLUMNS columns, whatever its width (`step_block`).
-Larger lifts are integrated with DOP853 (`polyflow.integrate_rhs`, which
+Larger lifts are integrated by DOP853 at LIFT_TOL (`integrate_rhs`, which
 loads scipy.integrate on its first run) under the norm of the Kronecker
 layout, so they take the Kronecker run's steps; their applies multiply by
 a CSR matrix of the triplets, built on the first apply.
@@ -68,6 +68,8 @@ DIM_LIMIT = 10**8
 # dense path takes 15-21 ms against 47-49 ms for DOP853; at D = 363 (order
 # 5) it takes 126-146 ms against 51-116 ms.
 DENSE_LIMIT = 120
+# DOP853 tolerance of every lift above DENSE_LIMIT.
+LIFT_TOL = 1e-10
 # Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
 # P^K, K = min(n - 1, STEP_SPAN), in K D^2 8 bytes for a real lift (16 for
 # a complex one), 3.7 MB at D = 120.
@@ -443,7 +445,7 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
 
 
 def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
-                   tol: float, sample_times=None, step=None):
+                   sample_times=None, step=None):
     """Samples of dg/dt = C g of a `MonomialLift` from each column of the
     (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
@@ -452,7 +454,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     powers of P = expm(C h) from `exact_step`, one product per span and
     STEP_COLUMNS columns (`step_block`), so a column's samples do not depend
     on its block; pass that `step` to share one stack across calls.  Any
-    other lift integrates each column with DOP853 at `tol`
+    other lift integrates each column with DOP853 at LIFT_TOL
     (`polyflow.integrate_rhs`).  On both paths the norm is that of the
     Kronecker layout, each monomial weighted by `lift.multiplicities`, and
     a column ends at divergence (that norm above DIVERGENCE_NORM).
@@ -472,8 +474,8 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
             raise DimensionError("step does not match the lift")
         samples, kept = step_block(step, G0, times.size, lift.multiplicities)
         return times, samples, kept, kept < times.size
-    trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end, tol,
-                           times, weights=lift.multiplicities)
+    trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end,
+                           LIFT_TOL, times, weights=lift.multiplicities)
              for g0 in G0.T]
     samples = np.full((times.size,) + G0.shape, np.nan, dtype=G0.dtype)
     for col, traj in enumerate(trajs):
@@ -482,12 +484,12 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     return times, samples, kept, np.array([traj.diverged for traj in trajs])
 
 
-def evolve_lifted(lift: MonomialLift, g0, t_end: float, tol: float,
-                  sample_times=None, step=None) -> Trajectory:
+def evolve_lifted(lift: MonomialLift, g0, t_end: float, sample_times=None,
+                  step=None) -> Trajectory:
     """Trajectory of dg/dt = C g of a `MonomialLift` from the lifted vector
     g0, such as `lift.initial_lift(z0)`: `lifted_samples` on a block of
     one, its kept samples and whether it diverged."""
     times, samples, kept, diverged = lifted_samples(
-        lift, np.asarray(g0)[:, None], t_end, tol, sample_times, step)
+        lift, np.asarray(g0)[:, None], t_end, sample_times, step)
     return Trajectory(times[:kept[0]], samples[:kept[0], :, 0],
                       diverged=bool(diverged[0]))

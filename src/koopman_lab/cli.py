@@ -31,6 +31,9 @@ EXIT_NUMERICAL = 3
 # Most cells `population-scan --grid` may ask for: the grid is its axis
 # squared, about 1,000 times the 31 x 31 grid of the convergence criterion.
 MAX_GRID_CELLS = 10**6
+# Most cells times --t-end of one `population-scan`: its default 31 x 31
+# grid at its largest --t-end, about a minute (see `_COMMANDS`).
+MAX_SCAN_WORK = 961 * 300
 # Largest order (m + p) * len(x0) of an `ode-history` system, whose dense
 # complex matrix then takes 64 MB.
 MAX_HISTORY_ORDER = 2000
@@ -50,6 +53,9 @@ MAX_FERMION_N = 512
 # spectral norm of a dense d x d^2 complex flattening, 16 MB at d = 100,
 # where a point takes about 2 s and 0.1 GB; d = 200 takes 10 s and 0.3 GB.
 MAX_RSEP_DIM = 100
+# Most points of one `rsep-sweep`: 100 of d = 100 take about a minute at
+# the default --t-end 1 (2 cores, one BLAS thread).
+MAX_RSEP_POINTS = 100
 # Largest --t-end of `population-chaos`, as `_COMMANDS` gives the others.
 MAX_CHAOS_T_END = 10**4
 # Largest Kaiser window length J of the spectral commands, which write one
@@ -78,8 +84,8 @@ class _Domain:
     finite numbers, named by `columns` when fixed, "object" read by `parse`
     from its `fields`, or the flag kinds "integers" and "text"), a list of
     them when `many`, bounds low <= value <= high (low < value when
-    `open_low`; a list's low bounds its length), its `default`, and
-    whether it is `required`."""
+    `open_low`; a list's low and high bound its length), its `default`,
+    and whether it is `required`."""
 
     kind: str
     default: object = None
@@ -128,7 +134,10 @@ def _checked(name, value, d):
         if not (isinstance(value, list) and len(value) >= (d.low or 0)):
             raise ConfigError(f"{label} must be a {'nonempty ' * bool(d.low)}"
                               f"list, got {value!r}")
-        entry = replace(d, many=False, low=None)
+        if d.high is not None and len(value) > d.high:
+            raise ConfigError(f"{label} takes at most {d.high} entries, got "
+                              f"{len(value)}")
+        entry = replace(d, many=False, low=None, high=None)
         return [_checked(name, v, entry) for v in value]
     if d.kind == "number":
         if not _is_number(value):
@@ -173,7 +182,7 @@ def _checked(name, value, d):
         if d.fields is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{label} must be an object, got {value!r}")
-            value = _values(value, d.fields, repr(name))
+            value = _values(value, d.fields, f"{name}.")
         try:
             value = d.parse(value) if d.parse else value
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -181,16 +190,16 @@ def _checked(name, value, d):
     return value
 
 
-def _values(data, fields, where):
-    """`_checked` of each key of `fields` in JSON object `data`, at its
-    default when absent (a parser makes its own from None)."""
+def _values(data, fields, prefix=""):
+    """`_checked` of each key of JSON object `data`, named `prefix` + key,
+    at its `fields` default when absent (a parser makes its own from None)."""
     for key in data:
         if key not in fields:
-            raise ConfigError(f"unknown {where} key: {key!r}")
+            raise ConfigError(f"unknown config key: {prefix + key!r}")
     for key, d in fields.items():
         if d.required and key not in data:
-            raise ConfigError(f"missing {where} key: {key!r}")
-    return {key: _checked(key, data.get(key, d.default), d)
+            raise ConfigError(f"missing config key: {prefix + key!r}")
+    return {key: _checked(prefix + key, data.get(key, d.default), d)
             if key in data or d.default is not None or d.parse else None
             for key, d in fields.items()}
 
@@ -261,13 +270,14 @@ def _cmd_population_scan(args, cfg):
     if model.dim != 3:  # the scan's cells are (x1, x2, x3)
         raise ConfigError(f"config key 'model' must have 3 populations for "
                           f"population-scan, got {model.dim}")
-    grid = None
-    if args.grid:
-        grid = _parse_grid(args.grid)
-        # each value as x2 and as x3, beside x1 at its capacity
-        _check_populations(model, "flag --grid",
-                           np.c_[np.full(grid.size, model.X[0]), grid, grid],
-                           args.grid)
+    grid = _parse_grid(args.grid)
+    # each value as x2 and as x3, beside x1 at its capacity
+    _check_populations(model, "flag --grid",
+                       np.c_[np.full(grid.size, model.X[0]), grid, grid],
+                       args.grid)
+    if (cells := grid.size**2) * args.t_end > MAX_SCAN_WORK:
+        raise ConfigError(f"flags --grid and --t-end ask for {cells} cells x "
+                          f"t_end {args.t_end!r}, above {MAX_SCAN_WORK}")
     orders = tuple(args.orders)
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
@@ -277,7 +287,7 @@ def _cmd_population_scan(args, cfg):
     _check_populations(model, "config key 'x1'", np.r_[x1, model.X[1:]], x1)
     res = population.convergence_scan(
         model, x1_fixed=x1, x2_range=grid, x3_range=grid, orders=orders,
-        t_end=args.t_end, tol=args.tol, threads=args.threads)
+        t_end=args.t_end, threads=args.threads)
     population.scan_to_csv(res, args.out)
     return EXIT_OK
 
@@ -289,8 +299,8 @@ def _cmd_population_traj(args, cfg):
     if rest:
         raise ConfigError(f"flag --orders takes one order here, got "
                           f"{len(args.orders)}")
-    exact, carl, mode = population.trajectory_compare(
-        model, x0, order, args.t_end, tol=args.tol)
+    exact, carl, mode = population.trajectory_compare(model, x0, order,
+                                                      args.t_end)
     if exact.diverged:
         raise NumericalError(exact.cause)
     routes = ("exact", "carleman", "nip")
@@ -321,8 +331,8 @@ def _error_profile_cmd(args, cfg, evolve):
     sample_times = sample_grid(args.t_end)
     reference = nip.reference_y_trajectory(model, x0, args.t_end,
                                            sample_times=sample_times)
-    runs = [evolve(model, x0, n, args.t_end, args.tol,
-                   sample_times, reference) for n in args.orders]
+    runs = [evolve(model, x0, n, args.t_end, sample_times=sample_times,
+                   reference=reference) for n in args.orders]
     header = ["t"] + [f"eps_order_{n}" for n in args.orders]
     # a run cut at its blow-up, or not finite, reads inf from there on
     rows = [[t] + [run.eps[s] if s < run.eps.size and np.isfinite(run.eps[s])
@@ -533,10 +543,9 @@ _DOMAINS = {
     "--out": _Domain("text", required=True),
     "--seed": _Domain("integer", 0, low=0),
     "--threads": _Domain("integer", low=1),
-    "--tol": _Domain("number", 1e-10, low=0, open_low=True),
     "--t-end": _Domain("number", population.DEFAULT_T_END, low=0),
     "--orders": _Domain("integers", (1, 3, 6), low=1),
-    "--grid": _Domain("text"),
+    "--grid": _Domain("text", "0.5:2.0:0.05"),
     "--N": _Domain("integer", 3, low=1, high=fermion.ORACLE_MAX_N),
     "--trials": _Domain("integer", 20, low=1, high=MAX_ORACLE_TRIALS),
     "model": _Domain("object", parse=lambda spec: population.paper_model()
@@ -551,13 +560,13 @@ _DOMAINS = {
     }),
     "gamma0": _Domain("matrix"),
     "samples": _Domain("integer", GRID_SAMPLES, low=2, high=MAX_HEAT_SAMPLES),
-    "points": _Domain("object", low=1, many=True, fields={
+    "points": _Domain("object", low=1, high=MAX_RSEP_POINTS, fields={
         "d": _Domain("integer", low=3, high=MAX_RSEP_DIM, required=True),
         "beta": _Domain("number", required=True),
         "gamma": _Domain("number", required=True),
         "delta": _Domain("number", required=True),
         "seed": _Domain("integer", low=0),
-    }),
+    }, many=True),
     "modes": _Domain("matrix", low=1,
                      columns=("mu", "omega", "re_a", "im_a")),
     "J": _Domain("integer", 401, low=3, high=MAX_WINDOW_J),
@@ -593,7 +602,7 @@ class _Command:
 
 
 _IO = ("--config", "--out")
-_LIFT = _IO + ("--orders", "--t-end", "--tol")
+_LIFT = _IO + ("--orders", "--t-end")
 _POPULATION = ("model", "x0")
 _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 
@@ -692,7 +701,7 @@ def run(argv) -> int:
                                    key, _DOMAINS[key].default))
                   for key in command.required + command.optional}
         path = getattr(args, "config", None)
-        cfg = _values(_load_config(path) if path else {}, fields, "config")
+        cfg = _values(_load_config(path) if path else {}, fields)
         return command.handler(args, cfg)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config error", exc)

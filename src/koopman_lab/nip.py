@@ -329,7 +329,7 @@ def _route_errors(references: ReferenceSamples, g1, kept, diverged,
 
 
 def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
-               tol: float, sample_times, references: ReferenceSamples,
+               sample_times, references: ReferenceSamples,
                lift: RouteLift) -> RouteErrors:
     """Truncation errors of `route` from each row of X0s, measured against
     the matching row of `references`, all on the shared `lift`.
@@ -347,12 +347,12 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
         Z0, back_map = eta, _eta_to_y_rows
     G0 = lift.op.initial_lift(Z0).T
     _, samples, kept, diverged = lifted_samples(
-        lift.op, G0, t_end, tol, sample_times, lift.step)
+        lift.op, G0, t_end, sample_times, lift.step)
     return _route_errors(references, samples[:, :model.dim].transpose(2, 0, 1),
                          kept, diverged, back_map)
 
 
-def _route_run(model, x0, route, order, t_end, tol, sample_times,
+def _route_run(model, x0, route, order, t_end, sample_times,
                reference) -> TruncationRun:
     """One `route_runs` run on the route's own lift, against `reference`,
     else `reference_y_samples`."""
@@ -370,8 +370,7 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times,
         y[0, :k] = reference.states
         references = ReferenceSamples(reference.times, y, np.array([k]),
                                       np.array([reference.diverged]))
-    runs = route_runs(model, [x0], route, t_end, tol, sample_times,
-                      references,
+    runs = route_runs(model, [x0], route, t_end, sample_times, references,
                       route_lift(model, route, order, t_end, sample_times))
     kept = int(runs.kept[0])
     y = Trajectory(references.times[:kept], runs.y[0, :kept],
@@ -381,34 +380,24 @@ def _route_run(model, x0, route, order, t_end, tol, sample_times,
 
 
 def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
-                   tol: float = 1e-10, sample_times=None,
+                   tol=None, sample_times=None,
                    reference: Trajectory = None) -> TruncationRun:
     """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
 
     The run builds its own `route_lift`; `route_runs` shares one lift
-    across initial conditions, with the same bits.  `tol` is the DOP853
-    tolerance of lifts whose Kronecker layout has more than
-    `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
-    under the Kronecker-weighted norm; smaller lifts are propagated
-    exactly.
+    across initial conditions, with the same bits.  `tol` does not apply
+    (DOP853 runs at `carleman.LIFT_TOL`); ROADMAP item 2 removes the slot.
     """
-    return _route_run(model, x0, "vacancy", order, t_end, tol, sample_times,
+    return _route_run(model, x0, "vacancy", order, t_end, sample_times,
                       reference)
 
 
 def nip_evolve(model: PopulationModel, x0, order: int, t_end: float,
-               tol: float = 1e-10, sample_times=None,
+               tol=None, sample_times=None,
                reference: Trajectory = None) -> TruncationRun:
-    """Lift eta(0) through the exact quadratic mode tensors; eps_K run.
-
-    The run builds its own `route_lift`; `route_runs` shares one lift
-    across initial conditions, with the same bits.  `tol` is the DOP853
-    tolerance of lifts whose Kronecker layout has more than
-    `carleman.DENSE_LIMIT` coordinates, run on the monomial coordinates
-    under the Kronecker-weighted norm; smaller lifts are propagated
-    exactly.
-    """
-    return _route_run(model, x0, "mode", order, t_end, tol, sample_times,
+    """Lift eta(0) through the exact quadratic mode tensors; eps_K run,
+    as `vacancy_evolve` runs eps_C, and its `tol` does not apply either."""
+    return _route_run(model, x0, "mode", order, t_end, sample_times,
                       reference)
 
 

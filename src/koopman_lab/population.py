@@ -113,17 +113,17 @@ def _verdict(low, high):
                      ["converged", "diverged", "pole-invalid"], "diverged")
 
 
-def _route_cells(X0s, route, model, orders, t_end, tol, sample_times, lifts,
+def _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
                  references):
     """Verdicts, low-order and high-order errors of one route at the cells
     of a chunk, each lift stepped as one block."""
-    low, high = (route_runs(model, X0s, route, t_end, tol, sample_times,
+    low, high = (route_runs(model, X0s, route, t_end, sample_times,
                             references, lifts[route, n])
                  for n in orders)
     return _verdict(low, high), low.eps_max, high.eps_max
 
 
-def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts, mode):
+def _scan_chunk(X0s, model, orders, t_end, sample_times, lifts, mode):
     """Cells of one chunk: one batched reference of the mode system `mode`,
     mapped to y once, then each route's lifts.  A route's lifted samples
     are dropped before the next route runs.  Returns the carleman and nip
@@ -132,8 +132,8 @@ def _scan_chunk(X0s, model, orders, t_end, tol, sample_times, lifts, mode):
     references = reference_y_samples(model, X0s, t_end,
                                      sample_times=sample_times, system=mode)
     (c_verdict, c_low, c_high), (k_verdict, k_low, k_high) = (
-        _route_cells(X0s, route, model, orders, t_end, tol, sample_times,
-                     lifts, references)
+        _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
+                     references)
         for route in ROUTES)
     return c_verdict, k_verdict, c_low, c_high, k_low, k_high
 
@@ -154,20 +154,19 @@ def _pooled_chunk(X0s):
 def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
                      x2_range=None, x3_range=None,
                      orders=DEFAULT_ORDERS, t_end: float = DEFAULT_T_END,
-                     tol: float = 1e-10, threads: int = None) -> ScanResult:
+                     threads: int = None) -> ScanResult:
     """Per-cell verdicts over initial conditions (x1_fixed, x2, x3).
 
     A route converges at a cell when the error at the higher lift order is
     strictly smaller than at the lower order, both finite.  The mode system
     (`nip.koopman_system`) and the monomial lift and exact step stack of
     each (route, order) (`nip.route_lift`) are built once per call and
-    shared by every cell; `tol` reaches only lifts too large for the exact
-    step.  The cells, in grid order, are cut into chunks of SCAN_CHUNK, and
-    each chunk is one batch (`_scan_chunk`); with several workers the pool
-    maps chunks.  A cell's numbers do not depend on its chunk's other
-    cells: they are the bits of `nip_evolve` and `vacancy_evolve` at its x0
-    alone.  The chunks' arrays are joined in grid order, so the result does
-    not depend on the thread count.
+    shared by every cell.  The cells, in grid order, are cut into chunks
+    of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with
+    several workers the pool maps chunks.  A cell's numbers do not depend
+    on its chunk's other cells: they are the bits of `nip_evolve` and
+    `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
+    grid order, so the result does not depend on the thread count.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -187,7 +186,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     lifts = {(route, n): route_lift(model, route, n, t_end, sample_times,
                                     system=mode if route == "mode" else None)
              for route in ROUTES for n in orders}
-    shared = (model, tuple(orders), t_end, tol, sample_times, lifts, mode)
+    shared = (model, tuple(orders), t_end, sample_times, lifts, mode)
     points = np.array([[x1_fixed, x2, x3]
                        for x2 in x2_range for x3 in x3_range])
     chunks = [points[i:i + SCAN_CHUNK]
@@ -209,8 +208,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
         nip_verdict=k_verdict.astype(object),
         eps_c_low=c_low, eps_c_high=c_high, eps_k_low=k_low,
         eps_k_high=k_high,
-        meta={"x1": x1_fixed, "orders": tuple(orders), "t_end": t_end,
-              "tol": tol})
+        meta={"x1": x1_fixed, "orders": tuple(orders), "t_end": t_end})
 
 
 def scan_to_csv(res: ScanResult, path) -> None:
@@ -268,13 +266,13 @@ def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
 
 
 def trajectory_compare(model: PopulationModel, x0, order: int,
-                       t_end: float = DEFAULT_T_END, tol: float = 1e-10):
+                       t_end: float = DEFAULT_T_END):
     """(exact, vacancy-lift, mode-lift) trajectories in x coordinates; the
     exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`.
     All three sample the default grid of `polyflow.sample_grid`."""
     reference = reference_y_trajectory(model, x0, t_end)
-    run_c = vacancy_evolve(model, x0, order, t_end, tol, reference=reference)
-    run_k = nip_evolve(model, x0, order, t_end, tol, reference=reference)
+    run_c = vacancy_evolve(model, x0, order, t_end, reference=reference)
+    run_k = nip_evolve(model, x0, order, t_end, reference=reference)
 
     def to_x(run):
         y = run.y_approx

@@ -39,12 +39,12 @@ from koopman_lab.polyflow import (
 from koopman_lab.population import paper_model
 
 
-def lift_errors(ref, lift, z0, t_end, tol, grid, back_map=None):
+def lift_errors(ref, lift, z0, t_end, grid, back_map=None):
     """The monomial lift of z0, measured against the reference Trajectory
     on its grid by the package's one truncation-error routine
     (`nip._route_errors`)."""
     _, samples, kept, diverged = lifted_samples(
-        lift, lift.initial_lift(z0)[:, None], t_end, tol, grid)
+        lift, lift.initial_lift(z0)[:, None], t_end, grid)
     references = ReferenceSamples(ref.times, ref.states[None],
                                   np.array([ref.times.size]),
                                   np.array([ref.diverged]))
@@ -354,19 +354,22 @@ class TestMonomialLift:
         lift = build_monomial_lift(sys, order)
         grid = np.linspace(0.0, 0.5, 17)
         assert (exact_step(lift, 0.5, grid) is not None) is exact
-        weights = []
+        calls = []
         integrate = carleman.integrate_rhs
 
-        def recorded(*args, **kwargs):
-            weights.append(kwargs["weights"])
-            return integrate(*args, **kwargs)
+        def recorded(rhs, y0, t_end, tol, *args, **kwargs):
+            calls.append((tol, kwargs["weights"]))
+            return integrate(rhs, y0, t_end, tol, *args, **kwargs)
 
         monkeypatch.setattr(carleman, "integrate_rhs", recorded)
         z0 = np.array([0.1, -0.05, 0.08])
-        traj = evolve_lifted(lift, lift.initial_lift(z0), 0.5, 1e-10, grid)
-        assert bool(weights) is not exact
-        if weights:
-            assert weights[0] is lift.multiplicities
+        traj = evolve_lifted(lift, lift.initial_lift(z0), 0.5, grid)
+        assert bool(calls) is not exact
+        if calls:
+            # the one lift tolerance, under the Kronecker-weighted norm
+            tol, weights = calls[0]
+            assert tol == carleman.LIFT_TOL == 1e-10
+            assert weights is lift.multiplicities
         oracle = integrate_reference(sys, z0, 0.5, 1e-12, grid)
         np.testing.assert_allclose(traj.states[:, :3], oracle.states,
                                    rtol=0, atol=1e-6)
@@ -406,7 +409,7 @@ class TestEvolve:
         sys = PolySystem(d, [None, SparseTensor.from_dense_flat(1, M)])
         lift = build_monomial_lift(sys, 2)
         z0 = np.array([0.4, -0.3])
-        traj = evolve_lifted(lift, lift.initial_lift(z0), 1.0, 1e-12)
+        traj = evolve_lifted(lift, lift.initial_lift(z0), 1.0)
         final = LiftedState(d, 2, expansion(lift) @ traj.final)
         np.testing.assert_allclose(
             final.data, expm(build_carleman(sys, 2).dense())
@@ -422,7 +425,7 @@ class TestEvolve:
         grid = np.linspace(0.0, 1.0, 33)
         ref = integrate_reference(sys, z0, 1.0, 1e-12, grid)
         errs = [lift_errors(ref, build_monomial_lift(sys, order), z0, 1.0,
-                            1e-11, grid).eps_max[0]
+                            grid).eps_max[0]
                 for order in (1, 3, 5)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -445,7 +448,7 @@ class TestExactStep:
         z0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         grid = np.linspace(0.0, t_end, 33)
         assert exact_step(lift, t_end, grid) is not None
-        traj = evolve_lifted(lift, lift.initial_lift(z0), t_end, 1e-10, grid)
+        traj = evolve_lifted(lift, lift.initial_lift(z0), t_end, grid)
         want = np.array([expm(F1 * t) @ z0 for t in grid])
         assert not traj.diverged
         np.testing.assert_allclose(traj.states[:, :d], want, rtol=0,
@@ -473,8 +476,9 @@ class TestExactStep:
         sys, _, _ = random_quadratic(2, seed=18)
         lift = build_monomial_lift(sys, 3)
         g0 = lift.initial_lift(np.array([0.1, -0.2]))
-        traj = evolve_lifted(lift, g0, 0.0, 1e-10)
-        want = integrate_rhs(lambda t, g: lift.apply(g), g0, 0.0, 1e-10)
+        traj = evolve_lifted(lift, g0, 0.0)
+        want = integrate_rhs(lambda t, g: lift.apply(g), g0, 0.0,
+                             carleman.LIFT_TOL)
         np.testing.assert_array_equal(traj.times, [0.0])
         np.testing.assert_array_equal(traj.times, want.times)
         np.testing.assert_array_equal(traj.states, want.states)
@@ -496,8 +500,7 @@ class TestExactStep:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(carleman, "integrate_rhs", counted)
-        traj = evolve_lifted(op, op.initial_lift(np.ones(d)), 0.5, 1e-10,
-                             grid)
+        traj = evolve_lifted(op, op.initial_lift(np.ones(d)), 0.5, grid)
         assert (exact_step(op, 0.5, grid) is not None) is dense
         assert bool(calls) is not dense
         np.testing.assert_allclose(traj.states,
@@ -515,7 +518,7 @@ class TestExactStep:
         alive = weakref.ref(lift)
         gc.disable()
         try:
-            evolve_lifted(lift, g0, 0.5, 1e-10, grid)
+            evolve_lifted(lift, g0, 0.5, grid)
             del lift
             assert alive() is None
         finally:
@@ -534,11 +537,11 @@ class TestExactStep:
         lifts = [op.initial_lift(scale * rng.normal(size=2))
                  for scale in (0.1, 1.0, 30.0)]
         G0 = np.column_stack(lifts)
-        singles = [evolve_lifted(op, g0, 2.0, 1e-10, grid, step)
+        singles = [evolve_lifted(op, g0, 2.0, grid, step)
                    for g0 in lifts]
         assert [t.diverged for t in singles] == [False, False, True]
         times, samples, kept, diverged = lifted_samples(
-            op, G0, 2.0, 1e-10, grid, step)
+            op, G0, 2.0, grid, step)
         assert samples.shape[2] == len(lifts)
         for col, single in enumerate(singles):
             assert diverged[col] == single.diverged
@@ -571,9 +574,9 @@ class TestExactStep:
         grid = np.linspace(0.0, 0.6, 4)
         lifts = [op.initial_lift(z0) for z0 in ([0.1, 0.2], [0.3, -0.1])]
         _, samples, kept, _ = lifted_samples(
-            op, np.column_stack(lifts), 0.6, 1e-10, grid)
+            op, np.column_stack(lifts), 0.6, grid)
         for col, g0 in enumerate(lifts):
-            single = evolve_lifted(op, g0, 0.6, 1e-10, grid)
+            single = evolve_lifted(op, g0, 0.6, grid)
             np.testing.assert_array_equal(samples[:kept[col], :, col],
                                           single.states)
 
@@ -592,14 +595,15 @@ class TestExactStep:
         G0 = np.column_stack([op.initial_lift(scale * rng.normal(size=2))
                               for scale in (0.1, 30.0)])
         times, samples, kept, diverged = carleman.lifted_samples(
-            op, G0, 2.0, 1e-10, grid)
+            op, G0, 2.0, grid)
         np.testing.assert_array_equal(times, grid)
         assert samples.shape == (times.size, op.total_dim, 2)
         assert diverged.tolist() == [False, True]
         assert kept[0] == times.size and kept[1] < times.size
         for col in range(2):
             run = integrate_rhs(lambda t, g: op.apply(g), G0[:, col], 2.0,
-                                1e-10, grid, weights=op.multiplicities)
+                                carleman.LIFT_TOL, grid,
+                                weights=op.multiplicities)
             assert kept[col] == run.times.size
             np.testing.assert_array_equal(samples[:kept[col], :, col],
                                           run.states)
@@ -611,8 +615,8 @@ class TestExactStep:
         grid = np.linspace(0.0, 0.5, 9)
         ref = integrate_reference(sys, z0, 0.5, 1e-12, grid)
         op = build_monomial_lift(sys, 3)
-        traj = evolve_lifted(op, op.initial_lift(z0), 0.5, 1e-10, grid)
-        errors = lift_errors(ref, op, z0, 0.5, 1e-10, grid,
+        traj = evolve_lifted(op, op.initial_lift(z0), 0.5, grid)
+        errors = lift_errors(ref, op, z0, 0.5, grid,
                              back_map=lambda g: 2.0 * g)
         want = [np.linalg.norm(ref.states[s] - 2.0 * traj.states[s, :2])
                 for s in range(grid.size)]
@@ -625,6 +629,6 @@ class TestExactStep:
         grid = np.linspace(0.0, 0.1, 11)
         ref = integrate_rhs(lambda t, x: -x, np.array([1.0 + 0j]), 0.1,
                             1e-10, grid)
-        errors = lift_errors(ref, op, np.array([1.0]), 0.1, 1e-10, grid)
+        errors = lift_errors(ref, op, np.array([1.0]), 0.1, grid)
         assert errors.diverged[0] and errors.kept[0] < grid.size
         assert errors.eps_max[0] == np.inf

@@ -58,7 +58,11 @@ def readme_command_table():
 
 
 README_TABLE = readme_command_table()
-ALL_FLAGS = sorted(set().union(*(f for f, _, _ in README_TABLE.values())))
+# A flag that once set the lifts' DOP853 tolerance, now the constant
+# carleman.LIFT_TOL: no command takes it.
+RETIRED_FLAGS = ("--tol",)
+ALL_FLAGS = sorted(set().union(*(f for f, _, _ in README_TABLE.values()),
+                               RETIRED_FLAGS))
 # a value each flag's argparse type accepts
 FLAG_VALUES = {"--config": "c.json", "--out": "o.csv", "--seed": "1",
                "--threads": "1", "--tol": "1e-10", "--t-end": "0.5",
@@ -154,26 +158,6 @@ class TestExitCodes:
                         "--grid", "1.0:1.0:0.1", "--threads", "0"])
         assert code == cli.EXIT_CONFIG
         assert "--threads" in capsys.readouterr().err
-
-    def test_zero_tol_rejected(self, tmp_path, capsys):
-        code = cli.run(["nip-error", "--out", str(tmp_path / "o.csv"),
-                        "--tol", "0"])
-        assert code == cli.EXIT_CONFIG
-        assert "--tol" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    @pytest.mark.parametrize("command", ["population-scan", "population-traj",
-                                         "carleman-error", "nip-error"])
-    def test_non_finite_tol_rejected(self, tmp_path, capsys, command, tol):
-        # an infinite tolerance used to leave the lift's integrator
-        # stepping without end
-        out = tmp_path / "o.csv"
-        code = cli.run([command, "--out", str(out), "--tol", tol])
-        assert code == cli.EXIT_CONFIG
-        err, = capsys.readouterr().err.strip().splitlines()
-        assert err == (f"config error: flag --tol must be finite and "
-                       f"positive, got {tol}")
-        assert not out.exists()
 
     def test_empty_history_system_is_a_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "h.json", {"A": [], "x0": [], "m": 2,
@@ -532,6 +516,7 @@ class TestExitCodes:
         elif command == "rsep-sweep":
             cfg = write_json(tmp_path, "r.json", {"points": [
                 RSEP_POINT | {key: value, "seed": 1}]})
+            key = f"points.{key}"
         else:
             cfg = write_json(tmp_path, "w.json", {key: value})
         out = tmp_path / "o.csv"
@@ -542,6 +527,71 @@ class TestExitCodes:
         assert err == (f"config error: config key '{key}' must be an "
                        f"integer >= {minimum} and <= {limit}, got {value}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid, t_end, cells", [
+        ("0.5:3.0:0.05", "300", 51**2),
+        ("1:1000:1", "0.5", 1000**2),
+    ])
+    def test_scan_work_checked_before_any_flow(
+            self, tmp_path, capsys, monkeypatch, grid, t_end, cells):
+        def fail(*args, **kwargs):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(population, "convergence_scan", fail)
+        out = tmp_path / "o.csv"
+        code = cli.run(["population-scan", "--out", str(out), "--grid", grid,
+                        "--t-end", t_end])
+        assert code == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == (f"config error: flags --grid and --t-end ask for "
+                       f"{cells} cells x t_end {float(t_end)!r}, above "
+                       f"{cli.MAX_SCAN_WORK}")
+        assert not out.exists()
+
+    def test_scan_work_bound_admits_the_default_grid(self, tmp_path,
+                                                      monkeypatch):
+        # the default 31 x 31 grid at the scan's largest --t-end reaches
+        # the flow; a small grid at the bound runs, one past it does not
+        seen = []
+
+        def record(model, **kwargs):
+            seen.append(kwargs)
+            raise cli.NumericalError("recorded")
+
+        monkeypatch.setattr(population, "convergence_scan", record)
+        out = str(tmp_path / "o.csv")
+        largest = cli._COMMANDS["population-scan"].max_t_end
+        assert cli.run(["population-scan", "--out", out, "--t-end",
+                        str(largest)]) == cli.EXIT_NUMERICAL
+        axis = np.arange(0.5, 2.0 + 1e-9, 0.05)
+        assert seen[0]["x2_range"].tobytes() == axis.tobytes()
+        assert seen[0]["t_end"] == largest
+        assert axis.size**2 * largest == cli.MAX_SCAN_WORK
+        monkeypatch.setattr(cli, "MAX_SCAN_WORK", 4 * 0.25)
+        for t_end, want in (("0.25", cli.EXIT_NUMERICAL),
+                            ("0.5", cli.EXIT_CONFIG)):
+            assert cli.run(["population-scan", "--out", out, "--grid",
+                            "1:1.1:0.1", "--t-end", t_end]) == want
+        assert len(seen) == 2
+
+    def test_sweep_points_checked_before_any_flow(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a sweep of MAX_RSEP_POINTS reaches the flows; one more point is
+        # refused before any runs
+        swept = []
+        monkeypatch.setattr(rsep, "sweep", lambda params, t_end:
+                            swept.append(len(params)) or [])
+        codes = []
+        for count in (cli.MAX_RSEP_POINTS, cli.MAX_RSEP_POINTS + 1):
+            cfg = write_json(tmp_path, "r.json",
+                             {"points": [RSEP_POINT] * count})
+            codes.append(cli.run(["rsep-sweep", "--config", cfg, "--out",
+                                  str(tmp_path / f"{count}.csv")]))
+        assert codes == [cli.EXIT_OK, cli.EXIT_CONFIG]
+        assert swept == [cli.MAX_RSEP_POINTS]
+        assert capsys.readouterr().err == (
+            f"config error: config key 'points' takes at most "
+            f"{cli.MAX_RSEP_POINTS} entries, got {cli.MAX_RSEP_POINTS + 1}\n")
 
     def test_size_bounds_admit_the_largest_sizes(self, tmp_path):
         # the sizes the examples and the benchmark use are admitted, and a
@@ -600,9 +650,11 @@ class TestExitCodes:
         ("fermion-evolve", {"gamma0": [[None]]}, "gamma0"),
         ("rsep-sweep", {"points": 5}, "points"),
         ("rsep-sweep", {"points": [5]}, "points"),
-        ("rsep-sweep", {"points": [RSEP_POINT | {"d": 3.7}]}, "d"),
-        ("rsep-sweep", {"points": [RSEP_POINT | {"seed": 1.9}]}, "seed"),
-        ("rsep-sweep", {"points": [RSEP_POINT | {"beta": "2"}]}, "beta"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"d": 3.7}]}, "points.d"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"seed": 1.9}]},
+         "points.seed"),
+        ("rsep-sweep", {"points": [RSEP_POINT | {"beta": "2"}]},
+         "points.beta"),
     ])
     def test_config_value_types_rejected(self, tmp_path, capsys, command,
                                          payload, key, system_config):
@@ -725,7 +777,7 @@ class TestExitCodes:
     def test_readme_command_table_matches_parser(self):
         assert {c: flags for c, (flags, _, _) in README_TABLE.items()} \
             == parser_flags()
-        assert sum(len(flags) for flags in parser_flags().values()) == 53
+        assert sum(len(flags) for flags in parser_flags().values()) == 49
         assert sum(len(command.required) + len(command.optional)
                    for command in cli._COMMANDS.values()) == 41
         for name, command in cli._COMMANDS.items():
@@ -1330,22 +1382,23 @@ class TestDeclaredDomains:
         ("fermion-steady", {"system": {"N": 1, "h": [[0.5, 1, 1.0]],
                                        "jumps": []}}, [], "'system'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"N": 1.5}}, [],
-         "'N'", 2),
+         "'system.N'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"N": 100000}}, [],
-         "'N'", 2),
+         "'system.N'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"h": [
-            [0, 1, float("nan")]]}}, [], "'h'", 2),
+            [0, 1, float("nan")]]}}, [], "'system.h'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"h": [
-            [0, 1, "1.0"]]}}, [], "'h'", 2),
+            [0, 1, "1.0"]]}}, [], "'system.h'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
             [[1e308, 0.0], [0.0, 0.0]]]}}, [], "'system'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
             [[0.5, 0.0]]]}}, [], "'system'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"jumps": [
-            [[0.5, float("inf")], [0.0, 0.0]]]}}, [], "'jumps'", 2),
+            [[0.5, float("inf")], [0.0, 0.0]]]}}, [], "'system.jumps'", 2),
         ("fermion-steady", {"system": FERMION_SYSTEM | {"bogus": 1}}, [],
-         "'bogus'", 2),
-        ("fermion-steady", {"system": {"N": 1, "h": []}}, [], "'jumps'", 2),
+         "'system.bogus'", 2),
+        ("fermion-steady", {"system": {"N": 1, "h": []}}, [],
+         "'system.jumps'", 2),
         ("fermion-evolve", {"system": FERMION_SYSTEM, "gamma0": [
             [0.0, float("nan")], [0.0, 0.0]]}, [], "'gamma0'", 2),
         ("fermion-evolve", {"system": FERMION_SYSTEM, "gamma0": [
@@ -1367,9 +1420,9 @@ class TestDeclaredDomains:
         ("population-traj", {"x0": [10**400, 1.4, 1.4]}, [], "'x0'", 2),
         ("spectral-window", {"sigma": True}, [], "'sigma'", 2),
         ("rsep-sweep", {"points": [RSEP_POINT | {"gamma": float("nan")}]},
-         [], "'gamma'", 2),
+         [], "'points.gamma'", 2),
         ("rsep-sweep", {"points": [RSEP_POINT | {"bogus": 1}]}, [],
-         "'bogus'", 2),
+         "'points.bogus'", 2),
         ("ode-history", {"A": [[float("nan")]], "x0": [1.0], "m": 2, "p": 1,
                          "l": 4, "h": 0.1}, [], "'A'", 2),
     ] + [(command, None, ["--t-end", t_end], "--t-end", 2)

@@ -298,7 +298,7 @@ def flow_times(flow, t_end, grid):
         if flow == "lifted_samples":
             lift = build_monomial_lift(decay, 2)
             return lifted_samples(lift, lift.initial_lift(x0)[:, None],
-                                  t_end, 1e-10, grid)[0]
+                                  t_end, grid)[0]
         if flow == "exact_step":
             return exact_step(build_monomial_lift(decay, 2), t_end, grid)
         if flow == "nip_evolve":
@@ -742,8 +742,8 @@ class TestRealArithmetic:
         with pytest.MonkeyPatch.context() as patch:
             if path == "DOP853":  # above the dense limit, no exact step
                 patch.setattr(carleman, "DENSE_LIMIT", 0)
-            a = lifted_samples(lift, G0, 0.5, 1e-10, grid)
-            b = lifted_samples(typed_lift, G0 + 0j, 0.5, 1e-10, grid)
+            a = lifted_samples(lift, G0, 0.5, grid)
+            b = lifted_samples(typed_lift, G0 + 0j, 0.5, grid)
         for got, want in zip(a[2:], b[2:]):
             np.testing.assert_array_equal(got, want)
         assert_real_parts_agree(
