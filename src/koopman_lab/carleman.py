@@ -90,6 +90,13 @@ def carleman_dimension(d: int, order: int) -> int:
     return total
 
 
+def steps_exactly(d: int, order: int) -> bool:
+    """Whether the lift of a d-variable system at `order` takes the exact
+    step (`exact_step`): its Kronecker layout has at most DENSE_LIMIT
+    coordinates.  A larger lift is integrated by DOP853."""
+    return carleman_dimension(d, order) <= DENSE_LIMIT
+
+
 def block_offsets(d: int, order: int) -> np.ndarray:
     """Start of each monomial block: block k begins at offsets[k-1], the
     sum of d^j over j < k."""
@@ -375,7 +382,7 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     `MonomialLift`, as a (K, D, D) stack, or None.
 
     The step applies when the lift's Kronecker layout has at most
-    DENSE_LIMIT coordinates (`lift.kron_dim`) and the n samples of
+    DENSE_LIMIT coordinates (`steps_exactly`) and the n samples of
     `polyflow.sample_grid(t_end, sample_times)` are more than t = 0 alone;
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
@@ -383,7 +390,7 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     lift is integrated instead.
     """
     n = sample_grid(t_end, sample_times).size
-    if lift.kron_dim > DENSE_LIMIT or n < 2:
+    if not steps_exactly(lift.dim, lift.order) or n < 2:
         return None
     span = min(n - 1, STEP_SPAN)
     size = lift.total_dim

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import fermion, nip, population, rsep, spectral
+from .carleman import steps_exactly
 from .polyflow import GRID_SAMPLES, sample_grid, write_csv
 
 EXIT_OK = 0
@@ -31,9 +32,10 @@ EXIT_NUMERICAL = 3
 # Most cells `population-scan --grid` may ask for: the grid is its axis
 # squared, about 1,000 times the 31 x 31 grid of the convergence criterion.
 MAX_GRID_CELLS = 10**6
-# Most cells times --t-end of one `population-scan`: its default 31 x 31
-# grid at its largest --t-end, about a minute (see `_COMMANDS`).
-MAX_SCAN_WORK = 961 * 300
+# Most estimated seconds of one `population-scan` (`_scan_seconds`): the
+# default 31 x 31 grid at the default orders takes about 55 s at its largest
+# --t-end, and at --orders 2 5 about 20 s at the default --t-end.
+MAX_SCAN_SECONDS = 60
 # Largest order (m + p) * len(x0) of an `ode-history` system, whose dense
 # complex matrix then takes 64 MB.
 MAX_HISTORY_ORDER = 2000
@@ -53,9 +55,12 @@ MAX_FERMION_N = 512
 # spectral norm of a dense d x d^2 complex flattening, 16 MB at d = 100,
 # where a point takes about 2 s and 0.1 GB; d = 200 takes 10 s and 0.3 GB.
 MAX_RSEP_DIM = 100
-# Most points of one `rsep-sweep`: 100 of d = 100 take about a minute at
-# the default --t-end 1 (2 cores, one BLAS thread).
-MAX_RSEP_POINTS = 100
+# Most points x (--t-end + 15) of one `rsep-sweep`.  A d = 100 point takes
+# about 17 ms per unit of t_end after a set-up worth about 15 units: 0.20 s
+# at --t-end 0, 0.34 s at 1, 0.55 s at 10 and 2.1 s at 100 (2 cores, one
+# BLAS thread).  The bound admits 100 points at the default --t-end 1,
+# about 35 s at d = 100, and one at --t-end 1000, about 18 s.
+MAX_RSEP_WORK = 100 * (1 + 15)
 # Largest --t-end of `population-chaos`, as `_COMMANDS` gives the others.
 MAX_CHAOS_T_END = 10**4
 # Largest Kaiser window length J of the spectral commands, which write one
@@ -84,7 +89,7 @@ class _Domain:
     finite numbers, named by `columns` when fixed, "object" read by `parse`
     from its `fields`, or the flag kinds "integers" and "text"), a list of
     them when `many`, bounds low <= value <= high (low < value when
-    `open_low`; a list's low and high bound its length), its `default`,
+    `open_low`; a list's low bounds its length), its `default`,
     and whether it is `required`."""
 
     kind: str
@@ -134,10 +139,7 @@ def _checked(name, value, d):
         if not (isinstance(value, list) and len(value) >= (d.low or 0)):
             raise ConfigError(f"{label} must be a {'nonempty ' * bool(d.low)}"
                               f"list, got {value!r}")
-        if d.high is not None and len(value) > d.high:
-            raise ConfigError(f"{label} takes at most {d.high} entries, got "
-                              f"{len(value)}")
-        entry = replace(d, many=False, low=None, high=None)
+        entry = replace(d, many=False, low=None)
         return [_checked(name, v, entry) for v in value]
     if d.kind == "number":
         if not _is_number(value):
@@ -265,6 +267,24 @@ def _parse_grid(text):
 # ---------------------------------------------------------------------------
 # population / carleman subcommands
 
+def _scan_seconds(dim, orders, t_end) -> float:
+    """About how long one scan cell of the paper model takes (2 cores, one
+    BLAS thread): 0.19 ms per unit of t_end while every lift takes the
+    exact step (the default grid takes 0.18 s per unit), and for each
+    order whose lifts are integrated by DOP853 (`carleman.steps_exactly`),
+    one per route, 2 (t_end + 0.5) (14 ms + 7 us D order), D the lift's
+    monomial count.
+    Timed cells took 20 and 47 ms at --orders 2 5 and --t-end 0.1 and 1,
+    0.22 s at 10 and 2.4 s at 100; 109 ms at --orders 2 11 and --t-end 1;
+    84 and 637 ms at --orders 15 16 and --t-end 0.1 and 1."""
+    seconds = 0.19e-3 * t_end
+    for order in orders:
+        if not steps_exactly(dim, order):
+            monomials = math.comb(order + dim, dim) - 1
+            seconds += 2 * (t_end + 0.5) * (0.014 + 7e-6 * monomials * order)
+    return seconds
+
+
 def _cmd_population_scan(args, cfg):
     model = cfg["model"]
     if model.dim != 3:  # the scan's cells are (x1, x2, x3)
@@ -275,13 +295,15 @@ def _cmd_population_scan(args, cfg):
     _check_populations(model, "flag --grid",
                        np.c_[np.full(grid.size, model.X[0]), grid, grid],
                        args.grid)
-    if (cells := grid.size**2) * args.t_end > MAX_SCAN_WORK:
-        raise ConfigError(f"flags --grid and --t-end ask for {cells} cells x "
-                          f"t_end {args.t_end!r}, above {MAX_SCAN_WORK}")
     orders = tuple(args.orders)
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
                           f"LOW < HIGH, got {list(orders)}")
+    cell = _scan_seconds(model.dim, orders, args.t_end)
+    if (cells := grid.size**2) * cell > MAX_SCAN_SECONDS:
+        raise ConfigError(
+            f"flags --grid, --orders and --t-end ask for {cells} cells of "
+            f"about {cell:.3g} s each, above {MAX_SCAN_SECONDS} s in all")
     x1 = cfg["x1"]
     # x1 beside the other populations at their capacities, eta = 0
     _check_populations(model, "config key 'x1'", np.r_[x1, model.X[1:]], x1)
@@ -433,8 +455,14 @@ def _cmd_fermion_oracle_check(args, cfg):
 # rsep
 
 def _cmd_rsep_sweep(args, cfg):
+    points = cfg["points"]
+    if (work := len(points) * (args.t_end + 15)) > MAX_RSEP_WORK:
+        raise ConfigError(
+            f"config key 'points' and flag --t-end ask for {len(points)} "
+            f"points x (t_end {args.t_end!r} + 15) = {work:.6g}, above "
+            f"{MAX_RSEP_WORK}")
     params = []
-    for point in cfg["points"]:
+    for point in points:
         d, seed = point["d"], point["seed"]
         A = None if seed is None else rsep.haar_unitary(d, seed)
         try:
@@ -560,7 +588,7 @@ _DOMAINS = {
     }),
     "gamma0": _Domain("matrix"),
     "samples": _Domain("integer", GRID_SAMPLES, low=2, high=MAX_HEAT_SAMPLES),
-    "points": _Domain("object", low=1, high=MAX_RSEP_POINTS, fields={
+    "points": _Domain("object", low=1, fields={
         "d": _Domain("integer", low=3, high=MAX_RSEP_DIM, required=True),
         "beta": _Domain("number", required=True),
         "gamma": _Domain("number", required=True),

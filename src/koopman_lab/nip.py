@@ -21,6 +21,9 @@ A batch of initial conditions is one call, mapped to y once as arrays
 are measured as one array against those arrays (`route_runs`).
 `_route_errors` is the one measurement of a lift's truncation error: the
 per-sample eps, eps_max and whether a sample met the back map's pole.
+The mode system, each route's system and each lift with its exact-step
+stack depend on the model alone, so each is built once and kept on the
+model for the calls that follow (`_memo`).
 The model is real, so the reference, the lifts, their exact-step stacks
 and the errors are all float64 arrays.
 """
@@ -28,7 +31,7 @@ and the errors are all float64 arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +64,9 @@ class PopulationModel:
     r: np.ndarray
     X: np.ndarray
     J: SparseTensor  # degree 2; entry (i, (j, k)) couples eta_j eta_k into i
+    # the systems and lifts built from the model, by `_memo`
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -73,6 +79,29 @@ class PopulationModel:
                 "growth rates and capacities must be finite and positive")
         if self.J.degree != 2 or self.J.dim != self.dim:
             raise DimensionError("J must be a degree-2 tensor of matching dim")
+
+
+# ---------------------------------------------------------------------------
+# derived objects
+#
+# A model's systems and lifts depend on the model alone, never on an
+# initial condition, so each is built once and kept on the model
+# (`PopulationModel._memo`) for every later call given it: the mode system,
+# each order's vacancy system, and for each route and order the lift of
+# the last grid it was asked on.  The model's content is read at every
+# call, and a change to it drops them all.  A kept lift's arrays are
+# read-only, so no caller can change another's.
+
+def _memo(model: PopulationModel) -> dict:
+    """The objects kept on the model, emptied first when its content (dim,
+    and the shape, dtype and bytes of r, X and J's sorted arrays) is not
+    what they were built from."""
+    content = (model.dim, *((a.shape, a.dtype.str, a.tobytes()) for a in
+                            (model.r, model.X, *model.J.sorted_arrays())))
+    if model._memo.get("content") != content:
+        model._memo.clear()
+        model._memo["content"] = content
+    return model._memo
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +201,14 @@ def koopman_tensors(model: PopulationModel):
 
 def koopman_system(model: PopulationModel) -> PolySystem:
     """The mode dynamics d eta/dt = G1 eta + G2 (eta (x) eta) as one system,
-    G1 and G2 sorted at once."""
+    G1 and G2 sorted at once, kept on the model."""
+    memo = _memo(model)
+    if "mode" not in memo:
+        memo["mode"] = _koopman_system(model)
+    return memo["mode"]
+
+
+def _koopman_system(model: PopulationModel) -> PolySystem:
     d = model.dim
     i, jk, val = model.J.sorted_arrays()
     diag = np.arange(d)
@@ -219,16 +255,14 @@ class ReferenceSamples:
 
 
 def reference_y_samples(model: PopulationModel, X0s, t_end: float,
-                        sample_times=None,
-                        system: PolySystem = None) -> ReferenceSamples:
+                        sample_times=None) -> ReferenceSamples:
     """Reference y(t) from each row of X0s: the exact quadratic eta flow
-    (`system`, else `koopman_system(model)`), integrated as one batch by
-    `polyflow.taylor_samples`, mapped through eta/(1+eta) as one array.  The model is real, so every array is float64."""
-    if system is None:
-        system = koopman_system(model)
+    (`koopman_system`), integrated as one batch by
+    `polyflow.taylor_samples`, mapped through eta/(1+eta) as one array.
+    The model is real, so every array is float64."""
     etas = x_to_eta(model, np.asarray(X0s, dtype=float))
-    times, eta, kept, diverged = taylor_samples(system, etas, t_end,
-                                                sample_times)
+    times, eta, kept, diverged = taylor_samples(koopman_system(model), etas,
+                                                t_end, sample_times)
     y, _ = _back_map(eta.transpose(1, 0, 2))
     return ReferenceSamples(times, y, kept, diverged)
 
@@ -276,15 +310,19 @@ ROUTES = ("vacancy", "mode")
 def route_system(model: PopulationModel, route: str,
                  order: int) -> PolySystem:
     """The polynomial system route "vacancy" or "mode" lifts at `order`:
-    the Taylor-truncated vacancy tensors, or the exact mode tensors."""
+    the Taylor-truncated vacancy tensors, or the exact mode tensors, each
+    kept on the model."""
     if route == "vacancy":
-        return vacancy_taylor_tensors(model, order)
+        memo = _memo(model)
+        if ("vacancy", order) not in memo:
+            memo["vacancy", order] = vacancy_taylor_tensors(model, order)
+        return memo["vacancy", order]
     if route == "mode":
         return koopman_system(model)
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteLift:
     """One route's lifted generator at one order and, for a small lift, the
     stack of its exact steps on one sample grid (see `carleman.exact_step`).
@@ -298,14 +336,26 @@ class RouteLift:
 
 
 def route_lift(model: PopulationModel, route: str, order: int,
-               t_end: float, sample_times,
-               system: PolySystem = None) -> RouteLift:
-    """The lift of route "vacancy" or "mode" at `order` on the grid, of
-    `system`, else of `route_system(model, route, order)`."""
-    if system is None:
-        system = route_system(model, route, order)
-    op = build_monomial_lift(system, order)
-    return RouteLift(op, exact_step(op, t_end, sample_times))
+               t_end: float, sample_times) -> RouteLift:
+    """The lift of `route_system(model, route, order)` at `order` on the
+    grid of `polyflow.sample_grid(t_end, sample_times)`.
+
+    Kept on the model for the route and order, with its grid's t_end and
+    sample count, which name the grid; a call on another grid replaces it.
+    Its triplets, exponents, multiplicities and step stack are read-only.
+    """
+    times = sample_grid(t_end, sample_times)
+    memo = _memo(model)
+    grid, lift = memo.get(("lift", route, order), (None, None))
+    if grid != (t_end, times.size):
+        op = build_monomial_lift(route_system(model, route, order), order)
+        lift = RouteLift(op, exact_step(op, t_end, times))
+        for a in (op.rows, op.cols, op.vals, op.exponents, op.multiplicities,
+                  op.offsets, op.parents, op.factors, lift.step):
+            if a is not None:
+                a.flags.writeable = False
+        memo["lift", route, order] = (t_end, times.size), lift
+    return lift
 
 
 def _route_errors(references: ReferenceSamples, g1, kept, diverged,

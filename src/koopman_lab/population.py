@@ -123,14 +123,13 @@ def _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
     return _verdict(low, high), low.eps_max, high.eps_max
 
 
-def _scan_chunk(X0s, model, orders, t_end, sample_times, lifts, mode):
-    """Cells of one chunk: one batched reference of the mode system `mode`,
-    mapped to y once, then each route's lifts.  A route's lifted samples
-    are dropped before the next route runs.  Returns the carleman and nip
-    verdicts, then eps_c low and high and eps_k low and high, each an array
-    over the cells."""
+def _scan_chunk(X0s, model, orders, t_end, sample_times, lifts):
+    """Cells of one chunk: one batched reference, mapped to y once, then
+    each route's lifts.  A route's lifted samples are dropped before the
+    next route runs.  Returns the carleman and nip verdicts, then eps_c low
+    and high and eps_k low and high, each an array over the cells."""
     references = reference_y_samples(model, X0s, t_end,
-                                     sample_times=sample_times, system=mode)
+                                     sample_times=sample_times)
     (c_verdict, c_low, c_high), (k_verdict, k_low, k_high) = (
         _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
                      references)
@@ -159,12 +158,13 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
 
     A route converges at a cell when the error at the higher lift order is
     strictly smaller than at the lower order, both finite.  The mode system
-    (`nip.koopman_system`) and the monomial lift and exact step stack of
-    each (route, order) (`nip.route_lift`) are built once per call and
-    shared by every cell.  The cells, in grid order, are cut into chunks
-    of SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with
-    several workers the pool maps chunks.  A cell's numbers do not depend
-    on its chunk's other cells: they are the bits of `nip_evolve` and
+    of the references (`nip.koopman_system`) and the monomial lift and
+    exact step stack of each (route, order) (`nip.route_lift`) are kept on
+    the model, built by the first call that needs them, and every cell
+    shares them.  The cells, in grid order, are cut into chunks of
+    SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
+    workers the pool maps chunks.  A cell's numbers do not depend on its
+    chunk's other cells: they are the bits of `nip_evolve` and
     `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
     grid order, so the result does not depend on the thread count.
     """
@@ -182,11 +182,9 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
         threads = default_threads()
 
     sample_times = sample_grid(t_end)
-    mode = koopman_system(model)
-    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times,
-                                    system=mode if route == "mode" else None)
+    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
              for route in ROUTES for n in orders}
-    shared = (model, tuple(orders), t_end, sample_times, lifts, mode)
+    shared = (model, tuple(orders), t_end, sample_times, lifts)
     points = np.array([[x1_fixed, x2, x3]
                        for x2 in x2_range for x3 in x3_range])
     chunks = [points[i:i + SCAN_CHUNK]

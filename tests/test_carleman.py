@@ -501,7 +501,8 @@ class TestExactStep:
 
         monkeypatch.setattr(carleman, "integrate_rhs", counted)
         traj = evolve_lifted(op, op.initial_lift(np.ones(d)), 0.5, grid)
-        assert (exact_step(op, 0.5, grid) is not None) is dense
+        assert (exact_step(op, 0.5, grid) is not None) is dense \
+            is carleman.steps_exactly(d, 1)
         assert bool(calls) is not dense
         np.testing.assert_allclose(traj.states,
                                    np.exp(-grid)[:, None] * np.ones(d),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import koopman_lab
-from koopman_lab import cli, fermion, nip, population, rsep, spectral
+from koopman_lab import carleman, cli, fermion, nip, population, rsep, spectral
 
 
 def write_json(tmp_path, name, payload):
@@ -543,9 +543,10 @@ class TestExitCodes:
                         "--t-end", t_end])
         assert code == cli.EXIT_CONFIG
         err, = capsys.readouterr().err.strip().splitlines()
-        assert err == (f"config error: flags --grid and --t-end ask for "
-                       f"{cells} cells x t_end {float(t_end)!r}, above "
-                       f"{cli.MAX_SCAN_WORK}")
+        cell = cli._scan_seconds(3, population.DEFAULT_ORDERS, float(t_end))
+        assert err == (f"config error: flags --grid, --orders and --t-end ask "
+                       f"for {cells} cells of about {cell:.3g} s each, above "
+                       f"{cli.MAX_SCAN_SECONDS} s in all")
         assert not out.exists()
 
     def test_scan_work_bound_admits_the_default_grid(self, tmp_path,
@@ -566,32 +567,76 @@ class TestExitCodes:
         axis = np.arange(0.5, 2.0 + 1e-9, 0.05)
         assert seen[0]["x2_range"].tobytes() == axis.tobytes()
         assert seen[0]["t_end"] == largest
-        assert axis.size**2 * largest == cli.MAX_SCAN_WORK
-        monkeypatch.setattr(cli, "MAX_SCAN_WORK", 4 * 0.25)
+        assert axis.size**2 * cli._scan_seconds(
+            3, population.DEFAULT_ORDERS, largest) <= cli.MAX_SCAN_SECONDS
+        monkeypatch.setattr(cli, "MAX_SCAN_SECONDS", 4 * cli._scan_seconds(
+            3, population.DEFAULT_ORDERS, 0.25))
         for t_end, want in (("0.25", cli.EXIT_NUMERICAL),
                             ("0.5", cli.EXIT_CONFIG)):
             assert cli.run(["population-scan", "--out", out, "--grid",
                             "1:1.1:0.1", "--t-end", t_end]) == want
         assert len(seen) == 2
 
-    def test_sweep_points_checked_before_any_flow(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # a sweep of MAX_RSEP_POINTS reaches the flows; one more point is
-        # refused before any runs
+    def test_dop853_scan_work_checked_before_any_flow(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # an order whose lifts are integrated by DOP853 weighs on the cell
+        # estimate: the default grid at --orders 2 5 reaches the flow, a
+        # larger grid, a longer horizon or the top orders are refused
+        # before it, and the larger grid at exactly stepped orders is not
+        seen = []
+
+        def record(model, **kwargs):
+            seen.append(kwargs["orders"])
+            raise cli.NumericalError("recorded")
+
+        monkeypatch.setattr(population, "convergence_scan", record)
+        out = tmp_path / "o.csv"
+        base = ["population-scan", "--out", str(out)]
+        assert not carleman.steps_exactly(3, 5) \
+            and carleman.steps_exactly(3, 4)
+        assert cli.run(base + ["--orders", "2", "5"]) == cli.EXIT_NUMERICAL
+        capsys.readouterr()
+        for extra, cells, orders, t_end in (
+                (["--grid", "0.5:2.0:0.025"], 61**2, (2, 5), 0.1),
+                (["--t-end", "2"], 961, (2, 5), 2.0),
+                ([], 961, (15, 16), 0.1)):
+            assert cli.run(base + extra + ["--orders", *map(str, orders)]) \
+                == cli.EXIT_CONFIG
+            err, = capsys.readouterr().err.strip().splitlines()
+            cell = cli._scan_seconds(3, orders, t_end)
+            assert cells * cell > cli.MAX_SCAN_SECONDS
+            assert err == (
+                f"config error: flags --grid, --orders and --t-end ask for "
+                f"{cells} cells of about {cell:.3g} s each, above "
+                f"{cli.MAX_SCAN_SECONDS} s in all")
+        assert cli.run(base + ["--grid", "0.5:2.0:0.025", "--orders", "3",
+                               "4"]) == cli.EXIT_NUMERICAL
+        assert seen == [(2, 5), (3, 4)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end, admitted", [("1", 100), ("0", 106),
+                                                 ("1000", 1)])
+    def test_sweep_work_checked_before_any_flow(
+            self, tmp_path, capsys, monkeypatch, t_end, admitted):
+        # points x (t_end + 15) up to MAX_RSEP_WORK reach the flows; one
+        # more point is refused before any runs
         swept = []
         monkeypatch.setattr(rsep, "sweep", lambda params, t_end:
                             swept.append(len(params)) or [])
         codes = []
-        for count in (cli.MAX_RSEP_POINTS, cli.MAX_RSEP_POINTS + 1):
+        for count in (admitted, admitted + 1):
             cfg = write_json(tmp_path, "r.json",
                              {"points": [RSEP_POINT] * count})
             codes.append(cli.run(["rsep-sweep", "--config", cfg, "--out",
-                                  str(tmp_path / f"{count}.csv")]))
+                                  str(tmp_path / f"{count}.csv"),
+                                  "--t-end", t_end]))
         assert codes == [cli.EXIT_OK, cli.EXIT_CONFIG]
-        assert swept == [cli.MAX_RSEP_POINTS]
+        assert swept == [admitted]
+        work = (admitted + 1) * (float(t_end) + 15)
         assert capsys.readouterr().err == (
-            f"config error: config key 'points' takes at most "
-            f"{cli.MAX_RSEP_POINTS} entries, got {cli.MAX_RSEP_POINTS + 1}\n")
+            f"config error: config key 'points' and flag --t-end ask for "
+            f"{admitted + 1} points x (t_end {float(t_end)!r} + 15) = "
+            f"{work:.6g}, above {cli.MAX_RSEP_WORK}\n")
 
     def test_size_bounds_admit_the_largest_sizes(self, tmp_path):
         # the sizes the examples and the benchmark use are admitted, and a

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopman_lab import population
+from koopman_lab import nip, population
 from koopman_lab.carleman import (
     DENSE_LIMIT,
     LIFT_TOL,
     STEP_SPAN,
     build_carleman,
+    build_monomial_lift,
     evolve_lifted,
+    exact_step,
     initial_lift,
     lifted_samples,
     step_block,
@@ -637,6 +641,108 @@ class TestRealArithmetic:
         z = quadratic_flow(systems.F, systems.v, systems.c, systems.alpha,
                            params.A.conj().T[:, 0], 0.1)
         assert z.dtype == np.complex128
+
+
+def bitwise(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+LIFT_FIELDS = ("rows", "cols", "vals", "exponents", "multiplicities",
+               "offsets", "parents", "factors")
+
+
+class TestKeptOnTheModel:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_kept_lift_is_a_fresh_build(self, route, order):
+        # the grid given or not, the model's second call finds the one
+        # lift, which has the bits of a fresh build and step
+        model = paper_model()
+        grid = sample_grid(DEMO_T_END)
+        lift = route_lift(model, route, order, DEMO_T_END, grid)
+        assert route_lift(model, route, order, DEMO_T_END, None) is lift
+        system = vacancy_taylor_tensors(model, order) \
+            if route == "vacancy" else nip._koopman_system(model)
+        op = build_monomial_lift(system, order)
+        step = exact_step(op, DEMO_T_END, grid)
+        for name in LIFT_FIELDS:
+            assert bitwise(getattr(lift.op, name), getattr(op, name)), name
+        assert (lift.step is None) == (step is None) == (order > 4)
+        assert step is None or bitwise(lift.step, step)
+
+    def test_content_horizon_and_sample_count_name_a_lift(self):
+        model = paper_model()
+        grid = sample_grid(DEMO_T_END)
+        lift = route_lift(model, "mode", 3, DEMO_T_END, grid)
+        system = koopman_system(model)
+        assert route_lift(model, "mode", 3, DEMO_T_END, grid) is lift
+        for t_end, times in ((0.2, None),
+                             (DEMO_T_END, np.linspace(0.0, DEMO_T_END, 65))):
+            other = route_lift(model, "mode", 3, t_end, times)
+            assert other is not lift and other.op is not lift.op
+            assert not bitwise(other.step, lift.step)
+        model.r[0] *= 2.0
+        changed = route_lift(model, "mode", 3, DEMO_T_END, grid)
+        assert changed is not lift and koopman_system(model) is not system
+        fresh = build_monomial_lift(nip._koopman_system(model), 3)
+        assert bitwise(changed.op.vals, fresh.vals)
+        assert not bitwise(changed.op.vals, lift.op.vals)
+
+    def test_a_route_and_order_keep_the_last_grid_lift(self):
+        # a lift on another grid replaces the kept one of its route and
+        # order, and leaves the other routes' and orders' lifts
+        model = paper_model()
+        first, other_order, other_route = (
+            route_lift(model, route, order, 0.1, None)
+            for route, order in (("mode", 2), ("mode", 3), ("vacancy", 2)))
+        second = route_lift(model, "mode", 2, 0.2, None)
+        assert route_lift(model, "mode", 2, 0.2, None) is second
+        again = route_lift(model, "mode", 2, 0.1, None)
+        assert again is not first and bitwise(again.step, first.step)
+        assert route_lift(model, "mode", 3, 0.1, None) is other_order
+        assert route_lift(model, "vacancy", 2, 0.1, None) is other_route
+        lifts = [key for key in model._memo if key[0] == "lift"]
+        assert sorted(lifts) == [("lift", "mode", 2), ("lift", "mode", 3),
+                                 ("lift", "vacancy", 2)]
+
+    def test_kept_arrays_are_read_only(self):
+        model = paper_model()
+        lift = route_lift(model, "vacancy", 3, DEMO_T_END, None)
+        for array in [getattr(lift.op, name) for name in LIFT_FIELDS] \
+                + [lift.step]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lift.step = None
+
+    def test_rows_one_call_each_equal_the_scan_at_once(self):
+        # the benchmark's pattern: one call per x2 row on one model, its
+        # lifts built by the first and kept for the next, and a second
+        # pass, against one call at once on the same model and on a new one
+        model = paper_model()
+        axis = np.arange(1.0, 1.35 + 1e-9, 0.05)
+
+        def scan(x2, model=model):
+            return convergence_scan(model, x2_range=x2, x3_range=axis,
+                                    threads=1)
+
+        def joined(results):
+            return [np.concatenate([getattr(res, name) for res in results])
+                    for name in ("eps_c_low", "eps_c_high", "eps_k_low",
+                                 "eps_k_high", "carleman_verdict",
+                                 "nip_verdict")]
+
+        runs = [joined([scan(axis[[a]]) for a in range(axis.size)])
+                for _ in range(2)]
+        runs.append(joined([scan(axis)]))
+        runs.append(joined([scan(axis, paper_model())]))
+        want = runs[0]
+        assert want[0].shape == (axis.size, axis.size)
+        for run in runs[1:]:
+            assert all(bitwise(a, b) for a, b in zip(run[:4], want[:4]))
+            assert [a.tolist() for a in run[4:]] \
+                == [b.tolist() for b in want[4:]]
 
 
 class TestSerialization:
