@@ -326,7 +326,8 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
     alpha with alpha_i > 0 and |alpha| + k - 1 <= order; higher degrees are
     dropped, as the Kronecker layout drops blocks above the order.  The
     triplets run by the entry's degree, then by alpha, then by entry.  The
-    Kronecker dimension is guarded as in `build_carleman`.
+    Kronecker dimension is guarded as in `build_carleman`.  Every array of
+    the lift is read-only.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -368,13 +369,15 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
     by_degree = np.argsort(degree[entry], kind="stable")
     src, entry = src[by_degree], entry[by_degree]
     i = tensor_rows[entry]
-    cols = monomial_index(exponents[src] - eye[i] + beta[entry], offsets)
-    return MonomialLift(
-        dim=d, order=order, rows=src, cols=cols,
+    arrays = dict(
+        rows=src, cols=monomial_index(exponents[src] - eye[i] + beta[entry],
+                                      offsets),
         vals=exponents[src, i] * values[entry], exponents=exponents,
-        multiplicities=np.concatenate(mults).astype(float),
-        kron_dim=kron_dim, offsets=offsets,
+        multiplicities=np.concatenate(mults).astype(float), offsets=offsets,
         parents=np.concatenate(parents), factors=np.concatenate(factors))
+    for a in arrays.values():
+        a.flags.writeable = False
+    return MonomialLift(dim=d, order=order, kron_dim=kron_dim, **arrays)
 
 
 def exact_step(lift: MonomialLift, t_end: float, sample_times):
@@ -386,8 +389,8 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     `polyflow.sample_grid(t_end, sample_times)` are more than t = 0 alone;
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
-    (D, D) product per doubling.  Otherwise the result is None and the
-    lift is integrated instead.
+    (D, D) product per doubling.  The stack is read-only.  Otherwise the
+    result is None and the lift is integrated instead.
     """
     n = sample_grid(t_end, sample_times).size
     if not steps_exactly(lift.dim, lift.order) or n < 2:
@@ -403,6 +406,7 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
         np.matmul(stack[:new].reshape(new * size, size), stack[done - 1],
                   out=stack[done:done + new].reshape(new * size, size))
         done += new
+    stack.flags.writeable = False
     return stack
 
 

@@ -32,10 +32,15 @@ EXIT_NUMERICAL = 3
 # Most cells `population-scan --grid` may ask for: the grid is its axis
 # squared, about 1,000 times the 31 x 31 grid of the convergence criterion.
 MAX_GRID_CELLS = 10**6
-# Most estimated seconds of one `population-scan` (`_scan_seconds`): the
-# default 31 x 31 grid at the default orders takes about 55 s at its largest
-# --t-end, and at --orders 2 5 about 20 s at the default --t-end.
-MAX_SCAN_SECONDS = 60
+# Most estimated seconds of the lifted runs of one `population-scan`,
+# `population-traj`, `carleman-error` or `nip-error` (`_lift_seconds`): the
+# default 31 x 31 grid at the default orders takes about 50 s at its largest
+# --t-end, and at --orders 2 5 about 13 s at the default --t-end.
+MAX_LIFT_SECONDS = 60
+# DOP853 seconds per unit of t_end of one run of a route's lift at order n
+# with D monomials, n (a + b D n^k), as (a, b, k): the vacancy lift's
+# triplets per monomial grow with the order, the mode lift's barely do.
+_DOP853_RATES = {"vacancy": (1.5e-3, 7.9e-6, 1), "mode": (2.4e-3, 14.5e-6, 0)}
 # Largest order (m + p) * len(x0) of an `ode-history` system, whose dense
 # complex matrix then takes 64 MB.
 MAX_HISTORY_ORDER = 2000
@@ -267,22 +272,50 @@ def _parse_grid(text):
 # ---------------------------------------------------------------------------
 # population / carleman subcommands
 
-def _scan_seconds(dim, orders, t_end) -> float:
-    """About how long one scan cell of the paper model takes (2 cores, one
-    BLAS thread): 0.19 ms per unit of t_end while every lift takes the
-    exact step (the default grid takes 0.18 s per unit), and for each
-    order whose lifts are integrated by DOP853 (`carleman.steps_exactly`),
-    one per route, 2 (t_end + 0.5) (14 ms + 7 us D order), D the lift's
-    monomial count.
-    Timed cells took 20 and 47 ms at --orders 2 5 and --t-end 0.1 and 1,
-    0.22 s at 10 and 2.4 s at 100; 109 ms at --orders 2 11 and --t-end 1;
-    84 and 637 ms at --orders 15 16 and --t-end 0.1 and 1."""
-    seconds = 0.19e-3 * t_end
-    for order in orders:
-        if not steps_exactly(dim, order):
-            monomials = math.comb(order + dim, dim) - 1
-            seconds += 2 * (t_end + 0.5) * (0.014 + 7e-6 * monomials * order)
+def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
+    """About how long the paper model's lifted runs from `cells` initial
+    conditions take, each on every route's lift at every order over t_end
+    (2 cores, one BLAS thread).
+
+    The cells run in chunks of `population.SCAN_CHUNK`, each one batched
+    Taylor reference and, per lift that takes the exact step, one product
+    per span: 10 ms, then per chunk 4 ms + 2.7 ms t_end, and per cell
+    0.08 ms + 0.09 ms t_end.  A lift with more than DENSE_LIMIT Kronecker
+    coordinates (`carleman.steps_exactly`) is integrated by DOP853 cell by
+    cell instead: 0.25 s once, to load scipy.integrate, then per cell 5 ms
+    + t_end n (a + b D n^k) at order n, D the lift's monomial count and
+    (a, b, k) its route's `_DOP853_RATES`.
+    Timed as `run` in one process: `population-scan` at the default
+    orders on 1, 25, 36 and 10,000 cells took 14 ms, 16 ms, 20 ms and 2.2 s
+    at --t-end 0.1, 18 ms, 28 ms, 45 ms and 4.7 s at 1, and the first
+    three 0.85, 1.5 and 2.1 s at 300; `carleman-error` took 0.29, 1.0, 18
+    and 56 s at --orders 10 and --t-end 1, 10, 100 and 300, and 0.63, 11
+    and 199 s at --orders 16 and 1, 10 and 100; `nip-error` 0.63, 6.4 and
+    19 s at --orders 10 and 10, 100 and 300, and 1.6 and 24 s at --orders
+    16 and 10 and 100."""
+    chunks = -(-cells // population.SCAN_CHUNK)
+    seconds = 0.01 + chunks * (4e-3 + 2.7e-3 * t_end) \
+        + cells * (8e-5 + 9e-5 * t_end)
+    integrated = [(route, n) for route in routes for n in orders
+                  if not steps_exactly(dim, n)]
+    if integrated:
+        seconds += 0.25
+    for route, n in integrated:
+        a, b, k = _DOP853_RATES[route]
+        monomials = math.comb(n + dim, dim) - 1
+        seconds += cells * (5e-3 + t_end * n * (a + b * monomials * n**k))
     return seconds
+
+
+def _check_lift_seconds(flags, dim, routes, orders, t_end, cells=1):
+    """Refuse, naming `flags`, lifted runs estimated above MAX_LIFT_SECONDS,
+    before any of them."""
+    seconds = _lift_seconds(dim, routes, orders, t_end, cells)
+    if seconds > MAX_LIFT_SECONDS:
+        raise ConfigError(
+            f"flags {flags} ask for {cells} cell{'s' * (cells > 1)} at "
+            f"orders {' '.join(map(str, orders))} and t_end {t_end!r}, "
+            f"about {seconds:.3g} s, above {MAX_LIFT_SECONDS} s")
 
 
 def _cmd_population_scan(args, cfg):
@@ -299,11 +332,8 @@ def _cmd_population_scan(args, cfg):
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ConfigError(f"flag --orders must be two orders LOW HIGH with "
                           f"LOW < HIGH, got {list(orders)}")
-    cell = _scan_seconds(model.dim, orders, args.t_end)
-    if (cells := grid.size**2) * cell > MAX_SCAN_SECONDS:
-        raise ConfigError(
-            f"flags --grid, --orders and --t-end ask for {cells} cells of "
-            f"about {cell:.3g} s each, above {MAX_SCAN_SECONDS} s in all")
+    _check_lift_seconds("--grid, --orders and --t-end", model.dim,
+                        nip.ROUTES, orders, args.t_end, grid.size**2)
     x1 = cfg["x1"]
     # x1 beside the other populations at their capacities, eta = 0
     _check_populations(model, "config key 'x1'", np.r_[x1, model.X[1:]], x1)
@@ -321,6 +351,8 @@ def _cmd_population_traj(args, cfg):
     if rest:
         raise ConfigError(f"flag --orders takes one order here, got "
                           f"{len(args.orders)}")
+    _check_lift_seconds("--orders and --t-end", model.dim, nip.ROUTES,
+                        (order,), args.t_end)
     exact, carl, mode = population.trajectory_compare(model, x0, order,
                                                       args.t_end)
     if exact.diverged:
@@ -347,9 +379,11 @@ def _cmd_population_chaos(args, cfg):
     return EXIT_OK
 
 
-def _error_profile_cmd(args, cfg, evolve):
+def _error_profile_cmd(args, cfg, route, evolve):
     model = cfg["model"]
     x0 = _x0(cfg["x0"], model)
+    _check_lift_seconds("--orders and --t-end", model.dim, (route,),
+                        args.orders, args.t_end)
     sample_times = sample_grid(args.t_end)
     reference = nip.reference_y_trajectory(model, x0, args.t_end,
                                            sample_times=sample_times)
@@ -508,7 +542,10 @@ def _spectral_emulation(args, cfg, draw):
     """Emulated and ideal outcome distributions of the config's modes, and
     when `draw`, "n_samples" outcomes drawn from the emulated one."""
     mu, omega, re_a, im_a = cfg["modes"].T
-    a = re_a + 1j * im_a
+    # scaled by the power of two that puts every part below 1, which is
+    # exact and leaves a / |a| as it is, so that |a| does not overflow
+    _, e = np.frexp(np.max(np.abs(cfg["modes"][:, 2:])))
+    a = np.ldexp(re_a, -e) + 1j * np.ldexp(im_a, -e)
     if not np.linalg.norm(a):
         raise ConfigError("config key 'modes' has all amplitudes (re_a, "
                           "im_a) zero")
@@ -516,6 +553,10 @@ def _spectral_emulation(args, cfg, draw):
         modes = spectral.NormalKoopman(mu, omega, a / np.linalg.norm(a))
     except ValueError as exc:
         raise ConfigError(f"bad 'modes' entry: {exc}")
+    if modes.oscillatory.size and not modes.w_S:
+        raise ConfigError("config key 'modes' gives the oscillatory modes "
+                          "amplitudes whose squares, beside the others', "
+                          "underflow to 0")
     window, dt = _spectral_window(cfg)
     T1 = cfg["T1"]
     if T1 is None:
@@ -550,11 +591,19 @@ def _cmd_ode_history(args, cfg):
         raise ConfigError(f"config keys 'm', 'p' and 'x0' give a history "
                           f"system of order ({m} + {p}) * {x0.size}, above "
                           f"{MAX_HISTORY_ORDER}")
-    try:
-        hist = spectral.history_system(A, x0, m, p, l, cfg["h"])
-    except ValueError as exc:
-        raise NumericalError(str(exc))
-    resid, final_err = spectral.history_residuals(hist, x0)
+    # the system is linear in x0, so a large enough x0 overflows it; that
+    # shows as a block or residual that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            hist = spectral.history_system(A, x0, m, p, l, cfg["h"])
+        except ValueError as exc:
+            raise NumericalError(str(exc))
+        resid, final_err = spectral.history_residuals(hist, x0)
+    if not (np.isfinite(hist.blocks).all() and math.isfinite(resid)
+            and math.isfinite(final_err)):
+        raise NumericalError(f"the history system of config key 'x0' "
+                             f"overflows the float range, got "
+                             f"{cfg['x0'].tolist()}")
     rows = [(s, i, hist.blocks[s, i].real, hist.blocks[s, i].imag)
             for s in range(hist.m + hist.p) for i in range(x0.size)]
     write_csv(args.out, ["s", "i", "re", "im"], rows)
@@ -655,10 +704,12 @@ _COMMANDS = {
                   "x0": [0.05, 1.3, 0.025]},
         max_t_end=MAX_CHAOS_T_END),
     "carleman-error": _Command(
-        functools.partial(_error_profile_cmd, evolve=nip.vacancy_evolve),
+        functools.partial(_error_profile_cmd, route="vacancy",
+                          evolve=nip.vacancy_evolve),
         _LIFT, optional=_POPULATION, max_t_end=10**3),
     "nip-error": _Command(
-        functools.partial(_error_profile_cmd, evolve=nip.nip_evolve),
+        functools.partial(_error_profile_cmd, route="mode",
+                          evolve=nip.nip_evolve),
         _LIFT, optional=_POPULATION, max_t_end=10**3),
     "fermion-evolve": _Command(
         _cmd_fermion_evolve, _IO + ("--seed", "--t-end"), ("system",),

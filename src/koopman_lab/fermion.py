@@ -357,7 +357,7 @@ def _normal_eigenbasis(sys: FermionSystem):
 
 def decay_spectrum(sys: FermionSystem, state: CovarianceState) -> DecaySpectrum:
     lam, Q = _normal_eigenbasis(sys)
-    nus = -lam.real
+    nus = 0.0 - lam.real  # a zero rate is 0.0, not -0.0; the rest negated
     if np.min(nus) < -1e-12:
         raise ValueError("growing mode: decay rates must be nonnegative")
     # a_kl = <q_k (x) q_l | vec(Gamma0)> = (Q^dag Gamma0 conj(Q))_{kl}

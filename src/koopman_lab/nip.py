@@ -23,7 +23,7 @@ are measured as one array against those arrays (`route_runs`).
 per-sample eps, eps_max and whether a sample met the back map's pole.
 The mode system, each route's system and each lift with its exact-step
 stack depend on the model alone, so each is built once and kept on the
-model for the calls that follow (`_memo`).
+model for the calls that follow (`PopulationModel._memo`).
 The model is real, so the reference, the lifts, their exact-step stacks
 and the errors are all float64 arrays.
 """
@@ -56,21 +56,28 @@ from .polyflow import (
 POLE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class PopulationModel:
-    """Interacting logistic populations (growth r, capacity X, couplings J)."""
+    """Interacting logistic populations (growth r, capacity X, couplings J).
+
+    A model is a value: r and X are read-only float copies of the arrays
+    given, J is a `SparseTensor`, itself a value, and no field can be
+    rebound."""
 
     dim: int
     r: np.ndarray
     X: np.ndarray
     J: SparseTensor  # degree 2; entry (i, (j, k)) couples eta_j eta_k into i
-    # the systems and lifts built from the model, by `_memo`
+    # a model is a value, so what is built from it is kept here, its one
+    # mutable field, and never goes stale
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.X = np.asarray(self.X, dtype=float)
+        for name in ("r", "X"):
+            values = np.array(getattr(self, name), dtype=float)  # a copy
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.r.shape != (self.dim,) or self.X.shape != (self.dim,):
             raise DimensionError("r and X must be length-d vectors")
         if not (np.all(0 < self.r) and np.all(self.r < np.inf)
@@ -79,29 +86,6 @@ class PopulationModel:
                 "growth rates and capacities must be finite and positive")
         if self.J.degree != 2 or self.J.dim != self.dim:
             raise DimensionError("J must be a degree-2 tensor of matching dim")
-
-
-# ---------------------------------------------------------------------------
-# derived objects
-#
-# A model's systems and lifts depend on the model alone, never on an
-# initial condition, so each is built once and kept on the model
-# (`PopulationModel._memo`) for every later call given it: the mode system,
-# each order's vacancy system, and for each route and order the lift of
-# the last grid it was asked on.  The model's content is read at every
-# call, and a change to it drops them all.  A kept lift's arrays are
-# read-only, so no caller can change another's.
-
-def _memo(model: PopulationModel) -> dict:
-    """The objects kept on the model, emptied first when its content (dim,
-    and the shape, dtype and bytes of r, X and J's sorted arrays) is not
-    what they were built from."""
-    content = (model.dim, *((a.shape, a.dtype.str, a.tobytes()) for a in
-                            (model.r, model.X, *model.J.sorted_arrays())))
-    if model._memo.get("content") != content:
-        model._memo.clear()
-        model._memo["content"] = content
-    return model._memo
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +186,7 @@ def koopman_tensors(model: PopulationModel):
 def koopman_system(model: PopulationModel) -> PolySystem:
     """The mode dynamics d eta/dt = G1 eta + G2 (eta (x) eta) as one system,
     G1 and G2 sorted at once, kept on the model."""
-    memo = _memo(model)
+    memo = model._memo
     if "mode" not in memo:
         memo["mode"] = _koopman_system(model)
     return memo["mode"]
@@ -313,7 +297,7 @@ def route_system(model: PopulationModel, route: str,
     the Taylor-truncated vacancy tensors, or the exact mode tensors, each
     kept on the model."""
     if route == "vacancy":
-        memo = _memo(model)
+        memo = model._memo
         if ("vacancy", order) not in memo:
             memo["vacancy", order] = vacancy_taylor_tensors(model, order)
         return memo["vacancy", order]
@@ -342,19 +326,13 @@ def route_lift(model: PopulationModel, route: str, order: int,
 
     Kept on the model for the route and order, with its grid's t_end and
     sample count, which name the grid; a call on another grid replaces it.
-    Its triplets, exponents, multiplicities and step stack are read-only.
     """
     times = sample_grid(t_end, sample_times)
-    memo = _memo(model)
-    grid, lift = memo.get(("lift", route, order), (None, None))
+    grid, lift = model._memo.get(("lift", route, order), (None, None))
     if grid != (t_end, times.size):
         op = build_monomial_lift(route_system(model, route, order), order)
         lift = RouteLift(op, exact_step(op, t_end, times))
-        for a in (op.rows, op.cols, op.vals, op.exponents, op.multiplicities,
-                  op.offsets, op.parents, op.factors, lift.step):
-            if a is not None:
-                a.flags.writeable = False
-        memo["lift", route, order] = (t_end, times.size), lift
+        model._memo["lift", route, order] = (t_end, times.size), lift
     return lift
 
 

@@ -118,7 +118,7 @@ def _entry_keys(dim: int, rows, cols, vals, width: int):
     return keys, vals
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SparseTensor:
     """Degree-k coefficient tensor held as (row, multi-index, value) entries.
 
@@ -129,7 +129,8 @@ class SparseTensor:
     of entries and sums a repeated key from zero in input order with a
     fixed number of numpy operations.  `SparseTensor(degree, dim)` is the
     empty tensor; the constructor takes `keys` and `vals` only as the
-    builders make them, canonical.
+    builders make them, canonical.  A tensor is a value: its fields cannot
+    be rebound and its arrays are read-only.
 
     The values keep the dtype they arrive in: float64 while every value
     is real (floats, integers, real arrays), complex128 once one is
@@ -148,8 +149,10 @@ class SparseTensor:
         if self.dim <= 0:
             raise ValueError("dim must be positive")
         if self.keys is None:
-            self.keys = np.empty((0, self.degree + 1), dtype=np.int64)
-            self.vals = np.empty(0, dtype=np.float64)
+            keys, vals = _canonical(
+                np.empty((0, self.degree + 1), dtype=np.int64), np.empty(0))
+            object.__setattr__(self, "keys", keys)
+            object.__setattr__(self, "vals", vals)
 
     @classmethod
     def from_arrays(cls, degree: int, dim: int, rows, cols,

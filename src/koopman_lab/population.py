@@ -64,17 +64,6 @@ def paper_model() -> PopulationModel:
     return PopulationModel(d, np.array(_R), np.ones(d), J)
 
 
-def default_threads() -> int:
-    env = os.environ.get("KOOPMAN_LAB_THREADS", "")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"KOOPMAN_LAB_THREADS must be an integer, got {env!r}") from None
-
-
 def worker_count(threads: int, n_jobs: int) -> int:
     """Worker processes for n_jobs tasks: min(threads, cpu count, n_jobs),
     at least 1.  The cpu count is read only when that could exceed 1."""
@@ -167,6 +156,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     chunk's other cells: they are the bits of `nip_evolve` and
     `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
     grid order, so the result does not depend on the thread count.
+    `threads` None runs in this process, as 1 does.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -178,9 +168,6 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
         raise ValueError("scan ranges must be nonempty")
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ValueError("orders must be (low, high) with low < high")
-    if threads is None:
-        threads = default_threads()
-
     sample_times = sample_grid(t_end)
     lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
              for route in ROUTES for n in orders}
@@ -189,7 +176,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
                        for x2 in x2_range for x3 in x3_range])
     chunks = [points[i:i + SCAN_CHUNK]
               for i in range(0, len(points), SCAN_CHUNK)]
-    workers = worker_count(threads, len(chunks))
+    workers = 1 if threads is None else worker_count(threads, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_set_shared,

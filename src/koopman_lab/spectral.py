@@ -194,9 +194,11 @@ def emulate_spectral_qka(modes: NormalKoopman, window: WindowSpec,
         raise ValueError("no oscillatory modes")
     J = window.J
     snaps = np.empty((J, modes.a.size), dtype=complex)
-    for j in range(J):
-        g = modes.g(T1 + j * dt)
-        snaps[j] = window.beta[j] * (g / np.linalg.norm(g))
+    # a mode whose mu t overflows to inf has decayed to exactly 0
+    with np.errstate(over="ignore"):
+        for j in range(J):
+            g = modes.g(T1 + j * dt)
+            snaps[j] = window.beta[j] * (g / np.linalg.norm(g))
     amp = np.fft.fft(snaps, axis=0) / np.sqrt(J)
     p = np.sum(np.abs(amp)**2, axis=1)
     p /= np.sum(p)
@@ -277,6 +279,18 @@ def history_system(A: np.ndarray, x0: np.ndarray, m: int, p: int, l: int,
     return HistorySystem(m, p, l, h, A, T, C, b, y.reshape(n, dim))
 
 
+def _norm(v) -> float:
+    """np.linalg.norm of a vector whose squares may overflow.  A vector
+    with an entry of magnitude 2^500 or more is first scaled by the power
+    of two that puts its parts below 1, which is exact, and the norm scaled
+    back; any other is not scaled."""
+    v = np.asarray(v)
+    if not np.max(np.abs(v)) >= 2.0**500:
+        return float(np.linalg.norm(v))
+    _, e = np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))
+    return float(np.ldexp(np.linalg.norm(v * np.ldexp(1.0, -e)), e))
+
+
 def history_residuals(hist: HistorySystem, x0: np.ndarray):
     """(max block-recurrence residual, |y_m - e^{Amh} x0|)."""
     from scipy.linalg import expm
@@ -285,10 +299,9 @@ def history_residuals(hist: HistorySystem, x0: np.ndarray):
     for s in range(hist.m + hist.p):
         if s > 0:
             power = hist.T @ power if s <= hist.m else power
-        resid = max(resid, float(np.linalg.norm(hist.blocks[s] - power)))
+        resid = max(resid, _norm(hist.blocks[s] - power))
     exact = expm(hist.A * hist.m * hist.h) @ np.asarray(x0, dtype=complex)
-    final_err = float(np.linalg.norm(hist.blocks[hist.m] - exact)) \
-        if hist.p > 0 else float(np.linalg.norm(hist.blocks[-1] - exact))
+    final_err = _norm(hist.blocks[hist.m if hist.p > 0 else -1] - exact)
     return resid, final_err
 
 

@@ -185,6 +185,85 @@ class TestExitCodes:
             "the window's I0(pi sigma)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload", [
+        ("spectral-emulate",
+         {"modes": [[0.0, 0.1, 1.0, 0.0], [1e308, 0.2, 1.0, 0.0]]}),
+        ("ode-history",
+         {"A": [[-0.3]], "x0": [1e308], "m": 2, "p": 1, "l": 4, "h": 1.0}),
+    ])
+    def test_huge_values_run_without_warnings_to_finite_output(
+            self, tmp_path, capsys, command, payload):
+        # a decay rate mu whose mu t overflows warned, though its mode has
+        # simply decayed to 0; a history whose squares overflow warned and
+        # printed final_error=inf, though the error is finite
+        cfg = write_json(tmp_path, "c.json", payload)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        printed, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        values = [float(v) for row in rows for v in row] + [
+            float(v) for v in re.findall(r"=(\S+)", printed)]
+        assert values and all(map(np.isfinite, values))
+        if command == "ode-history":
+            # |T_4(-0.3)^2 - e^-0.6| x0, T_4 the step's Taylor polynomial
+            step = sum((-0.3) ** r / np.prod(range(1, r + 1))
+                       for r in range(5))
+            assert values[-1] == pytest.approx(
+                abs(step**2 - np.exp(-0.6)) * 1e308, rel=1e-6)
+
+    def test_amplitudes_whose_norm_overflows_are_normalized(self, tmp_path,
+                                                             capsys):
+        # the command scales the amplitudes by a power of two before it
+        # normalizes them: amplitudes 2^1000 used to overflow |a| with a
+        # warning and be refused as not normalized; now they give the
+        # bytes of amplitudes 1.  Where the oscillatory modes' squares
+        # underflow beside the others, 'modes' is refused.
+        outs = []
+        for scale in (1.0, 2.0**1000):
+            cfg = write_json(tmp_path, "m.json", {"modes": [
+                [0.0, 0.1, scale, 0.0], [0.5, 0.2, 0.0, scale]]})
+            out = tmp_path / f"m{len(outs)}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.run(["spectral-emulate", "--config", cfg,
+                                "--out", str(out)]) == cli.EXIT_OK
+            outs.append((out.read_bytes(), capsys.readouterr()))
+        assert outs[0] == outs[1] and outs[0][1].err == ""
+        cfg = write_json(tmp_path, "u.json", {"modes": [
+            [0.0, 0.1, 1.0, 0.0], [0.5, 0.2, 1e308, 1e308]]})
+        out = tmp_path / "u.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["spectral-emulate", "--config", cfg,
+                            "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config key 'modes' gives the oscillatory modes "
+            "amplitudes whose squares, beside the others', underflow to 0\n")
+        assert not out.exists()
+
+    def test_a_history_past_the_float_range_is_a_numerical_failure(
+            self, tmp_path, capsys):
+        # a rotation stepped at Taylor order 1 grows each block by sqrt(2),
+        # past the float range from x0 = 1e308
+        cfg = write_json(tmp_path, "h.json", {
+            "A": [[0, -1], [1, 0]], "x0": [1e308, 1e308], "m": 3, "p": 1,
+            "l": 1, "h": 1.0})
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["ode-history", "--config", cfg, "--out",
+                            str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: the history system of config key 'x0' "
+            "overflows the float range, got [1e+308, 1e+308]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt", [0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("command", ["spectral-window",
                                          "spectral-emulate",
@@ -531,9 +610,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid, t_end, cells", [
         ("0.5:3.0:0.05", "300", 51**2),
         ("1:1000:1", "0.5", 1000**2),
+        ("0.5:1.999:0.0015", "0.1", 1000**2),
     ])
     def test_scan_work_checked_before_any_flow(
             self, tmp_path, capsys, monkeypatch, grid, t_end, cells):
+        # the last, 10^6 cells at the default --t-end, takes about 3.5 min
         def fail(*args, **kwargs):
             raise AssertionError("a flow ran")
 
@@ -543,10 +624,13 @@ class TestExitCodes:
                         "--t-end", t_end])
         assert code == cli.EXIT_CONFIG
         err, = capsys.readouterr().err.strip().splitlines()
-        cell = cli._scan_seconds(3, population.DEFAULT_ORDERS, float(t_end))
+        seconds = cli._lift_seconds(3, nip.ROUTES, population.DEFAULT_ORDERS,
+                                    float(t_end), cells)
+        assert seconds > cli.MAX_LIFT_SECONDS
         assert err == (f"config error: flags --grid, --orders and --t-end ask "
-                       f"for {cells} cells of about {cell:.3g} s each, above "
-                       f"{cli.MAX_SCAN_SECONDS} s in all")
+                       f"for {cells} cells at orders 1 3 and t_end "
+                       f"{float(t_end)!r}, about {seconds:.3g} s, above "
+                       f"{cli.MAX_LIFT_SECONDS} s")
         assert not out.exists()
 
     def test_scan_work_bound_admits_the_default_grid(self, tmp_path,
@@ -567,10 +651,11 @@ class TestExitCodes:
         axis = np.arange(0.5, 2.0 + 1e-9, 0.05)
         assert seen[0]["x2_range"].tobytes() == axis.tobytes()
         assert seen[0]["t_end"] == largest
-        assert axis.size**2 * cli._scan_seconds(
-            3, population.DEFAULT_ORDERS, largest) <= cli.MAX_SCAN_SECONDS
-        monkeypatch.setattr(cli, "MAX_SCAN_SECONDS", 4 * cli._scan_seconds(
-            3, population.DEFAULT_ORDERS, 0.25))
+        assert cli._lift_seconds(3, nip.ROUTES, population.DEFAULT_ORDERS,
+                                 largest, axis.size**2) \
+            <= cli.MAX_LIFT_SECONDS
+        monkeypatch.setattr(cli, "MAX_LIFT_SECONDS", cli._lift_seconds(
+            3, nip.ROUTES, population.DEFAULT_ORDERS, 0.25, 4))
         for t_end, want in (("0.25", cli.EXIT_NUMERICAL),
                             ("0.5", cli.EXIT_CONFIG)):
             assert cli.run(["population-scan", "--out", out, "--grid",
@@ -579,7 +664,7 @@ class TestExitCodes:
 
     def test_dop853_scan_work_checked_before_any_flow(self, tmp_path,
                                                       capsys, monkeypatch):
-        # an order whose lifts are integrated by DOP853 weighs on the cell
+        # an order whose lifts are integrated by DOP853 weighs on the
         # estimate: the default grid at --orders 2 5 reaches the flow, a
         # larger grid, a longer horizon or the top orders are refused
         # before it, and the larger grid at exactly stepped orders is not
@@ -597,22 +682,84 @@ class TestExitCodes:
         assert cli.run(base + ["--orders", "2", "5"]) == cli.EXIT_NUMERICAL
         capsys.readouterr()
         for extra, cells, orders, t_end in (
-                (["--grid", "0.5:2.0:0.025"], 61**2, (2, 5), 0.1),
+                (["--grid", "0.5:2.0:0.02"], 76**2, (2, 5), 0.1),
                 (["--t-end", "2"], 961, (2, 5), 2.0),
                 ([], 961, (15, 16), 0.1)):
             assert cli.run(base + extra + ["--orders", *map(str, orders)]) \
                 == cli.EXIT_CONFIG
             err, = capsys.readouterr().err.strip().splitlines()
-            cell = cli._scan_seconds(3, orders, t_end)
-            assert cells * cell > cli.MAX_SCAN_SECONDS
+            seconds = cli._lift_seconds(3, nip.ROUTES, orders, t_end, cells)
+            assert seconds > cli.MAX_LIFT_SECONDS
             assert err == (
                 f"config error: flags --grid, --orders and --t-end ask for "
-                f"{cells} cells of about {cell:.3g} s each, above "
-                f"{cli.MAX_SCAN_SECONDS} s in all")
-        assert cli.run(base + ["--grid", "0.5:2.0:0.025", "--orders", "3",
+                f"{cells} cells at orders {orders[0]} {orders[1]} and t_end "
+                f"{t_end!r}, about {seconds:.3g} s, above "
+                f"{cli.MAX_LIFT_SECONDS} s")
+        assert cli.run(base + ["--grid", "0.5:2.0:0.02", "--orders", "3",
                                "4"]) == cli.EXIT_NUMERICAL
         assert seen == [(2, 5), (3, 4)]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flow, refused, admitted", [
+        ("population-scan", (population, "convergence_scan"),
+         ["--grid", "1.4:1.4:0.05", "--orders", "15", "16", "--t-end", "100"],
+         ["--grid", "1.4:1.4:0.05", "--orders", "15", "16", "--t-end", "1"]),
+        ("population-traj", (population, "trajectory_compare"),
+         ["--orders", "16", "--t-end", "100"],
+         ["--orders", "16", "--t-end", "10"]),
+        ("carleman-error", (nip, "reference_y_trajectory"),
+         ["--orders", "16", "--t-end", "100"],
+         ["--orders", "16", "--t-end", "10"]),
+        ("nip-error", (nip, "reference_y_trajectory"),
+         ["--orders", "16", "16", "16", "--t-end", "100"],
+         ["--orders", "16", "--t-end", "100"]),
+    ])
+    def test_lift_work_of_each_command_checked_before_any_flow(
+            self, tmp_path, capsys, monkeypatch, command, flow, refused,
+            admitted):
+        # every lift command is estimated on its own routes and every order
+        # given, each repeat of an order a run of its own; one above the
+        # bound is refused before any flow, naming its flags
+        def record(*args, **kwargs):
+            raise cli.NumericalError("recorded")
+
+        monkeypatch.setattr(*flow, record)
+        out = tmp_path / "o.csv"
+        base = [command, "--out", str(out)]
+        assert cli.run(base + refused) == cli.EXIT_CONFIG
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("config error: flags ")
+        assert "--orders" in err and "--t-end" in err
+        assert f"above {cli.MAX_LIFT_SECONDS} s" in err
+        assert cli.run(base + admitted) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: recorded\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, timed", [
+        # seconds of `cli.run` in one process, 2 cores, one BLAS thread
+        (["population-scan", "--grid", "1.4:1.4:0.05", "--t-end", "300"],
+         0.85),
+        (["population-scan", "--grid", "0.5:2.0:0.015"], 2.04),
+        (["population-scan", "--grid", "0.5:1.985:0.015", "--t-end", "1"],
+         4.68),
+        (["population-scan", "--orders", "2", "5"], 13.2),
+        (["population-traj", "--t-end", "1000"], 2.93),
+        (["carleman-error", "--orders", "10", "--t-end", "300"], 55.9),
+        (["carleman-error", "--orders", "16", "--t-end", "100"], 199.0),
+        (["carleman-error", "--t-end", "100"], 2.32),
+        (["nip-error", "--orders", "16", "--t-end", "100"], 24.1),
+        (["nip-error", "--orders", "5", "--t-end", "1000"], 12.4),
+    ])
+    def test_lift_work_estimate_covers_the_timed_runs(self, argv, timed):
+        # no estimate falls below a timed run by more than a factor of 2
+        args = cli.build_parser().parse_args(argv + ["--out", "o.csv"])
+        cells, routes = 1, nip.ROUTES
+        if argv[0] == "population-scan":
+            cells = cli._parse_grid(args.grid).size**2
+        elif argv[0] != "population-traj":
+            routes = ("vacancy",) if argv[0] == "carleman-error" else ("mode",)
+        estimate = cli._lift_seconds(3, routes, args.orders, args.t_end, cells)
+        assert timed / 2 <= estimate <= 5 * timed
 
     @pytest.mark.parametrize("t_end, admitted", [("1", 100), ("0", 106),
                                                  ("1000", 1)])
@@ -1166,6 +1313,19 @@ class TestFermionCommands:
         assert cli.run(["fermion-heat", "--config", fermion_config,
                         "--out", str(tmp_path / "h.csv"), "--seed", "2",
                         "--t-end", "0.5"]) == 0
+
+    def test_decay_of_a_free_system_prints_zero_rates(self, tmp_path,
+                                                      capsys):
+        # its rates are 0, which used to print as -0
+        cfg = write_json(tmp_path, "free.json",
+                         {"system": {"N": 1, "h": [], "jumps": []}})
+        out = tmp_path / "d.csv"
+        assert cli.run(["fermion-decay", "--config", cfg,
+                        "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "gap=0\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["k", "l", "rate", "weight"] and len(rows) == 5
+        assert {row[2] for row in rows[1:]} == {"0"}
 
     def test_heat_zero_horizon_is_one_row(self, tmp_path, system_config):
         cfg = system_config(2, [1.0, 2.0], [0.5, 0.7], samples=5)

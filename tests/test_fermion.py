@@ -335,6 +335,21 @@ class TestSpectrumAndSteady:
         assert spec.gap == min(nus[k] + nus[l] for k in range(2 * N)
                                for l in range(k + 1, 2 * N))
 
+    def test_zero_rates_are_positive_zero(self):
+        # B = 0: every rate is 0, which -Re(lambda) made -0.0, printed as
+        # -0; a nonzero rate keeps the bits of -Re(lambda)
+        free = decay_spectrum(FermionSystem(1, np.zeros((2, 2)), []),
+                              CovarianceState(np.zeros((2, 2))))
+        assert not np.signbit(free.nus).any()
+        assert not np.signbit(free.rates).any()
+        assert free.gap == 0.0 and not np.signbit(free.gap)
+        sys = commuting_system()
+        lam, _ = fermion._normal_eigenbasis(sys)
+        spec = decay_spectrum(sys, CovarianceState(np.zeros((6, 6))))
+        assert np.all(lam.real != 0)
+        np.testing.assert_array_equal(spec.nus.view(np.int64),
+                                      (-lam.real).view(np.int64))
+
     def test_lindblad_gap(self):
         sys = commuting_system()
         assert lindblad_gap(sys) == pytest.approx(decay_spectrum(

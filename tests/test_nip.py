@@ -682,7 +682,12 @@ class TestKeptOnTheModel:
             other = route_lift(model, "mode", 3, t_end, times)
             assert other is not lift and other.op is not lift.op
             assert not bitwise(other.step, lift.step)
-        model.r[0] *= 2.0
+        # a model cannot change in place; one built from changed values
+        # builds its own
+        with pytest.raises(ValueError, match="read-only"):
+            model.r[0] *= 2.0
+        model = PopulationModel(model.dim, model.r * [2.0, 1.0, 1.0],
+                                model.X, model.J)
         changed = route_lift(model, "mode", 3, DEMO_T_END, grid)
         assert changed is not lift and koopman_system(model) is not system
         fresh = build_monomial_lift(nip._koopman_system(model), 3)
@@ -715,6 +720,30 @@ class TestKeptOnTheModel:
                 array[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             lift.step = None
+
+    def test_a_model_and_what_it_builds_refuse_writes(self):
+        # each builder freezes what it made: a fresh lift and step stack, a
+        # tensor and a model's r and X, which are copies of the arrays
+        # given, so the caller's own arrays stay writable
+        r, X = np.array(population._R), np.ones(3)
+        model = PopulationModel(3, r, X, paper_model().J)
+        op = build_monomial_lift(koopman_system(model), 3)
+        step = exact_step(op, DEMO_T_END, None)
+        empty = SparseTensor(2, 3)
+        for array in [getattr(op, name) for name in LIFT_FIELDS] + [
+                step, model.r, model.X, empty.keys, empty.vals,
+                *model.J.sorted_arrays()]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            model.r[0] *= 2.0
+        r[0] *= 2.0
+        X[...] = 2.0
+        assert model.r[0] == population._R[0] and np.all(model.X == 1.0)
+        for target, name in ((model, "r"), (model, "X"), (model, "J"),
+                             (model.J, "vals"), (empty, "keys")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, None)
 
     def test_rows_one_call_each_equal_the_scan_at_once(self):
         # the benchmark's pattern: one call per x2 row on one model, its

@@ -249,17 +249,6 @@ class TestTrajectories:
         monkeypatch.setattr(population.os, "cpu_count", lambda: None)
         assert population.worker_count(4, 100) == 1
 
-    def test_threads_env_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("KOOPMAN_LAB_THREADS", "many")
-        with pytest.raises(ValueError, match="KOOPMAN_LAB_THREADS"):
-            population.default_threads()
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("KOOPMAN_LAB_THREADS", "3")
-        assert population.default_threads() == 3
-        monkeypatch.delenv("KOOPMAN_LAB_THREADS")
-        assert population.default_threads() == 1
-
 
 class TestChaos:
     def test_chaos_flow_matches_dop853(self, model):

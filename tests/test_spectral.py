@@ -289,3 +289,15 @@ class TestUniformFamily:
         m = NormalKoopman([0.0, 0.0], [0.4, -1.1], a_amp)
         probs = post_selection_probabilities(m, a=4, c=2, J=5, h=0.1)
         assert np.max(probs) - np.min(probs) <= 1e-12
+
+
+def test_scaled_norm_keeps_the_bits_of_the_norm():
+    # the power-of-two scaling is exact, so wherever the plain norm is
+    # finite the scaled one has its bits, and past that it stays finite
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 3.0, 1e10, 1e150):
+        v = scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
+        for w in (v, v.real):
+            assert spectral._norm(w) == np.linalg.norm(w)
+    assert spectral._norm(np.array([3e307, 4e307])) == 5e307
+    assert spectral._norm(np.array([3.0, 4.0j]) * 2.0**600) == 5 * 2.0**600
