@@ -40,7 +40,7 @@ layout, the tests' oracle, stays complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 
 import numpy as np
@@ -242,7 +242,8 @@ class MonomialLift:
     from the triplets when asked for: `dense()`, which the exact step
     reads, adds them into a dense matrix; `apply`, which only the lifts
     integrated by DOP853 call, multiplies by a CSR matrix of them, built on
-    the first apply and kept.
+    the first apply and kept.  Its arrays are read-only, also in another
+    process, as a pickled lift is rebuilt through the constructor.
     """
 
     dim: int
@@ -257,6 +258,15 @@ class MonomialLift:
     parents: np.ndarray
     factors: np.ndarray
     _csr: csr_matrix = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("rows", "cols", "vals", "exponents", "multiplicities",
+                     "offsets", "parents", "factors"):
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        return MonomialLift, tuple(getattr(self, f.name)
+                                   for f in fields(self) if f.init)
 
     @property
     def total_dim(self) -> int:
@@ -375,8 +385,6 @@ def build_monomial_lift(sys: PolySystem, order: int) -> MonomialLift:
         vals=exponents[src, i] * values[entry], exponents=exponents,
         multiplicities=np.concatenate(mults).astype(float), offsets=offsets,
         parents=np.concatenate(parents), factors=np.concatenate(factors))
-    for a in arrays.values():
-        a.flags.writeable = False
     return MonomialLift(dim=d, order=order, kron_dim=kron_dim, **arrays)
 
 

@@ -73,9 +73,9 @@ MAX_CHAOS_T_END = 10**4
 MAX_WINDOW_J = 10**5 + 1
 # Most trials of `fermion-oracle-check`, each two covariance flows checked
 # against the dense density-matrix oracle, whose `--N` is at most
-# `fermion.ORACLE_MAX_N`.  At --N 4 a trial takes 34 ms on average (120 ms
+# `fermion.ORACLE_MAX_N`.  At --N 4 a trial takes 18 ms on average (65 ms
 # when it draws N = 4; 2 cores, one BLAS thread), so the limit is about
-# 6 minutes.
+# 3 minutes.
 MAX_ORACLE_TRIALS = 10**4
 
 
@@ -359,9 +359,10 @@ def _cmd_population_traj(args, cfg):
         raise NumericalError(exact.cause)
     routes = ("exact", "carleman", "nip")
     header = ["t"] + [f"x{i+1}_{r}" for r in routes for i in range(model.dim)]
-    rows = [[t, *xe.real, *xc.real, *xm.real] for t, xe, xc, xm in zip(
-        exact.times, exact.states, carl.states, mode.states)]
-    write_csv(args.out, header, rows)
+    # the samples all three runs reach
+    n = min(exact.times.size, carl.states.shape[0], mode.states.shape[0])
+    write_csv(args.out, header, [exact.times[:n]] + [
+        x for traj in (exact, carl, mode) for x in traj.states[:n].real.T])
     return EXIT_OK
 
 
@@ -374,7 +375,7 @@ def _cmd_population_chaos(args, cfg):
     res = population.chaos_demo(model, x0, args.t_end)
     if res.trajectory.diverged:
         raise NumericalError(res.trajectory.cause)
-    write_csv(args.out, ["t", "x2", "x3"], res.projection)
+    write_csv(args.out, ["t", "x2", "x3"], res.projection.T)
     print(f"settled={res.settled} final_distance={res.final_distance:.17g}")
     return EXIT_OK
 
@@ -391,10 +392,13 @@ def _error_profile_cmd(args, cfg, route, evolve):
                    reference=reference) for n in args.orders]
     header = ["t"] + [f"eps_order_{n}" for n in args.orders]
     # a run cut at its blow-up, or not finite, reads inf from there on
-    rows = [[t] + [run.eps[s] if s < run.eps.size and np.isfinite(run.eps[s])
-                   else np.inf for run in runs]
-            for s, t in enumerate(sample_times)]
-    write_csv(args.out, header, rows)
+    columns = [sample_times]
+    for run in runs:
+        eps = np.full(sample_times.size, np.inf)
+        eps[:run.eps.size] = run.eps
+        eps[~np.isfinite(eps)] = np.inf
+        columns.append(eps)
+    write_csv(args.out, header, columns)
     for n, run in zip(args.orders, runs):
         print(f"order={n} eps_max={run.eps_max:.17g}")
     return EXIT_OK
@@ -423,9 +427,7 @@ def _fermion_setup(args, cfg):
 def _cmd_fermion_evolve(args, cfg):
     sys_, gamma0 = _fermion_setup(args, cfg)
     final, _, _ = fermion.evolve_covariance(sys_, gamma0, args.t_end)
-    rows = [(i, j, final.Gamma[i, j])
-            for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
-    write_csv(args.out, ["i", "j", "value"], rows)
+    _write_upper_triangle(args.out, final.Gamma)
     return EXIT_OK
 
 
@@ -440,9 +442,9 @@ def _cmd_fermion_heat(args, cfg):
                                               sample_times=times)
     e0 = fermion.energy(sys_.h, gamma0)
     # fermion.energy of each sample, read off the stack as it is
-    rows = [(t, (e0 - float(-np.trace(sys_.h @ G).real / 4.0)) / sys_.N)
-            for t, G in zip(ts, gammas.stack)]
-    write_csv(args.out, ["t", "heat_per_fermion"], rows)
+    energies = -np.trace(sys_.h @ gammas.stack, axis1=1, axis2=2) / 4.0
+    write_csv(args.out, ["t", "heat_per_fermion"],
+              [ts, (e0 - energies) / sys_.N])
     return EXIT_OK
 
 
@@ -452,9 +454,9 @@ def _cmd_fermion_decay(args, cfg):
         spec = fermion.decay_spectrum(sys_, gamma0)
     except fermion.SecularError as exc:
         raise NumericalError(str(exc))
-    rows = [(*pair, rate, weight) for pair, rate, weight
-            in zip(spec.pairs, spec.rates, spec.weights)]
-    write_csv(args.out, ["k", "l", "rate", "weight"], rows)
+    k, l = np.array(spec.pairs, dtype=np.int64).reshape(-1, 2).T
+    write_csv(args.out, ["k", "l", "rate", "weight"],
+              [k, l, spec.rates, spec.weights])
     print(f"gap={spec.gap:.17g}")
     return EXIT_OK
 
@@ -465,10 +467,14 @@ def _cmd_fermion_steady(args, cfg):
         steady = fermion.steady_state(sys_)
     except fermion.GaplessError as exc:
         raise NumericalError(str(exc))
-    rows = [(i, j, steady.Gamma[i, j])
-            for i in range(2 * sys_.N) for j in range(i + 1, 2 * sys_.N)]
-    write_csv(args.out, ["i", "j", "value"], rows)
+    _write_upper_triangle(args.out, steady.Gamma)
     return EXIT_OK
+
+
+def _write_upper_triangle(path, Gamma):
+    """The entries i < j of a covariance, row by row."""
+    i, j = np.triu_indices(Gamma.shape[0], 1)
+    write_csv(path, ["i", "j", "value"], [i, j, Gamma[i, j]])
 
 
 def _cmd_fermion_oracle_check(args, cfg):
@@ -477,8 +483,7 @@ def _cmd_fermion_oracle_check(args, cfg):
     for trial in range(args.trials):
         N = int(rng.integers(1, args.N + 1))
         seed = int(rng.integers(0, 2**31))
-        for t_end in (0.1, 1.0):
-            worst = max(worst, fermion.oracle_deviation(N, seed, t_end))
+        worst = max(worst, fermion.oracle_deviation(N, seed, (0.1, 1.0)))
     print(f"max_deviation={worst:.17g}")
     if worst > 1e-6:
         raise NumericalError(f"oracle deviation {worst} exceeds 1e-6")
@@ -509,7 +514,7 @@ def _cmd_rsep_sweep(args, cfg):
     except rsep.PoleError as exc:
         raise NumericalError(str(exc))
     write_csv(args.out, ["beta", "gamma", "delta", "d", "R_x_lower_bound",
-                         "R_x", "R_eta", "equiv_residual"], rows)
+                         "R_x", "R_eta", "equiv_residual"], list(zip(*rows)))
     return EXIT_OK
 
 
@@ -532,9 +537,9 @@ def _spectral_window(cfg):
 def _cmd_spectral_window(args, cfg):
     window, dt = _spectral_window(cfg)
     p = spectral.qpe_distribution(window, cfg["theta"])
-    rows = [(ell, *spectral.decode(ell, window.J, dt), p[ell])
-            for ell in range(window.J)]
-    write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p"], rows)
+    ell = np.arange(window.J)
+    write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p"],
+              [ell, *spectral.decode(ell, window.J, dt), p])
     return EXIT_OK
 
 
@@ -571,10 +576,10 @@ def _spectral_emulation(args, cfg, draw):
         raise NumericalError(str(exc))
     counts = spectral.sample_outcomes(p, cfg["n_samples"], args.seed) \
         if draw and cfg["n_samples"] else np.zeros(window.J, dtype=int)
-    rows = [(ell, *spectral.decode(ell, window.J, dt), p_ideal[ell], p[ell],
-             counts[ell]) for ell in range(window.J)]
+    ell = np.arange(window.J)
     write_csv(args.out, ["ell", "theta_hat", "omega_hat", "p_ideal",
-                          "p_emulated", "count"], rows)
+                          "p_emulated", "count"],
+              [ell, *spectral.decode(ell, window.J, dt), p_ideal, p, counts])
     print(f"tv={tv:.17g}")
     return EXIT_OK
 
@@ -604,9 +609,10 @@ def _cmd_ode_history(args, cfg):
         raise NumericalError(f"the history system of config key 'x0' "
                              f"overflows the float range, got "
                              f"{cfg['x0'].tolist()}")
-    rows = [(s, i, hist.blocks[s, i].real, hist.blocks[s, i].imag)
-            for s in range(hist.m + hist.p) for i in range(x0.size)]
-    write_csv(args.out, ["s", "i", "re", "im"], rows)
+    steps, dim = hist.blocks.shape
+    write_csv(args.out, ["s", "i", "re", "im"],
+              [np.repeat(np.arange(steps), dim), np.tile(np.arange(dim), steps),
+               hist.blocks.real.ravel(), hist.blocks.imag.ravel()])
     print(f"recurrence_residual={resid:.17g} final_error={final_err:.17g}")
     return EXIT_OK
 
@@ -686,7 +692,7 @@ _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 
 # Each command's largest --t-end, so that its largest run takes a minute at
 # most: per unit of t_end `population-scan` takes 0.18 s on its 31 x 31
-# grid, `population-traj` 2.6 ms, `population-chaos` 4.7 ms (its 2001
+# grid, `population-traj` 2.6 ms, `population-chaos` 2.0 ms (its 2001
 # samples keep the memory fixed), `carleman-error` 27 ms, `nip-error` 19 ms
 # and `rsep-sweep` 20 ms per d = 100 point (2 cores, one BLAS thread).  The
 # fermion flows' one exact step overflows to nan from t_end ~ 1e50.

@@ -222,16 +222,29 @@ def majorana_operators(N: int):
     return tuple(cs)
 
 
-def covariance_from_density(rho: np.ndarray, N: int) -> CovarianceState:
-    """Gamma_kl = (i/2) Tr(rho [c_k, c_l])."""
+@lru_cache(maxsize=8)
+def majorana_commutators(N: int) -> np.ndarray:
+    """[c_k, c_l] = c_k c_l - c_l c_k of the pairs k < l of
+    `majorana_operators`, in the order of np.triu_indices(2N, 1), as one
+    read-only stack."""
     cs = majorana_operators(N)
+    k, l = np.triu_indices(2 * N, 1)
+    comms = np.array([cs[a] @ cs[b] - cs[b] @ cs[a]
+                      for a, b in zip(k.tolist(), l.tolist())])
+    comms.flags.writeable = False
+    return comms
+
+
+def covariance_from_density(rho: np.ndarray, N: int) -> CovarianceState:
+    """Gamma_kl = (i/2) Tr(rho [c_k, c_l]), every pair's product with rho
+    taken at once from `majorana_commutators`."""
     n2 = 2 * N
+    k, l = np.triu_indices(n2, 1)
+    products = np.matmul(rho, majorana_commutators(N))
+    vals = (0.5j * np.trace(products, axis1=1, axis2=2)).real
     G = np.zeros((n2, n2))
-    for k in range(n2):
-        for l in range(k + 1, n2):
-            val = 0.5j * np.trace(rho @ (cs[k] @ cs[l] - cs[l] @ cs[k]))
-            G[k, l] = val.real
-            G[l, k] = -val.real
+    G[k, l] = vals
+    G[l, k] = -vals
     return CovarianceState(G)
 
 
@@ -263,12 +276,14 @@ def _liouvillian(sys: FermionSystem) -> np.ndarray:
     return gen
 
 
-def lindblad_density(h, jumps, rho0: np.ndarray, t_end: float) -> np.ndarray:
-    """rho(t_end) of the full master equation: e^{t_end L} vec rho0, one
-    dense `expm` of the Liouvillian L (`_liouvillian`) applied to rho0."""
-    if not 0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    sys = assemble(h, jumps)
+def _densities(sys: FermionSystem, rho0: np.ndarray, t_ends) -> list:
+    """rho(t) of the full master equation at each t of `t_ends`:
+    e^{t L} vec rho0, one dense `expm` per t of the Liouvillian L
+    (`_liouvillian`), which is built once, applied to rho0, checked once."""
+    for t_end in t_ends:
+        if not 0 <= t_end < np.inf:
+            raise ValueError(
+                f"t_end must be finite and nonnegative, got {t_end}")
     if sys.N > ORACLE_MAX_N:
         raise DimensionError(f"oracle limited to N <= {ORACLE_MAX_N}")
     rho0 = np.asarray(rho0, dtype=complex)
@@ -279,8 +294,15 @@ def lindblad_density(h, jumps, rho0: np.ndarray, t_end: float) -> np.ndarray:
             abs(np.trace(rho0) - 1.0) > 1e-10 or \
             np.min(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2)) < -1e-10:
         raise ValueError("rho0 must be a trace-1 PSD density matrix")
-    flat = expm(_liouvillian(sys) * t_end) @ rho0.reshape(-1)
-    return flat.reshape(dim, dim)
+    generator, flat = _liouvillian(sys), rho0.reshape(-1)
+    return [(expm(generator * t_end) @ flat).reshape(dim, dim)
+            for t_end in t_ends]
+
+
+def lindblad_density(h, jumps, rho0: np.ndarray, t_end: float) -> np.ndarray:
+    """rho(t_end) of the full master equation (`_densities` at one
+    time)."""
+    return _densities(assemble(h, jumps), rho0, (t_end,))[0]
 
 
 def exact_lindblad_oracle(h, jumps, rho0: np.ndarray,
@@ -304,15 +326,22 @@ def random_instance(N: int, rng, n_jumps: int = 2):
     return h, jumps, rho0
 
 
-def oracle_deviation(N: int, seed: int, t_end: float) -> float:
-    """Max elementwise gap between the covariance ODE and the exact oracle."""
+def oracle_deviation(N: int, seed: int, t_ends) -> float:
+    """Max elementwise gap between the covariance flow and the exact oracle
+    over the times `t_ends`, on the random instance of `seed`.  The
+    instance, its system, Gamma0 and the density-matrix Liouvillian are
+    built once; each time takes one covariance step and one `expm`."""
     rng = np.random.default_rng(seed)
     h, jumps, rho0 = random_instance(N, rng)
     sys = FermionSystem(N, h, jumps)
     g0 = covariance_from_density(rho0, N)
-    final, _, _ = evolve_covariance(sys, g0, t_end, sample_times=[0, t_end])
-    oracle = exact_lindblad_oracle(h, jumps, rho0, t_end)
-    return float(np.max(np.abs(final.Gamma - oracle.Gamma)))
+    worst = 0.0
+    for t_end, rho in zip(t_ends, _densities(sys, rho0, t_ends)):
+        final, _, _ = evolve_covariance(sys, g0, t_end,
+                                        sample_times=[0, t_end])
+        oracle = covariance_from_density(rho, N)
+        worst = max(worst, float(np.max(np.abs(final.Gamma - oracle.Gamma))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

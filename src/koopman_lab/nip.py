@@ -62,7 +62,8 @@ class PopulationModel:
 
     A model is a value: r and X are read-only float copies of the arrays
     given, J is a `SparseTensor`, itself a value, and no field can be
-    rebound."""
+    rebound.  A pickled model is rebuilt through the constructor, so it is
+    a value in another process too; what it kept is built there anew."""
 
     dim: int
     r: np.ndarray
@@ -86,6 +87,9 @@ class PopulationModel:
                 "growth rates and capacities must be finite and positive")
         if self.J.degree != 2 or self.J.dim != self.dim:
             raise DimensionError("J must be a degree-2 tensor of matching dim")
+
+    def __reduce__(self):
+        return PopulationModel, (self.dim, self.r, self.X, self.J)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +316,19 @@ class RouteLift:
     stack of its exact steps on one sample grid (see `carleman.exact_step`).
 
     It does not depend on the initial condition, so one instance serves
-    every run of that route and order on that grid.
+    every run of that route and order on that grid.  Its stack is
+    read-only, also when a scan worker unpickles it.
     """
 
     op: MonomialLift
     step: np.ndarray | None
+
+    def __post_init__(self):
+        if self.step is not None:
+            self.step.flags.writeable = False
+
+    def __reduce__(self):
+        return RouteLift, (self.op, self.step)
 
 
 def route_lift(model: PopulationModel, route: str, order: int,

@@ -130,7 +130,8 @@ class SparseTensor:
     fixed number of numpy operations.  `SparseTensor(degree, dim)` is the
     empty tensor; the constructor takes `keys` and `vals` only as the
     builders make them, canonical.  A tensor is a value: its fields cannot
-    be rebound and its arrays are read-only.
+    be rebound and its arrays are read-only, also in another process, as a
+    pickled tensor is rebuilt through the constructor.
 
     The values keep the dtype they arrive in: float64 while every value
     is real (floats, integers, real arrays), complex128 once one is
@@ -153,6 +154,10 @@ class SparseTensor:
                 np.empty((0, self.degree + 1), dtype=np.int64), np.empty(0))
             object.__setattr__(self, "keys", keys)
             object.__setattr__(self, "vals", vals)
+        self.keys.flags.writeable = self.vals.flags.writeable = False
+
+    def __reduce__(self):
+        return SparseTensor, (self.degree, self.dim, self.keys, self.vals)
 
     @classmethod
     def from_arrays(cls, degree: int, dim: int, rows, cols,
@@ -623,10 +628,22 @@ def quadratic_r_number(F0, F1, F2: SparseTensor, z0) -> float:
     return (nF2 * nz0 + nF0 / nz0) / abs(mu)
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV of strings as they are, integers in decimal and other numbers
-    with 17 significant digits, so that reruns write the same bytes.  A
-    complex value is refused (ValueError) before the file is opened."""
+def _formatted(column) -> list:
+    """The CSV fields of one column: a float array's values with 17
+    significant digits and an integer array's in decimal, each formatted in
+    one pass; any other sequence value by value, strings as they are,
+    integers in decimal and other numbers with 17 significant digits.  A
+    complex value raises ValueError."""
+    if isinstance(column, np.ndarray) and column.ndim == 1:
+        if column.dtype.kind == "f":
+            return list(map("{:.17g}".format,
+                            column.astype(np.float64, copy=False).tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        if column.dtype.kind == "c":
+            raise ValueError(f"refusing to write complex column of dtype "
+                             f"{column.dtype} to CSV")
+
     def fmt(v):
         if isinstance(v, str):
             return v
@@ -636,8 +653,20 @@ def write_csv(path, header, rows) -> None:
             raise ValueError(f"refusing to write complex value {v!r} to CSV")
         return f"{float(v):.17g}"
 
-    lines = [[fmt(v) for v in row] for row in rows]
+    return [fmt(v) for v in column]
+
+
+def write_csv(path, header, columns) -> None:
+    """CSV of equal-length `columns` under `header`, one row per index, so
+    that reruns write the same bytes: floats with 17 significant digits,
+    integers in decimal and strings as they are (`_formatted`).  Ragged
+    columns and complex values are refused (ValueError) before the file is
+    opened."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"refusing to write ragged columns of lengths "
+                         f"{[len(column) for column in columns]} to CSV")
+    fields = [_formatted(column) for column in columns]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(lines)
+        w.writerows(zip(*fields))

@@ -197,13 +197,14 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
 
 
 def scan_to_csv(res: ScanResult, path) -> None:
+    """One row per cell, x3 running fastest, as the grid is scanned."""
+    n2, n3 = res.x2_values.size, res.x3_values.size
     write_csv(path, ["x2", "x3", "carleman_verdict", "nip_verdict",
                      "eps_c_low", "eps_c_high", "eps_k_low", "eps_k_high"],
-              [(x2, x3, res.carleman_verdict[a, b], res.nip_verdict[a, b],
-                res.eps_c_low[a, b], res.eps_c_high[a, b],
-                res.eps_k_low[a, b], res.eps_k_high[a, b])
-               for a, x2 in enumerate(res.x2_values)
-               for b, x3 in enumerate(res.x3_values)])
+              [np.repeat(res.x2_values, n3), np.tile(res.x3_values, n2)]
+              + [a.ravel() for a in (
+                  res.carleman_verdict, res.nip_verdict, res.eps_c_low,
+                  res.eps_c_high, res.eps_k_low, res.eps_k_high)])
 
 
 # ---------------------------------------------------------------------------

@@ -85,20 +85,22 @@ def qpe_distribution(window: WindowSpec, theta: float) -> np.ndarray:
     return np.abs(qpe_amplitudes(window, theta))**2
 
 
-def decode(ell: int, J: int, dt: float = 1.0):
-    """Signed bin decoding: (theta_hat, omega_hat = theta_hat/dt)."""
-    if not 0 <= ell <= J - 1:
+def decode(ell, J: int, dt: float = 1.0):
+    """Signed bin decoding: (theta_hat, omega_hat = theta_hat/dt) of an
+    outcome ell, or arrays of them for an array of outcomes.  theta_hat is
+    2 pi ell / J, less 2 pi above (J - 1) // 2."""
+    ell = np.asarray(ell)
+    if not np.all((0 <= ell) & (ell <= J - 1)):
         raise ValueError("outcome index out of range")
     if J % 2 == 0:
         raise ValueError("J must be odd")
     theta = 2.0 * np.pi * ell / J
-    if ell > (J - 1) // 2:
-        theta -= 2.0 * np.pi
+    theta = np.where(ell > (J - 1) // 2, theta - 2.0 * np.pi, theta)[()]
     return theta, theta / dt
 
 
 def decoded_thetas(J: int) -> np.ndarray:
-    return np.array([decode(ell, J)[0] for ell in range(J)])
+    return decode(np.arange(J), J)[0]
 
 
 def tail_mass(window: WindowSpec, theta: float, eps_phase: float) -> float:
@@ -153,9 +155,10 @@ class NormalKoopman:
             raise ValueError("no decaying modes")
         return float(np.min(self.mus[self.decaying]))
 
-    def g(self, t: float) -> np.ndarray:
+    def g(self, t) -> np.ndarray:
+        """The mode vector at time t, or one row per time of an array t."""
         lam = -self.mus + 1j * self.omegas
-        return self.a * np.exp(lam * t)
+        return self.a * np.exp(lam * np.asarray(t, dtype=float)[..., None])
 
     def g_norm(self, t: float) -> float:
         return float(np.linalg.norm(self.g(t)))
@@ -193,12 +196,12 @@ def emulate_spectral_qka(modes: NormalKoopman, window: WindowSpec,
     if modes.oscillatory.size == 0:
         raise ValueError("no oscillatory modes")
     J = window.J
-    snaps = np.empty((J, modes.a.size), dtype=complex)
     # a mode whose mu t overflows to inf has decayed to exactly 0
     with np.errstate(over="ignore"):
-        for j in range(J):
-            g = modes.g(T1 + j * dt)
-            snaps[j] = window.beta[j] * (g / np.linalg.norm(g))
+        g = modes.g(T1 + np.arange(J) * dt)
+        # np.linalg.norm row by row: a vectorized norm rounds otherwise
+        norms = np.array([np.linalg.norm(row) for row in g])
+        snaps = window.beta[:, None] * (g / norms[:, None])
     amp = np.fft.fft(snaps, axis=0) / np.sqrt(J)
     p = np.sum(np.abs(amp)**2, axis=1)
     p /= np.sum(p)

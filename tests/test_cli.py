@@ -1173,7 +1173,7 @@ assert cli.run(["population-scan", "--grid", "1:1.5:0.5",
 assert cli.run(["population-traj", "--out", "traj.csv"]) == 0
 assert cli.run(["fermion-steady", "--config", sys.argv[1],
                 "--out", "steady.csv"]) == 0
-fermion.oracle_deviation(2, 0, 1.0)
+fermion.oracle_deviation(2, 0, (1.0,))
 rsep.lifted_flow_residual(rsep.RsepParams(4, 10.0, 20.0, 0.1), 1.0)
 states += loaded()
 assert cli.run(["population-chaos", "--out", "chaos.csv"]) == 0
@@ -1233,6 +1233,24 @@ class TestPopulationCommands:
                             "--threads", str(threads)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_scan_bytes_do_not_depend_on_the_workers(self, tmp_path):
+        # 7 x 7 cells: a full chunk and a partial last one, one per worker
+        # at --threads 2; the rows run x2 outer, x3 inner in both
+        axis = cli._parse_grid("1.0:1.3:0.05").tolist()
+        assert len(axis) == 7 and 49 // population.SCAN_CHUNK == 1 \
+            and 49 % population.SCAN_CHUNK
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{threads}.csv"
+            assert cli.run(["population-scan", "--out", str(out),
+                            "--grid", "1.0:1.3:0.05", "--t-end", "0.02",
+                            "--threads", str(threads)]) == cli.EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = [line.split(",") for line in outs[0].decode().splitlines()[1:]]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (x2, x3) for x2 in axis for x3 in axis]
 
     def test_chaos_zero_horizon(self, tmp_path, capsys):
         out = tmp_path / "chaos.csv"

@@ -225,10 +225,56 @@ class TestEvolution:
                               1.0)
 
 
+def pair_loop_covariance(rho, N):
+    """Gamma_kl = (i/2) Tr(rho [c_k, c_l]) pair by pair, as
+    `covariance_from_density` took it before it read the commutators as one
+    stack, kept as its oracle."""
+    cs = majorana_operators(N)
+    n2 = 2 * N
+    G = np.zeros((n2, n2))
+    for k in range(n2):
+        for l in range(k + 1, n2):
+            val = 0.5j * np.trace(rho @ (cs[k] @ cs[l] - cs[l] @ cs[k]))
+            G[k, l] = val.real
+            G[l, k] = -val.real
+    return G
+
+
+def one_horizon_deviation(N, seed, t_end):
+    """`oracle_deviation` at one time, its instance built anew, as the CLI
+    took it once per horizon, kept as its oracle."""
+    h, jumps, rho0 = fermion.random_instance(N, np.random.default_rng(seed))
+    g0 = CovarianceState(pair_loop_covariance(rho0, N))
+    final, _, _ = evolve_covariance(FermionSystem(N, h, jumps), g0, t_end,
+                                    sample_times=[0, t_end])
+    oracle = pair_loop_covariance(
+        fermion.lindblad_density(h, jumps, rho0, t_end), N)
+    return float(np.max(np.abs(final.Gamma - oracle)))
+
+
 class TestOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 4))
+    def test_covariance_from_density_matches_the_pair_loop(self, seed, N):
+        rng = np.random.default_rng(seed)
+        dim = 2**N
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = rho @ rho.conj().T
+        rho /= np.trace(rho)
+        got = covariance_from_density(rho, N).Gamma
+        assert got.tobytes() == pair_loop_covariance(rho, N).tobytes()
+
+    @pytest.mark.parametrize("N, seed", [(1, 3), (2, 5), (3, 11), (4, 0)])
+    def test_deviation_over_horizons_is_the_largest_one_horizon_run(
+            self, N, seed):
+        want = max(one_horizon_deviation(N, seed, t) for t in (0.1, 1.0))
+        assert oracle_deviation(N, seed, (0.1, 1.0)) == want
+        assert oracle_deviation(N, seed, (1.0,)) \
+            == one_horizon_deviation(N, seed, 1.0)
+
     def test_oracle_matches_covariance_ode(self):
         # small spot check; the acceptance suite runs the 20-instance batch
-        dev = oracle_deviation(2, seed=5, t_end=0.5)
+        dev = oracle_deviation(2, seed=5, t_ends=(0.5,))
         assert dev < 1e-8
 
     def test_covariance_from_pure_vacuum(self):

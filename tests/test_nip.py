@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -744,6 +745,26 @@ class TestKeptOnTheModel:
                              (model.J, "vals"), (empty, "keys")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, None)
+
+    def test_an_unpickled_model_and_lift_refuse_writes(self):
+        # a scan worker started by spawn or forkserver receives the model
+        # and the lifts pickled: each is rebuilt through its constructor,
+        # a value again, and the model keeps nothing built in the parent
+        model = paper_model()
+        lift = route_lift(model, "vacancy", 3, DEMO_T_END, None)
+        back, back_lift = pickle.loads(pickle.dumps((model, lift)))
+        arrays = [back.r, back.X, *back.J.sorted_arrays()] + [
+            getattr(back_lift.op, name) for name in LIFT_FIELDS] + [
+            back_lift.step]
+        want = [model.r, model.X, *model.J.sorted_arrays()] + [
+            getattr(lift.op, name) for name in LIFT_FIELDS] + [lift.step]
+        for array, original in zip(arrays, want):
+            assert bitwise(array, original)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert back._memo == {}
+        rebuilt = route_lift(back, "vacancy", 3, DEMO_T_END, None)
+        assert bitwise(rebuilt.step, lift.step)
 
     def test_rows_one_call_each_equal_the_scan_at_once(self):
         # the benchmark's pattern: one call per x2 row on one model, its

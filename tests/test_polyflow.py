@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -792,11 +794,81 @@ class TestRNumber:
             quadratic_r_number(None, np.array([[-1.0]]), F2, np.zeros(1))
 
 
+def per_row_csv(path, header, rows) -> None:
+    """The per-value row writer that `write_csv` replaced, kept as its
+    oracle: strings as they are, integers in decimal, other numbers with 17
+    significant digits."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    lines = [[fmt(v) for v in row] for row in rows]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(lines)
+
+
+CSV_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     1e308, -1e308, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True))
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def csv_column(n):
+    """A column of n values as a handler may build it: a float or integer
+    array, or a list of Python or numpy numbers, strings, or a mix."""
+    def values(strategy):
+        return st.lists(strategy, min_size=n, max_size=n)
+
+    return st.one_of(
+        values(CSV_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+        values(CSV_FLOATS).map(lambda v: [np.float64(x) for x in v]),
+        values(CSV_FLOATS),
+        values(st.integers(-2**63, 2**63 - 1)).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        values(st.integers(0, 2**64 - 1)).map(
+            lambda v: np.array(v, dtype=np.uint64)),
+        values(st.integers(-2**31, 2**31 - 1)).map(
+            lambda v: [np.int32(x) for x in v]),
+        values(st.integers()),
+        values(CSV_TEXT),
+        values(CSV_TEXT).map(lambda v: np.array(v, dtype=object)),
+        values(st.one_of(CSV_FLOATS, st.integers(), CSV_TEXT)))
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_columns_write_the_bytes_of_the_per_value_rows(self, tmp_path,
+                                                           data):
+        n = data.draw(st.integers(0, 12))
+        columns = data.draw(st.lists(csv_column(n), min_size=1, max_size=5))
+        header = [f"c{k}" for k in range(len(columns))]
+        write_csv(tmp_path / "columns.csv", header, columns)
+        per_row_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(2), np.zeros(3)], [["a"], []], [np.zeros(1), [0.5, 1.5]],
+        [np.array([0.5, 1.0 + 2j])], [np.zeros(2, dtype=np.complex64)]])
+    def test_ragged_or_complex_columns_are_refused_before_writing(
+            self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="ragged|complex"):
+            write_csv(path, [f"c{k}" for k in range(len(columns))], columns)
+        assert not path.exists()
+
     def test_csv_formats_every_value_type(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["s", "i", "x"],
-                  [("a", 3, 0.1), ("b", np.int64(-2), np.float64(np.inf))])
+                  [("a", "b"), (3, np.int64(-2)), (0.1, np.float64(np.inf))])
         assert path.read_text().splitlines() == [
             "s,i,x", "a,3,0.10000000000000001", "b,-2,inf"]
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0 as scipy_i0
 
 from koopman_lab import spectral
@@ -99,6 +101,25 @@ class TestDecode:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             decode(5, 5)
+
+    @pytest.mark.parametrize("J", [3, 5, 401, 1001])
+    @pytest.mark.parametrize("dt", [1.0, 0.25, 0.3, 7.0])
+    def test_array_matches_each_outcome_to_the_bit(self, J, dt):
+        # the scalar decoding the CLI called once per outcome, kept as the
+        # oracle of the array one
+        def scalar(ell):
+            theta = 2.0 * np.pi * ell / J
+            if ell > (J - 1) // 2:
+                theta -= 2.0 * np.pi
+            return theta, theta / dt
+
+        want = np.array([scalar(ell) for ell in range(J)]).T
+        got = np.array(decode(np.arange(J), J, dt))
+        assert got.tobytes() == want.tobytes()
+        assert spectral.decoded_thetas(J).tobytes() == want[0].tobytes()
+        assert np.array(decode(J - 1, J, dt)).tobytes() == want[:, -1].tobytes()
+        with pytest.raises(ValueError):
+            decode(np.array([0, J]), J, dt)
 
 
 class TestTailMass:
@@ -209,6 +230,42 @@ class TestEmulation:
         T1 = suppression_time(m.gap, eps1)
         _, tv = emulate_spectral_qka(m, kaiser_window(129, 3.0), T1, 1.0)
         assert tv <= 4 * eps1 / np.sqrt(m.w_S)
+
+
+def emulate_by_snapshot(modes, window, T1, dt):
+    """The outcome distribution formed one snapshot at a time, as
+    `emulate_spectral_qka` did before it formed them as one array, kept as
+    its oracle."""
+    J = window.J
+    lam = -modes.mus + 1j * modes.omegas
+    snaps = np.empty((J, modes.a.size), dtype=complex)
+    with np.errstate(over="ignore"):
+        for j in range(J):
+            g = modes.a * np.exp(lam * (T1 + j * dt))
+            snaps[j] = window.beta[j] * (g / np.linalg.norm(g))
+    amp = np.fft.fft(snaps, axis=0) / np.sqrt(J)
+    p = np.sum(np.abs(amp)**2, axis=1)
+    return p / np.sum(p)
+
+
+class TestEmulationBits:
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(1, 60), half=st.integers(1, 500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_snapshots_as_one_array_match_the_loop(self, M, half, seed):
+        rng = np.random.default_rng(seed)
+        dt = float(rng.uniform(0.1, 2.0))
+        mus = rng.uniform(0.0, 3.0, M) * (rng.random(M) < 0.6)
+        mus[0] = 0.0  # one oscillatory mode at least
+        omegas = rng.uniform(-1.0, 1.0, M) \
+            * (np.pi - spectral.NYQUIST_MARGIN) / dt
+        a = rng.normal(size=M) + 1j * rng.normal(size=M)
+        modes = NormalKoopman(mus, omegas, a / np.linalg.norm(a))
+        window = kaiser_window(2 * half + 1, float(rng.uniform(0.5, 5.0)))
+        T1 = float(rng.uniform(0.0, 20.0))
+        p, _ = emulate_spectral_qka(modes, window, T1, dt)
+        assert p.tobytes() == emulate_by_snapshot(modes, window, T1,
+                                                  dt).tobytes()
 
 
 class TestSampling:
