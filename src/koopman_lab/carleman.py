@@ -18,17 +18,17 @@ condition.  Two bases carry it:
   and kept as its (row, column, value) triplets.  The library runs every
   lift on it.
 
-`lifted_samples` propagates a `MonomialLift`.  A lift whose Kronecker
-layout has at most DENSE_LIMIT coordinates, on its uniform grid, is
-stepped exactly by the powers P, P^2, ..., P^K of the one-sample step
-P = expm(C h) (scaling and squaring, Al-Mohy & Higham 2009) of its dense
-generator, the triplets added into a matrix; the powers are filled by
-doubling, and a (D, c) block of initial lifts takes one product per span
-of K samples and STEP_COLUMNS columns, whatever its width (`step_block`).
-Larger lifts are integrated by DOP853 at LIFT_TOL (`integrate_rhs`, which
-loads scipy.integrate on its first run) under the norm of the Kronecker
-layout, so they take the Kronecker run's steps; their applies multiply by
-a CSR matrix of the triplets, built on the first apply.
+`lifted_samples` propagates a `MonomialLift`.  A lift of at most
+DENSE_LIMIT monomials (`steps_exactly`: orders 1 to 7 of three variables),
+on its uniform grid, is stepped exactly by the powers P, P^2, ..., P^K of
+the one-sample step P = expm(C h) (scaling and squaring, Al-Mohy & Higham
+2009) of its dense generator, the triplets added into a matrix; the powers
+are filled by doubling, and a (D, c) block of initial lifts takes one
+product per span of K samples and STEP_COLUMNS columns, whatever its width
+(`step_block`).  Larger lifts are integrated by DOP853 at LIFT_TOL
+(`integrate_rhs`, which loads scipy.integrate on its first run) under the
+norm of the Kronecker layout, so they take the Kronecker run's steps; their
+applies multiply by a CSR matrix of the triplets, built on the first apply.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -62,17 +62,22 @@ from .polyflow import (
 )
 
 DIM_LIMIT = 10**8
-# Largest lift, counted in Kronecker coordinates, propagated by the exact
-# dense step.  Measured on the Kronecker layout with one BLAS thread,
-# operator and step built per run: at D = 120 (paper model, order 4) the
-# dense path takes 15-21 ms against 47-49 ms for DOP853; at D = 363 (order
-# 5) it takes 126-146 ms against 51-116 ms.
+# Largest lift, counted in monomials (`MonomialLift.total_dim`), propagated
+# by the exact dense step.  Measured on the monomial basis, one BLAS thread,
+# the paper model's lifts on both routes, each built on a fresh model and
+# run once over the default 129-sample grid: the exact step's build (system,
+# generator, expm, stack) and run took 0.9-1.4 + 0.9 ms at D = 55 (d = 3,
+# order 5), 1.7-2.6 + 1.7-2.0 ms at D = 83 (order 6) and 5.2-7.8 + 4.7-6.1
+# ms at D = 119 (order 7), against 0.4-0.8 + 5.3-5.8, 0.5-1.4 + 4.9-7.9 and
+# 0.6-1.8 + 5.3-8.0 ms for DOP853, whose first run also loads
+# scipy.integrate (0.25 s, 20 MiB).  So one run costs about the same on
+# both paths at D = 119, the largest lift under the limit.
 DENSE_LIMIT = 120
 # DOP853 tolerance of every lift above DENSE_LIMIT.
 LIFT_TOL = 1e-10
 # Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
 # P^K, K = min(n - 1, STEP_SPAN), in K D^2 8 bytes for a real lift (16 for
-# a complex one), 3.7 MB at D = 120.
+# a complex one), at most 3.7 MB for a real lift under DENSE_LIMIT.
 STEP_SPAN = 32
 # Columns of every exact-step product (`step_block`): BLAS may round a
 # column differently in a product of another width.  A multiple of the BLAS
@@ -92,9 +97,12 @@ def carleman_dimension(d: int, order: int) -> int:
 
 def steps_exactly(d: int, order: int) -> bool:
     """Whether the lift of a d-variable system at `order` takes the exact
-    step (`exact_step`): its Kronecker layout has at most DENSE_LIMIT
-    coordinates.  A larger lift is integrated by DOP853."""
-    return carleman_dimension(d, order) <= DENSE_LIMIT
+    step (`exact_step`): it has at most DENSE_LIMIT monomials,
+    comb(d + order, d) - 1, its `MonomialLift.total_dim`.  A larger lift
+    is integrated by DOP853.  The Kronecker dimension is guarded as in
+    `build_monomial_lift`."""
+    carleman_dimension(d, order)
+    return comb(d + order, d) - 1 <= DENSE_LIMIT
 
 
 def block_offsets(d: int, order: int) -> np.ndarray:
@@ -392,9 +400,9 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     """Powers P^1, ..., P^K of the one-sample step P = expm(C h) of a small
     `MonomialLift`, as a (K, D, D) stack, or None.
 
-    The step applies when the lift's Kronecker layout has at most
-    DENSE_LIMIT coordinates (`steps_exactly`) and the n samples of
-    `polyflow.sample_grid(t_end, sample_times)` are more than t = 0 alone;
+    The step applies when the lift has at most DENSE_LIMIT monomials
+    (`steps_exactly`) and the n samples of `polyflow.sample_grid(t_end,
+    sample_times)` are more than t = 0 alone;
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
     (D, D) product per doubling.  The stack is read-only.  Otherwise the
@@ -469,14 +477,14 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
 
-    A small lift is stepped exactly by the stack of
-    powers of P = expm(C h) from `exact_step`, one product per span and
-    STEP_COLUMNS columns (`step_block`), so a column's samples do not depend
-    on its block; pass that `step` to share one stack across calls.  Any
-    other lift integrates each column with DOP853 at LIFT_TOL
-    (`polyflow.integrate_rhs`).  On both paths the norm is that of the
-    Kronecker layout, each monomial weighted by `lift.multiplicities`, and
-    a column ends at divergence (that norm above DIVERGENCE_NORM).
+    A lift of at most DENSE_LIMIT monomials (`steps_exactly`) is stepped
+    exactly by the stack of powers of P = expm(C h) from `exact_step`, one
+    product per span and STEP_COLUMNS columns (`step_block`), so a column's
+    samples do not depend on its block; pass that `step` to share one stack
+    across calls.  Any larger lift integrates each column with DOP853 at
+    LIFT_TOL (`polyflow.integrate_rhs`).  On both paths the norm is that of
+    the Kronecker layout, each monomial weighted by `lift.multiplicities`,
+    and a column ends at divergence (that norm above DIVERGENCE_NORM).
 
     Returns (times, samples, kept, diverged): the n sample times, the
     (n, D, c) samples, how many leading samples each column keeps (the

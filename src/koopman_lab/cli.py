@@ -35,7 +35,7 @@ MAX_GRID_CELLS = 10**6
 # Most estimated seconds of the lifted runs of one `population-scan`,
 # `population-traj`, `carleman-error` or `nip-error` (`_lift_seconds`): the
 # default 31 x 31 grid at the default orders takes about 50 s at its largest
-# --t-end, and at --orders 2 5 about 13 s at the default --t-end.
+# --t-end, and at --orders 2 8 about 23 s at the default --t-end.
 MAX_LIFT_SECONDS = 60
 # DOP853 seconds per unit of t_end of one run of a route's lift at order n
 # with D monomials, n (a + b D n^k), as (a, b, k): the vacancy lift's
@@ -278,32 +278,38 @@ def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
     (2 cores, one BLAS thread).
 
     The cells run in chunks of `population.SCAN_CHUNK`, each one batched
-    Taylor reference and, per lift that takes the exact step, one product
-    per span: 10 ms, then per chunk 4 ms + 2.7 ms t_end, and per cell
-    0.08 ms + 0.09 ms t_end.  A lift with more than DENSE_LIMIT Kronecker
-    coordinates (`carleman.steps_exactly`) is integrated by DOP853 cell by
-    cell instead: 0.25 s once, to load scipy.integrate, then per cell 5 ms
-    + t_end n (a + b D n^k) at order n, D the lift's monomial count and
-    (a, b, k) its route's `_DOP853_RATES`.
+    Taylor reference: 10 ms, then per chunk 4 ms + 2.7 ms t_end, and per
+    cell 0.08 ms + 0.09 ms t_end.  A lift of at most DENSE_LIMIT monomials
+    (`carleman.steps_exactly`) takes the exact step: 5 ns D^3 for its expm
+    and stack, D its monomial count, and per chunk 0.35 us D^2 for its span
+    products.  A larger lift is integrated by DOP853 cell by cell instead:
+    0.25 s once, to load scipy.integrate, then per cell 5 ms + t_end n (a +
+    b D n^k) at order n, (a, b, k) its route's `_DOP853_RATES`.
     Timed as `run` in one process: `population-scan` at the default
     orders on 1, 25, 36 and 10,000 cells took 14 ms, 16 ms, 20 ms and 2.2 s
     at --t-end 0.1, 18 ms, 28 ms, 45 ms and 4.7 s at 1, and the first
-    three 0.85, 1.5 and 2.1 s at 300; `carleman-error` took 0.29, 1.0, 18
-    and 56 s at --orders 10 and --t-end 1, 10, 100 and 300, and 0.63, 11
-    and 199 s at --orders 16 and 1, 10 and 100; `nip-error` 0.63, 6.4 and
-    19 s at --orders 10 and 10, 100 and 300, and 1.6 and 24 s at --orders
-    16 and 10 and 100."""
+    three 0.85, 1.5 and 2.1 s at 300, and on its default grid 0.24 and
+    0.63 s at --orders 2 5 and 6 7; `carleman-error` took 0.25 s at its
+    default orders and --t-end 100, 0.29, 1.0, 18 and 56 s at --orders 10
+    and --t-end 1, 10, 100 and 300, and 0.63, 11 and 199 s at --orders 16
+    and 1, 10 and 100; `nip-error` 2.2 and 2.0 s at --orders 5 and 7 and
+    --t-end 1000, 0.63, 6.4 and 19 s at --orders 10 and 10, 100 and 300,
+    and 1.6 and 24 s at --orders 16 and 10 and 100."""
     chunks = -(-cells // population.SCAN_CHUNK)
     seconds = 0.01 + chunks * (4e-3 + 2.7e-3 * t_end) \
         + cells * (8e-5 + 9e-5 * t_end)
-    integrated = [(route, n) for route in routes for n in orders
-                  if not steps_exactly(dim, n)]
-    if integrated:
+    if not all(steps_exactly(dim, n) for n in orders):
         seconds += 0.25
-    for route, n in integrated:
-        a, b, k = _DOP853_RATES[route]
-        monomials = math.comb(n + dim, dim) - 1
-        seconds += cells * (5e-3 + t_end * n * (a + b * monomials * n**k))
+    for route in routes:
+        for n in orders:
+            monomials = math.comb(n + dim, dim) - 1
+            if steps_exactly(dim, n):
+                seconds += 5e-9 * monomials**3 \
+                    + chunks * 3.5e-7 * monomials**2
+            else:
+                a, b, k = _DOP853_RATES[route]
+                seconds += cells * (5e-3 + t_end * n
+                                    * (a + b * monomials * n**k))
     return seconds
 
 
@@ -513,8 +519,10 @@ def _cmd_rsep_sweep(args, cfg):
         rows = rsep.sweep(params, args.t_end)
     except rsep.PoleError as exc:
         raise NumericalError(str(exc))
-    write_csv(args.out, ["beta", "gamma", "delta", "d", "R_x_lower_bound",
-                         "R_x", "R_eta", "equiv_residual"], list(zip(*rows)))
+    header = ["beta", "gamma", "delta", "d", "R_x_lower_bound", "R_x",
+              "R_eta", "equiv_residual"]
+    write_csv(args.out, header,
+              [[row[k] for row in rows] for k in range(len(header))])
     return EXIT_OK
 
 
@@ -693,9 +701,10 @@ _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 # Each command's largest --t-end, so that its largest run takes a minute at
 # most: per unit of t_end `population-scan` takes 0.18 s on its 31 x 31
 # grid, `population-traj` 2.6 ms, `population-chaos` 2.0 ms (its 2001
-# samples keep the memory fixed), `carleman-error` 27 ms, `nip-error` 19 ms
-# and `rsep-sweep` 20 ms per d = 100 point (2 cores, one BLAS thread).  The
-# fermion flows' one exact step overflows to nan from t_end ~ 1e50.
+# samples keep the memory fixed), `carleman-error` and `nip-error` 3.1 ms
+# at their default orders and `rsep-sweep` 20 ms per d = 100 point (2
+# cores, one BLAS thread).  The fermion flows' one exact step overflows to
+# nan from t_end ~ 1e50.
 _COMMANDS = {
     "population-scan": _Command(
         _cmd_population_scan, _LIFT + ("--grid", "--threads"),

@@ -659,9 +659,12 @@ def _formatted(column) -> list:
 def write_csv(path, header, columns) -> None:
     """CSV of equal-length `columns` under `header`, one row per index, so
     that reruns write the same bytes: floats with 17 significant digits,
-    integers in decimal and strings as they are (`_formatted`).  Ragged
-    columns and complex values are refused (ValueError) before the file is
-    opened."""
+    integers in decimal and strings as they are (`_formatted`).  Columns
+    not one per header name, ragged columns and complex values are refused
+    (ValueError) before the file is opened."""
+    if len(columns) != len(header):
+        raise ValueError(f"refusing to write {len(columns)} columns under "
+                         f"{len(header)} header names to CSV")
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"refusing to write ragged columns of lengths "
                          f"{[len(column) for column in columns]} to CSV")

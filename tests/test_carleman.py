@@ -345,11 +345,24 @@ class TestMonomialLift:
         with pytest.raises(OverflowGuardError):
             build_monomial_lift(linear_system(-np.eye(10)), 9)
 
-    @pytest.mark.parametrize("order, exact", [(4, True), (5, False)])
-    def test_dense_limit_counts_kronecker_coordinates(self, order, exact,
-                                                      monkeypatch):
-        # d = 3: 34 monomials stand for 120 Kronecker coordinates at order
-        # 4, 55 for 363 at order 5
+    @pytest.mark.parametrize("d, order", [(d, n) for d in range(1, 6)
+                                          for n in range(1, 9)]
+                             + [(2, 13), (2, 14), (2, 15)])
+    def test_dense_limit_counts_monomials(self, d, order):
+        # the rule reads the lift's own coordinate count, not the Kronecker
+        # one: at d = 2, 119 monomials at order 14, 135 at order 15
+        lift = build_monomial_lift(linear_system(-np.eye(d)), order)
+        assert carleman.steps_exactly(d, order) \
+            is (lift.total_dim <= DENSE_LIMIT)
+        grid = np.linspace(0.0, 0.5, 3)
+        assert (exact_step(lift, 0.5, grid) is not None) \
+            is carleman.steps_exactly(d, order)
+
+    @pytest.mark.parametrize("order, exact", [(7, True), (8, False)])
+    def test_dense_limit_selects_the_path_by_monomials(self, order, exact,
+                                                       monkeypatch):
+        # d = 3: 119 monomials stand for 3,279 Kronecker coordinates at
+        # order 7, 164 for 9,840 at order 8
         sys, _, _ = random_quadratic(3, seed=24, scale=0.1)
         lift = build_monomial_lift(sys, order)
         grid = np.linspace(0.0, 0.5, 17)
@@ -508,9 +521,10 @@ class TestExactStep:
                                    np.exp(-grid)[:, None] * np.ones(d),
                                    rtol=0, atol=1e-8)
 
-    def test_integrated_run_frees_its_lift(self):
+    def test_integrated_run_frees_its_lift(self, monkeypatch):
         # scipy's solver sits in a reference cycle that holds the lift; the
         # run frees it without waiting for the automatic collector
+        monkeypatch.setattr(carleman, "DENSE_LIMIT", 0)
         sys, _, _ = random_quadratic(3, seed=24, scale=0.1)
         lift = build_monomial_lift(sys, 5)
         grid = np.linspace(0.0, 0.5, 17)

@@ -665,9 +665,10 @@ class TestExitCodes:
     def test_dop853_scan_work_checked_before_any_flow(self, tmp_path,
                                                       capsys, monkeypatch):
         # an order whose lifts are integrated by DOP853 weighs on the
-        # estimate: the default grid at --orders 2 5 reaches the flow, a
+        # estimate: the default grid at --orders 2 8 reaches the flow, a
         # larger grid, a longer horizon or the top orders are refused
-        # before it, and the larger grid at exactly stepped orders is not
+        # before it, and the larger grid at the top exactly stepped orders
+        # is not
         seen = []
 
         def record(model, **kwargs):
@@ -677,13 +678,13 @@ class TestExitCodes:
         monkeypatch.setattr(population, "convergence_scan", record)
         out = tmp_path / "o.csv"
         base = ["population-scan", "--out", str(out)]
-        assert not carleman.steps_exactly(3, 5) \
-            and carleman.steps_exactly(3, 4)
-        assert cli.run(base + ["--orders", "2", "5"]) == cli.EXIT_NUMERICAL
+        assert not carleman.steps_exactly(3, 8) \
+            and carleman.steps_exactly(3, 7)
+        assert cli.run(base + ["--orders", "2", "8"]) == cli.EXIT_NUMERICAL
         capsys.readouterr()
         for extra, cells, orders, t_end in (
-                (["--grid", "0.5:2.0:0.02"], 76**2, (2, 5), 0.1),
-                (["--t-end", "2"], 961, (2, 5), 2.0),
+                (["--grid", "0.5:2.0:0.02"], 76**2, (2, 8), 0.1),
+                (["--t-end", "2"], 961, (2, 8), 2.0),
                 ([], 961, (15, 16), 0.1)):
             assert cli.run(base + extra + ["--orders", *map(str, orders)]) \
                 == cli.EXIT_CONFIG
@@ -695,9 +696,9 @@ class TestExitCodes:
                 f"{cells} cells at orders {orders[0]} {orders[1]} and t_end "
                 f"{t_end!r}, about {seconds:.3g} s, above "
                 f"{cli.MAX_LIFT_SECONDS} s")
-        assert cli.run(base + ["--grid", "0.5:2.0:0.02", "--orders", "3",
-                               "4"]) == cli.EXIT_NUMERICAL
-        assert seen == [(2, 5), (3, 4)]
+        assert cli.run(base + ["--grid", "0.5:2.0:0.02", "--orders", "6",
+                               "7"]) == cli.EXIT_NUMERICAL
+        assert seen == [(2, 8), (6, 7)]
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flow, refused, admitted", [
@@ -742,13 +743,15 @@ class TestExitCodes:
         (["population-scan", "--grid", "0.5:2.0:0.015"], 2.04),
         (["population-scan", "--grid", "0.5:1.985:0.015", "--t-end", "1"],
          4.68),
-        (["population-scan", "--orders", "2", "5"], 13.2),
+        (["population-scan", "--orders", "2", "5"], 0.244),
+        (["population-scan", "--orders", "6", "7"], 0.629),
         (["population-traj", "--t-end", "1000"], 2.93),
         (["carleman-error", "--orders", "10", "--t-end", "300"], 55.9),
         (["carleman-error", "--orders", "16", "--t-end", "100"], 199.0),
-        (["carleman-error", "--t-end", "100"], 2.32),
+        (["carleman-error", "--t-end", "100"], 0.253),
         (["nip-error", "--orders", "16", "--t-end", "100"], 24.1),
-        (["nip-error", "--orders", "5", "--t-end", "1000"], 12.4),
+        (["nip-error", "--orders", "5", "--t-end", "1000"], 2.23),
+        (["nip-error", "--orders", "7", "--t-end", "1000"], 2.04),
     ])
     def test_lift_work_estimate_covers_the_timed_runs(self, argv, timed):
         # no estimate falls below a timed run by more than a factor of 2
@@ -1159,6 +1162,8 @@ class TestExitCodes:
 
 
 COLD_START = """
+import contextlib
+import io
 import sys
 import numpy as np
 from koopman_lab import cli, fermion, polyflow, rsep
@@ -1171,6 +1176,11 @@ states = loaded()
 assert cli.run(["population-scan", "--grid", "1:1.5:0.5",
                 "--out", "scan.csv"]) == 0
 assert cli.run(["population-traj", "--out", "traj.csv"]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["carleman-error", "--out", "carleman.csv"]) == 0
+    assert cli.run(["nip-error", "--out", "nip.csv"]) == 0
+assert cli.run(["population-scan", "--grid", "1:1.5:0.5", "--orders", "2",
+                "5", "--out", "scan25.csv"]) == 0
 assert cli.run(["fermion-steady", "--config", sys.argv[1],
                 "--out", "steady.csv"]) == 0
 fermion.oracle_deviation(2, 0, (1.0,))
@@ -1201,12 +1211,14 @@ class TestColdStart:
         chaos_printed, loaded = proc.stdout.splitlines()
         # (scipy.integrate, scipy.sparse.linalg) after the import; after a
         # 2 x 2 scan at orders 1 and 3, the default trajectory comparison,
-        # the covariance steady state, the density-matrix oracle and the
-        # rsep lift; after the chaos run, whose eta flow is a Taylor flow;
-        # and after a DOP853 run.  Only scipy.integrate's own import loads
-        # scipy.sparse.linalg.
+        # both error profiles at their default orders 1, 3 and 6, a 2 x 2
+        # scan at orders 2 and 5, the covariance steady state, the
+        # density-matrix oracle and the rsep lift; after the chaos run,
+        # whose eta flow is a Taylor flow; and after a DOP853 run.  Only
+        # scipy.integrate's own import loads scipy.sparse.linalg.
         assert loaded.split() == ["False"] * 6 + ["True", "True"]
         assert len((lazy / "scan.csv").read_text().splitlines()) == 5
+        assert len((lazy / "scan25.csv").read_text().splitlines()) == 5
         proc = run_python(["-c", EAGER_CHAOS], eager)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == chaos_printed + "\n"
@@ -1225,13 +1237,19 @@ class TestPopulationCommands:
         assert "x3_nip" in header
 
     def test_scan_deterministic_across_threads(self, tmp_path):
+        # 6 x 6 cells are two chunks, so at --threads 2 two workers each
+        # step them by the order-5 exact stacks they unpickle
+        assert population.SCAN_CHUNK < 36 <= 2 * population.SCAN_CHUNK
+        assert carleman.steps_exactly(3, 5)
         outs = []
         for threads, name in ((1, "a.csv"), (2, "b.csv")):
             out = tmp_path / name
             assert cli.run(["population-scan", "--out", str(out),
-                            "--grid", "0.95:1.05:0.1", "--t-end", "0.02",
+                            "--grid", "1.0:1.25:0.05", "--orders", "2", "5",
+                            "--t-end", "0.02",
                             "--threads", str(threads)]) == 0
             outs.append(out.read_bytes())
+        assert len(outs[0].splitlines()) == 37
         assert outs[0] == outs[1]
 
     def test_scan_bytes_do_not_depend_on_the_workers(self, tmp_path):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopman_lab import nip, population
+from koopman_lab import carleman, nip, population
 from koopman_lab.carleman import (
-    DENSE_LIMIT,
     LIFT_TOL,
     STEP_SPAN,
     build_carleman,
@@ -356,11 +355,12 @@ class TestPaperVacancyRoute:
                                                 axis=1)))
         assert errors[0] > errors[1] > errors[2]
 
-    @pytest.mark.parametrize("order", [5, 6])
+    @pytest.mark.parametrize("order", [5, 6, 8])
     def test_lifted_error_is_the_truncation_error(self, demo, order):
-        # at orders 5 and 6 the lift runs DOP853 at LIFT_TOL; the printed
-        # eps_max is that of the Kronecker lift integrated at 1e-12, so it
-        # is the truncation error and not the integrator's
+        # orders 5 and 6 take the exact step, order 8 runs DOP853 at
+        # LIFT_TOL; the printed eps_max is that of the Kronecker lift
+        # integrated at 1e-12, so it is the truncation error and not the
+        # integrator's (order 8 fails with LIFT_TOL loosened to 1e-5)
         model, grid, ref = demo
         run = vacancy_evolve(model, DEMO_X0, order, DEMO_T_END,
                              sample_times=grid, reference=ref)
@@ -410,6 +410,35 @@ class TestExactPropagation:
         assert not dense.diverged and not oracle.diverged
         np.testing.assert_allclose(dense.states[:, :3], oracle.states[:, :3],
                                    rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("order", [5, 6])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_block1_matches_kronecker_expm_steps(self, route, order):
+        # lifts of 55 and 83 monomials take the exact step; block 1 is that
+        # of the Kronecker lift (363 and 1,092 coordinates) stepped sample
+        # by sample by its own expm, to roundoff
+        model = paper_model()
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        lift = route_lift(model, route, order, DEMO_T_END, grid)
+        assert lift.step is not None
+        assert lift.op.total_dim <= carleman.DENSE_LIMIT < lift.op.kron_dim
+        X0s = [IN_BALL_X0, DEMO_X0]
+        G0 = lift.op.initial_lift(np.array(
+            [route_start(model, route, x0) for x0 in X0s])).T
+        _, samples, kept, diverged = lifted_samples(
+            lift.op, G0, DEMO_T_END, grid, lift.step)
+        assert kept.tolist() == [grid.size] * 2 and not diverged.any()
+        C = build_carleman(route_system(model, route, order), order).dense()
+        assert C.shape[0] <= 1092 and not C.imag.any()
+        P = expm(C.real * (DEMO_T_END / (grid.size - 1)))
+        oracle = [np.column_stack([initial_lift(
+            route_start(model, route, x0), order).data.real for x0 in X0s])]
+        for _ in range(grid.size - 1):
+            oracle.append(P @ oracle[-1])
+        oracle = np.array(oracle)[:, :3]
+        scale = np.max(np.abs(oracle), axis=(0, 1))
+        assert np.all(np.max(np.abs(samples[:, :3] - oracle), axis=(0, 1))
+                      <= 1e-13 * scale)
 
     def test_diverging_scan_cell_matches_event_path(self):
         # far from capacity the order-4 mode lift passes the divergence norm
@@ -525,7 +554,12 @@ class TestSpanStepping:
 class TestWeightedDop853Path:
     # Lifts above DENSE_LIMIT run DOP853 on the monomial coordinates under
     # the norm of the Kronecker layout; the Kronecker run at the same tol,
-    # LIFT_TOL, is the oracle.
+    # LIFT_TOL, is the oracle.  DENSE_LIMIT is 0 here, so that orders 5
+    # and 6, which take the exact step, keep an oracle of their DOP853 run.
+    @pytest.fixture(autouse=True)
+    def no_exact_step(self, monkeypatch):
+        monkeypatch.setattr(carleman, "DENSE_LIMIT", 0)
+
     @pytest.mark.parametrize("x0", [IN_BALL_X0, DEMO_X0],
                              ids=["in-ball", "out-of-ball"])
     @pytest.mark.parametrize("order", [5, 6, 8])
@@ -534,7 +568,7 @@ class TestWeightedDop853Path:
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
         lift, run = monomial_run(model, route, x0, order, grid)
-        assert lift.step is None and lift.op.kron_dim > DENSE_LIMIT
+        assert lift.step is None
         oracle = kronecker_oracle(model, route, x0, order, grid,
                                   tol=LIFT_TOL)
         assert not run.diverged and not oracle.diverged

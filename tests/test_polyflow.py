@@ -876,5 +876,16 @@ class TestSerialization:
     def test_csv_refuses_complex_values(self, tmp_path, value):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="complex"):
-            write_csv(path, ["x"], [(0.0,), (value,)])
+            write_csv(path, ["x", "y"], [(0.0,), (value,)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, columns", [
+        (["x"], [(0.0,), (1.0,)]), (["x", "y", "z"], [(0.0,), (1.0,)]),
+        (["x"], []), ([], [(0.0,)])])
+    def test_csv_refuses_columns_not_one_per_name(self, tmp_path, header,
+                                                  columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"{len(columns)} columns under "
+                           f"{len(header)} header names"):
+            write_csv(path, header, columns)
         assert not path.exists()
