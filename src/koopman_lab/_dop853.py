@@ -66,33 +66,25 @@ def _initial_step(rhs, y0, t_end, tol, weights):
 
 def solve(rhs, x0: np.ndarray, t_end: float, tol: float, sample_times,
           weights=None):
-    """scipy's `solve_ivp` result for DOP853 from x0 over [0, t_end] at
-    rtol = atol = tol, stopped by a terminal event when the norm passes
-    DIVERGENCE_NORM (status 1).  With `weights`, the solver is
-    `WeightedDOP853`, its first step `_initial_step`, and the event norm
-    sqrt(sum_i w_i |x_i|^2)."""
-    if weights is None:
-        norm, method, options = np.linalg.norm, "DOP853", {}
-    else:
-        weights = np.asarray(weights, dtype=float)
-        root = np.sqrt(weights)
-
-        def norm(y):
-            return np.linalg.norm(root * y)
-
-        method = WeightedDOP853
-        options = {"weights": weights, "first_step": _initial_step(
-            rhs, x0, t_end, tol, weights)}
+    """scipy's `solve_ivp` result for `WeightedDOP853` from x0 over [0,
+    t_end] at rtol = atol = tol, its first step `_initial_step`, stopped by
+    a terminal event when the norm sqrt(sum_i w_i |x_i|^2) passes
+    DIVERGENCE_NORM (status 1).  `weights` None counts every component
+    once, which gives scipy's DOP853 to the bit."""
+    weights = np.ones(np.shape(x0)) if weights is None \
+        else np.asarray(weights, dtype=float)
+    root = np.sqrt(weights)
 
     def blow_up(t, y):
-        return norm(y) - DIVERGENCE_NORM
+        return np.linalg.norm(root * y) - DIVERGENCE_NORM
 
     blow_up.terminal = True
     blow_up.direction = 1
 
-    sol = solve_ivp(rhs, (0.0, t_end), x0, method=method, rtol=tol,
+    sol = solve_ivp(rhs, (0.0, t_end), x0, method=WeightedDOP853, rtol=tol,
                     atol=tol, t_eval=sample_times, events=blow_up,
-                    dense_output=False, **options)
+                    dense_output=False, weights=weights,
+                    first_step=_initial_step(rhs, x0, t_end, tol, weights))
     # scipy's solver keeps itself in a reference cycle (its `fun` closure),
     # which holds the run's stages and `rhs` with whatever it closes over,
     # such as a lift's generator.  Code that allocates few Python objects

@@ -28,7 +28,8 @@ product per span of K samples and STEP_COLUMNS columns, whatever its width
 (`step_block`).  Larger lifts are integrated by DOP853 at LIFT_TOL
 (`integrate_rhs`, which loads scipy.integrate on its first run) under the
 norm of the Kronecker layout, so they take the Kronecker run's steps; their
-applies multiply by a CSR matrix of the triplets, built on the first apply.
+applies multiply by a CSR matrix of the triplets, which a lift, a frozen
+value, builds once.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -40,7 +41,8 @@ layout, the tests' oracle, stays complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -95,14 +97,18 @@ def carleman_dimension(d: int, order: int) -> int:
     return total
 
 
+def monomial_count(d: int, order: int) -> int:
+    """Monomials of degree 1 to `order` in d variables: a lift's total_dim."""
+    return comb(d + order, d) - 1
+
+
 def steps_exactly(d: int, order: int) -> bool:
     """Whether the lift of a d-variable system at `order` takes the exact
-    step (`exact_step`): it has at most DENSE_LIMIT monomials,
-    comb(d + order, d) - 1, its `MonomialLift.total_dim`.  A larger lift
-    is integrated by DOP853.  The Kronecker dimension is guarded as in
-    `build_monomial_lift`."""
+    step (`exact_step`): it has at most DENSE_LIMIT monomials
+    (`monomial_count`).  A larger lift is integrated by DOP853.  The
+    Kronecker dimension is guarded as in `build_monomial_lift`."""
     carleman_dimension(d, order)
-    return comb(d + order, d) - 1 <= DENSE_LIMIT
+    return monomial_count(d, order) <= DENSE_LIMIT
 
 
 def block_offsets(d: int, order: int) -> np.ndarray:
@@ -233,7 +239,7 @@ def initial_lift(z0: np.ndarray, order: int) -> LiftedState:
         [kron_power(z0, k) for k in range(1, order + 1)]))
 
 
-@dataclass
+@dataclass(eq=False, frozen=True)
 class MonomialLift:
     """Lifted generator on the symmetric-monomial basis.
 
@@ -250,8 +256,8 @@ class MonomialLift:
     from the triplets when asked for: `dense()`, which the exact step
     reads, adds them into a dense matrix; `apply`, which only the lifts
     integrated by DOP853 call, multiplies by a CSR matrix of them, built on
-    the first apply and kept.  Its arrays are read-only, also in another
-    process, as a pickled lift is rebuilt through the constructor.
+    the first apply and kept (`_csr`).  A lift is a value: its fields
+    cannot be rebound and its arrays are read-only.
     """
 
     dim: int
@@ -265,27 +271,24 @@ class MonomialLift:
     offsets: np.ndarray       # degree k starts at offsets[k-1]; D at the end
     parents: np.ndarray
     factors: np.ndarray
-    _csr: csr_matrix = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rows", "cols", "vals", "exponents", "multiplicities",
                      "offsets", "parents", "factors"):
             getattr(self, name).flags.writeable = False
 
-    def __reduce__(self):
-        return MonomialLift, tuple(getattr(self, f.name)
-                                   for f in fields(self) if f.init)
-
     @property
     def total_dim(self) -> int:
         return self.exponents.shape[0]
 
+    @cached_property
+    def _csr(self) -> csr_matrix:
+        size = self.total_dim
+        return csr_matrix((self.vals, (self.rows, self.cols)),
+                          shape=(size, size))
+
     def apply(self, g: np.ndarray) -> np.ndarray:
         """C g for a lifted vector or a (D, m) block of them."""
-        if self._csr is None:
-            size = self.total_dim
-            self._csr = csr_matrix((self.vals, (self.rows, self.cols)),
-                                   shape=(size, size))
         return self._csr @ g
 
     def dense(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import fermion, nip, population, rsep, spectral
-from .carleman import steps_exactly
+from .carleman import monomial_count, steps_exactly
 from .polyflow import GRID_SAMPLES, sample_grid, write_csv
 
 EXIT_OK = 0
@@ -302,7 +302,7 @@ def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
         seconds += 0.25
     for route in routes:
         for n in orders:
-            monomials = math.comb(n + dim, dim) - 1
+            monomials = monomial_count(dim, n)
             if steps_exactly(dim, n):
                 seconds += 5e-9 * monomials**3 \
                     + chunks * 3.5e-7 * monomials**2

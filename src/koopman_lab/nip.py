@@ -23,7 +23,8 @@ are measured as one array against those arrays (`route_runs`).
 per-sample eps, eps_max and whether a sample met the back map's pole.
 The mode system, each route's system and each lift with its exact-step
 stack depend on the model alone, so each is built once and kept on the
-model for the calls that follow (`PopulationModel._memo`).
+model for the calls that follow (`PopulationModel._memo`): each a frozen
+value, found by its name (route, order, grid), never passed beside it.
 The model is real, so the reference, the lifts, their exact-step stacks
 and the errors are all float64 arrays.
 """
@@ -69,8 +70,8 @@ class PopulationModel:
     r: np.ndarray
     X: np.ndarray
     J: SparseTensor  # degree 2; entry (i, (j, k)) couples eta_j eta_k into i
-    # a model is a value, so what is built from it is kept here, its one
-    # mutable field, and never goes stale
+    # what is built from the model is kept here, its one mutable field:
+    # values found by name (the mode system, a route's system, a lift)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -310,25 +311,18 @@ def route_system(model: PopulationModel, route: str,
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, frozen=True)
 class RouteLift:
     """One route's lifted generator at one order and, for a small lift, the
-    stack of its exact steps on one sample grid (see `carleman.exact_step`).
+    read-only stack of its exact steps on one grid (`carleman.exact_step`).
 
-    It does not depend on the initial condition, so one instance serves
-    every run of that route and order on that grid.  Its stack is
-    read-only, also when a scan worker unpickles it.
+    It does not depend on the initial condition, so one instance, kept on
+    the model by `route_lift`, serves every run of that route and order on
+    that grid.  Like the lift, it is a value.
     """
 
     op: MonomialLift
     step: np.ndarray | None
-
-    def __post_init__(self):
-        if self.step is not None:
-            self.step.flags.writeable = False
-
-    def __reduce__(self):
-        return RouteLift, (self.op, self.step)
 
 
 def route_lift(model: PopulationModel, route: str, order: int,
@@ -368,11 +362,12 @@ def _route_errors(references: ReferenceSamples, g1, kept, diverged,
                        np.any(valid & np.isnan(eps), axis=1))
 
 
-def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
-               sample_times, references: ReferenceSamples,
-               lift: RouteLift) -> RouteErrors:
-    """Truncation errors of `route` from each row of X0s, measured against
-    the matching row of `references`, all on the shared `lift`.
+def route_runs(model: PopulationModel, X0s, route: str, order: int,
+               t_end: float, sample_times,
+               references: ReferenceSamples) -> RouteErrors:
+    """Truncation errors of `route` at `order` from each row of X0s,
+    measured against the matching row of `references`, all on the one lift
+    of that route, order and grid kept on the model (`route_lift`).
 
     The lifts start as the columns of one block, propagated by
     `carleman.lifted_samples` (stepped exactly, or integrated column by
@@ -385,6 +380,7 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
         (Z0, _), back_map = _back_map(eta), None
     else:
         Z0, back_map = eta, _eta_to_y_rows
+    lift = route_lift(model, route, order, t_end, sample_times)
     G0 = lift.op.initial_lift(Z0).T
     _, samples, kept, diverged = lifted_samples(
         lift.op, G0, t_end, sample_times, lift.step)
@@ -394,8 +390,8 @@ def route_runs(model: PopulationModel, X0s, route: str, t_end: float,
 
 def _route_run(model, x0, route, order, t_end, sample_times,
                reference) -> TruncationRun:
-    """One `route_runs` run on the route's own lift, against `reference`,
-    else `reference_y_samples`."""
+    """One `route_runs` run against `reference`, else
+    `reference_y_samples`."""
     sample_times = sample_grid(t_end, sample_times)
     if reference is None:
         references = reference_y_samples(model, [x0], t_end,
@@ -410,8 +406,8 @@ def _route_run(model, x0, route, order, t_end, sample_times,
         y[0, :k] = reference.states
         references = ReferenceSamples(reference.times, y, np.array([k]),
                                       np.array([reference.diverged]))
-    runs = route_runs(model, [x0], route, t_end, sample_times, references,
-                      route_lift(model, route, order, t_end, sample_times))
+    runs = route_runs(model, [x0], route, order, t_end, sample_times,
+                      references)
     kept = int(runs.kept[0])
     y = Trajectory(references.times[:kept], runs.y[0, :kept],
                    diverged=bool(runs.diverged[0]))
@@ -424,9 +420,9 @@ def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
                    reference: Trajectory = None) -> TruncationRun:
     """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
 
-    The run builds its own `route_lift`; `route_runs` shares one lift
-    across initial conditions, with the same bits.  `tol` does not apply
-    (DOP853 runs at `carleman.LIFT_TOL`); ROADMAP item 2 removes the slot.
+    The run is `route_runs` on one initial condition, with the same bits
+    as in a batch.  `tol` does not apply (DOP853 runs at
+    `carleman.LIFT_TOL`); ROADMAP item 2 removes the slot.
     """
     return _route_run(model, x0, "vacancy", order, t_end, sample_times,
                       reference)

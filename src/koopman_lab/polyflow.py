@@ -1,7 +1,7 @@
 """Polynomial vector fields, reference integration, the matrix norms used
 by every other module, and the one CSV formatter of the command outputs.
 
-A system dx/dt = sum_k F_k x^(tensor k) is stored as a list of sparse
+A system dx/dt = sum_k F_k x^(tensor k) is stored as a tuple of sparse
 coefficient tensors, each built once from arrays of entries
 (`SparseTensor.from_arrays`).  The degree-0 tensor is a plain vector
 (constant drive), degree 1 a matrix, and degree k maps the k-fold Kronecker
@@ -212,14 +212,16 @@ class SparseTensor:
         return cls.from_arrays(degree, d, rows, cols, mat[rows, flat])
 
 
-@dataclass
+@dataclass(eq=False, frozen=True)
 class PolySystem:
-    """dx/dt = sum_k F_k x^(tensor k), tensors indexed by degree 0..N."""
+    """dx/dt = sum_k F_k x^(tensor k), tensors indexed by degree 0..N.
+    A value: the tensors, given as any sequence, are kept as a tuple."""
 
     dim: int
-    tensors: list  # SparseTensor per degree; index = degree
+    tensors: tuple  # SparseTensor or None per degree; index = degree
 
     def __post_init__(self):
+        object.__setattr__(self, "tensors", tuple(self.tensors))
         for k, t in enumerate(self.tensors):
             if t is None:
                 continue
@@ -366,13 +368,14 @@ def integrate_rhs(rhs, x0: np.ndarray, t_end: float, tol: float,
                   sample_times=None, weights=None) -> Trajectory:
     """Shared adaptive integrator: DOP853 pair with mixed abs/rel control.
 
-    With `weights`, component i counts as weights[i] equal components in
-    the error estimate (`_dop853.WeightedDOP853`), the initial step and
-    the divergence norm sqrt(sum_i w_i |x_i|^2); without, every component
-    counts once.  The samples are `sample_grid(t_end, sample_times)`, and
-    a grid of t = 0 alone takes no step.  The solver module, and with it
-    scipy.integrate, is imported on the first call.  The states are
-    float64 for a real x0 (and rhs), complex128 for a complex one.
+    Every run is `_dop853.WeightedDOP853`: component i counts as
+    weights[i] equal components in the error estimate, the initial step
+    and the divergence norm sqrt(sum_i w_i |x_i|^2), and without `weights`
+    as one, which is scipy's DOP853 to the bit.  The samples are
+    `sample_grid(t_end, sample_times)`, and a grid of t = 0 alone takes no
+    step.  The solver module, and with it scipy.integrate, is imported on
+    the first call.  The states are float64 for a real x0 (and rhs),
+    complex128 for a complex one.
     """
     x0 = as_values(x0)
     times = sample_grid(t_end, sample_times)
@@ -480,7 +483,8 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
     formed at a guess of the whole horizon, each later one at the row's
     previous step.  Rows keep their own times and steps, so a
     row's bits do not depend on its batch.  A step that no longer advances
-    a row's time raises StepUnderflowError.  Divergence is a check on
+    a row's time raises FloatingPointError when the row's expansion
+    overflowed, else StepUnderflowError.  Divergence is a check on
     samples and step ends: a row ends before its first sample past
     DIVERGENCE_NORM and is marked diverged, as it is when a step end
     passes the norm, between samples or after the last one.
@@ -517,6 +521,10 @@ def taylor_samples(sys: PolySystem, X0: np.ndarray, t_end: float,
             end = t + h
             if not np.all(end > t):
                 r = np.argmin(end > t)
+                if not np.isfinite(coef[:, r]).all():
+                    raise FloatingPointError(
+                        f"Taylor flow: at t = {t[r]:.6g} the expansion's "
+                        f"coefficients overflowed")
                 raise StepUnderflowError(
                     f"Taylor flow: at t = {t[r]:.6g} a step of {h[r]:.3g} "
                     f"no longer advances the time at tol {TAYLOR_TOL:g}")

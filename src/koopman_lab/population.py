@@ -102,17 +102,15 @@ def _verdict(low, high):
                      ["converged", "diverged", "pole-invalid"], "diverged")
 
 
-def _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
-                 references):
+def _route_cells(X0s, route, model, orders, t_end, sample_times, references):
     """Verdicts, low-order and high-order errors of one route at the cells
     of a chunk, each lift stepped as one block."""
-    low, high = (route_runs(model, X0s, route, t_end, sample_times,
-                            references, lifts[route, n])
-                 for n in orders)
+    low, high = (route_runs(model, X0s, route, n, t_end, sample_times,
+                            references) for n in orders)
     return _verdict(low, high), low.eps_max, high.eps_max
 
 
-def _scan_chunk(X0s, model, orders, t_end, sample_times, lifts):
+def _scan_chunk(X0s, model, orders, t_end, sample_times):
     """Cells of one chunk: one batched reference, mapped to y once, then
     each route's lifts.  A route's lifted samples are dropped before the
     next route runs.  Returns the carleman and nip verdicts, then eps_c low
@@ -120,9 +118,8 @@ def _scan_chunk(X0s, model, orders, t_end, sample_times, lifts):
     references = reference_y_samples(model, X0s, t_end,
                                      sample_times=sample_times)
     (c_verdict, c_low, c_high), (k_verdict, k_low, k_high) = (
-        _route_cells(X0s, route, model, orders, t_end, sample_times, lifts,
-                     references)
-        for route in ROUTES)
+        _route_cells(X0s, route, model, orders, t_end, sample_times,
+                     references) for route in ROUTES)
     return c_verdict, k_verdict, c_low, c_high, k_low, k_high
 
 
@@ -152,11 +149,12 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     the model, built by the first call that needs them, and every cell
     shares them.  The cells, in grid order, are cut into chunks of
     SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
-    workers the pool maps chunks.  A cell's numbers do not depend on its
-    chunk's other cells: they are the bits of `nip_evolve` and
-    `vacancy_evolve` at its x0 alone.  The chunks' arrays are joined in
-    grid order, so the result does not depend on the thread count.
-    `threads` None runs in this process, as 1 does.
+    workers the pool maps chunks, the lifts built first so that forked
+    workers inherit them (a spawned one builds each once).  A cell's
+    numbers do not depend on its chunk's other cells: they are the bits
+    of `nip_evolve` and `vacancy_evolve` at its x0 alone.  The chunks'
+    arrays are joined in grid order, so the result does not depend on the
+    thread count.  `threads` None runs in this process, as 1 does.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -169,15 +167,16 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     if len(orders) != 2 or orders[0] >= orders[1]:
         raise ValueError("orders must be (low, high) with low < high")
     sample_times = sample_grid(t_end)
-    lifts = {(route, n): route_lift(model, route, n, t_end, sample_times)
-             for route in ROUTES for n in orders}
-    shared = (model, tuple(orders), t_end, sample_times, lifts)
+    shared = (model, tuple(orders), t_end, sample_times)
     points = np.array([[x1_fixed, x2, x3]
                        for x2 in x2_range for x3 in x3_range])
     chunks = [points[i:i + SCAN_CHUNK]
               for i in range(0, len(points), SCAN_CHUNK)]
     workers = 1 if threads is None else worker_count(threads, len(chunks))
     if workers > 1:
+        for route in ROUTES:
+            for n in orders:
+                route_lift(model, route, n, t_end, sample_times)
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_set_shared,
                                  initargs=(shared,)) as pool:

@@ -889,7 +889,7 @@ class TestExitCodes:
         value = str(out) if flag == "--out" else FLAG_VALUES[flag]
         code = cli.run(argv + [flag, value])
         assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
+        err, = capsys.readouterr().err.strip().splitlines()
         assert flag in err and "Traceback" not in err
         assert not out.exists()
 
@@ -1238,7 +1238,7 @@ class TestPopulationCommands:
 
     def test_scan_deterministic_across_threads(self, tmp_path):
         # 6 x 6 cells are two chunks, so at --threads 2 two workers each
-        # step them by the order-5 exact stacks they unpickle
+        # step them by the order-5 exact stacks kept on the model
         assert population.SCAN_CHUNK < 36 <= 2 * population.SCAN_CHUNK
         assert carleman.steps_exactly(3, 5)
         outs = []
@@ -1309,6 +1309,23 @@ class TestPopulationCommands:
         else:
             traj = population.chaos_demo(model, x0, 0.5).trajectory
         assert traj.diverged and np.all(traj.states.real > 0)
+
+    @pytest.mark.parametrize("command", ["population-traj", "nip-error"])
+    def test_an_overflowing_expansion_is_named(self, tmp_path, capsys,
+                                               command):
+        # r_1 = 1e300: the reference's first Taylor expansion overflows at
+        # t = 0, which is named as that, not as a step that cannot advance
+        spec = {"r": [1e300, 1, 1], "X": [1, 1, 1], "J": []}
+        cfg = write_json(tmp_path, "m.json",
+                         {"model": spec, "x0": [0.5, 1.4, 1.4]})
+        out = tmp_path / "o.csv"
+        code = cli.run([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err == ("numerical failure (FloatingPointError): Taylor "
+                       "flow: at t = 0 the expansion's coefficients "
+                       "overflowed")
+        assert not out.exists()
 
     def test_error_profile(self, tmp_path):
         out = tmp_path / "eps.csv"

@@ -464,11 +464,10 @@ class TestExactPropagation:
                                          DEMO_T_END, sample_times=grid)
         for route, evolve in (("vacancy", vacancy_evolve),
                               ("mode", nip_evolve)):
-            lift = route_lift(model, route, 3, DEMO_T_END, grid)
             # the inert fifth slot, tol, as perfbench passes it
             own = evolve(model, DEMO_X0, 3, DEMO_T_END, 1e-10, grid, ref)
-            shared = route_runs(model, [DEMO_X0, IN_BALL_X0], route,
-                                DEMO_T_END, grid, references, lift)
+            shared = route_runs(model, [DEMO_X0, IN_BALL_X0], route, 3,
+                                DEMO_T_END, grid, references)
             np.testing.assert_array_equal(own.eps, shared.eps[0])
             assert own.eps_max == shared.eps_max[0]
 
@@ -643,8 +642,8 @@ class TestRealArithmetic:
         for route in ROUTES:
             lift = route_lift(model, route, 3, DEMO_T_END, grid)
             assert lift.op.vals.dtype == lift.step.dtype == np.float64
-            runs = route_runs(model, X0s, route, DEMO_T_END, grid,
-                              references, lift)
+            runs = route_runs(model, X0s, route, 3, DEMO_T_END, grid,
+                              references)
             assert runs.y.dtype == runs.eps.dtype == np.float64
 
     def test_a_scan_allocates_no_complex_arrays(self, monkeypatch):
@@ -661,8 +660,8 @@ class TestRealArithmetic:
 
         monkeypatch.setattr(population, "reference_y_samples", recorded(
             population.reference_y_samples, "y"))
-        monkeypatch.setattr(population, "route_lift", recorded(
-            population.route_lift, "step"))
+        monkeypatch.setattr(nip, "route_lift", recorded(
+            nip.route_lift, "step"))
         monkeypatch.setattr(population, "route_runs", recorded(
             population.route_runs, "y", "eps", "eps_max"))
         convergence_scan(paper_model(), x2_range=[1.0, 1.4],
@@ -759,10 +758,14 @@ class TestKeptOnTheModel:
     def test_a_model_and_what_it_builds_refuse_writes(self):
         # each builder freezes what it made: a fresh lift and step stack, a
         # tensor and a model's r and X, which are copies of the arrays
-        # given, so the caller's own arrays stay writable
+        # given, so the caller's own arrays stay writable; and nothing the
+        # model keeps, a system or a lift, can be rebound, nor a system's
+        # tensor replaced
         r, X = np.array(population._R), np.ones(3)
         model = PopulationModel(3, r, X, paper_model().J)
-        op = build_monomial_lift(koopman_system(model), 3)
+        system = koopman_system(model)
+        kept = route_lift(model, "mode", 3, DEMO_T_END, None)
+        op = build_monomial_lift(system, 3)
         step = exact_step(op, DEMO_T_END, None)
         empty = SparseTensor(2, 3)
         for array in [getattr(op, name) for name in LIFT_FIELDS] + [
@@ -776,22 +779,28 @@ class TestKeptOnTheModel:
         X[...] = 2.0
         assert model.r[0] == population._R[0] and np.all(model.X == 1.0)
         for target, name in ((model, "r"), (model, "X"), (model, "J"),
-                             (model.J, "vals"), (empty, "keys")):
+                             (model.J, "vals"), (empty, "keys"),
+                             (system, "tensors"), (system, "dim"),
+                             (op, "vals"), (kept.op, "vals"),
+                             (kept.op, "_csr"), (kept, "op")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, None)
+        with pytest.raises(TypeError):
+            system.tensors[2] = None
+        # the CSR matrix of `apply` is built once per lift and kept
+        assert op._csr is op._csr
+        assert koopman_system(model) is system
+        assert route_lift(model, "mode", 3, DEMO_T_END, None) is kept
 
-    def test_an_unpickled_model_and_lift_refuse_writes(self):
+    def test_an_unpickled_model_refuses_writes(self):
         # a scan worker started by spawn or forkserver receives the model
-        # and the lifts pickled: each is rebuilt through its constructor,
-        # a value again, and the model keeps nothing built in the parent
+        # pickled: it is rebuilt through its constructor, a value again,
+        # keeps nothing built in the parent and builds the parent's lifts
         model = paper_model()
         lift = route_lift(model, "vacancy", 3, DEMO_T_END, None)
-        back, back_lift = pickle.loads(pickle.dumps((model, lift)))
-        arrays = [back.r, back.X, *back.J.sorted_arrays()] + [
-            getattr(back_lift.op, name) for name in LIFT_FIELDS] + [
-            back_lift.step]
-        want = [model.r, model.X, *model.J.sorted_arrays()] + [
-            getattr(lift.op, name) for name in LIFT_FIELDS] + [lift.step]
+        back = pickle.loads(pickle.dumps(model))
+        arrays = [back.r, back.X, *back.J.sorted_arrays()]
+        want = [model.r, model.X, *model.J.sorted_arrays()]
         for array, original in zip(arrays, want):
             assert bitwise(array, original)
             with pytest.raises(ValueError, match="read-only"):

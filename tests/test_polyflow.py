@@ -372,19 +372,28 @@ class TestWeightedIntegration:
     @pytest.mark.parametrize("x0", [[0.3, -0.2], [1.5, 0.4]],
                              ids=["bounded", "blows-up"])
     def test_unit_weights_are_scipys_dop853(self, x0):
-        # the weighted error norm and initial step reduce to scipy's own
+        # the weighted error norm and initial step reduce to scipy's own:
+        # unit weights, or none, against scipy's DOP853 stopped by the norm
+        from scipy.integrate import solve_ivp
+
+        def blow_up(t, y):
+            return np.linalg.norm(y) - polyflow.DIVERGENCE_NORM
+
+        blow_up.terminal, blow_up.direction = True, 1
         rhs = vectorized_rhs(blow_up_system())
         grid = np.linspace(0.0, 3.0, 33)
         x0 = np.array(x0, dtype=complex)
-        plain, ones = counted(rhs), counted(rhs)
-        want = integrate_rhs(plain, x0, 3.0, 1e-10, grid)
-        got = integrate_rhs(ones, x0, 3.0, 1e-10, grid, weights=np.ones(2))
-        assert got.diverged == want.diverged
-        np.testing.assert_array_equal(got.times, want.times)
-        np.testing.assert_array_equal(got.states, want.states)
-        # the initial step is chosen outside the solver, which evaluates
-        # the first derivative again
-        assert ones.calls == plain.calls + 1
+        plain, none, ones = counted(rhs), counted(rhs), counted(rhs)
+        want = solve_ivp(plain, (0.0, 3.0), x0, method="DOP853", rtol=1e-10,
+                         atol=1e-10, t_eval=grid, events=blow_up)
+        for fn, weights in ((none, None), (ones, np.ones(2))):
+            got = integrate_rhs(fn, x0, 3.0, 1e-10, grid, weights=weights)
+            assert got.diverged == (want.status == 1)
+            np.testing.assert_array_equal(got.times, want.t)
+            np.testing.assert_array_equal(got.states, want.y.T)
+            # the initial step is chosen outside the solver, which
+            # evaluates the first derivative again
+            assert fn.calls == plain.calls + 1
 
     @pytest.mark.parametrize("shift", [-3.0, 5.0], ids=["decays",
                                                         "diverges"])
@@ -405,7 +414,7 @@ class TestWeightedIntegration:
         np.testing.assert_array_equal(got.times, want.times)
         np.testing.assert_allclose(got.states, want.states[:, first],
                                    rtol=1e-13)
-        assert small.calls == big.calls + 1
+        assert small.calls == big.calls
 
 
 def driven_quadratic(d, seed):
@@ -583,6 +592,17 @@ class TestTaylorFlow:
         monkeypatch.setattr(polyflow, "DIVERGENCE_NORM", np.inf)
         with pytest.raises(StepUnderflowError, match="no longer advances"):
             taylor_samples(blow_up_system(), np.array([[20.0, 1.0]]), 0.1)
+
+    def test_overflowing_expansion_is_named(self):
+        # x' = -1e300 x: the first expansion's second coefficient, formed
+        # at a guess of the whole horizon, overflows; it is named as that,
+        # not as a step that cannot advance, whichever row of the batch
+        sys = linear_system(np.array([[-1e300]]))
+        for X0 in ([[0.5]], [[0.0], [0.5]]):
+            with pytest.raises(FloatingPointError,
+                               match="at t = 0 the expansion's coefficients "
+                                     "overflowed"):
+                taylor_samples(sys, np.array(X0), 0.1)
 
 
 def taylor_series(sys, X, h, dtype):
