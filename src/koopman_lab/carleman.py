@@ -23,13 +23,13 @@ DENSE_LIMIT monomials (`steps_exactly`: orders 1 to 7 of three variables),
 on its uniform grid, is stepped exactly by the powers P, P^2, ..., P^K of
 the one-sample step P = expm(C h) (scaling and squaring, Al-Mohy & Higham
 2009) of its dense generator, the triplets added into a matrix; the powers
-are filled by doubling, and a (D, c) block of initial lifts takes one
-product per span of K samples and STEP_COLUMNS columns, whatever its width
-(`step_block`).  Larger lifts are integrated by DOP853 at LIFT_TOL
-(`integrate_rhs`, which loads scipy.integrate on its first run) under the
-norm of the Kronecker layout, so they take the Kronecker run's steps; their
-applies multiply by a CSR matrix of the triplets, which a lift, a frozen
-value, builds once.
+are filled by doubling, kept by the lift for its last grid, and a (D, c)
+block of initial lifts takes one product per span of K samples and
+STEP_COLUMNS columns, whatever its width (`step_block`).  Larger lifts are
+integrated by DOP853 at LIFT_TOL (`integrate_rhs`, which loads
+scipy.integrate on its first run) under the norm of the Kronecker layout,
+so they take the Kronecker run's steps; their applies multiply by a CSR
+matrix of the triplets, which a lift, a frozen value, builds once.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -256,8 +256,9 @@ class MonomialLift:
     from the triplets when asked for: `dense()`, which the exact step
     reads, adds them into a dense matrix; `apply`, which only the lifts
     integrated by DOP853 call, multiplies by a CSR matrix of them, built on
-    the first apply and kept (`_csr`).  A lift is a value: its fields
-    cannot be rebound and its arrays are read-only.
+    the first apply and kept (`_csr`), as `exact_step` keeps the stack of
+    its last grid (`_step`).  A lift is a value: its fields cannot be
+    rebound and its arrays are read-only.
     """
 
     dim: int
@@ -271,6 +272,8 @@ class MonomialLift:
     offsets: np.ndarray       # degree k starts at offsets[k-1]; D at the end
     parents: np.ndarray
     factors: np.ndarray
+    # {(t_end, n): stack} of the last grid stepped exactly (`exact_step`)
+    _step: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rows", "cols", "vals", "exponents", "multiplicities",
@@ -408,12 +411,15 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
     sample_times)` are more than t = 0 alone;
     then h = t_end / (n - 1), K = min(n - 1, STEP_SPAN), and the stack
     is filled by doubling: P^(m+i) = P^i P^m for i <= m, one (m D, D) @
-    (D, D) product per doubling.  The stack is read-only.  Otherwise the
-    result is None and the lift is integrated instead.
+    (D, D) product per doubling.  The stack is read-only, and the lift
+    keeps it, named by t_end and n, until it steps another grid exactly.
+    Otherwise the result is None and the lift is integrated instead.
     """
     n = sample_grid(t_end, sample_times).size
     if not steps_exactly(lift.dim, lift.order) or n < 2:
         return None
+    if (t_end, n) in lift._step:
+        return lift._step[t_end, n]
     span = min(n - 1, STEP_SPAN)
     size = lift.total_dim
     stack = np.empty((span, size, size), dtype=lift.vals.dtype)
@@ -426,6 +432,8 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
                   out=stack[done:done + new].reshape(new * size, size))
         done += new
     stack.flags.writeable = False
+    lift._step.clear()
+    lift._step[t_end, n] = stack
     return stack
 
 
@@ -475,7 +483,7 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
 
 
 def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
-                   sample_times=None, step=None):
+                   sample_times=None):
     """Samples of dg/dt = C g of a `MonomialLift` from each column of the
     (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
@@ -483,11 +491,11 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     A lift of at most DENSE_LIMIT monomials (`steps_exactly`) is stepped
     exactly by the stack of powers of P = expm(C h) from `exact_step`, one
     product per span and STEP_COLUMNS columns (`step_block`), so a column's
-    samples do not depend on its block; pass that `step` to share one stack
-    across calls.  Any larger lift integrates each column with DOP853 at
-    LIFT_TOL (`polyflow.integrate_rhs`).  On both paths the norm is that of
-    the Kronecker layout, each monomial weighted by `lift.multiplicities`,
-    and a column ends at divergence (that norm above DIVERGENCE_NORM).
+    samples do not depend on its block, and the lift keeps that stack.  Any
+    larger lift integrates each column with DOP853 at LIFT_TOL
+    (`polyflow.integrate_rhs`).  On both paths the norm is that of the
+    Kronecker layout, each monomial weighted by `lift.multiplicities`, and
+    a column ends at divergence (that norm above DIVERGENCE_NORM).
 
     Returns (times, samples, kept, diverged): the n sample times, the
     (n, D, c) samples, how many leading samples each column keeps (the
@@ -497,11 +505,7 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     if G0.ndim != 2 or G0.shape[0] != lift.total_dim:
         raise DimensionError("lift/state dims mismatch")
     times = sample_grid(t_end, sample_times)
-    if step is None:
-        step = exact_step(lift, t_end, times)
-    if step is not None:
-        if step.ndim != 3 or step.shape[1:] != (lift.total_dim,) * 2:
-            raise DimensionError("step does not match the lift")
+    if (step := exact_step(lift, t_end, times)) is not None:
         samples, kept = step_block(step, G0, times.size, lift.multiplicities)
         return times, samples, kept, kept < times.size
     trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end,
@@ -514,12 +518,12 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     return times, samples, kept, np.array([traj.diverged for traj in trajs])
 
 
-def evolve_lifted(lift: MonomialLift, g0, t_end: float, sample_times=None,
-                  step=None) -> Trajectory:
+def evolve_lifted(lift: MonomialLift, g0, t_end: float,
+                  sample_times=None) -> Trajectory:
     """Trajectory of dg/dt = C g of a `MonomialLift` from the lifted vector
     g0, such as `lift.initial_lift(z0)`: `lifted_samples` on a block of
     one, its kept samples and whether it diverged."""
     times, samples, kept, diverged = lifted_samples(
-        lift, np.asarray(g0)[:, None], t_end, sample_times, step)
+        lift, np.asarray(g0)[:, None], t_end, sample_times)
     return Trajectory(times[:kept[0]], samples[:kept[0], :, 0],
                       diverged=bool(diverged[0]))

@@ -66,6 +66,9 @@ MAX_RSEP_DIM = 100
 # BLAS thread).  The bound admits 100 points at the default --t-end 1,
 # about 35 s at d = 100, and one at --t-end 1000, about 18 s.
 MAX_RSEP_WORK = 100 * (1 + 15)
+# The x-side log-norm -delta of an `rsep-sweep` point errs by a few ulps of
+# |F1| = gamma: R_x is not resolved at delta <= RSEP_DELTA_ULPS eps gamma.
+RSEP_DELTA_ULPS = 32
 # Largest --t-end of `population-chaos`, as `_COMMANDS` gives the others.
 MAX_CHAOS_T_END = 10**4
 # Largest Kaiser window length J of the spectral commands, which write one
@@ -515,6 +518,12 @@ def _cmd_rsep_sweep(args, cfg):
                                           point["delta"], A=A))
         except ValueError as exc:
             raise ConfigError(f"bad sweep point: {exc}")
+        floor = RSEP_DELTA_ULPS * np.finfo(float).eps * point["gamma"]
+        if not point["delta"] > floor:
+            raise ConfigError(
+                f"config key 'points.delta' is {point['delta']!r}, not above "
+                f"{RSEP_DELTA_ULPS} eps gamma = {floor:.6g}, the resolution "
+                f"of the x-side log-norm -delta")
     try:
         rows = rsep.sweep(params, args.t_end)
     except rsep.PoleError as exc:

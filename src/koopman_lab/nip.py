@@ -21,12 +21,12 @@ A batch of initial conditions is one call, mapped to y once as arrays
 are measured as one array against those arrays (`route_runs`).
 `_route_errors` is the one measurement of a lift's truncation error: the
 per-sample eps, eps_max and whether a sample met the back map's pole.
-The mode system, each route's system and each lift with its exact-step
-stack depend on the model alone, so each is built once and kept on the
-model for the calls that follow (`PopulationModel._memo`): each a frozen
-value, found by its name (route, order, grid), never passed beside it.
-The model is real, so the reference, the lifts, their exact-step stacks
-and the errors are all float64 arrays.
+The mode system, each route's system and each lift depend on the model
+alone, so each is built once and kept on the model for the calls that
+follow (`PopulationModel._memo`): each a frozen value, found by its name
+(route, order), never passed beside it; a lift keeps its own exact step
+(`carleman.exact_step`).  The model is real, so the reference, the lifts,
+their exact-step stacks and the errors are all float64 arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .carleman import (
     MonomialLift,
     build_monomial_lift,
     evolve_lifted,  # noqa: F401 (perfbench's tracer test looks it up here)
-    exact_step,
     lifted_samples,
 )
 from .polyflow import (
@@ -311,35 +310,16 @@ def route_system(model: PopulationModel, route: str,
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
-@dataclass(eq=False, frozen=True)
-class RouteLift:
-    """One route's lifted generator at one order and, for a small lift, the
-    read-only stack of its exact steps on one grid (`carleman.exact_step`).
-
-    It does not depend on the initial condition, so one instance, kept on
-    the model by `route_lift`, serves every run of that route and order on
-    that grid.  Like the lift, it is a value.
-    """
-
-    op: MonomialLift
-    step: np.ndarray | None
-
-
-def route_lift(model: PopulationModel, route: str, order: int,
-               t_end: float, sample_times) -> RouteLift:
-    """The lift of `route_system(model, route, order)` at `order` on the
-    grid of `polyflow.sample_grid(t_end, sample_times)`.
-
-    Kept on the model for the route and order, with its grid's t_end and
-    sample count, which name the grid; a call on another grid replaces it.
-    """
-    times = sample_grid(t_end, sample_times)
-    grid, lift = model._memo.get(("lift", route, order), (None, None))
-    if grid != (t_end, times.size):
-        op = build_monomial_lift(route_system(model, route, order), order)
-        lift = RouteLift(op, exact_step(op, t_end, times))
-        model._memo["lift", route, order] = (t_end, times.size), lift
-    return lift
+def route_lift(model: PopulationModel, route: str,
+               order: int) -> MonomialLift:
+    """The lift of `route_system(model, route, order)` at `order`, kept on
+    the model for the route and order.  It keeps its own exact step
+    (`carleman.exact_step`), so a call on a new grid builds no lift."""
+    memo = model._memo
+    if ("lift", route, order) not in memo:
+        memo["lift", route, order] = build_monomial_lift(
+            route_system(model, route, order), order)
+    return memo["lift", route, order]
 
 
 def _route_errors(references: ReferenceSamples, g1, kept, diverged,
@@ -367,7 +347,7 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
                references: ReferenceSamples) -> RouteErrors:
     """Truncation errors of `route` at `order` from each row of X0s,
     measured against the matching row of `references`, all on the one lift
-    of that route, order and grid kept on the model (`route_lift`).
+    of that route and order kept on the model (`route_lift`).
 
     The lifts start as the columns of one block, propagated by
     `carleman.lifted_samples` (stepped exactly, or integrated column by
@@ -380,10 +360,9 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
         (Z0, _), back_map = _back_map(eta), None
     else:
         Z0, back_map = eta, _eta_to_y_rows
-    lift = route_lift(model, route, order, t_end, sample_times)
-    G0 = lift.op.initial_lift(Z0).T
+    lift = route_lift(model, route, order)
     _, samples, kept, diverged = lifted_samples(
-        lift.op, G0, t_end, sample_times, lift.step)
+        lift, lift.initial_lift(Z0).T, t_end, sample_times)
     return _route_errors(references, samples[:, :model.dim].transpose(2, 0, 1),
                          kept, diverged, back_map)
 

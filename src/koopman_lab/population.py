@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .carleman import exact_step
 from .nip import (
     ROUTES,
     PopulationModel,
@@ -144,13 +145,14 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
 
     A route converges at a cell when the error at the higher lift order is
     strictly smaller than at the lower order, both finite.  The mode system
-    of the references (`nip.koopman_system`) and the monomial lift and
-    exact step stack of each (route, order) (`nip.route_lift`) are kept on
-    the model, built by the first call that needs them, and every cell
-    shares them.  The cells, in grid order, are cut into chunks of
-    SCAN_CHUNK, and each chunk is one batch (`_scan_chunk`); with several
-    workers the pool maps chunks, the lifts built first so that forked
-    workers inherit them (a spawned one builds each once).  A cell's
+    of the references (`nip.koopman_system`) and the monomial lift of each
+    (route, order) (`nip.route_lift`) are kept on the model, each lift
+    with its exact step stack on the grid (`carleman.exact_step`), built by
+    the first call that needs them, and every cell shares them.  The cells,
+    in grid order, are cut into chunks of SCAN_CHUNK, and each chunk is one
+    batch (`_scan_chunk`); with several workers the pool maps chunks, the
+    lifts and steps built first so that forked workers inherit them (a
+    spawned one builds each once).  A cell's
     numbers do not depend on its chunk's other cells: they are the bits
     of `nip_evolve` and `vacancy_evolve` at its x0 alone.  The chunks'
     arrays are joined in grid order, so the result does not depend on the
@@ -176,7 +178,7 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     if workers > 1:
         for route in ROUTES:
             for n in orders:
-                route_lift(model, route, n, t_end, sample_times)
+                exact_step(route_lift(model, route, n), t_end, sample_times)
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_set_shared,
                                  initargs=(shared,)) as pool:

@@ -552,11 +552,10 @@ class TestExactStep:
         lifts = [op.initial_lift(scale * rng.normal(size=2))
                  for scale in (0.1, 1.0, 30.0)]
         G0 = np.column_stack(lifts)
-        singles = [evolve_lifted(op, g0, 2.0, grid, step)
-                   for g0 in lifts]
+        singles = [evolve_lifted(op, g0, 2.0, grid) for g0 in lifts]
         assert [t.diverged for t in singles] == [False, False, True]
-        times, samples, kept, diverged = lifted_samples(
-            op, G0, 2.0, grid, step)
+        times, samples, kept, diverged = lifted_samples(op, G0, 2.0, grid)
+        assert exact_step(op, 2.0, grid) is step
         assert samples.shape[2] == len(lifts)
         for col, single in enumerate(singles):
             assert diverged[col] == single.diverged

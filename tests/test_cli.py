@@ -1349,6 +1349,26 @@ class TestPopulationCommands:
             "order=1", "eps_max=0", "order=3", "eps_max=0", "order=6",
             "eps_max=0"]
 
+    def test_a_scan_cell_prints_the_eps_of_its_single_runs(self, tmp_path,
+                                                           capsys):
+        # the one cell (1, 1.4, 1.4) at orders 1 and 3, the error commands'
+        # default x0: its eps_c_low, eps_c_high, eps_k_low and eps_k_high
+        # are the eps_max strings carleman-error, then nip-error print
+        cell = tmp_path / "cell.csv"
+        assert cli.run(["population-scan", "--out", str(cell),
+                        "--grid", "1.4:1.4:0.05"]) == cli.EXIT_OK
+        capsys.readouterr()
+        printed = []
+        for command in ("carleman-error", "nip-error"):
+            assert cli.run([command, "--out", str(tmp_path / "eps.csv"),
+                            "--orders", "1", "3"]) == cli.EXIT_OK
+            printed += [word.removeprefix("eps_max=")
+                        for word in capsys.readouterr().out.split()
+                        if word.startswith("eps_max=")]
+        _, row = cell.read_text().splitlines()
+        assert len(printed) == 4
+        assert row.split(",")[4:8] == printed
+
 
 class TestFermionCommands:
     def test_evolve_and_steady(self, fermion_config, tmp_path):
@@ -1437,6 +1457,34 @@ class TestRsepCommands:
         assert lines[0] == ("beta,gamma,delta,d,R_x_lower_bound,"
                             "R_x,R_eta,equiv_residual")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-17, 0.1])
+    def test_unresolved_delta_refused_before_any_flow(
+            self, tmp_path, capsys, monkeypatch, delta):
+        # the x-side log-norm -delta is resolved only above 32 eps gamma:
+        # at 0 the lower bound divided by zero, and at 1e-17 R_x fell below
+        # it; a resolved delta sweeps, R_x at its bound or above
+        sweep, swept = rsep.sweep, []
+        monkeypatch.setattr(rsep, "sweep", lambda params, t_end:
+                            swept.append(params) or sweep(params, t_end))
+        point = {"d": 3, "beta": 2.0, "gamma": 3.0, "delta": delta,
+                 "seed": 1}
+        cfg = write_json(tmp_path, "p.json", {"points": [point]})
+        out = tmp_path / "sweep.csv"
+        code = cli.run(["rsep-sweep", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        floor = cli.RSEP_DELTA_ULPS * np.finfo(float).eps * 3.0
+        if delta > floor:
+            assert code == cli.EXIT_OK and len(swept) == 1
+            row = out.read_text().splitlines()[1].split(",")
+            assert float(row[5]) >= float(row[4])
+        else:
+            assert code == cli.EXIT_CONFIG and swept == []
+            assert err == (
+                f"config error: config key 'points.delta' is {delta!r}, not "
+                f"above 32 eps gamma = {floor:.6g}, the resolution of the "
+                f"x-side log-norm -delta\n")
+            assert not out.exists()
 
     def test_zero_horizon_sweeps(self, tmp_path):
         # the flows sample t = 0 alone: one row per point, residual 0

@@ -391,9 +391,9 @@ def kronecker_oracle(model, route, x0, order, grid, tol=1e-12):
 
 def monomial_run(model, route, x0, order, grid):
     """The production lift of the route, stepped by `evolve_lifted`."""
-    lift = route_lift(model, route, order, grid[-1], grid)
-    g0 = lift.op.initial_lift(route_start(model, route, x0))
-    return lift, evolve_lifted(lift.op, g0, grid[-1], grid, lift.step)
+    lift = route_lift(model, route, order)
+    g0 = lift.initial_lift(route_start(model, route, x0))
+    return lift, evolve_lifted(lift, g0, grid[-1], grid)
 
 
 class TestExactPropagation:
@@ -405,7 +405,7 @@ class TestExactPropagation:
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
         lift, dense = monomial_run(model, route, x0, order, grid)
-        assert lift.step is not None
+        assert exact_step(lift, DEMO_T_END, grid) is not None
         oracle = kronecker_oracle(model, route, x0, order, grid)
         assert not dense.diverged and not oracle.diverged
         np.testing.assert_allclose(dense.states[:, :3], oracle.states[:, :3],
@@ -419,14 +419,14 @@ class TestExactPropagation:
         # by sample by its own expm, to roundoff
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
-        lift = route_lift(model, route, order, DEMO_T_END, grid)
-        assert lift.step is not None
-        assert lift.op.total_dim <= carleman.DENSE_LIMIT < lift.op.kron_dim
+        lift = route_lift(model, route, order)
+        assert exact_step(lift, DEMO_T_END, grid) is not None
+        assert lift.total_dim <= carleman.DENSE_LIMIT < lift.kron_dim
         X0s = [IN_BALL_X0, DEMO_X0]
-        G0 = lift.op.initial_lift(np.array(
+        G0 = lift.initial_lift(np.array(
             [route_start(model, route, x0) for x0 in X0s])).T
         _, samples, kept, diverged = lifted_samples(
-            lift.op, G0, DEMO_T_END, grid, lift.step)
+            lift, G0, DEMO_T_END, grid)
         assert kept.tolist() == [grid.size] * 2 and not diverged.any()
         C = build_carleman(route_system(model, route, order), order).dense()
         assert C.shape[0] <= 1092 and not C.imag.any()
@@ -450,7 +450,7 @@ class TestExactPropagation:
         assert res.nip_verdict[0, 0] == "diverged"
         grid = np.linspace(0.0, DEMO_T_END, 129)
         lift, dense = monomial_run(model, "mode", x0, 4, grid)
-        assert lift.step is not None
+        assert exact_step(lift, DEMO_T_END, grid) is not None
         event = kronecker_oracle(model, "mode", x0, 4, grid, tol=1e-10)
         assert dense.diverged and event.diverged
         assert 1 < dense.times.size == event.times.size < grid.size
@@ -473,21 +473,20 @@ class TestExactPropagation:
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError, match="route"):
-            route_lift(small_model(), "bogus", 2, 0.1,
-                       np.linspace(0.0, 0.1, 5))
+            route_lift(small_model(), "bogus", 2)
 
 
-def sequential_steps(lift, G0, n):
+def sequential_steps(lift, step, G0, n):
     """The oracle of span stepping: samples[s] = P samples[s-1], one
     product per sample, and the samples each column keeps before its norm
     first exceeds DIVERGENCE_NORM."""
-    P = lift.step[0]
+    P = step[0]
     samples = [G0]
     for _ in range(n - 1):
         samples.append(P @ samples[-1])
     samples = np.array(samples)
     norms = np.sqrt(np.einsum("skc,k->cs", np.abs(samples) ** 2,
-                              lift.op.multiplicities))
+                              lift.multiplicities))
     kept = [int(np.argmax(row > DIVERGENCE_NORM)) if np.any(
         row > DIVERGENCE_NORM) else n for row in norms]
     return samples, kept
@@ -503,21 +502,22 @@ class TestSpanStepping:
         model = paper_model()
         n = self.N_SAMPLES
         grid = np.linspace(0.0, DEMO_T_END, n)
-        lift = route_lift(model, route, order, DEMO_T_END, grid)
-        D = lift.op.total_dim
-        assert lift.step.shape == (STEP_SPAN, D, D)
+        lift = route_lift(model, route, order)
+        step = exact_step(lift, DEMO_T_END, grid)
+        D = lift.total_dim
+        assert step.shape == (STEP_SPAN, D, D)
         np.testing.assert_allclose(
-            lift.step[-1], np.linalg.matrix_power(lift.step[0], STEP_SPAN),
+            step[-1], np.linalg.matrix_power(step[0], STEP_SPAN),
             rtol=1e-12, atol=1e-14)
         X0s = np.array([IN_BALL_X0, DEMO_X0, [1.0, 0.8, 1.2]])
-        G0 = lift.op.initial_lift(np.array(
+        G0 = lift.initial_lift(np.array(
             [route_start(model, route, x0) for x0 in X0s])).T
-        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities)
+        samples, kept = step_block(step, G0, n, lift.multiplicities)
         assert samples.shape == (n, D, 3)
         assert kept.tolist() == [n, n, n]
-        oracle, oracle_kept = sequential_steps(lift, G0, n)
+        oracle, oracle_kept = sequential_steps(lift, step, G0, n)
         assert oracle_kept == [n, n, n]
-        C = lift.op.dense()
+        C = lift.dense()
         scale = np.max(np.abs(oracle), axis=(0, 1))
         for s, t in enumerate(grid):
             for want in (oracle[s], expm(C * t) @ G0):
@@ -530,15 +530,16 @@ class TestSpanStepping:
         model = paper_model()
         n = self.N_SAMPLES
         grid = np.linspace(0.0, DEMO_T_END, n)
-        lift = route_lift(model, "mode", 4, DEMO_T_END, grid)
+        lift = route_lift(model, "mode", 4)
+        step = exact_step(lift, DEMO_T_END, grid)
         X0s = np.array([[1.0, 0.01, 0.05], IN_BALL_X0])
-        G0 = lift.op.initial_lift(x_to_eta(model, X0s)).T
-        samples, kept = step_block(lift.step, G0, n, lift.op.multiplicities)
-        _, oracle_kept = sequential_steps(lift, G0, n)
+        G0 = lift.initial_lift(x_to_eta(model, X0s)).T
+        samples, kept = step_block(step, G0, n, lift.multiplicities)
+        _, oracle_kept = sequential_steps(lift, step, G0, n)
         assert kept.tolist() == oracle_kept
         assert 1 < kept[0] < n and kept[1] == n
         _, lifted, lifted_kept, diverged = lifted_samples(
-            lift.op, G0, DEMO_T_END, grid, lift.step)
+            lift, G0, DEMO_T_END, grid)
         assert diverged.tolist() == [True, False]
         assert lifted_kept.tolist() == oracle_kept
         np.testing.assert_array_equal(lifted[:kept[0], :, 0],
@@ -546,8 +547,8 @@ class TestSpanStepping:
 
     def test_short_grid_takes_a_short_stack(self):
         grid = np.linspace(0.0, DEMO_T_END, 6)
-        lift = route_lift(paper_model(), "mode", 2, DEMO_T_END, grid)
-        assert lift.step.shape[0] == 5
+        lift = route_lift(paper_model(), "mode", 2)
+        assert exact_step(lift, DEMO_T_END, grid).shape[0] == 5
 
 
 class TestWeightedDop853Path:
@@ -567,7 +568,7 @@ class TestWeightedDop853Path:
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
         lift, run = monomial_run(model, route, x0, order, grid)
-        assert lift.step is None
+        assert exact_step(lift, DEMO_T_END, grid) is None
         oracle = kronecker_oracle(model, route, x0, order, grid,
                                   tol=LIFT_TOL)
         assert not run.diverged and not oracle.diverged
@@ -582,7 +583,7 @@ class TestWeightedDop853Path:
         model = paper_model()
         grid = np.linspace(0.0, DEMO_T_END, 129)
         lift, run = monomial_run(model, "mode", np.array(x0), order, grid)
-        assert lift.step is None
+        assert exact_step(lift, DEMO_T_END, grid) is None
         event = kronecker_oracle(model, "mode", np.array(x0), order, grid,
                                  tol=LIFT_TOL)
         assert run.diverged and event.diverged
@@ -640,8 +641,9 @@ class TestRealArithmetic:
         references = reference_y_samples(model, X0s, DEMO_T_END, grid)
         assert references.y.dtype == np.float64
         for route in ROUTES:
-            lift = route_lift(model, route, 3, DEMO_T_END, grid)
-            assert lift.op.vals.dtype == lift.step.dtype == np.float64
+            lift = route_lift(model, route, 3)
+            assert lift.vals.dtype == np.float64
+            assert exact_step(lift, DEMO_T_END, grid).dtype == np.float64
             runs = route_runs(model, X0s, route, 3, DEMO_T_END, grid,
                               references)
             assert runs.y.dtype == runs.eps.dtype == np.float64
@@ -650,23 +652,26 @@ class TestRealArithmetic:
         seen = []
 
         def recorded(fn, *fields):
+            # a field None records the result itself
             def call(*args, **kwargs):
                 out = fn(*args, **kwargs)
                 for name in fields:
-                    seen.append((fn.__name__, name,
-                                 np.asarray(getattr(out, name)).dtype))
+                    value = out if name is None else getattr(out, name)
+                    seen.append((fn.__name__, name, np.asarray(value).dtype))
                 return out
             return call
 
         monkeypatch.setattr(population, "reference_y_samples", recorded(
             population.reference_y_samples, "y"))
         monkeypatch.setattr(nip, "route_lift", recorded(
-            nip.route_lift, "step"))
+            nip.route_lift, "vals"))
+        monkeypatch.setattr(carleman, "exact_step", recorded(
+            carleman.exact_step, None))
         monkeypatch.setattr(population, "route_runs", recorded(
             population.route_runs, "y", "eps", "eps_max"))
         convergence_scan(paper_model(), x2_range=[1.0, 1.4],
                          x3_range=[0.8, 1.4], threads=1)
-        assert len(seen) == 1 + 4 + 3 * 4
+        assert len(seen) == 1 + 4 + 4 + 3 * 4
         assert all(dtype == np.float64 for *_, dtype in seen), seen
 
     def test_rsep_flow_stays_complex(self):
@@ -690,70 +695,112 @@ class TestKeptOnTheModel:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("route", ROUTES)
     def test_kept_lift_is_a_fresh_build(self, route, order):
-        # the grid given or not, the model's second call finds the one
-        # lift, which has the bits of a fresh build and step
+        # the model's second call finds the one lift, which has the bits of
+        # a fresh build; its step, the grid given or not, is the one stack
+        # with the bits of a fresh lift's step
         model = paper_model()
         grid = sample_grid(DEMO_T_END)
-        lift = route_lift(model, route, order, DEMO_T_END, grid)
-        assert route_lift(model, route, order, DEMO_T_END, None) is lift
+        lift = route_lift(model, route, order)
+        assert route_lift(model, route, order) is lift
         system = vacancy_taylor_tensors(model, order) \
             if route == "vacancy" else nip._koopman_system(model)
         op = build_monomial_lift(system, order)
         step = exact_step(op, DEMO_T_END, grid)
         for name in LIFT_FIELDS:
-            assert bitwise(getattr(lift.op, name), getattr(op, name)), name
-        assert (lift.step is None) == (step is None) == (order > 4)
-        assert step is None or bitwise(lift.step, step)
+            assert bitwise(getattr(lift, name), getattr(op, name)), name
+        kept = exact_step(lift, DEMO_T_END, grid)
+        assert exact_step(lift, DEMO_T_END, None) is kept
+        assert (kept is None) == (step is None) == (order > 4)
+        assert step is None or bitwise(kept, step)
 
-    def test_content_horizon_and_sample_count_name_a_lift(self):
+    def test_content_names_a_lift_and_its_grid_a_step(self):
+        # grids A -> B -> A find the one lift of a route and order, whose
+        # step on each grid has the bits of a fresh lift's step there
         model = paper_model()
-        grid = sample_grid(DEMO_T_END)
-        lift = route_lift(model, "mode", 3, DEMO_T_END, grid)
+        lift = route_lift(model, "mode", 3)
         system = koopman_system(model)
-        assert route_lift(model, "mode", 3, DEMO_T_END, grid) is lift
-        for t_end, times in ((0.2, None),
-                             (DEMO_T_END, np.linspace(0.0, DEMO_T_END, 65))):
-            other = route_lift(model, "mode", 3, t_end, times)
-            assert other is not lift and other.op is not lift.op
-            assert not bitwise(other.step, lift.step)
+        grids = ((DEMO_T_END, None), (0.2, None),
+                 (DEMO_T_END, np.linspace(0.0, DEMO_T_END, 65)),
+                 (DEMO_T_END, None))
+        steps = []
+        for t_end, times in grids:
+            assert route_lift(model, "mode", 3) is lift
+            fresh = build_monomial_lift(nip._koopman_system(model), 3)
+            steps.append(exact_step(lift, t_end, times))
+            assert bitwise(steps[-1], exact_step(fresh, t_end, times))
+        assert koopman_system(model) is system
+        assert not bitwise(steps[1], steps[0])
+        assert not bitwise(steps[2], steps[0])
         # a model cannot change in place; one built from changed values
         # builds its own
         with pytest.raises(ValueError, match="read-only"):
             model.r[0] *= 2.0
         model = PopulationModel(model.dim, model.r * [2.0, 1.0, 1.0],
                                 model.X, model.J)
-        changed = route_lift(model, "mode", 3, DEMO_T_END, grid)
+        changed = route_lift(model, "mode", 3)
         assert changed is not lift and koopman_system(model) is not system
         fresh = build_monomial_lift(nip._koopman_system(model), 3)
-        assert bitwise(changed.op.vals, fresh.vals)
-        assert not bitwise(changed.op.vals, lift.op.vals)
+        assert bitwise(changed.vals, fresh.vals)
+        assert not bitwise(changed.vals, lift.vals)
+        assert bitwise(exact_step(changed, DEMO_T_END, None),
+                       exact_step(fresh, DEMO_T_END, None))
 
-    def test_a_route_and_order_keep_the_last_grid_lift(self):
-        # a lift on another grid replaces the kept one of its route and
-        # order, and leaves the other routes' and orders' lifts
+    def test_a_lift_keeps_the_step_of_its_last_grid(self):
+        # a step on another grid replaces the one its lift kept, and leaves
+        # the lift and the other routes' and orders' lifts; no name on the
+        # model holds a grid, and a second model builds its own lifts
         model = paper_model()
         first, other_order, other_route = (
-            route_lift(model, route, order, 0.1, None)
+            route_lift(model, route, order)
             for route, order in (("mode", 2), ("mode", 3), ("vacancy", 2)))
-        second = route_lift(model, "mode", 2, 0.2, None)
-        assert route_lift(model, "mode", 2, 0.2, None) is second
-        again = route_lift(model, "mode", 2, 0.1, None)
-        assert again is not first and bitwise(again.step, first.step)
-        assert route_lift(model, "mode", 3, 0.1, None) is other_order
-        assert route_lift(model, "vacancy", 2, 0.1, None) is other_route
+        step = exact_step(first, 0.1, None)
+        second = exact_step(first, 0.2, None)
+        assert exact_step(first, 0.2, None) is second
+        again = exact_step(first, 0.1, None)
+        assert again is not step and bitwise(again, step)
+        assert route_lift(model, "mode", 2) is first
+        assert route_lift(model, "mode", 3) is other_order
+        assert route_lift(model, "vacancy", 2) is other_route
         lifts = [key for key in model._memo if key[0] == "lift"]
         assert sorted(lifts) == [("lift", "mode", 2), ("lift", "mode", 3),
                                  ("lift", "vacancy", 2)]
+        assert set(model._memo) == {*lifts, "mode", ("vacancy", 2)}
+        other = paper_model()
+        own = route_lift(other, "mode", 2)
+        assert own is not first
+        own_step = exact_step(own, 0.1, None)
+        assert own_step is not again and bitwise(own_step, again)
+        assert exact_step(first, 0.1, None) is again
+
+    def test_alternating_grids_build_each_lift_once(self, monkeypatch):
+        # a model that moves between two horizons keeps its lifts; only
+        # the step of a lift's last grid is replaced
+        builds = []
+
+        def build(system, order):
+            builds.append(order)
+            return build_monomial_lift(system, order)
+
+        monkeypatch.setattr(nip, "build_monomial_lift", build)
+        model = paper_model()
+        runs = {}
+        for _ in range(2):
+            for t_end in (0.1, 0.2):
+                for order in (3, 7):
+                    run = nip_evolve(model, DEMO_X0, order, t_end)
+                    runs.setdefault((t_end, order), run)
+                    assert bitwise(run.eps, runs[t_end, order].eps)
+        assert builds == [3, 7]
 
     def test_kept_arrays_are_read_only(self):
         model = paper_model()
-        lift = route_lift(model, "vacancy", 3, DEMO_T_END, None)
-        for array in [getattr(lift.op, name) for name in LIFT_FIELDS] \
-                + [lift.step]:
+        lift = route_lift(model, "vacancy", 3)
+        for array in [getattr(lift, name) for name in LIFT_FIELDS] \
+                + [exact_step(lift, DEMO_T_END, None)]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lift.step = None
+            lift._step = None
 
     def test_a_model_and_what_it_builds_refuse_writes(self):
         # each builder freezes what it made: a fresh lift and step stack, a
@@ -764,7 +811,7 @@ class TestKeptOnTheModel:
         r, X = np.array(population._R), np.ones(3)
         model = PopulationModel(3, r, X, paper_model().J)
         system = koopman_system(model)
-        kept = route_lift(model, "mode", 3, DEMO_T_END, None)
+        kept = route_lift(model, "mode", 3)
         op = build_monomial_lift(system, 3)
         step = exact_step(op, DEMO_T_END, None)
         empty = SparseTensor(2, 3)
@@ -781,8 +828,8 @@ class TestKeptOnTheModel:
         for target, name in ((model, "r"), (model, "X"), (model, "J"),
                              (model.J, "vals"), (empty, "keys"),
                              (system, "tensors"), (system, "dim"),
-                             (op, "vals"), (kept.op, "vals"),
-                             (kept.op, "_csr"), (kept, "op")):
+                             (op, "vals"), (kept, "vals"),
+                             (kept, "_csr"), (kept, "_step")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, None)
         with pytest.raises(TypeError):
@@ -790,14 +837,14 @@ class TestKeptOnTheModel:
         # the CSR matrix of `apply` is built once per lift and kept
         assert op._csr is op._csr
         assert koopman_system(model) is system
-        assert route_lift(model, "mode", 3, DEMO_T_END, None) is kept
+        assert route_lift(model, "mode", 3) is kept
 
     def test_an_unpickled_model_refuses_writes(self):
         # a scan worker started by spawn or forkserver receives the model
         # pickled: it is rebuilt through its constructor, a value again,
         # keeps nothing built in the parent and builds the parent's lifts
         model = paper_model()
-        lift = route_lift(model, "vacancy", 3, DEMO_T_END, None)
+        lift = route_lift(model, "vacancy", 3)
         back = pickle.loads(pickle.dumps(model))
         arrays = [back.r, back.X, *back.J.sorted_arrays()]
         want = [model.r, model.X, *model.J.sorted_arrays()]
@@ -806,8 +853,10 @@ class TestKeptOnTheModel:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         assert back._memo == {}
-        rebuilt = route_lift(back, "vacancy", 3, DEMO_T_END, None)
-        assert bitwise(rebuilt.step, lift.step)
+        rebuilt = route_lift(back, "vacancy", 3)
+        assert rebuilt is not lift
+        assert bitwise(exact_step(rebuilt, DEMO_T_END, None),
+                       exact_step(lift, DEMO_T_END, None))
 
     def test_rows_one_call_each_equal_the_scan_at_once(self):
         # the benchmark's pattern: one call per x2 row on one model, its
