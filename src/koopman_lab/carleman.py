@@ -25,11 +25,16 @@ the one-sample step P = expm(C h) (scaling and squaring, Al-Mohy & Higham
 2009) of its dense generator, the triplets added into a matrix; the powers
 are filled by doubling, kept by the lift for its last grid, and a (D, c)
 block of initial lifts takes one product per span of K samples and
-STEP_COLUMNS columns, whatever its width (`step_block`).  Larger lifts are
-integrated by DOP853 at LIFT_TOL (`integrate_rhs`, which loads
-scipy.integrate on its first run) under the norm of the Kronecker layout,
-so they take the Kronecker run's steps; their applies multiply by a CSR
-matrix of the triplets, which a lift, a frozen value, builds once.
+STEP_COLUMNS columns, whatever its width, into one span buffer that every
+span reuses (`step_block`).  Larger lifts are integrated by DOP853 at
+LIFT_TOL (`integrate_rhs`, which loads scipy.integrate on its first run)
+under the norm of the Kronecker layout, so they take the Kronecker run's
+steps; their applies multiply by a CSR matrix of the triplets, which a
+lift, a frozen value, builds once.  Every caller reads block 1, the
+coordinates x_i, so on both paths a run keeps block 1 of its samples and,
+from the norm over all D monomials, how many of them it keeps: n d c
+values for n samples of c columns, where every monomial of every sample
+would take n D c.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -79,7 +84,9 @@ DENSE_LIMIT = 120
 LIFT_TOL = 1e-10
 # Sample intervals per span of the exact step: `exact_step` stacks P^1 ..
 # P^K, K = min(n - 1, STEP_SPAN), in K D^2 8 bytes for a real lift (16 for
-# a complex one), at most 3.7 MB for a real lift under DENSE_LIMIT.
+# a complex one), at most 3.7 MB for a real lift under DENSE_LIMIT, and
+# `step_block` steps into a buffer of K + 1 samples of STEP_COLUMNS
+# columns, at most 1.0 MB for a real lift.
 STEP_SPAN = 32
 # Columns of every exact-step product (`step_block`): BLAS may round a
 # column differently in a product of another width.  A multiple of the BLAS
@@ -438,54 +445,69 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
 
 
 def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
-               weights: np.ndarray):
-    """Samples 0 .. n-1 of a (D, c) block of lifts stepped by the stack of
-    `exact_step`, and how many of them each column keeps.
+               weights: np.ndarray, rows: int | None = None):
+    """The leading `rows` coordinates (all D by default) of samples 0 ..
+    n-1 of a (D, c) block of lifts stepped by the stack of `exact_step`,
+    and how many of the samples each column keeps.
 
     Sample jK + i is P^i times sample jK, so a span of K samples is one
-    (K D, D) @ (D, STEP_COLUMNS) product, shorter for a partial last span.
-    A block of at most STEP_COLUMNS columns is zero-padded to that width; a
-    wider one is stepped STEP_COLUMNS columns at a time.  So each column
-    has the bits it has when stepped alone.  Returns the (n, D, c) samples
-    and, per column, the samples before its first one whose norm
-    sqrt(sum_a weights[a] |g_a|^2) exceeds DIVERGENCE_NORM (n when none
-    does); the samples after that are not meaningful.
+    (K D, D) @ (D, STEP_COLUMNS) product, shorter for a partial last span,
+    into one span buffer that every span and column group reuses: its
+    first slot holds the full sample the span starts from, the last one
+    the next span copies there.  A block of at most STEP_COLUMNS columns
+    is zero-padded to that width; a wider one is stepped STEP_COLUMNS
+    columns at a time.  So each column has the bits it has when stepped
+    alone, and only the (n, rows, c) samples returned span the grid.  A
+    column keeps the samples before its first one whose norm
+    sqrt(sum_a weights[a] |g_a|^2), over all D coordinates, exceeds
+    DIVERGENCE_NORM (n when none does); the samples after that are not
+    meaningful.
     """
-    count = G0.shape[1]
-    if count > STEP_COLUMNS:
-        parts = [step_block(stack, G0[:, lo:lo + STEP_COLUMNS], n, weights)
-                 for lo in range(0, count, STEP_COLUMNS)]
-        return (np.concatenate([samples for samples, _ in parts], axis=2),
-                np.concatenate([kept for _, kept in parts]))
     span, size = stack.shape[:2]
-    # every sample after the first is written by the products below
-    samples = np.empty((n, size, STEP_COLUMNS), dtype=value_dtype(stack, G0))
-    samples[0, :, count:] = 0.0
-    samples[0, :, :count] = G0
+    count = G0.shape[1]
+    rows = size if rows is None else rows
+    dtype = value_dtype(stack, G0)
+    samples = np.empty((n, rows, count), dtype=dtype)
+    samples[0] = G0[:rows]
+    kept = np.empty(count, dtype=np.int64)
+    # slot 0: the sample a span starts from; slots 1 .. K: its products
+    buffer = np.empty((span + 1, size, STEP_COLUMNS), dtype=dtype)
     # each sample's weighted squares of its float64 parts (a complex
-    # column's real and imaginary parts side by side), formed per span on
-    # the product just written, so that no temporary of the whole block is
-    # allocated: one cost about 4,400 page faults per benchmark scan pass
-    squares = np.empty((n - 1, samples[0].view(np.float64).shape[1]))
+    # column's real and imaginary parts side by side), formed per span in
+    # place on the product just written, once its rows and last sample are
+    # copied out, so that no temporary of a span or of the whole block is
+    # allocated: one of the whole block cost about 4,400 page faults per
+    # benchmark scan pass
+    squares = np.empty((n - 1, buffer[0].view(np.float64).shape[1]))
     powers = stack.reshape(span * size, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n - 1, span):
-            k = min(span, n - 1 - start)
-            block = samples[start + 1:start + 1 + k]
-            np.matmul(powers[:k * size], samples[start],
-                      out=block.reshape(k * size, STEP_COLUMNS))
-            np.matmul(weights, np.square(block.view(np.float64)),
-                      out=squares[start:start + k])
-        norms = np.sqrt(squares.reshape(n - 1, STEP_COLUMNS, -1).sum(axis=2))
-    over = ~(norms[:, :count] <= DIVERGENCE_NORM)
-    kept = np.where(over.any(axis=0), over.argmax(axis=0) + 1, n)
-    return samples[:, :, :count], kept
+    for lo in range(0, count, STEP_COLUMNS):
+        width = min(STEP_COLUMNS, count - lo)
+        buffer[0, :, width:] = 0.0
+        buffer[0, :, :width] = G0[:, lo:lo + width]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n - 1, span):
+                k = min(span, n - 1 - start)
+                block = buffer[1:1 + k]
+                np.matmul(powers[:k * size], buffer[0],
+                          out=block.reshape(k * size, STEP_COLUMNS))
+                samples[start + 1:start + 1 + k, :, lo:lo + width] = \
+                    block[:, :rows, :width]
+                buffer[0] = block[-1]
+                parts = block.view(np.float64)
+                np.matmul(weights, np.square(parts, out=parts),
+                          out=squares[start:start + k])
+            norms = np.sqrt(
+                squares.reshape(n - 1, STEP_COLUMNS, -1).sum(axis=2))
+        over = ~(norms[:, :width] <= DIVERGENCE_NORM)
+        kept[lo:lo + width] = np.where(over.any(axis=0),
+                                       over.argmax(axis=0) + 1, n)
+    return samples, kept
 
 
 def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
                    sample_times=None):
-    """Samples of dg/dt = C g of a `MonomialLift` from each column of the
-    (D, c) block G0, as arrays, at the times of
+    """Block 1 of the samples of dg/dt = C g of a `MonomialLift` from each
+    column of the (D, c) block G0, as arrays, at the times of
     `polyflow.sample_grid(t_end, sample_times)`.
 
     A lift of at most DENSE_LIMIT monomials (`steps_exactly`) is stepped
@@ -493,36 +515,42 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     product per span and STEP_COLUMNS columns (`step_block`), so a column's
     samples do not depend on its block, and the lift keeps that stack.  Any
     larger lift integrates each column with DOP853 at LIFT_TOL
-    (`polyflow.integrate_rhs`).  On both paths the norm is that of the
-    Kronecker layout, each monomial weighted by `lift.multiplicities`, and
-    a column ends at divergence (that norm above DIVERGENCE_NORM).
+    (`polyflow.integrate_rhs`), one at a time, and keeps block 1 of its
+    run.  On both paths the norm is that of the Kronecker layout, over all
+    D monomials, each weighted by `lift.multiplicities`, and a column ends
+    at divergence (that norm above DIVERGENCE_NORM).
 
-    Returns (times, samples, kept, diverged): the n sample times, the
-    (n, D, c) samples, how many leading samples each column keeps (the
-    samples after them are not meaningful) and whether it diverged.
+    Returns (times, samples, kept, diverged): the n sample times, block 1
+    of the samples, the coordinates x_0 .. x_(d-1) as an (n, d, c) array,
+    how many leading samples each column keeps (the samples after them are
+    not meaningful) and whether it diverged.
     """
     G0 = as_values(G0, lift.vals)
     if G0.ndim != 2 or G0.shape[0] != lift.total_dim:
         raise DimensionError("lift/state dims mismatch")
     times = sample_grid(t_end, sample_times)
     if (step := exact_step(lift, t_end, times)) is not None:
-        samples, kept = step_block(step, G0, times.size, lift.multiplicities)
+        samples, kept = step_block(step, G0, times.size, lift.multiplicities,
+                                   rows=lift.dim)
         return times, samples, kept, kept < times.size
-    trajs = [integrate_rhs(lambda t, g: lift.apply(g), g0, t_end,
-                           LIFT_TOL, times, weights=lift.multiplicities)
-             for g0 in G0.T]
-    samples = np.full((times.size,) + G0.shape, np.nan, dtype=G0.dtype)
-    for col, traj in enumerate(trajs):
-        samples[:traj.times.size, :, col] = traj.states
-    kept = np.array([traj.times.size for traj in trajs], dtype=np.int64)
-    return times, samples, kept, np.array([traj.diverged for traj in trajs])
+    count = G0.shape[1]
+    samples = np.full((times.size, lift.dim, count), np.nan, dtype=G0.dtype)
+    kept = np.empty(count, dtype=np.int64)
+    diverged = np.empty(count, dtype=bool)
+    for col, g0 in enumerate(G0.T):
+        traj = integrate_rhs(lambda t, g: lift.apply(g), g0, t_end,
+                             LIFT_TOL, times, weights=lift.multiplicities)
+        kept[col], diverged[col] = traj.times.size, traj.diverged
+        samples[:kept[col], :, col] = traj.states[:, :lift.dim]
+    return times, samples, kept, diverged
 
 
 def evolve_lifted(lift: MonomialLift, g0, t_end: float,
                   sample_times=None) -> Trajectory:
-    """Trajectory of dg/dt = C g of a `MonomialLift` from the lifted vector
-    g0, such as `lift.initial_lift(z0)`: `lifted_samples` on a block of
-    one, its kept samples and whether it diverged."""
+    """Block 1 of the trajectory of dg/dt = C g of a `MonomialLift` from
+    the lifted vector g0, such as `lift.initial_lift(z0)`: `lifted_samples`
+    on a block of one, its kept samples of x_0 .. x_(d-1) and whether it
+    diverged."""
     times, samples, kept, diverged = lifted_samples(
         lift, np.asarray(g0)[:, None], t_end, sample_times)
     return Trajectory(times[:kept[0]], samples[:kept[0], :, 0],

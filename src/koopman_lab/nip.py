@@ -351,9 +351,10 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
 
     The lifts start as the columns of one block, propagated by
     `carleman.lifted_samples` (stepped exactly, or integrated column by
-    column), and block 1 and the kept samples of every column come from its
-    one sample array.  A vacancy lift starts from y(0) = eta/(1+eta),
-    formed as `reference_y_samples` forms it, so its error at t = 0 is 0.
+    column), which returns block 1 of every column's samples, one array,
+    and the samples each keeps by the norm over all its monomials.  A
+    vacancy lift starts from y(0) = eta/(1+eta), formed as
+    `reference_y_samples` forms it, so its error at t = 0 is 0.
     """
     eta = x_to_eta(model, np.asarray(X0s, dtype=float))
     if route == "vacancy":
@@ -363,8 +364,8 @@ def route_runs(model: PopulationModel, X0s, route: str, order: int,
     lift = route_lift(model, route, order)
     _, samples, kept, diverged = lifted_samples(
         lift, lift.initial_lift(Z0).T, t_end, sample_times)
-    return _route_errors(references, samples[:, :model.dim].transpose(2, 0, 1),
-                         kept, diverged, back_map)
+    return _route_errors(references, samples.transpose(2, 0, 1), kept,
+                         diverged, back_map)
 
 
 def _route_run(model, x0, route, order, t_end, sample_times,

@@ -3,8 +3,9 @@
 Each case is one command line run through `cli.run` in this process.  The
 manifest keeps its argv, its exit code and the sha256 of its standard
 output and of its CSV (null when it writes none), with the numpy, scipy
-and BLAS versions they were recorded under; `constraints.txt` pins the
-first two for CI's install.  tests/test_outputs.py runs every case and
+and BLAS versions they were recorded under and the kernel OpenBLAS picked
+for the CPU, which sets the order in which BLAS sums; `constraints.txt`
+pins the first two for CI's install.  tests/test_outputs.py runs every case and
 compares.  Re-record only on purpose, and list each case whose hashes
 change, with the reason, in CHANGES.md:
 
@@ -24,6 +25,7 @@ model whose x1 grows without bound at t = ln(4/3).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -112,10 +114,29 @@ def run_case(argv, workdir):
     return code, _sha(stdout.getvalue().encode()), written
 
 
+def blas_kernel() -> str:
+    """The core OpenBLAS dispatched to for this CPU, read from numpy's copy
+    of the library, else from scipy's; "unknown" when neither names it."""
+    for module, pattern, symbol in (
+            (np, "libscipy_openblas64_*.so", "scipy_openblas_get_corename64_"),
+            (scipy, "libscipy_openblas*.so", "scipy_openblas_get_corename")):
+        libs = Path(module.__file__).resolve().parents[1] \
+            / f"{module.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                corename = getattr(ctypes.CDLL(str(path)), symbol)
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def versions() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_kernel": blas_kernel()}
 
 
 def record() -> dict:

@@ -414,8 +414,8 @@ class TestLift:
 class TestEvolve:
     def test_linear_system_exact_in_blocks(self):
         # for a purely linear system each block evolves by expm(position
-        # sum): the monomial flow, expanded to the Kronecker layout, is the
-        # Kronecker generator's exponential and the powers of expm(M) z0
+        # sum): block 1 of the monomial flow, the run's one block, is that
+        # of the Kronecker generator's exponential and expm(M) z0
         d = 2
         rng = np.random.default_rng(15)
         M = rng.normal(size=(d, d)) - 2.0 * np.eye(d)
@@ -423,14 +423,12 @@ class TestEvolve:
         lift = build_monomial_lift(sys, 2)
         z0 = np.array([0.4, -0.3])
         traj = evolve_lifted(lift, lift.initial_lift(z0), 1.0)
-        final = LiftedState(d, 2, expansion(lift) @ traj.final)
-        np.testing.assert_allclose(
-            final.data, expm(build_carleman(sys, 2).dense())
-            @ initial_lift(z0, 2).data, rtol=0, atol=1e-12)
-        zT = expm(M) @ z0
-        np.testing.assert_allclose(final.block(1), zT, atol=1e-9)
-        np.testing.assert_allclose(final.block(2), np.kron(zT, zT),
-                                   atol=1e-9)
+        assert traj.states.shape[1] == d and not traj.diverged
+        final = LiftedState(d, 2, expm(build_carleman(sys, 2).dense())
+                            @ initial_lift(z0, 2).data)
+        np.testing.assert_allclose(traj.final, final.block(1), rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(traj.final, expm(M) @ z0, atol=1e-9)
 
     def test_truncation_error_converges_inside_ball(self):
         sys, _, _ = random_quadratic(2, seed=16, scale=0.1)
@@ -494,8 +492,8 @@ class TestExactStep:
                              carleman.LIFT_TOL)
         np.testing.assert_array_equal(traj.times, [0.0])
         np.testing.assert_array_equal(traj.times, want.times)
-        np.testing.assert_array_equal(traj.states, want.states)
-        np.testing.assert_array_equal(traj.states, g0[None])
+        np.testing.assert_array_equal(traj.states, want.states[:, :2])
+        np.testing.assert_array_equal(traj.states, g0[None, :2])
         assert traj.diverged == want.diverged is False
 
     @pytest.mark.parametrize("d, dense", [(DENSE_LIMIT, True),
@@ -563,6 +561,46 @@ class TestExactStep:
             np.testing.assert_array_equal(samples[:kept[col], :, col],
                                           single.states)
 
+    def test_block1_is_that_of_the_padded_span_products(self):
+        # the block of test_block_columns_are_single_runs: block 1 of each
+        # column, to the bit, is block 1 of the (K D, D) @ (D, STEP_COLUMNS)
+        # products of the zero-padded block formed here from the stack, and
+        # each column keeps the samples before its weighted norm over all
+        # D monomials first exceeds DIVERGENCE_NORM
+        rng = np.random.default_rng(21)
+        F1 = 2.0 * np.eye(2) + 0.1 * rng.normal(size=(2, 2))
+        F2 = 0.3 * rng.normal(size=(2, 4))
+        sys = PolySystem(2, [None, SparseTensor.from_dense_flat(1, F1),
+                             SparseTensor.from_dense_flat(2, F2)])
+        op = build_monomial_lift(sys, 3)
+        grid = np.linspace(0.0, 2.0, 3 * carleman.STEP_SPAN + 5)
+        step = exact_step(op, 2.0, grid)
+        G0 = np.column_stack([op.initial_lift(scale * rng.normal(size=2))
+                              for scale in (0.1, 1.0, 30.0)])
+        span, size = step.shape[:2]
+        padded = [np.zeros((size, STEP_COLUMNS))]
+        padded[0][:, :3] = G0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, grid.size - 1, span):
+                k = min(span, grid.size - 1 - start)
+                products = np.empty((k * size, STEP_COLUMNS))
+                np.matmul(step.reshape(span * size, size)[:k * size],
+                          padded[-1], out=products)
+                padded.extend(products.reshape(k, size, STEP_COLUMNS))
+            norms = np.sqrt(np.einsum("sac,a->sc", np.square(padded),
+                                      op.multiplicities))
+        padded = np.array(padded)[:, :, :3]
+        over = norms[:, :3] > carleman.DIVERGENCE_NORM
+        want_kept = [int(np.argmax(col)) if col.any() else grid.size
+                     for col in over.T]
+        times, samples, kept, diverged = lifted_samples(op, G0, 2.0, grid)
+        assert samples.shape == (grid.size, op.dim, 3)
+        assert kept.tolist() == want_kept
+        assert diverged.tolist() == [False, False, True]
+        for col in range(3):
+            np.testing.assert_array_equal(samples[:kept[col], :, col],
+                                          padded[:kept[col], :op.dim, col])
+
     def test_wide_block_columns_are_stepped_alone(self):
         # a block wider than STEP_COLUMNS is stepped STEP_COLUMNS columns
         # at a time, so each column keeps the bits it has alone
@@ -595,9 +633,9 @@ class TestExactStep:
                                           single.states)
 
     def test_integrated_samples_pack_each_run(self, monkeypatch):
-        # off the exact path, above DENSE_LIMIT, each column's DOP853 run
-        # lands in the (n, D, c) sample array to the bit, a diverged one
-        # cut where its run stopped
+        # off the exact path, above DENSE_LIMIT, block 1 of each column's
+        # DOP853 run lands in the (n, d, c) sample array to the bit, a
+        # diverged one cut where its run stopped
         monkeypatch.setattr(carleman, "DENSE_LIMIT", 0)
         rng = np.random.default_rng(21)
         F1 = 2.0 * np.eye(2) + 0.1 * rng.normal(size=(2, 2))
@@ -611,7 +649,7 @@ class TestExactStep:
         times, samples, kept, diverged = carleman.lifted_samples(
             op, G0, 2.0, grid)
         np.testing.assert_array_equal(times, grid)
-        assert samples.shape == (times.size, op.total_dim, 2)
+        assert samples.shape == (times.size, op.dim, 2)
         assert diverged.tolist() == [False, True]
         assert kept[0] == times.size and kept[1] < times.size
         for col in range(2):
@@ -620,7 +658,7 @@ class TestExactStep:
                                 weights=op.multiplicities)
             assert kept[col] == run.times.size
             np.testing.assert_array_equal(samples[:kept[col], :, col],
-                                          run.states)
+                                          run.states[:, :op.dim])
         assert np.all(np.isnan(samples[kept[1]:, :, 1]))
 
     def test_truncation_error_maps_block1_rows(self):

@@ -1486,6 +1486,23 @@ class TestRsepCommands:
                 f"x-side log-norm -delta\n")
             assert not out.exists()
 
+    def test_r_x_holds_its_bound_up_to_the_rounding(self, tmp_path):
+        # just above the delta floor the x-side log-norm -delta is resolved
+        # to within 32 eps gamma, so R_x may fall below its bound column by
+        # that share of delta, as the README's points.delta row states
+        point = {"d": 3, "beta": 2.0, "gamma": 3.0, "delta": 1e-12,
+                 "seed": 1}
+        cfg = write_json(tmp_path, "p.json", {"points": [point]})
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["rsep-sweep", "--config", cfg, "--out",
+                        str(out)]) == cli.EXIT_OK
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, line.split(","))))
+        bound, r_x = row["R_x_lower_bound"], row["R_x"]
+        rounding = cli.RSEP_DELTA_ULPS * np.finfo(float).eps * 3.0 / 1e-12
+        assert r_x < bound
+        assert r_x >= bound * (1 - rounding)
+
     def test_zero_horizon_sweeps(self, tmp_path):
         # the flows sample t = 0 alone: one row per point, residual 0
         cfg = write_json(tmp_path, "p.json", {"points": [RSEP_POINT] * 2})

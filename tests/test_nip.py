@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,13 +543,55 @@ class TestSpanStepping:
             lift, G0, DEMO_T_END, grid)
         assert diverged.tolist() == [True, False]
         assert lifted_kept.tolist() == oracle_kept
+        # the lift keeps block 1 of the samples step_block steps in full
+        assert lifted.shape == (n, 3, 2)
         np.testing.assert_array_equal(lifted[:kept[0], :, 0],
-                                      samples[:kept[0], :, 0])
+                                      samples[:kept[0], :3, 0])
 
     def test_short_grid_takes_a_short_stack(self):
         grid = np.linspace(0.0, DEMO_T_END, 6)
         lift = route_lift(paper_model(), "mode", 2)
         assert exact_step(lift, DEMO_T_END, grid).shape[0] == 5
+
+
+def traced_peak(run):
+    """The peak of the bytes numpy and Python allocate while `run()` runs,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampleMemory:
+    # A lifted run keeps block 1 of its samples and one span buffer of
+    # STEP_SPAN + 1 full samples, not an (n, D, STEP_COLUMNS) array of
+    # every sample: at order 7 (D = 119) over the default 129 samples that
+    # array alone is 129 * 119 * 32 * 8 bytes.
+    FULL_SAMPLES = 129 * 119 * carleman.STEP_COLUMNS * 8
+
+    def test_warm_order_7_run_keeps_no_full_sample_array(self):
+        # 1.12 MB measured (4.95 MB when every sample was kept whole), on
+        # a lift and step built by the warm-up run
+        model = paper_model()
+        nip_evolve(model, DEMO_X0, 7, DEMO_T_END)
+        assert route_lift(model, "mode", 7).total_dim == 119
+        assert traced_peak(lambda: nip_evolve(
+            model, DEMO_X0, 7, DEMO_T_END)) < self.FULL_SAMPLES
+
+    def test_warm_scan_chunk_keeps_no_full_sample_array(self):
+        # one chunk of SCAN_CHUNK = 32 cells at orders 6 and 7: 1.48 MB
+        # measured (7.85 MB when every sample was kept whole)
+        model = paper_model()
+        scan = dict(x2_range=1.0 + 0.05 * np.arange(8),
+                    x3_range=1.0 + 0.05 * np.arange(4), orders=(6, 7),
+                    t_end=DEMO_T_END, threads=1)
+        assert population.SCAN_CHUNK == 32
+        convergence_scan(model, **scan)
+        assert traced_peak(lambda: convergence_scan(model, **scan)) \
+            < self.FULL_SAMPLES
 
 
 class TestWeightedDop853Path:

@@ -4,8 +4,10 @@ tests/data/outputs.json holds, per case, an argv, its exit code and the
 sha256 of its standard output and CSV.  All the cases run in one
 subprocess of tests/data/record_outputs.py, with BLAS on one thread as the
 CLI entry point pins it; each case is then its own test, so a changed
-number names its command.  A PR that changes a hash on purpose re-records
-the manifest with that script and lists the changed cases in CHANGES.md.
+number names its command, and its message the versions and BLAS kernel
+it was recorded and run under.  A PR that changes a hash on purpose
+re-records the manifest with that script and lists the changed cases in
+CHANGES.md.
 """
 
 import json
