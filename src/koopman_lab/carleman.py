@@ -86,12 +86,16 @@ LIFT_TOL = 1e-10
 # P^K, K = min(n - 1, STEP_SPAN), in K D^2 8 bytes for a real lift (16 for
 # a complex one), at most 3.7 MB for a real lift under DENSE_LIMIT, and
 # `step_block` steps into a buffer of K + 1 samples of STEP_COLUMNS
-# columns, at most 1.0 MB for a real lift.
+# columns, at most 0.25 MB for a real lift.
 STEP_SPAN = 32
 # Columns of every exact-step product (`step_block`): BLAS may round a
 # column differently in a product of another width.  A multiple of the BLAS
-# kernels' column tiling, so that no column falls in a partial tile.
-STEP_COLUMNS = 32
+# kernels' column tiling, so that no column falls in a partial tile.  A
+# block is padded to a multiple of it: at 8, the benchmark's 8-cell scans
+# and the scan's last chunk pay for no zero columns (an 8-column block at
+# order 7 took 1.4 ms, against 3.2 ms padded to 32), and a full 32-column
+# chunk takes four products (5.8 ms against 3.2; one BLAS thread).
+STEP_COLUMNS = 8
 
 
 def carleman_dimension(d: int, order: int) -> int:
@@ -454,10 +458,10 @@ def step_block(stack: np.ndarray, G0: np.ndarray, n: int,
     (K D, D) @ (D, STEP_COLUMNS) product, shorter for a partial last span,
     into one span buffer that every span and column group reuses: its
     first slot holds the full sample the span starts from, the last one
-    the next span copies there.  A block of at most STEP_COLUMNS columns
-    is zero-padded to that width; a wider one is stepped STEP_COLUMNS
-    columns at a time.  So each column has the bits it has when stepped
-    alone, and only the (n, rows, c) samples returned span the grid.  A
+    the next span copies there.  The block is stepped STEP_COLUMNS
+    columns at a time, its last group zero-padded to that width.  So each
+    column has the bits it has when stepped alone, and only the (n, rows,
+    c) samples returned span the grid.  A
     column keeps the samples before its first one whose norm
     sqrt(sum_a weights[a] |g_a|^2), over all D coordinates, exceeds
     DIVERGENCE_NORM (n when none does); the samples after that are not

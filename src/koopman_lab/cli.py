@@ -284,20 +284,22 @@ def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
     Taylor reference: 10 ms, then per chunk 4 ms + 2.7 ms t_end, and per
     cell 0.08 ms + 0.09 ms t_end.  A lift of at most DENSE_LIMIT monomials
     (`carleman.steps_exactly`) takes the exact step: 5 ns D^3 for its expm
-    and stack, D its monomial count, and per chunk 0.35 us D^2 for its span
-    products.  A larger lift is integrated by DOP853 cell by cell instead:
+    and stack, D its monomial count, and per chunk 0.45 us D^2 for its span
+    products (four of `carleman.STEP_COLUMNS` columns for a full chunk).
+    A larger lift is integrated by DOP853 cell by cell instead:
     0.25 s once, to load scipy.integrate, then per cell 5 ms + t_end n (a +
     b D n^k) at order n, (a, b, k) its route's `_DOP853_RATES`.
     Timed as `run` in one process: `population-scan` at the default
-    orders on 1, 25, 36 and 10,000 cells took 14 ms, 16 ms, 20 ms and 2.2 s
-    at --t-end 0.1, 18 ms, 28 ms, 45 ms and 4.7 s at 1, and the first
-    three 0.85, 1.5 and 2.1 s at 300, and on its default grid 0.24 and
-    0.63 s at --orders 2 5 and 6 7; `carleman-error` took 0.25 s at its
-    default orders and --t-end 100, 0.29, 1.0, 18 and 56 s at --orders 10
-    and --t-end 1, 10, 100 and 300, and 0.63, 11 and 199 s at --orders 16
-    and 1, 10 and 100; `nip-error` 2.2 and 2.0 s at --orders 5 and 7 and
-    --t-end 1000, 0.63, 6.4 and 19 s at --orders 10 and 10, 100 and 300,
-    and 1.6 and 24 s at --orders 16 and 10 and 100."""
+    orders on 1, 25, 36 and 10,000 cells took 9 ms, 17 ms, 19 ms and 2.0 s
+    at --t-end 0.1, 12 ms, 18 ms, 25 ms and 3.7 s at 1, and the first
+    three 0.61, 0.94 and 1.7 s at 300, and on its default grid 0.26 and
+    0.85-0.99 s at --orders 2 5 and 6 7; `carleman-error` took 0.23 s at
+    its default orders and --t-end 100, 0.31, 1.0, 18 and 53 s at --orders
+    10 and --t-end 1, 10, 100 and 300, and 0.50, 11 and 192 s at --orders
+    16 and 1, 10 and 100 (the 53 and 192 s runs, which MAX_LIFT_SECONDS
+    refuses, timed with it lifted); `nip-error` 2.0 and 2.0 s at --orders
+    5 and 7 and --t-end 1000, 0.52, 5.9 and 15 s at --orders 10 and 10,
+    100 and 300, and 1.7 and 25 s at --orders 16 and 10 and 100."""
     chunks = -(-cells // population.SCAN_CHUNK)
     seconds = 0.01 + chunks * (4e-3 + 2.7e-3 * t_end) \
         + cells * (8e-5 + 9e-5 * t_end)
@@ -308,7 +310,7 @@ def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
             monomials = monomial_count(dim, n)
             if steps_exactly(dim, n):
                 seconds += 5e-9 * monomials**3 \
-                    + chunks * 3.5e-7 * monomials**2
+                    + chunks * 4.5e-7 * monomials**2
             else:
                 a, b, k = _DOP853_RATES[route]
                 seconds += cells * (5e-3 + t_end * n

@@ -12,10 +12,11 @@ expansion of order TAYLOR_ORDER per step, picks the step from the
 expansion's last two coefficients at the one tolerance TAYLOR_TOL, and
 one Horner pass over the coefficients gives every sample inside the step
 (Taylor's step control and dense output, Jorba & Zou, Exp. Math. 14(1),
-2005).  The expansion's recurrence takes two stacked per-row products per
-order: the Cauchy sums of the coefficients' outer products, then their
-contraction with one dense bilinear tensor of the system
-(`_QuadraticTaylor`).  Every flow of the
+2005): about 6 expansions per 128 sample intervals of a criterion-04
+cell, within roundoff of the exact flow.  The expansion's recurrence
+takes two stacked per-row products per order: the Cauchy sums of the
+coefficients' outer products, then their contraction with one dense
+bilinear tensor of the system (`_QuadraticTaylor`).  Every flow of the
 package samples the uniform grid of `sample_grid`, np.linspace(0, t_end,
 n), with n = GRID_SAMPLES when it is given no sample times.
 Every flow runs in the dtype of its system and initial states
@@ -42,12 +43,25 @@ GRID_SAMPLES = 129
 # Order of each Taylor expansion of `taylor_samples`, its tolerance, and
 # the bound on the expansion's last two coefficients over a step, as a
 # fraction of TAYLOR_TOL max(1, |x|), that picks the step.  On criterion
-# 04's 961-cell grid, against a long-double Taylor flow, the reference's
-# largest error relative to max(1, |eta|) is 1.7e-13 at a bound of 1,
-# 3.0e-15 at 0.02 and 9.0e-16, roundoff, at 0.005, which 0.002 does not
-# lower.  At 0.005 a reference takes about 10 expansions per 128 sample
-# intervals.
-TAYLOR_ORDER = 20
+# 04's 961-cell grid (t_end 0.1, 129 samples), against a 30-digit mpmath
+# flow, the reference's largest error relative to max(1, |eta|) at order
+# 27 is 7.6e-13 at a bound of 1, 6.7e-15 at 0.02 and 1.4e-15, roundoff
+# (6 ulp), at 0.005, which 0.002 does not lower.  At 0.005 a reference
+# takes about 6 expansions per 128 sample intervals.
+#
+# The order is the fastest one whose error stays at roundoff.  Jorba &
+# Zou's rule, which counts order^2 operations per step, gives about 19 at
+# this tolerance; but at the scan's batch sizes each order of an expansion
+# is a fixed number of array calls, so a step costs in proportion to the
+# order, and fewer, longer steps cost less.  For 8 rows, order 20 took 3.0
+# ms and 9.3 expansions per 128 intervals, order 27 2.3 ms, and 128 or 512
+# rows took the same time at both (one BLAS thread).  The grid's largest
+# error grows with the order, 9.3e-16 at 20, 1.1e-15 at 24, 1.9e-15 at 28
+# and 2.8e-15 at 32; on the five cells of the tests' 30-digit check,
+# order 27 stays within 7.8e-16 under OpenBLAS's SkylakeX, Haswell,
+# Sandybridge and Prescott kernels, where order 28, no more than a few per
+# cent faster, reaches 1.3e-15.
+TAYLOR_ORDER = 27
 TAYLOR_TOL = 1e-12
 TAYLOR_TAIL = 0.005
 

@@ -15,6 +15,18 @@ With --print the record goes to standard output instead, and no file is
 written.  BLAS runs on one thread, as `python -m koopman_lab` pins it, since
 its rounding depends on the thread count.
 
+To say how much a re-record moves, dump the outputs themselves before and
+after the change, and compare the two dumps:
+
+    PYTHONPATH=src python tests/data/record_outputs.py --dump DIR
+    python tests/data/record_outputs.py --compare OLD_DIR NEW_DIR
+
+--dump writes, per case, NAME.exit (the exit code), NAME.stdout and, when
+the case writes one, NAME.csv.  --compare prints one line per case:
+"identical", or the number of changed fields, the largest absolute and
+relative change of a numeric one, and then every changed field that is
+not a number (a verdict, an exit code, a written or missing CSV).
+
 A config name in an argv (`*.json`) is read from `configs/` beside this
 file; the --out name is written into a scratch directory.  The configs
 `fermion`, `commuting`, `rsep`, `spectral` and `history` are the
@@ -29,7 +41,9 @@ import ctypes
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -40,8 +54,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402  (after the pin)
 import scipy  # noqa: E402
-
-from koopman_lab import cli  # noqa: E402
 
 DATA = Path(__file__).resolve().parent
 CONFIGS = DATA / "configs"
@@ -98,8 +110,10 @@ def _sha(data: bytes) -> str:
 
 
 def run_case(argv, workdir):
-    """(exit code, stdout sha256, CSV sha256 or None) of `argv`, its
-    configs read from CONFIGS and its --out written into `workdir`."""
+    """(exit code, stdout bytes, CSV bytes or None) of `argv`, its configs
+    read from CONFIGS and its --out written into `workdir`."""
+    from koopman_lab import cli
+
     args = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
     out = None
     if "--out" in args:
@@ -110,8 +124,8 @@ def run_case(argv, workdir):
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(args)
-    written = _sha(out.read_bytes()) if out and out.exists() else None
-    return code, _sha(stdout.getvalue().encode()), written
+    written = out.read_bytes() if out and out.exists() else None
+    return code, stdout.getvalue().encode(), written
 
 
 def blas_kernel() -> str:
@@ -139,19 +153,115 @@ def versions() -> dict:
             "blas_kernel": blas_kernel()}
 
 
-def record() -> dict:
-    cases = {}
+def outputs():
+    """(name, exit code, stdout bytes, CSV bytes or None) of every case."""
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as workdir:
-            code, stdout, csv = run_case(argv, workdir)
-        cases[name] = {"argv": argv, "exit": code, "stdout": stdout,
-                       "csv": csv}
+            yield name, *run_case(argv, workdir)
+
+
+def record() -> dict:
+    cases = {}
+    for name, code, stdout, csv in outputs():
+        cases[name] = {"argv": CASES[name], "exit": code,
+                       "stdout": _sha(stdout),
+                       "csv": None if csv is None else _sha(csv)}
     return {"versions": versions(), "cases": cases}
 
 
+def dump(directory) -> None:
+    """Each case's NAME.exit, NAME.stdout and, when written, NAME.csv in
+    `directory`."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, code, stdout, csv in outputs():
+        (directory / f"{name}.exit").write_text(f"{code}\n")
+        (directory / f"{name}.stdout").write_bytes(stdout)
+        if csv is not None:
+            (directory / f"{name}.csv").write_bytes(csv)
+
+
+def _fields(path: Path):
+    """The fields of a dumped file: its runs of characters other than
+    whitespace, commas and "=" (so "eps_max=1e-3" is two), or None when
+    the file was not written."""
+    if not path.exists():
+        return None
+    return re.findall(r"[^\s,=]+", path.read_text())
+
+
+def _number(field: str):
+    try:
+        value = float(field)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def compare_case(old: Path, new: Path, name: str) -> list:
+    """The lines that say how case `name` differs between the dumps `old`
+    and `new`: its name and "identical", or how many of its fields
+    changed, with the largest absolute and relative change of a numeric
+    one (the change over the larger magnitude), and then one line per
+    changed exit code or field that is not a number, with its file and
+    place."""
+    total, changed, big_abs, big_rel, notes = 0, 0, 0.0, 0.0, []
+    for suffix in ("exit", "stdout", "csv"):
+        a, b = _fields(old / f"{name}.{suffix}"), \
+            _fields(new / f"{name}.{suffix}")
+        total += len(b or a or ())
+        if a is None or b is None:
+            if (a is None) != (b is None):
+                changed += 1
+                notes.append(f"  {suffix}: "
+                             f"{'none' if a is None else 'written'} -> "
+                             f"{'none' if b is None else 'written'}")
+            continue
+        if len(a) != len(b):
+            changed += 1
+            notes.append(f"  {suffix}: {len(a)} fields -> {len(b)}")
+            continue
+        for place, (x, y) in enumerate(zip(a, b)):
+            if x == y:
+                continue
+            changed += 1
+            u, v = _number(x), _number(y)
+            if u is None or v is None or suffix == "exit":
+                notes.append(f"  {suffix} field {place}: {x} -> {y}")
+                continue
+            big_abs = max(big_abs, abs(u - v))
+            big_rel = max(big_rel, abs(u - v) / max(abs(u), abs(v)))
+    if not changed:
+        return [f"{name}: identical"]
+    return [f"{name}: {changed} of {total} fields changed, max abs "
+            f"{big_abs:.3g}, max rel {big_rel:.3g}", *notes]
+
+
+def compare(old, new) -> list:
+    """`compare_case` of every case dumped in `old` or `new`, in name
+    order; a case dumped in one of them only is named so."""
+    old, new = Path(old), Path(new)
+    in_old = {p.stem for p in old.glob("*.exit")}
+    in_new = {p.stem for p in new.glob("*.exit")}
+    lines = []
+    for name in sorted(in_old | in_new):
+        if name in in_old and name in in_new:
+            lines.extend(compare_case(old, new, name))
+        else:
+            lines.append(f"{name}: only in {old if name in in_old else new}")
+    return lines
+
+
 def main() -> None:
+    args = sys.argv[1:]
+    if args[:1] == ["--compare"] and len(args) == 3:
+        print("\n".join(compare(*args[1:])))
+        return
+    if args[:1] == ["--dump"] and len(args) == 2:
+        dump(args[1])
+        return
     manifest = record()
-    if "--print" in sys.argv[1:]:
+    if "--print" in args:
         print(json.dumps(manifest))
         return
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")

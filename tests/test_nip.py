@@ -54,6 +54,7 @@ from koopman_lab.polyflow import (
     integrate_reference,
     integrate_rhs,
     sample_grid,
+    taylor_samples,
 )
 from koopman_lab.population import convergence_scan, paper_model
 from koopman_lab.rsep import RsepParams, build_rsep, quadratic_flow
@@ -241,6 +242,13 @@ class TestReference:
 def mpmath_y_flow(model, x0, times, dps):
     """y(t) of the exact quadratic eta flow, solved by mpmath's
     arbitrary-precision Taylor integrator at `dps` digits."""
+    return mpmath_eta_flow(model, x0, times, dps, lambda e: e / (1 + e))
+
+
+def mpmath_eta_flow(model, x0, times, dps, value=lambda e: e):
+    """value(eta) of each coordinate of the exact quadratic eta flow from
+    x0 at `times`, solved by mpmath's arbitrary-precision Taylor
+    integrator at `dps` digits and rounded to float64, shape (n, d)."""
     mpmath = pytest.importorskip("mpmath")
     r = [float(v) for v in model.r]
     _, G2 = koopman_tensors(model)
@@ -255,7 +263,7 @@ def mpmath_y_flow(model, x0, times, dps):
     with mpmath.workdps(dps):
         eta0 = [mpmath.mpf(float(e)) for e in x_to_eta(model, x0)]
         flow = mpmath.odefun(rhs, 0, eta0)
-        return np.array([[float(e / (1 + e)) for e in flow(mpmath.mpf(t))]
+        return np.array([[float(value(e)) for e in flow(mpmath.mpf(t))]
                          for t in times])
 
 
@@ -292,13 +300,43 @@ class TestTaylorReference:
 
 
     def test_demo_reference_spans_eight_intervals(self, taylor_expansions):
-        # 128 sample intervals in 10 steps, each picked from its own
-        # expansion: more than eight intervals per expansion
+        # 128 sample intervals in 6 steps, each picked from its own
+        # expansion: more than eight intervals per expansion (10 steps at
+        # order 20)
         ref = reference_y_trajectory(paper_model(), DEMO_X0, DEMO_T_END,
                                      sample_times=np.linspace(
                                          0.0, DEMO_T_END, 129))
         assert ref.times.size == 129 and not ref.diverged
-        assert len(taylor_expansions) <= 10
+        assert len(taylor_expansions) <= 6
+
+    def test_a_row_of_scan_cells_takes_few_expansions(self,
+                                                      taylor_expansions):
+        # (1, 0.5, x3) for the first 8 x3 of criterion 04's axis: of the
+        # grid's 8-cell rows, the one whose batch takes the most
+        # expansions, 8 where order 20 took 12
+        axis = np.arange(0.5, 2.0 + 1e-9, 0.05)
+        ref = reference_y_samples(paper_model(),
+                                  [(1.0, 0.5, x3) for x3 in axis[:8]],
+                                  DEMO_T_END, sample_times=np.linspace(
+                                      0.0, DEMO_T_END, 129))
+        assert (ref.kept == 129).all() and not ref.diverged.any()
+        assert len(taylor_expansions) <= 8
+
+    def test_reference_eta_is_the_exact_flow_to_roundoff(self):
+        # the four corners of criterion 04's grid and (1, 0.6, 0.5), every
+        # sample, against a 30-digit flow: at most 3.5 ulp (7.8e-16) under
+        # OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernels
+        model = paper_model()
+        X0s = np.array([(1.0, 0.5, 0.5), (1.0, 0.5, 2.0), (1.0, 2.0, 0.5),
+                        (1.0, 2.0, 2.0), (1.0, 0.6, 0.5)])
+        grid = np.linspace(0.0, DEMO_T_END, 129)
+        _, eta, kept, diverged = taylor_samples(
+            koopman_system(model), x_to_eta(model, X0s), DEMO_T_END, grid)
+        assert (kept == 129).all() and not diverged.any()
+        for row, x0 in enumerate(X0s):
+            want = mpmath_eta_flow(model, x0, grid, dps=30)
+            err = np.abs(eta[:, row] - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-15, (x0, err.max())
 
 
 class TestEvolutions:
