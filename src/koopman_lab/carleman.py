@@ -29,12 +29,14 @@ STEP_COLUMNS columns, whatever its width, into one span buffer that every
 span reuses (`step_block`).  Larger lifts are integrated by DOP853 at
 LIFT_TOL (`integrate_rhs`, which loads scipy.integrate on its first run)
 under the norm of the Kronecker layout, so they take the Kronecker run's
-steps; their applies multiply by a CSR matrix of the triplets, which a
-lift, a frozen value, builds once.  Every caller reads block 1, the
-coordinates x_i, so on both paths a run keeps block 1 of its samples and,
-from the norm over all D monomials, how many of them it keeps: n d c
-values for n samples of c columns, where every monomial of every sample
-would take n D c.
+steps; their right-hand side calls scipy's CSR matrix-vector kernel on a
+CSR matrix of the triplets, which a lift, a frozen value, builds once:
+the product `MonomialLift.apply` forms through csr_matrix's @, to the
+bit, without the operator's dispatch on every call.  Every caller reads
+block 1, the coordinates x_i, so on both paths a run keeps block 1 of its
+samples and, from the norm over all D monomials, how many of them it
+keeps: n d c values for n samples of c columns, where every monomial of
+every sample would take n D c.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -53,6 +55,8 @@ from math import comb
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
+# the kernel of csr_matrix @ vector (`_cs_matrix._matmul_vector`)
+from scipy.sparse._sparsetools import csr_matvec
 
 from .polyflow import (
     DIVERGENCE_NORM,
@@ -71,14 +75,16 @@ from .polyflow import (
 DIM_LIMIT = 10**8
 # Largest lift, counted in monomials (`MonomialLift.total_dim`), propagated
 # by the exact dense step.  Measured on the monomial basis, one BLAS thread,
-# the paper model's lifts on both routes, each built on a fresh model and
-# run once over the default 129-sample grid: the exact step's build (system,
-# generator, expm, stack) and run took 0.9-1.4 + 0.9 ms at D = 55 (d = 3,
-# order 5), 1.7-2.6 + 1.7-2.0 ms at D = 83 (order 6) and 5.2-7.8 + 4.7-6.1
-# ms at D = 119 (order 7), against 0.4-0.8 + 5.3-5.8, 0.5-1.4 + 4.9-7.9 and
-# 0.6-1.8 + 5.3-8.0 ms for DOP853, whose first run also loads
-# scipy.integrate (0.25 s, 20 MiB).  So one run costs about the same on
-# both paths at D = 119, the largest lift under the limit.
+# the paper model's lifts on both routes from the default x0, each built on
+# a fresh model and run once over the default 129-sample grid at t_end 0.1:
+# the exact step's build (system, generator, expm, stack) and run took
+# 1.1-2.3 + 0.4-1.0 ms at D = 55 (d = 3, order 5), 2.5-5.0 + 1.2-1.8 ms at
+# D = 83 (order 6) and 4.9-8.4 + 1.9-2.8 ms at D = 119 (order 7), against
+# 0.9-2.1 + 6.7-10.1, 0.9-2.9 + 6.8-11.1 and 1.3-4.1 + 7.4-12.9 ms for
+# DOP853 (its right-hand side the CSR kernel, 360-504 calls per run),
+# whose first run also loads scipy.integrate (0.25 s, 20 MiB).  So up to
+# D = 119, the largest lift under the limit, an exact run costs no more
+# than a DOP853 run.
 DENSE_LIMIT = 120
 # DOP853 tolerance of every lift above DENSE_LIMIT.
 LIFT_TOL = 1e-10
@@ -265,10 +271,11 @@ class MonomialLift:
     The generator is held as its (row, column, value) triplets, a
     duplicate position summing its values.  It has two views, each built
     from the triplets when asked for: `dense()`, which the exact step
-    reads, adds them into a dense matrix; `apply`, which only the lifts
-    integrated by DOP853 call, multiplies by a CSR matrix of them, built on
-    the first apply and kept (`_csr`), as `exact_step` keeps the stack of
-    its last grid (`_step`).  A lift is a value: its fields cannot be
+    reads, adds them into a dense matrix; `apply` multiplies by a CSR
+    matrix of them, built when first asked for and kept (`_csr`), as
+    `exact_step` keeps the stack of its last grid (`_step`).  The DOP853
+    runs of `lifted_samples` call the CSR kernel of `apply` on `_csr`
+    directly, for the same bits.  A lift is a value: its fields cannot be
     rebound and its arrays are read-only.
     """
 
@@ -519,10 +526,11 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     product per span and STEP_COLUMNS columns (`step_block`), so a column's
     samples do not depend on its block, and the lift keeps that stack.  Any
     larger lift integrates each column with DOP853 at LIFT_TOL
-    (`polyflow.integrate_rhs`), one at a time, and keeps block 1 of its
-    run.  On both paths the norm is that of the Kronecker layout, over all
-    D monomials, each weighted by `lift.multiplicities`, and a column ends
-    at divergence (that norm above DIVERGENCE_NORM).
+    (`polyflow.integrate_rhs`), one at a time, its right-hand side the CSR
+    kernel behind `lift.apply` on the same arrays, and keeps block 1 of
+    its run.  On both paths the norm is that of the Kronecker layout, over
+    all D monomials, each weighted by `lift.multiplicities`, and a column
+    ends at divergence (that norm above DIVERGENCE_NORM).
 
     Returns (times, samples, kept, diverged): the n sample times, block 1
     of the samples, the coordinates x_0 .. x_(d-1) as an (n, d, c) array,
@@ -541,9 +549,19 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     samples = np.full((times.size, lift.dim, count), np.nan, dtype=G0.dtype)
     kept = np.empty(count, dtype=np.int64)
     diverged = np.empty(count, dtype=bool)
+    # C g by the kernel that `lift.apply` reaches through csr_matrix's @,
+    # on the same arrays, so to the bit, without the operator's dispatch
+    size, csr = lift.total_dim, lift._csr
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+
+    def rhs(t, g):
+        out = np.zeros(size, dtype=G0.dtype)
+        csr_matvec(size, size, indptr, indices, data, g, out)
+        return out
+
     for col, g0 in enumerate(G0.T):
-        traj = integrate_rhs(lambda t, g: lift.apply(g), g0, t_end,
-                             LIFT_TOL, times, weights=lift.multiplicities)
+        traj = integrate_rhs(rhs, g0, t_end, LIFT_TOL, times,
+                             weights=lift.multiplicities)
         kept[col], diverged[col] = traj.times.size, traj.diverged
         samples[:kept[col], :, col] = traj.states[:, :lift.dim]
     return times, samples, kept, diverged

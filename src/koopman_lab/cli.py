@@ -286,20 +286,23 @@ def _lift_seconds(dim, routes, orders, t_end, cells=1) -> float:
     (`carleman.steps_exactly`) takes the exact step: 5 ns D^3 for its expm
     and stack, D its monomial count, and per chunk 0.45 us D^2 for its span
     products (four of `carleman.STEP_COLUMNS` columns for a full chunk).
-    A larger lift is integrated by DOP853 cell by cell instead:
-    0.25 s once, to load scipy.integrate, then per cell 5 ms + t_end n (a +
-    b D n^k) at order n, (a, b, k) its route's `_DOP853_RATES`.
+    A larger lift is integrated by DOP853 cell by cell instead, its
+    right-hand side the CSR kernel (`carleman.lifted_samples`): 0.25 s
+    once, to load scipy.integrate, then per cell 5 ms + t_end n (a + b D
+    n^k) at order n, (a, b, k) its route's `_DOP853_RATES`.
     Timed as `run` in one process: `population-scan` at the default
     orders on 1, 25, 36 and 10,000 cells took 9 ms, 17 ms, 19 ms and 2.0 s
     at --t-end 0.1, 12 ms, 18 ms, 25 ms and 3.7 s at 1, and the first
     three 0.61, 0.94 and 1.7 s at 300, and on its default grid 0.26 and
     0.85-0.99 s at --orders 2 5 and 6 7; `carleman-error` took 0.23 s at
-    its default orders and --t-end 100, 0.31, 1.0, 18 and 53 s at --orders
-    10 and --t-end 1, 10, 100 and 300, and 0.50, 11 and 192 s at --orders
-    16 and 1, 10 and 100 (the 53 and 192 s runs, which MAX_LIFT_SECONDS
-    refuses, timed with it lifted); `nip-error` 2.0 and 2.0 s at --orders
-    5 and 7 and --t-end 1000, 0.52, 5.9 and 15 s at --orders 10 and 10,
-    100 and 300, and 1.7 and 25 s at --orders 16 and 10 and 100."""
+    its default orders and --t-end 100, 0.21-0.38, 0.98-1.5, 15-22 and
+    50-66 s at --orders 10 and --t-end 1, 10, 100 and 300, and 0.59-0.85,
+    13 and 173-195 s at --orders 16 and 1, 10 and 100 (the runs above
+    MAX_LIFT_SECONDS timed with it lifted); `nip-error` 2.0 and 2.0 s at
+    --orders 5 and 7 and --t-end 1000, 0.44-0.51, 4.6-4.9 and 14-15 s at
+    --orders 10 and 10, 100 and 300, and 1.4-1.7 and 23-25 s at --orders
+    16 and 10 and 100 (the DOP853 runs two each, a fresh process per
+    run)."""
     chunks = -(-cells // population.SCAN_CHUNK)
     seconds = 0.01 + chunks * (4e-3 + 2.7e-3 * t_end) \
         + cells * (8e-5 + 9e-5 * t_end)

@@ -681,15 +681,31 @@ def _formatted(column) -> list:
 def write_csv(path, header, columns) -> None:
     """CSV of equal-length `columns` under `header`, one row per index, so
     that reruns write the same bytes: floats with 17 significant digits,
-    integers in decimal and strings as they are (`_formatted`).  Columns
-    not one per header name, ragged columns and complex values are refused
-    (ValueError) before the file is opened."""
+    integers in decimal and strings as they are (`_formatted`).  When every
+    column is a 1-D float or integer array, each row is formatted by one
+    `%` operation instead, to the same bytes.  Columns not one per header
+    name, ragged columns and complex values are refused (ValueError)
+    before the file is opened."""
     if len(columns) != len(header):
         raise ValueError(f"refusing to write {len(columns)} columns under "
                          f"{len(header)} header names to CSV")
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"refusing to write ragged columns of lengths "
                          f"{[len(column) for column in columns]} to CSV")
+    kinds = [column.dtype.kind if isinstance(column, np.ndarray)
+             and column.ndim == 1 else None for column in columns]
+    if all(kind in ("f", "i", "u") for kind in kinds):
+        # "%.17g" and "%d" give the fields `_formatted` gives, which the
+        # csv writer never quotes
+        row = ",".join("%.17g" if kind == "f" else "%d"
+                       for kind in kinds) + "\r\n"
+        lists = [column.astype(np.float64, copy=False).tolist()
+                 if kind == "f" else column.tolist()
+                 for column, kind in zip(columns, kinds)]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            fh.writelines(row % values for values in zip(*lists))
+        return
     fields = [_formatted(column) for column in columns]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -26,7 +26,13 @@ from koopman_lab.carleman import (
     lifted_samples,
     step_block,
 )
-from koopman_lab.nip import ReferenceSamples, _route_errors, route_system
+from koopman_lab.nip import (
+    ReferenceSamples,
+    _route_errors,
+    nip_evolve,
+    route_lift,
+    route_system,
+)
 from koopman_lab.polyflow import (
     DimensionError,
     OverflowGuardError,
@@ -701,3 +707,59 @@ class TestExactStep:
         errors = lift_errors(ref, op, np.array([1.0]), 0.1, grid)
         assert errors.diverged[0] and errors.kept[0] < grid.size
         assert errors.eps_max[0] == np.inf
+
+
+class TestIntegratedRhs:
+    """The DOP853 right-hand side of a lift above DENSE_LIMIT calls the CSR
+    kernel behind `MonomialLift.apply` itself, a private scipy function,
+    so these tests also catch a scipy release that changes it."""
+
+    @pytest.mark.parametrize("route", ["mode", "vacancy"])
+    @pytest.mark.parametrize("order", [8, 10])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rhs_is_the_apply_to_the_bit(self, route, order, dtype,
+                                         monkeypatch):
+        # every state a run passes, and drawn ones, strided too, give the
+        # bits of `lift.apply`
+        lift = route_lift(paper_model(), route, order)
+        assert not carleman.steps_exactly(lift.dim, order)
+        calls = []
+        integrate = carleman.integrate_rhs
+
+        def recorded(rhs, *args, **kwargs):
+            def compared(t, g):
+                got, want = rhs(t, g), lift.apply(g)
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+                calls.append(rhs)
+                return got
+
+            return integrate(compared, *args, **kwargs)
+
+        monkeypatch.setattr(carleman, "integrate_rhs", recorded)
+        z0 = np.array([0.1, -0.05, 0.08]) * (1 + 0.5j if dtype is
+                                              np.complex128 else 1)
+        lifted_samples(lift, lift.initial_lift(z0)[:, None], 0.05,
+                       np.linspace(0.0, 0.05, 3))
+        assert len(calls) > 10
+        rng = np.random.default_rng(order)
+        draws = rng.normal(size=(lift.total_dim, 2))
+        if dtype is np.complex128:
+            draws = draws + 1j * rng.normal(size=draws.shape)
+        for g in (draws[:, 0], np.ascontiguousarray(draws[:, 1])):
+            np.testing.assert_array_equal(calls[0](0.0, g),
+                                          lift._csr @ g)
+
+    def test_integrated_run_enters_no_sparse_operator(self, monkeypatch):
+        # a DOP853 lift run (order 8, above DENSE_LIMIT) makes no
+        # csr_matrix @ call, whose dispatch cost more than the kernel
+        def refused(self, other):
+            raise AssertionError("csr_matrix.__matmul__ entered")
+
+        monkeypatch.setattr(csr_matrix, "__matmul__", refused)
+        with pytest.raises(AssertionError, match="entered"):
+            build_monomial_lift(linear_system(-np.eye(2)), 1)._csr @ \
+                np.ones(2)
+        run = nip_evolve(paper_model(), np.array([0.9, 1.1, 1.05]), 8, 0.5,
+                         sample_times=np.linspace(0.0, 0.5, 5))
+        assert run.y_approx.times.size == 5 and np.isfinite(run.eps_max)

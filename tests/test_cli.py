@@ -1488,8 +1488,10 @@ class TestRsepCommands:
 
     def test_r_x_holds_its_bound_up_to_the_rounding(self, tmp_path):
         # just above the delta floor the x-side log-norm -delta is resolved
-        # to within 32 eps gamma, so R_x may fall below its bound column by
-        # that share of delta, as the README's points.delta row states
+        # to within 32 eps gamma, so R_x may miss its bound column by that
+        # share of delta, as the README's points.delta row states; on which
+        # side depends on how the BLAS kernel rounds (above it under
+        # OpenBLAS's Prescott kernel, below it under the others)
         point = {"d": 3, "beta": 2.0, "gamma": 3.0, "delta": 1e-12,
                  "seed": 1}
         cfg = write_json(tmp_path, "p.json", {"points": [point]})
@@ -1500,7 +1502,7 @@ class TestRsepCommands:
         row = dict(zip(header.split(","), map(float, line.split(","))))
         bound, r_x = row["R_x_lower_bound"], row["R_x"]
         rounding = cli.RSEP_DELTA_ULPS * np.finfo(float).eps * 3.0 / 1e-12
-        assert r_x < bound
+        assert abs(r_x / bound - 1) <= rounding
         assert r_x >= bound * (1 - rounding)
 
     def test_zero_horizon_sweeps(self, tmp_path):
