@@ -38,6 +38,12 @@ samples and, from the norm over all D monomials, how many of them it
 keeps: n d c values for n samples of c columns, where every monomial of
 every sample would take n D c.
 
+The module imports scipy where it is used: scipy.linalg's `expm` in
+`exact_step`, and scipy.sparse where a CSR is built (`MonomialLift._csr`)
+and where the DOP853 branch of `lifted_samples` binds its kernel.  So a
+process that builds lifts but steps none loads no scipy, and only a lift
+above DENSE_LIMIT, or a call of `apply`, loads scipy.sparse.
+
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
 stacks (a real `expm`) and samples are then all float64, and complex128
@@ -53,10 +59,6 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-# the kernel of csr_matrix @ vector (`_cs_matrix._matmul_vector`)
-from scipy.sparse._sparsetools import csr_matvec
 
 from .polyflow import (
     DIVERGENCE_NORM,
@@ -303,7 +305,9 @@ class MonomialLift:
         return self.exponents.shape[0]
 
     @cached_property
-    def _csr(self) -> csr_matrix:
+    def _csr(self):
+        from scipy.sparse import csr_matrix
+
         size = self.total_dim
         return csr_matrix((self.vals, (self.rows, self.cols)),
                           shape=(size, size))
@@ -438,6 +442,8 @@ def exact_step(lift: MonomialLift, t_end: float, sample_times):
         return None
     if (t_end, n) in lift._step:
         return lift._step[t_end, n]
+    from scipy.linalg import expm
+
     span = min(n - 1, STEP_SPAN)
     size = lift.total_dim
     stack = np.empty((span, size, size), dtype=lift.vals.dtype)
@@ -549,8 +555,11 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     samples = np.full((times.size, lift.dim, count), np.nan, dtype=G0.dtype)
     kept = np.empty(count, dtype=np.int64)
     diverged = np.empty(count, dtype=bool)
-    # C g by the kernel that `lift.apply` reaches through csr_matrix's @,
-    # on the same arrays, so to the bit, without the operator's dispatch
+    # C g by the kernel that `lift.apply` reaches through csr_matrix's @
+    # (`_cs_matrix._matmul_vector`), on the same arrays, so to the bit,
+    # without the operator's dispatch
+    from scipy.sparse._sparsetools import csr_matvec
+
     size, csr = lift.total_dim, lift._csr
     indptr, indices, data = csr.indptr, csr.indices, csr.data
 

@@ -4,10 +4,14 @@ One table, `_COMMANDS`, gives each subcommand its handler, the flags it
 reads and the JSON config keys it requires or allows; the parser is built
 from it, and any other flag or key is refused.  Another, `_DOMAINS`, holds
 what each flag and key may take, and one checker reads every value against
-it before the handler runs.  Every subcommand runs deterministically under
-the given seed and writes CSV outputs with 17 significant digits, so reruns
-are byte-identical.  Exit codes: 0 success, 2 config error (the diagnostic
-names the offending key or flag), 3 numerical failure.
+it before the handler runs.  Neither table reads anything from the
+`fermion`, `rsep` or `spectral` modules: their handlers import them, so
+a command loads only the modules it runs, and each scipy import sits in
+the library function that uses it.  Every subcommand runs
+deterministically under the given seed and writes CSV outputs with 17
+significant digits, so reruns are byte-identical.  Exit codes: 0
+success, 2 config error (the diagnostic names the offending key or flag),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import fermion, nip, population, rsep, spectral
+from . import nip, population
 from .carleman import monomial_count, steps_exactly
-from .polyflow import GRID_SAMPLES, sample_grid, write_csv
+from .polyflow import GRID_SAMPLES, ORACLE_MAX_N, sample_grid, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,9 +80,8 @@ MAX_CHAOS_T_END = 10**4
 MAX_WINDOW_J = 10**5 + 1
 # Most trials of `fermion-oracle-check`, each two covariance flows checked
 # against the dense density-matrix oracle, whose `--N` is at most
-# `fermion.ORACLE_MAX_N`.  At --N 4 a trial takes 18 ms on average (65 ms
-# when it draws N = 4; 2 cores, one BLAS thread), so the limit is about
-# 3 minutes.
+# ORACLE_MAX_N.  At --N 4 a trial takes 18 ms on average (65 ms when it
+# draws N = 4; 2 cores, one BLAS thread), so the limit is about 3 minutes.
 MAX_ORACLE_TRIALS = 10**4
 
 
@@ -421,9 +424,18 @@ def _error_profile_cmd(args, cfg, route, evolve):
 # ---------------------------------------------------------------------------
 # fermion subcommands
 
+def _fermion_system(spec):
+    """The "system" key's `fermion.system_from_dict`."""
+    from . import fermion
+
+    return fermion.system_from_dict(spec)
+
+
 def _fermion_setup(args, cfg):
     """The config's system and initial covariance: "gamma0", of the
     system's size, else a random antisymmetric matrix drawn with --seed."""
+    from . import fermion
+
     sys_, gamma0 = cfg["system"], cfg["gamma0"]
     n2 = 2 * sys_.N
     if gamma0 is None:
@@ -439,30 +451,49 @@ def _fermion_setup(args, cfg):
 
 
 def _cmd_fermion_evolve(args, cfg):
+    from . import fermion
+
     sys_, gamma0 = _fermion_setup(args, cfg)
-    final, _, _ = fermion.evolve_covariance(sys_, gamma0, args.t_end)
+    # gamma0 is finite, so a covariance that is not comes from an exact
+    # step past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        final, _, _ = fermion.evolve_covariance(sys_, gamma0, args.t_end)
+    if not np.isfinite(final.Gamma).all():
+        raise NumericalError(f"the covariance of config key 'system' at "
+                             f"t_end {args.t_end!r} is not finite: its exact "
+                             f"step overflows the float range")
     _write_upper_triangle(args.out, final.Gamma)
     return EXIT_OK
 
 
 def _cmd_fermion_heat(args, cfg):
+    from . import fermion
+
     samples, n2 = cfg["samples"], 2 * cfg["system"].N
     if samples * n2 * n2 * 8 > MAX_HEAT_BYTES:
         raise ConfigError(f"config key 'samples' asks for {samples} {n2} x "
                           f"{n2} covariances, over {MAX_HEAT_BYTES} bytes")
     sys_, gamma0 = _fermion_setup(args, cfg)
     times = np.linspace(0.0, args.t_end, samples)
-    _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, args.t_end,
-                                              sample_times=times)
-    e0 = fermion.energy(sys_.h, gamma0)
-    # fermion.energy of each sample, read off the stack as it is
-    energies = -np.trace(sys_.h @ gammas.stack, axis1=1, axis2=2) / 4.0
-    write_csv(args.out, ["t", "heat_per_fermion"],
-              [ts, (e0 - energies) / sys_.N])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ts, gammas = fermion.evolve_covariance(sys_, gamma0, args.t_end,
+                                                  sample_times=times)
+        e0 = fermion.energy(sys_.h, gamma0)
+        # fermion.energy of each sample, read off the stack as it is
+        energies = -np.trace(sys_.h @ gammas.stack, axis1=1, axis2=2) / 4.0
+        heat = (e0 - energies) / sys_.N
+    if not np.isfinite(heat).all():
+        raise NumericalError(
+            f"the heat per fermion of config key 'system' is not finite at "
+            f"t = {float(ts[np.argmin(np.isfinite(heat))])!r}: its covariance "
+            f"flow or energy overflows the float range")
+    write_csv(args.out, ["t", "heat_per_fermion"], [ts, heat])
     return EXIT_OK
 
 
 def _cmd_fermion_decay(args, cfg):
+    from . import fermion
+
     sys_, gamma0 = _fermion_setup(args, cfg)
     try:
         spec = fermion.decay_spectrum(sys_, gamma0)
@@ -476,6 +507,8 @@ def _cmd_fermion_decay(args, cfg):
 
 
 def _cmd_fermion_steady(args, cfg):
+    from . import fermion
+
     sys_ = cfg["system"]
     try:
         steady = fermion.steady_state(sys_)
@@ -492,6 +525,8 @@ def _write_upper_triangle(path, Gamma):
 
 
 def _cmd_fermion_oracle_check(args, cfg):
+    from . import fermion
+
     worst = 0.0
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
@@ -508,6 +543,8 @@ def _cmd_fermion_oracle_check(args, cfg):
 # rsep
 
 def _cmd_rsep_sweep(args, cfg):
+    from . import rsep
+
     points = cfg["points"]
     if (work := len(points) * (args.t_end + 15)) > MAX_RSEP_WORK:
         raise ConfigError(
@@ -546,6 +583,8 @@ def _cmd_rsep_sweep(args, cfg):
 def _spectral_window(cfg):
     """The config's window, and its dt, large enough that every decoded
     frequency, of magnitude below pi / dt, is finite."""
+    from . import spectral
+
     try:
         window = spectral.kaiser_window(cfg["J"], cfg["sigma"])
     except ValueError as exc:
@@ -557,6 +596,8 @@ def _spectral_window(cfg):
 
 
 def _cmd_spectral_window(args, cfg):
+    from . import spectral
+
     window, dt = _spectral_window(cfg)
     p = spectral.qpe_distribution(window, cfg["theta"])
     ell = np.arange(window.J)
@@ -568,6 +609,8 @@ def _cmd_spectral_window(args, cfg):
 def _spectral_emulation(args, cfg, draw):
     """Emulated and ideal outcome distributions of the config's modes, and
     when `draw`, "n_samples" outcomes drawn from the emulated one."""
+    from . import spectral
+
     mu, omega, re_a, im_a = cfg["modes"].T
     # scaled by the power of two that puts every part below 1, which is
     # exact and leaves a / |a| as it is, so that |a| does not overflow
@@ -607,6 +650,8 @@ def _spectral_emulation(args, cfg, draw):
 
 
 def _cmd_ode_history(args, cfg):
+    from . import spectral
+
     m, p, l = cfg["m"], cfg["p"], cfg["l"]
     A = np.asarray(cfg["A"], dtype=complex)
     x0 = np.asarray(cfg["x0"], dtype=complex)
@@ -651,13 +696,13 @@ _DOMAINS = {
     "--t-end": _Domain("number", population.DEFAULT_T_END, low=0),
     "--orders": _Domain("integers", (1, 3, 6), low=1),
     "--grid": _Domain("text", "0.5:2.0:0.05"),
-    "--N": _Domain("integer", 3, low=1, high=fermion.ORACLE_MAX_N),
+    "--N": _Domain("integer", 3, low=1, high=ORACLE_MAX_N),
     "--trials": _Domain("integer", 20, low=1, high=MAX_ORACLE_TRIALS),
     "model": _Domain("object", parse=lambda spec: population.paper_model()
                      if spec is None else nip.model_from_dict(spec)),
     "x0": _Domain("list", [1.0, 1.4, 1.4]),
     "x1": _Domain("number", 1.0),
-    "system": _Domain("object", parse=fermion.system_from_dict, fields={
+    "system": _Domain("object", parse=_fermion_system, fields={
         "N": _Domain("integer", low=1, high=MAX_FERMION_N, required=True),
         "h": _Domain("matrix", columns=("i", "j", "value"), required=True),
         "jumps": _Domain("matrix", columns=("re", "im"), required=True,
@@ -717,8 +762,11 @@ _SPECTRAL = ("J", "sigma", "dt", "T1", "n_samples")
 # grid, `population-traj` 2.6 ms, `population-chaos` 2.0 ms (its 2001
 # samples keep the memory fixed), `carleman-error` and `nip-error` 3.1 ms
 # at their default orders and `rsep-sweep` 20 ms per d = 100 point (2
-# cores, one BLAS thread).  The fermion flows' one exact step overflows to
-# nan from t_end ~ 1e50.
+# cores, one BLAS thread).  The fermion flows' one exact step resolves
+# |h| t_end, not t_end alone: the printed covariance is off by 1.5e-8
+# relative at |h| t_end = 1e6 (unit h at the largest --t-end) and by
+# 1.5e-5 at 1e10, and from about 1e18 on it is 0 or nan (a covariance or
+# heat that is not finite exits 3).
 _COMMANDS = {
     "population-scan": _Command(
         _cmd_population_scan, _LIFT + ("--grid", "--threads"),

@@ -31,10 +31,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
-from .polyflow import DimensionError, sample_grid
+from .polyflow import ORACLE_MAX_N, DimensionError, sample_grid
 
 ANTISYM_TOL = 1e-12
-ORACLE_MAX_N = 4
 # steady_state requires |lambda_i + lambda_j| > GAP_TOL * max(1, |lambda|max)
 # over the eigenvalues of B; otherwise the Lyapunov operator is singular.
 GAP_TOL = 1e-10

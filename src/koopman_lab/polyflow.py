@@ -40,6 +40,11 @@ DIVERGENCE_NORM = 1e9
 KRON_SIZE_LIMIT = 10**8
 # Samples of the default grid np.linspace(0, t_end, GRID_SAMPLES).
 GRID_SAMPLES = 129
+# Largest N of the fermion strand's density-matrix oracle, whose
+# Liouvillian is 4^N x 4^N: `fermion.ORACLE_MAX_N`, kept here, beside the
+# grid, so that the command table reads it without loading the fermion
+# module and scipy.
+ORACLE_MAX_N = 4
 # Order of each Taylor expansion of `taylor_samples`, its tolerance, and
 # the bound on the expansion's last two coefficients over a step, as a
 # fraction of TAYLOR_TOL max(1, |x|), that picks the step.  On criterion

@@ -9,7 +9,6 @@ The model constants below are entered verbatim; coupling columns are ordered
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,7 +155,8 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
     numbers do not depend on its chunk's other cells: they are the bits
     of `nip_evolve` and `vacancy_evolve` at its x0 alone.  The chunks'
     arrays are joined in grid order, so the result does not depend on the
-    thread count.  `threads` None runs in this process, as 1 does.
+    thread count.  `threads` None runs in this process, as 1 does.  The
+    process pool is imported only when a scan starts more than one worker.
     """
     if x2_range is None:
         x2_range = np.arange(0.5, 2.0 + 1e-9, 0.05)
@@ -176,6 +176,8 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
               for i in range(0, len(points), SCAN_CHUNK)]
     workers = 1 if threads is None else worker_count(threads, len(chunks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         for route in ROUTES:
             for n in orders:
                 exact_step(route_lift(model, route, n), t_end, sample_times)

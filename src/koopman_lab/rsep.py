@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .polyflow import (
     DimensionError,
@@ -251,6 +250,8 @@ def lifted_flow_residual(params: RsepParams, t_end: float) -> float:
     The lift (u, w) = e^{H_x t} (x0, 1) takes one dense `expm` per time of
     the shared grid.
     """
+    from scipy.linalg import expm
+
     systems, x = _canonical_x_flow(params, t_end)
     d = params.d
     lift = np.array([expm(systems.Hx * t) @ np.append(x[0], 1.0)

@@ -1226,6 +1226,99 @@ class TestColdStart:
             (eager / "chaos.csv").read_bytes()
 
 
+# Runs each stage of commands, given as JSON, in one process and prints
+# after each the modules of WATCHED it has loaded.
+LOADED = """
+import contextlib
+import io
+import json
+import sys
+from koopman_lab import cli
+
+WATCHED = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.integrate",
+           "concurrent.futures.process", "koopman_lab.fermion",
+           "koopman_lab.rsep", "koopman_lab.spectral")
+for stage in json.loads(sys.argv[1]):
+    for argv in stage:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0, argv
+    print(" ".join(name for name in WATCHED if name in sys.modules))
+"""
+CONFIGS = Path(__file__).resolve().parent / "data" / "configs"
+
+
+def loaded_after(tmp_path, *stages):
+    """The WATCHED modules loaded after each stage of `LOADED`, run in a
+    fresh interpreter in tmp_path, as one list per stage."""
+    proc = run_python(["-c", LOADED, json.dumps(stages)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+class TestLoadContract:
+    """Each command loads only what it runs: the command table imports no
+    command module, scipy.linalg loads with an exact step or a fermion or
+    history flow, and scipy.sparse and the process pool only where a lift
+    above DENSE_LIMIT or a pooled scan needs them."""
+
+    def test_the_command_table_loads_no_command_module(self, tmp_path):
+        assert loaded_after(tmp_path, []) == [[]]
+
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        spectral_cfg, rsep_cfg = (str(CONFIGS / name)
+                                  for name in ("spectral.json", "rsep.json"))
+        assert loaded_after(tmp_path, [
+            ["population-chaos", "--out", "chaos.csv"],
+            ["spectral-window", "--out", "window.csv"],
+            ["spectral-emulate", "--config", spectral_cfg, "--out", "e.csv"],
+            ["spectral-sample", "--config", spectral_cfg, "--out", "s.csv"],
+            ["rsep-sweep", "--config", rsep_cfg, "--out", "rsep.csv"],
+        ]) == [["koopman_lab.rsep", "koopman_lab.spectral"]]
+
+    def test_exact_lifts_and_linear_flows_load_no_sparse_nor_pool(
+            self, tmp_path):
+        fermion_cfg, commuting_cfg, history_cfg = (
+            str(CONFIGS / name) for name in
+            ("fermion.json", "commuting.json", "history.json"))
+        lifts, flows = loaded_after(tmp_path, [
+            ["population-scan", "--grid", "1:1.5:0.5", "--orders", "1", "3",
+             "--threads", "1", "--out", "scan.csv"],
+            ["population-traj", "--out", "traj.csv"],
+            ["carleman-error", "--out", "carleman.csv"],
+            ["nip-error", "--out", "nip.csv"],
+        ], [
+            ["ode-history", "--config", history_cfg, "--out", "h.csv"],
+            ["fermion-evolve", "--config", fermion_cfg, "--out", "e.csv"],
+            ["fermion-heat", "--config", fermion_cfg, "--out", "q.csv"],
+            ["fermion-decay", "--config", commuting_cfg, "--out", "d.csv"],
+            ["fermion-steady", "--config", fermion_cfg, "--out", "s.csv"],
+            ["fermion-oracle-check", "--trials", "2"],
+        ])
+        assert lifts == ["scipy", "scipy.linalg"]
+        assert flows == ["scipy", "scipy.linalg", "koopman_lab.fermion",
+                         "koopman_lab.spectral"]
+
+    def test_a_pooled_scan_loads_the_pool_and_a_large_lift_scipy_sparse(
+            self, tmp_path):
+        # 7 x 7 cells are two chunks, one per worker; order 8 has 164
+        # monomials at d = 3, above DENSE_LIMIT
+        assert population.SCAN_CHUNK < 49 <= 2 * population.SCAN_CHUNK
+        assert not carleman.steps_exactly(3, 8)
+        pooled, lifted = loaded_after(tmp_path, [
+            ["population-scan", "--grid", "1.0:1.3:0.05", "--orders", "1",
+             "3", "--threads", "2", "--out", "scan.csv"],
+        ], [
+            ["nip-error", "--orders", "8", "--t-end", "0.1", "--out",
+             "nip.csv"],
+        ])
+        # a pool starts only where the scan gets two workers
+        pool = ["concurrent.futures.process"] * (
+            population.worker_count(2, 2) > 1)
+        assert pooled == ["scipy", "scipy.linalg", *pool]
+        assert lifted == ["scipy", "scipy.linalg", "scipy.sparse",
+                          "scipy.integrate", *pool]
+
+
 class TestPopulationCommands:
     def test_traj_schema(self, tmp_path):
         cfg = write_json(tmp_path, "t.json", {"x0": [1.0, 1.05, 0.95]})
@@ -1406,6 +1499,24 @@ class TestFermionCommands:
         assert cli.run(["fermion-heat", "--config", cfg, "--out", str(out),
                         "--seed", "2", "--t-end", "0"]) == cli.EXIT_OK
         assert out.read_text().splitlines()[1:] == ["0,0"]
+
+    @pytest.mark.parametrize("command, named", [
+        ("fermion-evolve", "covariance of config key 'system' at t_end 1.0"),
+        ("fermion-heat", "heat per fermion of config key 'system' is not "
+                         "finite at t = 0.0078125")])
+    def test_a_flow_past_the_float_range_is_numerical(
+            self, tmp_path, capsys, command, named):
+        # |h| = 1e100: the exact step is nan, which both used to write
+        # with exit 0
+        cfg = write_json(tmp_path, "big.json", {"system": {
+            "N": 1, "h": [[0, 1, 1e100]], "jumps": []}})
+        out = tmp_path / "o.csv"
+        assert cli.run([command, "--config", cfg, "--out", str(out)]) \
+            == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the ") and named in err
+        assert "not finite" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fermion-evolve", "fermion-heat",
                                          "fermion-steady"])

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from koopman_lab import carleman, nip, population
+from koopman_lab import nip, population
 from koopman_lab.nip import PopulationModel, nip_evolve, vacancy_evolve
 from koopman_lab.polyflow import SparseTensor, eval_rhs, integrate_reference
 from koopman_lab.population import (
@@ -129,15 +130,20 @@ class TestScan:
         assert len(recorded) == 962
         assert got == recorded
 
-    def test_scan_builds_no_csr(self, model, monkeypatch):
-        # the exact path reads each lift's triplets densely
+    def test_scan_builds_no_csr(self, monkeypatch):
+        # the exact path reads each lift's triplets densely: no CSR is
+        # built, and no lift the scan keeps on its model holds one
         def refuse(*args, **kwargs):
             raise AssertionError("a scan at orders (1, 3) built a CSR")
 
-        monkeypatch.setattr(carleman, "csr_matrix", refuse)
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
+        model = paper_model()
         res = convergence_scan(model, x2_range=[0.6, 1.4],
                                x3_range=[0.9, 1.7], orders=(1, 3), threads=1)
         assert res.carleman_verdict.shape == (2, 2)
+        for route in nip.ROUTES:
+            for n in (1, 3):
+                assert "_csr" not in vars(nip.route_lift(model, route, n))
 
     def test_bad_orders_rejected(self, model):
         with pytest.raises(ValueError):
