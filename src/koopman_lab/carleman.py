@@ -41,8 +41,9 @@ every sample would take n D c.
 The module imports scipy where it is used: scipy.linalg's `expm` in
 `exact_step`, and scipy.sparse where a CSR is built (`MonomialLift._csr`)
 and where the DOP853 branch of `lifted_samples` binds its kernel.  So a
-process that builds lifts but steps none loads no scipy, and only a lift
-above DENSE_LIMIT, or a call of `apply`, loads scipy.sparse.
+process that builds lifts but steps none, or runs them on the grid of
+t = 0 alone, loads no scipy, and only a lift above DENSE_LIMIT, or a call
+of `apply`, loads scipy.sparse.
 
 A `MonomialLift` keeps the dtype of its system's values: float64 for a
 real system, such as the population strand's, whose triplets, exact-step
@@ -538,6 +539,9 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     all D monomials, each weighted by `lift.multiplicities`, and a column
     ends at divergence (that norm above DIVERGENCE_NORM).
 
+    A grid of t = 0 alone takes neither: each column keeps its one sample,
+    block 1 of G0, and loads no scipy.
+
     Returns (times, samples, kept, diverged): the n sample times, block 1
     of the samples, the coordinates x_0 .. x_(d-1) as an (n, d, c) array,
     how many leading samples each column keeps (the samples after them are
@@ -547,11 +551,14 @@ def lifted_samples(lift: MonomialLift, G0: np.ndarray, t_end: float,
     if G0.ndim != 2 or G0.shape[0] != lift.total_dim:
         raise DimensionError("lift/state dims mismatch")
     times = sample_grid(t_end, sample_times)
+    count = G0.shape[1]
+    if times.size == 1:  # t = 0 alone
+        return (times, G0[None, :lift.dim].copy(),
+                np.ones(count, dtype=np.int64), np.zeros(count, dtype=bool))
     if (step := exact_step(lift, t_end, times)) is not None:
         samples, kept = step_block(step, G0, times.size, lift.multiplicities,
                                    rows=lift.dim)
         return times, samples, kept, kept < times.size
-    count = G0.shape[1]
     samples = np.full((times.size, lift.dim, count), np.nan, dtype=G0.dtype)
     kept = np.empty(count, dtype=np.int64)
     diverged = np.empty(count, dtype=bool)

@@ -379,7 +379,7 @@ def _cmd_population_traj(args, cfg):
     # the samples all three runs reach
     n = min(exact.times.size, carl.states.shape[0], mode.states.shape[0])
     write_csv(args.out, header, [exact.times[:n]] + [
-        x for traj in (exact, carl, mode) for x in traj.states[:n].real.T])
+        x for traj in (exact, carl, mode) for x in traj.states[:n].T])
     return EXIT_OK
 
 
@@ -397,27 +397,25 @@ def _cmd_population_chaos(args, cfg):
     return EXIT_OK
 
 
-def _error_profile_cmd(args, cfg, route, evolve):
+def _error_profile_cmd(args, cfg, route):
     model = cfg["model"]
     x0 = _x0(cfg["x0"], model)
     _check_lift_seconds("--orders and --t-end", model.dim, (route,),
                         args.orders, args.t_end)
     sample_times = sample_grid(args.t_end)
-    reference = nip.reference_y_trajectory(model, x0, args.t_end,
-                                           sample_times=sample_times)
-    runs = [evolve(model, x0, n, args.t_end, sample_times=sample_times,
-                   reference=reference) for n in args.orders]
+    references = nip.reference_y_samples(model, [x0], args.t_end,
+                                         sample_times=sample_times)
+    runs = [nip.route_runs(model, [x0], route, n, args.t_end, sample_times,
+                           references) for n in args.orders]
     header = ["t"] + [f"eps_order_{n}" for n in args.orders]
     # a run cut at its blow-up, or not finite, reads inf from there on
-    columns = [sample_times]
-    for run in runs:
-        eps = np.full(sample_times.size, np.inf)
-        eps[:run.eps.size] = run.eps
-        eps[~np.isfinite(eps)] = np.inf
-        columns.append(eps)
+    columns = [sample_times] + [
+        np.where((np.arange(sample_times.size) < run.kept[0])
+                 & np.isfinite(run.eps[0]), run.eps[0], np.inf)
+        for run in runs]
     write_csv(args.out, header, columns)
     for n, run in zip(args.orders, runs):
-        print(f"order={n} eps_max={run.eps_max:.17g}")
+        print(f"order={n} eps_max={run.eps_max[0]:.17g}")
     return EXIT_OK
 
 
@@ -781,12 +779,10 @@ _COMMANDS = {
                   "x0": [0.05, 1.3, 0.025]},
         max_t_end=MAX_CHAOS_T_END),
     "carleman-error": _Command(
-        functools.partial(_error_profile_cmd, route="vacancy",
-                          evolve=nip.vacancy_evolve),
+        functools.partial(_error_profile_cmd, route="vacancy"),
         _LIFT, optional=_POPULATION, max_t_end=10**3),
     "nip-error": _Command(
-        functools.partial(_error_profile_cmd, route="mode",
-                          evolve=nip.nip_evolve),
+        functools.partial(_error_profile_cmd, route="mode"),
         _LIFT, optional=_POPULATION, max_t_end=10**3),
     "fermion-evolve": _Command(
         _cmd_fermion_evolve, _IO + ("--seed", "--t-end"), ("system",),

@@ -21,6 +21,10 @@ A batch of initial conditions is one call, mapped to y once as arrays
 are measured as one array against those arrays (`route_runs`).
 `_route_errors` is the one measurement of a lift's truncation error: the
 per-sample eps, eps_max and whether a sample met the back map's pole.
+The scan and the commands call `reference_y_samples` and `route_runs` on
+their rows of initial conditions.  `reference_y_trajectory`, `vacancy_evolve` and `nip_evolve`
+are the single-cell API, the same functions on one initial condition with
+the same bits; no library function calls them.
 The mode system, each route's system and each lift depend on the model
 alone, so each is built once and kept on the model for the calls that
 follow (`PopulationModel._memo`): each a frozen value, found by its name
@@ -269,7 +273,6 @@ def reference_y_trajectory(model: PopulationModel, x0, t_end: float,
 class TruncationRun:
     """One lifted evolution measured against the reference in y coordinates."""
 
-    y_approx: Trajectory
     eps: np.ndarray       # per-sample error; NaN at pole-invalid samples
     eps_max: float        # +inf when either trajectory diverged
     pole_invalid: bool
@@ -388,10 +391,7 @@ def _route_run(model, x0, route, order, t_end, sample_times,
                                       np.array([reference.diverged]))
     runs = route_runs(model, [x0], route, order, t_end, sample_times,
                       references)
-    kept = int(runs.kept[0])
-    y = Trajectory(references.times[:kept], runs.y[0, :kept],
-                   diverged=bool(runs.diverged[0]))
-    return TruncationRun(y, runs.eps[0, :kept], float(runs.eps_max[0]),
+    return TruncationRun(runs.eps[0, :runs.kept[0]], float(runs.eps_max[0]),
                          bool(runs.pole_invalid[0]))
 
 
@@ -401,7 +401,8 @@ def vacancy_evolve(model: PopulationModel, x0, order: int, t_end: float,
     """Lift y(0) through the Taylor-truncated vacancy tensors; eps_C run.
 
     The run is `route_runs` on one initial condition, with the same bits
-    as in a batch.  `tol` does not apply (DOP853 runs at
+    as in a batch; it is single-cell API, which no library function calls.
+    `tol` does not apply (DOP853 runs at
     `carleman.LIFT_TOL`); ROADMAP item 2 removes the slot.
     """
     return _route_run(model, x0, "vacancy", order, t_end, sample_times,

@@ -19,12 +19,10 @@ from .nip import (
     PopulationModel,
     eta_to_x,
     koopman_system,
-    nip_evolve,
+    nip_evolve,  # noqa: F401 (test_uninstall_restores_every_site reads it)
     reference_y_samples,
-    reference_y_trajectory,
     route_lift,
     route_runs,
-    vacancy_evolve,
     x_to_eta,
     y_to_x,
 )
@@ -170,8 +168,10 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
         raise ValueError("orders must be (low, high) with low < high")
     sample_times = sample_grid(t_end)
     shared = (model, tuple(orders), t_end, sample_times)
-    points = np.array([[x1_fixed, x2, x3]
-                       for x2 in x2_range for x3 in x3_range])
+    # x3 running fastest, as `scan_to_csv` writes the cells
+    n2, n3 = x2_range.size, x3_range.size
+    points = np.column_stack([np.full(n2 * n3, x1_fixed, dtype=float),
+                              np.repeat(x2_range, n3), np.tile(x3_range, n2)])
     chunks = [points[i:i + SCAN_CHUNK]
               for i in range(0, len(points), SCAN_CHUNK)]
     workers = 1 if threads is None else worker_count(threads, len(chunks))
@@ -187,9 +187,8 @@ def convergence_scan(model: PopulationModel, x1_fixed: float = 1.0,
             done = list(pool.map(_pooled_chunk, chunks))
     else:
         done = [_scan_chunk(chunk, *shared) for chunk in chunks]
-    shape = (x2_range.size, x3_range.size)
     c_verdict, k_verdict, c_low, c_high, k_low, k_high = (
-        np.concatenate(part).reshape(shape) for part in zip(*done))
+        np.concatenate(part).reshape(n2, n3) for part in zip(*done))
     return ScanResult(
         x2_values=x2_range, x3_values=x3_range,
         carleman_verdict=c_verdict.astype(object),
@@ -225,14 +224,14 @@ def _populations(model: PopulationModel, traj: Trajectory,
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = to_x(model, traj.states)
-        ok = np.all(np.isfinite(x) & (x.real > 0), axis=1) \
+        ok = np.all(np.isfinite(x) & (x > 0), axis=1) \
             & (np.linalg.norm(x, axis=1) <= DIVERGENCE_NORM)
     keep = ok.size if ok.all() else int(np.argmin(ok))
     if keep < ok.size:  # the non-positive, else the largest, population
-        i = np.argmax(np.where(x[keep].real > 0, np.abs(x[keep]), np.inf))
+        i = np.argmax(np.where(x[keep] > 0, x[keep], np.inf))
         fate = f"grew without bound by t = {traj.times[keep]:.6g}"
     elif traj.diverged:  # the smallest population against its capacity
-        i = np.argmin(x[-1].real / model.X)
+        i = np.argmin(x[-1] / model.X)
         fate = f"reached 0 after t = {traj.times[-1]:.6g}"
     else:
         return Trajectory(traj.times, x)
@@ -257,18 +256,20 @@ def exact_x_trajectory(model: PopulationModel, x0, t_end: float,
 def trajectory_compare(model: PopulationModel, x0, order: int,
                        t_end: float = DEFAULT_T_END):
     """(exact, vacancy-lift, mode-lift) trajectories in x coordinates; the
-    exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`.
-    All three sample the default grid of `polyflow.sample_grid`."""
-    reference = reference_y_trajectory(model, x0, t_end)
-    run_c = vacancy_evolve(model, x0, order, t_end, reference=reference)
-    run_k = nip_evolve(model, x0, order, t_end, reference=reference)
+    exact one is the lifts' Taylor reference, cut as `exact_x_trajectory`,
+    and each lift is `nip.route_runs` against it, a batch of one.  All
+    three sample the default grid of `polyflow.sample_grid`."""
+    ref = reference_y_samples(model, [x0], t_end)
+    reference = Trajectory(ref.times[:ref.kept[0]], ref.y[0, :ref.kept[0]],
+                           diverged=bool(ref.diverged[0]))
 
-    def to_x(run):
-        y = run.y_approx
-        return Trajectory(y.times, y_to_x(model, y.states),
-                          diverged=y.diverged)
+    def lifted(route):
+        run = route_runs(model, [x0], route, order, t_end, ref.times, ref)
+        return Trajectory(ref.times[:run.kept[0]],
+                          y_to_x(model, run.y[0, :run.kept[0]]),
+                          diverged=bool(run.diverged[0]))
 
-    return _populations(model, reference, y_to_x), to_x(run_c), to_x(run_k)
+    return (_populations(model, reference, y_to_x), *map(lifted, ROUTES))
 
 
 @dataclass
@@ -288,8 +289,7 @@ def chaos_demo(model: PopulationModel, x0,
     """
     traj = exact_x_trajectory(model, x0, t_end,
                               sample_times=np.linspace(0.0, t_end, 2001))
-    proj = np.column_stack([traj.times, traj.states[:, 1].real,
-                            traj.states[:, 2].real])
-    dist = float(np.linalg.norm(traj.final.real - model.X))
+    proj = np.column_stack([traj.times, traj.states[:, 1:3]])
+    dist = float(np.linalg.norm(traj.final - model.X))
     return ChaosResult(traj, proj, dist,
                        settled=dist <= EQUILIBRIUM_TOL and not traj.diverged)

@@ -762,4 +762,4 @@ class TestIntegratedRhs:
                 np.ones(2)
         run = nip_evolve(paper_model(), np.array([0.9, 1.1, 1.05]), 8, 0.5,
                          sample_times=np.linspace(0.0, 0.5, 5))
-        assert run.y_approx.times.size == 5 and np.isfinite(run.eps_max)
+        assert run.eps.size == 5 and np.isfinite(run.eps_max)

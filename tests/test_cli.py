@@ -708,10 +708,10 @@ class TestExitCodes:
         ("population-traj", (population, "trajectory_compare"),
          ["--orders", "16", "--t-end", "100"],
          ["--orders", "16", "--t-end", "10"]),
-        ("carleman-error", (nip, "reference_y_trajectory"),
+        ("carleman-error", (nip, "reference_y_samples"),
          ["--orders", "16", "--t-end", "100"],
          ["--orders", "16", "--t-end", "10"]),
-        ("nip-error", (nip, "reference_y_trajectory"),
+        ("nip-error", (nip, "reference_y_samples"),
          ["--orders", "16", "16", "16", "--t-end", "100"],
          ["--orders", "16", "--t-end", "100"]),
     ])
@@ -1265,9 +1265,16 @@ class TestLoadContract:
         assert loaded_after(tmp_path, []) == [[]]
 
     def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        # at --t-end 0 every lift, of any order, keeps its one sample and
+        # takes neither the exact step nor DOP853
+        assert not carleman.steps_exactly(3, 8)
         spectral_cfg, rsep_cfg = (str(CONFIGS / name)
                                   for name in ("spectral.json", "rsep.json"))
         assert loaded_after(tmp_path, [
+            ["nip-error", "--t-end", "0", "--out", "nip.csv"],
+            ["nip-error", "--orders", "8", "--t-end", "0", "--out",
+             "nip8.csv"],
+            ["population-scan", "--t-end", "0", "--out", "scan.csv"],
             ["population-chaos", "--out", "chaos.csv"],
             ["spectral-window", "--out", "window.csv"],
             ["spectral-emulate", "--config", spectral_cfg, "--out", "e.csv"],
@@ -1362,6 +1369,37 @@ class TestPopulationCommands:
         rows = [line.split(",") for line in outs[0].decode().splitlines()[1:]]
         assert [(float(r[0]), float(r[1])) for r in rows] == [
             (x2, x3) for x2 in axis for x3 in axis]
+
+    @pytest.mark.parametrize("command, evolve", [
+        ("carleman-error", nip.vacancy_evolve), ("nip-error", nip.nip_evolve)])
+    def test_error_commands_print_the_single_cell_runs(
+            self, tmp_path, capsys, command, evolve):
+        # the commands run the batch functions on [x0]; the single-cell API
+        # against its own reference gives the same errors to the bit, order
+        # 8 by DOP853 and orders 1 and 3 by the exact step
+        from koopman_lab.polyflow import sample_grid
+
+        assert not carleman.steps_exactly(3, 8) \
+            and carleman.steps_exactly(3, 3)
+        x0, t_end, orders = np.array([1.0, 1.4, 1.3]), 0.1, (1, 3, 8)
+        cfg = write_json(tmp_path, "x0.json", {"x0": x0.tolist()})
+        out = tmp_path / "eps.csv"
+        assert cli.run([command, "--config", cfg, "--t-end", str(t_end),
+                        "--orders", *map(str, orders), "--out", str(out)]) \
+            == cli.EXIT_OK
+        model = population.paper_model()
+        grid = sample_grid(t_end)
+        ref = nip.reference_y_trajectory(model, x0, t_end, sample_times=grid)
+        runs = [evolve(model, x0, n, t_end, sample_times=grid, reference=ref)
+                for n in orders]
+        assert capsys.readouterr().out.splitlines() == [
+            f"order={n} eps_max={run.eps_max:.17g}"
+            for n, run in zip(orders, runs)]
+        columns = np.loadtxt(out, delimiter=",", skiprows=1).T
+        np.testing.assert_array_equal(columns[0], grid)
+        for eps, run in zip(columns[1:], runs):
+            np.testing.assert_array_equal(eps[:run.eps.size], run.eps)
+            assert np.all(eps[run.eps.size:] == np.inf)
 
     def test_chaos_zero_horizon(self, tmp_path, capsys):
         out = tmp_path / "chaos.csv"

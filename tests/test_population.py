@@ -223,7 +223,7 @@ class TestTrajectories:
 
     def test_compare_integrates_one_reference(self, model, monkeypatch):
         # every reference trajectory, batched or single, goes through this
-        # function
+        # function, bound in nip and in population
         calls = []
         batch = nip.reference_y_samples
 
@@ -232,6 +232,7 @@ class TestTrajectories:
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(nip, "reference_y_samples", counted)
+        monkeypatch.setattr(population, "reference_y_samples", counted)
         trajectory_compare(model, np.array([1.0, 1.4, 1.4]), 2, 0.02)
         assert len(calls) == 1
 
